@@ -1,20 +1,10 @@
 """Setup shim for environments without the `wheel` package (offline installs).
 
-Static metadata lives in pyproject.toml; this file keeps `pip install -e .`
-working under legacy setuptools builds.
+All metadata lives in pyproject.toml (the version is read from
+``repro.__version__``); this file keeps `pip install -e .` working under
+legacy setuptools builds.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="qo-advisor-repro",
-    version="1.10.0",
-    description=(
-        "Reproduction of 'Deploying a Steered Query Optimizer in Production "
-        "at Microsoft' (SIGMOD 2022)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages("src"),
-    python_requires=">=3.10",
-    install_requires=["numpy"],
-)
+setup()

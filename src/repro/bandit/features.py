@@ -11,6 +11,18 @@ Follows the paper's findings (§3.2, §6):
 * **actions** are featurized by rule id and rule category;
 * context × action interactions cross the span bits with the acted-on rule
   so the model can learn "flip r helps when s is in the span".
+
+**Ordering invariant.**  A joint vector is the context features followed by
+the action's own and ``cross`` features, each slot at the position of its
+first ``add``, values accumulated in ``add`` order; the scorer sums it in
+that order.  The context part is the same for every action of a job, so it
+is built once (:func:`context_features`) and shared — and the result must
+stay *bit*-identical to building every vector from scratch: same ``(index,
+value)`` items in the same order, hence the same float sums, argmax, RNG
+draws and day fingerprints.  Only an action whose slots
+(:func:`action_features`) are disjoint from the context's may be scored as
+"context prefix, then action suffix"; a colliding action changes a context
+slot in place and takes the full sequential sum (:func:`joint_features`).
 """
 
 from __future__ import annotations
@@ -21,7 +33,10 @@ from itertools import combinations
 
 from repro.bandit.hashing import feature_index
 
-__all__ = ["FeatureVector", "ContextFeatures", "ActionFeatures", "joint_features"]
+__all__ = [
+    "FeatureVector", "ContextFeatures", "ActionFeatures",
+    "context_features", "action_features", "joint_features",
+]
 
 
 @dataclass
@@ -103,18 +118,44 @@ class ActionFeatures:
             vector.add("action", f"cat_{self.category}")
 
 
-def joint_features(
-    context: ContextFeatures,
-    action: ActionFeatures,
-    bits: int,
-    interaction_order: int = 3,
+def context_features(
+    context: ContextFeatures, bits: int, interaction_order: int = 3
 ) -> FeatureVector:
-    """Context ⊕ action ⊕ (span × action) crossed features."""
+    """The action-independent part of a job's joint vectors."""
     vector = FeatureVector(bits)
     context.write_into(vector, interaction_order)
+    return vector
+
+
+def _write_action(vector: FeatureVector, context: ContextFeatures, action: ActionFeatures) -> None:
     action.write_into(vector)
     if action.rule_id is not None:
         for span_rule in context.span:
             vector.add("cross", f"s{span_rule}|a{action.rule_id}")
         vector.add("cross", f"self|{'in' if action.rule_id in context.span else 'out'}")
+
+
+def action_features(context: ContextFeatures, action: ActionFeatures, bits: int) -> FeatureVector:
+    """The per-action part alone: action ⊕ (span × action) crossed features."""
+    vector = FeatureVector(bits)
+    _write_action(vector, context, action)
+    return vector
+
+
+def joint_features(
+    context: ContextFeatures,
+    action: ActionFeatures,
+    bits: int,
+    interaction_order: int = 3,
+    shared: FeatureVector | None = None,
+) -> FeatureVector:
+    """Context ⊕ action ⊕ (span × action) crossed features.
+
+    ``shared`` is ``context_features(context, bits, interaction_order)``
+    when the caller already has it; it is copied, never written.
+    """
+    if shared is None:
+        shared = context_features(context, bits, interaction_order)
+    vector = FeatureVector(bits, dict(shared.values))
+    _write_action(vector, context, action)
     return vector

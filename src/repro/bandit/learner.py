@@ -38,8 +38,9 @@ class CBLearner:
 
     # -- scoring -------------------------------------------------------------
 
-    def score(self, vector: FeatureVector) -> float:
-        total = 0.0
+    def score(self, vector: FeatureVector, total: float = 0.0) -> float:
+        """Sum ``vector`` in item order onto ``total`` (the score of a prefix
+        already summed; see the ordering invariant in ``bandit.features``)."""
         for index, value in vector.items():
             total += self.weights[index] * value
         return total

@@ -33,9 +33,15 @@ class LoggedEvent:
 
 
 def _target_probs(policy, event: LoggedEvent, scorer) -> list[float]:
+    """The target policy's distribution over a logged event's actions — from
+    one scoring pass when the policy offers ``action_probabilities``."""
+    actions = list(event.actions)
+    whole = getattr(policy, "action_probabilities", None)
+    if whole is not None:
+        return whole(event.context, actions, scorer)
     return [
-        policy.action_probability(event.context, list(event.actions), index, scorer)
-        for index in range(len(event.actions))
+        policy.action_probability(event.context, actions, index, scorer)
+        for index in range(len(actions))
     ]
 
 
@@ -64,9 +70,7 @@ def ips_estimate(events: list[LoggedEvent], policy, scorer=None) -> float:
         return 0.0
     total = 0.0
     for event in usable:
-        target = policy.action_probability(
-            event.context, list(event.actions), event.chosen, scorer
-        )
+        target = _target_probs(policy, event, scorer)[event.chosen]
         weight = target / max(event.probability, _MIN_PROB)
         total += weight * event.reward
     return total / len(usable)
@@ -79,9 +83,7 @@ def snips_estimate(events: list[LoggedEvent], policy, scorer=None) -> float:
     for event in events:
         if not _usable(event):
             continue
-        target = policy.action_probability(
-            event.context, list(event.actions), event.chosen, scorer
-        )
+        target = _target_probs(policy, event, scorer)[event.chosen]
         weight = target / max(event.probability, _MIN_PROB)
         numerator += weight * event.reward
         denominator += weight

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
+from repro.bandit.features import (
+    ActionFeatures,
+    ContextFeatures,
+    action_features,
+    context_features,
+    joint_features,
+)
 
 __all__ = ["RankedAction", "UniformPolicy", "EpsilonGreedyPolicy"]
 
@@ -49,10 +55,17 @@ class EpsilonGreedyPolicy:
         self.interaction_order = interaction_order
 
     def _scores(self, context, actions, scorer) -> np.ndarray:
+        shared = context_features(context, self.bits, self.interaction_order)
+        prefix = scorer.score(shared)
         scores = np.empty(len(actions))
         for index, action in enumerate(actions):
-            vector = joint_features(context, action, self.bits, self.interaction_order)
-            scores[index] = scorer.score(vector)
+            own = action_features(context, action, self.bits)
+            if shared.values.keys().isdisjoint(own.values):
+                scores[index] = scorer.score(own, prefix)
+            else:  # the action rewrites a context slot, so no prefix is shared
+                scores[index] = scorer.score(
+                    joint_features(context, action, self.bits, self.interaction_order, shared)
+                )
         return scores
 
     def choose(
@@ -81,3 +94,8 @@ class EpsilonGreedyPolicy:
     def action_probability(self, context, actions, index, scorer=None) -> float:
         scores = self._scores(context, actions, scorer)
         return self.action_probability_from_scores(scores, index)
+
+    def action_probabilities(self, context, actions, scorer=None) -> list[float]:
+        """The whole distribution from one scoring pass (off-policy estimators)."""
+        scores = self._scores(context, actions, scorer)
+        return [self.action_probability_from_scores(scores, i) for i in range(len(actions))]

@@ -63,6 +63,16 @@ class BanditSteeringPolicy(SteeringPolicy):
             context, actions, index, scorer or self.service.learner
         )
 
+    def action_probabilities(
+        self, context: ContextFeatures, actions: list[ActionFeatures], scorer=None
+    ) -> list[float]:
+        """:meth:`action_probability` for every index, from one scoring pass."""
+        if not actions:
+            return []
+        return self.service.greedy_policy.action_probabilities(
+            context, actions, scorer or self.service.learner
+        )
+
     def publish_version(self) -> int:
         return self.service.publish_version()
 

@@ -249,6 +249,16 @@ class LearnedSteeringPolicy(SteeringPolicy):
         greedy = int(np.argmax(scores))
         return self._greedy_probability(len(actions), index == greedy)
 
+    def action_probabilities(
+        self, context: ContextFeatures, actions: list[ActionFeatures], scorer=None
+    ) -> list[float]:
+        """:meth:`action_probability` for every index, from one scoring pass."""
+        if not actions:
+            return []
+        scores = self._scores(context, actions, None)
+        greedy = int(np.argmax(scores))
+        return [self._greedy_probability(len(actions), i == greedy) for i in range(len(actions))]
+
     def _greedy_probability(self, num_actions: int, is_greedy: bool) -> float:
         base = self.epsilon / num_actions
         return base + (1.0 - self.epsilon) * (1.0 if is_greedy else 0.0)

@@ -30,7 +30,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, _log_bucket
+from repro.bandit.features import (
+    ActionFeatures,
+    ContextFeatures,
+    FeatureVector,
+    _log_bucket,
+    context_features,
+)
 from repro.policies.base import LearnedSteeringPolicy
 
 if TYPE_CHECKING:
@@ -139,9 +145,12 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         context: ContextFeatures,
         action: ActionFeatures,
         summary: dict[str, float] | None,
+        shared: FeatureVector | None = None,
     ) -> FeatureVector:
-        vector = FeatureVector(self.bits)
-        context.write_into(vector, interaction_order=2)
+        """``shared`` is :meth:`_context_part`, built once for a job's actions."""
+        if shared is None:
+            shared = self._context_part(context)
+        vector = FeatureVector(self.bits, dict(shared.values))
         action.write_into(vector)
         if summary is None:
             vector.add("plan", "absent")
@@ -159,15 +168,19 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
                 vector.add("cross", f"s{span_rule}|a{action.rule_id}")
         return vector
 
+    def _context_part(self, context: ContextFeatures) -> FeatureVector:
+        return context_features(context, self.bits, interaction_order=2)
+
     def _vector_for(
         self,
         context: ContextFeatures,
         action: ActionFeatures,
         summary: dict[str, float] | None,
+        shared: FeatureVector | None = None,
     ) -> FeatureVector:
         key = (context, action)
         if summary is not None:
-            vector = self._features(context, action, summary)
+            vector = self._features(context, action, summary, shared)
             self._memo[key] = vector
             return vector
         cached = self._memo.get(key)
@@ -197,9 +210,11 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
                 self.plan_feature_hits += 1
             else:
                 self.plan_feature_misses += 1
+        # without a plan the vectors may all be memoized already: build none
+        shared = self._context_part(context) if summary is not None else None
         return np.array(
             [
-                self._score(self._vector_for(context, action, summary))
+                self._score(self._vector_for(context, action, summary, shared))
                 for action in actions
             ]
         )
@@ -216,10 +231,9 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
             summary = self._peek_summary(job)
             if summary is not None:
                 self.plan_feature_hits += 1
+                shared = self._context_part(context)
                 for action in actions:
-                    self._memo[(context, action)] = self._features(
-                        context, action, summary
-                    )
+                    self._vector_for(context, action, summary, shared)
             else:
                 self.plan_feature_misses += 1
         return super().rank(context, actions, job)

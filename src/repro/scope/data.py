@@ -87,12 +87,20 @@ class DataModel:
         self.catalog = catalog
         self.truth_seed = truth_seed
         self.reality_sigma = reality_sigma
+        #: the data does not change between compiles: one draw per identity
+        self._factors: dict[tuple, float] = {}
 
     # -- helpers -----------------------------------------------------------
 
     def _reality_factor(self, *key_parts: object, sigma: float | None = None) -> float:
-        rng = keyed_rng(self.truth_seed, "reality", *key_parts)
-        return float(rng.lognormal(mean=0.0, sigma=self.reality_sigma if sigma is None else sigma))
+        if sigma is None:
+            sigma = self.reality_sigma
+        key = (key_parts, sigma)
+        factor = self._factors.get(key)
+        if factor is None:
+            rng = keyed_rng(self.truth_seed, "reality", *key_parts)
+            factor = self._factors[key] = float(rng.lognormal(mean=0.0, sigma=sigma))
+        return factor
 
     def _stats(self, origin: ColumnOrigin) -> ColumnStats | None:
         if not origin.is_base:

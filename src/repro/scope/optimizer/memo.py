@@ -40,7 +40,7 @@ class GroupHandle(logical.LogicalOp):
         super().__init__((), group.schema)
         self.group = group
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"@{self.group.group_id}"
 
     def with_children(self, children: tuple[logical.LogicalOp, ...]) -> "GroupHandle":

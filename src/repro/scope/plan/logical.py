@@ -12,6 +12,7 @@ the operator *excluding its children* — the memo keys group expressions by
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.scope.catalog import TableDef
@@ -19,6 +20,7 @@ from repro.scope.language import ast
 from repro.scope.types import Column, DataType, Schema
 
 __all__ = [
+    "KeyedOp",
     "LogicalOp",
     "Get",
     "Filter",
@@ -34,7 +36,30 @@ __all__ = [
 ]
 
 
-class LogicalOp:
+class KeyedOp:
+    """An immutable operator identified by a stable ``local_key()`` string."""
+
+    _key: str | None = None
+
+    def local_key(self) -> str:
+        """Stable key of this operator excluding children.
+
+        Rendered once per instance (operators are immutable) and interned:
+        the copies ``with_children`` makes render the same string, and a
+        cached plan would otherwise keep one per copy."""
+        key = self._key
+        if key is None:
+            key = self._key = sys.intern(self._render_key())
+        return key
+
+    def _render_key(self) -> str:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return self.local_key()
+
+
+class LogicalOp(KeyedOp):
     """Base class for logical operators."""
 
     name: str = "logical"
@@ -43,16 +68,9 @@ class LogicalOp:
         self.children = children
         self.schema = schema
 
-    def local_key(self) -> str:
-        """Stable key of this operator excluding children."""
-        raise NotImplementedError
-
     def with_children(self, children: tuple["LogicalOp", ...]) -> "LogicalOp":
         """Return a copy of this operator over different children."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.local_key()
 
 
 class Get(LogicalOp):
@@ -68,7 +86,7 @@ class Get(LogicalOp):
         self.rowset = rowset
         self.source_columns = tuple(col.name.rsplit("__", 1)[-1] for col in columns)
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         cols = ",".join(self.schema.names)
         return f"Get({self.table.name};{cols})"
 
@@ -86,7 +104,7 @@ class Filter(LogicalOp):
         super().__init__((child,), child.schema)
         self.predicate = predicate
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"Filter({self.predicate.sql()})"
 
     def with_children(self, children: tuple[LogicalOp, ...]) -> "Filter":
@@ -121,7 +139,7 @@ class Project(LogicalOp):
                 mapping[expr.name] = out_name
         return mapping
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         inner = ",".join(f"{name}={expr.sql()}" for name, expr in self.items)
         return f"Project({inner})"
 
@@ -157,7 +175,7 @@ class Join(LogicalOp):
     def right_keys(self) -> tuple[str, ...]:
         return tuple(right for _, right in self.equi_keys)
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         keys = ",".join(f"{l}={r}" for l, r in self.equi_keys)
         residual = self.residual.sql() if self.residual is not None else ""
         return f"Join({self.kind};{keys};{residual})"
@@ -211,7 +229,7 @@ class Aggregate(LogicalOp):
         #: must be finalized by a downstream Aggregate
         self.is_partial = is_partial
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         aggs = ",".join(spec.key() for spec in self.aggs)
         partial = "partial;" if self.is_partial else ""
         return f"Aggregate({partial}{','.join(self.keys)};{aggs})"
@@ -229,7 +247,7 @@ class UnionAll(LogicalOp):
     def __init__(self, left: LogicalOp, right: LogicalOp) -> None:
         super().__init__((left, right), left.schema)
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return "UnionAll()"
 
     def with_children(self, children: tuple[LogicalOp, ...]) -> "UnionAll":
@@ -246,7 +264,7 @@ class Sort(LogicalOp):
         super().__init__((child,), child.schema)
         self.keys = keys
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         keys = ",".join(f"{col}{'+' if asc else '-'}" for col, asc in self.keys)
         return f"Sort({keys})"
 
@@ -264,7 +282,7 @@ class Output(LogicalOp):
         super().__init__((child,), child.schema)
         self.path = path
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"Output({self.path})"
 
     def with_children(self, children: tuple[LogicalOp, ...]) -> "Output":
@@ -280,7 +298,7 @@ class SuperRoot(LogicalOp):
     def __init__(self, outputs: tuple[LogicalOp, ...]) -> None:
         super().__init__(outputs, Schema([]))
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"SuperRoot({len(self.children)})"
 
     def with_children(self, children: tuple[LogicalOp, ...]) -> "SuperRoot":

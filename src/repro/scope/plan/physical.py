@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.scope.catalog import TableDef
 from repro.scope.language import ast
-from repro.scope.plan.logical import AggSpec
+from repro.scope.plan.logical import AggSpec, KeyedOp
 from repro.scope.plan.properties import Distribution, DistributionKind, PhysProps
 from repro.scope.types import Column, Schema
 
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class PhysicalOp:
+class PhysicalOp(KeyedOp):
     """Base class for physical operator templates."""
 
     name: str = "physical"
@@ -47,9 +47,6 @@ class PhysicalOp:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
 
-    def local_key(self) -> str:
-        raise NotImplementedError
-
     def child_requirements(self) -> tuple[PhysProps, ...]:
         """Physical properties this operator requires from each child."""
         raise NotImplementedError
@@ -57,9 +54,6 @@ class PhysicalOp:
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
         """Properties delivered given the children's delivered properties."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.local_key()
 
 
 class Extract(PhysicalOp):
@@ -71,7 +65,7 @@ class Extract(PhysicalOp):
         super().__init__(schema)
         self.table = table
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"Extract({self.table.name};{','.join(self.schema.names)})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -96,7 +90,7 @@ class FilterExec(PhysicalOp):
         self.predicate = predicate
         self.fused = fused
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         prefix = "FusedFilter" if self.fused else "Filter"
         return f"{prefix}({self.predicate.sql()})"
 
@@ -128,7 +122,7 @@ class ComputeScalar(PhysicalOp):
         self.items = items
         self.lazy = lazy
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         inner = ",".join(f"{name}={expr.sql()}" for name, expr in self.items)
         prefix = "LazyCompute" if self.lazy else "Compute"
         return f"{prefix}({inner})"
@@ -194,7 +188,7 @@ class HashJoin(_JoinBase):
         super().__init__(kind, equi_keys, residual, schema)
         self.broadcast = broadcast
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         strategy = "broadcast" if self.broadcast else "pair"
         return f"HashJoin({strategy};{self._key_suffix()})"
 
@@ -217,7 +211,7 @@ class MergeJoin(_JoinBase):
 
     name = "MergeJoin"
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"MergeJoin({self._key_suffix()})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -242,7 +236,7 @@ class NestedLoopJoin(_JoinBase):
 
     name = "NestedLoopJoin"
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"NestedLoopJoin({self._key_suffix()})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -282,7 +276,7 @@ class HashAggregate(_AggBase):
 
     name = "HashAggregate"
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"HashAggregate({self._key_suffix()})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -305,7 +299,7 @@ class StreamAggregate(_AggBase):
 
     name = "StreamAggregate"
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"StreamAggregate({self._key_suffix()})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -330,7 +324,7 @@ class SortExec(PhysicalOp):
         super().__init__(schema)
         self.keys = keys
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         keys = ",".join(f"{col}{'+' if asc else '-'}" for col, asc in self.keys)
         return f"Sort({keys})"
 
@@ -353,7 +347,7 @@ class Exchange(PhysicalOp):
             raise ValueError("exchange target must be a concrete distribution")
         self.target = target
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"Exchange({self.target})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -368,7 +362,7 @@ class UnionAllExec(PhysicalOp):
 
     name = "UnionAll"
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return "UnionAll()"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -387,7 +381,7 @@ class OutputExec(PhysicalOp):
         super().__init__(schema)
         self.path = path
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"Output({self.path})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
@@ -406,7 +400,7 @@ class SuperRootExec(PhysicalOp):
         super().__init__(Schema([]))
         self.arity = arity
 
-    def local_key(self) -> str:
+    def _render_key(self) -> str:
         return f"SuperRoot({self.arity})"
 
     def child_requirements(self) -> tuple[PhysProps, ...]:

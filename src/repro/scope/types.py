@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import CatalogError
 
@@ -23,15 +24,7 @@ class DataType(enum.Enum):
     @property
     def byte_width(self) -> int:
         """Average serialized width used for row-size accounting."""
-        widths = {
-            DataType.INT: 4,
-            DataType.LONG: 8,
-            DataType.DOUBLE: 8,
-            DataType.BOOL: 1,
-            DataType.DATETIME: 8,
-            DataType.STRING: 24,
-        }
-        return widths[self]
+        return _BYTE_WIDTHS[self]
 
     @property
     def is_numeric(self) -> bool:
@@ -44,6 +37,16 @@ class DataType(enum.Enum):
             return cls(text.lower())
         except ValueError as exc:
             raise CatalogError(f"unknown data type {text!r}") from exc
+
+
+_BYTE_WIDTHS = {
+    DataType.INT: 4,
+    DataType.LONG: 8,
+    DataType.DOUBLE: 8,
+    DataType.BOOL: 1,
+    DataType.DATETIME: 8,
+    DataType.STRING: 24,
+}
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class Schema:
     def columns(self) -> tuple[Column, ...]:
         return self._columns
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self._columns)
 
@@ -135,7 +138,7 @@ class Schema:
             taken.add(name)
         return Schema(columns)
 
-    @property
+    @cached_property
     def row_width(self) -> int:
         """Average serialized row width in bytes."""
         return max(1, sum(col.dtype.byte_width for col in self._columns))

@@ -9,11 +9,14 @@ in the run.  Off by default — the toggle costs nothing when unset.
 
 from __future__ import annotations
 
+import math
 import os
+from itertools import combinations
 
 import pytest
 
 from repro.config import SimulationConfig, WorkloadConfig
+from repro.rng import stable_hash
 from repro.scope.catalog import Catalog, ColumnStats, TableDef
 from repro.scope.engine import ScopeEngine
 from repro.scope.jobs import JobInstance
@@ -138,3 +141,69 @@ def tiny_workload(tiny_config) -> Workload:
 @pytest.fixture(scope="session")
 def tiny_engine(tiny_workload, tiny_config) -> ScopeEngine:
     return ScopeEngine(tiny_workload.catalog, tiny_config, tiny_workload.registry)
+
+
+# ---------------------------------------------------------------------------
+# the featurizer oracle
+# ---------------------------------------------------------------------------
+# The featurizer and scorer as they stood before the rank path shared the
+# context part across a job's actions (PR 13): every feature hashed afresh,
+# the whole vector rebuilt per action, one sequential sum per vector.  Kept
+# as the reference the shared-context path must equal bit for bit
+# (tests/test_bandit.py, tests/test_policies.py) — do not "tidy" it towards
+# the code under test.
+
+
+def reference_joint_features(context, action, bits, interaction_order=3) -> dict[int, float]:
+    values: dict[int, float] = {}
+
+    def add(namespace, name):
+        index = stable_hash("feat", namespace, name) & ((1 << bits) - 1)
+        values[index] = values.get(index, 0.0) + 1.0
+
+    def bucket(value):
+        return "neg" if value <= 0 else str(int(math.log10(value + 1.0)))
+
+    span = tuple(sorted(context.span))
+    for rule_id in span:
+        add("span", f"s{rule_id}")
+    if interaction_order >= 2:
+        for a, b in combinations(span, 2):
+            add("span2", f"s{a}&s{b}")
+    if interaction_order >= 3:
+        for a, b, c in combinations(span, 3):
+            add("span3", f"s{a}&s{b}&s{c}")
+    add("job", f"cost_{bucket(context.estimated_cost)}")
+    add("job", f"card_{bucket(context.estimated_cardinality)}")
+    add("job", f"rows_{bucket(context.row_count)}")
+    add("job", f"read_{bucket(context.bytes_read)}")
+    add("job", f"verts_{bucket(context.vertices)}")
+    add("job", f"width_{bucket(context.avg_row_length)}")
+    if context.job_name:
+        add("job", f"name_{context.job_name.split('_')[0]}")
+    if action.rule_id is None:
+        add("action", "noop")
+        return values
+    add("action", f"rule_{action.rule_id}")
+    add("action", f"dir_{'on' if action.turn_on else 'off'}")
+    if action.category:
+        add("action", f"cat_{action.category}")
+    for span_rule in context.span:
+        add("cross", f"s{span_rule}|a{action.rule_id}")
+    add("cross", f"self|{'in' if action.rule_id in context.span else 'out'}")
+    return values
+
+
+def reference_score(weights, values: dict[int, float]) -> float:
+    total = 0.0
+    for index, value in values.items():
+        total += weights[index] * value
+    return total
+
+
+class PerIndexOnly:
+    """A policy seen through ``action_probability`` alone — the off-policy
+    estimators' call pattern before policies offered the whole distribution."""
+
+    def __init__(self, policy):
+        self.action_probability = policy.action_probability

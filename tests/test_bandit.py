@@ -1,14 +1,28 @@
 """Contextual bandit tests: features, policies, learner, off-policy eval."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, joint_features
+from repro.bandit import hashing
+from repro.bandit.features import (
+    ActionFeatures,
+    ContextFeatures,
+    FeatureVector,
+    action_features,
+    context_features,
+    joint_features,
+)
 from repro.bandit.hashing import feature_index
 from repro.bandit.learner import CBLearner
 from repro.bandit.offpolicy import LoggedEvent, dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy, UniformPolicy
+from repro.config import BanditConfig
+from repro.personalizer.service import PersonalizerService
+from repro.policies import BanditSteeringPolicy
 from repro.rng import keyed_rng
+from tests.conftest import PerIndexOnly, reference_joint_features, reference_score
 
 
 def _context(span=(1, 2, 3)):
@@ -140,6 +154,126 @@ def test_dr_estimate_with_zero_model_matches_ips():
     assert dr == pytest.approx(ips, abs=1e-9)
 
 
+def test_estimators_score_each_event_once_and_keep_their_estimates(monkeypatch):
+    learner = CBLearner(bits=12)
+    policy = EpsilonGreedyPolicy(epsilon=0.2, bits=12)
+    events = _make_log(keyed_rng(6, "once"), rewards_by_action=[0.2, 1.0, 0.5, 0.7], n=40)
+    for event in events:
+        learner.update(event.context, event.actions[event.chosen], event.reward, 0.25)
+
+    passes = []
+    scores = EpsilonGreedyPolicy._scores
+    monkeypatch.setattr(
+        EpsilonGreedyPolicy, "_scores", lambda *args: passes.append(1) or scores(*args)
+    )
+    for estimate in (
+        lambda target: ips_estimate(events, target, scorer=learner),
+        lambda target: snips_estimate(events, target, scorer=learner),
+        lambda target: dr_estimate(events, target, learner.score_action, scorer=learner),
+    ):
+        del passes[:]
+        batched = estimate(policy)
+        assert len(passes) == len(events)
+        assert batched == estimate(PerIndexOnly(policy))
+
+
 def test_estimators_empty_log():
     assert ips_estimate([], _AlwaysAction(0)) == 0.0
     assert snips_estimate([], _AlwaysAction(0)) == 0.0
+
+
+# -- the shared-context rank path against the pre-sharing featurizer -----------
+
+_numeric = st.sampled_from([-3.0, 0.0, 0.5, 9.0, 120.0, 4.2e4, 7.7e9])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    span=st.lists(st.integers(0, 40), unique=True, max_size=12),
+    extra_rules=st.lists(st.integers(0, 45), max_size=3),
+    numerics=st.tuples(*[_numeric] * 6),
+    job_name=st.sampled_from(["", "etl_daily_7", "agg", "_x"]),
+    bits=st.sampled_from([3, 4, 18]),
+    order=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+@example(span=list(range(12)), extra_rules=[], numerics=(9.0,) * 6, job_name="etl_1",
+         bits=18, order=3, seed=1)  # fmt: skip
+@example(span=[4, 1, 9], extra_rules=[9, 30], numerics=(0.0,) * 6, job_name="",
+         bits=3, order=3, seed=2)  # fmt: skip
+def test_shared_context_path_is_bit_identical_to_reference(
+    span, extra_rules, numerics, job_name, bits, order, seed
+):
+    """Same (index, value) items in the same order and ``==`` scores — at
+    3 and 4 bits nearly every action collides with a context slot (the
+    full-sum fallback), at 18 nearly none does (the shared prefix)."""
+    context = ContextFeatures(tuple(span), *numerics, job_name=job_name)
+    actions = [ActionFeatures(rule_id=None)] + [
+        ActionFeatures(rule_id=rule, turn_on=rule % 2 == 0, category="impl" if rule % 3 else "")
+        for rule in [*span, *extra_rules]
+    ]
+    learner = CBLearner(bits=bits, interaction_order=order)
+    learner.weights = keyed_rng(seed, "weights").normal(size=1 << bits)
+    policy = EpsilonGreedyPolicy(epsilon=0.1, bits=bits, interaction_order=order)
+
+    reference = [reference_joint_features(context, action, bits, order) for action in actions]
+    expected = [reference_score(learner.weights, values) for values in reference]
+    shared = context_features(context, bits, order)
+    for action, values in zip(actions, reference):
+        assert list(joint_features(context, action, bits, order).items()) == list(values.items())
+        assert list(joint_features(context, action, bits, order, shared).items()) == list(
+            values.items()
+        )
+    assert list(shared.items()) == list(context_features(context, bits, order).items())
+
+    scores = policy._scores(context, actions, learner)
+    assert [float(score) for score in scores] == [float(score) for score in expected]
+    assert [learner.score_action(context, action) for action in actions] == expected
+    assert policy.action_probabilities(context, actions, learner) == [
+        policy.action_probability(context, actions, index, learner)
+        for index in range(len(actions))
+    ]
+
+
+def test_both_scoring_branches_are_exercised():
+    """The property above only means something if bits=18 takes the prefix
+    path and small tables take the fallback."""
+    context = ContextFeatures(tuple(range(12)), 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, "etl_1")
+    action = ActionFeatures(rule_id=5, turn_on=True, category="impl")
+    for bits, disjoint in ((18, True), (3, False)):
+        shared = context_features(context, bits)
+        own = action_features(context, action, bits)
+        assert shared.values.keys().isdisjoint(own.values) is disjoint
+
+
+def test_warm_rank_hashes_nothing_and_cold_rank_hashes_each_name_once(monkeypatch):
+    """Work count, not wall clock: a 12-rule span with 13 actions."""
+    hashed = []
+
+    def counting(*parts):
+        hashed.append(parts)
+        return real(*parts)
+
+    real = hashing.stable_hash
+    monkeypatch.setattr(hashing, "stable_hash", counting)
+    monkeypatch.setattr(hashing, "_SLOTS", {})  # cold, whatever ran before
+
+    span = tuple(range(2, 14))
+    context = ContextFeatures(span, 120.0, 9.0, 4.2e4, 7.7e9, 9.0, 120.0, "etl_daily")
+    actions = [ActionFeatures(rule_id=None)] + [
+        ActionFeatures(rule_id=rule, turn_on=False, category="impl") for rule in span
+    ]
+    policy = BanditSteeringPolicy(PersonalizerService(BanditConfig(), seed=3, mode="learned"))
+
+    first = policy.rank(context, actions)
+    # 12 + 66 + 220 span features, 7 job features, noop, then per flip
+    # rule_/12 crosses apiece and the shared dir_/cat_/self| names
+    distinct = 298 + 7 + 1 + 12 * 13 + 3
+    assert len(hashed) == len(set(hashed)) == distinct
+
+    del hashed[:]
+    second = policy.rank(context, actions)
+    policy.observe(first.event_id, 1.0)
+    policy.observe(second.event_id, 0.5)
+    assert policy.action_probabilities(context, actions)
+    assert hashed == []

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from repro import QOAdvisor, SimulationConfig
-from repro.bandit.features import ActionFeatures, ContextFeatures
+from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector
 from repro.bandit.offpolicy import (
     LoggedEvent,
     dr_estimate,
     ips_estimate,
     snips_estimate,
 )
+from repro.bandit.policy import EpsilonGreedyPolicy
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
@@ -37,6 +38,7 @@ from repro.policies import (
     build_policy,
 )
 from repro.policies.plan_guided import plan_summary
+from tests.conftest import PerIndexOnly, reference_joint_features, reference_score
 
 # ---------------------------------------------------------------------------
 # the refactor-parity lock
@@ -86,6 +88,40 @@ def test_default_policy_matches_pre_refactor_golden(workers, shards):
     assert [r.cache_stats.core() for r in reports] == GOLDEN_CORES
 
 
+def _reference_scores(self, context, actions, scorer):
+    return np.array(
+        [
+            reference_score(
+                scorer.weights,
+                reference_joint_features(context, action, self.bits, self.interaction_order),
+            )
+            for action in actions
+        ]
+    )
+
+
+def _reference_vector(context, action, bits, interaction_order=3):
+    return FeatureVector(bits, reference_joint_features(context, action, bits, interaction_order))
+
+
+def test_shared_context_rank_path_matches_reference_featurizer_for_four_days(monkeypatch):
+    """Differential: four learned-mode days through the shared-context rank
+    path, at every worker/shard topology, against the same run driven by
+    the reference featurizer — which itself extends the golden path."""
+    with monkeypatch.context() as patched:
+        patched.setattr(EpsilonGreedyPolicy, "_scores", _reference_scores)
+        patched.setattr("repro.bandit.learner.joint_features", _reference_vector)
+        _, reports = _simulate(_tiny_config(), days=4)
+    chain = [r.fingerprint() for r in reports]
+    cores = [r.cache_stats.core() for r in reports]
+    assert chain[:3] == GOLDEN_FINGERPRINTS and cores[:3] == GOLDEN_CORES
+    for workers in (1, 4):
+        for shards in (1, 2):
+            _, reports = _simulate(_tiny_config(workers=workers, shards=shards), days=4)
+            assert [r.fingerprint() for r in reports] == chain, (workers, shards)
+            assert [r.cache_stats.core() for r in reports] == cores, (workers, shards)
+
+
 def test_default_policy_is_the_bandit_and_personalizer_survives():
     advisor, reports = _simulate(_tiny_config())
     assert isinstance(advisor.policy, BanditSteeringPolicy)
@@ -129,6 +165,13 @@ def test_policy_runs_end_to_end_and_feeds_counterfactuals(name):
     for key, value in estimates.items():
         assert np.isfinite(value), (key, value)
     assert estimates["snips"] > 0.0
+    # one scoring pass per event (action_probabilities) changes no estimate
+    per_index = PerIndexOnly(policy)
+    assert estimates == {
+        "ips": ips_estimate(log, per_index),
+        "snips": snips_estimate(log, per_index),
+        "dr": dr_estimate(log, per_index, lambda context, action: 1.0),
+    }
 
 
 @pytest.mark.parametrize("name", ["value_model", "plan_guided"])
