@@ -179,13 +179,27 @@ class CacheStats:
         )
 
 
+def _detached(exc: ScopeError) -> ScopeError:
+    """A copy of ``exc`` that has never been raised.
+
+    Memoized errors are stored and re-raised through this: a raised
+    exception holds its traceback — every frame of the compile, the memo
+    among their locals — and each hit raising the one resident object
+    would append the caller's frames to it.  ``__new__``, not the
+    constructor: subclasses change its signature.
+    """
+    clone = type(exc).__new__(type(exc), *exc.args)
+    clone.__dict__.update(exc.__dict__)
+    return clone
+
+
 @dataclass
 class _CacheEntry:
     """Memoized outcome of one (script, configuration) compilation.
 
-    Compile failures are deterministic too, so the error is memoized and
-    re-raised on every hit — a failing flip costs one optimizer run, not one
-    per pipeline stage.
+    Compile failures are deterministic too, so the error is memoized
+    (detached from its traceback) and a fresh copy raised on every hit — a
+    failing flip costs one optimizer run, not one per pipeline stage.
     """
 
     result: "OptimizationResult | None" = None
@@ -715,7 +729,7 @@ class CompilationService:
         """Compile a raw script under an explicit configuration (cached)."""
         entry = self._lookup_or_compile(script, config)
         if entry.error is not None:
-            raise entry.error
+            raise _detached(entry.error)
         return entry.result
 
     def _key_for(self, script: str, config: RuleConfiguration) -> tuple:
@@ -1099,7 +1113,7 @@ class CompilationService:
             else:
                 result = self.engine.optimize(compiled, config, fragments=view)
         except ScopeError as exc:
-            return _CacheEntry(error=exc)
+            return _CacheEntry(error=_detached(exc))
         with self._lock:
             self.stats.rule_applications += result.applications
         return _CacheEntry(result=result)
@@ -1130,9 +1144,9 @@ class CompilationService:
                 try:
                     compiled = self.engine.compile(script)
                 except ScopeError as exc:
-                    compiled = exc
+                    compiled = _detached(exc)
                 self._scripts[key] = compiled
             self._script_epochs[key] = self.cache.epoch
             if isinstance(compiled, ScopeError):
-                raise compiled
+                raise _detached(compiled)
             return compiled

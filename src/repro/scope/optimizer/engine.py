@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import ClusterConfig
 from repro.errors import OptimizationError
@@ -57,7 +57,6 @@ class OptimizationResult:
     est_cost: float
     signature: RuleSignature
     config: RuleConfiguration
-    memo: Memo = field(repr=False, default=None)
     #: fragment-store keys this compile consulted (digest × config ×
     #: catalog version) — lets migration ship a script's fragments with it
     fragment_keys: tuple = ()
@@ -92,32 +91,32 @@ def _stats_digest(adoption: "Adoption") -> bytes:
 
 
 def _substitute_handles(
-    root: logical.LogicalOp, handles: "dict[int, Group]", memo: Memo
+    node: logical.LogicalOp,
+    handles: "dict[int, logical.LogicalOp]",
+    rebuilt: "dict[int, logical.LogicalOp]",
 ) -> logical.LogicalOp:
-    """The residual tree: ``root`` with fragment roots replaced by handles.
+    """The residual tree: ``node`` with fragment roots replaced by handles.
 
-    Rebuilds only the spine above fragment roots; everything else is shared
-    by reference.  DAG-shared nodes rebuild once (memoized by identity).
+    ``handles`` maps ``id(fragment root)`` to its group handle.  Rebuilds
+    only the spine above fragment roots; everything else is shared by
+    reference.  DAG-shared nodes rebuild once (``rebuilt``, by identity;
+    pass ``{}``).  Not a nested closure: one that calls itself is a
+    function/cell cycle only the cycle collector can free.
     """
-    rebuilt: dict[int, logical.LogicalOp] = {}
-
-    def rebuild(node: logical.LogicalOp) -> logical.LogicalOp:
-        cached = rebuilt.get(id(node))
-        if cached is not None:
-            return cached
-        group = handles.get(id(node))
-        if group is not None:
-            result = memo.handle(group)
+    cached = rebuilt.get(id(node))
+    if cached is not None:
+        return cached
+    result = handles.get(id(node))
+    if result is None:
+        children = tuple(
+            _substitute_handles(child, handles, rebuilt) for child in node.children
+        )
+        if all(new is old for new, old in zip(children, node.children)):
+            result = node
         else:
-            children = tuple(rebuild(child) for child in node.children)
-            if all(new is old for new, old in zip(children, node.children)):
-                result = node
-            else:
-                result = node.with_children(children)
-        rebuilt[id(node)] = result
-        return result
-
-    return rebuild(root)
+            result = node.with_children(children)
+    rebuilt[id(node)] = result
+    return result
 
 
 class Optimizer:
@@ -187,7 +186,7 @@ class Optimizer:
 
         applications = 0
         fragment_keys: list = []
-        handles: dict[int, Group] = {}
+        handles: dict[int, logical.LogicalOp] = {}
         adoptions: list[tuple[bytes, Adoption]] = []
         sites = fragment_profile(compiled, root)
         if sites:
@@ -202,10 +201,10 @@ class Optimizer:
                     if fragments is not None:
                         fragments.put(site.digest, entry)
                 adoption = memo.adopt_entry(entry)
-                handles[id(site.node)] = adoption.root
+                handles[id(site.node)] = memo.handle(adoption.root)
                 if fragments is not None and adoption.clean:
                     adoptions.append((site.digest, adoption))
-            root = _substitute_handles(root, handles, memo)
+            root = _substitute_handles(root, handles, {})
 
         root_group = memo.insert_tree(root)
         if root_group is None:
@@ -249,7 +248,6 @@ class Optimizer:
             est_cost=winner.cost,
             signature=signature,
             config=self.config,
-            memo=memo,
             fragment_keys=tuple(fragment_keys),
             applications=applications,
         )
@@ -324,24 +322,26 @@ class Optimizer:
         return sub.export_entry(root_group, applications)
 
     def _explore(self, memo: Memo) -> int:
-        worklist: deque[GroupExpression] = deque(memo.drain_journal())
+        worklist: deque[GroupExpression] = deque()
+        memo.drain_journal(worklist)
         applications = 0
         while worklist and applications < self.budget.max_transformations:
             expr = worklist.popleft()
             if not expr.is_logical:
                 continue
             for rule in self._transformations:
-                if rule.rule_id in expr.fired:
+                bit = 1 << rule.rule_id
+                if expr.fired & bit:
                     continue
-                expr.fired.add(rule.rule_id)
+                expr.fired |= bit
                 applications += 1
-                for tree in rule.apply(expr, memo):
-                    memo.insert_tree(
-                        tree,
-                        provenance=expr.provenance | {rule.rule_id},
-                        target_group=expr.group,
-                    )
-                worklist.extend(memo.drain_journal())
+                trees = rule.apply(expr, memo)
+                if trees:
+                    provenance = expr.provenance | {rule.rule_id}
+                    target_group = memo.groups[expr.group_id]
+                    for tree in trees:
+                        memo.insert_tree(tree, provenance, target_group)
+                    memo.drain_journal(worklist)
                 if applications >= self.budget.max_transformations:
                     break
         return applications

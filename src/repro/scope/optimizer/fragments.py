@@ -116,18 +116,16 @@ def fragment_roots(root: logical.LogicalOp) -> list[logical.LogicalOp]:
     """
     roots: list[logical.LogicalOp] = []
     seen: set[int] = set()
-
-    def visit(node: logical.LogicalOp) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
         if id(node) in seen:
-            return
+            continue
         seen.add(id(node))
         if isinstance(node, logical.Join):
             roots.append(node)
-            return
-        for child in node.children:
-            visit(child)
-
-    visit(root)
+        else:
+            stack.extend(reversed(node.children))
     return roots
 
 
@@ -142,23 +140,37 @@ def fragment_digests(nodes: list[logical.LogicalOp]) -> dict[int, bytes]:
     repeated fragments in one plan reuse it.
     """
     memo: dict[int, bytes] = {}
-
-    def digest(node: logical.LogicalOp) -> bytes:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        hasher = hashlib.sha256()
-        hasher.update(node.local_key().encode("utf-8"))
-        for child in node.children:
-            hasher.update(b"\x1f")
-            hasher.update(digest(child))
-        result = hasher.digest()
-        memo[id(node)] = result
-        return result
-
     for node in nodes:
-        digest(node)
+        _digest(node, memo)
     return memo
+
+
+def _digest(node: logical.LogicalOp, memo: dict[int, bytes]) -> bytes:
+    # module-level like _measure: nested in its caller, a recursive closure
+    # is a function/cell cycle only the cycle collector can free
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    hasher = hashlib.sha256()
+    hasher.update(node.local_key().encode("utf-8"))
+    for child in node.children:
+        hasher.update(b"\x1f")
+        hasher.update(_digest(child, memo))
+    result = memo[id(node)] = hasher.digest()
+    return result
+
+
+def _measure(node: logical.LogicalOp, measured: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """(operator count, height) of the subtree, memoized by node identity."""
+    known = measured.get(id(node))
+    if known is None:
+        size, height = 1, 0
+        for child in node.children:
+            child_size, child_height = _measure(child, measured)
+            size += child_size
+            height = max(height, child_height + 1)
+        known = measured[id(node)] = (size, height)
+    return known
 
 
 def fragment_profile(compiled, root: logical.LogicalOp) -> "tuple[FragmentSite, ...]":
@@ -177,26 +189,9 @@ def fragment_profile(compiled, root: logical.LogicalOp) -> "tuple[FragmentSite, 
         return cached[1]
     nodes = fragment_roots(root)
     digests = fragment_digests(nodes)
-    sizes: dict[int, int] = {}
-    heights: dict[int, int] = {}
-
-    def measure(node: logical.LogicalOp) -> tuple[int, int]:
-        known = sizes.get(id(node))
-        if known is not None:
-            return known, heights[id(node)]
-        size, height = 1, 0
-        for child in node.children:
-            child_size, child_height = measure(child)
-            size += child_size
-            height = max(height, child_height + 1)
-        sizes[id(node)] = size
-        heights[id(node)] = height
-        return size, height
-
-    sites = []
-    for node in nodes:
-        size, height = measure(node)
-        sites.append(FragmentSite(node, digests[id(node)], size, height))
-    profile = tuple(sites)
+    measured: dict[int, tuple[int, int]] = {}
+    profile = tuple(
+        FragmentSite(node, digests[id(node)], *_measure(node, measured)) for node in nodes
+    )
     compiled._frag_profile = (root, profile)
     return profile

@@ -10,11 +10,22 @@ free (shared rowsets land in the same groups).
 Every group expression carries a *provenance* set: the ids of the rules
 whose firing produced it (transitively).  The provenance of the winning
 plan's expressions becomes the job's rule signature.
+
+Lifetime invariant: a memo is a DAG of ids.  Expressions and handles name
+their group by ``group_id`` and are resolved through ``memo.groups``; only
+the ``Memo`` points at ``Group`` objects and only groups point at
+expressions and winners.  So a compile's search state is freed by
+reference count the moment the search returns, and nothing exported from
+it (plans, fragment entries, winner entries — they share operators and
+provenance sets only) can reach a ``Group``, ``GroupExpression``,
+``Winner`` or ``Memo``.  ``tests/scope/test_memo_lifecycle.py`` holds this
+with the cycle collector off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from repro.errors import OptimizationError
 from repro.scope.optimizer.cardinality import CardinalityModel, GroupStats
@@ -36,30 +47,32 @@ class GroupHandle(logical.LogicalOp):
 
     name = "GroupHandle"
 
-    def __init__(self, group: "Group") -> None:
-        super().__init__((), group.schema)
-        self.group = group
+    def __init__(self, group_id: int, schema: Schema) -> None:
+        super().__init__((), schema)
+        self.group_id = group_id
 
     def _render_key(self) -> str:
-        return f"@{self.group.group_id}"
+        return f"@{self.group_id}"
 
     def with_children(self, children: tuple[logical.LogicalOp, ...]) -> "GroupHandle":
         assert not children
         return self
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupExpression:
     """One operator over child groups, logical or physical."""
 
     op: logical.LogicalOp | PhysicalOp
     child_ids: tuple[int, ...]
-    group: "Group"
+    #: id of the owning group (an id, not the object: see the module docstring)
+    group_id: int
     provenance: frozenset[int]
     is_logical: bool
 
-    #: transformation rules already fired on this expression (engine state)
-    fired: set[int] = field(default_factory=set)
+    #: bitmask of transformation rule ids already fired on this expression
+    #: (engine state)
+    fired: int = 0
 
     def key(self) -> tuple[str, tuple[int, ...]]:
         return (self.op.local_key(), self.child_ids)
@@ -69,7 +82,7 @@ class GroupExpression:
         return f"<{kind} {self.op.local_key()} -> {self.child_ids}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Winner:
     """Best physical alternative of a group for one required property set."""
 
@@ -156,7 +169,7 @@ class Memo:
         return self.groups[group_id]
 
     def handle(self, group: Group) -> GroupHandle:
-        return GroupHandle(group)
+        return GroupHandle(group.group_id, group.schema)
 
     # -- insertion ---------------------------------------------------------
 
@@ -174,7 +187,7 @@ class Memo:
         rejected the root expression and it did not already exist.
         """
         if isinstance(op, GroupHandle):
-            return op.group
+            return self.groups[op.group_id]
         child_groups: list[Group] = []
         for child in op.children:
             child_group = self.insert_tree(child, provenance, None)
@@ -186,7 +199,7 @@ class Memo:
 
         existing = self._intern.get(key)
         if existing is not None:
-            return existing.group
+            return self.groups[existing.group_id]
 
         if target_group is None:
             stats = self.cardinality.derive(op, [g.stats for g in child_groups])
@@ -197,7 +210,7 @@ class Memo:
         expr = GroupExpression(
             op=op,
             child_ids=child_ids,
-            group=target_group,
+            group_id=target_group.group_id,
             provenance=provenance,
             is_logical=True,
         )
@@ -208,11 +221,11 @@ class Memo:
         self.created.append(expr)
         return target_group
 
-    def drain_journal(self) -> list[GroupExpression]:
-        """Return and clear the journal of newly created logical expressions."""
-        drained = self.journal
-        self.journal = []
-        return drained
+    def drain_journal(self, into: "deque[GroupExpression]") -> None:
+        """Move the journal of newly created logical expressions onto ``into``."""
+        if self.journal:
+            into.extend(self.journal)
+            self.journal.clear()
 
     def add_physical(
         self,
@@ -229,7 +242,7 @@ class Memo:
         expr = GroupExpression(
             op=op,
             child_ids=child_ids,
-            group=group,
+            group_id=group.group_id,
             provenance=provenance,
             is_logical=False,
         )
@@ -252,7 +265,7 @@ class Memo:
 
         return FragmentEntry(
             exprs=tuple(
-                (expr.group.group_id, expr.op, expr.child_ids, expr.provenance)
+                (expr.group_id, expr.op, expr.child_ids, expr.provenance)
                 for expr in self.created
             ),
             root_gid=root_group.group_id,
@@ -285,7 +298,7 @@ class Memo:
             key = ("L:" + op.local_key(), child_ids)
             existing = self._intern.get(key)
             if existing is not None:
-                gmap.setdefault(local_gid, existing.group)
+                gmap.setdefault(local_gid, self.groups[existing.group_id])
                 clean = False
                 continue
             group = gmap.get(local_gid)
@@ -300,7 +313,7 @@ class Memo:
             expr = GroupExpression(
                 op=op,
                 child_ids=child_ids,
-                group=group,
+                group_id=group.group_id,
                 provenance=provenance,
                 is_logical=True,
             )
@@ -428,7 +441,7 @@ class Memo:
         """Internal consistency checks (used by tests)."""
         for group in self.groups:
             for expr in group.logical_exprs + group.physical_exprs:
-                if expr.group is not group:
+                if expr.group_id != group.group_id:
                     raise OptimizationError("expression points at the wrong group")
                 for child_id in expr.child_ids:
                     if not 0 <= child_id < len(self.groups):

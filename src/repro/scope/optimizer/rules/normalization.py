@@ -44,24 +44,28 @@ class NormalizationRule(Rule):
 
 
 def _rewrite_dag(root: logical.LogicalOp, rewrite_op) -> tuple[logical.LogicalOp, bool]:
-    """Bottom-up rewrite preserving DAG sharing (memoized on node identity)."""
-    cache: dict[int, logical.LogicalOp] = {}
-    changed = False
+    """Bottom-up rewrite preserving DAG sharing (memoized on node identity).
 
-    def visit(op: logical.LogicalOp) -> logical.LogicalOp:
-        nonlocal changed
-        if id(op) in cache:
-            return cache[id(op)]
-        new_children = tuple(visit(child) for child in op.children)
-        node = op if new_children == op.children else op.with_children(new_children)
-        replacement = rewrite_op(node)
-        if replacement is not None:
-            changed = True
-            node = replacement
-        cache[id(op)] = node
-        return node
+    Every rewrite returns ``None`` or a different node, and a replaced node
+    rebuilds the spine above it, so "anything changed" is exactly "the root
+    is a different object".
+    """
+    new_root = _rewrite_node(root, rewrite_op, {})
+    return new_root, new_root is not root
 
-    return visit(root), changed
+
+def _rewrite_node(op: logical.LogicalOp, rewrite_op, cache: dict) -> logical.LogicalOp:
+    # module-level, not a closure inside _rewrite_dag: a nested function that
+    # calls itself is a function/cell cycle only the cycle collector frees
+    if id(op) in cache:
+        return cache[id(op)]
+    new_children = tuple(_rewrite_node(child, rewrite_op, cache) for child in op.children)
+    node = op if new_children == op.children else op.with_children(new_children)
+    replacement = rewrite_op(node)
+    if replacement is not None:
+        node = replacement
+    cache[id(op)] = node
+    return node
 
 
 class ConstantFolding(NormalizationRule):

@@ -43,12 +43,23 @@ class PhysicalOp(KeyedOp):
     name: str = "physical"
     #: True for operators that move data between vertices (stage boundaries)
     is_exchange: bool = False
+    _child_reqs: tuple[PhysProps, ...] | None = None
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
 
     def child_requirements(self) -> tuple[PhysProps, ...]:
-        """Physical properties this operator requires from each child."""
+        """Physical properties this operator requires from each child.
+
+        Built once per instance (operators are immutable), like
+        ``local_key()``; costing asks once per (expression, required
+        properties) pair."""
+        reqs = self._child_reqs
+        if reqs is None:
+            reqs = self._child_reqs = self._child_requirements()  # qa: unlocked-ok pure-function memo; ops are shared across pool threads through fragment and winner entries and a racing recompute writes an equal value
+        return reqs
+
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         raise NotImplementedError
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -68,7 +79,7 @@ class Extract(PhysicalOp):
     def _render_key(self) -> str:
         return f"Extract({self.table.name};{','.join(self.schema.names)})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return ()
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -94,7 +105,7 @@ class FilterExec(PhysicalOp):
         prefix = "FusedFilter" if self.fused else "Filter"
         return f"{prefix}({self.predicate.sql()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(),)
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -127,7 +138,7 @@ class ComputeScalar(PhysicalOp):
         prefix = "LazyCompute" if self.lazy else "Compute"
         return f"{prefix}({inner})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(),)
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -192,7 +203,7 @@ class HashJoin(_JoinBase):
         strategy = "broadcast" if self.broadcast else "pair"
         return f"HashJoin({strategy};{self._key_suffix()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         if self.broadcast:
             return (PhysProps.any(), PhysProps(Distribution.broadcast()))
         return (
@@ -214,7 +225,7 @@ class MergeJoin(_JoinBase):
     def _render_key(self) -> str:
         return f"MergeJoin({self._key_suffix()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         left_sort = tuple((key, True) for key in self.left_keys)
         right_sort = tuple((key, True) for key in self.right_keys)
         return (
@@ -239,7 +250,7 @@ class NestedLoopJoin(_JoinBase):
     def _render_key(self) -> str:
         return f"NestedLoopJoin({self._key_suffix()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(), PhysProps(Distribution.broadcast()))
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -279,7 +290,7 @@ class HashAggregate(_AggBase):
     def _render_key(self) -> str:
         return f"HashAggregate({self._key_suffix()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         if self.is_partial:
             return (PhysProps.any(),)
         if not self.keys:
@@ -302,7 +313,7 @@ class StreamAggregate(_AggBase):
     def _render_key(self) -> str:
         return f"StreamAggregate({self._key_suffix()})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         sort = tuple((key, True) for key in self.keys)
         if not self.keys:
             return (PhysProps(Distribution.singleton()),)
@@ -328,7 +339,7 @@ class SortExec(PhysicalOp):
         keys = ",".join(f"{col}{'+' if asc else '-'}" for col, asc in self.keys)
         return f"Sort({keys})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(),)
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -350,7 +361,7 @@ class Exchange(PhysicalOp):
     def _render_key(self) -> str:
         return f"Exchange({self.target})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(),)
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -365,7 +376,7 @@ class UnionAllExec(PhysicalOp):
     def _render_key(self) -> str:
         return "UnionAll()"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(), PhysProps.any())
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -384,7 +395,7 @@ class OutputExec(PhysicalOp):
     def _render_key(self) -> str:
         return f"Output({self.path})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return (PhysProps.any(),)
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:
@@ -403,7 +414,7 @@ class SuperRootExec(PhysicalOp):
     def _render_key(self) -> str:
         return f"SuperRoot({self.arity})"
 
-    def child_requirements(self) -> tuple[PhysProps, ...]:
+    def _child_requirements(self) -> tuple[PhysProps, ...]:
         return tuple(PhysProps.any() for _ in range(self.arity))
 
     def delivered(self, child_props: tuple[PhysProps, ...]) -> PhysProps:

@@ -33,19 +33,36 @@ class Distribution:
     kind: DistributionKind
     columns: tuple[str, ...] = ()
 
+    _hash = None  # not a field: hash memo, filled on first use
+
     def __post_init__(self) -> None:
         if self.kind == DistributionKind.HASH and not self.columns:
             raise ValueError("HASH distribution requires key columns")
         if self.kind != DistributionKind.HASH and self.columns:
             raise ValueError(f"{self.kind.value} distribution takes no key columns")
 
+    def __hash__(self) -> int:
+        # hashed once per object: winner tables are keyed by properties and
+        # an enum member's __hash__ is a Python-level call
+        value = self._hash
+        if value is None:
+            value = hash((self.kind, self.columns))  # qa: hash-ok in-process dict/set membership only, pairs with the dataclass __eq__; never ordered or persisted
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # rebuild from the fields: the memoized hash is salted per process
+        return (Distribution, (self.kind, self.columns))
+
+    # the nullary kinds are immutable values: one shared instance each
+
     @staticmethod
     def any() -> "Distribution":
-        return Distribution(DistributionKind.ANY)
+        return _ANY
 
     @staticmethod
     def random() -> "Distribution":
-        return Distribution(DistributionKind.RANDOM)
+        return _RANDOM
 
     @staticmethod
     def hash(columns: tuple[str, ...]) -> "Distribution":
@@ -53,11 +70,11 @@ class Distribution:
 
     @staticmethod
     def broadcast() -> "Distribution":
-        return Distribution(DistributionKind.BROADCAST)
+        return _BROADCAST
 
     @staticmethod
     def singleton() -> "Distribution":
-        return Distribution(DistributionKind.SINGLETON)
+        return _SINGLETON
 
     def satisfies(self, required: "Distribution") -> bool:
         """True when data distributed like ``self`` meets ``required``."""
@@ -90,6 +107,12 @@ class Distribution:
         return self.kind.value
 
 
+_ANY = Distribution(DistributionKind.ANY)
+_RANDOM = Distribution(DistributionKind.RANDOM)
+_BROADCAST = Distribution(DistributionKind.BROADCAST)
+_SINGLETON = Distribution(DistributionKind.SINGLETON)
+
+
 @dataclass(frozen=True)
 class PhysProps:
     """Required or delivered physical properties of a plan fragment."""
@@ -98,9 +121,21 @@ class PhysProps:
     #: sort order as (column name, ascending) pairs; () means unsorted
     sort_keys: tuple[tuple[str, bool], ...] = ()
 
+    _hash = None  # not a field: hash memo, as on Distribution
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.distribution, self.sort_keys))  # qa: hash-ok in-process dict/set membership only, pairs with the dataclass __eq__; never ordered or persisted
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (PhysProps, (self.distribution, self.sort_keys))
+
     @staticmethod
     def any() -> "PhysProps":
-        return PhysProps(Distribution.any())
+        return _ANY_PROPS
 
     def satisfies(self, required: "PhysProps") -> bool:
         if not self.distribution.satisfies(required.distribution):
@@ -115,3 +150,6 @@ class PhysProps:
             keys = ", ".join(f"{c}{'' if asc else ' desc'}" for c, asc in self.sort_keys)
             sort = f" sorted({keys})"
         return f"{self.distribution}{sort}"
+
+
+_ANY_PROPS = PhysProps(_ANY)
