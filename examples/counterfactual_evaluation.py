@@ -31,7 +31,7 @@ def main() -> None:
 
     print("gathering a uniform-logging event log (6 days)...")
     events = train_off_policy(
-        advisor.engine, advisor.workload, spans, advisor.personalizer, range(6)
+        advisor.engine, advisor.workload, spans, advisor.policy, range(6)
     )
     log = advisor.personalizer.event_log
     print(f"  {events} events logged, mean logged reward "

@@ -8,9 +8,8 @@ fraction, reduces recompile failures, and cuts the workload's total
 estimated cost by >100×.
 
 The harness is policy-agnostic: pass any
-:class:`~repro.policies.SteeringPolicy` (or a raw
-:class:`PersonalizerService`, auto-wrapped) via ``policy=``; the default
-builds the paper's CB, byte-identical to the pre-seam harness.  The
+:class:`~repro.policies.SteeringPolicy` via ``policy=``; the default
+builds the paper's CB behind :class:`BanditSteeringPolicy`.  The
 ``bandit`` column name is kept whatever policy is steered — it is "the
 learned column" of Table 3.
 """
@@ -20,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.features import JobFeatures
-from repro.core.recommend import actions_for_span, as_policy
+from repro.core.recommend import actions_for_span
 from repro.core.spans import SpanComputer
 from repro.errors import ScopeError
 from repro.personalizer.service import PersonalizerService
+from repro.policies.bandit import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -110,10 +110,11 @@ def run_table3_experiment(
     flips.  ``policy`` defaults to a fresh CB (the paper's experiment)."""
     spans = SpanComputer(engine)
     if policy is None:
-        policy = PersonalizerService(
-            engine.config.bandit, seed=engine.config.seed, mode="uniform_logging"
+        policy = BanditSteeringPolicy(
+            PersonalizerService(
+                engine.config.bandit, seed=engine.config.seed, mode="uniform_logging"
+            )
         )
-    policy = as_policy(policy)
     if getattr(policy, "engine", False) is None:
         policy.bind_engine(engine)
     _train_policy(

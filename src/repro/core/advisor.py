@@ -76,7 +76,6 @@ class QOAdvisor:
             engine=self.engine,
             workload=self.workload,
             sis=self.sis,
-            personalizer=self.personalizer,
             flighting=self.flighting,
             config=self.config,
             executor=self.executor,

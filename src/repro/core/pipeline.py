@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.config import SimulationConfig
 from repro.core.features import FeatureGenerationTask, JobFeatures
-from repro.core.recommend import Recommendation, RecommendationTask, as_policy
+from repro.core.recommend import Recommendation, RecommendationTask
 from repro.core.recompile import (
     CostOutcome,
     RecompilationTask,
@@ -47,7 +47,6 @@ from repro.flighting.results import FlightRequest, FlightResult
 from repro.obs.plane import NULL_PLANE, ObservabilityPlane
 from repro.flighting.service import FlightingService
 from repro.parallel import Executor, build_executor
-from repro.personalizer.service import PersonalizerService
 from repro.rng import keyed_rng
 from repro.scope.cache import CacheStats, CompileRequest
 from repro.scope.engine import JobRun, ScopeEngine
@@ -324,7 +323,6 @@ class QOAdvisorPipeline:
         engine: ScopeEngine,
         workload: Workload,
         sis: SISService,
-        personalizer: PersonalizerService | None = None,
         flighting: FlightingService | None = None,
         config: SimulationConfig | None = None,
         executor: Executor | None = None,
@@ -346,27 +344,16 @@ class QOAdvisorPipeline:
             "wall-clock of each pipeline stage run",
             labels=("stage",),
         )
-        # the steering seam: an explicit policy wins; a raw Personalizer
-        # (the pre-seam API) is wrapped in the byte-identical bandit policy;
-        # with neither, the config's PolicyConfig decides
+        # the steering seam: an explicit policy wins; without one the
+        # config's PolicyConfig decides
         if policy is None:
-            if personalizer is not None:
-                policy = as_policy(personalizer)
-            else:
-                from repro.policies import build_policy
+            from repro.policies import build_policy
 
-                policy = build_policy(self.config, engine)
-        self.policy = as_policy(policy)
+            policy = build_policy(self.config, engine)
+        self.policy = policy
         if getattr(self.policy, "engine", False) is None:
             # a plan-guided policy built before the fleet existed
             self.policy.bind_engine(engine)
-        #: the wrapped PersonalizerService when the bandit policy is active
-        #: (None for self-contained policies) — pre-seam attribute name
-        self.personalizer = (
-            personalizer
-            if personalizer is not None
-            else getattr(self.policy, "service", None)
-        )
         # shared_state: stage closures mutate the engine's plan caches and
         # stats counters, so the process backend is refused here too
         self.executor = executor or build_executor(

@@ -8,10 +8,7 @@ chosen action's reward is supplied later by the Recompilation task through
 
 This layer is policy-agnostic: the paper's contextual bandit, the
 Bao-style value model and the Neo-style plan-guided scorer all plug in
-behind the same seam.  A raw :class:`PersonalizerService` is still
-accepted anywhere a policy is (auto-wrapped in the byte-identical
-:class:`~repro.policies.BanditSteeringPolicy`), so pre-seam call sites
-keep working unchanged.
+behind the same seam.
 """
 
 from __future__ import annotations
@@ -20,14 +17,12 @@ from dataclasses import dataclass
 
 from repro.bandit.features import ActionFeatures
 from repro.core.features import JobFeatures
-from repro.personalizer.service import PersonalizerService
 from repro.scope.optimizer.rules.base import RuleConfiguration, RuleFlip, RuleRegistry
 
 __all__ = [
     "Recommendation",
     "RecommendationTask",
     "actions_for_span",
-    "as_policy",
     "train_off_policy",
 ]
 
@@ -40,19 +35,6 @@ class Recommendation:
     flip: RuleFlip | None
     event_id: str
     probability: float
-
-
-def as_policy(policy_or_service):
-    """Coerce to a :class:`SteeringPolicy` (the backward-compat shim).
-
-    Raw :class:`PersonalizerService` instances — the pre-seam API surface —
-    are wrapped in a :class:`BanditSteeringPolicy`, which delegates 1:1.
-    """
-    if isinstance(policy_or_service, PersonalizerService):
-        from repro.policies.bandit import BanditSteeringPolicy
-
-        return BanditSteeringPolicy(policy_or_service)
-    return policy_or_service
 
 
 def actions_for_span(
@@ -85,14 +67,13 @@ def train_off_policy(
     For each steerable job, the policy (in uniform-logging mode) ranks the
     action set, the pick is recompiled, and the clipped cost ratio is
     reported as reward.  Returns the number of logged events.  Accepts any
-    :class:`SteeringPolicy` (or a raw :class:`PersonalizerService`).
+    :class:`SteeringPolicy`.
     """
     from repro.errors import ScopeError
     from repro.scope.telemetry.view import build_view_row
 
     from repro.core.features import JobFeatures
 
-    policy = as_policy(policy)
     registry = engine.registry
     events = 0
     for day in days:
@@ -134,15 +115,9 @@ class RecommendationTask:
     """Features → up to one rule-flip recommendation per job."""
 
     def __init__(self, policy, registry: RuleRegistry) -> None:
-        self.policy = as_policy(policy)
+        self.policy = policy
         self.registry = registry
         self.default = registry.default_configuration()
-
-    @property
-    def personalizer(self):
-        """The wrapped PersonalizerService when the bandit policy is active
-        (pre-seam attribute name, kept for compatibility)."""
-        return getattr(self.policy, "service", None)
 
     def run(self, features: list[JobFeatures]) -> list[Recommendation]:
         recommendations: list[Recommendation] = []

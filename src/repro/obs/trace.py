@@ -23,7 +23,8 @@ Design constraints, inherited from the plan-cache work (PR 6–8):
   without plumbing;
 * **near-zero cost when off** — the disabled path is one attribute check
   (``tracer.enabled``) plus, at most, a shared no-op context manager
-  (:data:`NULL_SPAN`); ``benchmarks/bench_obs.py`` measures it.
+  (:data:`NULL_SPAN`); the perf ledger's ``obs.tax_pct`` and ``trace.*``
+  rows measure the enabled overhead.
 
 Span parenting rules:
 

@@ -8,15 +8,21 @@ fact Bao and the production deployment rely on to reuse plans), so the
 (script, rule-configuration) pair fully determines the optimizer's output
 and repeated compilations can be served from a cache.
 
-Three pieces live here:
+Four pieces live here:
 
 * :class:`CacheStats` — hit/miss/eviction/invalidation counters plus the
   number of real optimizer invocations, surfaced per day in ``DayReport``;
-* :class:`PlanCache` — a bounded LRU map from (script hash × configuration
-  bitvector) to the memoized :class:`OptimizationResult` (or the
-  deterministic compile error), with generation-based invalidation: SIS
-  bumps the generation whenever a new hint file version is installed, so a
-  stale plan can never be served under a new hint;
+* :class:`EpochStore` — the one bounded, epoch-stamped, checkpoint-evicted
+  map under the plan cache, the fragment cache and the parse/bind memo,
+  indexed by :class:`PlanKey`, :class:`FragmentKey` and :class:`ScriptKey`.
+  Residency is a function of the key (each carries the catalog version in
+  one named field); ``generation`` counts clears, it is in no key;
+* :class:`PlanCache` and :class:`FragmentCache` — the store plus one
+  layer's counters: the memoized :class:`OptimizationResult` (or the
+  deterministic compile error) per script hash × configuration bitvector,
+  and explored sub-plan closures with their physical winners.  Both are
+  cleared on every invalidation (SIS installing a hint file version, a
+  catalog mutation), so a stale plan is never served under a new hint;
 * :class:`CompilationService` — the layer pipeline stages talk to.  It
   resolves a job's rule configuration, consults the cache, and only falls
   through to parse/bind/optimize on a miss.  Its :meth:`compile_many`
@@ -50,7 +56,7 @@ import dataclasses
 import hashlib
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
 from repro.config import CacheConfig
 from repro.errors import ScopeError
@@ -193,6 +199,121 @@ def _detached(exc: ScopeError) -> ScopeError:
     return clone
 
 
+class PlanKey(NamedTuple):
+    """Plan-cache key: script × configuration × catalog version.
+
+    The workload mutates the catalog day over day (recurring inputs
+    drift), so the same script text optimizes to different costs on
+    different days — the catalog version makes those distinct entries.
+    """
+
+    script_digest: bytes
+    bits: int
+    size: int
+    catalog_version: int
+
+
+class FragmentKey(NamedTuple):
+    """Fragment-store key: sub-plan content × transformation projection of
+    the configuration × catalog version (portable across shards as is)."""
+
+    digest: bytes
+    trans_bits: int
+    size: int
+    catalog_version: int
+
+
+class ScriptKey(NamedTuple):
+    """Parse/bind memo key.  Binding captures ``TableDef`` objects (row
+    counts) into ``Get`` operators, so the memo is catalog-versioned too."""
+
+    script_digest: bytes
+    catalog_version: int
+
+
+class EpochStore:
+    """Bounded map with epoch-granular recency and barrier-time eviction.
+
+    The one implementation of the module docstring's determinism scheme:
+    :meth:`touch` and :meth:`put` stamp the key with the current epoch and
+    :meth:`checkpoint` evicts in ``(last_epoch, key)`` order.  It holds no
+    lock and no counter: callers serialize access (the service lock) and
+    subclasses do the accounting.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError(
+                f"{type(self).__name__} capacity must be positive, got {capacity}"
+            )
+        self.capacity = capacity
+        #: counts :meth:`clear` calls (SIS hint installation, catalog
+        #: mutation); every resident entry is dropped at each bump
+        self.generation = 0
+        #: barrier counter; keys stamped with it carry the recency signal
+        self.epoch = 0
+        self._entries: dict = {}
+        self._stamps: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def peek(self, key: Hashable):
+        """The resident value or ``None`` — no recency stamp, no counter:
+        the batch planner's skip probes and the plan-guided policy's read
+        leave accounting and eviction order as a run without them would."""
+        return self._entries.get(key)
+
+    def touch(self, key: Hashable):
+        """The resident value or ``None``, stamped as used this epoch.
+
+        Stamping is idempotent within the epoch, so concurrent hits
+        commute — recency never depends on lock order.
+        """
+        value = self._entries.get(key)
+        if value is not None:
+            self._stamps[key] = self.epoch
+        return value
+
+    def put(self, key: Hashable, value: object, *, keep: bool = False) -> bool:
+        """Insert ``value``; with ``keep`` a resident key wins instead."""
+        if keep and key in self._entries:
+            return False
+        self._entries[key] = value
+        self._stamps[key] = self.epoch
+        return True
+
+    def pop(self, key: Hashable):
+        """Remove and return the resident value (``None`` when absent)."""
+        self._stamps.pop(key, None)
+        return self._entries.pop(key, None)
+
+    def checkpoint(self) -> int:
+        """Enforce capacity in ``(last_epoch, key)`` order; advance the epoch.
+
+        Returns the number of evicted entries.  Must be called from the
+        coordinating thread only (no compiles in flight), which is what
+        makes the eviction schedule-independent.
+        """
+        overflow = max(len(self._entries) - self.capacity, 0)
+        if overflow:
+            oldest_first = sorted(
+                self._entries, key=lambda key: (self._stamps[key], key)
+            )
+            for key in oldest_first[:overflow]:
+                self.pop(key)
+        self.epoch += 1
+        return overflow
+
+    def clear(self) -> int:
+        """Drop every entry and bump ``generation``; returns how many went."""
+        dropped = len(self._entries)
+        self.generation += 1
+        self._entries.clear()
+        self._stamps.clear()
+        return dropped
+
+
 @dataclass
 class _CacheEntry:
     """Memoized outcome of one (script, configuration) compilation.
@@ -204,105 +325,44 @@ class _CacheEntry:
 
     result: "OptimizationResult | None" = None
     error: ScopeError | None = None
-    #: epoch of the last hit or insert (recency at barrier granularity)
-    last_epoch: int = 0
 
 
-class PlanCache:
-    """Bounded plan cache keyed by script hash × configuration bits.
+class PlanCache(EpochStore):
+    """Plan store keyed by :class:`PlanKey`, plus the whole-script counters.
 
-    Recency is epoch-granular: hits and inserts stamp the current epoch,
-    and :meth:`checkpoint` — called from a single coordinating thread at
-    deterministic points — evicts down to ``capacity`` in ``(last_epoch,
-    key)`` order, then advances the epoch.  Within an epoch the resident
-    set only grows, so hit/miss accounting and eviction victims are
-    independent of the order concurrent threads touch the cache.
+    Hit/miss/eviction/invalidation counts are part of the fingerprint
+    contract; the store's epoch scheme is what keeps them independent of
+    the order concurrent threads touch the cache.
     """
 
     def __init__(self, capacity: int, stats: CacheStats | None = None) -> None:
-        if capacity <= 0:
-            raise ValueError(f"plan cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.stats = stats if stats is not None else CacheStats()
-        #: bumped on every invalidation (SIS hint installation, catalog
-        #: mutation); all resident entries are dropped at each bump so a
-        #: stale plan is never served
-        self.generation = 0
-        #: barrier counter; entries stamped with it carry the recency signal
-        self.epoch = 0
-        self._entries: dict[tuple, _CacheEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @staticmethod
     def script_hash(script: str) -> bytes:
         return hashlib.blake2b(script.encode("utf-8"), digest_size=16).digest()
 
-    def key_for(self, script: str, config: RuleConfiguration) -> tuple:
-        return (self.script_hash(script), config.bits, config.size)
-
-    def get(self, key: tuple) -> _CacheEntry | None:
-        entry = self._entries.get(key)
+    def get(self, key: PlanKey) -> _CacheEntry | None:
+        entry = self.touch(key)
         if entry is None:
             self.stats.misses += 1
-            return None
-        # stamping the current epoch is idempotent within the epoch, so
-        # concurrent hits commute — recency never depends on lock order
-        entry.last_epoch = self.epoch
-        self.stats.hits += 1
+        else:
+            self.stats.hits += 1
         return entry
 
-    def peek(self, key: tuple) -> bool:
-        """Counter-free residency check (no hit/miss, no recency stamp).
-
-        The batch planner skips pre-exploration for plan-resident units;
-        its probes must leave the schedule-independent accounting exactly
-        as a run without pre-exploration would.
-        """
-        return key in self._entries
-
-    def peek_entry(self, key: tuple) -> _CacheEntry | None:
-        """Counter-free entry read (no hit/miss, no recency stamp).
-
-        The plan-guided policy's scoring peek: it consumes the memoized
-        result without perturbing the accounting or eviction order.
-        """
-        return self._entries.get(key)
-
-    def put(self, key: tuple, entry: _CacheEntry) -> None:
-        entry.last_epoch = self.epoch
-        self._entries[key] = entry
-
     def checkpoint(self) -> int:
-        """Enforce capacity in ``(last_epoch, key)`` order; advance the epoch.
-
-        Returns the number of evicted entries.  Must be called from the
-        coordinating thread only (no compiles in flight), which is what
-        makes the eviction schedule-independent.
-        """
-        evicted = 0
-        if len(self._entries) > self.capacity:
-            overflow = len(self._entries) - self.capacity
-            victims = sorted(
-                self._entries, key=lambda key: (self._entries[key].last_epoch, key)
-            )[:overflow]
-            for key in victims:
-                del self._entries[key]
-            evicted = len(victims)
-            self.stats.evictions += evicted
-        self.epoch += 1
+        evicted = super().checkpoint()
+        self.stats.evictions += evicted
         return evicted
 
-    def bump_generation(self) -> None:
+    def clear(self) -> int:
         """Invalidate every cached plan (a new SIS hint version is active)."""
-        self.generation += 1
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
+        dropped = super().clear()
+        self.stats.invalidations += dropped
+        return dropped
 
-    # -- entry migration (elastic rebalancing) --------------------------------
-
-    def extract(self, digest: bytes) -> dict[tuple, _CacheEntry]:
+    def extract(self, digest: bytes) -> dict[PlanKey, _CacheEntry]:
         """Remove and return every entry whose script hash is ``digest``.
 
         The rebalancing hand-off: a template that moves to a different
@@ -310,21 +370,13 @@ class PlanCache:
         no hit/miss/invalidation counter moves on either side and the
         cross-topology accounting contract survives the resize.
         """
-        keys = [key for key in self._entries if key[0] == digest]
-        return {key: self._entries.pop(key) for key in keys}
-
-    def adopt(self, key: tuple, entry: _CacheEntry) -> bool:
-        """Insert a migrated entry unless the key is already resident."""
-        if key in self._entries:
-            return False
-        entry.last_epoch = self.epoch
-        self._entries[key] = entry
-        return True
+        keys = [key for key in self._entries if key.script_digest == digest]
+        return {key: self.pop(key) for key in keys}
 
 
 @dataclass
 class _FragmentSlot:
-    """One resident fragment entry plus its epoch-granular recency stamp.
+    """One fragment entry and what rides with it.
 
     ``winners`` holds the slot's physical-winner entries keyed by
     ``(implementation-masked bits, stats digest)`` — the cost context a
@@ -334,7 +386,6 @@ class _FragmentSlot:
     """
 
     entry: object
-    last_epoch: int = 0
     winners: dict = field(default_factory=dict)
     #: inserted by batch pre-exploration and not yet demanded by a compile.
     #: The first demand ``get`` of a prefetched slot counts as a *miss* —
@@ -346,27 +397,14 @@ class _FragmentSlot:
     prefetched: bool = False
 
 
-@dataclass(frozen=True)
-class _FragmentExport:
-    """Migration payload for one fragment slot: entry + winner map copy."""
+class FragmentCache(EpochStore):
+    """Fragment store keyed by :class:`FragmentKey`, plus the work counters.
 
-    entry: object
-    winners: dict
-    prefetched: bool = False
-
-
-class FragmentCache:
-    """Bounded store of fragment entries, keyed by sub-plan content.
-
-    Sits beside :class:`PlanCache` with the same determinism scheme: keys
-    bake in every input the entry depends on — the fragment's bottom-up
-    sha256 digest, the rule-configuration bits/size, the catalog version
-    and the hint generation — so a stale entry is unreachable by
-    construction; recency is epoch-granular and capacity is enforced only
-    at :meth:`checkpoint` barriers in ``(last_epoch, key)`` order, so the
-    resident set never depends on worker schedules.  A generation bump
-    (SIS hint installation, catalog mutation) additionally clears the
-    store eagerly, exactly like the plan cache.
+    Keys bake in every input the entry depends on — the fragment's
+    bottom-up sha256 digest, the configuration's transformation bits and
+    size, the catalog version — and a hint installation clears the store,
+    so a stale entry is unreachable and a key means the same thing on
+    every shard.
 
     Fragment hit/miss/insert counters are *work* accounting, not decision
     accounting: concurrent first-touches of the same fragment may both
@@ -376,54 +414,14 @@ class FragmentCache:
     """
 
     def __init__(self, capacity: int, stats: CacheStats | None = None) -> None:
-        if capacity <= 0:
-            raise ValueError(
-                f"fragment cache capacity must be positive, got {capacity}"
-            )
-        self.capacity = capacity
+        super().__init__(capacity)
         self.stats = stats if stats is not None else CacheStats()
-        self.generation = 0
-        self.epoch = 0
-        self._entries: dict[tuple, _FragmentSlot] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def view(
-        self,
-        config: RuleConfiguration,
-        catalog_version: int,
-        lock: threading.RLock,
-        *,
-        trans_mask: int | None = None,
-        impl_mask: int | None = None,
-        tracer=None,
-    ) -> "FragmentView":
-        """A per-compile facade with the key context baked in.
-
-        ``trans_mask``/``impl_mask`` are the registry's rule-category
-        bitmasks; with them, logical entries key on the configuration's
-        *transformation* projection (implementation-only flips share
-        entries) and winner entries key on its *implementation* projection.
-        Without masks the full bits are used — strictly coarser sharing,
-        never a correctness difference.
-        """
-        return FragmentView(
-            self,
-            config,
-            catalog_version,
-            lock,
-            trans_mask=trans_mask,
-            impl_mask=impl_mask,
-            tracer=tracer,
-        )
-
-    def get(self, key: tuple) -> object | None:
-        slot = self._entries.get(key)
+    def get(self, key: FragmentKey) -> object | None:
+        slot = self.touch(key)
         if slot is None:
             self.stats.fragment_misses += 1
             return None
-        slot.last_epoch = self.epoch  # idempotent within the epoch
         if slot.prefetched:
             # first demand touch of a pre-explored slot: account it as the
             # miss the compile would have taken without MQO (the entry is
@@ -435,21 +433,18 @@ class FragmentCache:
             self.stats.fragment_hits += 1
         return slot.entry
 
-    def put(self, key: tuple, entry: object, *, prefetch: bool = False) -> bool:
+    def put(self, key: FragmentKey, entry: object, *, prefetch: bool = False) -> bool:
         """Insert unless resident (first wins — entries are pure values)."""
-        if key in self._entries:
-            return False
-        self._entries[key] = _FragmentSlot(entry, self.epoch, prefetched=prefetch)
-        self.stats.fragment_inserts += 1
-        return True
-
-    def peek(self, key: tuple) -> bool:
-        """Counter-free residency check (the batch planner's skip probe)."""
-        return key in self._entries
+        inserted = super().put(
+            key, _FragmentSlot(entry, prefetched=prefetch), keep=True
+        )
+        if inserted:
+            self.stats.fragment_inserts += 1
+        return inserted
 
     # -- physical winners ------------------------------------------------------
 
-    def get_winner(self, key: tuple, winner_key: tuple) -> object | None:
+    def get_winner(self, key: FragmentKey, winner_key: tuple) -> object | None:
         """Winner entry for ``winner_key`` inside slot ``key``, if any.
 
         Counted in ``winner_hits``/``winner_misses`` — work telemetry with
@@ -458,107 +453,58 @@ class FragmentCache:
         *slot* is a winner miss too: the logical entry was evicted or
         never cached, so there is nothing to hang a winner on.
         """
-        slot = self._entries.get(key)
+        slot = self.peek(key)
         winner = slot.winners.get(winner_key) if slot is not None else None
         if winner is None:
             self.stats.winner_misses += 1
             return None
-        slot.last_epoch = self.epoch
+        self.touch(key)
         self.stats.winner_hits += 1
         return winner
 
-    def put_winner(self, key: tuple, winner_key: tuple, winner: object) -> bool:
+    def put_winner(self, key: FragmentKey, winner_key: tuple, winner: object) -> bool:
         """Attach a winner entry to a resident slot (first wins).
 
         Dropped silently when the slot is gone — a winner without its
         logical entry is unusable, and re-inserting the slot here would
         resurrect content the eviction/invalidation schedule removed.
         """
-        slot = self._entries.get(key)
+        slot = self.peek(key)
         if slot is None or winner_key in slot.winners:
             return False
         slot.winners[winner_key] = winner
         return True
 
-    def checkpoint(self) -> int:
-        """Enforce capacity in ``(last_epoch, key)`` order; advance the epoch."""
-        evicted = 0
-        if len(self._entries) > self.capacity:
-            overflow = len(self._entries) - self.capacity
-            victims = sorted(
-                self._entries, key=lambda key: (self._entries[key].last_epoch, key)
-            )[:overflow]
-            for key in victims:
-                del self._entries[key]
-            evicted = len(victims)
-        self.epoch += 1
-        return evicted
-
-    def bump_generation(self) -> None:
-        """Invalidate every fragment (new hint generation / catalog version)."""
-        self.generation += 1
-        self._entries.clear()
-
     # -- entry migration (elastic rebalancing) --------------------------------
 
-    def export_keys(self, base_keys: "Iterable[tuple]") -> dict[tuple, object]:
-        """Resident entries for generation-free ``base_keys``.
+    def adopt(self, key: FragmentKey, shipped: _FragmentSlot) -> None:
+        """Insert a copy of a migrated slot, or merge into the resident one.
 
-        Entries are *copied by reference*, not removed: a fragment shared
-        with scripts staying on this shard keeps serving them.  Base keys
-        (digest, masked bits, size, catalog version) exclude the
-        generation — a per-store counter the importer re-binds on
-        adoption.  Each payload carries the slot's winner map (copied, so
-        later local winner inserts don't leak into an already-shipped
-        payload): a warmed destination shard serves winner hits, not just
-        logical-closure hits.
+        The copy takes the winner map along, so a warmed destination shard
+        serves winner hits, not just logical-closure hits — and the source
+        keeps its own slot, which may still serve scripts that stay behind.
+        When the key is already resident the logical entry is dropped
+        (first wins, identical by construction) but the shipped winners
+        still merge in — two source shards may have materialized different
+        cost contexts for one fragment, and each winner entry is a pure
+        value for its key.
         """
-        exported: dict[tuple, object] = {}
-        for base_key in base_keys:
-            slot = self._entries.get(base_key + (self.generation,))
-            if slot is not None:
-                exported[base_key] = _FragmentExport(
-                    slot.entry, dict(slot.winners), slot.prefetched
-                )
-        return exported
-
-    def adopt(self, base_key: tuple, payload: object) -> bool:
-        """Insert a migrated entry under this store's current generation.
-
-        Accepts a winner-carrying :class:`_FragmentExport` or a bare entry
-        (journal replays of pre-winner exports).  When the key is already
-        resident the logical entry is dropped (first wins, identical by
-        construction) but the shipped winners still merge in — two source
-        shards may have materialized different cost contexts for one
-        fragment, and each winner entry is a pure value for its key.
-        """
-        if isinstance(payload, _FragmentExport):
-            entry, winners = payload.entry, payload.winners
-            prefetched = payload.prefetched
+        slot = self.peek(key)
+        if slot is None:
+            super().put(key, replace(shipped, winners=dict(shipped.winners)))
         else:
-            entry, winners = payload, {}
-            prefetched = False
-        key = base_key + (self.generation,)
-        slot = self._entries.get(key)
-        if slot is not None:
-            for winner_key, winner in winners.items():
+            for winner_key, winner in shipped.winners.items():
                 slot.winners.setdefault(winner_key, winner)
-            return False
-        self._entries[key] = _FragmentSlot(
-            entry, self.epoch, dict(winners), prefetched=prefetched
-        )
-        return True
 
 
 class FragmentView:
     """One compile's window onto the fragment store.
 
     Binds the rule configuration (projected through the registry's
-    category masks), the catalog version and, transitively, the store's
-    hint generation into every key, and funnels access through the
-    compilation service's lock — the optimizer only ever sees
-    ``get``/``put``/``get_winner``/``put_winner``/``key`` over raw subtree
-    digests.
+    category masks) and the catalog version into every key, and funnels
+    access through the compilation service's lock — the optimizer only
+    ever sees ``get``/``put``/``get_winner``/``put_winner``/``key`` over
+    raw subtree digests.
 
     Masking is what lets configurations that differ only in
     *implementation* bits (span probes of implementation rules, recompile
@@ -576,32 +522,25 @@ class FragmentView:
         catalog_version: int,
         lock: threading.RLock,
         *,
-        trans_mask: int | None = None,
-        impl_mask: int | None = None,
-        tracer=None,
+        trans_mask: int,
+        impl_mask: int,
+        tracer=NULL_TRACER,
     ) -> None:
         self._cache = cache
-        self._trans_bits = (
-            config.bits & trans_mask if trans_mask is not None else config.bits
-        )
-        self._impl_bits = (
-            config.bits & impl_mask if impl_mask is not None else config.bits
-        )
+        self._trans_bits = config.bits & trans_mask
+        self._impl_bits = config.bits & impl_mask
         self._size = config.size
         self._catalog_version = catalog_version
         self._lock = lock
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = tracer
 
-    def key(self, digest: bytes) -> tuple:
-        """The migration-portable key (generation deliberately excluded)."""
-        return (digest, self._trans_bits, self._size, self._catalog_version)
-
-    def _full_key(self, digest: bytes) -> tuple:
-        return self.key(digest) + (self._cache.generation,)
+    def key(self, digest: bytes) -> FragmentKey:
+        """The store key of ``digest`` under this view's configuration."""
+        return FragmentKey(digest, self._trans_bits, self._size, self._catalog_version)
 
     def get(self, digest: bytes):
         with self._lock:
-            entry = self._cache.get(self._full_key(digest))
+            entry = self._cache.get(self.key(digest))
         if self._tracer.enabled:
             # observational only: the hit/miss *counters* moved (or not)
             # inside the store; this just annotates the current trace span
@@ -610,26 +549,23 @@ class FragmentView:
 
     def put(self, digest: bytes, entry: object, *, prefetch: bool = False) -> None:
         with self._lock:
-            self._cache.put(self._full_key(digest), entry, prefetch=prefetch)
+            self._cache.put(self.key(digest), entry, prefetch=prefetch)
 
     def peek(self, digest: bytes) -> bool:
         """Counter-free residency probe (the batch planner's skip check)."""
         with self._lock:
-            return self._cache.peek(self._full_key(digest))
-
-    def winner_key(self, stats_digest: bytes) -> tuple:
-        return (self._impl_bits, stats_digest)
+            return self._cache.peek(self.key(digest)) is not None
 
     def get_winner(self, digest: bytes, stats_digest: bytes):
         with self._lock:
             return self._cache.get_winner(
-                self._full_key(digest), self.winner_key(stats_digest)
+                self.key(digest), (self._impl_bits, stats_digest)
             )
 
     def put_winner(self, digest: bytes, stats_digest: bytes, winner: object) -> None:
         with self._lock:
             self._cache.put_winner(
-                self._full_key(digest), self.winner_key(stats_digest), winner
+                self.key(digest), (self._impl_bits, stats_digest), winner
             )
 
 
@@ -664,7 +600,7 @@ class CompilationService:
         self.stats = CacheStats()
         self.cache = PlanCache(self.config.capacity, self.stats)
         #: sub-plan memoization: isolated fragment explorations keyed by
-        #: content digest × configuration × catalog version × generation.
+        #: content digest × configuration × catalog version.
         #: Always constructed; ``config.fragment_enabled`` gates whether
         #: compiles get a view of it (the ablation knob for benchmarks)
         self.fragments = FragmentCache(self.config.fragment_capacity, self.stats)
@@ -673,18 +609,11 @@ class CompilationService:
         # entries), winner keys the implementation mask
         self._trans_mask = engine.registry.transformation_mask
         self._impl_mask = engine.registry.implementation_mask
-        # parse/bind results are configuration-independent: one script feeds
-        # every probe/flip configuration it is optimized under.  This memo
-        # stays active even with the plan cache disabled — ``enabled`` is the
-        # plan-memoization ablation knob, and binding is deterministic.
-        # Deterministic parse/bind *errors* are memoized in the same table
-        # (the value is the exception), so ``script_compilations`` counts a
-        # failing script once per (digest, catalog version) no matter how
-        # many configurations — or the batch planner's pre-exploration pass —
-        # touch it.  Recency follows the plan cache's epoch scheme (trimmed
-        # at checkpoints), so its accounting is schedule-independent too.
-        self._scripts: dict[tuple, CompiledScript | ScopeError] = {}
-        self._script_epochs: dict[tuple, int] = {}
+        # parse/bind memo, errors included (see :meth:`_compiled_script`):
+        # configuration-independent, so one script feeds every probe/flip
+        # configuration it is optimized under; a bare store, trimmed at
+        # checkpoints like the plan cache
+        self._scripts = EpochStore(self.config.script_capacity)
         # script-text → blake2b digest memo.  ``compile_many`` hashes every
         # request during dedup and the same script texts recur day after
         # day, so the digest is computed once per distinct text and reused
@@ -695,7 +624,7 @@ class CompilationService:
         # one lock guards LRU mutation, the stats counters, the script memo
         # and the in-flight table; optimization itself runs outside it
         self._lock = threading.RLock()
-        self._in_flight: dict[tuple, _InFlightCompile] = {}
+        self._in_flight: dict[PlanKey, _InFlightCompile] = {}
         #: tracer for compile/optimize spans and fragment-lookup events
         #: (null by default; ``ScopeEngine.install_obs`` swaps it in).
         #: Spans are observational only — no CacheStats counter, and
@@ -708,7 +637,8 @@ class CompilationService:
 
     @property
     def generation(self) -> int:
-        return self.cache.generation
+        with self._lock:
+            return self.cache.generation
 
     # -- the service API ------------------------------------------------------
 
@@ -732,14 +662,8 @@ class CompilationService:
             raise _detached(entry.error)
         return entry.result
 
-    def _key_for(self, script: str, config: RuleConfiguration) -> tuple:
-        """Plan-cache key: script × configuration × catalog version.
-
-        The workload mutates the catalog day over day (recurring inputs
-        drift), so the same script text optimizes to different costs on
-        different days — the catalog version makes those distinct entries.
-        """
-        return (
+    def _key_for(self, script: str, config: RuleConfiguration) -> PlanKey:
+        return PlanKey(
             self._script_digest(script),
             config.bits,
             config.size,
@@ -769,15 +693,12 @@ class CompilationService:
         """
         if self._catalog_version != self.engine.catalog.version:
             self._catalog_version = self.engine.catalog.version
-            self.cache.bump_generation()
-            self.fragments.bump_generation()
+            self.invalidate()
             self._scripts.clear()
-            self._script_epochs.clear()
-            self._digests.clear()
 
     def dedup_batch(
         self, requests: Iterable[CompileRequest]
-    ) -> tuple[list[tuple], dict[tuple, tuple[str, RuleConfiguration]]]:
+    ) -> tuple[list[PlanKey], dict[PlanKey, tuple[str, RuleConfiguration]]]:
         """Resolve configurations and fold duplicate (script, config) requests.
 
         Returns ``(keys, unique)``: ``keys`` aligns with ``requests`` and
@@ -795,7 +716,7 @@ class CompilationService:
             for request in requests
         ]
         keys = [self._key_for(script, config) for script, config in resolved]
-        unique: dict[tuple, tuple[str, RuleConfiguration]] = {}
+        unique: dict[PlanKey, tuple[str, RuleConfiguration]] = {}
         duplicates = 0
         for key, work in zip(keys, resolved):
             if key in unique:
@@ -819,43 +740,32 @@ class CompilationService:
         entry = self._lookup_or_compile(script, config)
         return entry.error if entry.error is not None else entry.result
 
-    def peek_plan(self, script: str, config: RuleConfiguration) -> bool:
-        """Counter-free plan-cache residency check for one resolved unit.
+    def peek(self, script: str, config: RuleConfiguration) -> _CacheEntry | None:
+        """The resident plan-cache entry for one resolved unit, or ``None``.
 
-        The batch planner skips pre-exploring fragments of units the plan
-        cache will serve outright; the probe must not move hit/miss
-        counters (they are part of the fingerprint contract) or recency.
+        Counter-free and compile-free: it moves no hit/miss counter (they
+        are part of the fingerprint contract) and no recency stamp.  The
+        batch planner skips pre-exploring units that are resident at all —
+        a memoized compile *error* included; the plan-guided steering
+        policy reads ``.result``, which is ``None`` for such an error
+        (there is no plan to featurize).
         """
         with self._lock:
             self._sync_catalog_version_locked()
             return self.cache.peek(self._key_for(script, config))
 
-    def peek_result(
-        self, script: str, config: RuleConfiguration
-    ) -> "OptimizationResult | None":
-        """The cached plan for one resolved unit, counter-free, or ``None``.
-
-        The plan-guided steering policy reads plan structure for scoring;
-        like :meth:`peek_plan` the probe must not move hit/miss counters
-        (fingerprint contract) or recency, and it never compiles — a cold
-        key simply yields ``None``.  Memoized compile *errors* also yield
-        ``None``: there is no plan to featurize.
-        """
-        with self._lock:
-            self._sync_catalog_version_locked()
-            entry = self.cache.peek_entry(self._key_for(script, config))
-            return entry.result if entry is not None else None
-
     def fragment_view(self, config: RuleConfiguration) -> "FragmentView":
         """A fragment-store view bound to ``config`` and the live catalog."""
-        return self.fragments.view(
-            config,
-            self.engine.catalog.version,
-            self._lock,
-            trans_mask=self._trans_mask,
-            impl_mask=self._impl_mask,
-            tracer=self.tracer,
-        )
+        with self._lock:
+            return FragmentView(
+                self.fragments,
+                config,
+                self.engine.catalog.version,
+                self._lock,
+                trans_mask=self._trans_mask,
+                impl_mask=self._impl_mask,
+                tracer=self.tracer,
+            )
 
     def preexplore_batch(
         self,
@@ -876,16 +786,9 @@ class CompilationService:
         """
         if not (self.config.fragment_enabled and self.config.mqo_enabled):
             return 0
-        from repro.scope.optimizer.mqo import BatchPlanner
+        from repro.scope.optimizer.mqo import preexplore
 
-        planner = BatchPlanner()
-        planner.add_batch(self, requests)
-        if self.tracer.enabled:
-            with self.tracer.child_span("mqo_preexplore") as span:
-                explored = planner.preexplore(executor)
-                span.set(fragments=explored)
-                return explored
-        return planner.preexplore(executor)
+        return preexplore([(self, requests)], executor, self.tracer)
 
     def compile_many(
         self,
@@ -927,17 +830,17 @@ class CompilationService:
     def invalidate(self) -> None:
         """Drop every cached plan and fragment (called by SIS on hint change)."""
         with self._lock:
-            self.cache.bump_generation()
-            self.fragments.bump_generation()
+            self.cache.clear()
+            self.fragments.clear()
             self._digests.clear()
 
     # -- warm-up migration (elastic rebalancing) ------------------------------
 
     def export_script_state(
-        self, script: str, skip_fragments: "set[tuple] | None" = None
+        self, script: str, skip_fragments: "set[FragmentKey] | None" = None
     ) -> (
-        "tuple[dict[tuple, _CacheEntry], dict[tuple, CompiledScript],"
-        " dict[tuple, object]]"
+        "tuple[dict[PlanKey, _CacheEntry], dict[ScriptKey, CompiledScript],"
+        " dict[FragmentKey, _FragmentSlot]]"
     ):
         """Remove and return this shard's cached state for ``script``.
 
@@ -950,7 +853,7 @@ class CompilationService:
         static-topology run.
 
         ``skip_fragments`` deduplicates the fragment payload across a
-        migration batch: base keys already shipped to the same destination
+        migration batch: keys already shipped to the same destination
         are omitted (and the keys exported here are added to the set), so
         two templates sharing a join block ship its entry once.  Plans are
         removed; fragments are only copied — a fragment may still serve
@@ -960,56 +863,59 @@ class CompilationService:
             self._sync_catalog_version_locked()
             digest = self._script_digest(script)
             plans = self.cache.extract(digest)
-            skey = (digest, self.engine.catalog.version)
-            scripts: dict[tuple, "CompiledScript"] = {}
-            if skey in self._scripts:
-                # the memo is copied, not moved: it carries no counter and
-                # the source may still probe the script before retiring
-                scripts[skey] = self._scripts[skey]
-            frag_keys: set[tuple] = set()
+            skey = ScriptKey(digest, self.engine.catalog.version)
+            # the memo is copied, not moved: it carries no counter and the
+            # source may still probe the script before retiring
+            compiled = self._scripts.peek(skey)
+            scripts = {skey: compiled} if compiled is not None else {}
+            frag_keys: set[FragmentKey] = set()
             for entry in plans.values():
                 if entry.result is not None:
                     frag_keys.update(entry.result.fragment_keys)
             if skip_fragments is not None:
                 frag_keys -= skip_fragments
                 skip_fragments |= frag_keys
-            fragments = self.fragments.export_keys(sorted(frag_keys))
+            fragments = {
+                key: slot
+                for key in sorted(frag_keys)
+                if (slot := self.fragments.peek(key)) is not None
+            }
         return plans, scripts, fragments
 
     def import_script_state(
         self,
-        plans: "dict[tuple, _CacheEntry]",
-        scripts: "dict[tuple, CompiledScript]",
-        fragments: "dict[tuple, object] | None" = None,
-    ) -> "tuple[int, dict[tuple, _CacheEntry]]":
+        plans: "dict[PlanKey, _CacheEntry]",
+        scripts: "dict[ScriptKey, CompiledScript]",
+        fragments: "dict[FragmentKey, _FragmentSlot] | None" = None,
+    ) -> "tuple[int, dict[PlanKey, _CacheEntry]]":
         """Adopt state exported from another shard (cache warm-up).
 
         Returns ``(adopted, rejected)``: plan entries whose key is already
         resident here (or keyed to a different catalog version) are handed
         back so the caller can return them to the source instead of
         silently dropping residency the invalidation counters would miss.
-        Fragment entries are adopt-if-absent under this store's current
-        generation — duplicates are dropped silently (they are pure values,
-        identical to the resident copy by construction).
+        Fragment slots are adopt-if-absent — duplicates are dropped
+        silently (they are pure values, identical to the resident copy by
+        construction).  Keys travel unchanged: this store's ``generation``
+        need not match the source's.
         """
         adopted = 0
-        rejected: dict[tuple, _CacheEntry] = {}
+        rejected: dict[PlanKey, _CacheEntry] = {}
         with self._lock:
             self._sync_catalog_version_locked()
             version = self.engine.catalog.version
             for key, entry in plans.items():
-                if key[-1] == version and self.cache.adopt(key, entry):
+                live = key.catalog_version == version
+                if live and self.cache.put(key, entry, keep=True):
                     adopted += 1
                 else:
                     rejected[key] = entry
             for skey, compiled in scripts.items():
-                if skey[-1] == version and skey not in self._scripts:
-                    self._scripts[skey] = compiled
-                    self._script_epochs[skey] = self.cache.epoch
-            if fragments:
-                for base_key, entry in fragments.items():
-                    if base_key[-1] == version:
-                        self.fragments.adopt(base_key, entry)
+                if skey.catalog_version == version:
+                    self._scripts.put(skey, compiled, keep=True)
+            for fkey, slot in (fragments or {}).items():
+                if fkey.catalog_version == version:
+                    self.fragments.adopt(fkey, slot)
         return adopted, rejected
 
     def checkpoint(self) -> None:
@@ -1026,19 +932,11 @@ class CompilationService:
         with self._lock:
             self.cache.checkpoint()
             self.fragments.checkpoint()
+            self._scripts.checkpoint()
             if len(self._digests) > self.config.capacity:
                 # the digest memo has no recency signal (it is a pure
                 # function table); re-derive on demand after a reset
                 self._digests.clear()
-            if len(self._scripts) > self.config.script_capacity:
-                overflow = len(self._scripts) - self.config.script_capacity
-                victims = sorted(
-                    self._scripts,
-                    key=lambda key: (self._script_epochs.get(key, 0), key),
-                )[:overflow]
-                for key in victims:
-                    del self._scripts[key]
-                    self._script_epochs.pop(key, None)
 
     # -- internals -------------------------------------------------------------
 
@@ -1130,23 +1028,19 @@ class CompilationService:
         count a run without MQO never sees.  Runs fully under the service
         lock — parsing is cheap next to optimization, and serializing it
         keeps the memo and ``script_compilations`` race-free.  Capacity is
-        enforced at :meth:`checkpoint`, in the same schedule-independent
-        ``(last_epoch, key)`` order as the plan cache.
+        enforced at :meth:`checkpoint`, like the plan cache's.
         """
         with self._lock:
             self._sync_catalog_version_locked()
-            # binding captures TableDef objects (row counts) into Get
-            # operators, so the parse/bind memo is catalog-versioned too
-            key = (self._script_digest(script), self.engine.catalog.version)
-            compiled = self._scripts.get(key)
+            key = ScriptKey(self._script_digest(script), self.engine.catalog.version)
+            compiled = self._scripts.touch(key)
             if compiled is None:
                 self.stats.script_compilations += 1
                 try:
                     compiled = self.engine.compile(script)
                 except ScopeError as exc:
                     compiled = _detached(exc)
-                self._scripts[key] = compiled
-            self._script_epochs[key] = self.cache.epoch
+                self._scripts.put(key, compiled)
             if isinstance(compiled, ScopeError):
                 raise _detached(compiled)
             return compiled

@@ -164,12 +164,14 @@ class ScopeEngine:
         """The cached plan a ``compile_job`` call would serve, or ``None``.
 
         Counter-free and compile-free (see
-        :meth:`CompilationService.peek_result`): the plan-guided steering
+        :meth:`CompilationService.peek`): the plan-guided steering
         policy scores against resident plans without adding optimizer
-        invocations or moving fingerprint-visible accounting.
+        invocations or moving fingerprint-visible accounting.  A memoized
+        compile *error* yields ``None`` too — there is no plan to read.
         """
         config = self.configuration_for(job, flip, use_hints=use_hints)
-        return self.compilation.peek_result(job.script, config)
+        entry = self.compilation.peek(job.script, config)
+        return entry.result if entry is not None else None
 
     def compile_job_uncached(
         self,

@@ -93,9 +93,8 @@ class BatchPlanner:
         would serve outright (counter-free peek — pre-exploring them would
         be pure waste), parses/normalizes the survivors through the same
         memos the compile path uses, and folds their fragment sites into
-        the planner's task table keyed by (service, digest, transformation
-        bits, config size, catalog version) — the exact identity of a
-        fragment-store slot minus the generation.
+        the planner's task table keyed by (service, fragment-store key) —
+        the exact identity of a slot.
         """
         engine = service.engine
         sid = len(self._services)
@@ -106,7 +105,7 @@ class BatchPlanner:
                 request.job, request.flip, use_hints=request.use_hints
             )
             script = request.job.script
-            if service.config.enabled and service.peek_plan(script, config):
+            if service.config.enabled and service.peek(script, config) is not None:
                 continue
             try:
                 compiled = service._compiled_script(script)
@@ -123,15 +122,9 @@ class BatchPlanner:
                 )
                 self._optimizers[(sid, config.bits)] = optimizer
             root = optimizer._normalize(compiled, set())
-            trans_bits = config.bits & engine.registry.transformation_mask
+            view = service.fragment_view(config)
             for site in fragment_profile(compiled, root):
-                key = (
-                    sid,
-                    site.digest,
-                    trans_bits,
-                    config.size,
-                    engine.catalog.version,
-                )
+                key = (sid, view.key(site.digest))
                 task = self._tasks.get(key)
                 if task is None:
                     task = self._tasks[key] = _FragmentTask(
@@ -197,3 +190,27 @@ class BatchPlanner:
             service.stats.mqo_preexplored += 1
         view.put(task.digest, entry, prefetch=True)
         return 1
+
+
+def preexplore(
+    batches: "Iterable[tuple[CompilationService, Iterable[CompileRequest]]]",
+    executor: "Executor | None",
+    tracer,
+) -> int:
+    """One pre-exploration pass over ``(service, requests)`` batches.
+
+    What both ``preexplore_batch`` methods run — the single service with
+    its one batch, the sharded facade with each shard's routed slice: one
+    planner, one bottom-up fan-out keeping every worker busy across
+    services, under one ``mqo_preexplore`` span.  Returns the number of
+    fragments explored.
+    """
+    planner = BatchPlanner()
+    for service, requests in batches:
+        planner.add_batch(service, requests)
+    if tracer.enabled:
+        with tracer.child_span("mqo_preexplore") as span:
+            explored = planner.preexplore(executor)
+            span.set(fragments=explored)
+            return explored
+    return planner.preexplore(executor)

@@ -280,7 +280,7 @@ class QOAdvisorServer:
         too (its executor threads are released), as is a journal the
         server opened from a path.
         """
-        if self._started and self._pending:
+        if self._started:
             self.drain(timeout=timeout)
         self._stop = True
         for lane in self._lanes:
@@ -557,13 +557,7 @@ class QOAdvisorServer:
 
     def run_maintenance(self, day: int) -> DayReport:
         """Drain in-flight work, then run ``day``'s maintenance window."""
-        if self._started:
-            self.drain()
-        elif self._pending:
-            raise RuntimeError(
-                f"{self._pending} job(s) queued but the server is not started; "
-                "start() and drain() before running maintenance"
-            )
+        self.drain()
         report = self.scheduler.run_window(day)
         self.advisor.reports.append(report)
         self._journal(

@@ -282,22 +282,20 @@ class ShardedCompilationService:
         first = self.cluster.shards[0].compilation.config
         if not (first.fragment_enabled and first.mqo_enabled):
             return 0
-        from repro.scope.optimizer.mqo import BatchPlanner
+        from repro.scope.optimizer.mqo import preexplore
 
-        ordered = list(requests)
         by_shard: dict[int, list[CompileRequest]] = {}
-        for request in ordered:
+        for request in requests:
             shard = self.cluster.router.shard_for_job(request.job)
             by_shard.setdefault(shard, []).append(request)
-        planner = BatchPlanner()
-        for shard in sorted(by_shard):
-            planner.add_batch(self.cluster.shards[shard].compilation, by_shard[shard])
-        if self.tracer.enabled:
-            with self.tracer.child_span("mqo_preexplore") as span:
-                explored = planner.preexplore(executor)
-                span.set(fragments=explored)
-                return explored
-        return planner.preexplore(executor)
+        return preexplore(
+            [
+                (self.cluster.shards[shard].compilation, by_shard[shard])
+                for shard in sorted(by_shard)
+            ],
+            executor,
+            self.tracer,
+        )
 
     def compile_many(
         self,

@@ -231,7 +231,7 @@ def test_memoized_errors_carry_no_traceback_after_repeated_hits(workload, failin
     assert delta.optimizer_invocations == 2
     assert delta.script_compilations == 2
     errors = [entry.error for entry in service.cache._entries.values()]
-    errors += [value for value in service._scripts.values() if isinstance(value, ScopeError)]
+    errors += [value for value in service._scripts._entries.values() if isinstance(value, ScopeError)]
     assert len(errors) == 3
     for error in errors:
         assert error.__traceback__ is None
@@ -254,8 +254,7 @@ def _replayed_applications(service, keys, resident_before) -> int:
     cost.  A caches-off compile explores every occurrence."""
     resident = set(resident_before)
     saved = 0
-    for portable in keys:
-        key = portable + (service.fragments.generation,)  # the store's full key
+    for key in keys:
         if key in resident:
             saved += service.fragments._entries[key].entry.applications
         resident.add(key)

@@ -9,6 +9,7 @@ from repro.core.spans import SpanComputer
 from repro.core.validate import ValidationModel, ValidationTask
 from repro.core.hintgen import HintGenerationTask
 from repro.personalizer.service import PersonalizerService
+from repro.policies.bandit import BanditSteeringPolicy
 from repro.scope.optimizer.rules.base import RuleCategory
 from repro.scope.telemetry.view import WorkloadView, build_view_row
 from repro.sis.service import SISService
@@ -85,13 +86,12 @@ def test_actions_for_span_size(engine, features):
 
 
 def test_recommendation_task_skips_empty_spans(engine, features):
-    personalizer = PersonalizerService(seed=9)
-    recommendations = RecommendationTask(personalizer, engine.registry).run(features)
+    policy = BanditSteeringPolicy(PersonalizerService(seed=9))
+    recommendations = RecommendationTask(policy, engine.registry).run(features)
     assert len(recommendations) == 1  # only the steerable job
 
 
 def test_recompilation_rewards_and_outcomes(engine, features):
-    personalizer = PersonalizerService(seed=10)
     task = RecompilationTask(engine)
     lga = engine.registry.by_name("LocalGlobalAggregation").rule_id
     # force the recommendation to the known-good flip

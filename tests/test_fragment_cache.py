@@ -342,3 +342,19 @@ def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     delta = dest.compilation.stats - before
     assert delta.fragment_hits == len(frags_a)
     assert delta.fragment_misses == 0
+
+    # keys carry no generation: a destination that has taken an extra
+    # invalidation adopts the same payload and serves winner hits from it
+    bumped = ScopeEngine(catalog, config)
+    bumped.compilation.invalidate()
+    assert bumped.compilation.fragments.generation != source.compilation.fragments.generation
+    adopted, rejected = bumped.compilation.import_script_state(
+        plans_a, parsed_a, frags_a
+    )
+    assert adopted == len(plans_a) and not rejected
+    assert set(bumped.compilation.fragments._entries) == set(frags_a)
+    before = bumped.compilation.stats.snapshot()
+    bumped.compilation.compile_script(_script("c"), bumped.default_config)
+    delta = bumped.compilation.stats - before
+    assert (delta.fragment_hits, delta.fragment_misses) == (len(frags_a), 0)
+    assert delta.winner_hits > 0 and delta.winner_misses == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
 from repro.rng import keyed_rng, stable_hash
+from repro.scope.cache import EpochStore, FragmentCache
 from repro.scope.language import ast
 from repro.scope.optimizer.rules.base import (
     RuleConfiguration,
@@ -129,3 +130,61 @@ def test_hint_file_roundtrip(rule_ids):
         for i, rule_id in enumerate(rule_ids)
     ]
     assert parse_hint_file(render_hint_file(entries, day=1)) == entries
+
+
+_store_ops = st.tuples(st.sampled_from(["put", "touch", "peek"]), st.integers(0, 5))
+
+
+def _model_checkpoint(stamps: dict, epoch: int, ops: list, capacity: int) -> int:
+    """Reference ``EpochStore`` epoch, a function of the op *set* alone."""
+    inserted = {key for kind, key in ops if kind == "put"}
+    for kind, key in ops:
+        if kind == "put" or (kind == "touch" and (key in stamps or key in inserted)):
+            stamps[key] = epoch
+    victims = sorted(stamps, key=lambda key: (stamps[key], key))
+    victims = victims[: max(len(stamps) - capacity, 0)]
+    for key in victims:
+        del stamps[key]
+    return len(victims)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(_store_ops, max_size=8), max_size=6), st.integers(1, 3), st.data())
+def test_epoch_store_matches_model_in_any_schedule(epochs, capacity, data):
+    store, shuffled = EpochStore(capacity), EpochStore(capacity)
+    fragments = FragmentCache(capacity)
+    stamps: dict = {}
+    for epoch, ops in enumerate(epochs):
+        for target, schedule in ((store, ops), (shuffled, data.draw(st.permutations(ops)))):
+            for kind, key in schedule:
+                if kind == "put":
+                    target.put(key, (epoch, key))
+                else:
+                    getattr(target, kind)(key)
+        # the fragment cache under the same ops: a demand lookup inserts on a
+        # miss and records a winner; a winner lookup stamps only a resident slot
+        for kind, key in ops:
+            if kind == "put":
+                if fragments.get(key) is None:
+                    fragments.put(key, "entry")
+                fragments.put_winner(key, "ctx", "winner")
+            elif kind == "touch":
+                fragments.get_winner(key, "ctx")
+            else:
+                fragments.peek(key)
+        before = set(stamps) | {key for kind, key in ops if kind == "put"}
+        evicted = _model_checkpoint(stamps, epoch, ops, capacity)
+        for target in (store, shuffled, fragments):
+            assert target.checkpoint() == evicted
+            assert set(target._entries) == set(target._stamps) == set(stamps)
+            assert len(target) <= capacity
+        for key in before - set(stamps):  # winners go with their slot
+            assert not fragments.put_winner(key, "ctx", "late")
+        assert all(slot.winners == {"ctx": "winner"} for slot in fragments._entries.values())
+    generation = fragments.generation
+    assert fragments.clear() == len(stamps)
+    assert (len(fragments), fragments.generation) == (0, generation + 1)
+    for key in stamps:  # a cleared slot comes back without its winners
+        assert fragments.get_winner(key, "ctx") is None
+        fragments.put(key, "entry")
+        assert fragments.peek(key).winners == {}

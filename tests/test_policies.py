@@ -27,7 +27,6 @@ from repro.config import (
     ShardingConfig,
     WorkloadConfig,
 )
-from repro.core.recommend import RecommendationTask, as_policy
 from repro.errors import PersonalizerError, ValidationError
 from repro.personalizer.service import PersonalizerService
 from repro.policies import (
@@ -340,14 +339,6 @@ def test_build_policy_factory_and_wrapping():
     assert isinstance(plan, PlanGuidedPolicy) and plan.engine == "E"
     with pytest.raises(ValidationError):
         build_policy(dataclasses.replace(config, policy=PolicyConfig("nope")))
-    # pre-seam call sites passing a raw service keep working
-    from repro.scope.optimizer.rules.base import default_registry
-
-    service = PersonalizerService(config.bandit, seed=5)
-    task = RecommendationTask(service, default_registry())
-    assert isinstance(task.policy, BanditSteeringPolicy)
-    assert task.personalizer is service
-    assert as_policy(task.policy) is task.policy  # idempotent
 
 
 # ---------------------------------------------------------------------------

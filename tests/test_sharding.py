@@ -250,7 +250,6 @@ def test_pipeline_direct_construction_refuses_process_backend():
     workload = build_workload(config)
     engine = ScopeEngine(workload.catalog, config, workload.registry)
     from repro.flighting.service import FlightingService
-    from repro.personalizer.service import PersonalizerService
     from repro.sis.service import SISService
 
     with pytest.raises(ValueError, match="backend"):
@@ -258,7 +257,6 @@ def test_pipeline_direct_construction_refuses_process_backend():
             engine=engine,
             workload=workload,
             sis=SISService(workload.registry),
-            personalizer=PersonalizerService(config.bandit, seed=config.seed),
             flighting=FlightingService(engine, config.flighting),
             config=config,
         )
