@@ -33,11 +33,11 @@ def main() -> None:
     events = train_off_policy(
         advisor.engine, advisor.workload, spans, advisor.policy, range(6)
     )
-    log = advisor.personalizer.event_log
+    log = advisor.policy.event_log
     print(f"  {events} events logged, mean logged reward "
           f"{sum(e.reward for e in log) / len(log):.3f}")
 
-    learner = advisor.personalizer.learner
+    learner = advisor.policy.learner
     bandit = advisor.config.bandit
     policies = {
         "uniform (logging)": UniformPolicy(),

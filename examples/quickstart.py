@@ -22,7 +22,7 @@ def main() -> None:
     advisor.bootstrap(start_day=0, days=10)
     print(f"  validation model fitted on "
           f"{advisor.pipeline.validation_model.training_samples} flights; "
-          f"{len(advisor.personalizer.event_log)} bandit events logged")
+          f"{len(advisor.policy.event_log)} bandit events logged")
 
     print("running 6 pipeline days...")
     reports = advisor.simulate(start_day=10, days=6, learned_after=2)
@@ -41,7 +41,7 @@ def main() -> None:
     for template_id, flip in sorted(hints.items()):
         print(f"  {template_id}: {flip.describe(advisor.registry)}")
 
-    evaluation = advisor.personalizer.counterfactual_evaluate()
+    evaluation = advisor.policy.counterfactual_evaluate()
     print("\ncounterfactual evaluation of the learned policy:")
     for name in ("ips", "snips", "dr", "logged_mean"):
         print(f"  {name:12s} {evaluation[name]:.3f}")

@@ -9,7 +9,7 @@ estimated cost by >100×.
 
 The harness is policy-agnostic: pass any
 :class:`~repro.policies.SteeringPolicy` via ``policy=``; the default
-builds the paper's CB behind :class:`BanditSteeringPolicy`.  The
+builds the paper's CB, :class:`BanditSteeringPolicy`.  The
 ``bandit`` column name is kept whatever policy is steered — it is "the
 learned column" of Table 3.
 """
@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.features import JobFeatures
-from repro.core.recommend import actions_for_span
+from repro.core.recommend import actions_for_span, train_off_policy
 from repro.core.spans import SpanComputer
 from repro.errors import ScopeError
-from repro.personalizer.service import PersonalizerService
 from repro.policies.bandit import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from repro.scope.engine import ScopeEngine
@@ -83,20 +82,6 @@ def _classify(engine: ScopeEngine, compiled, default_cost: float, flip: RuleFlip
     return "equal", cost
 
 
-def _train_policy(
-    engine: ScopeEngine,
-    workload: Workload,
-    spans: SpanComputer,
-    policy,
-    training_days: range,
-    reward_clip: float,
-) -> None:
-    """Off-policy training: uniform logging + cost-ratio rewards (§4.2)."""
-    from repro.core.recommend import train_off_policy
-
-    train_off_policy(engine, workload, spans, policy, training_days, reward_clip)
-
-
 def run_table3_experiment(
     engine: ScopeEngine,
     workload: Workload,
@@ -110,14 +95,10 @@ def run_table3_experiment(
     flips.  ``policy`` defaults to a fresh CB (the paper's experiment)."""
     spans = SpanComputer(engine)
     if policy is None:
-        policy = BanditSteeringPolicy(
-            PersonalizerService(
-                engine.config.bandit, seed=engine.config.seed, mode="uniform_logging"
-            )
-        )
+        policy = BanditSteeringPolicy(engine.config.bandit, seed=engine.config.seed)
     if getattr(policy, "engine", False) is None:
         policy.bind_engine(engine)
-    _train_policy(
+    train_off_policy(
         engine, workload, spans, policy, training_days,
         engine.config.bandit.reward_clip,
     )

@@ -58,7 +58,16 @@ class CBLearner:
         probability: float,
     ) -> float:
         """One IPS-weighted SGD step; returns the pre-update prediction."""
-        vector = joint_features(context, action, self.bits, self.interaction_order)
+        return self.update_vector(
+            joint_features(context, action, self.bits, self.interaction_order),
+            reward,
+            probability,
+        )
+
+    def update_vector(
+        self, vector: FeatureVector, reward: float, probability: float
+    ) -> float:
+        """:meth:`update` on an already-featurized (context, action)."""
         prediction = self.score(vector)
         importance = 1.0 / max(probability, _MIN_PROB)
         # normalized update (VW-style): scale by the squared feature norm so

@@ -1,44 +1,21 @@
-"""Action-selection policies over a linear scorer."""
+"""Stateless target distributions over a linear scorer.
+
+What the off-policy estimators evaluate a log *against*.  Drawing an
+action (the RNG, the pending event, the logged propensity) is
+:meth:`repro.policies.base.LearnedSteeringPolicy.rank`'s job, not theirs.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.bandit.features import (
-    ActionFeatures,
-    ContextFeatures,
-    action_features,
-    context_features,
-    joint_features,
-)
+from repro.bandit.features import action_features, context_features, joint_features
 
-__all__ = ["RankedAction", "UniformPolicy", "EpsilonGreedyPolicy"]
-
-
-@dataclass(frozen=True)
-class RankedAction:
-    """A chosen action with the probability it was chosen under the policy."""
-
-    index: int
-    action: ActionFeatures
-    probability: float
-    score: float = 0.0
+__all__ = ["UniformPolicy", "EpsilonGreedyPolicy"]
 
 
 class UniformPolicy:
     """Uniform-at-random logging policy (the paper's off-policy data source)."""
-
-    def choose(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        rng: np.random.Generator,
-        scorer=None,
-    ) -> RankedAction:
-        index = int(rng.integers(0, len(actions)))
-        return RankedAction(index, actions[index], probability=1.0 / len(actions))
 
     def action_probability(self, context, actions, index, scorer=None) -> float:
         return 1.0 / len(actions)
@@ -67,24 +44,6 @@ class EpsilonGreedyPolicy:
                     joint_features(context, action, self.bits, self.interaction_order, shared)
                 )
         return scores
-
-    def choose(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        rng: np.random.Generator,
-        scorer=None,
-    ) -> RankedAction:
-        scores = self._scores(context, actions, scorer)
-        greedy = int(np.argmax(scores))
-        explore = rng.random() < self.epsilon
-        index = int(rng.integers(0, len(actions))) if explore else greedy
-        return RankedAction(
-            index,
-            actions[index],
-            probability=self.action_probability_from_scores(scores, index),
-            score=float(scores[index]),
-        )
 
     def action_probability_from_scores(self, scores: np.ndarray, index: int) -> float:
         greedy = int(np.argmax(scores))

@@ -1,6 +1,6 @@
 """QOAdvisor: the one-stop top-level API.
 
-Wires a workload, a ScopeEngine, SIS, the Personalizer and the Flighting
+Wires a workload, a ScopeEngine, SIS, the steering policy and the Flighting
 Service into the daily pipeline, and manages the deployment phases the
 paper describes: a uniform-logging warm-up (off-policy data collection +
 validation-model bootstrap), then learned-mode daily operation.
@@ -64,11 +64,8 @@ class QOAdvisor:
         self.engine.install_obs(self.obs)
         self.sis = SISService(self.registry)
         #: the active steering policy (``config.policy`` selects it); the
-        #: default is the paper's CB behind :class:`BanditSteeringPolicy`
+        #: default is the paper's CB, :class:`BanditSteeringPolicy`
         self.policy = build_policy(self.config, self.engine)
-        #: the raw PersonalizerService when the bandit policy is active
-        #: (None for self-contained policies) — the pre-seam API surface
-        self.personalizer = getattr(self.policy, "service", None)
         self.flighting = FlightingService(
             self.engine, self.config.flighting, executor=self.executor
         )
@@ -114,7 +111,7 @@ class QOAdvisor:
 
     def bootstrap(self, start_day: int = 0, days: int | None = None) -> None:
         """Warm-up: gather the random-flip corpus, fit the validation model,
-        and train the Personalizer off-policy under uniform logging.
+        and train the steering policy off-policy under uniform logging.
 
         This is the paper's off-policy design: uniform randomization
         produces the maximally informative training log (§4.2).
@@ -150,7 +147,7 @@ class QOAdvisor:
     ) -> list[DayReport]:
         """Run the pipeline for ``days`` consecutive days.
 
-        The Personalizer runs uniform-logging for the first
+        The policy runs uniform-logging for the first
         ``learned_after`` days (exploration data), then switches to the
         learned policy — the staged rollout of §4.2.
         """

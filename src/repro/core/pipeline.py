@@ -543,12 +543,9 @@ class QOAdvisorPipeline:
         """
         if stage.should_run(ctx):
             started = time.perf_counter()  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
-            if self.obs.tracer.enabled:
-                with self.obs.tracer.span(
-                    f"stage:{stage.name}", parent=ctx.trace, day=ctx.day
-                ):
-                    stage.run(ctx)
-            else:
+            with self.obs.tracer.span(
+                f"stage:{stage.name}", parent=ctx.trace, day=ctx.day
+            ):
                 stage.run(ctx)
             wall = time.perf_counter() - started  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
             ctx.report.stage_timings[stage.name] = wall
@@ -577,12 +574,8 @@ class QOAdvisorPipeline:
         cache_before, shards_before = self.snapshot_stats()
         report = self.open_report(day)
         ctx = StageContext(day=day, report=report)
-        if self.obs.tracer.enabled:
-            with self.obs.tracer.span("day", trace_id=f"day:{day}", day=day) as root:
-                ctx.trace = root
-                for stage in self.stages:
-                    self.run_stage(stage, ctx)
-        else:
+        with self.obs.tracer.span("day", trace_id=f"day:{day}", day=day) as root:
+            ctx.trace = root
             for stage in self.stages:
                 self.run_stage(stage, ctx)
         return self.finalize_report(report, cache_before, shards_before)

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from repro.bandit.features import ActionFeatures
 from repro.core.features import JobFeatures
+from repro.errors import ScopeError
 from repro.scope.optimizer.rules.base import RuleConfiguration, RuleFlip, RuleRegistry
+from repro.scope.telemetry.view import build_view_row
 
 __all__ = [
     "Recommendation",
@@ -66,15 +68,14 @@ def train_off_policy(
 
     For each steerable job, the policy (in uniform-logging mode) ranks the
     action set, the pick is recompiled, and the clipped cost ratio is
-    reported as reward.  Returns the number of logged events.  Accepts any
+    reported as reward — the recommend and recompile stages' own code, one
+    job at a time.  Returns the number of logged events.  Accepts any
     :class:`SteeringPolicy`.
     """
-    from repro.errors import ScopeError
-    from repro.scope.telemetry.view import build_view_row
+    from repro.core.recompile import RecompilationTask  # imports this module
 
-    from repro.core.features import JobFeatures
-
-    registry = engine.registry
+    recommender = RecommendationTask(policy, engine.registry)
+    recompiler = RecompilationTask(engine, reward_clip)
     events = 0
     for day in days:
         for job in workload.jobs_for_day(day):
@@ -88,23 +89,10 @@ def train_off_policy(
                 continue
             row = build_view_row(job, run_result, metrics)
             features = JobFeatures(job=job, row=row, span=span)
-            actions = actions_for_span(span, registry, engine.default_config)
-            response = policy.rank(features.context(), actions, job=job)
+            recommendation = recommender.recommend(features)
             events += 1
-            if response.action.rule_id is None:
-                policy.observe(response.event_id, 1.0)
-                continue
-            flip = RuleFlip(response.action.rule_id, response.action.turn_on)
-            try:
-                cost = engine.compile_job(job, flip, use_hints=False).est_cost
-            except ScopeError:
-                policy.observe(response.event_id, 0.0)
-                continue
-            if cost <= 0:
-                reward = reward_clip
-            else:
-                reward = min(run_result.est_cost / cost, reward_clip)
-            policy.observe(response.event_id, reward)
+            outcome = recompiler.evaluate(recommendation, default=run_result)
+            policy.observe(recommendation.event_id, outcome.reward)
         # per-day epoch barrier: plan-cache capacity is enforced here, from
         # the coordinating thread, like the pipeline does per stage
         engine.compilation.checkpoint()
@@ -119,24 +107,26 @@ class RecommendationTask:
         self.registry = registry
         self.default = registry.default_configuration()
 
+    def recommend(self, job_features: JobFeatures) -> Recommendation:
+        """Rank one steerable job's action set."""
+        actions = actions_for_span(job_features.span, self.registry, self.default)
+        response = self.policy.rank(
+            job_features.context(), actions, job=job_features.job
+        )
+        flip = None
+        if response.action.rule_id is not None:
+            flip = RuleFlip(response.action.rule_id, response.action.turn_on)
+        return Recommendation(
+            features=job_features,
+            flip=flip,
+            event_id=response.event_id,
+            probability=response.probability,
+        )
+
     def run(self, features: list[JobFeatures]) -> list[Recommendation]:
-        recommendations: list[Recommendation] = []
-        for job_features in features:
-            if not job_features.steerable:
-                continue  # empty span: nothing to recommend (paper §4.1)
-            actions = actions_for_span(job_features.span, self.registry, self.default)
-            response = self.policy.rank(
-                job_features.context(), actions, job=job_features.job
-            )
-            flip = None
-            if response.action.rule_id is not None:
-                flip = RuleFlip(response.action.rule_id, response.action.turn_on)
-            recommendations.append(
-                Recommendation(
-                    features=job_features,
-                    flip=flip,
-                    event_id=response.event_id,
-                    probability=response.probability,
-                )
-            )
-        return recommendations
+        # empty span: nothing to recommend (paper §4.1)
+        return [
+            self.recommend(job_features)
+            for job_features in features
+            if job_features.steerable
+        ]

@@ -62,7 +62,8 @@ class FlightingError(ReproError):
 
 
 class PersonalizerError(ReproError):
-    """Raised by the Personalizer service (bad event ids, closed service)."""
+    """Raised by a steering policy's Rank/Reward surface (bad event ids,
+    modes or model versions)."""
 
 
 class SISError(ReproError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.config import SimulationConfig
 from repro.errors import ValidationError
-from repro.personalizer.service import PersonalizerService
 from repro.policies.bandit import BanditSteeringPolicy
 from repro.policies.base import LearnedSteeringPolicy, PolicyVersion, SteeringPolicy
 from repro.policies.plan_guided import PlanGuidedPolicy
@@ -42,18 +41,12 @@ def build_policy(config: SimulationConfig, engine=None) -> SteeringPolicy:
 
     ``engine`` is the :class:`~repro.scope.engine.ScopeEngine` or sharded
     cluster whose plan cache the plan-guided policy peeks; policies that
-    don't consult plans ignore it.  The bandit policy owns a fresh
-    :class:`PersonalizerService` built from ``config.bandit`` — callers
-    needing the raw service (legacy API surface) reach it via
-    ``policy.service``.
+    don't consult plans ignore it.  The bandit takes its parameters from
+    ``config.bandit``, the other two from ``config.policy``.
     """
     name = config.policy.name
     if name == "bandit":
-        return BanditSteeringPolicy(
-            PersonalizerService(
-                config.bandit, seed=config.seed, mode="uniform_logging"
-            )
-        )
+        return BanditSteeringPolicy(config.bandit, seed=config.seed)
     if name == "value_model":
         return ValueModelPolicy(
             epsilon=config.policy.epsilon,

@@ -1,22 +1,27 @@
-"""The paper's contextual bandit, behind the policy seam.
+"""The paper's contextual bandit: a local Azure-Personalizer stand-in (§4.2, §6).
 
-A transparent adapter over :class:`~repro.personalizer.service.PersonalizerService`
-— the byte-identity default.  Every call delegates 1:1 (same RNG stream,
-same event ids, same learner updates), so a pipeline wired through
-``BanditSteeringPolicy(PersonalizerService(...))`` produces day reports
-byte-identical to the pre-seam pipeline that held the service directly.
-The parity lock in ``tests/test_policies.py`` pins this against golden
-fingerprints captured before the refactor.
+The Rank/Reward loop itself — pending events, the high-fidelity event log,
+the uniform-logging / learned mode switch, versioned snapshots — is
+:class:`~repro.policies.base.LearnedSteeringPolicy`; this module supplies
+what is the bandit's own: the hashed linear :class:`CBLearner` scored
+through :class:`EpsilonGreedyPolicy`, the reward-wait expiry of unrewarded
+events, and counterfactual evaluation of its log.  It keeps the RNG stream
+and event ids of the stand-alone service it replaced, so every decision is
+byte-identical to the golden fingerprints in ``tests/test_policies.py``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.bandit.features import ActionFeatures, ContextFeatures
-from repro.bandit.offpolicy import LoggedEvent
-from repro.personalizer.service import PersonalizerService, RankResponse
-from repro.policies.base import SteeringPolicy
+from repro.bandit.learner import CBLearner
+from repro.bandit.offpolicy import dr_estimate, ips_estimate, snips_estimate
+from repro.bandit.policy import EpsilonGreedyPolicy
+from repro.config import BanditConfig
+from repro.policies.base import LearnedSteeringPolicy
 
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
@@ -24,76 +29,102 @@ if TYPE_CHECKING:
 __all__ = ["BanditSteeringPolicy"]
 
 
-class BanditSteeringPolicy(SteeringPolicy):
-    """The CB/Personalizer stack as a :class:`SteeringPolicy`."""
+class BanditSteeringPolicy(LearnedSteeringPolicy):
+    """Epsilon-greedy over a hashed linear reward model, learned off-policy."""
 
     name = "bandit"
+    rng_stream = ("personalizer",)
+    event_prefix = "evt"
 
-    def __init__(self, service: PersonalizerService) -> None:
-        self.service = service
+    def __init__(
+        self,
+        config: BanditConfig | None = None,
+        seed: int = 0,
+        mode: str = "uniform_logging",
+    ) -> None:
+        self.config = config or BanditConfig()
+        super().__init__(self.config.epsilon, seed, mode)
+        self.learner = CBLearner(
+            bits=self.config.hash_bits,
+            learning_rate=self.config.learning_rate,
+            l2=self.config.l2,
+            interaction_order=self.config.interaction_order,
+        )
+        self.greedy_policy = EpsilonGreedyPolicy(
+            self.config.epsilon, self.config.hash_bits, self.config.interaction_order
+        )
+        #: events expired unrewarded so far (observability)
+        self.expired_events = 0
 
-    def rank(
+    # -- LearnedSteeringPolicy hooks ----------------------------------------------
+
+    def _scores(
         self,
         context: ContextFeatures,
         actions: list[ActionFeatures],
-        job: "JobInstance | None" = None,
-    ) -> RankResponse:
+        job: "JobInstance | None",
+    ) -> np.ndarray:
         # context-only policy: the job is part of the seam, not of the CB
-        return self.service.rank(context, actions)
+        return self.greedy_policy._scores(context, actions, self.learner)
 
-    def observe(self, event_id: str, reward: float) -> None:
-        self.service.reward(event_id, reward)
-
-    def action_probability(
+    def _learn(
         self,
         context: ContextFeatures,
-        actions: list[ActionFeatures],
-        index: int,
-        scorer=None,
-    ) -> float:
-        """The learned epsilon-greedy distribution over the CB scores.
+        action: ActionFeatures,
+        reward: float,
+        probability: float,
+    ) -> None:
+        self.learner.update(context, action, reward, probability)
 
-        Uses the greedy policy with the live learner whatever the current
-        logging mode — the same convention as
-        :meth:`PersonalizerService.counterfactual_evaluate`.
-        """
-        if not actions:
-            return 0.0
-        return self.service.greedy_policy.action_probability(
-            context, actions, index, scorer or self.service.learner
-        )
+    def _snapshot(self) -> object:
+        return (self.learner.snapshot(), self.learner.updates)
 
-    def action_probabilities(
-        self, context: ContextFeatures, actions: list[ActionFeatures], scorer=None
-    ) -> list[float]:
-        """:meth:`action_probability` for every index, from one scoring pass."""
-        if not actions:
-            return []
-        return self.service.greedy_policy.action_probabilities(
-            context, actions, scorer or self.service.learner
-        )
+    def _restore(self, state: object) -> None:
+        # the full snapshot: weights *and* the ``updates`` counter, so a
+        # restored model is indistinguishable from the one published
+        weights, updates = state
+        self.learner.restore(weights, updates=updates)
+
+    # -- reward-wait expiry ----------------------------------------------------
 
     def publish_version(self) -> int:
-        return self.service.publish_version()
+        """Expire overdue unrewarded events, then snapshot the model.
 
-    def restore_version(self, version: int) -> None:
-        self.service.restore_version(version)
+        Mirrors the Azure Personalizer reward-wait window: an event whose
+        reward never arrives is finalized with ``expired_event_reward``
+        once ``activation_timeout_days`` publish cycles have passed since
+        it was ranked, instead of leaking forever.  Expiry runs first, so
+        the default-reward updates are part of the snapshot the events age
+        out under, and in rank order (insertion order of the pending map),
+        so the learner sees a deterministic update sequence.
+        """
+        timeout = self.config.activation_timeout_days
+        if timeout > 0:
+            cycle = len(self.versions) + 1
+            stale = [
+                event_id
+                for event_id, pending in self._pending.items()
+                if cycle - pending.model_version >= timeout
+            ]
+            for event_id in stale:
+                self.observe(event_id, self.config.expired_event_reward)
+            self.expired_events += len(stale)
+        return super().publish_version()
 
-    def switch_mode(self, mode: str) -> None:
-        self.service.switch_mode(mode)
+    # -- counterfactual evaluation ---------------------------------------------------
 
-    @property
-    def mode(self) -> str:
-        return self.service.mode
+    def counterfactual_evaluate(self, policy=None) -> dict[str, float]:
+        """IPS/SNIPS/DR estimates of a policy over the logged events.
 
-    @property
-    def model_version(self) -> int:
-        return len(self.service.versions)
-
-    @property
-    def event_log(self) -> list[LoggedEvent]:
-        return self.service.event_log
-
-    @property
-    def pending_events(self) -> int:
-        return self.service.pending_events
+        Defaults to evaluating the current greedy policy against the log —
+        the paper's offline tuning loop.
+        """
+        policy = policy or self.greedy_policy
+        log, learner = self.event_log, self.learner
+        return {
+            "ips": ips_estimate(log, policy, scorer=learner),
+            "snips": snips_estimate(log, policy, scorer=learner),
+            "dr": dr_estimate(log, policy, learner.score_action, scorer=learner),
+            "logged_mean": float(np.mean([e.reward for e in log])) if log else 0.0,
+            "events": float(len(log)),
+        }

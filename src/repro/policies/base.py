@@ -11,10 +11,10 @@ estimators) talks to this interface and nothing else.
 The contract:
 
 * :meth:`~SteeringPolicy.rank` — choose one action for a (context,
-  actions) pair, returning a :class:`~repro.personalizer.service.RankResponse`
-  (event id + chosen action + logged propensity).  Policies that score
-  *compiled plans* (Neo-style) additionally receive the job, so they can
-  consult the plan cache; context-only policies ignore it.
+  actions) pair, returning a :class:`RankResponse` (event id + chosen
+  action + logged propensity).  Policies that score *compiled plans*
+  (Neo-style) additionally receive the job, so they can consult the plan
+  cache; context-only policies ignore it.
 * :meth:`~SteeringPolicy.observe` — report the reward for a ranked event;
   the policy learns online (or buffers for its next refit).
 * :meth:`~SteeringPolicy.action_probability` — the probability the
@@ -30,8 +30,9 @@ The contract:
   uniformly, maximally informative logs — the off-policy warm-up) vs
   ``"learned"`` (act on the learned scores), the paper's staged rollout.
 
-:class:`LearnedSteeringPolicy` is the shared skeleton for self-contained
-competitors: it owns the pending-event table, the high-fidelity event log
+:class:`LearnedSteeringPolicy` is the one Rank/Reward skeleton every
+shipped policy — the paper's bandit included — is built on: it owns the
+pending-event table, the high-fidelity event log
 (:class:`~repro.bandit.offpolicy.LoggedEvent`, so every policy's log feeds
 the same counterfactual machinery), the mode switch, the keyed exploration
 RNG and epsilon-greedy selection; subclasses supply ``_scores`` (score
@@ -49,16 +50,26 @@ import numpy as np
 from repro.bandit.features import ActionFeatures, ContextFeatures
 from repro.bandit.offpolicy import LoggedEvent
 from repro.errors import PersonalizerError
-from repro.personalizer.service import RankResponse
 from repro.rng import keyed_rng
 
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
 
-__all__ = ["SteeringPolicy", "LearnedSteeringPolicy", "PolicyVersion"]
+__all__ = ["SteeringPolicy", "LearnedSteeringPolicy", "PolicyVersion", "RankResponse"]
 
 #: the two operating modes every policy understands (paper §4.2)
 MODES = ("uniform_logging", "learned")
+
+
+@dataclass(frozen=True)
+class RankResponse:
+    """Answer to a rank call."""
+
+    event_id: str
+    action: ActionFeatures
+    index: int
+    probability: float
+    model_version: int
 
 
 class SteeringPolicy(abc.ABC):
@@ -144,10 +155,12 @@ class _Pending:
     actions: tuple[ActionFeatures, ...]
     chosen: int
     probability: float
+    #: model version the event was ranked under (the activation-timeout base)
+    model_version: int
 
 
 class LearnedSteeringPolicy(SteeringPolicy):
-    """Shared machinery for self-contained (non-Personalizer) policies.
+    """The Rank/Reward loop, written once (paper §4.2, §6).
 
     Subclasses implement:
 
@@ -158,6 +171,11 @@ class LearnedSteeringPolicy(SteeringPolicy):
       publish/restore.
     """
 
+    #: keyed-RNG stream labels and event-id prefix; empty derives both from
+    #: ``name`` (the bandit pins the ones its logged decisions were made under)
+    rng_stream: tuple[str, ...] = ()
+    event_prefix: str = ""
+
     def __init__(self, epsilon: float, seed: int, mode: str = "uniform_logging") -> None:
         if mode not in MODES:
             raise PersonalizerError(f"unknown mode {mode!r}")
@@ -165,7 +183,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
             raise PersonalizerError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
         self.mode = mode
-        self._rng = keyed_rng(seed, "policy", self.name)
+        self._rng = keyed_rng(seed, *(self.rng_stream or ("policy", self.name)))
         self._pending: dict[str, _Pending] = {}
         self._event_counter = 0
         self._log: list[LoggedEvent] = []
@@ -191,12 +209,13 @@ class LearnedSteeringPolicy(SteeringPolicy):
             index = int(self._rng.integers(0, len(actions))) if explore else greedy
             probability = self._greedy_probability(len(actions), index == greedy)
         self._event_counter += 1
-        event_id = f"{self.name}-{self._event_counter:08d}"
+        event_id = f"{self.event_prefix or self.name}-{self._event_counter:08d}"
         self._pending[event_id] = _Pending(
             context=context,
             actions=tuple(actions),
             chosen=index,
             probability=probability,
+            model_version=len(self.versions),
         )
         return RankResponse(
             event_id=event_id,
@@ -237,11 +256,9 @@ class LearnedSteeringPolicy(SteeringPolicy):
 
         Counterfactual evaluation asks what the policy would do if it were
         driving — the learned distribution — regardless of the mode it is
-        currently logging under, matching
-        ``PersonalizerService.counterfactual_evaluate``'s convention.
-        ``scorer`` is accepted for signature compatibility with the
-        bandit-internal policies and ignored: self-contained policies own
-        their model.
+        currently logging under.  ``scorer`` is accepted for signature
+        compatibility with the stateless target distributions in
+        :mod:`repro.bandit.policy` and ignored: a policy owns its model.
         """
         if not actions:
             return 0.0

@@ -37,17 +37,14 @@ from repro.bandit.features import (
     _log_bucket,
     context_features,
 )
-from repro.policies.base import LearnedSteeringPolicy
+from repro.bandit.learner import CBLearner
+from repro.policies.base import LearnedSteeringPolicy, RankResponse
 
 if TYPE_CHECKING:
-    from repro.personalizer.service import RankResponse
     from repro.scope.jobs import JobInstance
     from repro.scope.optimizer.engine import OptimizationResult
 
 __all__ = ["PlanGuidedPolicy"]
-
-#: probabilities are floored when importance-weighting, as in CBLearner
-_MIN_PROB = 0.01
 
 
 def plan_summary(result: "OptimizationResult") -> dict[str, float]:
@@ -111,11 +108,10 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         #: :meth:`bind_engine` when the policy is built before the fleet)
         self.engine = engine
         self.bits = bits
-        self.learning_rate = learning_rate
-        self.l2 = l2
         self.memo_capacity = memo_capacity
-        self.weights = np.zeros(1 << bits)
-        self.updates = 0
+        #: the CB's hashed linear model and SGD step, over this policy's
+        #: own plan-enriched vectors (its featurizer is never called)
+        self.learner = CBLearner(bits, learning_rate, l2)
         #: plans actually peeked vs context-only fallbacks (telemetry for
         #: the zero-extra-invocation claim; never part of any fingerprint)
         self.plan_feature_hits = 0
@@ -188,14 +184,6 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
             return cached
         return self._features(context, action, None)
 
-    # -- model ----------------------------------------------------------------
-
-    def _score(self, vector: FeatureVector) -> float:
-        total = 0.0
-        for index, value in vector.items():
-            total += self.weights[index] * value
-        return total
-
     # -- LearnedSteeringPolicy hooks ----------------------------------------------
 
     def _scores(
@@ -214,7 +202,7 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         shared = self._context_part(context) if summary is not None else None
         return np.array(
             [
-                self._score(self._vector_for(context, action, summary, shared))
+                self.learner.score(self._vector_for(context, action, summary, shared))
                 for action in actions
             ]
         )
@@ -224,7 +212,7 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         context: ContextFeatures,
         actions: list[ActionFeatures],
         job: "JobInstance | None" = None,
-    ) -> "RankResponse":
+    ) -> RankResponse:
         # memoize plan-enriched vectors even in uniform-logging mode, so
         # off-policy evaluation of the warm-up log sees the plan signal
         if self.mode == "uniform_logging" and job is not None:
@@ -245,16 +233,9 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         reward: float,
         probability: float,
     ) -> None:
-        vector = self._vector_for(context, action, None)
-        prediction = self._score(vector)
-        importance = 1.0 / max(probability, _MIN_PROB)
-        norm_sq = sum(value * value for _, value in vector.items()) or 1.0
-        step = min(self.learning_rate * min(importance, 5.0), 0.5) / norm_sq
-        error = reward - prediction
-        for index, value in vector.items():
-            gradient = error * value - self.l2 * self.weights[index]
-            self.weights[index] += step * gradient
-        self.updates += 1
+        self.learner.update_vector(
+            self._vector_for(context, action, None), reward, probability
+        )
 
     def publish_version(self) -> int:
         if len(self._memo) > self.memo_capacity:
@@ -262,9 +243,8 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         return super().publish_version()
 
     def _snapshot(self) -> object:
-        return (self.weights.copy(), self.updates)
+        return (self.learner.snapshot(), self.learner.updates)
 
     def _restore(self, state: object) -> None:
         weights, updates = state
-        self.weights = weights.copy()
-        self.updates = updates
+        self.learner.restore(weights, updates=updates)

@@ -155,6 +155,8 @@ class ValueModelPolicy(LearnedSteeringPolicy):
         }
 
     def _restore(self, state: object) -> None:
+        # a hint-set first seen after the snapshot goes back to the prior
+        self._models = {key: model for key, model in self._models.items() if key in state}
         for key, (fit, reward_sum, observations) in state.items():
             model = self._models.get(key)
             if model is None:

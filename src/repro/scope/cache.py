@@ -943,56 +943,49 @@ class CompilationService:
     def _lookup_or_compile(
         self, script: str, config: RuleConfiguration
     ) -> _CacheEntry:
-        if self.tracer.enabled:
-            # child_span: only callers already inside a trace (a traced
-            # production job, a serving steer) produce a span — untraced
-            # fan-outs (span probes, recompile flips) stay invisible
-            with self.tracer.child_span("compile"):
-                return self._lookup_or_compile_impl(script, config)
-        return self._lookup_or_compile_impl(script, config)
-
-    def _lookup_or_compile_impl(
-        self, script: str, config: RuleConfiguration
-    ) -> _CacheEntry:
-        if not self.config.enabled:
-            # the ablation contract is "every compile re-optimizes", so
-            # concurrent identical requests are deliberately NOT coalesced —
-            # optimizer_invocations must match the serial schedule
-            return self._compile(script, config)
-        while True:
+        # child_span: only callers already inside a trace (a traced
+        # production job, a serving steer) produce a span — untraced
+        # fan-outs (span probes, recompile flips) stay invisible
+        with self.tracer.child_span("compile"):
+            if not self.config.enabled:
+                # the ablation contract is "every compile re-optimizes", so
+                # concurrent identical requests are deliberately NOT coalesced —
+                # optimizer_invocations must match the serial schedule
+                return self._compile(script, config)
+            while True:
+                with self._lock:
+                    self._sync_catalog_version_locked()
+                    key = self._key_for(script, config)
+                    entry = self.cache.get(key)
+                    if entry is not None:
+                        return entry
+                    flight = self._in_flight.get(key)
+                    if flight is None:
+                        flight = _InFlightCompile()
+                        self._in_flight[key] = flight
+                        break
+                    # a sibling thread is already compiling this key; a serial
+                    # schedule would have served this lookup from the cache, so
+                    # the recorded miss is re-classified as a hit
+                    self.stats.misses -= 1
+                    self.stats.hits += 1
+                flight.done.wait()
+                if flight.entry is not None:
+                    return flight.entry
+                # the leader died on a non-deterministic error: retry as leader
+            try:
+                entry = self._compile(script, config)
+            except BaseException:
+                with self._lock:
+                    self._in_flight.pop(key, None)
+                flight.done.set()
+                raise
             with self._lock:
-                self._sync_catalog_version_locked()
-                key = self._key_for(script, config)
-                entry = self.cache.get(key)
-                if entry is not None:
-                    return entry
-                flight = self._in_flight.get(key)
-                if flight is None:
-                    flight = _InFlightCompile()
-                    self._in_flight[key] = flight
-                    break
-                # a sibling thread is already compiling this key; a serial
-                # schedule would have served this lookup from the cache, so
-                # the recorded miss is re-classified as a hit
-                self.stats.misses -= 1
-                self.stats.hits += 1
-            flight.done.wait()
-            if flight.entry is not None:
-                return flight.entry
-            # the leader died on a non-deterministic error: retry as leader
-        try:
-            entry = self._compile(script, config)
-        except BaseException:
-            with self._lock:
+                self.cache.put(key, entry)
                 self._in_flight.pop(key, None)
+            flight.entry = entry
             flight.done.set()
-            raise
-        with self._lock:
-            self.cache.put(key, entry)
-            self._in_flight.pop(key, None)
-        flight.entry = entry
-        flight.done.set()
-        return entry
+            return entry
 
     def _compile(self, script: str, config: RuleConfiguration) -> _CacheEntry:
         with self._lock:
@@ -1005,10 +998,7 @@ class CompilationService:
             # the expensive part — cascades search — runs outside the lock,
             # so distinct keys optimize concurrently; fragment store access
             # re-takes the lock per lookup inside the view
-            if self.tracer.enabled:
-                with self.tracer.child_span("optimize"):
-                    result = self.engine.optimize(compiled, config, fragments=view)
-            else:
+            with self.tracer.child_span("optimize"):
                 result = self.engine.optimize(compiled, config, fragments=view)
         except ScopeError as exc:
             return _CacheEntry(error=_detached(exc))

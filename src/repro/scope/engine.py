@@ -204,10 +204,6 @@ class ScopeEngine:
     ) -> JobRun:
         """Compile, optimize and execute a job end to end."""
         result = self.compile_job(job, flip, use_hints=use_hints)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            with tracer.child_span("execute", job_id=job.job_id):
-                metrics = self.execute(result, job.run_key(attempt))
-        else:
+        with self.obs.tracer.child_span("execute", job_id=job.job_id):
             metrics = self.execute(result, job.run_key(attempt))
         return JobRun(job=job, result=result, metrics=metrics)

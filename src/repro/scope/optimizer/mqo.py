@@ -208,9 +208,7 @@ def preexplore(
     planner = BatchPlanner()
     for service, requests in batches:
         planner.add_batch(service, requests)
-    if tracer.enabled:
-        with tracer.child_span("mqo_preexplore") as span:
-            explored = planner.preexplore(executor)
-            span.set(fragments=explored)
-            return explored
-    return planner.preexplore(executor)
+    with tracer.child_span("mqo_preexplore") as span:
+        explored = planner.preexplore(executor)
+        span.set(fragments=explored)
+        return explored

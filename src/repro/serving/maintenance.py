@@ -136,19 +136,16 @@ class MaintenanceScheduler:
         obs = self.pipeline.obs
         with self._window_lock:
             started_wall = time.perf_counter()  # qa: wallclock-ok window wall-time is telemetry, fingerprint-excluded
-            if obs.tracer.enabled:
-                # the window's root span: trace id = the window id, stage
-                # spans parent under it via ``ctx.trace`` exactly like the
-                # batch "day" root
-                with obs.tracer.span("window", trace_id=f"window:{day}", day=day) as root:
-                    report = self._drain_window(day, trace=root)
-                    root.set(
-                        hint_version=report.hint_version,
-                        jobs=len(report.production_runs),
-                        failed=len(report.failed_jobs),
-                    )
-            else:
-                report = self._drain_window(day)
+            # the window's root span: trace id = the window id, stage
+            # spans parent under it via ``ctx.trace`` exactly like the
+            # batch "day" root
+            with obs.tracer.span("window", trace_id=f"window:{day}", day=day) as root:
+                report = self._drain_window(day, trace=root)
+                root.set(
+                    hint_version=report.hint_version,
+                    jobs=len(report.production_runs),
+                    failed=len(report.failed_jobs),
+                )
             wall_s = time.perf_counter() - started_wall  # qa: wallclock-ok window wall-time is telemetry, fingerprint-excluded
             self.last_window = WindowSummary(
                 day=day,
@@ -172,12 +169,12 @@ class MaintenanceScheduler:
                 )
             return report
 
-    def _drain_window(self, day: int, trace: object | None = None) -> DayReport:
+    def _drain_window(self, day: int, trace: object) -> DayReport:
         """The window body: drain, run the offline stages, finalize.
 
         Runs under ``_window_lock``; ``trace`` is the window's root span
-        (None when observability is off), handed to the stage contexts so
-        stage spans parent under it.
+        (the no-op span when observability is off), handed to the stage
+        contexts so stage spans parent under it.
         """
         if self.on_window_start is not None:
             self.on_window_start(day)

@@ -5,8 +5,8 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it a single
 :class:`~repro.sharding.ShardedScopeCluster`) behind a job-stream API:
 
 * :meth:`submit` routes a job to its shard's bounded queue through the
-  cluster's :class:`~repro.sharding.ShardRouter` (failed shards are held
-  in the router's exclusion set, retired shards in its offline set);
+  cluster's :class:`~repro.sharding.ShardRouter` (failed and retired
+  shards are held in its offline set — the one membership state);
 * each shard *lane* steers arrivals against the **live** SIS hint-file
   version — compile through the shard's
   :class:`~repro.scope.cache.CompilationService`, execute on the runtime —
@@ -173,8 +173,6 @@ class QOAdvisorServer:
             )
             for index, shard_engine in enumerate(shard_engines)
         ]
-        #: the router exclusion set: shards failed over and out of rotation
-        self.failed_shards: set[int] = set()
         #: recurring templates are high-priority by default for SLO admission
         self._recurring = {
             template.template_id
@@ -377,7 +375,7 @@ class QOAdvisorServer:
         if self._job_priority(ticket.job) != "low":
             return None
         try:
-            shard = self.router.shard_for_job(ticket.job, exclude=self.failed_shards)
+            shard = self.router.shard_for_job(ticket.job)
         except ValueError:
             return None  # nowhere to route; let _admit surface the error
         lane = self._lanes[shard]
@@ -490,11 +488,11 @@ class QOAdvisorServer:
 
     def _admit(self, ticket: JobTicket, timeout: float | None) -> _ShardLane:
         """Route and enqueue a fresh ticket, re-routing if its shard dies
-        or retires between routing and admission (the exclusion/offline
-        sets grow *before* the queue closes, so one retry sees the
+        or retires between routing and admission (the router's offline
+        set grows *before* the queue closes, so one retry sees the
         update)."""
         for _ in range(len(self._lanes) + 1):
-            shard = self.router.shard_for_job(ticket.job, exclude=self.failed_shards)
+            shard = self.router.shard_for_job(ticket.job)
             lane = self._lanes[shard]
             ticket.shard = shard
             with lane.lock:
@@ -510,10 +508,7 @@ class QOAdvisorServer:
             except QueueClosed:
                 with lane.lock:
                     lane.submitted -= 1
-                if self._stop or (
-                    shard not in self.failed_shards
-                    and shard not in self.router.offline
-                ):
+                if self._stop or shard not in self.router.offline:
                     raise
                 continue  # the lane failed over/retired under us; route again
             except Exception:
@@ -673,8 +668,8 @@ class QOAdvisorServer:
 
         The lane stops admitting and consuming; every ticket still in its
         queue or standby (plus any a worker popped but had not started) is
-        re-routed through the router with the failed shard in the
-        exclusion set.  A job the lane was actively steering when the kill
+        re-routed through the router, which no longer offers the failed
+        slot.  A job the lane was actively steering when the kill
         lands completes there — nothing is ever lost.  The slot also
         leaves the *router's* rotation, so maintenance-window compiles
         follow the steering traffic onto the survivors, and once the lane
@@ -696,7 +691,6 @@ class QOAdvisorServer:
                 )
             moves = self._moves(offline={shard})
             lane.alive = False
-            self.failed_shards.add(shard)
             self.router.take_offline(shard)
             lane.queue.close()
             backlog = lane.queue.drain()
@@ -726,7 +720,7 @@ class QOAdvisorServer:
             with from_lane.lock:
                 from_lane.requeued += 1
             placed = False
-            exclude = set(self.failed_shards) | ticket.excluded_shards
+            exclude = set(ticket.excluded_shards)
             while not placed:
                 try:
                     target_index = self.router.shard_for_job(ticket.job, exclude=exclude)
@@ -878,7 +872,6 @@ class QOAdvisorServer:
             lane.queue = ShardQueue(self.serving.queue_capacity, self.serving.admission)
             lane.alive = True
             lane.retired = False
-            self.failed_shards.discard(shard)
             self.router.bring_online(shard)
             moved = self._rebalance_queues()
             if self._started and self.serving.workers_per_shard > 0:
@@ -894,15 +887,13 @@ class QOAdvisorServer:
         """(old owner, new owner) per tracked template whose owner changes
         under the hypothetical membership update."""
         preview = self.router.preview(online=online, offline=offline)
-        before_exclude = set(self.failed_shards)
-        after_exclude = before_exclude - set(online)
         with self._hot_lock:
             tracked = list(self._hot_scripts)
         moves: dict[str, tuple[int, int]] = {}
         for template_id in tracked:
             try:
-                before = self.router.shard_for(template_id, exclude=before_exclude)
-                after = preview.shard_for(template_id, exclude=after_exclude)
+                before = self.router.shard_for(template_id)
+                after = preview.shard_for(template_id)
             except ValueError:
                 continue
             if before != after:
@@ -1002,7 +993,7 @@ class QOAdvisorServer:
 
     def _route_or_stay(self, ticket: JobTicket, lane: _ShardLane) -> int:
         try:
-            return self.router.shard_for_job(ticket.job, exclude=self.failed_shards)
+            return self.router.shard_for_job(ticket.job)
         except ValueError:
             return lane.index
 

@@ -315,51 +315,42 @@ class ShardedCompilationService:
         fragments are pre-explored across all shards first.
         """
         ordered = list(requests)
-        if self.tracer.enabled:
-            with self.tracer.child_span("shard_fanout", requests=len(ordered)):
-                return self._compile_many_impl(ordered, executor)
-        return self._compile_many_impl(ordered, executor)
+        with self.tracer.child_span("shard_fanout", requests=len(ordered)):
+            self.preexplore_batch(ordered, executor)
+            by_shard: dict[int, list[int]] = {}
+            for position, request in enumerate(ordered):
+                shard = self.cluster.router.shard_for_job(request.job)
+                by_shard.setdefault(shard, []).append(position)
+            shard_keys: dict[int, list[tuple]] = {}
+            units: list[tuple[int, tuple, tuple]] = []
+            for shard, positions in by_shard.items():
+                keys, unique = self.cluster.shards[shard].compilation.dedup_batch(
+                    [ordered[position] for position in positions]
+                )
+                shard_keys[shard] = keys
+                units.extend((shard, key, work) for key, work in unique.items())
 
-    def _compile_many_impl(
-        self,
-        ordered: "list[CompileRequest]",
-        executor: "Executor | None" = None,
-    ) -> "list[OptimizationResult | ScopeError]":
-        self.preexplore_batch(ordered, executor)
-        by_shard: dict[int, list[int]] = {}
-        for position, request in enumerate(ordered):
-            shard = self.cluster.router.shard_for_job(request.job)
-            by_shard.setdefault(shard, []).append(position)
-        shard_keys: dict[int, list[tuple]] = {}
-        units: list[tuple[int, tuple, tuple]] = []
-        for shard, positions in by_shard.items():
-            keys, unique = self.cluster.shards[shard].compilation.dedup_batch(
-                [ordered[position] for position in positions]
-            )
-            shard_keys[shard] = keys
-            units.extend((shard, key, work) for key, work in unique.items())
+            def compile_unit(unit: tuple) -> object:
+                shard, _, (script, config) = unit
+                return self.cluster.shards[shard].compilation.compile_entry(script, config)
 
-        def compile_unit(unit: tuple) -> object:
-            shard, _, (script, config) = unit
-            return self.cluster.shards[shard].compilation.compile_entry(script, config)
-
-        if executor is None or len(units) <= 1:
-            outcomes = [compile_unit(unit) for unit in units]
-        else:
-            # propagate the caller's span so per-compile child spans
-            # parent identically at any worker count
-            outcomes = executor.map_jobs_propagated(
-                compile_unit, units, tracer=self.tracer
-            )
-        by_unit = {
-            (shard, key): outcome
-            for (shard, key, _), outcome in zip(units, outcomes)
-        }
-        results: list = [None] * len(ordered)
-        for shard, positions in by_shard.items():
-            for position, key in zip(positions, shard_keys[shard]):
-                results[position] = by_unit[(shard, key)]
-        return results
+            if executor is None or len(units) <= 1:
+                outcomes = [compile_unit(unit) for unit in units]
+            else:
+                # propagate the caller's span so per-compile child spans
+                # parent identically at any worker count
+                outcomes = executor.map_jobs_propagated(
+                    compile_unit, units, tracer=self.tracer
+                )
+            by_unit = {
+                (shard, key): outcome
+                for (shard, key, _), outcome in zip(units, outcomes)
+            }
+            results: list = [None] * len(ordered)
+            for shard, positions in by_shard.items():
+                for position, key in zip(positions, shard_keys[shard]):
+                    results[position] = by_unit[(shard, key)]
+            return results
 
     def invalidate(self) -> None:
         """Broadcast a plan-cache invalidation to every shard (SIS bumps)."""

@@ -19,7 +19,6 @@ from repro.bandit.learner import CBLearner
 from repro.bandit.offpolicy import LoggedEvent, dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy, UniformPolicy
 from repro.config import BanditConfig
-from repro.personalizer.service import PersonalizerService
 from repro.policies import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from tests.conftest import PerIndexOnly, reference_joint_features, reference_score
@@ -57,10 +56,8 @@ def test_joint_features_cross_span_with_action():
 
 
 def test_uniform_policy_probability():
-    policy = UniformPolicy()
     actions = [ActionFeatures(rule_id=None), ActionFeatures(rule_id=1)]
-    ranked = policy.choose(_context(), actions, keyed_rng(1, "u"))
-    assert ranked.probability == pytest.approx(0.5)
+    assert UniformPolicy().action_probability(_context(), actions, 1) == pytest.approx(0.5)
 
 
 def test_epsilon_greedy_probabilities_sum_to_one():
@@ -263,7 +260,7 @@ def test_warm_rank_hashes_nothing_and_cold_rank_hashes_each_name_once(monkeypatc
     actions = [ActionFeatures(rule_id=None)] + [
         ActionFeatures(rule_id=rule, turn_on=False, category="impl") for rule in span
     ]
-    policy = BanditSteeringPolicy(PersonalizerService(BanditConfig(), seed=3, mode="learned"))
+    policy = BanditSteeringPolicy(BanditConfig(), seed=3, mode="learned")
 
     first = policy.rank(context, actions)
     # 12 + 66 + 220 span features, 7 job features, noop, then per flip

@@ -8,7 +8,6 @@ from repro.core.recompile import CostOutcome, RecompilationTask, flight_candidat
 from repro.core.spans import SpanComputer
 from repro.core.validate import ValidationModel, ValidationTask
 from repro.core.hintgen import HintGenerationTask
-from repro.personalizer.service import PersonalizerService
 from repro.policies.bandit import BanditSteeringPolicy
 from repro.scope.optimizer.rules.base import RuleCategory
 from repro.scope.telemetry.view import WorkloadView, build_view_row
@@ -86,7 +85,7 @@ def test_actions_for_span_size(engine, features):
 
 
 def test_recommendation_task_skips_empty_spans(engine, features):
-    policy = BanditSteeringPolicy(PersonalizerService(seed=9))
+    policy = BanditSteeringPolicy(seed=9)
     recommendations = RecommendationTask(policy, engine.registry).run(features)
     assert len(recommendations) == 1  # only the steerable job
 

@@ -268,13 +268,15 @@ def test_fail_rejoin_replay_matches_a_never_failed_run():
         server.submit(job)
     victim = 1
     server.fail_shard(victim)
-    assert victim in server.failed_shards
+    assert victim in server.router.offline
+    failed = server.stats().shards[victim]
+    assert not failed.alive and not failed.retired
     for job in jobs[third : 2 * third]:
         ticket = server.submit(job)
         assert ticket.shard != victim  # failover routing held
     rebalanced = server.unfail_shard(victim)
     assert rebalanced == 0  # inline schedule: nothing was queued
-    assert victim not in server.failed_shards
+    assert victim not in server.router.offline
     assert server.stats().shards[victim].alive
     for job in jobs[2 * third :]:
         server.submit(job)

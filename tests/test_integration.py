@@ -38,8 +38,8 @@ def test_daily_reports_cover_all_stages(advisor):
 
 
 def test_rewards_flow_to_personalizer(advisor):
-    assert advisor.personalizer.pending_events == 0
-    assert len(advisor.personalizer.event_log) > 0
+    assert advisor.policy.pending_events == 0
+    assert len(advisor.policy.event_log) > 0
 
 
 def test_hints_eventually_deploy_and_apply(advisor):

@@ -232,7 +232,7 @@ def test_recovery_replays_sheds_and_mode_switches_verbatim(tmp_path):
     assert recovery.shed == 1
     assert recovery.mode_switches == 1
     assert recovery.windows == 1 and recovery.fingerprints_verified == 1
-    assert revived.advisor.personalizer.mode == "learned"
+    assert revived.advisor.policy.mode == "learned"
     assert low.job_id in revived.advisor.reports[0].failed_jobs
     assert revived.stats().shards[0].shed == 1
     revived.shutdown()

@@ -242,7 +242,7 @@ def test_shard_failover_requeues_backlog_with_zero_loss():
     # new submissions never land on the failed shard again
     rerouted = server.submit(server.advisor.workload.jobs_for_day(0)[0])
     assert rerouted.shard != victim
-    assert victim in server.failed_shards
+    assert victim in server.router.offline
     server.start()
     server.drain(timeout=120.0)
     report = server.run_maintenance(0)
