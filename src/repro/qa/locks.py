@@ -27,6 +27,13 @@ rather than demanding new ones):
   the predicate *is* a locked region), and a lambda passed directly to
   a synchronous builtin (``sorted``/``min``/``max``/``sum``/``any``/
   ``all``), which invokes it on the calling thread before returning;
+* a **published snapshot** — an attribute whose every write in the class
+  is a plain ``self.X = <tuple or frozenset expression>`` — is copy-on-
+  write: readers get an immutable value whichever rebind they observe, so
+  its *writes* need the lock and its reads need none.  One in-place
+  mutation anywhere in the class (augmented assignment, subscript store,
+  a mutating call) voids the convention and every unguarded read of the
+  attribute is reported again;
 * per-site or per-method suppression: ``# qa: unlocked-ok <reason>`` on
   the access line, alone on the line above, or on the method's ``def``
   line (annotating a whole caller-holds-lock helper).
@@ -70,7 +77,8 @@ _MUTATORS = {
 class _Access:
     attr: str
     line: int
-    is_write: bool
+    #: ``None`` for a read; see :meth:`_ClassScan._write_kind`
+    write: str | None
     held: frozenset[str]
     method: str
     def_line: int
@@ -151,20 +159,12 @@ class _ClassScan:
                 parents[id(child)] = parent  # qa: id-ok identity memo over AST nodes, never iterated
 
         def walk(node: ast.AST, held: frozenset[str]) -> None:
-            if self._is_synchronous_call(node):
+            if self._is_synchronous_call(node) or self._is_held_wait_for(node, held):
                 # sorted(key=lambda ...) and friends invoke the lambda
-                # before returning — it runs on this thread, locks intact
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    if isinstance(arg, ast.Lambda):
-                        for child in ast.iter_child_nodes(arg):
-                            walk(child, held)
-                    else:
-                        walk(arg, held)
-                return
-            if self._is_held_wait_for(node, held):
+                # before returning — it runs on this thread, locks intact;
                 # Condition.wait_for re-evaluates its predicate with the
                 # condition's lock re-acquired, so the lambda runs *with*
-                # the lock held — don't strip it like an ordinary closure
+                # the lock held — don't strip either like an ordinary closure
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     if isinstance(arg, ast.Lambda):
                         for child in ast.iter_child_nodes(arg):
@@ -203,7 +203,7 @@ class _ClassScan:
                     _Access(
                         attr=node.attr,
                         line=node.lineno,
-                        is_write=self._is_write(node, parents),
+                        write=self._write_kind(node, parents),
                         held=held,
                         method=method.name,
                         def_line=method.lineno,
@@ -239,17 +239,27 @@ class _ClassScan:
         )
 
     @staticmethod
-    def _is_write(node: ast.Attribute, parents: dict[int, ast.AST]) -> bool:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            return True
+    def _write_kind(node: ast.Attribute, parents: dict[int, ast.AST]) -> str | None:
+        """``None`` for a read, ``"rebind"`` for a plain ``self.X = <tuple /
+        frozenset expression>``, ``"mutate"`` for every other write."""
         parent = parents.get(id(node))  # qa: id-ok identity memo lookup
+        if isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(parent, ast.Assign) and node in parent.targets:
+                value = parent.value
+                if isinstance(value, ast.Tuple) or (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id in ("tuple", "frozenset")
+                ):
+                    return "rebind"
+            return "mutate"
         # self.X[...] = ... / del self.X[...]
         if (
             isinstance(parent, ast.Subscript)
             and parent.value is node
             and isinstance(parent.ctx, (ast.Store, ast.Del))
         ):
-            return True
+            return "mutate"
         # self.X.append(...) and friends
         if (
             isinstance(parent, ast.Attribute)
@@ -258,28 +268,32 @@ class _ClassScan:
         ):
             grandparent = parents.get(id(parent))  # qa: id-ok identity memo lookup
             if isinstance(grandparent, ast.Call) and grandparent.func is parent:
-                return True
-        return False
+                return "mutate"
+        return None
 
     # -- verdicts -------------------------------------------------------------
 
     def findings(self) -> list[Finding]:
         guarded: dict[str, set[str]] = {}
         for access in self.accesses:
-            if access.is_write and access.held and access.method != "__init__":
+            if access.write and access.held and access.method != "__init__":
                 guarded.setdefault(access.attr, set()).update(access.held)
+        # written some other way than a snapshot rebind: not copy-on-write
+        mutated = {a.attr for a in self.accesses if a.write == "mutate"}
         out: list[Finding] = []
         for access in self.accesses:
             locks = guarded.get(access.attr)
             if not locks or access.held & locks:
                 continue
+            if access.write is None and access.attr not in mutated:
+                continue  # a published snapshot: reads need no lock
             if access.method == "__init__" or access.method.endswith("_locked"):
                 continue
             if self.source.suppressed(
                 RULE_UNGUARDED, access.line, def_line=access.def_line
             ):
                 continue
-            verb = "write to" if access.is_write else "read of"
+            verb = "write to" if access.write else "read of"
             names = "/".join(f"self.{name}" for name in sorted(locks))
             out.append(
                 Finding(

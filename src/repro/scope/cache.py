@@ -632,10 +632,6 @@ class CompilationService:
         self.tracer = NULL_TRACER
 
     @property
-    def enabled(self) -> bool:
-        return self.config.enabled
-
-    @property
     def generation(self) -> int:
         with self._lock:
             return self.cache.generation
@@ -674,9 +670,9 @@ class CompilationService:
         """The script's cache digest, memoized per distinct text.
 
         A pure function of the text, so a racing recompute writes the same
-        bytes — the memo needs no lock.  ``dedup_batch`` hashes every
+        bytes — the memo needs no lock.  ``compile_many`` hashes every
         request in a batch and the same templates recur daily, which made
-        this the hottest hash call in ``compile_many``.
+        this its hottest hash call.
         """
         digest = self._digests.get(script)  # qa: unlocked-ok pure-function memo; racing recompute writes identical bytes
         if digest is None:
@@ -695,38 +691,6 @@ class CompilationService:
             self._catalog_version = self.engine.catalog.version
             self.invalidate()
             self._scripts.clear()
-
-    def dedup_batch(
-        self, requests: Iterable[CompileRequest]
-    ) -> tuple[list[PlanKey], dict[PlanKey, tuple[str, RuleConfiguration]]]:
-        """Resolve configurations and fold duplicate (script, config) requests.
-
-        Returns ``(keys, unique)``: ``keys`` aligns with ``requests`` and
-        ``unique`` maps each distinct key to its (script, configuration)
-        work in first-appearance order.  Folded duplicates are counted in
-        ``stats.dedup_hits`` here, so callers driving the unique work
-        themselves (the sharded facade's cross-shard fan-out) keep the
-        exact accounting :meth:`compile_many` produces.
-        """
-        resolved = [
-            (request.job.script,
-             self.engine.configuration_for(
-                 request.job, request.flip, use_hints=request.use_hints
-             ))
-            for request in requests
-        ]
-        keys = [self._key_for(script, config) for script, config in resolved]
-        unique: dict[PlanKey, tuple[str, RuleConfiguration]] = {}
-        duplicates = 0
-        for key, work in zip(keys, resolved):
-            if key in unique:
-                duplicates += 1
-            else:
-                unique[key] = work
-        if duplicates:
-            with self._lock:
-                self.stats.dedup_hits += duplicates
-        return keys, unique
 
     def compile_entry(
         self, script: str, config: RuleConfiguration
@@ -788,7 +752,7 @@ class CompilationService:
             return 0
         from repro.scope.optimizer.mqo import preexplore
 
-        return preexplore([(self, requests)], executor, self.tracer)
+        return preexplore(self, requests, executor)
 
     def compile_many(
         self,
@@ -809,23 +773,32 @@ class CompilationService:
         """
         requests = list(requests)
         self.preexplore_batch(requests, executor)
-        keys, unique = self.dedup_batch(requests)
-        ordered = list(unique)
-        if executor is None or len(ordered) <= 1:
-            entries = [self._lookup_or_compile(*unique[key]) for key in ordered]
+        resolved = [
+            (request.job.script,
+             self.engine.configuration_for(
+                 request.job, request.flip, use_hints=request.use_hints
+             ))
+            for request in requests
+        ]
+        keys = [self._key_for(script, config) for script, config in resolved]
+        # distinct (script, configuration) work in first-appearance order
+        unique: dict[PlanKey, tuple[str, RuleConfiguration]] = {}
+        for key, work in zip(keys, resolved):
+            unique.setdefault(key, work)
+        if len(unique) < len(keys):
+            with self._lock:
+                self.stats.dedup_hits += len(keys) - len(unique)
+        units = list(unique.values())
+        if executor is None or len(units) <= 1:
+            outcomes = [self.compile_entry(*unit) for unit in units]
         else:
             # propagate (not create) the caller's span, so per-compile
             # child spans parent identically at any worker count
-            entries = executor.map_jobs_propagated(
-                lambda key: self._lookup_or_compile(*unique[key]),
-                ordered,
-                tracer=self.tracer,
+            outcomes = executor.map_jobs_propagated(
+                lambda unit: self.compile_entry(*unit), units, tracer=self.tracer
             )
-        by_key = dict(zip(ordered, entries))
-        return [
-            entry.error if entry.error is not None else entry.result
-            for entry in (by_key[key] for key in keys)
-        ]
+        by_key = dict(zip(unique, outcomes))
+        return [by_key[key] for key in keys]
 
     def invalidate(self) -> None:
         """Drop every cached plan and fragment (called by SIS on hint change)."""

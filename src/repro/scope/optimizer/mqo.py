@@ -29,7 +29,8 @@ schedule-dependent telemetry.
 
 This module is deliberately coupled to
 :class:`~repro.scope.cache.CompilationService` internals (its lock, its
-parse memo): the planner is the service's batch mode, not a public layer.
+parse memo): the planner is *one* service's batch mode, not a public layer
+— a sharded cluster routes each shard its slice and every shard plans alone.
 """
 
 from __future__ import annotations
@@ -52,13 +53,10 @@ __all__ = ["BatchPlanner"]
 class _FragmentTask:
     """One distinct fragment to pre-explore, with its batch statistics."""
 
-    service: "CompilationService"
     optimizer: Optimizer
     node: object
     digest: bytes
     origins: object
-    #: service index within this planner (stable tiebreaker across shards)
-    sid: int
     #: operator count of the subtree — the exploration-cost proxy
     size: int
     #: subtree height — the bottom-up wave this task explores in
@@ -75,30 +73,26 @@ class _FragmentTask:
 class BatchPlanner:
     """Frequency-ordered, bottom-up fragment pre-exploration for one batch.
 
-    Usage: one or more :meth:`add_batch` calls (one per compilation
-    service — the sharded facade adds each shard's routed slice), then one
+    Usage: :meth:`add_batch` with the service's batch, then one
     :meth:`preexplore` fanning every wave through the executor.
     """
 
+    service: "CompilationService"
     _tasks: dict = field(default_factory=dict)
     _optimizers: dict = field(default_factory=dict)
-    _services: list = field(default_factory=list)
 
-    def add_batch(
-        self, service: "CompilationService", requests: "Iterable[CompileRequest]"
-    ) -> int:
-        """Register a service's requests; returns distinct fragments added.
+    def add_batch(self, requests: "Iterable[CompileRequest]") -> int:
+        """Register the batch's requests; returns distinct fragments added.
 
         Resolves each request's configuration, skips units the plan cache
         would serve outright (counter-free peek — pre-exploring them would
         be pure waste), parses/normalizes the survivors through the same
         memos the compile path uses, and folds their fragment sites into
-        the planner's task table keyed by (service, fragment-store key) —
-        the exact identity of a slot.
+        the planner's task table keyed by fragment-store key — the exact
+        identity of a slot.
         """
+        service = self.service
         engine = service.engine
-        sid = len(self._services)
-        self._services.append(service)
         added = 0
         for request in requests:
             config = engine.configuration_for(
@@ -111,7 +105,7 @@ class BatchPlanner:
                 compiled = service._compiled_script(script)
             except ScopeError:
                 continue  # the failure is memoized; the compile path reports it
-            optimizer = self._optimizers.get((sid, config.bits))
+            optimizer = self._optimizers.get(config.bits)
             if optimizer is None:
                 optimizer = Optimizer(
                     engine.registry,
@@ -120,20 +114,18 @@ class BatchPlanner:
                     cluster=engine.config.cluster,
                     budget=engine.budget,
                 )
-                self._optimizers[(sid, config.bits)] = optimizer
+                self._optimizers[config.bits] = optimizer
             root = optimizer._normalize(compiled, set())
             view = service.fragment_view(config)
             for site in fragment_profile(compiled, root):
-                key = (sid, view.key(site.digest))
+                key = view.key(site.digest)
                 task = self._tasks.get(key)
                 if task is None:
                     task = self._tasks[key] = _FragmentTask(
-                        service=service,
                         optimizer=optimizer,
                         node=site.node,
                         digest=site.digest,
                         origins=compiled.origins,
-                        sid=sid,
                         size=site.size,
                         height=site.height,
                     )
@@ -145,7 +137,7 @@ class BatchPlanner:
         """Explore every registered fragment; returns how many ran.
 
         Waves run bottom-up by subtree height; within a wave, tasks order
-        by (priority descending, service, digest) — a deterministic total
+        by (priority descending, digest) — a deterministic total
         order, so the serial and fanned-out schedules insert the same
         entries (entries are pure values; insertion order only shapes
         which thread pays for overlapping work).  Already-resident
@@ -157,24 +149,21 @@ class BatchPlanner:
         for task in self._tasks.values():
             by_height.setdefault(task.height, []).append(task)
         for height in sorted(by_height):
-            wave = sorted(
-                by_height[height], key=lambda t: (-t.priority, t.sid, t.digest)
-            )
+            wave = sorted(by_height[height], key=lambda t: (-t.priority, t.digest))
             if executor is None or len(wave) <= 1:
                 outcomes = [self._explore_one(task) for task in wave]
             else:
                 # propagate the caller's span (the mqo_preexplore span)
                 # so fragment-lookup events land identically at any
-                # worker count; all registered services share one plane,
-                # so the first task's tracer stands for the batch
+                # worker count
                 outcomes = executor.map_jobs_propagated(
-                    self._explore_one, wave, tracer=wave[0].service.tracer
+                    self._explore_one, wave, tracer=self.service.tracer
                 )
             explored += sum(outcomes)
         return explored
 
     def _explore_one(self, task: _FragmentTask) -> int:
-        service = task.service
+        service = self.service
         view = service.fragment_view(task.optimizer.config)
         if view.peek(task.digest):
             return 0
@@ -193,22 +182,19 @@ class BatchPlanner:
 
 
 def preexplore(
-    batches: "Iterable[tuple[CompilationService, Iterable[CompileRequest]]]",
+    service: "CompilationService",
+    requests: "Iterable[CompileRequest]",
     executor: "Executor | None",
-    tracer,
 ) -> int:
-    """One pre-exploration pass over ``(service, requests)`` batches.
+    """One pre-exploration pass over a service's batch.
 
-    What both ``preexplore_batch`` methods run — the single service with
-    its one batch, the sharded facade with each shard's routed slice: one
-    planner, one bottom-up fan-out keeping every worker busy across
-    services, under one ``mqo_preexplore`` span.  Returns the number of
-    fragments explored.
+    What :meth:`CompilationService.preexplore_batch` runs: one planner, one
+    bottom-up fan-out, under one ``mqo_preexplore`` span.  Returns the
+    number of fragments explored.
     """
-    planner = BatchPlanner()
-    for service, requests in batches:
-        planner.add_batch(service, requests)
-    with tracer.child_span("mqo_preexplore") as span:
+    planner = BatchPlanner(service)
+    planner.add_batch(requests)
+    with service.tracer.child_span("mqo_preexplore") as span:
         explored = planner.preexplore(executor)
         span.set(fragments=explored)
         return explored

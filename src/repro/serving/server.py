@@ -72,7 +72,15 @@ from repro.scope.jobs import JobInstance
 from repro.serving.journal import JournalError, RecoveryReport, TicketJournal
 from repro.serving.maintenance import MaintenanceScheduler
 from repro.serving.queues import JobTicket, QueueClosed, ShardQueue
-from repro.serving.stats import LatencyRing, ServerStats, ShardStats, percentile
+from repro.serving.stats import (
+    CACHE_FIELDS,
+    LANE_COUNTERS,
+    LatencyRing,
+    ServerStats,
+    ShardStats,
+    job_totals,
+    percentile,
+)
 from repro.sharding import ShardedScopeCluster, ShardRouter
 
 __all__ = ["QOAdvisorServer"]
@@ -81,34 +89,23 @@ __all__ = ["QOAdvisorServer"]
 class _ShardLane:
     """One shard's serving lane: queue + engine + workers + counters."""
 
-    def __init__(
-        self,
-        index: int,
-        engine: ScopeEngine,
-        queue: ShardQueue,
-        slo_window: int,
-        latency_window: int = 1024,
-    ) -> None:
+    def __init__(self, index: int, engine: ScopeEngine, serving: ServingConfig) -> None:
         self.index = index
         self.engine = engine
-        self.queue = queue
+        self.queue = ShardQueue(serving.queue_capacity, serving.admission)
         self.alive = True
         self.retired = False
         self.lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.steered = 0
-        self.requeued = 0
-        self.deferred = 0
-        self.shed = 0
+        #: one integer per name of the serving vocabulary, bumped under
+        #: ``lock``; every stats surface is built from this container
+        self.counts = dict.fromkeys(LANE_COUNTERS, 0)
         #: bounded recent compile latencies (percentile source); a lifetime
         #: list here would grow without bound on a long-lived server
-        self.compile_latency = LatencyRing(max(1, latency_window))
+        self.compile_latency = LatencyRing(max(1, serving.latency_window))
         #: completions since the lane's last stats-bus delta
         self.bus_pending = 0
         #: rolling window the SLO p95 is computed over
-        self.slo_samples: deque[float] = deque(maxlen=max(1, slo_window))
+        self.slo_samples: deque[float] = deque(maxlen=max(1, serving.slo_window))
         #: low-priority tickets parked until the lane's p95 recovers
         self.standby: deque[JobTicket] = deque()
         self.last_hint_version: int | None = None
@@ -153,7 +150,10 @@ class QOAdvisorServer:
             on_publish=on_publish,
         )
         engine = advisor.engine
-        if isinstance(engine, ShardedScopeCluster):
+        #: the sharded cluster behind the advisor; None over a single
+        #: engine, whose one-lane topology is fixed
+        self._cluster = engine if isinstance(engine, ShardedScopeCluster) else None
+        if self._cluster is not None:
             self.router = engine.router
             shard_engines: list[ScopeEngine] = list(engine.shards)
         else:
@@ -163,16 +163,12 @@ class QOAdvisorServer:
         #: ``ObsConfig.enabled`` is off) — serving spans, bus deltas and
         #: the serving metric views all hang off it
         self.obs = advisor.obs
-        self._lanes = [
-            _ShardLane(
-                index,
-                shard_engine,
-                ShardQueue(self.serving.queue_capacity, self.serving.admission),
-                self.serving.slo_window,
-                self.serving.latency_window,
-            )
+        #: copy-on-write: a tuple only ever *rebound* (under
+        #: ``_failover_lock``), so any thread reads a consistent fleet unlocked
+        self._lanes = tuple(
+            _ShardLane(index, shard_engine, self.serving)
             for index, shard_engine in enumerate(shard_engines)
-        ]
+        )
         #: recurring templates are high-priority by default for SLO admission
         self._recurring = {
             template.template_id
@@ -226,17 +222,14 @@ class QOAdvisorServer:
             return self
         self._stop = False
         self._started = True
-        if self.serving.workers_per_shard == 0:
-            for lane in self._lanes:
-                self._drain_lane_inline(lane)
-            return self
         for lane in self._lanes:
-            if not lane.alive:
-                continue
-            self._spawn_workers(lane)
+            self._kick(lane)
+            if lane.alive:
+                self._spawn_workers(lane)
         return self
 
     def _spawn_workers(self, lane: _ShardLane) -> None:
+        """Start the lane's steering threads (none on the inline schedule)."""
         for slot in range(self.serving.workers_per_shard):
             thread = threading.Thread(
                 target=self._worker,
@@ -323,7 +316,7 @@ class QOAdvisorServer:
         ticket = JobTicket(seq=seq, job=job, day=job.day, shard=0)
         if self.obs.tracer.enabled:
             # the ticket's root span: one per admitted job, finished at the
-            # ticket's terminal point (_process, shed, or requeue failure).
+            # ticket's one terminal (_complete).
             # The trace id embeds the submission seq so resubmissions of
             # the same job id stay distinct traces.
             ticket.trace = self.obs.tracer.start(
@@ -345,7 +338,7 @@ class QOAdvisorServer:
         # visible to any worker, so a worker's "done" record can never
         # precede its admit in the journal.  An admission that then fails
         # is compensated with a "reject" record, which replay pre-scans.
-        self._journal_admit(ticket)
+        self._journal_ticket("admit", ticket)
         try:
             lane = self._admit(ticket, timeout)
         except BaseException:
@@ -363,8 +356,7 @@ class QOAdvisorServer:
             ticket.trace.event("admit", shard=ticket.shard)
         with self._seq_lock:
             self._admitted += 1
-        if self._recovering or (self._started and self.serving.workers_per_shard == 0):
-            self._drain_lane_inline(lane)
+        self._kick(lane)
         return ticket
 
     def _slo_gate(self, ticket: JobTicket) -> _ShardLane | None:
@@ -387,43 +379,31 @@ class QOAdvisorServer:
             ticket.failed = True
             if ticket.trace is not None:
                 ticket.trace.set(shard=shard, shed=True)
-                self.obs.tracer.finish(ticket.trace, error=True)
             with lane.lock:
-                lane.shed += 1
-            self._journal(
-                {
-                    "t": "shed",
-                    "seq": ticket.seq,
-                    "day": ticket.day,
-                    "job": ticket.job.job_id,
-                    "template": ticket.job.template_id,
-                    "shard": shard,
-                }
-            )
-            self.scheduler.record(ticket)
-            with self._done:
-                self._pending -= 1
-                self._done.notify_all()
+                lane.counts["shed"] += 1
+            self._complete(ticket)
             return lane
         ticket.deferred += 1
         if ticket.trace is not None:
             ticket.trace.event("defer", shard=shard)
         with self._seq_lock:
             self._admitted += 1
-        self._journal_admit(ticket)
+        self._journal_ticket("admit", ticket)
         with lane.lock:
-            lane.deferred += 1
+            lane.counts["deferred"] += 1
             lane.standby.append(ticket)
         return lane
 
-    def _journal_admit(self, ticket: JobTicket) -> None:
+    def _journal_ticket(self, kind: str, ticket: JobTicket, **extra: object) -> None:
+        """Journal a record that names the job (what replay rebuilds it from)."""
         self._journal(
             {
-                "t": "admit",
+                "t": kind,
                 "seq": ticket.seq,
                 "day": ticket.day,
                 "job": ticket.job.job_id,
                 "template": ticket.job.template_id,
+                **extra,
             }
         )
 
@@ -470,21 +450,34 @@ class QOAdvisorServer:
             if not lane.alive:
                 self._requeue([ticket], lane)
                 continue
-            with lane.lock:
-                lane.submitted += 1
             try:
-                lane.queue.put(ticket, force=True)
+                self._enqueue(lane, ticket, force=True)
             except QueueClosed:  # the lane failed between the checks
-                with lane.lock:
-                    lane.submitted -= 1
                 self._requeue([ticket], lane)
                 continue
             flushed = True
         # one inline drain for the whole batch, *after* the standby is
         # empty: draining per ticket would recurse through _process back
         # into this method, one stack level per deferred ticket
-        if flushed and self._started and self.serving.workers_per_shard == 0:
-            self._drain_lane_inline(lane)
+        if flushed:
+            self._kick(lane)
+
+    def _enqueue(self, lane: _ShardLane, ticket: JobTicket, **put_args: object) -> None:
+        """Count ``ticket`` onto ``lane``, then put it on the lane's queue.
+
+        Counted first, so the count never trails what a racing worker has
+        already finished.  A put that raises (queue closed by a racing
+        failover, full, timed out) never reached the lane: the count is
+        undone and the caller re-routes, requeues or rejects.
+        """
+        with lane.lock:
+            lane.counts["submitted"] += 1
+        try:
+            lane.queue.put(ticket, **put_args)
+        except BaseException:
+            with lane.lock:
+                lane.counts["submitted"] -= 1
+            raise
 
     def _admit(self, ticket: JobTicket, timeout: float | None) -> _ShardLane:
         """Route and enqueue a fresh ticket, re-routing if its shard dies
@@ -495,10 +488,9 @@ class QOAdvisorServer:
             shard = self.router.shard_for_job(ticket.job)
             lane = self._lanes[shard]
             ticket.shard = shard
-            with lane.lock:
-                lane.submitted += 1
             try:
-                lane.queue.put(
+                self._enqueue(
+                    lane,
                     ticket,
                     timeout=(
                         timeout if timeout is not None else self.serving.submit_timeout_s
@@ -506,15 +498,9 @@ class QOAdvisorServer:
                 )
                 return lane
             except QueueClosed:
-                with lane.lock:
-                    lane.submitted -= 1
                 if self._stop or shard not in self.router.offline:
                     raise
                 continue  # the lane failed over/retired under us; route again
-            except Exception:
-                with lane.lock:
-                    lane.submitted -= 1
-                raise
         raise QueueClosed(f"no alive shard accepted {ticket.job.job_id}")
 
     def submit_day(self, day: int) -> list[JobTicket]:
@@ -567,7 +553,13 @@ class QOAdvisorServer:
 
     # -- steering (the per-job hot path) ------------------------------------
 
-    def _drain_lane_inline(self, lane: _ShardLane) -> None:
+    def _kick(self, lane: _ShardLane) -> None:
+        """Drain ``lane``'s queue on the calling thread when no worker will:
+        on the inline schedule once started, and during recovery replay
+        (which re-drives admissions before ``start()``)."""
+        inline = self._started and self.serving.workers_per_shard == 0
+        if not (inline or self._recovering):
+            return
         while True:
             ticket = lane.queue.get(timeout=0)
             if ticket is None:
@@ -628,11 +620,11 @@ class QOAdvisorServer:
             self._hot_scripts[job.template_id] = job.script
         with lane.lock:
             if ticket.failed:
-                lane.failed += 1
+                lane.counts["failed"] += 1
             else:
-                lane.completed += 1
+                lane.counts["completed"] += 1
                 if ticket.steered:
-                    lane.steered += 1
+                    lane.counts["steered"] += 1
             lane.slo_samples.append(compile_s)
             lane.last_hint_version = hint_version
         lane.compile_latency.append(compile_s)
@@ -642,24 +634,41 @@ class QOAdvisorServer:
                 hint_version=hint_version,
                 compile_s=compile_s,
             )
-            tracer.finish(ticket.trace, error=ticket.failed)
-        self.scheduler.record(ticket)
-        self._journal(
-            {
-                "t": "done",
-                "seq": ticket.seq,
-                "day": ticket.day,
-                "failed": ticket.failed,
-            }
-        )
-        with self._done:
-            self._pending -= 1
-            self._last_done_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
-            self._done.notify_all()
+        self._complete(ticket)
         if self.obs.enabled:
             self._publish_lane_delta(lane)
         if lane.standby and lane.alive:
             self._flush_standby(lane)
+
+    def _complete(self, ticket: JobTicket) -> None:
+        """The one terminal of a ticket: steered (ok or not), shed by the
+        SLO gate, or out of shards to requeue onto.
+
+        Ordering contract, the same for all three: close the root span,
+        **record** the ticket under its day, **journal** it (``done``, or
+        ``shed`` naming the job — a shed job has no admit record to rebuild
+        it from), and only then **release** the pending count — so a
+        ``drain()`` that returns finds every finished ticket already in
+        its day's window and in the journal.
+        """
+        if ticket.trace is not None:
+            self.obs.tracer.finish(ticket.trace, error=ticket.failed)
+        self.scheduler.record(ticket)
+        if ticket.shed:
+            self._journal_ticket("shed", ticket, shard=ticket.shard)
+        else:
+            self._journal(
+                {
+                    "t": "done",
+                    "seq": ticket.seq,
+                    "day": ticket.day,
+                    "failed": ticket.failed,
+                }
+            )
+        with self._done:
+            self._pending -= 1
+            self._last_done_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
+            self._done.notify_all()
 
     # -- failover ------------------------------------------------------------
 
@@ -684,25 +693,31 @@ class QOAdvisorServer:
             lane = self._lanes[shard]
             if not lane.alive:
                 return 0
-            survivors = [l for l in self._lanes if l.alive and l is not lane]
-            if not survivors:
-                raise ValueError(
-                    f"cannot fail shard {shard}: it is the last one standing"
-                )
             moves = self._moves(offline={shard})
-            lane.alive = False
+            # the router refuses (ValueError) to lose its last live slot,
+            # before anything here has changed
             self.router.take_offline(shard)
-            lane.queue.close()
-            backlog = lane.queue.drain()
-            with lane.lock:
-                backlog.extend(lane.standby)
-                lane.standby.clear()
-            for thread in lane.threads:
-                thread.join()
-            lane.threads = []
+            lane.alive = False
+            backlog = self._quiesce(lane)
             self._migrate_entries(moves)
             self._journal({"t": "topology", "op": "fail", "shard": shard})
             return self._requeue(backlog, lane)
+
+    def _quiesce(self, lane: _ShardLane) -> list[JobTicket]:
+        """Stop a lane that has left the router's rotation; returns its
+        backlog (queue + SLO standby).  Admission re-routes on the closed
+        queue, and a job a worker was steering completes here before the
+        join returns — after which nothing compiles on this lane and its
+        cache can migrate."""
+        lane.queue.close()
+        backlog = lane.queue.drain()
+        with lane.lock:
+            backlog.extend(lane.standby)
+            lane.standby.clear()
+        for thread in lane.threads:
+            thread.join()
+        lane.threads = []
+        return backlog
 
     def _requeue(self, tickets: list[JobTicket], from_lane: _ShardLane) -> int:
         """Transplant tickets off a dead lane; every ticket is accounted for.
@@ -718,17 +733,23 @@ class QOAdvisorServer:
             ticket.requeues += 1
             ticket.excluded_shards.add(from_lane.index)
             with from_lane.lock:
-                from_lane.requeued += 1
-            placed = False
+                from_lane.counts["requeued"] += 1
             exclude = set(ticket.excluded_shards)
-            while not placed:
+            while True:
                 try:
                     target_index = self.router.shard_for_job(ticket.job, exclude=exclude)
-                except ValueError:  # every shard excluded
+                except ValueError:
+                    # terminal: every shard excluded, nowhere left to run the job
+                    ticket.failed = True
+                    if ticket.trace is not None:
+                        ticket.trace.set(requeue_exhausted=True)
+                    with from_lane.lock:
+                        from_lane.counts["failed"] += 1
+                    self._complete(ticket)
                     break
                 target = self._lanes[target_index]
                 try:
-                    target.queue.put(ticket, force=True)
+                    self._enqueue(target, ticket, force=True)
                 except QueueClosed:
                     exclude.add(target_index)
                     continue
@@ -737,44 +758,20 @@ class QOAdvisorServer:
                     ticket.trace.event(
                         "requeue", from_shard=from_lane.index, to_shard=target_index
                     )
-                with target.lock:
-                    target.submitted += 1
-                placed = True
                 moved += 1
-                if self._started and self.serving.workers_per_shard == 0:
-                    self._drain_lane_inline(target)
-            if not placed:
-                ticket.failed = True
-                if ticket.trace is not None:
-                    # terminal: nowhere left to run the job — close its root
-                    ticket.trace.set(requeue_exhausted=True)
-                    self.obs.tracer.finish(ticket.trace, error=True)
-                with from_lane.lock:
-                    from_lane.failed += 1
-                self.scheduler.record(ticket)
-                self._journal(
-                    {
-                        "t": "done",
-                        "seq": ticket.seq,
-                        "day": ticket.day,
-                        "failed": True,
-                    }
-                )
-                with self._done:
-                    self._pending -= 1
-                    self._done.notify_all()
+                self._kick(target)
+                break
         return moved
 
     # -- elastic topology -----------------------------------------------------
 
-    def _cluster(self) -> ShardedScopeCluster:
-        engine = self.advisor.engine
-        if not isinstance(engine, ShardedScopeCluster):
+    def _elastic_cluster(self) -> ShardedScopeCluster:
+        if self._cluster is None:
             raise ValueError(
                 "elastic topology needs a sharded cluster "
                 "(ShardingConfig.shards > 1)"
             )
-        return engine
+        return self._cluster
 
     def add_shard(self) -> int:
         """Grow the fleet by one shard, mid-stream.
@@ -789,21 +786,18 @@ class QOAdvisorServer:
         index.
         """
         with self._failover_lock:
-            cluster = self._cluster()
+            cluster = self._elastic_cluster()
             slot = cluster.provision_shard()
-            lane = _ShardLane(
-                slot,
-                cluster.shards[slot],
-                ShardQueue(self.serving.queue_capacity, self.serving.admission),
-                self.serving.slo_window,
-                self.serving.latency_window,
-            )
+            lane = _ShardLane(slot, cluster.shards[slot], self.serving)
             moves = self._moves(online={slot})
             self._migrate_entries(moves)
-            self._lanes.append(lane)
+            # publish-before-route: the lane is in the tuple before the
+            # router can name its slot, so whoever routes to ``slot`` —
+            # holding whichever snapshot — finds ``_lanes[slot]``
+            self._lanes = (*self._lanes, lane)
             cluster.activate_shard(slot)
             self._rebalance_queues()
-            if self._started and self.serving.workers_per_shard > 0:
+            if self._started:
                 self._spawn_workers(lane)
             self._journal({"t": "topology", "op": "add", "shard": slot})
             return slot
@@ -820,25 +814,13 @@ class QOAdvisorServer:
         fresh replica).  Returns the number of requeued jobs.
         """
         with self._failover_lock:
-            cluster = self._cluster()
+            cluster = self._elastic_cluster()
             lane = self._lanes[shard]
             if not lane.alive:
                 raise ValueError(f"shard {shard} is already out of service")
-            survivors = [l for l in self._lanes if l.alive and l is not lane]
-            if not survivors:
-                raise ValueError(
-                    f"cannot retire shard {shard}: it is the last one standing"
-                )
             moves = self._moves(offline={shard})
-            self.router.take_offline(shard)
-            lane.queue.close()
-            backlog = lane.queue.drain()
-            with lane.lock:
-                backlog.extend(lane.standby)
-                lane.standby.clear()
-            for thread in lane.threads:
-                thread.join()
-            lane.threads = []
+            self.router.take_offline(shard)  # ValueError on the last live slot
+            backlog = self._quiesce(lane)
             self._migrate_entries(moves)
             cluster.release_shard(shard)
             lane.alive = False
@@ -864,9 +846,8 @@ class QOAdvisorServer:
             lane = self._lanes[shard]
             if lane.alive:
                 return 0
-            engine = self.advisor.engine
-            if isinstance(engine, ShardedScopeCluster):
-                lane.engine = engine.rejoin_shard(shard)
+            if self._cluster is not None:
+                lane.engine = self._cluster.rejoin_shard(shard)
             moves = self._moves(online={shard})
             self._migrate_entries(moves)
             lane.queue = ShardQueue(self.serving.queue_capacity, self.serving.admission)
@@ -874,7 +855,7 @@ class QOAdvisorServer:
             lane.retired = False
             self.router.bring_online(shard)
             moved = self._rebalance_queues()
-            if self._started and self.serving.workers_per_shard > 0:
+            if self._started:
                 self._spawn_workers(lane)
             self._journal({"t": "topology", "op": "rejoin", "shard": shard})
             return moved
@@ -904,8 +885,8 @@ class QOAdvisorServer:
         """Move the hot scripts' cached plans to each moved template's new
         owner (the warm-up path: migration, never recompilation, so no
         cache counter moves and accounting parity survives the resize)."""
-        engine = self.advisor.engine
-        if not isinstance(engine, ShardedScopeCluster) or not moves:
+        cluster = self._cluster
+        if cluster is None or not moves:
             return 0
         migrated = 0
         with self._hot_lock:
@@ -917,8 +898,8 @@ class QOAdvisorServer:
             script = scripts.get(template_id)
             if script is None or source == dest:
                 continue
-            source_service = engine.shards[source].compilation
-            dest_service = engine.shards[dest].compilation
+            source_service = cluster.shards[source].compilation
+            dest_service = cluster.shards[dest].compilation
             plans, parsed, fragments = source_service.export_script_state(
                 script, skip_fragments=sent_fragments.setdefault(dest, set())
             )
@@ -959,36 +940,25 @@ class QOAdvisorServer:
                 lane.standby.clear()
             batches.append((lane, pending, standby))
         for lane, pending, standby in batches:
-            for ticket in pending:
-                target = self._lanes[self._route_or_stay(ticket, lane)]
-                if target is lane:
-                    lane.queue.put(ticket, force=True)
-                    continue
-                ticket.shard = target.index
-                with lane.lock:
-                    lane.requeued += 1
-                with target.lock:
-                    target.submitted += 1
-                target.queue.put(ticket, force=True)
-                moved += 1
-            for ticket in standby:
+            tickets = [(ticket, False) for ticket in pending]
+            tickets += [(ticket, True) for ticket in standby]
+            for ticket, on_standby in tickets:
                 target = self._lanes[self._route_or_stay(ticket, lane)]
                 ticket.shard = target.index
                 if target is not lane:
                     with lane.lock:
-                        lane.requeued += 1
+                        lane.counts["requeued"] += 1
                     moved += 1
-                if self._lane_degraded(target):
+                if on_standby and self._lane_degraded(target):
                     with target.lock:
                         target.standby.append(ticket)
-                    continue
-                with target.lock:
-                    target.submitted += 1
-                target.queue.put(ticket, force=True)
-        if self._started and self.serving.workers_per_shard == 0:
-            for lane in self._lanes:
-                if lane.alive:
-                    self._drain_lane_inline(lane)
+                elif on_standby or target is not lane:
+                    self._enqueue(target, ticket, force=True)
+                else:  # back onto the queue it came off: already counted
+                    lane.queue.put(ticket, force=True)
+        for lane in self._lanes:
+            if lane.alive:
+                self._kick(lane)
         return moved
 
     def _route_or_stay(self, ticket: JobTicket, lane: _ShardLane) -> int:
@@ -1080,7 +1050,7 @@ class QOAdvisorServer:
                     if 0 <= shard < len(self._lanes):
                         ticket.shard = shard
                         with self._lanes[shard].lock:
-                            self._lanes[shard].shed += 1
+                            self._lanes[shard].counts["shed"] += 1
                     self.scheduler.record(ticket)
                     report.shed += 1
                 elif kind == "window":
@@ -1148,13 +1118,7 @@ class QOAdvisorServer:
             delta = {
                 "shard": lane.index,
                 "alive": lane.alive,
-                "submitted": lane.submitted,
-                "completed": lane.completed,
-                "failed": lane.failed,
-                "steered": lane.steered,
-                "requeued": lane.requeued,
-                "deferred": lane.deferred,
-                "shed": lane.shed,
+                **lane.counts,
                 "standby_depth": len(lane.standby),
                 "last_hint_version": lane.last_hint_version,
             }
@@ -1164,10 +1128,10 @@ class QOAdvisorServer:
     def _install_serving_views(self) -> None:
         """Register the serving layer's pull-mode metric views.
 
-        The lane counters stay the single source of truth; the registry
-        reads them at collect/exposition time.  Registration is by name,
-        so a recovered or rebuilt server replaces the previous server's
-        views instead of double-reporting.
+        The lane counters stay the single source of truth: each view
+        projects one :meth:`stats` snapshot at collect/exposition time.
+        Registration is by name, so a recovered or rebuilt server replaces
+        the previous server's views instead of double-reporting.
         """
         if not self.obs.enabled:
             return
@@ -1175,36 +1139,17 @@ class QOAdvisorServer:
 
         def lane_samples():
             samples = []
-            for lane in list(self._lanes):
-                labels = {"shard": str(lane.index)}
-                with lane.lock:
-                    counters = {
-                        "submitted": lane.submitted,
-                        "completed": lane.completed,
-                        "failed": lane.failed,
-                        "steered": lane.steered,
-                        "requeued": lane.requeued,
-                        "deferred": lane.deferred,
-                        "shed": lane.shed,
-                    }
-                    standby = len(lane.standby)
-                for name, value in counters.items():
+            for shard in self.stats().shards:
+                labels = {"shard": str(shard.shard)}
+                for name in LANE_COUNTERS:
                     samples.append(
-                        Sample(f"repro_serving_{name}_total", labels, value)
+                        Sample(f"repro_serving_{name}_total", labels, getattr(shard, name))
                     )
-                samples.append(
-                    Sample("repro_serving_queue_depth", labels, lane.queue.depth)
-                )
-                samples.append(
-                    Sample(
-                        "repro_serving_queue_depth_max",
-                        labels,
-                        lane.queue.max_depth,
-                    )
-                )
-                samples.append(
-                    Sample("repro_serving_standby_depth", labels, standby)
-                )
+                samples += [
+                    Sample("repro_serving_queue_depth", labels, shard.queue_depth),
+                    Sample("repro_serving_queue_depth_max", labels, shard.max_queue_depth),
+                    Sample("repro_serving_standby_depth", labels, shard.standby_depth),
+                ]
             return samples
 
         registry.register_view(
@@ -1216,11 +1161,10 @@ class QOAdvisorServer:
 
         def latency_samples():
             samples = []
-            for lane in list(self._lanes):
-                labels = {"shard": str(lane.index)}
-                window = lane.compile_latency.snapshot()
+            for shard in self.stats().shards:
+                labels = {"shard": str(shard.shard)}
                 for q in (50, 95, 99):
-                    value = percentile(window, q)
+                    value = getattr(shard, f"compile_p{q}_s")
                     if value is not None:
                         samples.append(
                             Sample(
@@ -1233,7 +1177,7 @@ class QOAdvisorServer:
                     Sample(
                         "repro_serving_compile_observations_total",
                         labels,
-                        lane.compile_latency.total,
+                        shard.compile_observations,
                     )
                 )
             return samples
@@ -1247,21 +1191,12 @@ class QOAdvisorServer:
         )
 
         def server_samples():
-            with self._seq_lock:
-                admitted = self._admitted
-            with self._done:
-                pending = self._pending
+            stats = self.stats()
             return [
-                Sample("repro_serving_jobs_admitted_total", {}, admitted),
-                Sample("repro_serving_jobs_in_flight", {}, pending),
-                Sample(
-                    "repro_serving_windows_total", {}, self.scheduler.windows
-                ),
-                Sample(
-                    "repro_serving_publications_total",
-                    {},
-                    self.scheduler.publications,
-                ),
+                Sample("repro_serving_jobs_admitted_total", {}, stats.jobs_submitted),
+                Sample("repro_serving_jobs_in_flight", {}, stats.jobs_in_flight),
+                Sample("repro_serving_windows_total", {}, stats.maintenance_windows),
+                Sample("repro_serving_publications_total", {}, stats.publications),
             ]
 
         registry.register_view(
@@ -1275,12 +1210,11 @@ class QOAdvisorServer:
         """An immutable health/throughput snapshot across every lane."""
         current_version = self.sis.current_version
         shards: list[ShardStats] = []
-        completed = failed = steered_total = deferred_total = shed_total = 0
         for lane in self._lanes:
             samples = lane.compile_latency.snapshot()
+            cache = lane.engine.compilation.stats
             with lane.lock:
                 last = lane.last_hint_version
-                frag = getattr(lane.engine.compilation, "stats", None)
                 shards.append(
                     ShardStats(
                         shard=lane.index,
@@ -1289,13 +1223,7 @@ class QOAdvisorServer:
                         queue_depth=lane.queue.depth,
                         max_queue_depth=lane.queue.max_depth,
                         standby_depth=len(lane.standby),
-                        submitted=lane.submitted,
-                        completed=lane.completed,
-                        failed=lane.failed,
-                        steered=lane.steered,
-                        requeued=lane.requeued,
-                        deferred=lane.deferred,
-                        shed=lane.shed,
+                        **lane.counts,
                         compile_p50_s=percentile(samples, 50),
                         compile_p95_s=percentile(samples, 95),
                         compile_p99_s=percentile(samples, 99),
@@ -1306,22 +1234,13 @@ class QOAdvisorServer:
                             if last is not None
                             else None
                         ),
-                        fragment_hits=frag.fragment_hits if frag else 0,
-                        fragment_misses=frag.fragment_misses if frag else 0,
-                        fragment_inserts=frag.fragment_inserts if frag else 0,
-                        winner_hits=frag.winner_hits if frag else 0,
-                        winner_misses=frag.winner_misses if frag else 0,
-                        mqo_preexplored=frag.mqo_preexplored if frag else 0,
+                        **{name: getattr(cache, name) for name in CACHE_FIELDS},
                     )
                 )
-                completed += lane.completed
-                failed += lane.failed
-                steered_total += lane.steered
-                deferred_total += lane.deferred
-                shed_total += lane.shed
+        totals = job_totals(shards)
         if self._first_submit_at is not None and self._last_done_at is not None:  # qa: unlocked-ok stale throughput read is harmless telemetry
             elapsed = max(self._last_done_at - self._first_submit_at, 1e-9)  # qa: unlocked-ok stale throughput read is harmless telemetry
-            throughput = completed / elapsed
+            throughput = totals["jobs_completed"] / elapsed
         else:
             throughput = 0.0
         with self._done:
@@ -1331,11 +1250,8 @@ class QOAdvisorServer:
         return ServerStats(
             shards=shards,
             jobs_submitted=admitted,
-            jobs_completed=completed,
-            jobs_failed=failed,
             jobs_in_flight=in_flight,
-            jobs_deferred=deferred_total,
-            jobs_shed=shed_total,
+            **totals,
             throughput_jobs_per_s=throughput,
             hint_version=current_version,
             maintenance_windows=self.scheduler.windows,

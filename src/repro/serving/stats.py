@@ -25,7 +25,23 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["LatencyRing", "ShardStats", "ServerStats", "WindowSummary", "percentile"]
+__all__ = [
+    "CACHE_FIELDS", "LANE_COUNTERS", "LatencyRing", "ShardStats", "ServerStats",
+    "WindowSummary", "job_totals", "percentile",
+]
+
+#: The serving layer's accounting vocabulary, declared once: a live lane
+#: keeps one integer per name, and :class:`ShardStats`, the stats-bus
+#: "shard" delta and the ``repro_serving_<name>_total`` metric view are all
+#: built from that container (each name is documented on its field below).
+LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued", "deferred", "shed")
+
+#: The :class:`~repro.scope.cache.CacheStats` fields a lane's snapshot
+#: copies from its compilation service (same names on both sides).
+CACHE_FIELDS = (
+    "fragment_hits", "fragment_misses", "fragment_inserts",
+    "winner_hits", "winner_misses", "mqo_preexplored",
+)
 
 
 def percentile(samples: list[float], q: float) -> float | None:
@@ -261,3 +277,12 @@ class ServerStats:
                 f"{latency}, hints {version}"
             )
         return "\n".join(lines)
+
+
+def job_totals(shards: list[ShardStats]) -> dict[str, int]:
+    """:class:`ServerStats`' stream-level ``jobs_*`` totals: the lanes'
+    counters summed, never a second tally."""
+    return {
+        f"jobs_{name}": sum(getattr(shard, name) for shard in shards)
+        for name in ("completed", "failed", "deferred", "shed")
+    }

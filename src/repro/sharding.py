@@ -28,7 +28,10 @@ Parallelism composes with the PR-2 executor at the *job* level: pipeline
 stages keep mapping per-job closures through one
 :class:`~repro.parallel.Executor`, and each closure routes to its shard —
 so a single fan-out naturally spreads across every shard's cache and
-engine without nested pools.
+engine without nested pools.  *Batch* compiles make the shard the unit of
+work: the cluster routes each request to its owning shard and hands that
+shard's own ``compile_many`` / ``preexplore_batch`` its slice, so there is
+one batch-compile implementation and two calls cross the shard boundary.
 
 The determinism contract extends across topologies: a sharded run's
 ``DayReport.fingerprint()`` is byte-identical to the single-shard serial
@@ -229,15 +232,6 @@ class ShardedCompilationService:
             for index, shard in enumerate(self.cluster.shards)
         }
 
-    @property
-    def enabled(self) -> bool:
-        return self.cluster.shards[0].compilation.enabled
-
-    @property
-    def generation(self) -> int:
-        """Shard 0's cache generation (bumps broadcast, so shards agree)."""
-        return self.cluster.shards[0].compilation.generation
-
     def compile_job(
         self,
         job: JobInstance,
@@ -266,35 +260,28 @@ class ShardedCompilationService:
         shard = self.cluster.router.shard_for(f"script:{stable_hash(script):x}")
         return self.cluster.shards[shard].compilation.compile_script(script, config)
 
+    def _slices(self, requests: "list[CompileRequest]") -> "list[tuple[int, list[int]]]":
+        """Request positions grouped by owning shard, ascending slot."""
+        by_shard: dict[int, list[int]] = {}
+        for position, request in enumerate(requests):
+            shard = self.cluster.router.shard_for_job(request.job)
+            by_shard.setdefault(shard, []).append(position)
+        return sorted(by_shard.items())
+
     def preexplore_batch(
         self,
         requests: Iterable[CompileRequest],
         executor: "Executor | None" = None,
     ) -> int:
-        """Cluster-wide MQO pre-exploration (see the single-shard method).
-
-        Each shard's routed slice registers with one
-        :class:`~repro.scope.optimizer.mqo.BatchPlanner`, and a single
-        bottom-up fan-out explores every shard's fragments together — one
-        executor pass keeps all workers busy across shards, mirroring
-        :meth:`compile_many`'s own fan-out shape.
-        """
-        first = self.cluster.shards[0].compilation.config
-        if not (first.fragment_enabled and first.mqo_enabled):
-            return 0
-        from repro.scope.optimizer.mqo import preexplore
-
-        by_shard: dict[int, list[CompileRequest]] = {}
-        for request in requests:
-            shard = self.cluster.router.shard_for_job(request.job)
-            by_shard.setdefault(shard, []).append(request)
-        return preexplore(
-            [
-                (self.cluster.shards[shard].compilation, by_shard[shard])
-                for shard in sorted(by_shard)
-            ],
-            executor,
-            self.tracer,
+        """Cluster-wide MQO pre-exploration: each owning shard's own
+        ``preexplore_batch`` on its routed slice; returns the fragments
+        explored across shards."""
+        ordered = list(requests)
+        return sum(
+            self.cluster.shards[shard].compilation.preexplore_batch(
+                [ordered[position] for position in positions], executor
+            )
+            for shard, positions in self._slices(ordered)
         )
 
     def compile_many(
@@ -304,53 +291,25 @@ class ShardedCompilationService:
     ) -> "list[OptimizationResult | ScopeError]":
         """Batch compile across shards; results align with ``requests``.
 
-        Requests are partitioned by owning shard and deduplicated per shard
-        (duplicates share a template, hence a shard, so per-shard dedup
-        folds exactly what a single service's global dedup would); the
-        surviving unique units from **all** shards then fan out through one
-        ``executor.map_jobs`` call, so a balanced batch keeps every worker
-        busy across shards instead of draining one shard at a time.  The
-        partitioning itself is stateless, so this method is as thread-safe
-        as the underlying services.  With MQO enabled the batch's distinct
-        fragments are pre-explored across all shards first.
+        Route, then delegate: each owning shard's own ``compile_many`` gets
+        its slice — pre-exploration, dedup and fan-out included — and the
+        outcomes scatter back into request order.  Duplicates share a
+        template, hence a shard, so per-shard dedup folds exactly what a
+        single service's global dedup would.  Routing is stateless, so this
+        is as thread-safe as the services; it and :meth:`preexplore_batch`
+        are all that crosses the shard boundary (no shard's batch state is
+        visible here — the seam a process-per-shard executor needs).
         """
         ordered = list(requests)
+        results: list = [None] * len(ordered)
         with self.tracer.child_span("shard_fanout", requests=len(ordered)):
-            self.preexplore_batch(ordered, executor)
-            by_shard: dict[int, list[int]] = {}
-            for position, request in enumerate(ordered):
-                shard = self.cluster.router.shard_for_job(request.job)
-                by_shard.setdefault(shard, []).append(position)
-            shard_keys: dict[int, list[tuple]] = {}
-            units: list[tuple[int, tuple, tuple]] = []
-            for shard, positions in by_shard.items():
-                keys, unique = self.cluster.shards[shard].compilation.dedup_batch(
-                    [ordered[position] for position in positions]
+            for shard, positions in self._slices(ordered):
+                outcomes = self.cluster.shards[shard].compilation.compile_many(
+                    [ordered[position] for position in positions], executor
                 )
-                shard_keys[shard] = keys
-                units.extend((shard, key, work) for key, work in unique.items())
-
-            def compile_unit(unit: tuple) -> object:
-                shard, _, (script, config) = unit
-                return self.cluster.shards[shard].compilation.compile_entry(script, config)
-
-            if executor is None or len(units) <= 1:
-                outcomes = [compile_unit(unit) for unit in units]
-            else:
-                # propagate the caller's span so per-compile child spans
-                # parent identically at any worker count
-                outcomes = executor.map_jobs_propagated(
-                    compile_unit, units, tracer=self.tracer
-                )
-            by_unit = {
-                (shard, key): outcome
-                for (shard, key, _), outcome in zip(units, outcomes)
-            }
-            results: list = [None] * len(ordered)
-            for shard, positions in by_shard.items():
-                for position, key in zip(positions, shard_keys[shard]):
-                    results[position] = by_unit[(shard, key)]
-            return results
+                for position, outcome in zip(positions, outcomes):
+                    results[position] = outcome
+        return results
 
     def invalidate(self) -> None:
         """Broadcast a plan-cache invalidation to every shard (SIS bumps)."""
@@ -402,16 +361,26 @@ class ShardedScopeCluster:
         #: counters of engines replaced by retire→rejoin cycles, carried so
         #: the aggregate cache accounting never moves backwards
         self._stats_carry: dict[int, CacheStats] = {}
-        for _ in range(shards):
-            replica = workload.catalog.clone()
-            workload.attach_replica(replica)
-            self.shards.append(ScopeEngine(replica, self.config, self.registry))
-        self.compilation = ShardedCompilationService(self)
         from repro.obs.plane import NULL_PLANE
 
-        #: observability plane (null by default; ``install_obs`` swaps it).
-        #: New engines built by provision/rejoin inherit it automatically
+        #: observability plane (null by default; ``install_obs`` swaps it)
+        #: and the shared SIS lookup — every engine built here, at
+        #: construction or by provision/rejoin, inherits both
         self.obs = NULL_PLANE
+        self._hint_provider: Callable[[str], RuleFlip | None] | None = None
+        for _ in range(shards):
+            self.shards.append(self._build_engine())
+        self.compilation = ShardedCompilationService(self)
+
+    def _build_engine(self) -> ScopeEngine:
+        """An engine on a fresh replica of the workload's current catalog
+        (so its catalog version matches every live peer's)."""
+        replica = self.workload.catalog.clone()
+        self.workload.attach_replica(replica)
+        engine = ScopeEngine(replica, self.config, self.registry)
+        engine.hint_provider = self._hint_provider
+        engine.install_obs(self.obs)
+        return engine
 
     def install_obs(self, plane) -> None:
         """Wire an observability plane into every shard's compile path."""
@@ -435,21 +404,13 @@ class ShardedScopeCluster:
     def provision_shard(self) -> int:
         """Build the next slot's engine without routing to it yet.
 
-        The new shard gets its own catalog replica (cloned from the
-        workload's current state, so its catalog version matches every
-        peer's) and the shared SIS hint lookup.  It stays *offline* until
-        :meth:`activate_shard` — the serving layer warms its plan cache
-        with the moved templates' entries in between, so the shard enters
-        rotation hot.
+        The new shard gets its own catalog replica and the shared SIS hint
+        lookup.  It stays *offline* until :meth:`activate_shard` — the
+        serving layer warms its plan cache with the moved templates'
+        entries in between, so the shard enters rotation hot.
         """
-        slot = len(self.shards)
-        replica = self.workload.catalog.clone()
-        self.workload.attach_replica(replica)
-        engine = ScopeEngine(replica, self.config, self.registry)
-        engine.hint_provider = self.shards[0].hint_provider
-        engine.install_obs(self.obs)
-        self.shards.append(engine)
-        return slot
+        self.shards.append(self._build_engine())
+        return len(self.shards) - 1
 
     def activate_shard(self, slot: int) -> None:
         """Put a provisioned (or rejoined) slot into routing rotation."""
@@ -499,12 +460,7 @@ class ShardedScopeCluster:
         if slot in self._detached:
             old = self.shards[slot].compilation.stats.snapshot()
             self._stats_carry[slot] = self._stats_carry.get(slot, CacheStats()) + old
-            replica = self.workload.catalog.clone()
-            self.workload.attach_replica(replica)
-            engine = ScopeEngine(replica, self.config, self.registry)
-            engine.hint_provider = self.shards[0].hint_provider
-            engine.install_obs(self.obs)
-            self.shards[slot] = engine
+            self.shards[slot] = self._build_engine()
             self._detached.discard(slot)
         return self.shards[slot]
 
@@ -524,16 +480,25 @@ class ShardedScopeCluster:
     # -- single-engine facade ------------------------------------------------
 
     @property
+    def live_engine(self) -> ScopeEngine:
+        """The lowest slot in routing rotation — the engine every "any
+        replica will do" member answers from.  Live replicas are
+        byte-identical; a retired slot's replica is detached from the
+        workload and stops growing, so it must never answer."""
+        return self.shards[self.router.alive_slots[0]]
+
+    @property
     def default_config(self) -> RuleConfiguration:
-        return self.shards[0].default_config
+        return self.live_engine.default_config
 
     @property
     def hint_provider(self) -> Callable[[str], RuleFlip | None] | None:
-        return self.shards[0].hint_provider
+        return self._hint_provider
 
     @hint_provider.setter
     def hint_provider(self, provider: Callable[[str], RuleFlip | None] | None) -> None:
         # SIS attaches once to the cluster; the lookup reaches every shard
+        self._hint_provider = provider
         for shard in self.shards:
             shard.hint_provider = provider
 
@@ -567,18 +532,18 @@ class ShardedScopeCluster:
 
     def compile(self, script: str):
         """Raw parse/bind/compile (no plan cache) — the analysis harnesses'
-        entry point.  Catalog replicas are byte-identical, so any shard
-        gives the same answer; shard 0 is used."""
-        return self.shards[0].compile(script)
+        entry point, answered from a live replica."""
+        return self.live_engine.compile(script)
 
     def optimize(self, compiled, config: RuleConfiguration | None = None):
-        """Raw optimization of a compiled script (no plan cache); replicas
-        are identical, so shard 0's data model gives the same answer."""
-        return self.shards[0].optimize(compiled, config)
+        """Raw optimization of a compiled script (no plan cache) against a
+        live replica's data model."""
+        return self.live_engine.optimize(compiled, config)
 
     def execute(self, result: "OptimizationResult", run_key: tuple) -> "JobMetrics":
-        """Execute a plan; the simulator is stateless and noise is keyed by
-        the shared seed, so any shard's runtime gives the identical answer."""
+        """Execute a plan; the simulator is stateless, never reads the
+        catalog, and noise is keyed by the shared seed — so any engine's
+        runtime, a retired slot's included, gives the identical answer."""
         return self.shards[0].execute(result, run_key)
 
     def run_job(

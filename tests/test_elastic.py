@@ -140,6 +140,23 @@ def test_cluster_add_shard_keeps_catalog_replicas_in_lockstep():
     cluster.close()
 
 
+def test_facade_answers_from_a_live_replica_after_shard_zero_retires():
+    """A retired slot's replica is detached and stops growing: the facade's
+    raw compile/optimize (the analysis harnesses' door) must read statistics
+    from a slot in rotation, not from whatever sits at index 0."""
+    config = _config(shards=2)
+    workload = build_workload(config)
+    cluster = ShardedScopeCluster(workload, config, workload.registry)
+    cluster.retire_shard(0)
+    script = workload.jobs_for_day(3)[0].script  # grows the live replicas only
+    stale, live = cluster.shards
+    assert stale.catalog.version < live.catalog.version == workload.catalog.version
+    cost = cluster.optimize(cluster.compile(script)).est_cost
+    assert cost == live.optimize(live.compile(script)).est_cost
+    assert cost != stale.optimize(stale.compile(script)).est_cost
+    cluster.close()
+
+
 def test_cluster_retire_and_rejoin_shard():
     config = _config(shards=3)
     workload = build_workload(config)

@@ -237,8 +237,8 @@ def test_batch_planner_skips_plan_resident_units():
     for job in jobs:
         engine.compile_job(job)
     before = engine.compilation.stats.snapshot()
-    planner = BatchPlanner()
-    added = planner.add_batch(engine.compilation, [CompileRequest(j) for j in jobs])
+    planner = BatchPlanner(engine.compilation)
+    added = planner.add_batch([CompileRequest(j) for j in jobs])
     # every unit's plan is resident: nothing registers, nothing explores
     assert added == 0
     assert planner.preexplore() == 0

@@ -82,6 +82,19 @@ def test_fixture_unguarded_access():
     assert "self._lock" in findings[0].message
 
 
+def test_fixture_published_snapshot_convention():
+    """A tuple/frozenset attribute that is only ever rebound needs its lock
+    for writes and none for reads; one in-place mutation anywhere in the
+    class turns its unguarded reads back into findings."""
+    findings = _scan("lock_snapshot.py")
+    assert _anchors(findings) == [
+        (RULE_UNGUARDED, "lock_snapshot.py", 23),  # Fleet.reset: unlocked write
+        (RULE_UNGUARDED, "lock_snapshot.py", 42),  # LeakyFleet.names: read
+    ]
+    assert "write to 'Fleet._members'" in findings[0].message
+    assert "read of 'LeakyFleet._members'" in findings[1].message
+
+
 def test_fixture_bare_suppression_is_a_finding_and_suppresses_nothing():
     findings = _scan("sup_bare.py")
     assert _anchors(findings) == [
@@ -209,6 +222,12 @@ def test_real_tree_locks_fully_baselined():
     baseline = Baseline.load(REPRO_ROOT / "qa" / "baseline.json")
     fresh, _ = baseline.split(locks.scan_tree(REPRO_ROOT))
     assert fresh == []
+
+
+def test_checked_in_baseline_is_empty():
+    """Every finding on the real tree is fixed in code or carries an inline
+    reason; the baseline exists for transitions, not for standing excuses."""
+    assert Baseline.load(REPRO_ROOT / "qa" / "baseline.json").entries == []
 
 
 def test_checked_in_baseline_has_no_stale_entries():

@@ -27,13 +27,14 @@ from repro import QOAdvisor, QOAdvisorServer, ServingConfig, ShardRouter, Simula
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
+    ObsConfig,
     ShardingConfig,
     WorkloadConfig,
 )
 from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.serving import JobTicket, QueueClosed, QueueFull, ShardQueue
-from repro.serving.stats import percentile
+from repro.serving.stats import LANE_COUNTERS, ShardStats, percentile
 from repro.sis.hints import HintEntry
 
 
@@ -425,6 +426,110 @@ def test_healthy_lane_admits_low_priority_and_slo_off_by_default():
             config=_config(shards=1),
             serving=ServingConfig(slo_policy="drop-oldest"),
         )
+
+
+# -- one terminal, one vocabulary ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ending", ["steered", "compile_error", "shed", "requeue_exhausted"]
+)
+def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
+    """Whichever way a ticket ends it is recorded once under its day,
+    journaled once (``done``/``shed``), released once and its root span
+    finished once — the single-terminal invariant ``_complete`` owns."""
+    config = dataclasses.replace(_config(shards=2), obs=ObsConfig(enabled=True))
+    serving = (
+        _slo_serving(slo_policy="shed")
+        if ending == "shed"
+        else ServingConfig(workers_per_shard=0)
+    )
+    server = QOAdvisorServer(
+        config=config, serving=serving, journal=tmp_path / "journal.jsonl"
+    )
+    recorded = []
+    record = server.scheduler.record
+
+    def counting_record(ticket):
+        recorded.append((ticket.day, ticket.seq))
+        record(ticket)
+
+    server.scheduler.record = counting_record
+    job = server.advisor.workload.jobs_for_day(0)[0]
+    if ending == "requeue_exhausted":
+        # queued on the unstarted server; its lane then dies with the only
+        # survivor already excluded, so the requeue has nowhere to go
+        ticket = server.submit(job)
+        ticket.excluded_shards.add(1 - ticket.shard)
+        assert server.fail_shard(ticket.shard) == 0
+        server.start()
+    elif ending == "shed":
+        server.start()
+        server.submit(job)  # trips the SLO on the template's lane
+        ticket = server.submit(
+            dataclasses.replace(job, metadata={"priority": "low"})
+        )
+        assert ticket.shed
+    else:
+        server.start()
+        if ending == "compile_error":
+            job = JobInstance("j-bad", job.template_id, "bad", "garbage !!", day=0)
+        ticket = server.submit(job)
+    server.drain(timeout=60.0)
+
+    assert ticket.done and ticket.failed == (ending != "steered")
+    assert recorded.count((ticket.day, ticket.seq)) == 1
+    terminal = [
+        r
+        for r in server.journal.records()
+        if r["t"] in ("done", "shed") and r["seq"] == ticket.seq
+    ]
+    assert len(terminal) == 1
+    if ending == "shed":
+        assert terminal[0] == {
+            "t": "shed",
+            "seq": ticket.seq,
+            "day": 0,
+            "job": job.job_id,
+            "template": job.template_id,
+            "shard": ticket.shard,
+        }
+    else:
+        assert terminal[0]["t"] == "done"
+        assert terminal[0]["failed"] is ticket.failed
+    stats = server.stats()
+    assert stats.jobs_in_flight == 0
+    assert stats.jobs_completed + stats.jobs_failed + stats.jobs_shed == len(recorded)
+    roots = [
+        span
+        for span in server.advisor.obs.ring.spans()
+        if span.parent_id is None and span.trace_id == ticket.trace.trace_id
+    ]
+    assert len(roots) == 1 and roots[0].finished
+    server.shutdown()
+
+
+def test_lane_counter_vocabulary_reaches_every_stats_surface():
+    """Each name of the one counter tuple is a ShardStats field, a key of
+    the bus "shard" delta and a ``repro_serving_<name>_total`` series."""
+    config = dataclasses.replace(_config(shards=1), obs=ObsConfig(enabled=True))
+    server = QOAdvisorServer(
+        config=config, serving=ServingConfig(workers_per_shard=0)
+    )
+    subscription = server.advisor.obs.bus.subscribe(topics="shard")
+    server.start()
+    server.submit(server.advisor.workload.jobs_for_day(0)[0])
+    (delta,) = subscription.poll(10)
+    text = server.advisor.obs.metrics.exposition()
+    fields = {field.name for field in dataclasses.fields(ShardStats)}
+    (shard,) = server.stats().shards
+    assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 7
+    for name in LANE_COUNTERS:
+        assert name in fields
+        assert delta[name] == getattr(shard, name)
+        assert f"repro_serving_{name}_total{{" in text
+    assert (shard.submitted, shard.completed + shard.failed) == (1, 1)
+    server.shutdown()
 
 
 # -- batch parity -------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.errors import ScopeError
-from repro.scope.cache import CacheStats
+from repro.parallel import SerialExecutor
+from repro.scope.cache import CacheStats, CompileRequest
 from repro.scope.engine import ScopeEngine
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
@@ -219,6 +220,115 @@ def test_sharded_bootstrap_corpus_matches_single_shard():
     assert single.engine.compilation.stats == sharded.engine.compilation.stats
     sharded.close()
     single.close()
+
+
+# -- batch compiles: route, then delegate --------------------------------------
+
+#: ``dataclasses.asdict`` of each shard's cumulative CacheStats after the tiny
+#: config ran days 0-2 on 2 shards and a SerialExecutor — captured on the
+#: commit *before* the cluster's batch compile became route-then-delegate
+#: (when it still pulled every shard's units into one cross-shard table), so
+#: every counter, work telemetry included, is held to that implementation's
+_PARENT_SHARD_STATS = {
+    0: {
+        "hits": 15, "misses": 66, "evictions": 0, "invalidations": 58,
+        "optimizer_invocations": 66, "script_compilations": 15, "dedup_hits": 1,
+        "fragment_hits": 4, "fragment_misses": 10, "fragment_inserts": 10,
+        "rule_applications": 11300, "mqo_preexplored": 3,
+        "winner_hits": 0, "winner_misses": 14,
+    },
+    1: {
+        "hits": 23, "misses": 99, "evictions": 0, "invalidations": 86,
+        "optimizer_invocations": 99, "script_compilations": 24, "dedup_hits": 1,
+        "fragment_hits": 4, "fragment_misses": 10, "fragment_inserts": 10,
+        "rule_applications": 17967, "mqo_preexplored": 3,
+        "winner_hits": 0, "winner_misses": 14,
+    },
+}
+
+
+def test_per_shard_counters_match_the_cross_shard_implementation(tiny_config):
+    config = dataclasses.replace(
+        tiny_config,
+        execution=ExecutionConfig(workers=1),
+        sharding=ShardingConfig(shards=2),
+    )
+    advisor = QOAdvisor(config)
+    assert isinstance(advisor.pipeline.executor, SerialExecutor)
+    advisor.simulate(start_day=0, days=3, learned_after=1)
+    stats = advisor.engine.compilation.per_shard_stats()
+    assert {
+        shard: dataclasses.asdict(counters) for shard, counters in stats.items()
+    } == _PARENT_SHARD_STATS
+    advisor.close()
+
+
+def test_cross_shard_batch_equals_each_shards_own_compile_many():
+    """One batch with a duplicate pair, a flip that cannot compile and jobs
+    owned by both shards: the cluster's answer and accounting are exactly
+    what each shard's own ``compile_many`` gives on its slice."""
+    config = _config(shards=2)
+
+    def fresh():
+        workload = build_workload(config)
+        return workload, ShardedScopeCluster(workload, config, workload.registry)
+
+    workload, cluster = fresh()
+    jobs = workload.jobs_for_day(0)
+    by_shard = cluster.router.partition(jobs)
+    assert sorted(by_shard) == [0, 1]
+    no_aggregate = RuleFlip(
+        cluster.registry.by_name("HashAggregateImpl").rule_id, turn_on=False
+    )
+    failing = next(
+        request
+        for request in (CompileRequest(job, no_aggregate, use_hints=False) for job in jobs)
+        if isinstance(cluster.compilation.compile_many([request])[0], ScopeError)
+    )
+    cluster.close()
+
+    workload, cluster = fresh()
+    workload.jobs_for_day(0)
+    requests = [
+        CompileRequest(by_shard[1][0]),
+        CompileRequest(by_shard[0][0]),
+        failing,
+        CompileRequest(by_shard[1][0]),  # folds into request 0
+        CompileRequest(by_shard[0][-1]),
+        CompileRequest(by_shard[1][-1]),
+    ]
+    results = cluster.compilation.compile_many(requests, SerialExecutor())
+
+    twin_workload, twin = fresh()
+    twin_workload.jobs_for_day(0)
+    expected: list = [None] * len(requests)
+    for shard, engine in enumerate(twin.shards):
+        positions = [
+            position
+            for position, request in enumerate(requests)
+            if twin.router.shard_for_job(request.job) == shard
+        ]
+        outcomes = engine.compilation.compile_many(
+            [requests[position] for position in positions], SerialExecutor()
+        )
+        for position, outcome in zip(positions, outcomes):
+            expected[position] = outcome
+
+    assert len(results) == len(requests)
+    assert results[3] is results[0]
+    assert isinstance(results[2], ScopeError) and isinstance(expected[2], ScopeError)
+    for got, want in zip(results, expected):
+        if isinstance(want, ScopeError):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert (got.plan.pretty(), got.est_cost) == (want.plan.pretty(), want.est_cost)
+    ours = cluster.compilation.per_shard_stats()
+    theirs = twin.compilation.per_shard_stats()
+    assert ours == theirs  # every counter, dedup_hits and work telemetry included
+    assert sum(stats.dedup_hits for stats in ours.values()) == 1
+    assert all(stats.optimizer_invocations > 0 for stats in ours.values())
+    cluster.close()
+    twin.close()
 
 
 def test_analysis_harnesses_accept_a_sharded_cluster():
