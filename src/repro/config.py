@@ -10,7 +10,7 @@ learnable rule-flip signal.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "ClusterConfig",
@@ -205,7 +205,7 @@ class CacheConfig:
     #: barriers in the same schedule-independent (epoch, key) order as plans
     fragment_capacity: int = 8192
     #: batch MQO: pre-explore a batch's distinct fragments (ranked by
-    #: frequency × subtree size, bottom-up) before the per-script compiles
+    #: frequency × subtree size) before the per-script compiles
     #: fan out, and share physical winners between compiles whose cost
     #: context matches.  Requires ``fragment_enabled``; observationally
     #: transparent either way (fingerprints are byte-identical on/off)
@@ -354,7 +354,3 @@ class SimulationConfig:
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def with_seed(self, seed: int) -> "SimulationConfig":
-        """Return a copy of this config with a different experiment seed."""
-        return replace(self, seed=seed)

@@ -393,7 +393,7 @@ class QOAdvisorPipeline:
         """
         jobs = self.workload.jobs_for_day(day)
         # batch MQO: warm the fragment store for the day's distinct join
-        # blocks (frequency-ordered, bottom-up) before the per-job fan-out,
+        # blocks (frequency-ordered) before the per-job fan-out,
         # so production compiles run against pre-explored fragments
         self.engine.compilation.preexplore_batch(
             [CompileRequest(job) for job in jobs], self.executor

@@ -11,7 +11,6 @@ whose removal the §5.2 ablation studies.
 from __future__ import annotations
 
 import enum
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,15 +66,11 @@ class RecompilationTask:
         self.engine = engine
         self.reward_clip = reward_clip
         self.executor = executor or SerialExecutor()
-        self.recompilations = 0
-        self._count_lock = threading.Lock()
-        #: default-config compiles issued per job id — the batch path in
-        #: :meth:`run` must keep every count at 1 per job per day
+        #: default-config compiles issued per job id since the last
+        #: :meth:`run` began — its batch path must keep every count at 1.
+        #: Per run, not per task: the serving layer keeps one task for its
+        #: lifetime, and job ids are new every day
         self.default_compiles: Counter[str] = Counter()
-
-    def _count_recompilation(self, n: int = 1) -> None:
-        with self._count_lock:
-            self.recompilations += n
 
     def evaluate(
         self,
@@ -98,7 +93,6 @@ class RecompilationTask:
             self.default_compiles[job.job_id] += 1
             try:
                 default = self.engine.compile_job(job, use_hints=False)
-                self._count_recompilation()
             except ScopeError as exc:
                 default = exc
         if isinstance(default, ScopeError):
@@ -107,7 +101,6 @@ class RecompilationTask:
         default_cost = default.est_cost
         try:
             new_result = self.engine.compile_job(job, recommendation.flip, use_hints=False)
-            self._count_recompilation()
         except ScopeError:
             return RecompileOutcome(
                 recommendation, CostOutcome.FAILURE, default_cost, None, reward=0.0
@@ -134,6 +127,7 @@ class RecompilationTask:
         evaluations are independent and fan out through the executor;
         outcomes come back aligned with the recommendation order.
         """
+        self.default_compiles.clear()
         defaults = self._prefetch_defaults(recommendations)
 
         def _evaluate(recommendation: Recommendation) -> RecompileOutcome:
@@ -163,9 +157,6 @@ class RecompilationTask:
         results = self.engine.compilation.compile_many(
             [CompileRequest(job, use_hints=False) for job in jobs.values()],
             executor=self.executor,
-        )
-        self._count_recompilation(
-            sum(1 for result in results if not isinstance(result, ScopeError))
         )
         self.default_compiles.update(jobs.keys())
         return dict(zip(jobs.keys(), results))

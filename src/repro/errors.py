@@ -57,10 +57,6 @@ class CatalogError(ScopeError):
     """Raised on unknown tables/columns or inconsistent statistics."""
 
 
-class FlightingError(ReproError):
-    """Raised by the Flighting Service for invalid requests."""
-
-
 class PersonalizerError(ReproError):
     """Raised by a steering policy's Rank/Reward surface (bad event ids,
     modes or model versions)."""
@@ -72,7 +68,3 @@ class SISError(ReproError):
 
 class ValidationError(ReproError):
     """Raised by the Validation task when a model is used before training."""
-
-
-class WorkloadError(ReproError):
-    """Raised by the workload generator on invalid parameters."""

@@ -386,10 +386,6 @@ class MetricsRegistry:
         with self._lock:
             self._views[name] = _View(name, help, kind, callback)
 
-    def unregister_view(self, name: str) -> None:
-        with self._lock:
-            self._views.pop(name, None)
-
     # -- collection / exposition ----------------------------------------------
 
     def collect(self) -> dict[str, list[Sample]]:
@@ -473,9 +469,6 @@ class NullMetricsRegistry:
         return _NULL_INSTRUMENT
 
     def register_view(self, name, callback, help="", kind="gauge") -> None:
-        return None
-
-    def unregister_view(self, name) -> None:
         return None
 
     def collect(self) -> dict:

@@ -13,19 +13,14 @@ across workers, shards, and serving replay):
 * :mod:`repro.qa.lockgraph` — runtime lock-order tracer: cycle
   (potential-deadlock) detection and locks-held-across-``map_jobs``
   hazards;
-* :mod:`repro.qa.findings` — the shared finding model, ``# qa:``
-  suppression comments, and the checked-in baseline.
+* :mod:`repro.qa.findings` — the shared finding model and the ``# qa:``
+  suppression comments, the one way to accept a finding.
 
-Run the static suite with ``python -m repro.qa`` (``--strict`` is the CI
-gate).  Opt tests into the runtime tracer with ``REPRO_QA_LOCKS=1``.
+Run the static suite with ``python -m repro.qa`` (the CI gate: exit 1 on
+any finding).  Opt tests into the runtime tracer with ``REPRO_QA_LOCKS=1``.
 """
 
-from repro.qa.findings import (
-    Baseline,
-    BaselineEntry,
-    Finding,
-    SourceFile,
-)
+from repro.qa.findings import Finding, SourceFile
 from repro.qa.lockgraph import (
     FanoutHazard,
     LockRegistry,
@@ -36,8 +31,6 @@ from repro.qa.lockgraph import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "SourceFile",
     "FanoutHazard",

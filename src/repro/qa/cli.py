@@ -1,15 +1,9 @@
 """``python -m repro.qa`` — run the static analyzers and report.
 
-Exit status:
-
-* ``0`` — no findings beyond the baseline;
-* ``1`` — new findings (or, under ``--strict``, a malformed baseline).
-
-``--strict`` is the CI mode: identical checks, but baselined findings
-are still listed (annotated) so the accepted debt stays visible in the
-log, and baseline entries that no longer match anything are reported as
-stale (non-fatal: a fix should be *celebrated* by pruning the entry, and
-``--prune-baseline`` does exactly that).
+Exit status: ``0`` — no findings; ``1`` — findings; ``2`` — the scan root
+is not a directory.  A finding is fixed in the code or accepted inline
+with a suppression comment (:mod:`repro.qa.findings`); there is no other
+mode.
 """
 
 from __future__ import annotations
@@ -19,12 +13,11 @@ import sys
 from pathlib import Path
 
 from repro.qa import determinism, locks
-from repro.qa.findings import Baseline, Finding
+from repro.qa.findings import Finding
 
 __all__ = ["main"]
 
 _DEFAULT_ROOT = Path(__file__).resolve().parent.parent  # src/repro
-_DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 
 def _collect(root: Path) -> list[Finding]:
@@ -43,27 +36,6 @@ def main(argv: list[str] | None = None) -> int:
         default=_DEFAULT_ROOT,
         help="package directory to scan (default: the installed repro tree)",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=_DEFAULT_BASELINE,
-        help="baseline JSON of accepted findings (default: qa/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="CI mode: list baselined findings too, flag stale entries",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline keeping only entries that still match",
-    )
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -71,40 +43,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: scan root {root} is not a directory", file=sys.stderr)
         return 2
 
-    try:
-        baseline = (
-            Baseline() if args.no_baseline else Baseline.load(args.baseline)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     findings = _collect(root)
-    fresh, accepted = baseline.split(findings)
-
-    for finding in fresh:
+    for finding in findings:
         print(finding.render())
-    if args.strict:
-        for finding in accepted:
-            print(f"{finding.render()} [baselined]")
-        live = {(f.rule, f.path, f.context) for f in findings}
-        stale = [e for e in baseline.entries if e.key() not in live]
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry.rule} {entry.path} "
-                f"{entry.context!r} no longer matches — prune it "
-                "(--prune-baseline)"
-            )
-        if stale and args.prune_baseline:
-            baseline.entries = [e for e in baseline.entries if e.key() in live]
-            baseline.save(args.baseline)
-            print(f"pruned {len(stale)} stale entries from {args.baseline}")
-
-    print(
-        f"repro.qa: {len(findings)} finding(s), "
-        f"{len(accepted)} baselined, {len(fresh)} new"
-    )
-    return 1 if fresh else 0
+    print(f"repro.qa: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

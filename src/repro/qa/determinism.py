@@ -34,7 +34,7 @@ disciplines hold everywhere:
     fingerprint-covered accumulation.  Order-insensitive reductions
     (``len``/``sum``/``min``/``max``/``any``/``all``/``sorted``) are fine.
 
-Suppressions (``# qa: <tag> <reason>``) and the baseline file are shared
+Suppressions (``# qa: <tag> <reason>``) are shared
 with the lock checker — see :mod:`repro.qa.findings`.
 """
 
@@ -125,9 +125,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
-        self.findings.append(
-            Finding(rule, self.source.relpath, line, message, self.source.line_text(line))
-        )
+        self.findings.append(Finding(rule, self.source.relpath, line, message))
 
     # -- function scoping for set-local inference -----------------------------
 

@@ -1,20 +1,14 @@
 """Shared finding model for the QA analyzers.
 
 Every analyzer in :mod:`repro.qa` reports :class:`Finding` objects and
-shares one triage mechanism with two layers:
-
-* **suppression comments** — ``# qa: <tag> <reason>`` on the offending
-  line (or alone on the line above, or on the enclosing ``def`` line for
-  lock findings) accepts a single site forever, with the justification
-  living next to the code.  A suppression without a reason is itself a
-  finding (``QA-SUP-BARE``): an unexplained exemption is exactly the
-  kind of convention rot the suite exists to stop.
-
-* **the baseline file** — ``src/repro/qa/baseline.json`` records
-  accepted pre-existing findings (rule × path × source-line text, plus a
-  required reason) so the CI gate fails only on *new* violations.
-  Matching is on the stripped source line rather than the line number,
-  so unrelated edits above a baselined site don't resurrect it.
+shares the one way to accept a finding: a **suppression comment** —
+``# qa: <tag> <reason>`` on the offending line (or alone on the line
+above, or on the enclosing ``def`` line for lock findings) accepts a
+single site, with the justification living next to the code.  A
+suppression without a reason is itself a finding (``QA-SUP-BARE``): an
+unexplained exemption is exactly the kind of convention rot the suite
+exists to stop.  Anything else is fixed in the code; there is no file of
+accepted findings.
 
 The tag → rule mapping is the single source of truth in
 :data:`SUPPRESSION_TAGS`; analyzers never parse comments themselves.
@@ -23,17 +17,14 @@ The tag → rule mapping is the single source of truth in
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "Finding",
     "SourceFile",
-    "Baseline",
-    "BaselineEntry",
     "SUPPRESSION_TAGS",
     "RULE_TO_TAG",
     "RULE_HASH",
@@ -80,8 +71,6 @@ class Finding:
     path: str
     line: int
     message: str
-    #: the stripped source line — the baseline's line-number-free anchor
-    context: str = ""
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -136,7 +125,6 @@ class SourceFile:
                         line,
                         f"unknown suppression tag {tag!r} "
                         f"(expected one of {sorted(SUPPRESSION_TAGS)})",
-                        context=self.line_text(line),
                     )
                 )
                 continue
@@ -148,16 +136,10 @@ class SourceFile:
                         line,
                         f"suppression '{tag}' has no reason text — every "
                         "exemption must say why it is safe",
-                        context=self.line_text(line),
                     )
                 )
                 continue  # a bare suppression suppresses nothing
             self._by_line[line] = _Suppression(tag, reason, line, standalone)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def suppressed(self, rule: str, line: int, *, def_line: int | None = None) -> bool:
         """Is ``rule`` suppressed at ``line``?
@@ -181,80 +163,3 @@ class SourceFile:
             if at_def is not None and at_def.tag == tag:
                 return True
         return False
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    rule: str
-    path: str
-    context: str
-    reason: str
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, self.context)
-
-
-@dataclass
-class Baseline:
-    """Accepted pre-existing findings, keyed line-number-free."""
-
-    entries: list[BaselineEntry] = field(default_factory=list)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not path.exists():
-            return cls()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        entries = []
-        for raw in payload.get("entries", []):
-            reason = str(raw.get("reason", "")).strip()
-            if not reason:
-                raise ValueError(
-                    f"baseline {path}: entry for {raw.get('rule')} at "
-                    f"{raw.get('path')} has no reason — baselined findings "
-                    "must be justified"
-                )
-            entries.append(
-                BaselineEntry(
-                    rule=str(raw["rule"]),
-                    path=str(raw["path"]),
-                    context=str(raw["context"]).strip(),
-                    reason=reason,
-                )
-            )
-        return cls(entries)
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "entries": [
-                {
-                    "rule": entry.rule,
-                    "path": entry.path,
-                    "context": entry.context,
-                    "reason": entry.reason,
-                }
-                for entry in sorted(
-                    self.entries, key=lambda e: (e.path, e.rule, e.context)
-                )
-            ]
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    def covers(self, finding: Finding) -> bool:
-        key = (finding.rule, finding.path, finding.context)
-        return key in {entry.key() for entry in self.entries}
-
-    def split(self, findings: list[Finding]) -> tuple[list[Finding], list[Finding]]:
-        """Partition into (new, baselined)."""
-        keys = {entry.key() for entry in self.entries}
-        fresh: list[Finding] = []
-        accepted: list[Finding] = []
-        for finding in findings:
-            if (finding.rule, finding.path, finding.context) in keys:
-                accepted.append(finding)
-            else:
-                fresh.append(finding)
-        return fresh, accepted

@@ -303,7 +303,6 @@ class _ClassScan:
                     f"{verb} '{self.node.name}.{access.attr}' outside "
                     f"{names} (guarded attribute; annotate intentional "
                     "unlocked access with '# qa: unlocked-ok <reason>')",
-                    self.source.line_text(access.line),
                 )
             )
         return out

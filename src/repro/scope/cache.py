@@ -740,8 +740,8 @@ class CompilationService:
 
         The MQO pass (see :mod:`repro.scope.optimizer.mqo`): digest every
         distinct unit's fragments up front, rank them by frequency ×
-        subtree size, and explore them bottom-up through ``executor`` so
-        the per-script compiles hit warm entries.  Returns the number of
+        subtree size, and explore them in that order through ``executor``
+        so the per-script compiles hit warm entries.  Returns the number of
         fragments explored.  Observationally transparent by construction:
         pre-exploration moves only work telemetry (fragment misses/inserts,
         rule applications, ``mqo_preexplored``) — every schedule-independent

@@ -68,10 +68,6 @@ class TableDef:
                     f"statistics refer to unknown column {col_name!r} of table {self.name!r}"
                 )
 
-    @property
-    def total_bytes(self) -> int:
-        return self.row_count * self.schema.row_width
-
     def stats_for(self, column: str) -> ColumnStats:
         """Return stats for ``column``, synthesizing a default when absent."""
         if column in self.column_stats:
@@ -143,10 +139,6 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self._tables)
-
-    @property
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
 
     def estimated_row_count(self, name: str) -> float:
         """Row count as seen by the optimizer (stale, deterministic)."""

@@ -61,9 +61,6 @@ class _QueryScope:
         except KeyError as exc:
             raise CompileError(f"unresolved column {ref.qualifier}.{ref.name}") from exc
 
-    def side_of(self, unique: str, left: set[str]) -> str:
-        return "left" if unique in left else "right"
-
 
 class Compiler:
     """Compiles bound scripts against a catalog."""

@@ -26,14 +26,11 @@ from repro.scope.optimizer.fragments import FragmentEntry, fragment_profile
 from repro.scope.optimizer.memo import Adoption, Group, GroupExpression, Memo, Winner
 from repro.scope.plan import logical
 from repro.scope.optimizer.rules.base import (
-    ImplementationRule,
     RuleCategory,
     RuleConfiguration,
     RuleRegistry,
     RuleSignature,
-    TransformationRule,
 )
-from repro.scope.optimizer.rules.normalization import NormalizationRule
 from repro.scope.plan.physical import Exchange, PhysicalOp, PhysicalPlanNode, SortExec
 from repro.scope.plan.properties import DistributionKind, PhysProps
 
@@ -136,17 +133,9 @@ class Optimizer:
         self.cluster = cluster or ClusterConfig()
         self.budget = budget or SearchBudget()
         self.cost_model = CostModel(self.cluster)
-        self._normalization = [r for r in registry if isinstance(r, NormalizationRule)]
-        self._transformations = [
-            r
-            for r in registry
-            if isinstance(r, TransformationRule) and self._enabled(r)
-        ]
-        self._implementations = [
-            r
-            for r in registry
-            if isinstance(r, ImplementationRule) and self._enabled(r)
-        ]
+        self._normalization = registry.normalizations
+        self._transformations = [r for r in registry.transformations if self._enabled(r)]
+        self._implementations = [r for r in registry.implementations if self._enabled(r)]
         self._exchange_rule_id = registry.by_name("EnforceDataExchange").rule_id
         self._sort_rule_id = registry.by_name("EnforceSortOrder").rule_id
 
@@ -322,6 +311,13 @@ class Optimizer:
         return sub.export_entry(root_group, applications)
 
     def _explore(self, memo: Memo) -> int:
+        """Run the transformation worklist; returns the applications spent.
+
+        A *tried* (rule, expression) pair is one application whether or not
+        the rule's ``root`` matches the expression: that count is what
+        ``SearchBudget.max_transformations`` bounds and what
+        ``CacheStats.rule_applications`` reports.
+        """
         worklist: deque[GroupExpression] = deque()
         memo.drain_journal(worklist)
         applications = 0
@@ -335,13 +331,14 @@ class Optimizer:
                     continue
                 expr.fired |= bit
                 applications += 1
-                trees = rule.apply(expr, memo)
-                if trees:
-                    provenance = expr.provenance | {rule.rule_id}
-                    target_group = memo.groups[expr.group_id]
-                    for tree in trees:
-                        memo.insert_tree(tree, provenance, target_group)
-                    memo.drain_journal(worklist)
+                if isinstance(expr.op, rule.root):
+                    trees = rule.apply(expr, memo)
+                    if trees:
+                        provenance = expr.provenance | {rule.rule_id}
+                        target_group = memo.groups[expr.group_id]
+                        for tree in trees:
+                            memo.insert_tree(tree, provenance, target_group)
+                        memo.drain_journal(worklist)
                 if applications >= self.budget.max_transformations:
                     break
         return applications
@@ -355,10 +352,12 @@ class Optimizer:
                 continue
             for expr in list(group.logical_exprs):
                 for rule in self._implementations:
-                    for op in rule.build(expr, memo):
-                        memo.add_physical(
-                            group, op, expr.child_ids, expr.provenance | {rule.rule_id}
-                        )
+                    if isinstance(expr.op, rule.root):
+                        op = rule.build(expr.op)
+                        if op is not None:
+                            memo.add_physical(
+                                group, op, expr.child_ids, expr.provenance | {rule.rule_id}
+                            )
             group.implemented = True
 
     # -- cost-based selection --------------------------------------------------

@@ -102,9 +102,6 @@ class FragmentSite:
     #: operator count of the subtree (the exploration-cost proxy the batch
     #: planner weighs frequency against)
     size: int
-    #: subtree height (the batch planner explores low fragments first —
-    #: children before parents across scripts whose fragments nest)
-    height: int
 
 
 def fragment_roots(root: logical.LogicalOp) -> list[logical.LogicalOp]:
@@ -146,7 +143,7 @@ def fragment_digests(nodes: list[logical.LogicalOp]) -> dict[int, bytes]:
 
 
 def _digest(node: logical.LogicalOp, memo: dict[int, bytes]) -> bytes:
-    # module-level like _measure: nested in its caller, a recursive closure
+    # module-level like _size: nested in its caller, a recursive closure
     # is a function/cell cycle only the cycle collector can free
     cached = memo.get(id(node))
     if cached is not None:
@@ -160,38 +157,31 @@ def _digest(node: logical.LogicalOp, memo: dict[int, bytes]) -> bytes:
     return result
 
 
-def _measure(node: logical.LogicalOp, measured: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    """(operator count, height) of the subtree, memoized by node identity."""
-    known = measured.get(id(node))
+def _size(node: logical.LogicalOp, sizes: dict[int, int]) -> int:
+    """Operator count of the subtree, memoized by node identity."""
+    known = sizes.get(id(node))
     if known is None:
-        size, height = 1, 0
-        for child in node.children:
-            child_size, child_height = _measure(child, measured)
-            size += child_size
-            height = max(height, child_height + 1)
-        known = measured[id(node)] = (size, height)
+        known = sizes[id(node)] = 1 + sum(_size(child, sizes) for child in node.children)
     return known
 
 
 def fragment_profile(compiled, root: logical.LogicalOp) -> "tuple[FragmentSite, ...]":
     """Fragment sites of ``root``, memoized on the CompiledScript.
 
-    Computes roots, digests, sizes and heights once per (script, catalog
-    version): the memo rides the ``compiled`` object — which the
-    compilation service already keys by (script digest, catalog version) —
-    keyed by the normalized root's identity, the same scheme as the
-    normalization memo it composes with.  The batch planner's up-front
-    digest pass and every subsequent compile of the script read the same
-    profile instead of re-hashing the plan.
+    Computes roots, digests and sizes once per (script, catalog version):
+    the memo rides the ``compiled`` object — which the compilation service
+    already keys by (script digest, catalog version) — keyed by the
+    normalized root's identity, the same scheme as the normalization memo
+    it composes with.  The batch planner's up-front digest pass and every
+    subsequent compile of the script read the same profile instead of
+    re-hashing the plan.
     """
     cached = getattr(compiled, "_frag_profile", None)
     if cached is not None and cached[0] is root:
         return cached[1]
     nodes = fragment_roots(root)
     digests = fragment_digests(nodes)
-    measured: dict[int, tuple[int, int]] = {}
-    profile = tuple(
-        FragmentSite(node, digests[id(node)], *_measure(node, measured)) for node in nodes
-    )
+    sizes: dict[int, int] = {}
+    profile = tuple(FragmentSite(node, digests[id(node)], _size(node, sizes)) for node in nodes)
     compiled._frag_profile = (root, profile)
     return profile

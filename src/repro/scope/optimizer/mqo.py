@@ -7,11 +7,10 @@ explores it, everyone later hits.  The :class:`BatchPlanner` turns that
 into classic MQO: given a batch's job list it digests every distinct
 unit's normalized plan up front, ranks the distinct fragments by
 (frequency × subtree size — the exploration-cost proxy), and explores them
-bottom-up (lower subtrees first, so a fragment that appears inside a
-larger script's fragment is warm before the larger search runs) through
-the caller's executor, warming the fragment store before the per-script
-fan-out.  The compiles then run exactly as today, now mostly pure
-fragment hits.
+in one fan-out through the caller's executor (an isolated fragment search
+never reads the fragment store, so no task waits on another), warming the
+fragment store before the per-script fan-out.  The compiles then run
+exactly as today, now mostly pure fragment hits.
 
 Determinism contract: pre-exploration is observationally transparent.
 Every explored entry is the identical pure function of (subtree,
@@ -59,8 +58,6 @@ class _FragmentTask:
     origins: object
     #: operator count of the subtree — the exploration-cost proxy
     size: int
-    #: subtree height — the bottom-up wave this task explores in
-    height: int
     #: request occurrences whose plans contain this fragment
     frequency: int = 0
 
@@ -71,10 +68,10 @@ class _FragmentTask:
 
 @dataclass
 class BatchPlanner:
-    """Frequency-ordered, bottom-up fragment pre-exploration for one batch.
+    """Frequency-ordered fragment pre-exploration for one batch.
 
     Usage: :meth:`add_batch` with the service's batch, then one
-    :meth:`preexplore` fanning every wave through the executor.
+    :meth:`preexplore` fanning the tasks through the executor.
     """
 
     service: "CompilationService"
@@ -127,7 +124,6 @@ class BatchPlanner:
                         digest=site.digest,
                         origins=compiled.origins,
                         size=site.size,
-                        height=site.height,
                     )
                     added += 1
                 task.frequency += 1
@@ -136,31 +132,23 @@ class BatchPlanner:
     def preexplore(self, executor: "Executor | None" = None) -> int:
         """Explore every registered fragment; returns how many ran.
 
-        Waves run bottom-up by subtree height; within a wave, tasks order
-        by (priority descending, digest) — a deterministic total
-        order, so the serial and fanned-out schedules insert the same
-        entries (entries are pure values; insertion order only shapes
+        Tasks order by (priority descending, digest) — a deterministic
+        total order, so the serial and fanned-out schedules insert the
+        same entries (entries are pure values; insertion order only shapes
         which thread pays for overlapping work).  Already-resident
         fragments (warmed by an earlier batch or a concurrent compile) are
         skipped via counter-free peeks.
         """
-        explored = 0
-        by_height: dict[int, list[_FragmentTask]] = {}
-        for task in self._tasks.values():
-            by_height.setdefault(task.height, []).append(task)
-        for height in sorted(by_height):
-            wave = sorted(by_height[height], key=lambda t: (-t.priority, t.digest))
-            if executor is None or len(wave) <= 1:
-                outcomes = [self._explore_one(task) for task in wave]
-            else:
-                # propagate the caller's span (the mqo_preexplore span)
-                # so fragment-lookup events land identically at any
-                # worker count
-                outcomes = executor.map_jobs_propagated(
-                    self._explore_one, wave, tracer=self.service.tracer
-                )
-            explored += sum(outcomes)
-        return explored
+        tasks = sorted(self._tasks.values(), key=lambda t: (-t.priority, t.digest))
+        if executor is None or len(tasks) <= 1:
+            return sum(self._explore_one(task) for task in tasks)
+        # propagate the caller's span (the mqo_preexplore span) so
+        # fragment-lookup events land identically at any worker count
+        return sum(
+            executor.map_jobs_propagated(
+                self._explore_one, tasks, tracer=self.service.tracer
+            )
+        )
 
     def _explore_one(self, task: _FragmentTask) -> int:
         service = self.service
@@ -189,7 +177,7 @@ def preexplore(
     """One pre-exploration pass over a service's batch.
 
     What :meth:`CompilationService.preexplore_batch` runs: one planner, one
-    bottom-up fan-out, under one ``mqo_preexplore`` span.  Returns the
+    priority-ordered fan-out, under one ``mqo_preexplore`` span.  Returns the
     number of fragments explored.
     """
     planner = BatchPlanner(service)

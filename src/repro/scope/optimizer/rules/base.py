@@ -11,6 +11,13 @@ This is the machinery the whole paper revolves around:
   contributed to the final plan* (§2.1), returned by every compilation;
 * a :class:`RuleFlip` is QO-Advisor's single-rule action: turn exactly one
   non-required rule on or off relative to the default configuration (§2.4).
+
+A search rule is a *pattern* and a *substitute*, and only the substitute is
+code: the rule declares the operator class it fires on (``root``) and, for
+the one-level binding, the operator class of a logical expression in one
+child group (``inner`` / ``inner_child``).  The engine tests ``root`` in
+its search loop, :meth:`TransformationRule.apply` is the one binding loop,
+and a rule implements ``rewrite`` (or ``build``) for one bound pattern.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.errors import OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.scope.data import ColumnOrigin
     from repro.scope.optimizer.memo import GroupExpression, Memo
     from repro.scope.plan.logical import LogicalOp
     from repro.scope.plan.physical import PhysicalOp
@@ -29,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RuleCategory",
     "Rule",
+    "NormalizationRule",
     "TransformationRule",
     "ImplementationRule",
     "RuleRegistry",
@@ -69,19 +78,66 @@ class Rule:
         return f"<{type(self).__name__} #{self.rule_id} {self.name} [{self.category.value}]>"
 
 
+class NormalizationRule(Rule):
+    """A whole-tree rewrite applied before memo insertion."""
+
+    category = RuleCategory.REQUIRED
+
+    def normalize(
+        self, root: "LogicalOp", origins: "dict[str, ColumnOrigin]"
+    ) -> tuple["LogicalOp", bool]:
+        """Return (possibly new) root and whether anything changed."""
+        raise NotImplementedError
+
+
 class TransformationRule(Rule):
-    """Produces alternative logical expressions for a memo group."""
+    """Produces alternative logical expressions for a memo group.
+
+    The pattern is ``root`` over, when ``inner`` is set, one ``inner``
+    expression of child group ``inner_child`` (standard cascades one-level
+    binding).  The engine only calls :meth:`apply` on expressions whose
+    operator is a ``root``.
+    """
+
+    root: "type[LogicalOp]"
+    inner: "type[LogicalOp] | None" = None
+    inner_child: int = 0
 
     def apply(self, expr: "GroupExpression", memo: "Memo") -> list["LogicalOp"]:
-        """Return alternative logical trees (with GroupHandle leaves)."""
+        """Alternative trees (with GroupHandle leaves), one per binding."""
+        if self.inner is None:
+            tree = self.rewrite(expr, None, memo)
+            return [] if tree is None else [tree]
+        trees = []
+        for inner in memo.group(expr.child_ids[self.inner_child]).logical_exprs:
+            if isinstance(inner.op, self.inner):
+                tree = self.rewrite(expr, inner, memo)
+                if tree is not None:
+                    trees.append(tree)
+        return trees
+
+    def rewrite(
+        self, expr: "GroupExpression", inner: "GroupExpression | None", memo: "Memo"
+    ) -> "LogicalOp | None":
+        """The substitute for one bound pattern, or None when it does not apply.
+
+        ``inner`` is the bound child-group expression (None for rules that
+        declare no ``inner``).
+        """
         raise NotImplementedError
 
 
 class ImplementationRule(Rule):
-    """Maps a logical group expression onto physical operator templates."""
+    """Maps a logical operator onto a physical operator template.
 
-    def build(self, expr: "GroupExpression", memo: "Memo") -> list["PhysicalOp"]:
-        """Return physical operators implementing ``expr`` over its children."""
+    The engine only calls :meth:`build` on operators that are a ``root``.
+    """
+
+    root: "type[LogicalOp]"
+
+    def build(self, op: "LogicalOp") -> "PhysicalOp | None":
+        """The physical operator implementing ``op``, or None when the rule
+        does not cover it (the engine wires it over ``op``'s child groups)."""
         raise NotImplementedError
 
 
@@ -91,8 +147,24 @@ class RuleRegistry:
     def __init__(self) -> None:
         self._rules: list[Rule] = []
         self._by_name: dict[str, Rule] = {}
-        self._transformation_mask: int | None = None
-        self._implementation_mask: int | None = None
+        #: the registry partitioned by what the engine does with a rule,
+        #: each in registration order (enforcer pseudo-rules are in none)
+        self.normalizations: list[NormalizationRule] = []
+        self.transformations: list[TransformationRule] = []
+        self.implementations: list[ImplementationRule] = []
+        #: bitmask of transformation-rule ids.
+        #: ``config.bits & transformation_mask`` is the projection of a
+        #: configuration onto the bits that can affect a *logical* search:
+        #: exploration iterates transformation rules only, and no rule reads
+        #: group statistics, so two configurations with equal projections
+        #: produce bit-identical fragment closures.  The fragment store keys
+        #: on this projection so implementation-only flips (span probes,
+        #: recompiles) share logical entries with the default configuration.
+        self.transformation_mask = 0
+        #: bitmask of implementation-rule ids (the physical-winner analogue:
+        #: equal projections mean identical implementation rule sets, hence
+        #: identical physical alternatives)
+        self.implementation_mask = 0
 
     def register(self, rule: Rule) -> Rule:
         if rule.name in self._by_name:
@@ -100,42 +172,15 @@ class RuleRegistry:
         rule.rule_id = len(self._rules)
         self._rules.append(rule)
         self._by_name[rule.name] = rule
-        self._transformation_mask = None
-        self._implementation_mask = None
+        if isinstance(rule, NormalizationRule):
+            self.normalizations.append(rule)
+        elif isinstance(rule, TransformationRule):
+            self.transformations.append(rule)
+            self.transformation_mask |= 1 << rule.rule_id
+        elif isinstance(rule, ImplementationRule):
+            self.implementations.append(rule)
+            self.implementation_mask |= 1 << rule.rule_id
         return rule
-
-    @property
-    def transformation_mask(self) -> int:
-        """Bitmask of transformation-rule ids.
-
-        ``config.bits & transformation_mask`` is the projection of a
-        configuration onto the bits that can affect a *logical* search:
-        exploration iterates transformation rules only, and no rule reads
-        group statistics, so two configurations with equal projections
-        produce bit-identical fragment closures.  The fragment store keys
-        on this projection so implementation-only flips (span probes,
-        recompiles) share logical entries with the default configuration.
-        """
-        if self._transformation_mask is None:
-            mask = 0
-            for rule in self._rules:
-                if isinstance(rule, TransformationRule):
-                    mask |= 1 << rule.rule_id
-            self._transformation_mask = mask
-        return self._transformation_mask
-
-    @property
-    def implementation_mask(self) -> int:
-        """Bitmask of implementation-rule ids (the physical-winner analogue
-        of :attr:`transformation_mask`: equal projections mean identical
-        implementation rule sets, hence identical physical alternatives)."""
-        if self._implementation_mask is None:
-            mask = 0
-            for rule in self._rules:
-                if isinstance(rule, ImplementationRule):
-                    mask |= 1 << rule.rule_id
-            self._implementation_mask = mask
-        return self._implementation_mask
 
     def __len__(self) -> int:
         return len(self._rules)

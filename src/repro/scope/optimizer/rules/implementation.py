@@ -8,12 +8,15 @@ some logical operator the optimizer raises
 SuperRoot): without them no job at all would compile, so SCOPE keeps them
 outside the flippable set — this is also why trivial copy jobs end up with
 empty spans.
+
+Each rule declares ``root``, the logical operator class it implements (the
+engine matches it), and ``build``s at most one physical operator from the
+logical one — the engine wires it over the expression's child groups.
 """
 
 from __future__ import annotations
 
 from repro.scope.language import ast
-from repro.scope.optimizer.memo import GroupExpression, Memo
 from repro.scope.optimizer.rules.base import ImplementationRule, RuleCategory, RuleRegistry
 from repro.scope.plan import logical, physical
 
@@ -25,12 +28,10 @@ class ExtractImpl(ImplementationRule):
 
     name = "ExtractImpl"
     category = RuleCategory.REQUIRED
+    root = logical.Get
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Get):
-            return []
-        return [physical.Extract(op.table, op.schema)]
+    def build(self, op):
+        return physical.Extract(op.table, op.schema)
 
 
 class FilterImpl(ImplementationRule):
@@ -38,12 +39,10 @@ class FilterImpl(ImplementationRule):
 
     name = "FilterImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Filter
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Filter):
-            return []
-        return [physical.FilterExec(op.predicate, op.schema)]
+    def build(self, op):
+        return physical.FilterExec(op.predicate, op.schema)
 
 
 class FusedFilterImpl(ImplementationRule):
@@ -57,14 +56,12 @@ class FusedFilterImpl(ImplementationRule):
 
     name = "FusedFilterImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Filter
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Filter):
-            return []
+    def build(self, op):
         if len(ast.split_conjuncts(op.predicate)) > 1:
-            return []
-        return [physical.FilterExec(op.predicate, op.schema, fused=True)]
+            return None
+        return physical.FilterExec(op.predicate, op.schema, fused=True)
 
 
 class ComputeImpl(ImplementationRule):
@@ -72,12 +69,10 @@ class ComputeImpl(ImplementationRule):
 
     name = "ComputeImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Project
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Project):
-            return []
-        return [physical.ComputeScalar(op.items, op.schema)]
+    def build(self, op):
+        return physical.ComputeScalar(op.items, op.schema)
 
 
 class LazyComputeImpl(ImplementationRule):
@@ -85,12 +80,10 @@ class LazyComputeImpl(ImplementationRule):
 
     name = "LazyComputeImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Project
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Project):
-            return []
-        return [physical.ComputeScalar(op.items, op.schema, lazy=True)]
+    def build(self, op):
+        return physical.ComputeScalar(op.items, op.schema, lazy=True)
 
 
 class HashJoinPairImpl(ImplementationRule):
@@ -98,16 +91,12 @@ class HashJoinPairImpl(ImplementationRule):
 
     name = "HashJoinPairImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Join
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Join) or not op.equi_keys:
-            return []
-        return [
-            physical.HashJoin(
-                op.kind, op.equi_keys, op.residual, op.schema, broadcast=False
-            )
-        ]
+    def build(self, op):
+        if not op.equi_keys:
+            return None
+        return physical.HashJoin(op.kind, op.equi_keys, op.residual, op.schema, broadcast=False)
 
 
 class HashJoinBroadcastImpl(ImplementationRule):
@@ -115,14 +104,12 @@ class HashJoinBroadcastImpl(ImplementationRule):
 
     name = "HashJoinBroadcastImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Join
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Join) or not op.equi_keys:
-            return []
-        return [
-            physical.HashJoin(op.kind, op.equi_keys, op.residual, op.schema, broadcast=True)
-        ]
+    def build(self, op):
+        if not op.equi_keys:
+            return None
+        return physical.HashJoin(op.kind, op.equi_keys, op.residual, op.schema, broadcast=True)
 
 
 class MergeJoinImpl(ImplementationRule):
@@ -130,12 +117,12 @@ class MergeJoinImpl(ImplementationRule):
 
     name = "MergeJoinImpl"
     category = RuleCategory.OFF_BY_DEFAULT
+    root = logical.Join
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Join) or not op.equi_keys or op.kind != "INNER":
-            return []
-        return [physical.MergeJoin(op.kind, op.equi_keys, op.residual, op.schema)]
+    def build(self, op):
+        if not op.equi_keys or op.kind != "INNER":
+            return None
+        return physical.MergeJoin(op.kind, op.equi_keys, op.residual, op.schema)
 
 
 class NestedLoopJoinImpl(ImplementationRule):
@@ -143,11 +130,9 @@ class NestedLoopJoinImpl(ImplementationRule):
 
     name = "NestedLoopJoinImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Join
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Join):
-            return []
+    def build(self, op):
         # fold equi keys back into the residual: NL evaluates everything
         condition: ast.Expr | None = op.residual
         for left, right in op.equi_keys:
@@ -155,7 +140,7 @@ class NestedLoopJoinImpl(ImplementationRule):
             condition = (
                 equality if condition is None else ast.BinaryOp("AND", condition, equality)
             )
-        return [physical.NestedLoopJoin(op.kind, (), condition, op.schema)]
+        return physical.NestedLoopJoin(op.kind, (), condition, op.schema)
 
 
 class HashAggregateImpl(ImplementationRule):
@@ -163,12 +148,12 @@ class HashAggregateImpl(ImplementationRule):
 
     name = "HashAggregateImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Aggregate
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Aggregate) or op.is_partial:
-            return []
-        return [physical.HashAggregate(op.keys, op.aggs, op.schema)]
+    def build(self, op):
+        if op.is_partial:
+            return None
+        return physical.HashAggregate(op.keys, op.aggs, op.schema)
 
 
 class PartialHashAggregateImpl(ImplementationRule):
@@ -176,12 +161,12 @@ class PartialHashAggregateImpl(ImplementationRule):
 
     name = "PartialHashAggregateImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Aggregate
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Aggregate) or not op.is_partial:
-            return []
-        return [physical.HashAggregate(op.keys, op.aggs, op.schema, is_partial=True)]
+    def build(self, op):
+        if not op.is_partial:
+            return None
+        return physical.HashAggregate(op.keys, op.aggs, op.schema, is_partial=True)
 
 
 class StreamAggregateImpl(ImplementationRule):
@@ -189,12 +174,12 @@ class StreamAggregateImpl(ImplementationRule):
 
     name = "StreamAggregateImpl"
     category = RuleCategory.OFF_BY_DEFAULT
+    root = logical.Aggregate
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Aggregate) or op.is_partial or not op.keys:
-            return []
-        return [physical.StreamAggregate(op.keys, op.aggs, op.schema)]
+    def build(self, op):
+        if op.is_partial or not op.keys:
+            return None
+        return physical.StreamAggregate(op.keys, op.aggs, op.schema)
 
 
 class SortImpl(ImplementationRule):
@@ -202,12 +187,10 @@ class SortImpl(ImplementationRule):
 
     name = "SortImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.Sort
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Sort):
-            return []
-        return [physical.SortExec(op.keys, op.schema)]
+    def build(self, op):
+        return physical.SortExec(op.keys, op.schema)
 
 
 class UnionAllImpl(ImplementationRule):
@@ -215,12 +198,10 @@ class UnionAllImpl(ImplementationRule):
 
     name = "UnionAllImpl"
     category = RuleCategory.IMPLEMENTATION
+    root = logical.UnionAll
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.UnionAll):
-            return []
-        return [physical.UnionAllExec(op.schema)]
+    def build(self, op):
+        return physical.UnionAllExec(op.schema)
 
 
 class OutputImpl(ImplementationRule):
@@ -228,12 +209,10 @@ class OutputImpl(ImplementationRule):
 
     name = "OutputImpl"
     category = RuleCategory.REQUIRED
+    root = logical.Output
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.Output):
-            return []
-        return [physical.OutputExec(op.path, op.schema)]
+    def build(self, op):
+        return physical.OutputExec(op.path, op.schema)
 
 
 class SuperRootImpl(ImplementationRule):
@@ -241,12 +220,10 @@ class SuperRootImpl(ImplementationRule):
 
     name = "SuperRootImpl"
     category = RuleCategory.REQUIRED
+    root = logical.SuperRoot
 
-    def build(self, expr: GroupExpression, memo: Memo) -> list[physical.PhysicalOp]:
-        op = expr.op
-        if not isinstance(op, logical.SuperRoot):
-            return []
-        return [physical.SuperRootExec(len(op.children))]
+    def build(self, op):
+        return physical.SuperRootExec(len(op.children))
 
 
 def register_implementation_rules(registry: RuleRegistry) -> None:

@@ -13,14 +13,17 @@ their rule ids.
 
 from __future__ import annotations
 
-from repro.scope.data import ColumnOrigin
 from repro.scope.language import ast
-from repro.scope.optimizer.rules.base import Rule, RuleCategory, RuleRegistry
+from repro.scope.optimizer.rules.base import (
+    NormalizationRule,
+    Rule,
+    RuleCategory,
+    RuleRegistry,
+)
 from repro.scope.plan import logical
 from repro.scope.types import Column, DataType, Schema
 
 __all__ = [
-    "NormalizationRule",
     "ConstantFolding",
     "PredicateNormalization",
     "ProjectNormalization",
@@ -29,18 +32,6 @@ __all__ = [
     "EnforceSortOrder",
     "register_normalization_rules",
 ]
-
-
-class NormalizationRule(Rule):
-    """A whole-tree rewrite applied before memo insertion."""
-
-    category = RuleCategory.REQUIRED
-
-    def normalize(
-        self, root: logical.LogicalOp, origins: dict[str, ColumnOrigin]
-    ) -> tuple[logical.LogicalOp, bool]:
-        """Return (possibly new) root and whether anything changed."""
-        raise NotImplementedError
 
 
 def _rewrite_dag(root: logical.LogicalOp, rewrite_op) -> tuple[logical.LogicalOp, bool]:

@@ -211,7 +211,7 @@ class MaintenanceScheduler:
         # batch MQO over the micro-batch: the hint publication that
         # closed the previous window invalidated plans and fragments,
         # so the window's recompile/span work re-derives join blocks —
-        # pre-explore the drained jobs' fragments once, bottom-up,
+        # pre-explore the drained jobs' fragments once
         # before the stages fan out (plan-resident units are skipped
         # by counter-free peeks, keeping serving/batch parity exact)
         if jobs_by_id:

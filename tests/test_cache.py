@@ -298,6 +298,20 @@ def test_recompilation_compiles_default_once_per_job(fresh_engine, join_agg_job)
     assert max(task.default_compiles.values()) == 1
 
 
+def test_default_compile_counter_holds_only_the_last_run(fresh_engine, join_agg_job):
+    """One task serves every day of a server's life and job ids are new
+    every day: the per-job counter is the last run's, or it grows forever."""
+    from repro.core.recompile import RecompilationTask
+
+    lga = fresh_engine.registry.by_name("LocalGlobalAggregation").rule_id
+    task = RecompilationTask(fresh_engine)
+    for day in (0, 1):
+        job = dataclasses.replace(join_agg_job, job_id=f"j-agg-d{day}", day=day)
+        features = _features_for(fresh_engine, job)
+        task.run([Recommendation(features, RuleFlip(lga, True), f"e{day}", 0.1)])
+    assert dict(task.default_compiles) == {"j-agg-d1": 1}
+
+
 def test_pipeline_day_compiles_defaults_once_per_job(tiny_config):
     """End-to-end lock-in: across a full run_day, the Recompilation task
     issues at most one default-config compile per job."""

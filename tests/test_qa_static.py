@@ -1,20 +1,16 @@
-"""Static-analysis suite tests: seeded fixtures, suppressions, baseline, CLI.
+"""Static-analysis suite tests: seeded fixtures, suppressions, CLI.
 
 The fixture modules under ``tests/qa_fixtures/`` each plant one rule's
 violation at a known line; the tests assert the analyzers report exactly
 those (rule ID + file:line), that the triage machinery (``# qa:``
-comments, the baseline) behaves, and that the real tree passes the CI
-gate with the checked-in baseline applied.
+comments) behaves, and that the real tree passes the CI gate.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.qa import Baseline, Finding, SourceFile
+from repro.qa import Finding, SourceFile
 from repro.qa import cli as qa_cli
 from repro.qa import determinism, locks
 from repro.qa.findings import (
@@ -182,35 +178,6 @@ def test_def_line_suppression_covers_lock_helper(tmp_path):
     assert findings == []
 
 
-# -- baseline mechanics --------------------------------------------------------
-
-
-def test_baseline_requires_reasons(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {"entries": [{"rule": RULE_HASH, "path": "a.py", "context": "x", "reason": " "}]}
-        ),
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="no reason"):
-        Baseline.load(path)
-
-
-def test_baseline_matches_context_not_line_number():
-    from repro.qa import BaselineEntry
-
-    finding_moved = Finding(RULE_HASH, "mod.py", 99, "msg", context="h = hash(x)")
-    baseline = Baseline.load(Path("/nonexistent"))  # empty
-    assert not baseline.covers(finding_moved)
-    baseline.entries.append(
-        BaselineEntry(RULE_HASH, "mod.py", "h = hash(x)", "accepted legacy site")
-    )
-    assert baseline.covers(finding_moved)  # line number irrelevant
-    fresh, accepted = baseline.split([finding_moved])
-    assert fresh == [] and accepted == [finding_moved]
-
-
 # -- the real tree -------------------------------------------------------------
 
 
@@ -219,38 +186,22 @@ def test_real_tree_determinism_clean():
 
 
 def test_real_tree_locks_fully_baselined():
-    baseline = Baseline.load(REPRO_ROOT / "qa" / "baseline.json")
-    fresh, _ = baseline.split(locks.scan_tree(REPRO_ROOT))
-    assert fresh == []
-
-
-def test_checked_in_baseline_is_empty():
-    """Every finding on the real tree is fixed in code or carries an inline
-    reason; the baseline exists for transitions, not for standing excuses."""
-    assert Baseline.load(REPRO_ROOT / "qa" / "baseline.json").entries == []
-
-
-def test_checked_in_baseline_has_no_stale_entries():
-    baseline = Baseline.load(REPRO_ROOT / "qa" / "baseline.json")
-    live = {
-        (f.rule, f.path, f.context)
-        for f in determinism.scan_tree(REPRO_ROOT) + locks.scan_tree(REPRO_ROOT)
-    }
-    stale = [e for e in baseline.entries if e.key() not in live]
-    assert stale == []
+    """Every lock finding on the real tree is fixed in code or carries an
+    inline reason (the name predates the baseline file's deletion)."""
+    assert locks.scan_tree(REPRO_ROOT) == []
 
 
 # -- CLI -----------------------------------------------------------------------
 
 
 def test_cli_strict_clean_on_real_tree(capsys):
-    assert qa_cli.main(["--strict"]) == 0
+    assert qa_cli.main([]) == 0
     out = capsys.readouterr().out
-    assert "0 new" in out
+    assert "0 finding(s)" in out
 
 
 def test_cli_fails_on_seeded_fixtures(capsys):
-    assert qa_cli.main(["--root", str(FIXTURES), "--no-baseline"]) == 1
+    assert qa_cli.main(["--root", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     for rule in (RULE_HASH, RULE_ID, RULE_RNG, RULE_TIME, RULE_SETITER,
                  RULE_UNGUARDED, RULE_BARE_SUPPRESSION, RULE_UNKNOWN_SUPPRESSION):
