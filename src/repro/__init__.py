@@ -61,7 +61,7 @@ from repro.serving import (
 from repro.sharding import ShardedScopeCluster, ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "QOAdvisor",

@@ -115,19 +115,35 @@ class QOAdvisor:
 
         This is the paper's off-policy design: uniform randomization
         produces the maximally informative training log (§4.2).
+
+        One pass over the days: each day's flight corpus is gathered and
+        the policy trained on that day's jobs before the workload moves on,
+        so the two share the day's parses, default compiles and coinciding
+        flips through the plan cache.  (Walking the days once per task
+        revisits every catalog state under a new version number and
+        compiles it all again.)  Neither stream is reordered: the corpus
+        stays day-major, and so does the event log.  A template's span is
+        computed from the first instance the bootstrap meets, which in one
+        pass is always its earliest day's — two walks could meet a later
+        day's instance first (in a corpus window) and, rarely, read a
+        different span off that day's statistics.
         """
         from repro.core.recommend import train_off_policy
 
-        self.pipeline.bootstrap_validation_model(start_day, days)
-        effective_days = days or self.config.advisor.validation_training_days
-        train_off_policy(
-            self.engine,
-            self.workload,
-            self.pipeline.spans,
-            self.policy,
-            range(start_day, start_day + effective_days),
-            self.config.bandit.reward_clip,
-        )
+        if days is None:
+            days = self.config.advisor.validation_training_days
+        corpus = []
+        for day in range(start_day, start_day + days):
+            corpus.extend(self.pipeline.flight_corpus_day(day))
+            train_off_policy(
+                self.engine,
+                self.workload,
+                self.pipeline.spans,
+                self.policy,
+                (day,),
+                self.config.bandit.reward_clip,
+            )
+        self.pipeline.fit_validation_model(corpus, start_day, days)
 
     def enable_learned_mode(self) -> None:
         """Switch the policy from uniform logging to its learned behavior."""

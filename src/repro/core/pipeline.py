@@ -76,6 +76,12 @@ STAGE_NAMES = (
 )
 
 
+def _feed(hasher, *parts: object) -> None:
+    for part in parts:
+        hasher.update(repr(part).encode("utf-8"))
+        hasher.update(b"\x1f")
+
+
 @dataclass
 class DayReport:
     """Everything one pipeline day produced (analysis harnesses feed on it)."""
@@ -122,44 +128,32 @@ class DayReport:
             counts[item.outcome] += 1
         return counts
 
-    def fingerprint(self) -> str:
-        """Digest of every decision the day produced, minus wall-clock.
-
-        Two runs of the same configured day must produce the same
-        fingerprint at any executor worker count **and any shard count** —
-        this is the determinism contract the parallel backbone and the
-        sharded cluster are tested against.  Stage timings (wall-clock)
-        and per-shard stat breakdowns (topology-shaped, though their sum
-        is covered via ``cache_stats``) are excluded.
-        """
+    def _decisions_hasher(self):
         hasher = hashlib.blake2b(digest_size=16)
-
-        def feed(*parts: object) -> None:
-            for part in parts:
-                hasher.update(repr(part).encode("utf-8"))
-                hasher.update(b"\x1f")
-
-        feed(self.day, self.failed_jobs, self.hint_version, self.active_hint_count)
+        _feed(hasher, self.day, self.failed_jobs, self.hint_version, self.active_hint_count)
         for run in self.production_runs:
-            feed(
+            _feed(
+                hasher,
                 run.job.job_id,
                 run.result.est_cost,
                 sorted(run.result.signature.rule_ids),
                 run.metrics,
             )
         for features in self.features:
-            feed(features.job.job_id, sorted(features.span))
+            _feed(hasher, features.job.job_id, sorted(features.span))
         for rec in self.recommendations:
-            feed(rec.event_id, rec.flip, rec.probability)
+            _feed(hasher, rec.event_id, rec.flip, rec.probability)
         for outcome in self.outcomes:
-            feed(
+            _feed(
+                hasher,
                 outcome.outcome.value,
                 outcome.default_cost,
                 outcome.new_cost,
                 outcome.reward,
             )
         for flight in self.flight_results:
-            feed(
+            _feed(
+                hasher,
                 flight.job.job_id,
                 flight.flip,
                 flight.status.value,
@@ -169,16 +163,41 @@ class DayReport:
                 flight.day,
             )
         for validated in self.validated:
-            feed(
+            _feed(
+                hasher,
                 validated.template_id,
                 validated.flip,
                 validated.predicted_pnhours_delta,
             )
+        return hasher
+
+    def decisions_digest(self) -> str:
+        """Digest of every decision the day produced, minus wall-clock and
+        minus the work counters.
+
+        Two runs of the same configured day must produce the same digest at
+        any executor worker count **and any shard count**, and — unlike
+        :meth:`fingerprint` — across changes that only move *how much work*
+        the day cost (compiles saved, probes skipped): it is the half of
+        the contract a work-cutting change has to hold still.
+        """
+        return self._decisions_hasher().hexdigest()
+
+    def fingerprint(self) -> str:
+        """:meth:`decisions_digest` plus the day's ``cache_stats.core()``.
+
+        The determinism contract the parallel backbone and the sharded
+        cluster are tested against: equal at any worker and shard count.
+        Stage timings (wall-clock) and per-shard stat breakdowns
+        (topology-shaped, though their sum is covered via ``cache_stats``)
+        are excluded.
+        """
+        hasher = self._decisions_hasher()
         # only the schedule-independent core counters: the fragment-store
         # hit/miss/insert and rule-application counters are work telemetry
         # that legitimately differs with the fragment cache on vs off (and
         # under concurrent first-touches), so they stay out of the contract
-        feed(self.cache_stats.core() if self.cache_stats else self.cache_stats)
+        _feed(hasher, self.cache_stats.core() if self.cache_stats else self.cache_stats)
         return hasher.hexdigest()
 
 
@@ -436,48 +455,60 @@ class QOAdvisorPipeline:
         Mirrors §4.3: random flips are flighted over a period of days; the
         corpus is split by date (earlier week trains, later week tests).
         Returns the full corpus so callers can evaluate generalization.
+        """
+        if days is None:
+            days = self.config.advisor.validation_training_days
+        corpus: list[FlightResult] = []
+        for day in range(start_day, start_day + days):
+            corpus.extend(self.flight_corpus_day(day, flights_per_day))
+        self.fit_validation_model(corpus, start_day, days)
+        return corpus
+
+    def flight_corpus_day(self, day: int, flights_per_day: int = 12) -> list[FlightResult]:
+        """One day of the random-flip corpus: pick flips, flight them.
 
         Candidate flips are evaluated in fixed-size batches through the
         executor; each job draws its own ``keyed_rng`` stream, and batch
         membership depends only on submission order, so the corpus is
         byte-identical at any worker count.
         """
-        days = days or self.config.advisor.validation_training_days
-        corpus: list[FlightResult] = []
-        for day in range(start_day, start_day + days):
-            jobs = self.workload.jobs_for_day(day)
+        jobs = self.workload.jobs_for_day(day)
 
-            def candidate(pair: tuple[JobInstance, frozenset[int]]):
-                job, span = pair
-                rng = keyed_rng(self.config.seed, "bootstrap", day, job.job_id)
-                return self._corpus_flip(job, span, rng)
+        def candidate(pair: tuple[JobInstance, frozenset[int]]):
+            job, span = pair
+            rng = keyed_rng(self.config.seed, "bootstrap", day, job.job_id)
+            return self._corpus_flip(job, span, rng)
 
-            requests: list[FlightRequest] = []
-            # jobs are scanned in positional windows: spans (the expensive
-            # per-template probes) and candidate flips are only evaluated
-            # for windows reached before the quota fills, and windows are
-            # cut by position (not worker count), so at most one window of
-            # speculative evaluations happens past the daily quota and the
-            # corpus is identical at any worker count
-            window = max(1, flights_per_day)
-            for start in range(0, len(jobs), window):
-                if len(requests) >= flights_per_day:
-                    break
-                batch: list[tuple[JobInstance, frozenset[int]]] = []
-                for job in jobs[start : start + window]:
-                    span = self.spans.span_for_template(job.template_id, job.script)
-                    if span:
-                        batch.append((job, span))
-                for request in self.executor.map_jobs(candidate, batch):
-                    if request is not None and len(requests) < flights_per_day:
-                        requests.append(request)
-            # run_queue ends with the day's epoch barrier (it checkpoints
-            # after draining), covering the span/candidate compiles above
-            corpus.extend(self.flighting.run_queue(requests, day))
+        requests: list[FlightRequest] = []
+        # jobs are scanned in positional windows: spans (the expensive
+        # per-template probes) and candidate flips are only evaluated
+        # for windows reached before the quota fills, and windows are
+        # cut by position (not worker count), so at most one window of
+        # speculative evaluations happens past the daily quota and the
+        # corpus is identical at any worker count
+        window = max(1, flights_per_day)
+        for start in range(0, len(jobs), window):
+            if len(requests) >= flights_per_day:
+                break
+            batch: list[tuple[JobInstance, frozenset[int]]] = []
+            for job in jobs[start : start + window]:
+                span = self.spans.span_for_template(job.template_id, job.script)
+                if span:
+                    batch.append((job, span))
+            for request in self.executor.map_jobs(candidate, batch):
+                if request is not None and len(requests) < flights_per_day:
+                    requests.append(request)
+        # run_queue ends with the day's epoch barrier (it checkpoints
+        # after draining), covering the span/candidate compiles above
+        return self.flighting.run_queue(requests, day)
+
+    def fit_validation_model(
+        self, corpus: list[FlightResult], start_day: int, days: int
+    ) -> None:
+        """Fit the regression guard on the earlier half of a ``days``-day
+        corpus that began on ``start_day`` (the date split of §4.3)."""
         midpoint = start_day + days // 2
-        train = [r for r in corpus if r.day < midpoint]
-        self.validation_model.fit(train)
-        return corpus
+        self.validation_model.fit([r for r in corpus if r.day < midpoint])
 
     def _corpus_flip(self, job, span: frozenset[int], rng) -> FlightRequest | None:
         ordered = sorted(span)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.errors import ScopeError
 from repro.parallel import Executor, SerialExecutor
 from repro.scope.engine import ScopeEngine
-from repro.scope.optimizer.engine import OptimizationResult
 from repro.scope.optimizer.rules.base import RuleCategory
 
 __all__ = ["SpanComputer"]
@@ -64,12 +63,7 @@ class SpanComputer:
             )
         return self._cache[template_id]
 
-    def compute(
-        self,
-        script: str,
-        default_result: OptimizationResult | None = None,
-        engine: ScopeEngine | None = None,
-    ) -> frozenset[int]:
+    def compute(self, script: str, engine: ScopeEngine | None = None) -> frozenset[int]:
         """Run the fixpoint span heuristic on one script.
 
         Every probe goes through ``engine``'s compilation service (the
@@ -77,14 +71,28 @@ class SpanComputer:
         parsed script is shared across probe configurations, and the
         default-configuration compile lands in the same plan cache the
         Recompilation task reads the default cost from.
+
+        An off-by-default rule is probed only if it *can bind*: its bit is
+        set in the default compile's ``bindable_mask``, i.e. its ``root`` is
+        the class of some expression the default search held.  The rest are
+        not members, decided without a compile.  Why that is the answer the
+        probe would give: a rule enters a signature only through the
+        provenance of an expression it produced or built.  The search under
+        default + R pops the same expressions in the same order as the
+        default search until R first binds; R's ``root`` is the class of no
+        expression the default search ever holds, so R binds nowhere,
+        produces nothing, and can only shorten the search (a tried pair
+        spends budget whether or not it matches) — the plan may differ, the
+        membership answer cannot, and a starved search still has a physical
+        plan.  An implementation rule that builds nothing leaves the
+        compile identical outright.
         """
         engine = engine if engine is not None else self.engine
         registry = engine.registry
         service = engine.compilation
+        self.recompilations += 1
         try:
-            if default_result is None:
-                default_result = service.compile_script(script, engine.default_config)
-                self.recompilations += 1
+            default_result = service.compile_script(script, engine.default_config)
         except ScopeError:
             return frozenset()
         span: set[int] = set(default_result.signature.non_required_ids(registry))
@@ -99,9 +107,9 @@ class SpanComputer:
             flips = [r for r in sorted(off_by_default - disabled) if not config.is_enabled(r)]
             flips += [r for r in sorted(disabled) if config.is_enabled(r)]
             config = config.with_flips(flips)
+            self.recompilations += 1
             try:
                 result = service.compile_script(script, config)
-                self.recompilations += 1
             except ScopeError:
                 break
             new_ids = result.signature.non_required_ids(registry) - span
@@ -113,28 +121,32 @@ class SpanComputer:
         # Adaptation over the published heuristic: the combined probe above
         # dies as soon as it disables a sole-implementation rule, which would
         # hide off-by-default rules from most spans.  Probe each remaining
-        # off-by-default rule individually — faithful to the span's
-        # *semantics* ("rules which, if flipped, can affect the final plan").
-        # The probes are independent single compilations, so they fan out
-        # through the executor; membership is folded back in rule order.
-        remaining = sorted(off_by_default - span)
+        # off-by-default rule that can bind individually — faithful to the
+        # span's *semantics* ("rules which, if flipped, can affect the final
+        # plan").  The probes are independent single compilations, so they
+        # fan out through the executor; membership is folded back in rule
+        # order.
+        unbindable = (
+            registry.transformation_mask | registry.implementation_mask
+        ) & ~default_result.bindable_mask
+        remaining = [r for r in sorted(off_by_default - span) if not unbindable >> r & 1]
 
-        def probe(rule_id: int) -> tuple[bool, bool]:
+        def probe(rule_id: int) -> bool:
             config = engine.default_config.with_flip(rule_id)
             try:
                 result = service.compile_script(script, config)
             except ScopeError:
                 # flipping it breaks compilation: it matters
-                return True, False
-            return rule_id in result.signature.non_required_ids(registry), True
+                return True
+            return rule_id in result.signature.non_required_ids(registry)
 
         # propagation only: the feature stage's span follows the probes to
         # worker threads, keeping trace shape worker-count independent
         probed = self.executor.map_jobs_propagated(
             probe, remaining, tracer=engine.obs.tracer
         )
-        self.recompilations += sum(1 for _, compiled_ok in probed if compiled_ok)
-        span.update(
-            rule_id for rule_id, (member, _) in zip(remaining, probed) if member
-        )
+        # attempts, not successes: a failed search costs as much as one
+        # that found a plan
+        self.recompilations += len(remaining)
+        span.update(rule_id for rule_id, member in zip(remaining, probed) if member)
         return frozenset(span)

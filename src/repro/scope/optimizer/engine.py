@@ -54,6 +54,14 @@ class OptimizationResult:
     est_cost: float
     signature: RuleSignature
     config: RuleConfiguration
+    #: bitmask of the transformation / implementation rule ids whose
+    #: ``root`` is the class of at least one logical expression this
+    #: compile's search held (the finished memo plus every adopted
+    #: fragment's closure) — a rule whose bit is clear had nothing to bind
+    #: to.  Required: a result built without it must fail, never read as
+    #: "no rule can bind" (:meth:`~repro.core.spans.SpanComputer.compute`
+    #: skips the probes of clear bits)
+    bindable_mask: int
     #: fragment-store keys this compile consulted (digest × config ×
     #: catalog version) — lets migration ship a script's fragments with it
     fragment_keys: tuple = ()
@@ -176,6 +184,7 @@ class Optimizer:
         applications = 0
         fragment_keys: list = []
         handles: dict[int, logical.LogicalOp] = {}
+        op_classes: set[type] = set()
         adoptions: list[tuple[bytes, Adoption]] = []
         sites = fragment_profile(compiled, root)
         if sites:
@@ -189,6 +198,9 @@ class Optimizer:
                     applications += entry.applications
                     if fragments is not None:
                         fragments.put(site.digest, entry)
+                # the whole closure, not just what adoption keeps: the
+                # isolated search held every one of these expressions
+                op_classes.update(type(op) for _, op, _, _ in entry.exprs)
                 adoption = memo.adopt_entry(entry)
                 handles[id(site.node)] = memo.handle(adoption.root)
                 if fragments is not None and adoption.clean:
@@ -200,6 +212,7 @@ class Optimizer:
             raise OptimizationError("initial plan exceeded the memo budget")
 
         applications += self._explore(memo)
+        op_classes.update(type(expr.op) for expr in memo.created)
 
         # physical-winner reuse: a cleanly adopted fragment whose cost
         # context (implementation bits × group stats) matches a stored
@@ -237,6 +250,7 @@ class Optimizer:
             est_cost=winner.cost,
             signature=signature,
             config=self.config,
+            bindable_mask=self.registry.bindable_mask(op_classes),
             fragment_keys=tuple(fragment_keys),
             applications=applications,
         )

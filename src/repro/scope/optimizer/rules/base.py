@@ -165,6 +165,9 @@ class RuleRegistry:
         #: equal projections mean identical implementation rule sets, hence
         #: identical physical alternatives)
         self.implementation_mask = 0
+        #: operator class → bitmask of the transformation / implementation
+        #: rule ids that declare it as their ``root``
+        self.root_masks: "dict[type[LogicalOp], int]" = {}
 
     def register(self, rule: Rule) -> Rule:
         if rule.name in self._by_name:
@@ -172,15 +175,28 @@ class RuleRegistry:
         rule.rule_id = len(self._rules)
         self._rules.append(rule)
         self._by_name[rule.name] = rule
+        bit = 1 << rule.rule_id
         if isinstance(rule, NormalizationRule):
             self.normalizations.append(rule)
         elif isinstance(rule, TransformationRule):
             self.transformations.append(rule)
-            self.transformation_mask |= 1 << rule.rule_id
+            self.transformation_mask |= bit
         elif isinstance(rule, ImplementationRule):
             self.implementations.append(rule)
-            self.implementation_mask |= 1 << rule.rule_id
+            self.implementation_mask |= bit
+        if isinstance(rule, (TransformationRule, ImplementationRule)):
+            self.root_masks[rule.root] = self.root_masks.get(rule.root, 0) | bit
         return rule
+
+    def bindable_mask(self, op_classes: "Iterable[type[LogicalOp]]") -> int:
+        """Bitmask of the search rules whose ``root`` matches an operator of
+        one of ``op_classes`` — the rules the engine's ``isinstance(op,
+        rule.root)`` test can pass for at least one such operator."""
+        mask = 0
+        for op_class in op_classes:
+            for base in op_class.__mro__:
+                mask |= self.root_masks.get(base, 0)
+        return mask
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -17,6 +17,7 @@ Three oracles over the 34 transformation / implementation rules:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import re
@@ -27,6 +28,7 @@ from repro.errors import OptimizationError
 from repro.scope.engine import ScopeEngine
 from repro.scope.language import ast
 from repro.scope.optimizer.cardinality import GroupStats
+from repro.scope.optimizer.engine import Optimizer, SearchBudget
 from repro.scope.optimizer.memo import GroupHandle, Memo
 from repro.scope.optimizer.rules import implementation, transformation
 from repro.scope.optimizer.rules.base import (
@@ -217,6 +219,31 @@ def test_every_rule_rewrites_the_corpus_exactly_as_before():
     assert [name for name in searched if not census[name]] == []
     assert dict(census) == DIFFERENTIAL_CENSUS
     assert hasher.hexdigest() == DIFFERENTIAL_DIGEST
+
+
+def test_a_starved_search_still_has_a_physical_plan():
+    """Every corpus tree compiles under the default configuration with no
+    transformation at all — the premise ``SpanComputer.compute`` leans on
+    when it answers a probe without compiling it: turning on a rule that
+    binds nowhere can only shorten the search, and a shorter search, down
+    to none, still ends in a plan."""
+    workload = build_workload(SimulationConfig())
+    engine = ScopeEngine(workload.catalog, workload.config, workload.registry)
+    starved = Optimizer(
+        workload.registry,
+        engine.default_config,
+        engine.data_model,
+        cluster=workload.config.cluster,
+        budget=SearchBudget(max_transformations=0),
+    )
+    for template in workload.templates:
+        compiled = engine.compile(template.script_for_day(0))
+        trees = [compiled.root]
+        for node in logical.walk(compiled.root):
+            trees.extend(_wrappers(node))
+        for tree in trees:
+            result = starved.optimize(dataclasses.replace(compiled, root=tree))
+            assert result.applications == 0 and result.plan is not None
 
 
 # -- the pattern table -------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.recompile import CostOutcome, RecompilationTask, flight_candidat
 from repro.core.spans import SpanComputer
 from repro.core.validate import ValidationModel, ValidationTask
 from repro.core.hintgen import HintGenerationTask
+from repro.errors import ScopeError
 from repro.policies.bandit import BanditSteeringPolicy
 from repro.scope.optimizer.rules.base import RuleCategory
 from repro.scope.telemetry.view import WorkloadView, build_view_row
@@ -45,6 +46,29 @@ def test_span_cache_by_template(engine, spans):
 
 def test_span_of_uncompilable_script_is_empty(engine, spans):
     assert spans.compute("garbage !!") == frozenset()
+
+
+def test_span_recompilations_count_failed_compiles_too(engine, monkeypatch):
+    """A failed search costs as much as one that found a plan; the counter
+    used to skip every probe and fixpoint round that raised."""
+    attempts, failures = [], []
+    compile_script = engine.compilation.compile_script
+
+    def counting(script, config):
+        attempts.append(config)
+        try:
+            return compile_script(script, config)
+        except ScopeError:
+            failures.append(config)
+            raise
+
+    monkeypatch.setattr(engine.compilation, "compile_script", counting)
+    fresh = SpanComputer(engine)
+    fresh.compute(JOIN_AGG_SCRIPT)
+    assert failures
+    assert fresh.recompilations == len(attempts)
+    fresh.compute("garbage !!")
+    assert fresh.recompilations == len(attempts)
 
 
 @pytest.fixture(scope="module")

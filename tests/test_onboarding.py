@@ -1,0 +1,146 @@
+"""Onboarding compiles each thing once.
+
+Two oracles for the two ways the bootstrap stopped paying for the same
+compile twice: a span probe is skipped only where the real probe says
+"not a member", and one pass over the bootstrap days decides exactly what
+the two walks (corpus, then off-policy training) decided.
+"""
+
+import dataclasses
+from types import SimpleNamespace
+
+import pytest
+
+from repro import QOAdvisor, SimulationConfig
+from repro.config import ExecutionConfig, ShardingConfig, WorkloadConfig
+from repro.core.recommend import train_off_policy
+from repro.core.spans import SpanComputer
+from repro.errors import ScopeError, ValidationError
+from repro.scope.engine import ScopeEngine
+from repro.scope.optimizer.engine import OptimizationResult
+from repro.scope.optimizer.rules.base import RuleCategory
+from repro.workload.generator import build_workload
+
+from tests.conftest import JOIN_AGG_SCRIPT
+
+# -- a probe is compiled only for a rule that can bind -------------------------
+
+
+class _EveryRuleBinds:
+    """A compilation service whose results claim every rule can bind, so a
+    ``SpanComputer`` over it probes all seven off-by-default rules."""
+
+    def __init__(self, service) -> None:
+        self._service = service
+
+    def compile_script(self, script, config):
+        result = self._service.compile_script(script, config)
+        return dataclasses.replace(result, bindable_mask=-1)
+
+
+@pytest.mark.parametrize(
+    "workload_config",
+    [
+        WorkloadConfig(),
+        WorkloadConfig(num_templates=40, shared_subtree_fraction=0.7, shared_subtree_pool=3),
+    ],
+    ids=["default60", "shared40"],
+)
+def test_a_rule_that_cannot_bind_is_never_a_span_member(workload_config):
+    config = SimulationConfig(workload=workload_config)
+    workload = build_workload(config)
+    engine = ScopeEngine(workload.catalog, config, workload.registry)
+    service = engine.compilation
+    default_config = engine.default_config
+    off_by_default = engine.registry.ids_in_category(RuleCategory.OFF_BY_DEFAULT)
+    assert len(off_by_default) == 7
+    probes_everything = SimpleNamespace(
+        registry=engine.registry,
+        default_config=default_config,
+        obs=engine.obs,
+        compilation=_EveryRuleBinds(service),
+    )
+    skipped = 0
+    for day in (0, 1):
+        for script in dict.fromkeys(job.script for job in workload.jobs_for_day(day)):
+            try:
+                default = service.compile_script(script, default_config)
+            except ScopeError:
+                continue
+            for rule_id in off_by_default:
+                if default.bindable_mask >> rule_id & 1:
+                    continue
+                skipped += 1
+                # the real probe: compiles, and the rule contributed nothing
+                probe = service.compile_script(script, default_config.with_flip(rule_id))
+                assert rule_id not in probe.signature, (script, rule_id)
+            assert SpanComputer(engine).compute(script) == SpanComputer(engine).compute(
+                script, engine=probes_everything
+            )
+    assert skipped > 300  # about half of all (script, rule) pairs
+
+
+def test_a_result_cannot_be_built_without_its_bindable_mask(engine):
+    result = engine.compilation.compile_script(JOIN_AGG_SCRIPT, engine.default_config)
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    del fields["bindable_mask"]
+    with pytest.raises(TypeError):
+        OptimizationResult(**fields)
+    # Join, Aggregate present; no Sort in this script
+    by_name = engine.registry.by_name
+    assert result.bindable_mask >> by_name("LocalGlobalAggregation").rule_id & 1
+    assert result.bindable_mask >> by_name("MergeJoinImpl").rule_id & 1
+    assert not result.bindable_mask >> by_name("SortPushThroughProject").rule_id & 1
+
+
+# -- one pass over the bootstrap days ---------------------------------------------
+
+
+def _onboarded(advisor: QOAdvisor):
+    model = advisor.pipeline.validation_model
+    return (
+        model.training_samples,
+        model.model.intercept_,
+        list(model.model.coef_),
+        [(e.chosen, e.probability, e.reward) for e in advisor.policy.event_log],
+        advisor.pipeline.spans._cache,
+    )
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_one_pass_bootstrap_decides_what_the_two_walks_decided(tiny_config, workers, shards):
+    config = dataclasses.replace(
+        tiny_config,
+        execution=ExecutionConfig(workers=workers),
+        sharding=ShardingConfig(shards=shards),
+    )
+    with QOAdvisor(config) as one_pass, QOAdvisor(config) as two_walks:
+        one_pass.bootstrap(0, days=4)
+        two_walks.pipeline.bootstrap_validation_model(0, days=4)
+        train_off_policy(
+            two_walks.engine,
+            two_walks.workload,
+            two_walks.pipeline.spans,
+            two_walks.policy,
+            range(0, 4),
+            config.bandit.reward_clip,
+        )
+        assert _onboarded(one_pass) == _onboarded(two_walks)
+        assert one_pass.policy.event_log  # not vacuous
+        spent, reference = (
+            advisor.engine.compilation.stats for advisor in (one_pass, two_walks)
+        )
+        assert spent.optimizer_invocations < reference.optimizer_invocations
+        assert spent.script_compilations < reference.script_compilations
+
+
+def test_zero_bootstrap_days_means_zero_not_the_default(tiny_config):
+    """``days=0`` used to fall through ``days or default`` into 14 days."""
+    with QOAdvisor(tiny_config) as advisor:
+        with pytest.raises(ValidationError, match="got 0"):
+            advisor.pipeline.bootstrap_validation_model(0, days=0)
+        with pytest.raises(ValidationError, match="got 0"):
+            advisor.bootstrap(0, days=0)
+        assert advisor.engine.compilation.stats.optimizer_invocations == 0
+        assert not advisor.policy.event_log
