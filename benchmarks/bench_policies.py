@@ -21,7 +21,6 @@ per-policy trajectories without re-deriving them from bench output text.
 import dataclasses
 import json
 import math
-import time
 from pathlib import Path
 
 from repro import QOAdvisor, SimulationConfig
@@ -74,12 +73,10 @@ def _table3_config(policy_name: str) -> SimulationConfig:
 
 def _run_policy(policy_name: str) -> dict:
     advisor = QOAdvisor(_fleet_config(policy_name))
-    start = time.perf_counter()
     advisor.bootstrap(start_day=0, days=_BOOTSTRAP_DAYS)
     reports = advisor.simulate(
         start_day=_BOOTSTRAP_DAYS, days=_FLEET_DAYS, learned_after=_LEARNED_AFTER
     )
-    elapsed = time.perf_counter() - start
     deployment = measure_hinted_day(advisor, day=_BOOTSTRAP_DAYS + _FLEET_DAYS)
 
     stats = advisor.engine.compilation.stats
@@ -126,7 +123,6 @@ def _run_policy(policy_name: str) -> dict:
             key: round(value, 4) if isinstance(value, float) else value
             for key, value in estimates.items()
         },
-        "wall_clock_s": round(elapsed, 3),
     }
     if policy_name == "plan_guided":
         row["plan_feature_hits"] = advisor.policy.plan_feature_hits

@@ -32,7 +32,6 @@ from repro.core.advisor import QOAdvisor
 from repro.core.pipeline import DayReport, QOAdvisorPipeline
 from repro.parallel import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     build_executor,
@@ -61,7 +60,7 @@ from repro.serving import (
 from repro.sharding import ShardedScopeCluster, ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "QOAdvisor",
@@ -93,7 +92,6 @@ __all__ = [
     "CompilationService",
     "ExecutionConfig",
     "Executor",
-    "ProcessExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "build_executor",

@@ -69,8 +69,6 @@ class EstimatorConfig:
     #: plan operator; errors compound with depth, as observed for real
     #: optimizers (Leis et al., "How good are query optimizers, really?")
     error_sigma_per_level: float = 0.55
-    #: cap on the compounded error sigma
-    max_error_sigma: float = 2.2
     #: relative staleness applied to base-table row counts
     stats_staleness_sigma: float = 0.10
 
@@ -85,11 +83,6 @@ class WorkloadConfig:
     recurring_fraction: float = 0.8
     #: number of tables in the synthetic catalog
     num_tables: int = 24
-    #: min/max queries (statements with outputs) per job script
-    min_queries_per_job: int = 1
-    max_queries_per_job: int = 3
-    #: min/max joins per query
-    max_joins_per_query: int = 3
     #: fraction of jobs submitted with manual user hints (paper §2.1: ≤9 %)
     manual_hint_fraction: float = 0.09
     #: day-to-day input growth factor range for recurring instances
@@ -218,10 +211,6 @@ def _default_workers() -> int:
     return int(os.environ.get("REPRO_WORKERS", "1"))
 
 
-def _default_backend() -> str:
-    return os.environ.get("REPRO_BACKEND", "thread")
-
-
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Parameters of the pipeline's job-parallel executor (``repro.parallel``).
@@ -237,10 +226,10 @@ class ExecutionConfig:
     #: regardless of backend (overridable via the ``REPRO_WORKERS`` env var,
     #: which the CI parallel-determinism leg uses)
     workers: int = field(default_factory=_default_workers)
-    #: "thread" (shared-memory fan-out; required for the daily pipeline,
-    #: whose per-job closures share the plan cache) or "process" (fork-based
-    #: multi-core fan-out for state-free job functions)
-    backend: str = field(default_factory=_default_backend)
+    #: "thread" is the only backend (shared-memory fan-out: the per-job
+    #: closures share their shard's plan cache); anything else is refused
+    #: by ``build_executor``
+    backend: str = "thread"
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,7 @@ class QOAdvisor:
         if self.workload is None:
             self.workload = build_workload(self.config, self.registry)
         if self.executor is None:
-            # shared_state: the pipeline's per-job closures mutate the plan
-            # caches and stats counters, so the process backend is refused
-            self.executor = build_executor(self.config.execution, shared_state=True)
+            self.executor = build_executor(self.config.execution)
         if self.config.sharding.shards > 1:
             # the multi-cluster deployment: per-shard engines/plan caches
             # behind the single-engine facade, one shared SIS hint store

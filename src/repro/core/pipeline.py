@@ -373,11 +373,7 @@ class QOAdvisorPipeline:
         if getattr(self.policy, "engine", False) is None:
             # a plan-guided policy built before the fleet existed
             self.policy.bind_engine(engine)
-        # shared_state: stage closures mutate the engine's plan caches and
-        # stats counters, so the process backend is refused here too
-        self.executor = executor or build_executor(
-            self.config.execution, shared_state=True
-        )
+        self.executor = executor or build_executor(self.config.execution)
         self.spans = SpanComputer(engine, executor=self.executor)
         self.feature_task = FeatureGenerationTask(self.spans)
         self.recommend_task = RecommendationTask(self.policy, engine.registry)

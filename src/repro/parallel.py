@@ -6,14 +6,11 @@ independent per-job units of work (§2.5 runs them over hundreds of
 thousands of recurring jobs per day).  Every per-job hot path in this
 reproduction therefore maps over jobs through one :class:`Executor`.
 
-Three implementations share the contract:
+Two implementations share the contract:
 
 * :class:`SerialExecutor` — a plain in-order loop (the reference schedule);
 * :class:`ThreadedExecutor` — a ``concurrent.futures.ThreadPoolExecutor``
-  fan-out with ``workers`` threads;
-* :class:`ProcessExecutor` — a fork-based multi-process fan-out for
-  CPU-bound, state-free job functions (true multi-core scale-out past the
-  GIL; selected with ``ExecutionConfig(backend="process")``).
+  fan-out with ``workers`` threads.
 
 The contract that makes parallelism safe to adopt everywhere is
 **order-preserving determinism**: :meth:`Executor.map_jobs` returns results
@@ -31,7 +28,6 @@ itself.
 
 from __future__ import annotations
 
-import multiprocessing
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor as _PoolImpl
 from typing import Callable, Iterable, TypeVar
@@ -42,7 +38,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "build_executor",
 ]
 
@@ -50,7 +45,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: QA hook (:mod:`repro.qa.lockgraph`): callables invoked right before a
-#: fan-out actually dispatches to other threads/processes.  A registered
+#: fan-out actually dispatches to other threads.  A registered
 #: lock tracer uses this to flag locks held across ``map_jobs`` — the
 #: coordinating thread blocking on workers while holding a lock the
 #: workers may need is the classic self-deadlock this codebase's
@@ -193,140 +188,15 @@ class ThreadedExecutor(Executor):
             self._pool = None
 
 
-def _run_slice(conn, fn, work: list, offset: int, stride: int) -> None:
-    """Worker-process body: evaluate one round-robin slice of ``work``.
-
-    ``fn`` and ``work`` arrive through fork-inherited memory (never
-    pickled); only the results travel back through the pipe.
-    """
-    payload: list[tuple[int, bool, object]] = []
-    for index in range(offset, len(work), stride):
-        try:
-            payload.append((index, True, fn(work[index])))
-        except BaseException as exc:  # noqa: BLE001 — re-raised in the parent
-            payload.append((index, False, exc))
-            break  # mirror the serial contract: stop this slice at the error
-    try:
-        try:
-            conn.send(payload)
-        except Exception as exc:  # a result/exception that does not pickle
-            conn.send(
-                [
-                    (index, False, RuntimeError(f"unpicklable worker payload: {exc!r}"))
-                    for index, _, _ in payload
-                ]
-            )
-    except Exception:  # the pipe itself is gone; exit code tells the parent
-        pass
-    finally:
-        conn.close()
-
-
-class ProcessExecutor(Executor):
-    """Fork-per-map process fan-out for CPU-bound, state-free functions.
-
-    Each ``map_jobs`` call forks ``workers`` children that inherit ``fn``
-    and the items through copy-on-write memory (no pickling of the callable,
-    so closures over engines work), evaluate round-robin slices, and ship
-    the **results** back through pipes — results must therefore be
-    picklable.  Because the children are forked copies, mutations ``fn``
-    makes to shared state (plan caches, stats counters, the Personalizer)
-    die with the child: this backend is for *pure* per-item functions.  The
-    daily pipeline's stages share one plan cache across jobs, so they run
-    on the thread backend; the process backend serves state-free fan-outs
-    such as uncached compile sweeps and per-seed simulations
-    (``benchmarks/bench_sharding.py``).
-
-    On platforms without the ``fork`` start method the executor degrades to
-    an in-process serial loop (documented, not silent — ``forked`` reports
-    which mode a call would use).
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"executor needs at least 1 worker, got {workers}")
-        self.workers = workers
-        self.forked = "fork" in multiprocessing.get_all_start_methods()
-
-    def map_jobs(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        work = list(items)
-        if len(work) <= 1 or self.workers == 1 or not self.forked:
-            return [fn(item) for item in work]
-        if _MAP_JOBS_WATCHERS:
-            _notify_map_jobs("process")
-        ctx = multiprocessing.get_context("fork")
-        stride = min(self.workers, len(work))
-        children = []
-        for offset in range(stride):
-            receiver, sender = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_run_slice, args=(sender, fn, work, offset, stride)
-            )
-            process.start()
-            sender.close()  # the parent only reads; the child owns the writer
-            children.append((receiver, process))
-        slots: list = [None] * len(work)
-        done = [False] * len(work)
-        failures: list[tuple[int, BaseException]] = []
-        dead: list[int] = []
-        # drain and join EVERY child before raising anything: a worker that
-        # died mid-slice must not leave its siblings as zombies blocked on
-        # their pipes
-        for receiver, process in children:
-            try:
-                payload = receiver.recv()
-            except Exception:  # child died before sending, or the payload
-                payload = []   # failed to unpickle — keep draining siblings
-            receiver.close()
-            process.join()
-            if process.exitcode not in (0, None) and not payload:
-                dead.append(process.exitcode)
-            for index, ok, value in payload:
-                if ok:
-                    slots[index] = value
-                    done[index] = True
-                else:
-                    failures.append((index, value))
-        if failures:
-            # the earliest item's exception propagates, as a serial loop's would
-            raise min(failures, key=lambda pair: pair[0])[1]
-        if dead:
-            raise RuntimeError(
-                f"process worker(s) exited with code(s) {dead} before "
-                "returning their slices"
-            )
-        missing = [index for index, ok in enumerate(done) if not ok]
-        if missing:
-            raise RuntimeError(f"process workers returned no result for items {missing}")
-        return slots
-
-
-def build_executor(
-    config: ExecutionConfig | None = None, *, shared_state: bool = False
-) -> Executor:
+def build_executor(config: ExecutionConfig | None = None) -> Executor:
     """The executor for ``config``: serial at ``workers <= 1``, else the
-    thread or process implementation selected by ``config.backend``.
-
-    ``shared_state=True`` declares that the mapped closures mutate state
-    the caller reads back (the daily pipeline's plan caches and stats
-    counters); the process backend is refused there, because forked
-    children would warm throwaway copies and silently corrupt the
-    accounting.
-    """
+    thread pool — the one backend, since every mapped closure shares its
+    shard's plan cache and stats counters with the caller."""
     config = config or ExecutionConfig()
+    if config.backend != "thread":
+        raise ValueError(
+            f"unknown executor backend {config.backend!r} (expected 'thread')"
+        )
     if config.workers <= 1:
         return SerialExecutor()
-    if config.backend == "thread":
-        return ThreadedExecutor(config.workers)
-    if config.backend == "process":
-        if shared_state:
-            raise ValueError(
-                "this component requires ExecutionConfig(backend='thread'): its "
-                "per-job closures share state (plan caches, stats counters) that "
-                "the fork-based process backend cannot mutate. Use the process "
-                "backend for state-free fan-outs, or pass an explicit executor."
-            )
-        return ProcessExecutor(config.workers)
-    raise ValueError(
-        f"unknown executor backend {config.backend!r} (expected 'thread' or 'process')"
-    )
+    return ThreadedExecutor(config.workers)

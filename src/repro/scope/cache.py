@@ -15,14 +15,16 @@ Four pieces live here:
 * :class:`EpochStore` — the one bounded, epoch-stamped, checkpoint-evicted
   map under the plan cache, the fragment cache and the parse/bind memo,
   indexed by :class:`PlanKey`, :class:`FragmentKey` and :class:`ScriptKey`.
-  Residency is a function of the key (each carries the catalog version in
-  one named field); ``generation`` counts clears, it is in no key;
+  Residency is a function of the key: each carries the catalog version
+  in one named field, and :class:`PlanKey` / :class:`FragmentKey` carry
+  the rule-configuration bits the job's SIS hint was folded into before
+  the key was built — so no entry can be stale under any hint version;
 * :class:`PlanCache` and :class:`FragmentCache` — the store plus one
   layer's counters: the memoized :class:`OptimizationResult` (or the
   deterministic compile error) per script hash × configuration bitvector,
-  and explored sub-plan closures with their physical winners.  Both are
-  cleared on every invalidation (SIS installing a hint file version, a
-  catalog mutation), so a stale plan is never served under a new hint;
+  and explored sub-plan closures with their physical winners.  A catalog
+  mutation is the only thing that clears them; a SIS publication changes
+  which key a hinted template's next compile resolves to, nothing else;
 * :class:`CompilationService` — the layer pipeline stages talk to.  It
   resolves a job's rule configuration, consults the cache, and only falls
   through to parse/bind/optimize on a miss.  Its :meth:`compile_many`
@@ -90,7 +92,8 @@ class CacheStats:
     misses: int = 0
     #: entries dropped because the cache reached capacity (LRU order)
     evictions: int = 0
-    #: entries dropped by explicit invalidation (SIS hint-version bumps)
+    #: plan entries purged because a catalog mutation made their keys
+    #: unreachable (the one reason an entry is dropped before eviction)
     invalidations: int = 0
     #: real parse→bind→optimize runs (the number the paper's machine-time
     #: accounting cares about; misses and disabled-cache compiles both count)
@@ -247,9 +250,6 @@ class EpochStore:
                 f"{type(self).__name__} capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        #: counts :meth:`clear` calls (SIS hint installation, catalog
-        #: mutation); every resident entry is dropped at each bump
-        self.generation = 0
         #: barrier counter; keys stamped with it carry the recency signal
         self.epoch = 0
         self._entries: dict = {}
@@ -306,9 +306,8 @@ class EpochStore:
         return overflow
 
     def clear(self) -> int:
-        """Drop every entry and bump ``generation``; returns how many went."""
+        """Drop every entry; returns how many went."""
         dropped = len(self._entries)
-        self.generation += 1
         self._entries.clear()
         self._stamps.clear()
         return dropped
@@ -357,7 +356,7 @@ class PlanCache(EpochStore):
         return evicted
 
     def clear(self) -> int:
-        """Invalidate every cached plan (a new SIS hint version is active)."""
+        """Purge every cached plan (the catalog moved past their keys)."""
         dropped = super().clear()
         self.stats.invalidations += dropped
         return dropped
@@ -381,7 +380,7 @@ class _FragmentSlot:
     ``winners`` holds the slot's physical-winner entries keyed by
     ``(implementation-masked bits, stats digest)`` — the cost context a
     recorded physical closure is valid under.  Winners ride their slot:
-    they are evicted, invalidated and migrated with the logical entry,
+    they are evicted, purged and migrated with the logical entry,
     never on their own.
     """
 
@@ -392,8 +391,7 @@ class _FragmentSlot:
     #: what the compile would have experienced without MQO — so the
     #: fragment hit/miss/insert counters stay schedule-invariant whether a
     #: fragment was warmed up front (batch day) or explored inline on
-    #: first demand (serving lanes, where plans are already resident when
-    #: the maintenance window's pre-explore pass runs).
+    #: first demand (serving lanes, which compile jobs as they arrive).
     prefetched: bool = False
 
 
@@ -402,9 +400,8 @@ class FragmentCache(EpochStore):
 
     Keys bake in every input the entry depends on — the fragment's
     bottom-up sha256 digest, the configuration's transformation bits and
-    size, the catalog version — and a hint installation clears the store,
-    so a stale entry is unreachable and a key means the same thing on
-    every shard.
+    size, the catalog version — so a stale entry is unreachable under any
+    hint version and a key means the same thing on every shard.
 
     Fragment hit/miss/insert counters are *work* accounting, not decision
     accounting: concurrent first-touches of the same fragment may both
@@ -467,7 +464,7 @@ class FragmentCache(EpochStore):
 
         Dropped silently when the slot is gone — a winner without its
         logical entry is unusable, and re-inserting the slot here would
-        resurrect content the eviction/invalidation schedule removed.
+        resurrect content the eviction/purge schedule removed.
         """
         slot = self.peek(key)
         if slot is None or winner_key in slot.winners:
@@ -617,7 +614,7 @@ class CompilationService:
         # script-text → blake2b digest memo.  ``compile_many`` hashes every
         # request during dedup and the same script texts recur day after
         # day, so the digest is computed once per distinct text and reused
-        # until the next generation bump (which re-bounds the memo's size
+        # until the next catalog bump (which re-bounds the memo's size
         # along with everything else)
         self._digests: dict[str, bytes] = {}
         self._catalog_version = engine.catalog.version
@@ -630,11 +627,6 @@ class CompilationService:
         #: Spans are observational only — no CacheStats counter, and
         #: nothing a fingerprint covers, ever moves because of tracing
         self.tracer = NULL_TRACER
-
-    @property
-    def generation(self) -> int:
-        with self._lock:
-            return self.cache.generation
 
     # -- the service API ------------------------------------------------------
 
@@ -685,12 +677,14 @@ class CompilationService:
 
         Keys bake in the catalog version, so old-version entries can never
         hit again — purging them eagerly keeps the LRU full of live plans
-        instead of yesterday's table sizes.
+        instead of yesterday's table sizes.  The only clear there is.
         """
         if self._catalog_version != self.engine.catalog.version:
             self._catalog_version = self.engine.catalog.version
-            self.invalidate()
+            self.cache.clear()
+            self.fragments.clear()
             self._scripts.clear()
+            self._digests.clear()
 
     def compile_entry(
         self, script: str, config: RuleConfiguration
@@ -800,13 +794,6 @@ class CompilationService:
         by_key = dict(zip(unique, outcomes))
         return [by_key[key] for key in keys]
 
-    def invalidate(self) -> None:
-        """Drop every cached plan and fragment (called by SIS on hint change)."""
-        with self._lock:
-            self.cache.clear()
-            self.fragments.clear()
-            self._digests.clear()
-
     # -- warm-up migration (elastic rebalancing) ------------------------------
 
     def export_script_state(
@@ -869,8 +856,7 @@ class CompilationService:
         silently dropping residency the invalidation counters would miss.
         Fragment slots are adopt-if-absent — duplicates are dropped
         silently (they are pure values, identical to the resident copy by
-        construction).  Keys travel unchanged: this store's ``generation``
-        need not match the source's.
+        construction).  Keys travel unchanged.
         """
         adopted = 0
         rejected: dict[PlanKey, _CacheEntry] = {}

@@ -67,7 +67,7 @@ class ScopeEngine:
         #: compile-time hint lookup: template id → RuleFlip (wired by SIS)
         self.hint_provider = None
         #: memoizing compile front-end — every ``compile_job`` goes through
-        #: its plan cache; SIS bumps its generation on hint installation
+        #: its plan cache, keyed by the configuration the job's hint gives
         self.compilation = CompilationService(self, self.config.cache)
         #: observability plane (null by default; ``install_obs`` swaps it)
         from repro.obs.plane import NULL_PLANE

@@ -34,7 +34,7 @@ class ClusterNoise:
 
     def io_multiplier(self) -> float:
         """Per-stage I/O-time multiplier — bounded, per the paper's §4.3."""
-        sigma = getattr(self.config, "io_noise_sigma", 0.0)
+        sigma = self.config.io_noise_sigma
         if sigma <= 0.0:
             return 1.0
         return float(self.rng.lognormal(mean=0.0, sigma=sigma))

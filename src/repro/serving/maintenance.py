@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.pipeline import DayReport, QOAdvisorPipeline, StageContext
-from repro.scope.cache import CacheStats, CompileRequest
+from repro.scope.cache import CacheStats
 from repro.scope.telemetry.view import WorkloadView, build_view_row
 from repro.serving.queues import JobTicket
 from repro.serving.stats import WindowSummary
@@ -129,9 +129,9 @@ class MaintenanceScheduler:
         Runs the batch pipeline's own stage objects over the accumulated
         production results, then finalizes the report against the day-open
         counter snapshot.  The hint upload inside the ``hintgen`` stage is
-        the atomic publication: SIS swaps the full active set and
-        broadcasts the plan-cache invalidation in one step, so a steering
-        worker either sees the old hint file or the new one, never a mix.
+        the atomic publication: SIS rebinds the full active set in one
+        step, so a steering worker either sees the old hint file or the
+        new one, never a mix.
         """
         obs = self.pipeline.obs
         with self._window_lock:
@@ -208,17 +208,6 @@ class MaintenanceScheduler:
         # *during* the window stay correct, but their interleaving
         # with checkpoint eviction is schedule-shaped.
         self.pipeline.engine.compilation.checkpoint()
-        # batch MQO over the micro-batch: the hint publication that
-        # closed the previous window invalidated plans and fragments,
-        # so the window's recompile/span work re-derives join blocks —
-        # pre-explore the drained jobs' fragments once
-        # before the stages fan out (plan-resident units are skipped
-        # by counter-free peeks, keeping serving/batch parity exact)
-        if jobs_by_id:
-            self.pipeline.engine.compilation.preexplore_batch(
-                [CompileRequest(job) for job in jobs_by_id.values()],
-                self.pipeline.executor,
-            )
         for stage in self.pipeline.stages[1:]:
             self.pipeline.run_stage(stage, ctx)
         self.pipeline.finalize_report(

@@ -16,13 +16,12 @@ topology:
   byte-identical), behind the same facade the pipeline already talks to;
 * :class:`ShardedCompilationService` — the cluster-wide compile front-end:
   routes requests to the owning shard, aggregates per-shard
-  :class:`~repro.scope.cache.CacheStats`, and broadcasts invalidations and
-  checkpoints.
+  :class:`~repro.scope.cache.CacheStats`, and broadcasts checkpoints.
 
 SIS stays the **single shared hint store**: ``SISService.attach(cluster)``
 installs its lookup on every shard through the cluster's ``hint_provider``
-property, and every hint-file upload or rollback broadcasts a plan-cache
-invalidation to all shards through :meth:`ShardedCompilationService.invalidate`.
+property.  An upload or rollback rebinds the active hint set, which every
+shard's next lookup sees; nothing is broadcast and no shard drops an entry.
 
 Parallelism composes with the PR-2 executor at the *job* level: pipeline
 stages keep mapping per-job closures through one
@@ -35,12 +34,11 @@ one batch-compile implementation and two calls cross the shard boundary.
 
 The determinism contract extends across topologies: a sharded run's
 ``DayReport.fingerprint()`` is byte-identical to the single-shard serial
-run (locked by ``tests/test_sharding.py`` and
-``benchmarks/bench_sharding.py``).  Decisions are identical because every
-per-job quantity is keyed, not sequential; the aggregated cache accounting
-is identical because routing is per template — each (script,
-configuration, catalog-version) key lives on exactly one shard, so the
-per-key hit/miss pattern matches the single cache's.  Cache *eviction*
+run (locked by ``tests/test_sharding.py``).  Decisions are identical
+because every per-job quantity is keyed, not sequential; the aggregated
+cache accounting is identical because routing is per template — each
+(script, configuration, catalog-version) key lives on exactly one shard,
+so the per-key hit/miss pattern matches the single cache's.  Cache *eviction*
 accounting is shard-local, so cross-topology equality additionally needs
 the working set to fit the per-shard capacity (worker-count invariance
 needs nothing: eviction itself is schedule-independent, see
@@ -197,9 +195,9 @@ class ShardedCompilationService:
 
     Presents the same surface as a single shard's
     :class:`~repro.scope.cache.CompilationService` (``stats``,
-    ``compile_job``, ``compile_script``, ``compile_many``, ``invalidate``,
-    ``checkpoint``), so the pipeline tasks, the span computer and the
-    Flighting Service work against either without branching.
+    ``compile_job``, ``compile_script``, ``compile_many``,
+    ``preexplore_batch``, ``checkpoint``), so the pipeline tasks, the span
+    computer and the Flighting Service work against either without branching.
     """
 
     def __init__(self, cluster: "ShardedScopeCluster") -> None:
@@ -310,11 +308,6 @@ class ShardedCompilationService:
                 for position, outcome in zip(positions, outcomes):
                     results[position] = outcome
         return results
-
-    def invalidate(self) -> None:
-        """Broadcast a plan-cache invalidation to every shard (SIS bumps)."""
-        for shard in self.cluster.shards:
-            shard.compilation.invalidate()
 
     def checkpoint(self) -> None:
         """Broadcast the epoch barrier to every shard's caches."""
@@ -510,15 +503,6 @@ class ShardedScopeCluster:
         use_hints: bool = True,
     ) -> "OptimizationResult":
         return self.engine_for(job).compile_job(job, flip, use_hints=use_hints)
-
-    def compile_job_uncached(
-        self,
-        job: JobInstance,
-        flip: RuleFlip | None = None,
-        *,
-        use_hints: bool = True,
-    ) -> "OptimizationResult":
-        return self.engine_for(job).compile_job_uncached(job, flip, use_hints=use_hints)
 
     def peek_job_result(
         self,

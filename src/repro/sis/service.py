@@ -8,10 +8,13 @@ the SCOPE optimizer (paper §4.4).  The engine consults
 SIS is the **single shared hint store** of a deployment, however many
 clusters compile against it: attaching a
 :class:`~repro.sharding.ShardedScopeCluster` installs the lookup on every
-shard (the cluster's ``hint_provider`` property broadcasts), and every
-hint-file version bump — upload or rollback — broadcasts a plan-cache
-invalidation to each attached engine's shards, exactly as one SIS
-deployment steers many SCOPE clusters in production.
+shard (the cluster's ``hint_provider`` property broadcasts), exactly as one
+SIS deployment steers many SCOPE clusters in production.
+
+A publication — upload or rollback — is **one rebinding of the active hint
+set** and nothing else: SIS does not know compiled plans are cached, and
+need not (the looked-up hint is part of every cache key, see
+:mod:`repro.scope.cache`).
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ class SISService:
         self.registry = registry
         self.versions: list[HintFileVersion] = []
         self._active: dict[str, RuleFlip] = {}
-        self._engines: list[ScopeEngine] = []
 
     def upload(self, entries: list[HintEntry], day: int) -> HintFileVersion:
         """Validate and install a new hint file; returns the new version.
 
         Installation replaces the full active hint set, matching the daily
-        pipeline's behaviour of publishing a complete file per run.
+        pipeline's behaviour of publishing a complete file per run; the
+        one rebinding of ``_active`` is the atomic publication step.
         """
         validate_entries(entries, self.registry)
         content = render_hint_file(entries, day)
@@ -60,7 +63,6 @@ class SISService:
         )
         self.versions.append(version)
         self._active = {entry.template_id: entry.flip for entry in parsed}
-        self._invalidate_plan_caches()
         return version
 
     def rollback(self) -> None:
@@ -68,13 +70,8 @@ class SISService:
         if not self.versions:
             return
         self.versions.pop()
-        if self.versions:
-            self._active = {
-                entry.template_id: entry.flip for entry in self.versions[-1].entries
-            }
-        else:
-            self._active = {}
-        self._invalidate_plan_caches()
+        entries = self.versions[-1].entries if self.versions else []
+        self._active = {entry.template_id: entry.flip for entry in entries}
 
     def lookup(self, template_id: str) -> RuleFlip | None:
         """Hint for a template, or None (the optimizer's compile-time probe)."""
@@ -92,17 +89,7 @@ class SISService:
 
         ``engine`` may be a single :class:`ScopeEngine` or a
         :class:`~repro.sharding.ShardedScopeCluster`; either exposes the
-        same ``hint_provider``/``compilation`` surface.  Attached engines
-        get their plan caches invalidated whenever the active hint set
-        changes (upload or rollback): a plan memoized under an older hint
-        version must never be served under a newer one.  For a cluster both
-        the lookup installation and the invalidations fan out to every
-        shard.
+        same ``hint_provider`` surface, and a cluster's setter installs the
+        lookup on every shard.
         """
         engine.hint_provider = self.lookup
-        if all(existing is not engine for existing in self._engines):
-            self._engines.append(engine)
-
-    def _invalidate_plan_caches(self) -> None:
-        for engine in self._engines:
-            engine.compilation.invalidate()

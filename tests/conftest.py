@@ -105,6 +105,16 @@ OUTPUT raw TO "/out/copy.ss";
 """
 
 
+def plan_identity(result) -> tuple:
+    """What two compiles of one (script, configuration) must agree on."""
+    return (
+        result.plan.pretty(),
+        result.est_cost,
+        result.signature.rule_ids,
+        result.config,
+    )
+
+
 @pytest.fixture(scope="session")
 def engine(small_catalog) -> ScopeEngine:
     return ScopeEngine(small_catalog, SimulationConfig(seed=101))

@@ -3,7 +3,8 @@
 The cache contract: a hit must be indistinguishable from a fresh
 compilation (optimization under a fixed configuration and catalog is
 deterministic), and a stale plan must never be served — neither under a
-new SIS hint version nor under a new catalog day.
+new SIS hint version (the hint is in the key, so a publication clears
+nothing) nor under a new catalog day (the one thing that purges entries).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
+from tests.conftest import plan_identity
 
 
 def make_engine(small_catalog, **cache_kwargs) -> ScopeEngine:
@@ -212,38 +214,62 @@ def test_disabled_cache_recompiles_every_time(small_catalog, join_agg_job):
     assert first.est_cost == second.est_cost  # determinism either way
 
 
-# -- invalidation -------------------------------------------------------------
+# -- hint publications: the key names the hint, nothing is cleared -------------
 
 
-def test_sis_hint_publication_invalidates_cache(small_catalog, join_agg_job):
+def test_sis_publication_keeps_unhinted_plans_and_never_serves_a_stale_one(
+    small_catalog, join_agg_job, simple_job
+):
     engine = make_engine(small_catalog)
     sis = SISService(engine.registry)
     sis.attach(engine)
+    stats = engine.compilation.stats
     stale = engine.compile_job(join_agg_job)
-    assert engine.compilation.generation == 0
+    bystander = engine.compile_job(simple_job)
+    resident = len(engine.compilation.cache)
     flip_rule = engine.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(join_agg_job.template_id, RuleFlip(flip_rule, True))], day=1)
-    assert engine.compilation.generation == 1
-    assert len(engine.compilation.cache) == 0
-    assert engine.compilation.stats.invalidations == 1
-    # the next compile resolves the new hint and never sees the stale plan
+    # the publication dropped nothing ...
+    assert len(engine.compilation.cache) == resident
+    assert stats.invalidations == 0
+    # ... so the unhinted template is a hit, with no new optimizer run
+    before = stats.snapshot()
+    assert engine.compile_job(simple_job) is bystander
+    delta = stats - before
+    assert (delta.hits, delta.misses, delta.optimizer_invocations) == (1, 0, 0)
+    # the hinted template resolves to a different key: compiled once under
+    # the hinted configuration, never served the resident default plan
+    before = stats.snapshot()
     hinted = engine.compile_job(join_agg_job)
+    assert engine.compile_job(join_agg_job) is hinted
+    delta = stats - before
+    assert (delta.hits, delta.misses, delta.optimizer_invocations) == (1, 1, 1)
     assert hinted is not stale
     assert hinted.config.is_enabled(flip_rule) != stale.config.is_enabled(flip_rule)
-    assert engine.compilation.stats.hits == 0
+    assert plan_identity(hinted) == plan_identity(
+        engine.compile_job_uncached(join_agg_job)
+    )
 
 
-def test_sis_rollback_invalidates_cache(small_catalog, join_agg_job):
+def test_sis_rollback_serves_the_default_plan_from_cache(small_catalog, join_agg_job):
     engine = make_engine(small_catalog)
     sis = SISService(engine.registry)
     sis.attach(engine)
+    stats = engine.compilation.stats
+    default = engine.compile_job(join_agg_job)
     flip_rule = engine.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(join_agg_job.template_id, RuleFlip(flip_rule, True))], day=1)
     hinted = engine.compile_job(join_agg_job)
     sis.rollback()
-    assert engine.compilation.generation == 2
+    before = stats.snapshot()
     restored = engine.compile_job(join_agg_job)
-    assert restored.config.is_enabled(flip_rule) != hinted.config.is_enabled(flip_rule)
+    delta = stats - before
+    assert (delta.hits, delta.misses, delta.optimizer_invocations) == (1, 0, 0)
+    assert restored is default and restored is not hinted
+    assert plan_identity(restored) == plan_identity(
+        engine.compile_job_uncached(join_agg_job)
+    )
+    assert stats.invalidations == 0
 
 
 def test_catalog_mutation_never_serves_stale_plans(small_catalog, tiny_config):
@@ -325,3 +351,36 @@ def test_pipeline_day_compiles_defaults_once_per_job(tiny_config):
     assert report.cache_stats is not None
     assert report.cache_stats.optimizer_invocations > 0
     assert report.cache_stats.hits > 0  # production plans get reused downstream
+
+
+def test_pipeline_days_decide_identically_with_the_plan_cache_on_and_off():
+    """The cache is observationally transparent end to end: same flips
+    validated, same flights, same hint versions on every simulated day —
+    for strictly fewer optimizer invocations."""
+    from repro import QOAdvisor
+    from repro.config import FlightingConfig, WorkloadConfig
+
+    runs = {}
+    for enabled in (True, False):
+        config = dataclasses.replace(
+            SimulationConfig(seed=555),
+            workload=WorkloadConfig(num_templates=10, num_tables=8),
+            flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
+            cache=CacheConfig(enabled=enabled),
+        )
+        with QOAdvisor(config) as advisor:
+            advisor.pipeline.bootstrap_validation_model(
+                start_day=0, days=3, flights_per_day=8
+            )
+            reports = advisor.simulate(start_day=3, days=2, learned_after=1)
+            runs[enabled] = reports, advisor.engine.compilation.stats
+    (cached_reports, cached), (plain_reports, plain) = runs[True], runs[False]
+    assert [r.decisions_digest() for r in cached_reports] == [
+        r.decisions_digest() for r in plain_reports
+    ]
+    assert cached.hits > 0
+    assert cached.optimizer_invocations < plain.optimizer_invocations
+    assert all(
+        r.cache_stats.optimizer_invocations <= r.cache_stats.lookups
+        for r in cached_reports
+    )

@@ -245,8 +245,7 @@ def test_mid_stream_resize_parity_and_zero_loss_threaded():
     assert report.fingerprint() == baseline.fingerprint()
     # every counter matches the static batch run except mqo_preexplored,
     # which is honestly schedule-shaped: the batch day pre-explores at day
-    # open, while the serving lanes compiled everything before the window's
-    # pre-explore pass ran (plan-resident units are skipped counter-free)
+    # open, while the serving lanes compile each job as it arrives
     assert dataclasses.replace(
         report.cache_stats, mqo_preexplored=0
     ) == dataclasses.replace(baseline.cache_stats, mqo_preexplored=0)

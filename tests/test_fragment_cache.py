@@ -7,8 +7,9 @@ cache only memoizes those isolated searches.  Hit and miss adopt
 bit-identical entries through identical code, so ``DayReport.fingerprint()``
 is byte-identical with the fragment cache on, off, and at any worker or
 shard count, while the store's keys bake in every input an entry depends
-on (content digest, rule-configuration bits, catalog version, hint
-generation) so a stale fragment is unreachable by construction.
+on (content digest, rule-configuration bits — which is where a SIS hint
+lands — and catalog version) so a stale fragment is unreachable by
+construction.
 """
 
 from __future__ import annotations
@@ -84,14 +85,15 @@ def test_catalog_version_bump_misses_the_fragment_cache(fresh_engine):
     assert again.fragment_misses == first.fragment_misses
 
 
-def test_hint_generation_bump_misses_the_fragment_cache(fresh_engine):
+def test_catalog_bump_purges_the_fragment_store(fresh_engine):
     service = fresh_engine.compilation
+    catalog = fresh_engine.catalog
     _frag_delta(fresh_engine, _script("a"))
     assert len(service.fragments) > 0
-    generation = service.fragments.generation
-    service.invalidate()  # what SIS does on every hint-file installation
-    assert service.fragments.generation == generation + 1
-    assert len(service.fragments) == 0
+    catalog.replace_table(catalog.table("users"))  # the one thing that clears
+    assert service.peek(_script("a"), fresh_engine.default_config) is None
+    assert len(service.fragments) == 0 and len(service.cache) == 0
+    assert service.stats.invalidations == 1
     again = _frag_delta(fresh_engine, _script("b"))
     assert again.fragment_hits == 0
     assert again.fragment_misses > 0
@@ -211,6 +213,12 @@ def test_fingerprint_identical_with_fragments_on_off_and_any_topology():
         assert other.fingerprint() == fingerprint, variant
         # the whole-script cache accounting is part of the contract too
         assert other.cache_stats.core() == core, variant
+        if variant == dict(workers=1, shards=1, fragment_enabled=False):
+            # what the store buys on the same schedule: strictly less search
+            assert (
+                report.cache_stats.rule_applications
+                < other.cache_stats.rule_applications
+            )
         advisor.close()
 
 
@@ -261,8 +269,11 @@ def test_script_digest_is_memoized_per_text(fresh_engine):
     first = service._script_digest(script)
     assert first == PlanCache.script_hash(script)
     assert service._script_digest(script) is first  # memo, not recompute
-    service.invalidate()
-    assert script not in service._digests  # generation bump re-bounds the memo
+    catalog = fresh_engine.catalog
+    catalog.replace_table(catalog.table("users"))
+    service.peek(script, fresh_engine.default_config)  # syncs to the bump
+    # a catalog bump re-bounds the memo (peek re-derived this one text)
+    assert set(service._digests) == {script}
 
 
 # -- eviction determinism -------------------------------------------------------
@@ -314,6 +325,11 @@ def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     source = ScopeEngine(catalog, config)
     dest = ScopeEngine(catalog, config)
     script_a, script_b = _script("a"), _script("b")
+    # a third engine warms up under the old catalog version, then the
+    # catalog moves on before anything below compiles
+    bumped = ScopeEngine(catalog, config)
+    bumped.compilation.compile_script(script_a, bumped.default_config)
+    catalog.replace_table(catalog.table("users"))
     source.compilation.compile_script(script_a, source.default_config)
     source.compilation.compile_script(script_b, source.default_config)
 
@@ -343,15 +359,13 @@ def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     assert delta.fragment_hits == len(frags_a)
     assert delta.fragment_misses == 0
 
-    # keys carry no generation: a destination that has taken an extra
-    # invalidation adopts the same payload and serves winner hits from it
-    bumped = ScopeEngine(catalog, config)
-    bumped.compilation.invalidate()
-    assert bumped.compilation.fragments.generation != source.compilation.fragments.generation
+    # a destination whose own entries the catalog bump purges on arrival
+    # adopts the same payload and serves winner hits from it
     adopted, rejected = bumped.compilation.import_script_state(
         plans_a, parsed_a, frags_a
     )
     assert adopted == len(plans_a) and not rejected
+    assert bumped.compilation.stats.invalidations == 1
     assert set(bumped.compilation.fragments._entries) == set(frags_a)
     before = bumped.compilation.stats.snapshot()
     bumped.compilation.compile_script(_script("c"), bumped.default_config)

@@ -23,12 +23,7 @@ import pytest
 from repro import QOAdvisor, SimulationConfig
 from repro.config import CacheConfig, ExecutionConfig, FlightingConfig, WorkloadConfig
 from repro.core.pipeline import STAGE_NAMES
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    build_executor,
-)
+from repro.parallel import SerialExecutor, ThreadedExecutor, build_executor
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import RuleFlip
 
@@ -42,10 +37,11 @@ def test_build_executor_selects_implementation():
     assert isinstance(threaded, ThreadedExecutor)
     assert threaded.workers == 4
     threaded.close()
-    forked = build_executor(ExecutionConfig(workers=4, backend="process"))
-    assert isinstance(forked, ProcessExecutor)
-    with pytest.raises(ValueError, match="backend"):
-        build_executor(ExecutionConfig(workers=4, backend="quantum"))
+    # "thread" is the only backend; anything else is refused at any
+    # worker count, not silently run serial
+    for workers in (1, 4):
+        with pytest.raises(ValueError, match="backend"):
+            build_executor(ExecutionConfig(workers=workers, backend="quantum"))
 
 
 def test_threaded_executor_rejects_nonpositive_workers():
@@ -84,99 +80,6 @@ def test_executor_close_is_idempotent():
     # a closed executor lazily re-creates its pool on the next map
     assert executor.map_jobs(lambda x: x + 1, [4, 5]) == [5, 6]
     executor.close()
-
-
-# -- the process backend ------------------------------------------------------
-
-
-def test_process_executor_matches_serial_for_pure_functions():
-    def work(i: int) -> int:
-        return i * i + 7
-
-    items = list(range(37))
-    expected = SerialExecutor().map_jobs(work, items)
-    executor = ProcessExecutor(4)
-    assert executor.map_jobs(work, items) == expected
-    # closures survive the fork (the callable is inherited, never pickled)
-    offset = 1000
-    assert ProcessExecutor(3).map_jobs(lambda i: i + offset, [1, 2, 3]) == [
-        1001,
-        1002,
-        1003,
-    ]
-
-
-def test_process_executor_preserves_order_and_propagates_exceptions():
-    def boom(i: int) -> int:
-        if i in (5, 11):
-            raise RuntimeError(f"job {i} failed")
-        return i
-
-    executor = ProcessExecutor(4)
-    # the earliest item's exception is the one that propagates
-    with pytest.raises(RuntimeError, match="job 5"):
-        executor.map_jobs(boom, range(16))
-    assert executor.map_jobs(lambda i: i * 2, range(9)) == [i * 2 for i in range(9)]
-
-
-def test_process_executor_small_batches_stay_in_process():
-    executor = ProcessExecutor(4)
-    # one item: no fork round-trip, same contract
-    assert executor.map_jobs(lambda i: i + 1, [41]) == [42]
-    assert executor.map_jobs(lambda i: i, []) == []
-
-
-def test_process_executor_rejects_nonpositive_workers():
-    with pytest.raises(ValueError):
-        ProcessExecutor(0)
-
-
-def test_process_executor_survives_unpicklable_results():
-    """A result that cannot pickle must surface as an error, not hang the
-    parent or leave sibling workers unjoined."""
-    with pytest.raises(RuntimeError, match="unpicklable"):
-        ProcessExecutor(3).map_jobs(lambda i: (i, lambda: None), range(6))
-    # the executor is still usable afterwards (everything was drained)
-    assert ProcessExecutor(3).map_jobs(lambda i: i + 1, range(6)) == list(range(1, 7))
-
-
-class _NeedsTwoArgs(Exception):
-    """Pickles fine but explodes on unpickle (reduce re-calls __init__)."""
-
-    def __init__(self, a, b):
-        super().__init__(a)
-
-
-def test_process_executor_survives_exceptions_that_fail_to_unpickle():
-    def boom(i: int) -> int:
-        if i == 2:
-            raise _NeedsTwoArgs("a", "b")
-        return i
-
-    with pytest.raises(RuntimeError):
-        ProcessExecutor(3).map_jobs(boom, range(6))
-    assert ProcessExecutor(3).map_jobs(lambda i: i, range(6)) == list(range(6))
-
-
-def test_advisor_refuses_process_backend():
-    """The pipeline's closures share the plan cache; forked children would
-    warm throwaway copies and silently break the compile accounting, so the
-    advisor refuses the process backend instead."""
-    config = dataclasses.replace(
-        _tiny_config(workers=4),
-        execution=ExecutionConfig(workers=4, backend="process"),
-    )
-    with pytest.raises(ValueError, match="backend"):
-        QOAdvisor(config)
-    # workers<=1 is always the serial executor, so the backend is moot
-    # (REPRO_BACKEND=process exported globally must not break the advisor)
-    serial_config = dataclasses.replace(
-        _tiny_config(workers=1),
-        execution=ExecutionConfig(workers=1, backend="process"),
-    )
-    advisor = QOAdvisor(serial_config)
-    assert isinstance(advisor.executor, SerialExecutor)
-    advisor.close()
 
 
 # -- pipeline determinism -----------------------------------------------------

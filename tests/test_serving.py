@@ -539,8 +539,7 @@ def _no_mqo(stats):
     """Zero the one honestly schedule-shaped counter before comparing.
 
     The batch day pre-explores fragments at day open; the serving lanes
-    compile everything before the maintenance window's pre-explore pass
-    runs (plan-resident units are skipped counter-free), so
+    compile each job as it arrives, with no batch to pre-explore, so
     ``mqo_preexplored`` differs by schedule while every demand-accounting
     counter — fragment hits/misses/inserts included — stays byte-equal.
     """
@@ -575,6 +574,8 @@ def test_threaded_sharded_replay_matches_batch():
     report = server.stream_day(0)
     assert report.fingerprint() == baseline.fingerprint()
     assert _no_mqo(report.cache_stats) == _no_mqo(baseline.cache_stats)
+    # every lane did real work, so the parity above crossed both of them
+    assert all(shard.completed > 0 for shard in server.stats().shards)
     server.shutdown()
     batch.close()
 

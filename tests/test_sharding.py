@@ -107,7 +107,7 @@ def test_catalog_replicas_stay_in_sync_day_over_day():
             }
 
 
-def test_sis_upload_broadcasts_invalidation_to_every_shard():
+def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
     config = _config(shards=3)
     workload = build_workload(config)
     cluster = ShardedScopeCluster(workload, config, workload.registry)
@@ -119,13 +119,28 @@ def test_sis_upload_broadcasts_invalidation_to_every_shard():
             cluster.compile_job(job)
         except ScopeError:
             pass  # failures are memoized entries too; residency is the point
-    assert any(len(shard.compilation.cache) > 0 for shard in cluster.shards)
-    generations = [shard.compilation.generation for shard in cluster.shards]
+
+    def resident() -> list[tuple[int, int]]:
+        return [
+            (len(shard.compilation.cache), len(shard.compilation.fragments))
+            for shard in cluster.shards
+        ]
+
+    before = resident()
+    assert any(plans > 0 for plans, _ in before)
+    stats = cluster.compilation.stats
     rule = workload.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(jobs[0].template_id, RuleFlip(rule, True))], day=1)
-    for shard, generation in zip(cluster.shards, generations):
-        assert shard.compilation.generation == generation + 1
-        assert len(shard.compilation.cache) == 0
+    # a publication is one rebinding of the active set: no shard drops an
+    # entry, and a job of another template is still a hit
+    assert resident() == before
+    bystander = next(job for job in jobs if job.template_id != jobs[0].template_id)
+    try:
+        cluster.compile_job(bystander)
+    except ScopeError:
+        pass
+    delta = cluster.compilation.stats - stats
+    assert (delta.hits, delta.misses, delta.invalidations) == (1, 0, 0)
     # ...and the shared lookup reaches every shard's compile path
     assert all(
         shard.hint_provider(jobs[0].template_id) == RuleFlip(rule, True)
@@ -182,6 +197,10 @@ def test_sharded_run_day_matches_single_shard_serial():
     for stats in report.shard_cache_stats.values():
         total = total + stats
     assert total == report.cache_stats
+    # every shard did real work: the caches partition the working set
+    assert all(
+        stats.optimizer_invocations > 0 for stats in report.shard_cache_stats.values()
+    )
     assert list(baseline.shard_cache_stats) == [0]
     sharded.close()
     single.close()
@@ -349,30 +368,6 @@ def test_analysis_harnesses_accept_a_sharded_cluster():
     )
     assert stability is not None  # ran to completion on the cluster facade
     advisor.close()
-
-
-def test_pipeline_direct_construction_refuses_process_backend():
-    """The shared-state guard lives in build_executor, so constructing the
-    pipeline directly (not via QOAdvisor) is refused the same way."""
-    from repro.core.pipeline import QOAdvisorPipeline
-
-    config = dataclasses.replace(
-        _config(shards=1),
-        execution=ExecutionConfig(workers=4, backend="process"),
-    )
-    workload = build_workload(config)
-    engine = ScopeEngine(workload.catalog, config, workload.registry)
-    from repro.flighting.service import FlightingService
-    from repro.sis.service import SISService
-
-    with pytest.raises(ValueError, match="backend"):
-        QOAdvisorPipeline(
-            engine=engine,
-            workload=workload,
-            sis=SISService(workload.registry),
-            flighting=FlightingService(engine, config.flighting),
-            config=config,
-        )
 
 
 def test_close_detaches_replicas_from_the_workload():
