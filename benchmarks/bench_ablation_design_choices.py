@@ -1,4 +1,4 @@
-"""Design-choice ablations from DESIGN.md.
+"""Design-choice ablations (paper sections cited per item).
 
 * validation-threshold sweep (§4.3: the threshold trades safety for reach);
 * single-flip vs multi-flip configurations (§8: future work considers

@@ -2,7 +2,7 @@
 
 All tunables live in small frozen dataclasses grouped under
 :class:`SimulationConfig`.  Defaults are calibrated so that the structural
-properties the paper's evaluation depends on hold (see DESIGN.md §3):
+properties the paper's evaluation depends on hold:
 high latency variance, low PNhours variance, imperfect cost estimates, and
 learnable rule-flip signal.
 """
@@ -236,13 +236,14 @@ class ExecutionConfig:
 class ShardingConfig:
     """Parameters of the sharded multi-cluster layer (``repro.sharding``).
 
-    With ``shards > 1`` the advisor runs a :class:`ShardedScopeCluster`:
-    jobs are routed to one of N :class:`ScopeEngine` shards by a stable
-    hash of their template id, each shard owning its own plan cache and
-    catalog replica, while one SIS deployment stays the shared hint store.
+    The advisor always runs a :class:`ShardedScopeCluster`: jobs are routed
+    to one of N :class:`ScopeEngine` shards by a stable hash of their
+    template id, each shard owning its own plan cache and counters and
+    reading the workload's one catalog, while one SIS deployment stays the
+    shared hint store.
     """
 
-    #: number of ScopeEngine shards; 1 keeps the single-engine layout
+    #: number of ScopeEngine shards; 1 is a cluster of one
     shards: int = 1
     #: routing-keyspace headroom for elastic growth: slots beyond ``shards``
     #: are pre-provisioned *offline*, so bringing one online only moves the

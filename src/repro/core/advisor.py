@@ -1,9 +1,10 @@
 """QOAdvisor: the one-stop top-level API.
 
-Wires a workload, a ScopeEngine, SIS, the steering policy and the Flighting
-Service into the daily pipeline, and manages the deployment phases the
-paper describes: a uniform-logging warm-up (off-policy data collection +
-validation-model bootstrap), then learned-mode daily operation.
+Wires a workload, a cluster of ScopeEngine shards, SIS, the steering policy
+and the Flighting Service into the daily pipeline, and manages the
+deployment phases the paper describes: a uniform-logging warm-up (off-policy
+data collection + validation-model bootstrap), then learned-mode daily
+operation.
 
 >>> from repro import QOAdvisor, SimulationConfig
 >>> advisor = QOAdvisor(SimulationConfig(seed=7))
@@ -21,7 +22,6 @@ from repro.flighting.service import FlightingService
 from repro.obs.plane import ObservabilityPlane
 from repro.parallel import Executor, build_executor
 from repro.policies import build_policy
-from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import default_registry
 from repro.sharding import ShardedScopeCluster
 from repro.sis.service import SISService
@@ -46,16 +46,12 @@ class QOAdvisor:
             self.workload = build_workload(self.config, self.registry)
         if self.executor is None:
             self.executor = build_executor(self.config.execution)
-        if self.config.sharding.shards > 1:
-            # the multi-cluster deployment: per-shard engines/plan caches
-            # behind the single-engine facade, one shared SIS hint store
-            self.engine = ShardedScopeCluster(
-                self.workload, self.config, self.registry
-            )
-        else:
-            self.engine = ScopeEngine(self.workload.catalog, self.config, self.registry)
+        #: per-shard engines and plan caches behind the single-engine facade,
+        #: one catalog, one shared SIS hint store; ``shards=1`` is a cluster
+        #: of one
+        self.engine = ShardedScopeCluster(self.workload, self.config, self.registry)
         #: the observability plane (``config.obs``; the null plane when
-        #: disabled).  Installed into the engine/cluster so compiles and
+        #: disabled).  Installed into the cluster so compiles and
         #: executions trace; purely observational — fingerprints and core
         #: cache counters are byte-identical with it on or off
         self.obs = ObservabilityPlane(self.config.obs)
@@ -83,20 +79,16 @@ class QOAdvisor:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor's worker threads and detach any shard
-        catalog replicas from the workload (idempotent).
+        """Release the executor's worker threads and close the
+        observability plane (idempotent).
 
         Thread-pool workers only exit at shutdown, so sweeps constructing
         many advisors should close each one (or use the advisor as a
         context manager).  A closed executor lazily re-creates its pool if
-        the advisor is used again, but a closed *sharded* advisor must not
-        be driven onto new days — its catalog replicas no longer sync.
+        the advisor is used again.
         """
         if self.executor is not None:
             self.executor.close()
-        engine_close = getattr(self.engine, "close", None)
-        if engine_close is not None:
-            engine_close()
         self.obs.close()
 
     def __enter__(self) -> "QOAdvisor":

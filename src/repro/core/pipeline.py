@@ -98,11 +98,11 @@ class DayReport:
     hint_version: int | None = None
     active_hint_count: int = 0
     #: this day's plan-cache activity (delta of the engine's cumulative
-    #: counters across the run_day call, summed over shards when the engine
-    #: is a sharded cluster); None for hand-built reports
+    #: counters across the run_day call, summed over shards); None for
+    #: hand-built reports
     cache_stats: CacheStats | None = None
     #: per-shard cache/compile deltas for the day, keyed by shard index;
-    #: a single engine reports one shard 0 entry.  Topology-dependent by
+    #: a cluster of one reports one shard 0 entry.  Topology-dependent by
     #: nature, so excluded from :meth:`fingerprint` (the aggregate
     #: ``cache_stats`` is the cross-topology contract)
     shard_cache_stats: dict[int, CacheStats] | None = None
@@ -536,11 +536,8 @@ class QOAdvisorPipeline:
     # -- the daily loop ----------------------------------------------------------
 
     def _per_shard_stats(self) -> dict[int, CacheStats]:
-        """Cumulative per-shard counters ({0: stats} for a single engine)."""
-        breakdown = getattr(self.engine.compilation, "per_shard_stats", None)
-        if breakdown is not None:
-            return breakdown()
-        return {0: self.engine.compilation.stats.snapshot()}
+        """Cumulative per-shard counters, keyed by shard id."""
+        return self.engine.compilation.per_shard_stats()
 
     # The daily loop is exposed in four reusable pieces so the online
     # serving layer (:mod:`repro.serving`) can drive the exact same stage

@@ -67,7 +67,9 @@ class SpanComputer:
         """Run the fixpoint span heuristic on one script.
 
         Every probe goes through ``engine``'s compilation service (the
-        owning shard when routed through :meth:`span_for_template`): the
+        owning shard when routed through :meth:`span_for_template`; the
+        computer's own engine by default, which must then be a bare
+        :class:`ScopeEngine` — a raw script names no template to route by): the
         parsed script is shared across probe configurations, and the
         default-configuration compile lands in the same plan cache the
         Recompilation task reads the default cost from.

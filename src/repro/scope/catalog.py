@@ -97,14 +97,13 @@ class Catalog:
         self.version = 0
 
     def clone(self) -> "Catalog":
-        """An independent replica with the same tables, stats and version.
+        """An independent copy with the same tables, stats and version.
 
-        Shard engines each own a replica (``repro.sharding``): mutating one
-        (daily growth) never leaks into another, and because both the
-        staleness perturbation and the growth factors are keyed by
-        ``(seed, table name)``, replicas advanced to the same day stay
-        byte-identical to the primary.  ``TableDef`` objects are shared —
-        day-over-day growth replaces them wholesale rather than mutating.
+        For isolating an engine from later mutation of this catalog (test
+        fixtures compare engines over one starting state); nothing in the
+        package copies a catalog — every shard of a cluster reads the
+        workload's one.  ``TableDef`` objects are shared: day-over-day
+        growth replaces them wholesale rather than mutating.
         """
         replica = Catalog(
             stats_seed=self.stats_seed,

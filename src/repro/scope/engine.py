@@ -87,8 +87,9 @@ class ScopeEngine:
         """The engine jobs of ``template_id`` compile on — itself.
 
         :class:`repro.sharding.ShardedScopeCluster` implements the same
-        method with real routing; callers that may hold either (the span
-        computer, the pipeline tasks) resolve through it uniformly.
+        method with real routing; callers that may hold a bare engine (the
+        span computer, the Flighting Service, the analysis harnesses)
+        resolve through it uniformly.
         """
         return self
 

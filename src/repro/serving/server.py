@@ -1,8 +1,8 @@
 """QOAdvisorServer: the long-lived online serving front-end.
 
-Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it a single
-:class:`~repro.scope.engine.ScopeEngine` or a
-:class:`~repro.sharding.ShardedScopeCluster`) behind a job-stream API:
+Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its
+:class:`~repro.sharding.ShardedScopeCluster`, one lane per shard) behind a
+job-stream API:
 
 * :meth:`submit` routes a job to its shard's bounded queue through the
   cluster's :class:`~repro.sharding.ShardRouter` (failed and retired
@@ -23,7 +23,8 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it a single
   before it enters rotation, so it starts hot), :meth:`retire_shard`
   shrinks it gracefully, :meth:`fail_shard` kills a lane and requeues its
   backlog onto the survivors with zero job loss, and :meth:`unfail_shard`
-  rejoins a failed or retired lane — routing determinism is revalidated
+  rejoins a failed or retired lane (either keeps its engine and is simply
+  offline in the router meanwhile) — routing determinism is revalidated
   by construction, because placement is always a pure function of
   (template id, membership state);
 * **SLO-driven admission**: when a lane's rolling p95 steer latency
@@ -42,7 +43,7 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it a single
 
 Determinism: replaying a day's job stream on the inline schedule
 reproduces batch ``run_day``'s ``DayReport.fingerprint()`` byte for byte
-(locked by ``tests/test_serving.py`` and ``benchmarks/bench_serving.py``).
+(locked by ``tests/test_serving.py``).
 The threaded schedule reproduces it too when each day is drained before
 its maintenance window runs (the ``stream_day`` shape): every per-job
 quantity is keyed and the compilation service's accounting is
@@ -81,7 +82,6 @@ from repro.serving.stats import (
     job_totals,
     percentile,
 )
-from repro.sharding import ShardedScopeCluster, ShardRouter
 
 __all__ = ["QOAdvisorServer"]
 
@@ -91,6 +91,7 @@ class _ShardLane:
 
     def __init__(self, index: int, engine: ScopeEngine, serving: ServingConfig) -> None:
         self.index = index
+        #: bound once: a failed or retired lane is only offline in the router
         self.engine = engine
         self.queue = ShardQueue(serving.queue_capacity, serving.admission)
         self.alive = True
@@ -149,16 +150,10 @@ class QOAdvisorServer:
             on_window_start=on_window_start,
             on_publish=on_publish,
         )
-        engine = advisor.engine
-        #: the sharded cluster behind the advisor; None over a single
-        #: engine, whose one-lane topology is fixed
-        self._cluster = engine if isinstance(engine, ShardedScopeCluster) else None
-        if self._cluster is not None:
-            self.router = engine.router
-            shard_engines: list[ScopeEngine] = list(engine.shards)
-        else:
-            self.router = ShardRouter(1)
-            shard_engines = [engine]
+        #: the advisor's cluster (a cluster of one for ``shards=1``) and its
+        #: router — the one membership state
+        self._cluster = advisor.engine
+        self.router = self._cluster.router
         #: the advisor's observability plane (the shared null plane when
         #: ``ObsConfig.enabled`` is off) — serving spans, bus deltas and
         #: the serving metric views all hang off it
@@ -167,7 +162,7 @@ class QOAdvisorServer:
         #: ``_failover_lock``), so any thread reads a consistent fleet unlocked
         self._lanes = tuple(
             _ShardLane(index, shard_engine, self.serving)
-            for index, shard_engine in enumerate(shard_engines)
+            for index, shard_engine in enumerate(self._cluster.shards)
         )
         #: recurring templates are high-priority by default for SLO admission
         self._recurring = {
@@ -765,14 +760,6 @@ class QOAdvisorServer:
 
     # -- elastic topology -----------------------------------------------------
 
-    def _elastic_cluster(self) -> ShardedScopeCluster:
-        if self._cluster is None:
-            raise ValueError(
-                "elastic topology needs a sharded cluster "
-                "(ShardingConfig.shards > 1)"
-            )
-        return self._cluster
-
     def add_shard(self) -> int:
         """Grow the fleet by one shard, mid-stream.
 
@@ -786,16 +773,15 @@ class QOAdvisorServer:
         index.
         """
         with self._failover_lock:
-            cluster = self._elastic_cluster()
-            slot = cluster.provision_shard()
-            lane = _ShardLane(slot, cluster.shards[slot], self.serving)
+            slot = self._cluster.provision_shard()
+            lane = _ShardLane(slot, self._cluster.shards[slot], self.serving)
             moves = self._moves(online={slot})
             self._migrate_entries(moves)
             # publish-before-route: the lane is in the tuple before the
             # router can name its slot, so whoever routes to ``slot`` —
             # holding whichever snapshot — finds ``_lanes[slot]``
             self._lanes = (*self._lanes, lane)
-            cluster.activate_shard(slot)
+            self._cluster.activate_shard(slot)
             self._rebalance_queues()
             if self._started:
                 self._spawn_workers(lane)
@@ -809,12 +795,11 @@ class QOAdvisorServer:
         first (new arrivals go straight to the survivors), the lane
         quiesces, the moved templates' cached plans migrate to their new
         owners, and only then is the backlog requeued — so the survivors
-        serve the moved templates hot.  The lane's catalog replica is
-        released; :meth:`unfail_shard` can still rejoin it later (with a
-        fresh replica).  Returns the number of requeued jobs.
+        serve the moved templates hot.  The lane keeps its engine, exactly
+        as a failed one does; :meth:`unfail_shard` can rejoin it later.
+        Returns the number of requeued jobs.
         """
         with self._failover_lock:
-            cluster = self._elastic_cluster()
             lane = self._lanes[shard]
             if not lane.alive:
                 raise ValueError(f"shard {shard} is already out of service")
@@ -822,7 +807,6 @@ class QOAdvisorServer:
             self.router.take_offline(shard)  # ValueError on the last live slot
             backlog = self._quiesce(lane)
             self._migrate_entries(moves)
-            cluster.release_shard(shard)
             lane.alive = False
             lane.retired = True
             self._journal({"t": "topology", "op": "retire", "shard": shard})
@@ -831,9 +815,9 @@ class QOAdvisorServer:
     def unfail_shard(self, shard: int) -> int:
         """Rejoin a failed (or retired) shard lane.
 
-        The inverse of :meth:`fail_shard`: the slot's engine is rebuilt if
-        its replica was released (a plain failure keeps it — replica sync
-        never stopped, so its plan cache is still valid), the templates
+        The inverse of :meth:`fail_shard` and :meth:`retire_shard`: the
+        lane still holds its engine (every shard reads the one catalog, so
+        whatever its caches kept is keyed validly), the templates
         returning to it have their cached plans migrated back from the
         survivors, the lane gets a fresh queue and workers, and queued
         tickets everywhere are rebalanced onto the restored routing.
@@ -846,8 +830,6 @@ class QOAdvisorServer:
             lane = self._lanes[shard]
             if lane.alive:
                 return 0
-            if self._cluster is not None:
-                lane.engine = self._cluster.rejoin_shard(shard)
             moves = self._moves(online={shard})
             self._migrate_entries(moves)
             lane.queue = ShardQueue(self.serving.queue_capacity, self.serving.admission)
@@ -885,9 +867,6 @@ class QOAdvisorServer:
         """Move the hot scripts' cached plans to each moved template's new
         owner (the warm-up path: migration, never recompilation, so no
         cache counter moves and accounting parity survives the resize)."""
-        cluster = self._cluster
-        if cluster is None or not moves:
-            return 0
         migrated = 0
         with self._hot_lock:
             scripts = {tid: self._hot_scripts.get(tid) for tid in moves}
@@ -898,8 +877,8 @@ class QOAdvisorServer:
             script = scripts.get(template_id)
             if script is None or source == dest:
                 continue
-            source_service = cluster.shards[source].compilation
-            dest_service = cluster.shards[dest].compilation
+            source_service = self._cluster.shards[source].compilation
+            dest_service = self._cluster.shards[dest].compilation
             plans, parsed, fragments = source_service.export_script_state(
                 script, skip_fragments=sent_fragments.setdefault(dest, set())
             )

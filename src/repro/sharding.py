@@ -10,10 +10,9 @@ topology:
   probes, recompiles and flights all land on the same shard and share its
   plan cache);
 * :class:`ShardedScopeCluster` — N :class:`~repro.scope.engine.ScopeEngine`
-  shards, each with its **own plan cache** and its **own catalog replica**
-  kept in sync day-over-day by the workload (growth is keyed per
-  ``(seed, table, day)``, so replicas advanced to the same day are
-  byte-identical), behind the same facade the pipeline already talks to;
+  shards, each with its **own plan cache**, counters and lock, all reading
+  the workload's **one catalog**, behind the facade the pipeline talks to
+  (``QOAdvisor`` always builds one; ``shards=1`` is a cluster of one);
 * :class:`ShardedCompilationService` — the cluster-wide compile front-end:
   routes requests to the owning shard, aggregates per-shard
   :class:`~repro.scope.cache.CacheStats`, and broadcasts checkpoints.
@@ -193,11 +192,12 @@ class ShardRouter:
 class ShardedCompilationService:
     """The cluster-wide compile front-end: route, aggregate, broadcast.
 
-    Presents the same surface as a single shard's
+    Presents the job-keyed surface of a single shard's
     :class:`~repro.scope.cache.CompilationService` (``stats``,
-    ``compile_job``, ``compile_script``, ``compile_many``,
-    ``preexplore_batch``, ``checkpoint``), so the pipeline tasks, the span
-    computer and the Flighting Service work against either without branching.
+    ``compile_job``, ``compile_many``, ``preexplore_batch``,
+    ``checkpoint``) to the pipeline tasks and the Flighting Service; callers
+    that compile a raw script (the span computer) resolve the owning shard
+    through ``engine_for_template`` and use its service.
     """
 
     def __init__(self, cluster: "ShardedScopeCluster") -> None:
@@ -211,22 +211,17 @@ class ShardedCompilationService:
         """Cluster-wide counters: the sum of every shard's stats.
 
         Returns a fresh aggregate each call — take ``.snapshot()`` deltas
-        exactly as with a single service.  Counters of engines replaced by
-        a retire→rejoin cycle are carried forward by the cluster, so the
-        aggregate never goes backwards mid-day.
+        exactly as with a single service.
         """
         total = CacheStats()
         for shard in self.cluster.shards:
             total = total + shard.compilation.stats
-        for carried in self.cluster._stats_carry.values():
-            total = total + carried
         return total
 
     def per_shard_stats(self) -> dict[int, CacheStats]:
         """Snapshot of each shard's cumulative counters, keyed by shard id."""
         return {
-            index: self.cluster._stats_carry.get(index, CacheStats())
-            + shard.compilation.stats.snapshot()
+            index: shard.compilation.stats.snapshot()
             for index, shard in enumerate(self.cluster.shards)
         }
 
@@ -243,20 +238,6 @@ class ShardedCompilationService:
             self.tracer.event("route", shard=shard)
         service = self.cluster.shards[shard].compilation
         return service.compile_job(job, flip, use_hints=use_hints)
-
-    def compile_script(
-        self, script: str, config: RuleConfiguration
-    ) -> "OptimizationResult":
-        """Compile a raw script under an explicit configuration.
-
-        Template-less entry point, so routing hashes the script text —
-        deterministic, and repeated compiles of one script share one
-        shard's cache.  Template-aware callers (the span computer) resolve
-        the owning shard through ``engine_for_template`` instead, so their
-        compiles land next to the template's production plans.
-        """
-        shard = self.cluster.router.shard_for(f"script:{stable_hash(script):x}")
-        return self.cluster.shards[shard].compilation.compile_script(script, config)
 
     def _slices(self, requests: "list[CompileRequest]") -> "list[tuple[int, list[int]]]":
         """Request positions grouped by owning shard, ascending slot."""
@@ -322,15 +303,16 @@ class ShardedScopeCluster:
     pipeline, the Flighting Service, the span computer and SIS use on a
     plain :class:`ScopeEngine` (``run_job``, ``compile_job``, ``execute``,
     ``compilation``, ``registry``, ``default_config``, ``config``,
-    ``hint_provider``, ``engine_for_template``), so ``QOAdvisor`` swaps one
-    in without the daily loop changing shape.
+    ``hint_provider``, ``engine_for_template``).  ``QOAdvisor.engine`` is
+    always one of these; a single-engine deployment is a cluster of one.
 
-    Each shard compiles against its **own catalog replica**, registered
-    with the workload so daily growth advances all replicas in lockstep,
-    and owns its **own plan cache** — cross-shard interference is
-    impossible by construction.  Execution noise, gate draws and data
-    reality factors are all keyed by the shared experiment seed, so which
-    shard runs a job never shows in its metrics.
+    A shard owns its **compilation service** — plan and fragment caches,
+    counters, lock — so cross-shard cache interference is impossible by
+    construction, and reads the workload's **one catalog**, which only
+    ``Workload.advance_to_day`` writes (on whichever thread asks for a new
+    day's jobs).  Execution noise, gate draws and data reality factors are
+    all keyed by the shared experiment seed, so which shard runs a job
+    never shows in its metrics.
     """
 
     def __init__(
@@ -348,17 +330,11 @@ class ShardedScopeCluster:
         )
         self.workload = workload
         self.shards: list[ScopeEngine] = []
-        #: slots whose catalog replica was detached by a retire (a rejoin
-        #: rebuilds the engine from a fresh replica clone)
-        self._detached: set[int] = set()
-        #: counters of engines replaced by retire→rejoin cycles, carried so
-        #: the aggregate cache accounting never moves backwards
-        self._stats_carry: dict[int, CacheStats] = {}
         from repro.obs.plane import NULL_PLANE
 
         #: observability plane (null by default; ``install_obs`` swaps it)
         #: and the shared SIS lookup — every engine built here, at
-        #: construction or by provision/rejoin, inherits both
+        #: construction or by ``provision_shard``, inherits both
         self.obs = NULL_PLANE
         self._hint_provider: Callable[[str], RuleFlip | None] | None = None
         for _ in range(shards):
@@ -366,11 +342,8 @@ class ShardedScopeCluster:
         self.compilation = ShardedCompilationService(self)
 
     def _build_engine(self) -> ScopeEngine:
-        """An engine on a fresh replica of the workload's current catalog
-        (so its catalog version matches every live peer's)."""
-        replica = self.workload.catalog.clone()
-        self.workload.attach_replica(replica)
-        engine = ScopeEngine(replica, self.config, self.registry)
+        """A shard: its own caches and counters over the workload's catalog."""
+        engine = ScopeEngine(self.workload.catalog, self.config, self.registry)
         engine.hint_provider = self._hint_provider
         engine.install_obs(self.obs)
         return engine
@@ -382,23 +355,13 @@ class ShardedScopeCluster:
         for shard in self.shards:
             shard.install_obs(plane)
 
-    def close(self) -> None:
-        """Detach the shard catalog replicas from the workload (idempotent).
-
-        Without this, a sweep constructing many clusters over one workload
-        keeps growing every dead cluster's replicas on each day advance.
-        """
-        for index, shard in enumerate(self.shards):
-            if index not in self._detached:
-                self.workload.detach_replica(shard.catalog)
-
     # -- elastic membership ---------------------------------------------------
 
     def provision_shard(self) -> int:
         """Build the next slot's engine without routing to it yet.
 
-        The new shard gets its own catalog replica and the shared SIS hint
-        lookup.  It stays *offline* until :meth:`activate_shard` — the
+        The new shard gets empty caches, the one catalog and the shared SIS
+        hint lookup.  It stays *offline* until :meth:`activate_shard` — the
         serving layer warms its plan cache with the moved templates'
         entries in between, so the shard enters rotation hot.
         """
@@ -406,62 +369,16 @@ class ShardedScopeCluster:
         return len(self.shards) - 1
 
     def activate_shard(self, slot: int) -> None:
-        """Put a provisioned (or rejoined) slot into routing rotation."""
+        """Put a provisioned slot into routing rotation."""
         if not 0 <= slot < len(self.shards):
             raise ValueError(f"slot {slot} has no engine (shards: {len(self.shards)})")
         self.router.bring_online(slot)
-
-    def add_shard(self) -> int:
-        """Grow the fleet by one shard (provision + activate, no warm-up).
-
-        Callers that need cache warm-up for the moved templates (the
-        serving layer) drive :meth:`provision_shard`/:meth:`activate_shard`
-        separately with the migration in between.
-        """
-        slot = self.provision_shard()
-        self.activate_shard(slot)
-        return slot
-
-    def release_shard(self, slot: int) -> None:
-        """Detach a slot's catalog replica (it stops syncing with the
-        workload); the slot must already be out of routing rotation."""
-        if slot not in self.router.offline:
-            raise ValueError(f"slot {slot} is still in rotation; retire it first")
-        if slot in self._detached:
-            return
-        self.workload.detach_replica(self.shards[slot].catalog)
-        self._detached.add(slot)
-
-    def retire_shard(self, slot: int) -> None:
-        """Shrink the fleet: take a slot out of rotation and release it."""
-        if slot in self.router.offline:
-            raise ValueError(f"slot {slot} is already out of rotation")
-        self.router.take_offline(slot)
-        self.release_shard(slot)
-
-    def rejoin_shard(self, slot: int) -> ScopeEngine:
-        """Prepare a retired/failed slot's engine for rejoin (still offline).
-
-        A slot whose replica was detached gets a freshly-built engine on a
-        current replica clone (its old counters are carried forward); a
-        slot that merely failed over keeps its engine — replica sync never
-        stopped, so its plan cache is still valid.  The caller warms the
-        returned engine, then calls :meth:`activate_shard`.
-        """
-        if not 0 <= slot < len(self.shards):
-            raise ValueError(f"slot {slot} has no engine (shards: {len(self.shards)})")
-        if slot in self._detached:
-            old = self.shards[slot].compilation.stats.snapshot()
-            self._stats_carry[slot] = self._stats_carry.get(slot, CacheStats()) + old
-            self.shards[slot] = self._build_engine()
-            self._detached.discard(slot)
-        return self.shards[slot]
 
     # -- routing -------------------------------------------------------------
 
     @property
     def num_shards(self) -> int:
-        """Number of shard engines (live or retired); slot indices are dense."""
+        """Number of shard engines (in rotation or not); slot indices are dense."""
         return len(self.shards)
 
     def engine_for_template(self, template_id: str) -> ScopeEngine:
@@ -473,16 +390,8 @@ class ShardedScopeCluster:
     # -- single-engine facade ------------------------------------------------
 
     @property
-    def live_engine(self) -> ScopeEngine:
-        """The lowest slot in routing rotation — the engine every "any
-        replica will do" member answers from.  Live replicas are
-        byte-identical; a retired slot's replica is detached from the
-        workload and stops growing, so it must never answer."""
-        return self.shards[self.router.alive_slots[0]]
-
-    @property
     def default_config(self) -> RuleConfiguration:
-        return self.live_engine.default_config
+        return self.shards[0].default_config
 
     @property
     def hint_provider(self) -> Callable[[str], RuleFlip | None] | None:
@@ -516,18 +425,17 @@ class ShardedScopeCluster:
 
     def compile(self, script: str):
         """Raw parse/bind/compile (no plan cache) — the analysis harnesses'
-        entry point, answered from a live replica."""
-        return self.live_engine.compile(script)
+        entry point.  Every shard reads the same catalog, so any answers."""
+        return self.shards[0].compile(script)
 
     def optimize(self, compiled, config: RuleConfiguration | None = None):
-        """Raw optimization of a compiled script (no plan cache) against a
-        live replica's data model."""
-        return self.live_engine.optimize(compiled, config)
+        """Raw optimization of a compiled script (no plan cache)."""
+        return self.shards[0].optimize(compiled, config)
 
     def execute(self, result: "OptimizationResult", run_key: tuple) -> "JobMetrics":
         """Execute a plan; the simulator is stateless, never reads the
         catalog, and noise is keyed by the shared seed — so any engine's
-        runtime, a retired slot's included, gives the identical answer."""
+        runtime gives the identical answer."""
         return self.shards[0].execute(result, run_key)
 
     def run_job(

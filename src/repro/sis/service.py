@@ -87,9 +87,9 @@ class SISService:
     def attach(self, engine: ScopeEngine) -> None:
         """Wire this SIS instance into an engine's (or cluster's) compile path.
 
-        ``engine`` may be a single :class:`ScopeEngine` or a
-        :class:`~repro.sharding.ShardedScopeCluster`; either exposes the
-        same ``hint_provider`` surface, and a cluster's setter installs the
-        lookup on every shard.
+        The advisor attaches its :class:`~repro.sharding.ShardedScopeCluster`,
+        whose setter installs the lookup on every shard — those it provisions
+        later included; a bare :class:`ScopeEngine` (a harness holding one)
+        exposes the same ``hint_provider`` surface.
         """
         engine.hint_provider = self.lookup

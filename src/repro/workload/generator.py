@@ -30,10 +30,6 @@ class Workload:
     registry: RuleRegistry
     _base_rows: dict[str, int] = field(default_factory=dict)
     _current_day: int | None = None
-    #: shard catalog replicas grown in lockstep with the primary
-    #: (``attach_replica``); growth is keyed per (seed, table, day), so a
-    #: replica advanced to the same day is byte-identical to the primary
-    _replicas: list[Catalog] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self._base_rows:
@@ -45,46 +41,20 @@ class Workload:
             JobTemplate(t.template_id, t.name, recurring=t.recurring) for t in self.templates
         ]
 
-    def attach_replica(self, catalog: Catalog) -> None:
-        """Register a shard's catalog replica for day-over-day sync.
-
-        The replica is immediately advanced to the workload's current day,
-        so shards built mid-simulation never compile against stale sizes.
-        A replica whose catalog version already matches the primary's is a
-        fresh clone of the current state — re-growing it would be a no-op
-        content-wise but would bump its version out of sync with its peers,
-        and plan-cache entries migrated between shards on an elastic resize
-        key on that version.  Pair with :meth:`detach_replica` when the
-        owning cluster is done — sweeps constructing many clusters over one
-        workload would otherwise keep growing dead replicas forever.
-        """
-        self._replicas.append(catalog)
-        if self._current_day is not None and catalog.version != self.catalog.version:
-            self._grow(catalog, self._current_day)
-
-    def detach_replica(self, catalog: Catalog) -> None:
-        """Stop syncing a replica (its cluster shut down); idempotent."""
-        self._replicas = [
-            replica for replica in self._replicas if replica is not catalog
-        ]
-
-    def _grow(self, catalog: Catalog, day: int) -> None:
+    def advance_to_day(self, day: int) -> None:
+        """Scale the catalog — the one every engine and shard reads, and this
+        its one writer — to day ``day`` (growth is absolute per
+        ``(seed, table, day)``, so days may be visited in any order)."""
+        if self._current_day == day:
+            return
         grow_catalog(
-            catalog,
+            self.catalog,
             self._base_rows,
             day,
             self.config.seed,
             self.config.workload.daily_growth_low,
             self.config.workload.daily_growth_high,
         )
-
-    def advance_to_day(self, day: int) -> None:
-        """Scale the catalog (and every shard replica) to day ``day``."""
-        if self._current_day == day:
-            return
-        self._grow(self.catalog, day)
-        for replica in self._replicas:
-            self._grow(replica, day)
         self._current_day = day
 
     def jobs_for_day(self, day: int) -> list[JobInstance]:

@@ -5,9 +5,10 @@ The contracts under test:
 * **router elasticity** — slots go online/offline with minimal template
   movement (rendezvous failover), previews are pure, and a rejoined fleet
   routes exactly like one that never changed;
-* **cluster resize** — ``provision_shard``/``activate_shard`` grow the
-  fleet with a catalog replica in version lockstep; ``retire_shard``
-  shrinks it and ``rejoin_shard`` rebuilds it;
+* **cluster resize** — ``provision_shard`` builds the next slot's engine
+  offline and ``activate_shard`` puts it in rotation; the facade's raw
+  compile/optimize answers like every shard, whichever slots are in
+  rotation (there is one catalog);
 * **warm-up migration** — templates that change owner take their cached
   plans with them, so the new owner serves its first routed batch from a
   hot cache and no cache counter moves;
@@ -15,9 +16,10 @@ The contracts under test:
   changes (resizes at drained instants) loses zero jobs and produces the
   same drained-window ``DayReport.fingerprint()`` (including the cache
   accounting) as the static-topology batch run;
-* **fail → rejoin** — ``unfail_shard`` reverses ``fail_shard``; a fleet
-  that failed and rejoined a shard replays a day byte-identically to one
-  that never failed (the routing-determinism revalidation).
+* **fail / retire → rejoin** — ``unfail_shard`` reverses ``fail_shard``
+  and ``retire_shard``; a fleet that lost and rejoined a shard replays its
+  days byte-identically to one that never changed (the
+  routing-determinism revalidation).
 """
 
 from __future__ import annotations
@@ -121,58 +123,31 @@ def test_keyspace_extension_matches_a_fresh_router():
 # -- cluster resize -----------------------------------------------------------
 
 
-def test_cluster_add_shard_keeps_catalog_replicas_in_lockstep():
+def test_cluster_provision_builds_offline_and_activate_joins_rotation():
     config = _config(shards=2)
     workload = build_workload(config)
     cluster = ShardedScopeCluster(workload, config, workload.registry)
-    workload.jobs_for_day(0)  # advance to day 0 before the resize
-    slot = cluster.add_shard()
+    slot = cluster.provision_shard()
     assert slot == 2 and cluster.num_shards == 3
-    replica = cluster.shards[slot].catalog
-    assert replica is not workload.catalog
-    # version lockstep with every peer: migrated cache keys stay valid
-    versions = {shard.catalog.version for shard in cluster.shards}
-    assert versions == {workload.catalog.version}
-    workload.jobs_for_day(1)  # growth reaches the new replica too
-    assert {t.name: t.row_count for t in replica} == {
-        t.name: t.row_count for t in workload.catalog
-    }
-    cluster.close()
+    assert cluster.router.alive_slots == [0, 1]  # built, not yet routed to
+    cluster.activate_shard(slot)
+    assert cluster.router.alive_slots == [0, 1, 2]
+    with pytest.raises(ValueError):
+        cluster.activate_shard(3)  # no engine behind it
 
 
-def test_facade_answers_from_a_live_replica_after_shard_zero_retires():
-    """A retired slot's replica is detached and stops growing: the facade's
-    raw compile/optimize (the analysis harnesses' door) must read statistics
-    from a slot in rotation, not from whatever sits at index 0."""
+def test_facade_answers_like_every_shard_with_slot_zero_offline():
+    """Every shard reads the workload's catalog, so the facade's raw
+    compile/optimize (the analysis harnesses' door) cannot answer from
+    another day's statistics whichever slot it asks."""
     config = _config(shards=2)
     workload = build_workload(config)
     cluster = ShardedScopeCluster(workload, config, workload.registry)
-    cluster.retire_shard(0)
-    script = workload.jobs_for_day(3)[0].script  # grows the live replicas only
-    stale, live = cluster.shards
-    assert stale.catalog.version < live.catalog.version == workload.catalog.version
+    cluster.router.take_offline(0)
+    script = workload.jobs_for_day(3)[0].script
     cost = cluster.optimize(cluster.compile(script)).est_cost
-    assert cost == live.optimize(live.compile(script)).est_cost
-    assert cost != stale.optimize(stale.compile(script)).est_cost
-    cluster.close()
-
-
-def test_cluster_retire_and_rejoin_shard():
-    config = _config(shards=3)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
-    cluster.retire_shard(1)
-    assert 1 in cluster.router.offline
-    assert len(workload._replicas) == 2  # the retired replica stopped syncing
-    with pytest.raises(ValueError):
-        cluster.retire_shard(1)  # already out
-    engine = cluster.rejoin_shard(1)
-    cluster.activate_shard(1)
-    assert cluster.shards[1] is engine
-    assert engine.catalog.version == workload.catalog.version
-    assert len(workload._replicas) == 3
-    assert cluster.router.offline == set()
-    cluster.close()
+    for shard in cluster.shards:
+        assert shard.optimize(shard.compile(script)).est_cost == cost
 
 
 # -- server-level elasticity --------------------------------------------------
@@ -206,16 +181,17 @@ def test_add_shard_warmup_prepopulates_the_new_shards_cache():
     server.shutdown()
 
 
-def test_mid_stream_resize_parity_and_zero_loss_threaded():
-    """The acceptance contract: N→N+1 and N+1→N resizes mid-day, threaded
-    submission, zero job loss, drained-window fingerprint parity with the
-    static topology (cache accounting included)."""
+def _resized_day(start: int, workers_per_shard: int) -> None:
+    """Day 0 streamed in thirds through start → start+1 → start resizes at
+    drained instants: zero job loss, drained-window fingerprint parity with
+    the static one-shard batch run (cache accounting included)."""
     batch = QOAdvisor(_config(shards=1))
     baseline = batch.run_day(0)
     batch.close()
 
     server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=2)
+        config=_config(shards=start),
+        serving=ServingConfig(workers_per_shard=workers_per_shard),
     )
     server.start()
     jobs = server.advisor.workload.jobs_for_day(0)
@@ -232,11 +208,11 @@ def test_mid_stream_resize_parity_and_zero_loss_threaded():
 
     submit_chunk(jobs[:third])
     server.drain(timeout=120.0)
-    added = server.add_shard()  # 2 → 3
-    assert added == 2 and server.num_shards == 3
+    added = server.add_shard()
+    assert added == start and server.num_shards == start + 1
     submit_chunk(jobs[third : 2 * third])
     server.drain(timeout=120.0)
-    requeued = server.retire_shard(1)  # 3 → 2
+    requeued = server.retire_shard(1)
     assert requeued == 0  # drained: nothing was waiting
     submit_chunk(jobs[2 * third :])
     server.drain(timeout=120.0)
@@ -264,14 +240,28 @@ def test_mid_stream_resize_parity_and_zero_loss_threaded():
     server.shutdown()
 
 
-def test_fail_rejoin_replay_matches_a_never_failed_run():
-    """The unfail path: fail mid-stream, rejoin mid-stream, and the drained
-    day is byte-identical to a fleet that never failed — exclusion sets no
-    longer poison the fleet."""
+def test_mid_stream_resize_parity_and_zero_loss_threaded():
+    """The acceptance contract: N→N+1 and N+1→N resizes mid-day, threaded
+    submission."""
+    _resized_day(start=2, workers_per_shard=2)
+
+
+def test_one_shard_server_is_elastic():
+    """A single-engine deployment is a cluster of one: it grows and shrinks
+    like any other, here on the inline schedule."""
+    _resized_day(start=1, workers_per_shard=0)
+
+
+@pytest.mark.parametrize("take_out", ["fail_shard", "retire_shard"])
+def test_fail_rejoin_replay_matches_a_never_failed_run(take_out):
+    """The unfail path: lose a lane mid-stream (killed or retired), rejoin it
+    mid-stream, and the drained day — and the day after, served by the
+    rejoined lane's kept engine — is byte-identical to a fleet that never
+    changed; exclusion sets no longer poison the fleet."""
     reference = QOAdvisorServer(
         config=_config(shards=3), serving=ServingConfig(workers_per_shard=0)
     )
-    expected = reference.stream_day(0)
+    expected = [reference.stream_day(0), reference.stream_day(1)]
     reference.shutdown()
 
     server = QOAdvisorServer(
@@ -283,24 +273,24 @@ def test_fail_rejoin_replay_matches_a_never_failed_run():
     for job in jobs[:third]:
         server.submit(job)
     victim = 1
-    server.fail_shard(victim)
+    getattr(server, take_out)(victim)
     assert victim in server.router.offline
-    failed = server.stats().shards[victim]
-    assert not failed.alive and not failed.retired
+    lost = server.stats().shards[victim]
+    assert not lost.alive and lost.retired == (take_out == "retire_shard")
     for job in jobs[third : 2 * third]:
         ticket = server.submit(job)
         assert ticket.shard != victim  # failover routing held
+    engine = server.advisor.engine.shards[victim]
     rebalanced = server.unfail_shard(victim)
     assert rebalanced == 0  # inline schedule: nothing was queued
     assert victim not in server.router.offline
-    assert server.stats().shards[victim].alive
+    assert server.advisor.engine.shards[victim] is engine  # kept, not rebuilt
+    back = server.stats().shards[victim]
+    assert back.alive and not back.retired
     for job in jobs[2 * third :]:
         server.submit(job)
     server.drain(timeout=60.0)
-    report = server.run_maintenance(0)
-
-    assert report.fingerprint() == expected.fingerprint()
-    assert report.cache_stats == expected.cache_stats
+    reports = [server.run_maintenance(0)]
     # routing determinism revalidated: the fleet routes like a fresh one
     fresh = ShardRouter(3)
     for job in jobs:
@@ -308,48 +298,18 @@ def test_fail_rejoin_replay_matches_a_never_failed_run():
             job.template_id
         )
     # the rejoined lane serves traffic again
-    server.submit_day(1)
-    server.drain(timeout=60.0)
+    reports.append(server.stream_day(1))
     assert server.stats().shards[victim].completed > 0
-    server.run_maintenance(1)
     server.shutdown()
 
+    for report, want in zip(reports, expected):
+        assert report.fingerprint() == want.fingerprint()
+        assert report.cache_stats == want.cache_stats
 
-def test_unfail_is_a_noop_on_a_live_shard_and_elastic_needs_a_cluster():
+
+def test_unfail_is_a_noop_on_a_live_shard():
     server = QOAdvisorServer(
         config=_config(shards=2), serving=ServingConfig(workers_per_shard=0)
     )
     assert server.unfail_shard(1) == 0  # alive: nothing to do
-    server.shutdown()
-    single = QOAdvisorServer(
-        config=_config(shards=1), serving=ServingConfig(workers_per_shard=0)
-    )
-    with pytest.raises(ValueError, match="sharded cluster"):
-        single.add_shard()
-    with pytest.raises(ValueError, match="sharded cluster"):
-        single.retire_shard(0)
-    single.shutdown()
-
-
-def test_retired_shard_can_rejoin_with_a_fresh_replica():
-    server = QOAdvisorServer(
-        config=_config(shards=3), serving=ServingConfig(workers_per_shard=0)
-    )
-    server.start()
-    server.submit_day(0)
-    server.drain(timeout=60.0)
-    server.retire_shard(2)
-    old_engine = server.advisor.engine.shards[2]
-    server.unfail_shard(2)
-    assert server.advisor.engine.shards[2] is not old_engine  # rebuilt
-    assert (
-        server.advisor.engine.shards[2].catalog.version
-        == server.advisor.workload.catalog.version
-    )
-    stats = server.stats()
-    assert stats.shards[2].alive and not stats.shards[2].retired
-    server.submit_day(1)
-    server.drain(timeout=60.0)
-    server.run_maintenance(0)
-    server.run_maintenance(1)
     server.shutdown()

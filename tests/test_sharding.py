@@ -1,8 +1,8 @@
 """Sharded multi-cluster layer: routing, shared SIS, byte-identity.
 
 The contract under test: a sharded run — jobs stable-hash partitioned
-across N ScopeEngine shards, each with its own plan cache and catalog
-replica, hints flowing through one shared SIS — produces a
+across N ScopeEngine shards, each with its own plan cache over the one
+catalog, hints flowing through one shared SIS — produces a
 ``DayReport.fingerprint()`` byte-identical to the single-shard serial run,
 and its per-shard cache stats sum to exactly the single cache's counters.
 """
@@ -23,7 +23,6 @@ from repro.config import (
 from repro.errors import ScopeError
 from repro.parallel import SerialExecutor
 from repro.scope.cache import CacheStats, CompileRequest
-from repro.scope.engine import ScopeEngine
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -84,27 +83,23 @@ def test_partition_preserves_order_and_template_affinity(tiny_workload):
 # -- cluster structure --------------------------------------------------------
 
 
-def test_cluster_shards_own_independent_caches_and_catalogs():
+def test_shards_read_the_one_catalog_and_own_their_caches():
     config = _config(shards=3)
     workload = build_workload(config)
     cluster = ShardedScopeCluster(workload, config, workload.registry)
-    assert cluster.num_shards == 3
-    services = {id(shard.compilation) for shard in cluster.shards}
-    catalogs = {id(shard.catalog) for shard in cluster.shards}
-    assert len(services) == 3 and len(catalogs) == 3
-    assert all(shard.catalog is not workload.catalog for shard in cluster.shards)
-
-
-def test_catalog_replicas_stay_in_sync_day_over_day():
-    config = _config(shards=2)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
-    for day in (0, 3, 1):  # growth is absolute per day, any order works
-        workload.jobs_for_day(day)
-        for shard in cluster.shards:
-            assert {t.name: t.row_count for t in shard.catalog} == {
-                t.name: t.row_count for t in workload.catalog
-            }
+    workload.jobs_for_day(0)
+    workload.jobs_for_day(2)
+    cluster.provision_shard()  # mid-stream, after a day advance
+    assert cluster.num_shards == 4
+    assert all(shard.catalog is workload.catalog for shard in cluster.shards)
+    services = [shard.compilation for shard in cluster.shards]
+    for owned in (
+        services,
+        [service.cache for service in services],
+        [service.fragments for service in services],
+        [service._lock for service in services],
+    ):
+        assert len({id(thing) for thing in owned}) == 4
 
 
 def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
@@ -149,23 +144,21 @@ def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
 
 
 def test_cluster_compile_script_and_span_computer_work():
-    """The facade covers the span computer's whole surface: routed
-    per-template spans AND the template-less compile_script fallback."""
+    """The facade covers the span computer's whole surface: a raw script
+    compiles on its template's owning shard, and spans route there too."""
     from repro.core.spans import SpanComputer
 
     config = _config(shards=2)
     workload = build_workload(config)
     cluster = ShardedScopeCluster(workload, config, workload.registry)
     job = workload.jobs_for_day(0)[0]
-    # template-less entry point routes by script hash, deterministically
-    result = cluster.compilation.compile_script(job.script, cluster.default_config)
-    again = cluster.compilation.compile_script(job.script, cluster.default_config)
-    assert again is result  # same shard, served from its cache
-    # direct compute() on a cluster (no template routing) must not crash
-    spans = SpanComputer(cluster)
-    direct = spans.compute(job.script)
-    routed = spans.span_for_template(job.template_id, job.script)
-    assert direct == routed
+    owner = cluster.engine_for_template(job.template_id)
+    result = owner.compilation.compile_script(job.script, cluster.default_config)
+    # the job's own compile is the same key on the same shard: a cache hit
+    assert cluster.compile_job(job, use_hints=False) is result
+    # a routed span is what the owning shard computes for the raw script
+    routed = SpanComputer(cluster).span_for_template(job.template_id, job.script)
+    assert routed == SpanComputer(owner).compute(job.script)
 
 
 def test_cluster_routes_jobs_to_owning_shard():
@@ -307,7 +300,6 @@ def test_cross_shard_batch_equals_each_shards_own_compile_many():
         for request in (CompileRequest(job, no_aggregate, use_hints=False) for job in jobs)
         if isinstance(cluster.compilation.compile_many([request])[0], ScopeError)
     )
-    cluster.close()
 
     workload, cluster = fresh()
     workload.jobs_for_day(0)
@@ -349,8 +341,6 @@ def test_cross_shard_batch_equals_each_shards_own_compile_many():
     assert ours == theirs  # every counter, dedup_hits and work telemetry included
     assert sum(stats.dedup_hits for stats in ours.values()) == 1
     assert all(stats.optimizer_invocations > 0 for stats in ours.values())
-    cluster.close()
-    twin.close()
 
 
 def test_analysis_harnesses_accept_a_sharded_cluster():
@@ -370,27 +360,30 @@ def test_analysis_harnesses_accept_a_sharded_cluster():
     advisor.close()
 
 
-def test_close_detaches_replicas_from_the_workload():
-    """Sweeps build many clusters over one workload; closing one must stop
-    the workload from growing its dead replicas on every day advance."""
-    config = _config(shards=2)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
-    assert len(workload._replicas) == 2
-    cluster.close()
-    cluster.close()  # idempotent
-    assert workload._replicas == []
-    # an advisor-owned cluster detaches through QOAdvisor.close()
-    advisor = QOAdvisor(_config(workers=1, shards=2))
-    assert len(advisor.workload._replicas) == 2
-    advisor.close()
-    assert advisor.workload._replicas == []
+@pytest.mark.parametrize("shards", [1, 2])
+def test_closed_advisor_stays_correct_on_a_new_day(shards):
+    """``close()`` releases threads and the obs plane, nothing a compile
+    reads: an advisor driven onto a new day after it sees that day's
+    statistics, exactly like one that was never closed."""
+
+    def second_day(close_between: bool):
+        advisor = QOAdvisor(_config(workers=1, shards=shards))
+        advisor.run_day(0)
+        if close_between:
+            advisor.close()
+        report = advisor.run_day(1)
+        advisor.close()
+        return report.decisions_digest(), report.cache_stats.core()
+
+    assert second_day(close_between=True) == second_day(close_between=False)
 
 
-def test_single_shard_config_keeps_plain_engine():
-    advisor = QOAdvisor(_config(shards=1))
-    assert isinstance(advisor.engine, ScopeEngine)
-    sharded = QOAdvisor(_config(shards=2))
-    assert isinstance(sharded.engine, ShardedScopeCluster)
+def test_single_shard_advisor_is_a_cluster_of_one():
+    from tests.test_policies import GOLDEN_FINGERPRINTS
+
+    advisor = QOAdvisor(_config(workers=1, shards=1))
+    assert isinstance(advisor.engine, ShardedScopeCluster)
+    assert advisor.engine.num_shards == 1
+    reports = advisor.simulate(start_day=0, days=3, learned_after=1)
+    assert [report.fingerprint() for report in reports] == GOLDEN_FINGERPRINTS
     advisor.close()
-    sharded.close()
