@@ -60,7 +60,7 @@ from repro.serving import (
 from repro.sharding import ShardedScopeCluster, ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "QOAdvisor",

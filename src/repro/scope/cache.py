@@ -27,9 +27,12 @@ Four pieces live here:
   which key a hinted template's next compile resolves to, nothing else;
 * :class:`CompilationService` — the layer pipeline stages talk to.  It
   resolves a job's rule configuration, consults the cache, and only falls
-  through to parse/bind/optimize on a miss.  Its :meth:`compile_many`
-  batch API additionally deduplicates identical requests *before*
-  compiling, so batching wins survive even with the cache disabled.
+  through to parse/bind/optimize on a miss — unless the missed key is a
+  single flip the script's default plan proves inert, which is answered
+  from that plan (:meth:`CompilationService._inferred`).  Its
+  :meth:`compile_many` batch API additionally deduplicates identical
+  requests *before* compiling, so batching wins survive even with the
+  cache disabled.
 
 The service is **thread-safe**: the job-parallel executor
 (:mod:`repro.parallel`) compiles from many worker threads at once, all
@@ -88,7 +91,7 @@ class CacheStats:
 
     #: plan-cache lookups served from the cache
     hits: int = 0
-    #: plan-cache lookups that fell through to the optimizer
+    #: plan-cache lookups that found nothing resident
     misses: int = 0
     #: entries dropped because the cache reached capacity (LRU order)
     evictions: int = 0
@@ -96,7 +99,10 @@ class CacheStats:
     #: unreachable (the one reason an entry is dropped before eviction)
     invalidations: int = 0
     #: real parse→bind→optimize runs (the number the paper's machine-time
-    #: accounting cares about; misses and disabled-cache compiles both count)
+    #: accounting cares about; disabled-cache compiles count, and so does
+    #: every miss except a single flip answered from the default plan —
+    #: with the cache enabled ``misses - optimizer_invocations`` is the
+    #: number of those)
     optimizer_invocations: int = 0
     #: parse/bind runs (scripts are re-used across configurations)
     script_compilations: int = 0
@@ -933,7 +939,7 @@ class CompilationService:
                     return flight.entry
                 # the leader died on a non-deterministic error: retry as leader
             try:
-                entry = self._compile(script, config)
+                entry = self._inferred(script, config) or self._compile(script, config)
             except BaseException:
                 with self._lock:
                     self._in_flight.pop(key, None)
@@ -945,6 +951,45 @@ class CompilationService:
             flight.entry = entry
             flight.done.set()
             return entry
+
+    def _inferred(self, script: str, config: RuleConfiguration) -> _CacheEntry | None:
+        """The entry for a single flip the script's default plan proves
+        inert, or ``None`` (not a single flip, or nothing proven: compile).
+
+        Whether to ask is a function of the key alone — ``config`` is one
+        bit away from the engine's default — and the default plan is
+        obtained by an ordinary counted lookup (a hit, or the one
+        deduplicated miss that compiles it), never by peeking at what
+        happens to be resident: every counter stays a function of the set
+        of keys requested in the epoch, at any worker or shard count.  The
+        default result then proves the flip inert in one of two ways:
+
+        * *off* — the rule is an enabled implementation rule and is not in
+          the default signature: no plan on a winning path used it, and
+          costing is a first-minimum over a group's alternatives, so
+          removing its alternatives lowers no cost and reorders no survivor;
+        * *on* — the rule's bit is set in ``inert_mask``: enabled, it would
+          have produced nothing, in a search with room to try it.
+
+        Either way the compile under ``config`` would return the default's
+        plan, cost and signature, so that is what is inserted, with no
+        optimizer run (``misses - optimizer_invocations`` counts these).
+        """
+        default = self.engine.default_config
+        flipped = config.bits ^ default.bits
+        if config.size != default.size or not flipped or flipped & (flipped - 1):
+            return None
+        reference = self._lookup_or_compile(script, default).result
+        if reference is None:
+            return None
+        if default.bits & flipped:
+            rule_id = flipped.bit_length() - 1
+            inert = flipped & self._impl_mask and rule_id not in reference.signature
+        else:
+            inert = flipped & reference.inert_mask
+        if not inert:
+            return None
+        return _CacheEntry(result=replace(reference, config=config, applications=0))
 
     def _compile(self, script: str, config: RuleConfiguration) -> _CacheEntry:
         with self._lock:

@@ -95,6 +95,10 @@ class Catalog:
         #: bumped on every mutation; plan/script caches key on it so a plan
         #: compiled against yesterday's table sizes is never served today
         self.version = 0
+        # table name -> staleness factor: a pure function of
+        # ``(stats_seed, name)`` read once per ``Get`` per memo, so the
+        # generator behind it is built once per table
+        self._staleness: dict[str, float] = {}
 
     def clone(self) -> "Catalog":
         """An independent copy with the same tables, stats and version.
@@ -110,6 +114,7 @@ class Catalog:
             stats_staleness_sigma=self.stats_staleness_sigma,
         )
         replica._tables = dict(self._tables)
+        replica._staleness = dict(self._staleness)
         replica.version = self.version
         return replica
 
@@ -144,6 +149,9 @@ class Catalog:
         table = self.table(name)
         if self.stats_staleness_sigma <= 0.0:
             return float(table.row_count)
-        rng = keyed_rng(self.stats_seed, "stats-staleness", name)
-        factor = float(rng.lognormal(mean=0.0, sigma=self.stats_staleness_sigma))
+        factor = self._staleness.get(name)
+        if factor is None:
+            rng = keyed_rng(self.stats_seed, "stats-staleness", name)
+            factor = float(rng.lognormal(mean=0.0, sigma=self.stats_staleness_sigma))
+            self._staleness[name] = factor
         return max(1.0, table.row_count * factor)

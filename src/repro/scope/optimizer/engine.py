@@ -62,6 +62,22 @@ class OptimizationResult:
     #: "no rule can bind" (:meth:`~repro.core.spans.SpanComputer.compute`
     #: skips the probes of clear bits)
     bindable_mask: int
+    #: bitmask of the rules disabled under ``config`` whose flip *on* this
+    #: compile proves inert — the search under ``config`` + R pops, creates
+    #: and keeps exactly what this one did, so plan, cost and signature are
+    #: this result's.  An implementation rule's bit is set when its
+    #: ``build`` returns ``None`` for every logical expression of the
+    #: finished memo; a transformation rule's when its ``apply`` returns no
+    #: tree on any logical expression of any search of the compile (each
+    #: isolated fragment search and the finished main memo — bindings at an
+    #: earlier state are a subset of the final ones) *and* every one of
+    #: those searches ended with room for the one extra tried pair per
+    #: popped expression an enabled rule is charged whether or not it
+    #: matches.  A clear bit proves nothing.  Required, like
+    #: ``bindable_mask``: a result built without it must fail, never read
+    #: as "nothing is inert" (:class:`~repro.scope.cache.CompilationService`
+    #: answers such a flip from this result instead of compiling it)
+    inert_mask: int
     #: fragment-store keys this compile consulted (digest × config ×
     #: catalog version) — lets migration ship a script's fragments with it
     fragment_keys: tuple = ()
@@ -124,6 +140,30 @@ def _substitute_handles(
     return result
 
 
+def _logical_by_class(memo: Memo) -> "dict[type, list[GroupExpression]]":
+    """Every logical expression ``memo`` holds, by operator class."""
+    by_class: dict[type, list[GroupExpression]] = {}
+    for expr in memo.created:
+        by_class.setdefault(type(expr.op), []).append(expr)
+    return by_class
+
+
+def _silent(rules, by_class: dict, produces) -> int:
+    """Bitmask of the ``rules`` that produce nothing — ``produces(rule,
+    expr)`` is falsy — on every expression of ``by_class`` their ``root``
+    matches: the dry run of rules a search did not enable."""
+    mask = 0
+    for rule in rules:
+        if not any(
+            produces(rule, expr)
+            for op_class, exprs in by_class.items()
+            if issubclass(op_class, rule.root)
+            for expr in exprs
+        ):
+            mask |= 1 << rule.rule_id
+    return mask
+
+
 class Optimizer:
     """Cascades-style optimizer over a rule registry and configuration."""
 
@@ -144,6 +184,13 @@ class Optimizer:
         self._normalization = registry.normalizations
         self._transformations = [r for r in registry.transformations if self._enabled(r)]
         self._implementations = [r for r in registry.implementations if self._enabled(r)]
+        # the disabled rules: what the dry run after a search tries
+        self._off_transformations = [
+            r for r in registry.transformations if not self._enabled(r)
+        ]
+        self._off_implementations = [
+            r for r in registry.implementations if not self._enabled(r)
+        ]
         self._exchange_rule_id = registry.by_name("EnforceDataExchange").rule_id
         self._sort_rule_id = registry.by_name("EnforceSortOrder").rule_id
 
@@ -182,6 +229,8 @@ class Optimizer:
         )
 
         applications = 0
+        # transformation rules every search of this compile proves inert
+        inert = self.registry.transformation_mask
         fragment_keys: list = []
         handles: dict[int, logical.LogicalOp] = {}
         op_classes: set[type] = set()
@@ -201,6 +250,9 @@ class Optimizer:
                 # the whole closure, not just what adoption keeps: the
                 # isolated search held every one of these expressions
                 op_classes.update(type(op) for _, op, _, _ in entry.exprs)
+                inert &= self._inert_transformations(
+                    entry.silent_mask, entry.applications, entry.popped
+                )
                 adoption = memo.adopt_entry(entry)
                 handles[id(site.node)] = memo.handle(adoption.root)
                 if fragments is not None and adoption.clean:
@@ -211,8 +263,18 @@ class Optimizer:
         if root_group is None:
             raise OptimizationError("initial plan exceeded the memo budget")
 
-        applications += self._explore(memo)
-        op_classes.update(type(expr.op) for expr in memo.created)
+        explored, popped = self._explore(memo)
+        applications += explored
+        by_class = _logical_by_class(memo)
+        op_classes.update(by_class)
+        inert &= self._inert_transformations(
+            self._silent_transformations(memo, by_class), explored, popped
+        )
+        inert |= _silent(
+            self._off_implementations,
+            by_class,
+            lambda rule, expr: rule.build(expr.op) is not None,
+        )
 
         # physical-winner reuse: a cleanly adopted fragment whose cost
         # context (implementation bits × group stats) matches a stored
@@ -251,6 +313,7 @@ class Optimizer:
             signature=signature,
             config=self.config,
             bindable_mask=self.registry.bindable_mask(op_classes),
+            inert_mask=inert,
             fragment_keys=tuple(fragment_keys),
             applications=applications,
         )
@@ -321,11 +384,13 @@ class Optimizer:
         root_group = sub.insert_tree(node)
         if root_group is None:
             raise OptimizationError("fragment exceeded the memo budget")
-        applications = self._explore(sub)
-        return sub.export_entry(root_group, applications)
+        applications, popped = self._explore(sub)
+        silent = self._silent_transformations(sub, _logical_by_class(sub))
+        return sub.export_entry(root_group, applications, popped, silent)
 
-    def _explore(self, memo: Memo) -> int:
-        """Run the transformation worklist; returns the applications spent.
+    def _explore(self, memo: Memo) -> tuple[int, int]:
+        """Run the transformation worklist; returns the applications spent
+        and the expressions popped.
 
         A *tried* (rule, expression) pair is one application whether or not
         the rule's ``root`` matches the expression: that count is what
@@ -335,10 +400,12 @@ class Optimizer:
         worklist: deque[GroupExpression] = deque()
         memo.drain_journal(worklist)
         applications = 0
+        popped = 0
         while worklist and applications < self.budget.max_transformations:
             expr = worklist.popleft()
             if not expr.is_logical:
                 continue
+            popped += 1
             for rule in self._transformations:
                 bit = 1 << rule.rule_id
                 if expr.fired & bit:
@@ -355,7 +422,38 @@ class Optimizer:
                         memo.drain_journal(worklist)
                 if applications >= self.budget.max_transformations:
                     break
-        return applications
+        return applications, popped
+
+    # -- the dry run: what a disabled rule would have done -------------------
+
+    def _silent_transformations(self, memo: Memo, by_class: dict) -> int:
+        """Bitmask of the disabled transformation rules whose ``apply``
+        returns no tree on any logical expression ``memo`` holds
+        (``by_class``: :func:`_logical_by_class` of it).
+
+        Run on a finished search.  A rule binds ``root`` over an ``inner``
+        of one child group and reads nothing else but group schemas, and a
+        memo only grows, so the bindings a rule would have met at any
+        earlier state of the search are a subset of the ones tried here.
+        """
+        return _silent(
+            self._off_transformations, by_class, lambda rule, expr: rule.apply(expr, memo)
+        )
+
+    def _inert_transformations(self, silent: int, applications: int, popped: int) -> int:
+        """``silent`` if the search it was read off had budget slack, else 0.
+
+        An enabled rule is charged one application per popped expression
+        whether or not it matches, so the search with one more rule enabled
+        spends at most ``applications + popped``.  Below the budget it is
+        never cut — which also means this search drained its worklist —
+        and a rule that produces nothing then changes nothing; at the
+        budget the extra charges could end it earlier, and nothing is
+        proven.
+        """
+        if applications + popped < self.budget.max_transformations:
+            return silent
+        return 0
 
     def _implement(self, memo: Memo) -> None:
         for group in memo.groups:

@@ -64,6 +64,16 @@ class FragmentEntry:
     #: transformation-rule applications the isolated search spent building
     #: this entry — the machine-time a cache hit saves
     applications: int
+    #: expressions the isolated search popped off its worklist: each costs
+    #: one more application per additionally enabled rule, so
+    #: ``applications + popped`` bounds what that search would spend
+    popped: int
+    #: bitmask of the transformation rules disabled under the entry's key
+    #: whose ``apply`` returns no tree on any of ``exprs`` in the finished
+    #: isolated memo — with budget slack, enabling one changes nothing here
+    #: (see ``OptimizationResult.inert_mask``).  Like the closure, a pure
+    #: function of the key
+    silent_mask: int
 
 
 @dataclass(frozen=True)

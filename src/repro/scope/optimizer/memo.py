@@ -252,7 +252,9 @@ class Memo:
 
     # -- fragment export / adoption ------------------------------------------
 
-    def export_entry(self, root_group: Group, applications: int):
+    def export_entry(
+        self, root_group: Group, applications: int, popped: int, silent_mask: int
+    ):
         """Snapshot this memo's logical closure as a portable fragment entry.
 
         Meant for a memo that holds exactly one explored fragment (the
@@ -271,6 +273,8 @@ class Memo:
             root_gid=root_group.group_id,
             group_count=len(self.groups),
             applications=applications,
+            popped=popped,
+            silent_mask=silent_mask,
         )
 
     def adopt_entry(self, entry) -> Adoption:

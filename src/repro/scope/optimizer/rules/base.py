@@ -122,7 +122,11 @@ class TransformationRule(Rule):
         """The substitute for one bound pattern, or None when it does not apply.
 
         ``inner`` is the bound child-group expression (None for rules that
-        declare no ``inner``).
+        declare no ``inner``).  Must be a pure function of ``expr``,
+        ``inner`` and the schemas of the groups they name: the engine also
+        calls it after searches this rule was disabled in, to learn whether
+        enabling it would have produced anything
+        (``OptimizationResult.inert_mask``).
         """
         raise NotImplementedError
 
@@ -137,7 +141,9 @@ class ImplementationRule(Rule):
 
     def build(self, op: "LogicalOp") -> "PhysicalOp | None":
         """The physical operator implementing ``op``, or None when the rule
-        does not cover it (the engine wires it over ``op``'s child groups)."""
+        does not cover it (the engine wires it over ``op``'s child groups).
+        A pure function of ``op`` — like ``rewrite``, also called for rules
+        a compile did not enable."""
         raise NotImplementedError
 
 

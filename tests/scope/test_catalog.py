@@ -1,6 +1,7 @@
 import pytest
 
 from repro.errors import CatalogError
+from repro.rng import keyed_rng
 from repro.scope.catalog import Catalog, ColumnStats, TableDef
 from repro.scope.types import Column, DataType, Schema
 
@@ -72,6 +73,30 @@ def test_estimated_row_count_is_stale_but_deterministic():
     second = catalog.estimated_row_count("t")
     assert first == second
     assert first != 100_000  # staleness perturbs the estimate
+
+
+def test_estimated_row_count_builds_one_generator_per_table(monkeypatch):
+    from repro.scope import catalog as catalog_module
+
+    keys = []
+
+    def counting(*key):
+        keys.append(key)
+        return keyed_rng(*key)
+
+    monkeypatch.setattr(catalog_module, "keyed_rng", counting)
+    catalog = Catalog(stats_seed=5, stats_staleness_sigma=0.2)
+    catalog.add_table(_table(rows=100_000))
+    first = catalog.estimated_row_count("t")
+    # bit-identical to the unmemoized draw
+    factor = float(keyed_rng(5, "stats-staleness", "t").lognormal(mean=0.0, sigma=0.2))
+    assert first == max(1.0, 100_000 * factor)
+    # the second call constructs no generator, nor does a clone's, and the
+    # factor scales whatever the table has grown to
+    assert catalog.estimated_row_count("t") == first
+    catalog.replace_table(_table(rows=200_000))
+    assert catalog.clone().estimated_row_count("t") == max(1.0, 200_000 * factor)
+    assert keys == [(5, "stats-staleness", "t")]
 
 
 def test_estimated_row_count_exact_without_staleness():

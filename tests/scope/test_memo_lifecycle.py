@@ -225,12 +225,14 @@ def test_memoized_errors_carry_no_traceback_after_repeated_hits(workload, failin
         with pytest.raises(ScopeError):
             service.compile_script(bad_script, engine.default_config)
     delta = service.stats - before
-    # accounting as before: one optimizer run per failing key, one parse per
-    # script, every repeat a plan-cache hit
-    assert (delta.misses, delta.hits) == (2, 6)
-    assert delta.optimizer_invocations == 2
+    # one optimizer run per failing key, one parse per script, every repeat
+    # a plan-cache hit; the failing flip's leader first compiled the
+    # script's default plan (the third miss and optimizer run), which
+    # proves nothing about a rule in its signature
+    assert (delta.misses, delta.hits) == (3, 6)
+    assert delta.optimizer_invocations == 3
     assert delta.script_compilations == 2
-    errors = [entry.error for entry in service.cache._entries.values()]
+    errors = [entry.error for entry in service.cache._entries.values() if entry.error]
     errors += [value for value in service._scripts._entries.values() if isinstance(value, ScopeError)]
     assert len(errors) == 3
     for error in errors:

@@ -15,6 +15,7 @@ Three contracts are locked here:
 from __future__ import annotations
 
 import dataclasses
+import random
 import threading
 import time
 
@@ -228,9 +229,54 @@ def test_concurrent_mixed_compiles_lose_no_stat_updates(
     stats = stress_engine.compilation.stats
     distinct_keys = len({(job.script, flip is not None) for job in jobs for flip in flips})
     total_lookups = threads * rounds
+    # the leader of each single-flip miss looks its script's default plan up
+    # once, counted; the flip is then answered from it where it proves the
+    # rule inert — here the two scripts with no aggregate to split
+    flip_keys, inert_keys = len(jobs), 2
     # no lost updates: every lookup is accounted exactly once, and the
     # optimizer ran exactly once per distinct (script, configuration) key
-    assert stats.hits + stats.misses == total_lookups
-    assert stats.optimizer_invocations == distinct_keys
+    # it had to
+    assert stats.hits + stats.misses == total_lookups + flip_keys
     assert stats.misses == distinct_keys
+    assert stats.optimizer_invocations == distinct_keys - inert_keys
     assert len(stress_engine.compilation.cache) == distinct_keys
+
+
+def test_an_answered_flip_costs_the_same_whoever_asks_first(small_catalog, join_agg_job):
+    """Two same-day instances of one script, one carrying a manual hint for a
+    rule the default plan proves inert, plus explicit flips of that rule and
+    of one that is not inert.  Whether the hinted compile meets a resident
+    default plan depends on who got there first; what is counted must not —
+    the rule is a function of the key, never of residency."""
+    registry = ScopeEngine(small_catalog, SimulationConfig(seed=101)).registry
+    inert = RuleFlip(registry.by_name("GroupByBelowUnion").rule_id, True)
+    live = RuleFlip(registry.by_name("LocalGlobalAggregation").rule_id, True)
+    hinted = dataclasses.replace(join_agg_job, job_id="j-hinted", manual_hint=inert)
+    units = [(join_agg_job, None), (hinted, None), (join_agg_job, inert), (join_agg_job, live)]
+    threads = 6
+
+    def core_of(schedules: list[list[tuple]]) -> tuple:
+        engine = ScopeEngine(small_catalog, SimulationConfig(seed=101))
+        barrier = threading.Barrier(len(schedules))
+
+        def hammer(schedule: list[tuple]) -> None:
+            barrier.wait()
+            for job, flip in schedule:
+                engine.compile_job(job, flip)
+
+        workers = [threading.Thread(target=hammer, args=(s,)) for s in schedules]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        return engine.compilation.stats.core()
+
+    serial = units * threads
+    # three keys miss, the inert one without an optimizer run; everything
+    # else — the two default lookups of the flips' leaders included — hits
+    expected = (len(serial) + 2 - 3, 3, 0, 0, 2, 1, 0)
+    assert core_of([serial]) == expected
+    assert core_of([serial[::-1]]) == expected
+    for seed in range(50):
+        rng = random.Random(seed)
+        assert core_of([rng.sample(units, len(units)) for _ in range(threads)]) == expected

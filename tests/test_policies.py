@@ -55,15 +55,24 @@ from tests.conftest import PerIndexOnly, reference_joint_features, reference_sco
 # misses / invocations 84 -> 51, day-1 invalidations 84 -> 51) when span
 # probes of rules that cannot bind stopped being compiled; the decisions
 # are held by GOLDEN_DECISIONS below, which did not move.
+# Re-captured again in two counter fields (all three fingerprints) when a
+# single flip the script's default plan proves inert stopped being
+# compiled: invocations 51 / 18 / 18 -> 39 / 17 / 15 (the 12 / 1 / 3
+# flips answered from the default result; misses no longer equal
+# invocations — their difference is that count), hits 20 / 11 / 11 ->
+# 48 / 20 / 20 (the leader of each single-flip miss looks the default
+# plan up once, counted: 28 / 9 / 9 such misses, every default plan
+# resident).  Misses, evictions, invalidations, scripts and dedup hits did
+# not move, nor did GOLDEN_DECISIONS.
 GOLDEN_FINGERPRINTS = [
-    "73725a1618bbfc5e61966a98d24fc9c0",
-    "0c0b0a2b3ada2d7913005f7de6fce857",
-    "b822419e84fd6bad9115d4d68cc314cc",
+    "0821d02b710e2d9f3aba4b3efd9cb58f",
+    "00b0551f3853d16cec4218a882a7a66c",
+    "95e31af79aad816cc964a017d4b2d542",
 ]
 GOLDEN_CORES = [
-    (20, 51, 0, 0, 51, 9, 2),
-    (11, 18, 0, 51, 18, 9, 0),
-    (11, 18, 0, 18, 18, 9, 2),
+    (48, 51, 0, 0, 39, 9, 2),
+    (20, 18, 0, 51, 17, 9, 0),
+    (20, 18, 0, 18, 15, 9, 2),
 ]
 # The same three days' ``decisions_digest()`` — the fingerprint minus its
 # trailing ``core()`` feed — captured on 45f8043 with only the
