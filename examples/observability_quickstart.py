@@ -1,14 +1,14 @@
 """Quickstart: the unified observability plane.
 
 Boots a 2-shard :class:`QOAdvisorServer` with ``ObsConfig(enabled=True)``,
-subscribes to the stats bus before any job flows, streams one generated
-day (every admitted job gets a root trace span; compiles, optimizer
-searches and executions appear as children), runs the maintenance window
-(its own ``window:<day>`` trace), then dumps what the plane collected:
-the live bus deltas, a few reassembled traces from the in-memory ring,
-and the Prometheus-style text exposition.
+streams one generated day (every admitted job gets a root trace span;
+compiles, optimizer searches and executions appear as children), runs
+the maintenance window (its own ``window:<day>`` trace), then reads what
+the plane kept: a few reassembled traces from the in-memory ring and the
+Prometheus-style text exposition.  The plane is pull-only — nothing is
+pushed while the day runs; everything below is read afterwards.
 
-    python examples/observability_quickstart.py   # ~10 seconds
+    python examples/observability_quickstart.py   # a few seconds
 
 Everything here is observational: the day's ``DayReport.fingerprint()``
 is byte-identical with the plane enabled or disabled.
@@ -35,11 +35,6 @@ def main() -> None:
     )
     plane = server.obs
 
-    # subscribe before the stream starts: shard deltas arrive per
-    # completion, window events per maintenance run, span events per
-    # finished span
-    deltas = plane.bus.subscribe(topics=("shard", "window"))
-
     with server:
         day = 0
         jobs = server.advisor.workload.jobs_for_day(day)
@@ -48,18 +43,6 @@ def main() -> None:
             server.submit(job)
         server.drain()
         report = server.run_maintenance(day)
-
-        print("\n-- stats bus ----------------------------------------------")
-        events = deltas.poll(10_000)
-        shard_events = [e for e in events if e["topic"] == "shard"]
-        window_events = [e for e in events if e["topic"] == "window"]
-        print(f"{len(events)} events ({len(shard_events)} shard deltas, "
-              f"{len(window_events)} window events, {deltas.dropped} dropped)")
-        last = shard_events[-1]
-        print(f"last shard delta: shard {last['shard']} "
-              f"completed={last['completed']} steered={last['steered']} "
-              f"queue_depth={last['queue_depth']}")
-        print(f"window event: {window_events[-1]}")
 
         print("\n-- traces -------------------------------------------------")
         spans = plane.ring.spans()
@@ -72,10 +55,17 @@ def main() -> None:
               f"({sample.duration_s * 1e3:.2f} ms) + "
               f"{len(children)} child span(s): "
               f"{sorted({c.name for c in children})}")
+        (window,) = [s for s in spans if s.name == "window"]
+        stages = [s for s in spans if s.parent_id == window.span_id]
+        version = window.attrs["hint_version"]
+        print(f"trace {window.trace_id}: {window.duration_s * 1e3:.1f} ms, "
+              f"{len(stages)} stage span(s), "
+              + (f"published v{version}" if version is not None else "no publication"))
 
         print("\n-- metrics exposition (excerpt) ---------------------------")
         for line in plane.metrics.exposition().splitlines():
             if line.startswith(("repro_serving_completed", "repro_hint_version",
+                                "repro_stage_seconds",
                                 "repro_spans_finished_total{name=\"job\"")):
                 print(line)
 

@@ -43,12 +43,7 @@ from repro.policies import (
     ValueModelPolicy,
     build_policy,
 )
-from repro.obs import (
-    MetricsRegistry,
-    ObservabilityPlane,
-    StatsBus,
-    Tracer,
-)
+from repro.obs import MetricsRegistry, ObservabilityPlane, Tracer
 from repro.scope.cache import CacheStats, CompilationService
 from repro.scope.engine import ScopeEngine
 from repro.serving import (
@@ -60,7 +55,7 @@ from repro.serving import (
 from repro.sharding import ShardedScopeCluster, ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "QOAdvisor",
@@ -82,7 +77,6 @@ __all__ = [
     "ObservabilityPlane",
     "Tracer",
     "MetricsRegistry",
-    "StatsBus",
     "ShardedScopeCluster",
     "ShardRouter",
     "ShardingConfig",

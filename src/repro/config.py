@@ -306,25 +306,21 @@ class ObsConfig:
 
     Disabled by default: the whole plane degrades to shared no-op
     components, and every instrumentation site costs one attribute
-    check.  Enabling it never changes simulation results — spans,
-    metrics views and bus events are counter-free and fingerprint-free
+    check.  Enabling it never changes simulation results — spans and
+    metrics views are counter-free and fingerprint-free
     (``DayReport.fingerprint()`` and ``CacheStats.core()`` are
-    byte-identical either way; locked by ``tests/test_obs.py``).
+    byte-identical either way; locked by ``tests/test_obs.py``).  The
+    plane is pull-only: finished spans go to the ring (and the JSONL
+    file, when set), and metrics are read at exposition time.
     """
 
-    #: build the real tracer/metrics/bus instead of the null plane
+    #: build the real tracer and metrics registry instead of the null plane
     enabled: bool = False
     #: capacity of the in-memory ring of most-recent finished spans
     trace_ring_size: int = 4096
     #: append-only JSONL span export (one object per closed span); None
     #: keeps traces in-memory only
     trace_jsonl_path: str | None = None
-    #: publish a per-lane stats delta on the bus every Nth completion
-    #: (1 = every completion)
-    stats_publish_every: int = 1
-    #: per-subscriber bounded queue length on the stats bus (overflow
-    #: drops oldest and counts ``Subscription.dropped``)
-    bus_queue_size: int = 1024
 
 
 @dataclass(frozen=True)

@@ -358,11 +358,6 @@ class QOAdvisorPipeline:
         #: the most recently finalized DayReport (feeds the stage-timing
         #: metrics view); never read by the pipeline itself
         self.last_report: DayReport | None = None
-        self._stage_hist = self.obs.metrics.histogram(
-            "repro_stage_duration_seconds",
-            "wall-clock of each pipeline stage run",
-            labels=("stage",),
-        )
         # the steering seam: an explicit policy wins; without one the
         # config's PolicyConfig decides
         if policy is None:
@@ -571,9 +566,7 @@ class QOAdvisorPipeline:
                 f"stage:{stage.name}", parent=ctx.trace, day=ctx.day
             ):
                 stage.run(ctx)
-            wall = time.perf_counter() - started  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
-            ctx.report.stage_timings[stage.name] = wall
-            self._stage_hist.labels(stage=stage.name).observe(wall)
+            ctx.report.stage_timings[stage.name] = time.perf_counter() - started  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
         self.engine.compilation.checkpoint()
 
     def finalize_report(

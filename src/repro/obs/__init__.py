@@ -1,14 +1,14 @@
-"""Unified observability plane: tracing, metrics, and streaming stats.
+"""Unified observability plane: tracing and pull-mode metrics.
 
-Three legs, one constraint:
+Two legs, one constraint:
 
-* :mod:`~repro.obs.trace` — hierarchical spans per job/day/window, with
-  pluggable sinks (in-memory ring, append-only JSONL, bus fan-out);
-* :mod:`~repro.obs.metrics` — a labeled counter/gauge/histogram registry
-  plus pull-mode *views* over the system's existing counters, exposed in
-  Prometheus text format;
-* :mod:`~repro.obs.bus` — bounded pub/sub carrying incremental
-  `ServerStats`/`ShardStats` deltas and span events to subscribers.
+* :mod:`~repro.obs.trace` — hierarchical spans per job/day/window,
+  exported to pluggable sinks (the in-memory ring, append-only JSONL);
+* :mod:`~repro.obs.metrics` — a registry of pull-mode *views* over the
+  system's existing counters, exposed in Prometheus text format.
+
+Nothing is pushed: operators read the ring, the JSONL file or the
+exposition after the fact.
 
 The constraint: instrumentation is counter-free and fingerprint-free.
 `DayReport.fingerprint()` and `CacheStats.core()` are byte-identical
@@ -17,12 +17,8 @@ plane (`ObsConfig(enabled=False)`, the default) costs one attribute
 check per site.
 """
 
-from .bus import NULL_BUS, NullStatsBus, StatsBus, Subscription
 from .metrics import (
     NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
     Sample,
@@ -31,7 +27,6 @@ from .plane import NULL_PLANE, ObservabilityPlane, install_advisor_views
 from .trace import (
     NULL_SPAN,
     NULL_TRACER,
-    CallbackSink,
     JsonlSink,
     NullTracer,
     RingSink,
@@ -49,18 +44,10 @@ __all__ = [
     "TraceSink",
     "RingSink",
     "JsonlSink",
-    "CallbackSink",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "Sample",
-    "StatsBus",
-    "Subscription",
-    "NullStatsBus",
-    "NULL_BUS",
     "ObservabilityPlane",
     "NULL_PLANE",
     "install_advisor_views",

@@ -1,12 +1,16 @@
-"""The assembled observability plane: tracer + metrics registry + bus.
+"""The assembled observability plane: tracer + metrics registry.
 
 :class:`ObservabilityPlane` is the single object the rest of the system
 wires against.  Built from :class:`~repro.config.ObsConfig`; when
 disabled it degrades to the shared null components so every
 instrumentation site stays one ``enabled`` check away from free.
 
-``install_advisor_views`` re-homes the batch pipeline's existing signals
-onto the registry as pull-mode views — the cache counters, stage
+The plane is pull-only.  A finished span goes to its sinks — the
+in-memory ring, plus a JSONL file when ``trace_jsonl_path`` is set — and
+nowhere else; every metric is a view read at exposition time.  The
+plane's own view, ``repro_spans_finished_total{name=}``, reads the
+ring's per-name tally.  ``install_advisor_views`` re-homes the batch
+pipeline's existing signals the same way — the cache counters, stage
 timings, and policy identity are *read* at exposition time, never
 duplicated on the hot path.  The serving server registers its own views
 (queue depths, SLO counters, lane latency) in
@@ -19,16 +23,8 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
-from .bus import NULL_BUS, StatsBus
 from .metrics import NULL_REGISTRY, MetricsRegistry, Sample
-from .trace import (
-    NULL_TRACER,
-    CallbackSink,
-    JsonlSink,
-    RingSink,
-    Tracer,
-    TraceSink,
-)
+from .trace import NULL_TRACER, JsonlSink, RingSink, Tracer, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import ObsConfig
@@ -38,7 +34,7 @@ __all__ = ["ObservabilityPlane", "NULL_PLANE", "install_advisor_views"]
 
 
 class ObservabilityPlane:
-    """One tracer, one metrics registry, one stats bus — or their nulls."""
+    """One tracer and one metrics registry — or their nulls."""
 
     def __init__(self, config: "ObsConfig | None" = None) -> None:
         from ..config import ObsConfig  # late: config imports stay one-way
@@ -48,30 +44,25 @@ class ObservabilityPlane:
         self.ring: RingSink | None = None
         self.jsonl: JsonlSink | None = None
         if self.enabled:
-            self.bus = StatsBus(self.config.bus_queue_size)
-            sinks: list[TraceSink] = []
-            self.ring = RingSink(self.config.trace_ring_size)
-            sinks.append(self.ring)
+            ring = self.ring = RingSink(self.config.trace_ring_size)
+            sinks: list[TraceSink] = [ring]
             if self.config.trace_jsonl_path:
                 self.jsonl = JsonlSink(self.config.trace_jsonl_path)
                 sinks.append(self.jsonl)
-            sinks.append(CallbackSink(self._publish_span))
             self.tracer = Tracer(sinks)
             self.metrics = MetricsRegistry()
-            self._span_counter = self.metrics.counter(
+            self.metrics.register_view(
                 "repro_spans_finished_total",
-                "trace spans closed, by span name",
-                labels=("name",),
+                lambda: [
+                    Sample("repro_spans_finished_total", {"name": name}, count)
+                    for name, count in sorted(ring.finished_by_name().items())
+                ],
+                help="trace spans closed, by span name",
+                kind="counter",
             )
         else:
-            self.bus = NULL_BUS
             self.tracer = NULL_TRACER
             self.metrics = NULL_REGISTRY
-            self._span_counter = None
-
-    def _publish_span(self, span) -> None:
-        self._span_counter.labels(name=span.name).inc()
-        self.bus.publish("span", span.to_dict())
 
     def install(self, advisor: "QOAdvisor") -> None:
         """Wire the batch advisor's existing signals up as registry views."""
@@ -81,7 +72,6 @@ class ObservabilityPlane:
     def close(self) -> None:
         if self.enabled:
             self.tracer.close()
-            self.bus.close()
 
 
 def install_advisor_views(registry: MetricsRegistry, advisor: "QOAdvisor") -> None:

@@ -7,7 +7,10 @@ both *derived* from this record).  This module is the substrate: a
 :class:`Tracer` produces **spans** — named, timed, attributed intervals —
 organized into **traces** keyed by the unit of work (one admitted job, one
 pipeline day, one maintenance window), and closed spans are exported
-through pluggable :class:`TraceSink`\\ s.
+through pluggable :class:`TraceSink`\\ s — the plane wires the in-memory
+:class:`RingSink` (which also tallies finished spans by name) and, when
+asked, a :class:`JsonlSink`.  Nothing is pushed anywhere else: whoever
+wants the record reads the ring, the file or the metrics exposition.
 
 Design constraints, inherited from the plan-cache work (PR 6–8):
 
@@ -44,8 +47,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
-from typing import Callable, Iterable
+from collections import Counter, deque
+from typing import Iterable
 
 __all__ = [
     "Span",
@@ -56,7 +59,6 @@ __all__ = [
     "TraceSink",
     "RingSink",
     "JsonlSink",
-    "CallbackSink",
 ]
 
 
@@ -170,7 +172,12 @@ class TraceSink:
 
 
 class RingSink(TraceSink):
-    """Fixed-capacity in-memory ring of the most recent finished spans."""
+    """Fixed-capacity in-memory ring of the most recent finished spans.
+
+    Also the plane's span tally: ``total`` and :meth:`finished_by_name`
+    cover every span ever finished, evicted ones included; the
+    ``repro_spans_finished_total`` view reads the latter.
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
@@ -180,36 +187,32 @@ class RingSink(TraceSink):
         self._spans: deque[Span] = deque(maxlen=capacity)
         #: spans ever finished (survives ring eviction; feeds spans/sec)
         self.total = 0
+        #: spans ever finished, by span name
+        self._finished: Counter[str] = Counter()
 
     def on_span(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
             self.total += 1
+            self._finished[span.name] += 1
 
     def spans(self) -> list[Span]:
         """The resident spans, oldest first."""
         with self._lock:
             return list(self._spans)
 
-    def traces(self) -> dict[str, list[Span]]:
-        """Resident spans grouped by trace id (each list oldest first)."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans():
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
-    def clear(self) -> None:
+    def finished_by_name(self) -> dict[str, int]:
+        """Spans ever finished, by name (a copy)."""
         with self._lock:
-            self._spans.clear()
+            return dict(self._finished)
 
 
 class JsonlSink(TraceSink):
     """Append-only JSONL exporter: one ``Span.to_dict()`` object per line.
 
-    The file format is the hand-off to external tooling (and the future
-    network gateway): stable keys, no framing beyond newlines, attributes
-    restricted to JSON-representable values by convention (offenders are
-    stringified rather than dropped).
+    The file format is the hand-off to external tooling: stable keys, no
+    framing beyond newlines, attributes restricted to JSON-representable
+    values by convention (offenders are stringified rather than dropped).
     """
 
     def __init__(self, path) -> None:
@@ -229,20 +232,6 @@ class JsonlSink(TraceSink):
             if not self._file.closed:
                 self._file.flush()
                 self._file.close()
-
-
-class CallbackSink(TraceSink):
-    """Adapter sink: forward every finished span to a callable.
-
-    The observability plane uses this to feed closed spans onto the
-    :class:`~repro.obs.bus.StatsBus` without the tracer importing it.
-    """
-
-    def __init__(self, callback: Callable[[Span], None]) -> None:
-        self._callback = callback
-
-    def on_span(self, span: Span) -> None:
-        self._callback(span)
 
 
 class _ActiveSpan:

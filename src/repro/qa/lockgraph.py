@@ -326,7 +326,6 @@ class TracedLock:
 _INSTRUMENTED_ATTRS: dict[str, tuple[str, ...]] = {
     "CompilationService": ("_lock",),
     "MetricsRegistry": ("_lock",),
-    "StatsBus": ("_lock",),
     "TicketJournal": ("_lock",),
     "Tracer": ("_lock",),
     "RingSink": ("_lock",),
@@ -373,7 +372,6 @@ def instrument_locks(*objects, registry: LockRegistry | None = None) -> LockRegi
 
 
 def _known_classes() -> dict[str, type]:
-    from repro.obs.bus import StatsBus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import JsonlSink, RingSink, Tracer
     from repro.scope.cache import CompilationService
@@ -385,7 +383,6 @@ def _known_classes() -> dict[str, type]:
     return {
         "CompilationService": CompilationService,
         "MetricsRegistry": MetricsRegistry,
-        "StatsBus": StatsBus,
         "TicketJournal": TicketJournal,
         "Tracer": Tracer,
         "RingSink": RingSink,

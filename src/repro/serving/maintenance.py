@@ -154,19 +154,6 @@ class MaintenanceScheduler:
                 failed=len(report.failed_jobs),
                 hint_version=report.hint_version,
             )
-            if obs.enabled:
-                obs.bus.publish(
-                    "window",
-                    {
-                        "day": day,
-                        "wall_s": wall_s,
-                        "jobs": len(report.production_runs),
-                        "failed": len(report.failed_jobs),
-                        "hint_version": report.hint_version,
-                        "windows": self.windows,
-                        "publications": self.publications,
-                    },
-                )
             return report
 
     def _drain_window(self, day: int, trace: object) -> DayReport:

@@ -102,11 +102,9 @@ class _ShardLane:
         self.counts = dict.fromkeys(LANE_COUNTERS, 0)
         #: bounded recent compile latencies (percentile source); a lifetime
         #: list here would grow without bound on a long-lived server
-        self.compile_latency = LatencyRing(max(1, serving.latency_window))
-        #: completions since the lane's last stats-bus delta
-        self.bus_pending = 0
+        self.compile_latency = LatencyRing(serving.latency_window)
         #: rolling window the SLO p95 is computed over
-        self.slo_samples: deque[float] = deque(maxlen=max(1, serving.slo_window))
+        self.slo_samples: deque[float] = deque(maxlen=serving.slo_window)
         #: low-priority tickets parked until the lane's p95 recovers
         self.standby: deque[JobTicket] = deque()
         self.last_hint_version: int | None = None
@@ -142,6 +140,10 @@ class QOAdvisorServer:
                 f"unknown slo_policy {self.serving.slo_policy!r} "
                 "(expected 'defer' or 'shed')"
             )
+        for window in ("latency_window", "slo_window"):
+            size = getattr(self.serving, window)
+            if size < 1:
+                raise ValueError(f"{window} must be >= 1, got {size}")
         self.sis = advisor.sis
         self.pipeline = advisor.pipeline
         self.scheduler = MaintenanceScheduler(
@@ -155,8 +157,8 @@ class QOAdvisorServer:
         self._cluster = advisor.engine
         self.router = self._cluster.router
         #: the advisor's observability plane (the shared null plane when
-        #: ``ObsConfig.enabled`` is off) — serving spans, bus deltas and
-        #: the serving metric views all hang off it
+        #: ``ObsConfig.enabled`` is off) — serving spans and the serving
+        #: metric views hang off it
         self.obs = advisor.obs
         #: copy-on-write: a tuple only ever *rebound* (under
         #: ``_failover_lock``), so any thread reads a consistent fleet unlocked
@@ -630,8 +632,6 @@ class QOAdvisorServer:
                 compile_s=compile_s,
             )
         self._complete(ticket)
-        if self.obs.enabled:
-            self._publish_lane_delta(lane)
         if lane.standby and lane.alive:
             self._flush_standby(lane)
 
@@ -1078,31 +1078,6 @@ class QOAdvisorServer:
             self.journal.append(record)
 
     # -- health --------------------------------------------------------------
-
-    def _publish_lane_delta(self, lane: _ShardLane) -> None:
-        """Push one lane's incremental counter update onto the stats bus.
-
-        Called after each completion; throttled to every
-        ``ObsConfig.stats_publish_every`` completions per lane.  The event
-        carries cumulative counters (plus the bus-stamped ``seq``), so a
-        subscriber that dropped events under backpressure re-synchronizes
-        from the next one it sees.
-        """
-        every = max(1, self.obs.config.stats_publish_every)
-        with lane.lock:
-            lane.bus_pending += 1
-            if lane.bus_pending < every:
-                return
-            lane.bus_pending = 0
-            delta = {
-                "shard": lane.index,
-                "alive": lane.alive,
-                **lane.counts,
-                "standby_depth": len(lane.standby),
-                "last_hint_version": lane.last_hint_version,
-            }
-        delta["queue_depth"] = lane.queue.depth
-        self.obs.bus.publish("shard", delta)
 
     def _install_serving_views(self) -> None:
         """Register the serving layer's pull-mode metric views.

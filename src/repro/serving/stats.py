@@ -31,9 +31,10 @@ __all__ = [
 ]
 
 #: The serving layer's accounting vocabulary, declared once: a live lane
-#: keeps one integer per name, and :class:`ShardStats`, the stats-bus
-#: "shard" delta and the ``repro_serving_<name>_total`` metric view are all
-#: built from that container (each name is documented on its field below).
+#: keeps one integer per name, and both stats surfaces — :class:`ShardStats`
+#: and the ``repro_serving_<name>_total`` metric view, a projection of it —
+#: are built from that container (each name is documented on its field
+#: below).
 LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued", "deferred", "shed")
 
 #: The :class:`~repro.scope.cache.CacheStats` fields a lane's snapshot

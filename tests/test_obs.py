@@ -1,4 +1,4 @@
-"""Observability plane: tracing, metrics, stats bus, and the no-op path.
+"""Observability plane: tracing, pull-mode metrics, and the no-op path.
 
 The contracts under test:
 
@@ -13,10 +13,9 @@ The contracts under test:
 * **fingerprint neutrality** — ``DayReport.fingerprint()`` and
   ``CacheStats.core()`` are byte-identical with observability on, off,
   sharded and threaded (instrumentation is counter-free);
-* **metrics** — labeled counters/gauges/histograms, Prometheus text
-  exposition, pull-mode views (replace-by-name, exceptions contained);
-* **bus** — topic filtering, bounded per-subscription queues that drop
-  oldest and count drops, monotone sequence numbers;
+* **metrics** — pull-mode views (replace-by-name, exceptions contained),
+  Prometheus text exposition, and the exact series set a served day
+  exposes;
 * **bounded latency buffers** — lanes keep a fixed-size compile-latency
   ring; percentiles (now including p99) stay ``None`` until measured;
 * **last-window summary** — ``ServerStats.last_window`` reports the most
@@ -47,7 +46,6 @@ from repro.obs import (
     MetricsRegistry,
     RingSink,
     Sample,
-    StatsBus,
     Tracer,
 )
 from repro.serving.stats import LatencyRing, WindowSummary, percentile
@@ -163,33 +161,6 @@ def test_ring_sink_is_bounded_but_counts_everything():
 # -- metrics ------------------------------------------------------------------
 
 
-def test_counter_gauge_histogram_and_exposition():
-    registry = MetricsRegistry()
-    jobs = registry.counter("jobs_total", "jobs", labels=("shard",))
-    jobs.labels(shard="0").inc()
-    jobs.labels(shard="0").inc(2)
-    jobs.labels(shard="1").inc()
-    depth = registry.gauge("queue_depth", "depth")
-    depth.set(7)
-    lat = registry.histogram("latency_seconds", "lat", buckets=(0.1, 1.0))
-    lat.observe(0.05)
-    lat.observe(0.5)
-    lat.observe(5.0)
-    text = registry.exposition()
-    assert '# TYPE jobs_total counter' in text
-    assert 'jobs_total{shard="0"} 3' in text
-    assert 'jobs_total{shard="1"} 1' in text
-    assert "queue_depth 7" in text
-    assert 'latency_seconds_bucket{le="0.1"} 1' in text
-    assert 'latency_seconds_bucket{le="1"} 2' in text
-    assert 'latency_seconds_bucket{le="+Inf"} 3' in text
-    assert "latency_seconds_count 3" in text
-    with pytest.raises(ValueError):
-        jobs.labels(shard="0").inc(-1)
-    with pytest.raises(ValueError):
-        registry.gauge("jobs_total", "kind conflict")
-
-
 def test_views_replace_by_name_and_contain_exceptions():
     registry = MetricsRegistry()
     registry.register_view("v", lambda: [Sample("v", {}, 1.0)])
@@ -202,30 +173,6 @@ def test_views_replace_by_name_and_contain_exceptions():
     registry.register_view("bad", broken)
     assert registry.collect()["bad"] == []  # never takes exposition down
     registry.exposition()
-
-
-# -- stats bus ----------------------------------------------------------------
-
-
-def test_bus_topics_bounds_and_sequence():
-    bus = StatsBus(queue_size=8)
-    everything = bus.subscribe()
-    only_shard = bus.subscribe(topics=("shard",))
-    small = bus.subscribe(queue_size=2)
-    for i in range(5):
-        bus.publish("shard", {"i": i})
-    bus.publish("window", {"day": 0})
-    shard_events = only_shard.poll(100)
-    assert [e["i"] for e in shard_events] == [0, 1, 2, 3, 4]
-    assert all(e["topic"] == "shard" for e in shard_events)
-    seqs = [e["seq"] for e in everything.poll(100)]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    # the small subscription dropped oldest and counted the drops
-    kept = small.poll(100)
-    assert len(kept) == 2
-    assert small.dropped == 4
-    bus.unsubscribe(everything)
-    assert bus.subscriber_count == 2
 
 
 # -- fingerprint neutrality (the hard constraint) -----------------------------
@@ -339,28 +286,96 @@ def test_window_trace_and_last_window_summary():
     assert "last window" in stats.render()
 
 
-def test_serving_bus_and_metric_views():
+#: every series a served day exposes, as (sample name, sorted label keys)
+EXPOSITION_SERIES = [
+    ("repro_cache_dedup_hits_total", ("shard",)),
+    ("repro_cache_evictions_total", ("shard",)),
+    ("repro_cache_fragment_hits_total", ("shard",)),
+    ("repro_cache_fragment_inserts_total", ("shard",)),
+    ("repro_cache_fragment_misses_total", ("shard",)),
+    ("repro_cache_hits_total", ("shard",)),
+    ("repro_cache_invalidations_total", ("shard",)),
+    ("repro_cache_misses_total", ("shard",)),
+    ("repro_cache_mqo_preexplored_total", ("shard",)),
+    ("repro_cache_optimizer_invocations_total", ("shard",)),
+    ("repro_cache_rule_applications_total", ("shard",)),
+    ("repro_cache_script_compilations_total", ("shard",)),
+    ("repro_cache_winner_hits_total", ("shard",)),
+    ("repro_cache_winner_misses_total", ("shard",)),
+    ("repro_hint_version", ()),
+    ("repro_policy_info", ("mode", "policy", "version")),
+    ("repro_serving_compile_latency_seconds", ("quantile", "shard")),
+    ("repro_serving_compile_observations_total", ("shard",)),
+    ("repro_serving_completed_total", ("shard",)),
+    ("repro_serving_deferred_total", ("shard",)),
+    ("repro_serving_failed_total", ("shard",)),
+    ("repro_serving_jobs_admitted_total", ()),
+    ("repro_serving_jobs_in_flight", ()),
+    ("repro_serving_publications_total", ()),
+    ("repro_serving_queue_depth", ("shard",)),
+    ("repro_serving_queue_depth_max", ("shard",)),
+    ("repro_serving_requeued_total", ("shard",)),
+    ("repro_serving_shed_total", ("shard",)),
+    ("repro_serving_standby_depth", ("shard",)),
+    ("repro_serving_steered_total", ("shard",)),
+    ("repro_serving_submitted_total", ("shard",)),
+    ("repro_serving_windows_total", ()),
+    ("repro_spans_finished_total", ("name",)),
+    ("repro_stage_seconds", ("stage",)),
+]
+
+
+def test_exposition_contract_on_a_served_day():
+    """The series an operator can scrape after one served day on two
+    shards, and the span counter agreeing with the ring it counts."""
+    config = dataclasses.replace(
+        _config(shards=2), serving=ServingConfig(workers_per_shard=2)
+    )
+    advisor = QOAdvisor(config)
+    server = QOAdvisorServer(advisor)
+    server.stream_day(0)
+    server.shutdown()
+    collected = advisor.obs.metrics.collect()
+    series = sorted(
+        {
+            (sample.name, tuple(sorted(sample.labels)))
+            for samples in collected.values()
+            for sample in samples
+        }
+    )
+    assert series == EXPOSITION_SERIES
+    ring = advisor.obs.ring
+    assert ring.total == len(ring.spans()) < ring.capacity  # not wrapped
+    finished = {
+        sample.labels["name"]: sample.value
+        for sample in collected["repro_spans_finished_total"]
+    }
+    assert finished == Counter(span.name for span in ring.spans())
+
+
+def test_serving_metric_views():
     config = _config(shards=2)
     config = dataclasses.replace(
         config, serving=ServingConfig(workers_per_shard=2)
     )
     advisor = QOAdvisor(config)
     server = QOAdvisorServer(advisor)
-    subscription = advisor.obs.bus.subscribe(topics=("shard", "window"))
     server.start()
-    server.stream_day(0)
-    events = subscription.poll(10_000)
-    shard_events = [e for e in events if e["topic"] == "shard"]
-    window_events = [e for e in events if e["topic"] == "window"]
-    assert shard_events and window_events
-    assert {e["shard"] for e in shard_events} == {0, 1}
-    assert window_events[-1]["day"] == 0
+    report = server.stream_day(0)
+    stats = server.stats()
     text = advisor.obs.metrics.exposition()
-    assert "repro_serving_completed_total" in text
+    for shard in stats.shards:
+        assert (
+            f'repro_serving_completed_total{{shard="{shard.shard}"}} {shard.completed}'
+            in text
+        )
+    assert f"repro_serving_windows_total {stats.maintenance_windows}" in text
     assert "repro_serving_compile_latency_seconds" in text
     assert "repro_cache_hits_total" in text
-    assert "repro_spans_finished_total" in text
-    assert "repro_hint_version" in text
+    assert 'repro_spans_finished_total{name="window"} 1' in text
+    assert f"repro_hint_version {advisor.sis.current_version}" in text
+    stages = advisor.obs.metrics.collect()["repro_stage_seconds"]
+    assert {s.labels["stage"]: s.value for s in stages} == report.stage_timings
     server.shutdown()
 
 
@@ -374,8 +389,6 @@ def test_disabled_obs_is_inert():
     assert not advisor.obs.tracer.enabled
     advisor.run_day(0)
     assert advisor.obs.metrics.exposition() == ""
-    subscription = advisor.obs.bus.subscribe()
-    assert subscription.poll(10) == []
     advisor.close()
 
 

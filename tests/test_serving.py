@@ -104,6 +104,16 @@ def test_queue_rejects_bad_parameters():
         ShardQueue(capacity=1, admission="drop-newest")
 
 
+@pytest.mark.parametrize("field", ["latency_window", "slo_window"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_server_refuses_an_empty_serving_window(field, value):
+    """A lane's latency ring and SLO window hold at least one sample; a
+    configured 0 or negative size is refused, not silently made 1."""
+    serving = dataclasses.replace(ServingConfig(), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        QOAdvisorServer(config=_config(shards=1), serving=serving)
+
+
 # -- router exclusion ---------------------------------------------------------
 
 
@@ -510,24 +520,21 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
 
 
 def test_lane_counter_vocabulary_reaches_every_stats_surface():
-    """Each name of the one counter tuple is a ShardStats field, a key of
-    the bus "shard" delta and a ``repro_serving_<name>_total`` series."""
+    """Each name of the one counter tuple is a ShardStats field and a
+    ``repro_serving_<name>_total`` series carrying the same value."""
     config = dataclasses.replace(_config(shards=1), obs=ObsConfig(enabled=True))
     server = QOAdvisorServer(
         config=config, serving=ServingConfig(workers_per_shard=0)
     )
-    subscription = server.advisor.obs.bus.subscribe(topics="shard")
     server.start()
     server.submit(server.advisor.workload.jobs_for_day(0)[0])
-    (delta,) = subscription.poll(10)
     text = server.advisor.obs.metrics.exposition()
     fields = {field.name for field in dataclasses.fields(ShardStats)}
     (shard,) = server.stats().shards
     assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 7
     for name in LANE_COUNTERS:
         assert name in fields
-        assert delta[name] == getattr(shard, name)
-        assert f"repro_serving_{name}_total{{" in text
+        assert f'repro_serving_{name}_total{{shard="0"}} {getattr(shard, name)}' in text
     assert (shard.submitted, shard.completed + shard.failed) == (1, 1)
     server.shutdown()
 
