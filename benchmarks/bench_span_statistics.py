@@ -47,7 +47,5 @@ def test_span_statistics(benchmark, advisor, day0_jobs):
 
     job = next(j for j in day0_jobs if spans.span_for_template(j.template_id, j.script))
     fresh = SpanComputer(engine)
-    owner = engine.engine_for_template(job.template_id)
-    benchmark.pedantic(
-        lambda: fresh.compute(job.script, engine=owner), rounds=2, iterations=1
-    )
+    owner = engine.compilation.service_for(job.template_id)
+    benchmark.pedantic(lambda: fresh.compute(job.script, owner), rounds=2, iterations=1)

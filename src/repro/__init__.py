@@ -52,10 +52,10 @@ from repro.serving import (
     ServerStats,
     TicketJournal,
 )
-from repro.sharding import ShardedScopeCluster, ShardRouter
+from repro.sharding import ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "QOAdvisor",
@@ -77,7 +77,6 @@ __all__ = [
     "ObservabilityPlane",
     "Tracer",
     "MetricsRegistry",
-    "ShardedScopeCluster",
     "ShardRouter",
     "ShardingConfig",
     "SimulationConfig",

@@ -236,22 +236,18 @@ class ExecutionConfig:
 class ShardingConfig:
     """Parameters of the sharded multi-cluster layer (``repro.sharding``).
 
-    The advisor always runs a :class:`ShardedScopeCluster`: jobs are routed
-    to one of N :class:`ScopeEngine` shards by a stable hash of their
-    template id, each shard owning its own plan cache and counters and
-    reading the workload's one catalog, while one SIS deployment stays the
-    shared hint store.
+    The advisor runs one :class:`~repro.scope.engine.ScopeEngine` whose
+    compilation service is sharded: jobs are routed to one of N shard
+    :class:`~repro.scope.cache.CompilationService` instances by a stable
+    hash of their template id, each shard owning its own plan cache and
+    counters, while the engine's one catalog and one SIS deployment are
+    shared.  Growth past ``shards`` (``QOAdvisorServer.add_shard``) extends
+    the routing keyspace; the warm-up migration covers every template it
+    moves.
     """
 
-    #: number of ScopeEngine shards; 1 is a cluster of one
+    #: number of shard compilation services; 1 is a service of one
     shards: int = 1
-    #: routing-keyspace headroom for elastic growth: slots beyond ``shards``
-    #: are pre-provisioned *offline*, so bringing one online only moves the
-    #: templates whose primary hash lands on the joining slot.  0 sizes the
-    #: keyspace to ``shards`` exactly; growth then extends the keyspace,
-    #: which moves more templates (still correct — the warm-up migration
-    #: covers every moved template — just more cache movement per resize)
-    provisioned_shards: int = 0
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,8 @@ class ServingConfig:
     continuous job stream onto per-shard bounded queues, steers each job
     against the live SIS hint version on arrival, and micro-batches the
     offline pipeline work into maintenance windows between hint
-    publications.
+    publications.  A lane's workers block on its queue until a job
+    arrives or the queue closes; nothing polls.
     """
 
     #: bounded per-shard queue capacity; admission applies beyond it
@@ -276,8 +273,6 @@ class ServingConfig:
     workers_per_shard: int = 1
     #: how long a blocking submit waits for queue space before giving up
     submit_timeout_s: float = 30.0
-    #: worker idle-poll / drain-wait granularity, seconds
-    poll_interval_s: float = 0.01
     #: per-lane rolling-p95 steer-latency SLO, milliseconds; None disables
     #: SLO-driven admission entirely (the deterministic-parity default:
     #: admission decisions based on wall-clock latency are schedule-shaped)
@@ -285,6 +280,7 @@ class ServingConfig:
     #: number of most-recent steer-latency samples the rolling p95 spans
     slo_window: int = 64
     #: samples required before a lane may be declared degraded at all
+    #: (at least 1; the server refuses anything lower)
     slo_min_samples: int = 8
     #: what happens to a *low-priority* submission on a degraded lane:
     #: ``"defer"`` parks it on the lane's standby queue until the lane

@@ -1,10 +1,10 @@
 """QOAdvisor: the one-stop top-level API.
 
-Wires a workload, a cluster of ScopeEngine shards, SIS, the steering policy
-and the Flighting Service into the daily pipeline, and manages the
-deployment phases the paper describes: a uniform-logging warm-up (off-policy
-data collection + validation-model bootstrap), then learned-mode daily
-operation.
+Wires a workload, one ScopeEngine (its compilation service sharded), SIS,
+the steering policy and the Flighting Service into the daily pipeline, and
+manages the deployment phases the paper describes: a uniform-logging
+warm-up (off-policy data collection + validation-model bootstrap), then
+learned-mode daily operation.
 
 >>> from repro import QOAdvisor, SimulationConfig
 >>> advisor = QOAdvisor(SimulationConfig(seed=7))
@@ -22,8 +22,8 @@ from repro.flighting.service import FlightingService
 from repro.obs.plane import ObservabilityPlane
 from repro.parallel import Executor, build_executor
 from repro.policies import build_policy
+from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import default_registry
-from repro.sharding import ShardedScopeCluster
 from repro.sis.service import SISService
 from repro.workload.generator import Workload, build_workload
 
@@ -46,12 +46,12 @@ class QOAdvisor:
             self.workload = build_workload(self.config, self.registry)
         if self.executor is None:
             self.executor = build_executor(self.config.execution)
-        #: per-shard engines and plan caches behind the single-engine facade,
-        #: one catalog, one shared SIS hint store; ``shards=1`` is a cluster
-        #: of one
-        self.engine = ShardedScopeCluster(self.workload, self.config, self.registry)
+        #: the one engine over the workload's catalog; its compilation
+        #: service holds a plan cache per shard (``shards=1`` is one shard),
+        #: and SIS attaches to it as the one shared hint store
+        self.engine = ScopeEngine(self.workload.catalog, self.config, self.registry)
         #: the observability plane (``config.obs``; the null plane when
-        #: disabled).  Installed into the cluster so compiles and
+        #: disabled).  Installed into the engine so compiles and
         #: executions trace; purely observational — fingerprints and core
         #: cache counters are byte-identical with it on or off
         self.obs = ObservabilityPlane(self.config.obs)

@@ -187,10 +187,10 @@ class DayReport:
         """:meth:`decisions_digest` plus the day's ``cache_stats.core()``.
 
         The determinism contract the parallel backbone and the sharded
-        cluster are tested against: equal at any worker and shard count.
-        Stage timings (wall-clock) and per-shard stat breakdowns
-        (topology-shaped, though their sum is covered via ``cache_stats``)
-        are excluded.
+        compilation service are tested against: equal at any worker and
+        shard count.  Stage timings (wall-clock) and per-shard stat
+        breakdowns (topology-shaped, though their sum is covered via
+        ``cache_stats``) are excluded.
         """
         hasher = self._decisions_hasher()
         # only the schedule-independent core counters: the fragment-store
@@ -530,10 +530,6 @@ class QOAdvisorPipeline:
 
     # -- the daily loop ----------------------------------------------------------
 
-    def _per_shard_stats(self) -> dict[int, CacheStats]:
-        """Cumulative per-shard counters, keyed by shard id."""
-        return self.engine.compilation.per_shard_stats()
-
     # The daily loop is exposed in four reusable pieces so the online
     # serving layer (:mod:`repro.serving`) can drive the exact same stage
     # objects from its maintenance windows: snapshot counters at day open,
@@ -542,7 +538,8 @@ class QOAdvisorPipeline:
 
     def snapshot_stats(self) -> tuple[CacheStats, dict[int, CacheStats]]:
         """Cumulative (aggregate, per-shard) counters at a day boundary."""
-        return self.engine.compilation.stats.snapshot(), self._per_shard_stats()
+        compilation = self.engine.compilation
+        return compilation.stats.snapshot(), compilation.per_shard_stats()
 
     def open_report(self, day: int) -> DayReport:
         """A fresh report with every stage timing present (and zero)."""
@@ -580,7 +577,7 @@ class QOAdvisorPipeline:
         report.cache_stats = self.engine.compilation.stats - cache_before
         report.shard_cache_stats = {
             shard: stats - shards_before.get(shard, CacheStats())
-            for shard, stats in self._per_shard_stats().items()
+            for shard, stats in self.engine.compilation.per_shard_stats().items()
         }
         report.policy_name = self.policy.name
         report.policy_version = self.policy.publish_version()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.errors import ScopeError
 from repro.parallel import Executor, SerialExecutor
+from repro.scope.cache import CompilationService
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import RuleCategory
 
@@ -36,10 +37,9 @@ class SpanComputer:
     template cache and the ``recompilations`` counter are unsynchronized
     by design.
 
-    ``engine`` may be a single :class:`ScopeEngine` or a
-    :class:`~repro.sharding.ShardedScopeCluster`: probes resolve through
-    ``engine_for_template``, so a template's span compilations land on the
-    shard (and in the plan cache) its production compiles use.
+    Probes resolve the template's shard service through
+    ``engine.compilation.service_for``, so a template's span compilations
+    land on the shard (and in the plan cache) its production compiles use.
     """
 
     def __init__(
@@ -59,17 +59,18 @@ class SpanComputer:
         """Span of a template (cached: instances share operator shape)."""
         if template_id not in self._cache:
             self._cache[template_id] = self.compute(
-                script, engine=self.engine.engine_for_template(template_id)
+                script, self.engine.compilation.service_for(template_id)
             )
         return self._cache[template_id]
 
-    def compute(self, script: str, engine: ScopeEngine | None = None) -> frozenset[int]:
+    def compute(
+        self, script: str, service: CompilationService | None = None
+    ) -> frozenset[int]:
         """Run the fixpoint span heuristic on one script.
 
-        Every probe goes through ``engine``'s compilation service (the
-        owning shard when routed through :meth:`span_for_template`; the
-        computer's own engine by default, which must then be a bare
-        :class:`ScopeEngine` — a raw script names no template to route by): the
+        Every probe goes through ``service`` (the owning shard when routed
+        through :meth:`span_for_template`; the engine's first shard by
+        default — a raw script names no template to route by): the
         parsed script is shared across probe configurations, and the
         default-configuration compile lands in the same plan cache the
         Recompilation task reads the default cost from.
@@ -89,9 +90,10 @@ class SpanComputer:
         plan.  An implementation rule that builds nothing leaves the
         compile identical outright.
         """
-        engine = engine if engine is not None else self.engine
+        if service is None:
+            service = self.engine.compilation.shards[0]
+        engine = service.engine
         registry = engine.registry
-        service = engine.compilation
         self.recompilations += 1
         try:
             default_result = service.compile_script(script, engine.default_config)

@@ -85,7 +85,8 @@ def install_advisor_views(registry: MetricsRegistry, advisor: "QOAdvisor") -> No
 
     def cache_samples():
         samples = []
-        for shard, stats in sorted(pipeline._per_shard_stats().items()):
+        per_shard = advisor.engine.compilation.per_shard_stats()
+        for shard, stats in sorted(per_shard.items()):
             labels = {"shard": str(shard)}
             for f in dataclasses.fields(type(stats)):
                 samples.append(

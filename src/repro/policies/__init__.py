@@ -39,8 +39,8 @@ POLICY_NAMES = ("bandit", "value_model", "plan_guided")
 def build_policy(config: SimulationConfig, engine=None) -> SteeringPolicy:
     """Construct the steering policy ``config.policy`` selects.
 
-    ``engine`` is the :class:`~repro.scope.engine.ScopeEngine` or sharded
-    cluster whose plan cache the plan-guided policy peeks; policies that
+    ``engine`` is the :class:`~repro.scope.engine.ScopeEngine` whose shard
+    plan caches the plan-guided policy peeks; policies that
     don't consult plans ignore it.  The bandit takes its parameters from
     ``config.bandit``, the other two from ``config.policy``.
     """

@@ -104,8 +104,8 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         mode: str = "uniform_logging",
     ) -> None:
         super().__init__(epsilon, seed, mode)
-        #: the engine/cluster whose plan cache is peeked (set late via
-        #: :meth:`bind_engine` when the policy is built before the fleet)
+        #: the engine whose shard plan caches are peeked (set late via
+        #: :meth:`bind_engine` when the policy is built before the engine)
         self.engine = engine
         self.bits = bits
         self.memo_capacity = memo_capacity

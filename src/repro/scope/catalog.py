@@ -105,8 +105,8 @@ class Catalog:
 
         For isolating an engine from later mutation of this catalog (test
         fixtures compare engines over one starting state); nothing in the
-        package copies a catalog — every shard of a cluster reads the
-        workload's one.  ``TableDef`` objects are shared: day-over-day
+        package copies a catalog — the one engine, and so every shard,
+        reads the workload's one.  ``TableDef`` objects are shared: day-over-day
         growth replaces them wholesale rather than mutating.
         """
         replica = Catalog(

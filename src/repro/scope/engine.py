@@ -4,6 +4,14 @@ This is the "SCOPE side" of the paper's Figure 1: scripts come in, the
 cascades optimizer (steered by SIS hints and/or explicit rule flips)
 produces a physical plan with an estimated cost and a rule signature, and
 the runtime simulator executes the plan and logs runtime statistics.
+
+There is one engine per deployment.  Its ``compilation`` is the routing
+:class:`~repro.sharding.ShardedCompilationService`: ``config.sharding.shards``
+shard services, each with its own plan cache, counters and lock, all
+compiling through this engine's catalog, registry, data model and SIS hint
+lookup — a shard is a compilation service, not a second engine.  Its
+``router`` (a :class:`~repro.sharding.ShardRouter`) decides which shard a
+template's compiles land on.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.rng import keyed_rng
-from repro.scope.cache import CompilationService
 from repro.scope.catalog import Catalog
 from repro.scope.compile import CompiledScript, Compiler
 from repro.scope.data import DataModel
@@ -30,6 +37,7 @@ from repro.scope.optimizer.rules.base import (
 )
 from repro.scope.runtime.executor import RuntimeSimulator
 from repro.scope.runtime.metrics import JobMetrics
+from repro.sharding import ShardedCompilationService, ShardRouter
 
 __all__ = ["ScopeEngine", "JobRun"]
 
@@ -44,7 +52,8 @@ class JobRun:
 
 
 class ScopeEngine:
-    """A single SCOPE cluster: catalog + optimizer + runtime."""
+    """The deployment's engine: catalog + optimizer + runtime, compiling
+    through one plan cache per shard."""
 
     def __init__(
         self,
@@ -66,9 +75,11 @@ class ScopeEngine:
         self.runtime = RuntimeSimulator(self.config.cluster)
         #: compile-time hint lookup: template id → RuleFlip (wired by SIS)
         self.hint_provider = None
-        #: memoizing compile front-end — every ``compile_job`` goes through
-        #: its plan cache, keyed by the configuration the job's hint gives
-        self.compilation = CompilationService(self, self.config.cache)
+        #: template → shard placement, the one membership state
+        self.router = ShardRouter(self.config.sharding.shards)
+        #: memoizing compile front-end — every ``compile_job`` routes to its
+        #: shard's plan cache, keyed by the configuration the job's hint gives
+        self.compilation = ShardedCompilationService(self)
         #: observability plane (null by default; ``install_obs`` swaps it)
         from repro.obs.plane import NULL_PLANE
 
@@ -76,27 +87,19 @@ class ScopeEngine:
 
     def install_obs(self, plane) -> None:
         """Wire an observability plane into this engine's compile/execute
-        paths.  Purely observational: spans and events never touch the
-        cache counters or anything a fingerprint covers."""
+        paths: the routing service and every shard service trace (a shard
+        added later inherits the tracer).  Purely observational: spans and
+        events never touch the cache counters or anything a fingerprint
+        covers."""
         self.obs = plane
         self.compilation.tracer = plane.tracer
-
-    # -- cluster protocol ----------------------------------------------------
-
-    def engine_for_template(self, template_id: str) -> "ScopeEngine":
-        """The engine jobs of ``template_id`` compile on — itself.
-
-        :class:`repro.sharding.ShardedScopeCluster` implements the same
-        method with real routing; callers that may hold a bare engine (the
-        span computer, the Flighting Service, the analysis harnesses)
-        resolve through it uniformly.
-        """
-        return self
+        for service in self.compilation.shards:
+            service.tracer = plane.tracer
 
     # -- compilation ---------------------------------------------------------
 
     def compile(self, script: str) -> CompiledScript:
-        """Parse, bind and compile a script against this cluster's catalog."""
+        """Parse, bind and compile a script against the catalog (no plan cache)."""
         bound = Binder(self.catalog).bind(parse_script(script))
         return Compiler(self.catalog).compile(bound)
 
@@ -149,7 +152,8 @@ class ScopeEngine:
     ) -> OptimizationResult:
         """Full compilation of a job (may raise OptimizationError).
 
-        Served through the :class:`CompilationService` plan cache: the
+        Routed to the owning shard's
+        :class:`~repro.scope.cache.CompilationService` plan cache: the
         resolved (script, configuration) pair only reaches the optimizer on
         a miss.
         """
@@ -165,13 +169,14 @@ class ScopeEngine:
         """The cached plan a ``compile_job`` call would serve, or ``None``.
 
         Counter-free and compile-free (see
-        :meth:`CompilationService.peek`): the plan-guided steering
+        :meth:`~repro.scope.cache.CompilationService.peek`, asked of the
+        job's owning shard): the plan-guided steering
         policy scores against resident plans without adding optimizer
         invocations or moving fingerprint-visible accounting.  A memoized
         compile *error* yields ``None`` too — there is no plan to read.
         """
         config = self.configuration_for(job, flip, use_hints=use_hints)
-        entry = self.compilation.peek(job.script, config)
+        entry = self.compilation.service_for(job.template_id).peek(job.script, config)
         return entry.result if entry is not None else None
 
     def compile_job_uncached(

@@ -29,7 +29,7 @@ schedule-dependent telemetry.
 This module is deliberately coupled to
 :class:`~repro.scope.cache.CompilationService` internals (its lock, its
 parse memo): the planner is *one* service's batch mode, not a public layer
-— a sharded cluster routes each shard its slice and every shard plans alone.
+— the sharded service routes each shard its slice and every shard plans alone.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """QOAdvisorServer: the long-lived online serving front-end.
 
-Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its
-:class:`~repro.sharding.ShardedScopeCluster`, one lane per shard) behind a
-job-stream API:
+Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its one
+:class:`~repro.scope.engine.ScopeEngine`, one lane per shard of the
+engine's compilation service) behind a job-stream API:
 
 * :meth:`submit` routes a job to its shard's bounded queue through the
-  cluster's :class:`~repro.sharding.ShardRouter` (failed and retired
+  engine's :class:`~repro.sharding.ShardRouter` (failed and retired
   shards are held in its offline set — the one membership state);
 * each shard *lane* steers arrivals against the **live** SIS hint-file
   version — compile through the shard's
-  :class:`~repro.scope.cache.CompilationService`, execute on the runtime —
+  :class:`~repro.scope.cache.CompilationService`, execute on the engine —
   on its worker threads (or inline on the submitting thread when
   ``ServingConfig.workers_per_shard == 0``, the serial replay schedule);
 * completed work accumulates in the :class:`MaintenanceScheduler`, whose
@@ -23,8 +23,8 @@ job-stream API:
   before it enters rotation, so it starts hot), :meth:`retire_shard`
   shrinks it gracefully, :meth:`fail_shard` kills a lane and requeues its
   backlog onto the survivors with zero job loss, and :meth:`unfail_shard`
-  rejoins a failed or retired lane (either keeps its engine and is simply
-  offline in the router meanwhile) — routing determinism is revalidated
+  rejoins a failed or retired lane (either keeps its shard service and is
+  simply offline in the router meanwhile) — routing determinism is revalidated
   by construction, because placement is always a pure function of
   (template id, membership state);
 * **SLO-driven admission**: when a lane's rolling p95 steer latency
@@ -68,7 +68,8 @@ from repro.core.advisor import QOAdvisor
 from repro.core.pipeline import DayReport
 from repro.errors import ScopeError
 from repro.obs.metrics import Sample
-from repro.scope.engine import JobRun, ScopeEngine
+from repro.scope.cache import CompilationService
+from repro.scope.engine import JobRun
 from repro.scope.jobs import JobInstance
 from repro.serving.journal import JournalError, RecoveryReport, TicketJournal
 from repro.serving.maintenance import MaintenanceScheduler
@@ -87,12 +88,15 @@ __all__ = ["QOAdvisorServer"]
 
 
 class _ShardLane:
-    """One shard's serving lane: queue + engine + workers + counters."""
+    """One shard's serving lane: queue + shard service + workers + counters."""
 
-    def __init__(self, index: int, engine: ScopeEngine, serving: ServingConfig) -> None:
+    def __init__(
+        self, index: int, service: CompilationService, serving: ServingConfig
+    ) -> None:
         self.index = index
-        #: bound once: a failed or retired lane is only offline in the router
-        self.engine = engine
+        #: the shard's compilation service, bound once: a failed or retired
+        #: lane is only offline in the router
+        self.service = service
         self.queue = ShardQueue(serving.queue_capacity, serving.admission)
         self.alive = True
         self.retired = False
@@ -140,10 +144,10 @@ class QOAdvisorServer:
                 f"unknown slo_policy {self.serving.slo_policy!r} "
                 "(expected 'defer' or 'shed')"
             )
-        for window in ("latency_window", "slo_window"):
-            size = getattr(self.serving, window)
+        for name in ("latency_window", "slo_window", "slo_min_samples"):
+            size = getattr(self.serving, name)
             if size < 1:
-                raise ValueError(f"{window} must be >= 1, got {size}")
+                raise ValueError(f"{name} must be >= 1, got {size}")
         self.sis = advisor.sis
         self.pipeline = advisor.pipeline
         self.scheduler = MaintenanceScheduler(
@@ -152,10 +156,10 @@ class QOAdvisorServer:
             on_window_start=on_window_start,
             on_publish=on_publish,
         )
-        #: the advisor's cluster (a cluster of one for ``shards=1``) and its
+        #: the advisor's one engine (every lane executes on it) and its
         #: router — the one membership state
-        self._cluster = advisor.engine
-        self.router = self._cluster.router
+        self._engine = advisor.engine
+        self.router = self._engine.router
         #: the advisor's observability plane (the shared null plane when
         #: ``ObsConfig.enabled`` is off) — serving spans and the serving
         #: metric views hang off it
@@ -163,8 +167,8 @@ class QOAdvisorServer:
         #: copy-on-write: a tuple only ever *rebound* (under
         #: ``_failover_lock``), so any thread reads a consistent fleet unlocked
         self._lanes = tuple(
-            _ShardLane(index, shard_engine, self.serving)
-            for index, shard_engine in enumerate(self._cluster.shards)
+            _ShardLane(index, service, self.serving)
+            for index, service in enumerate(self._engine.compilation.shards)
         )
         #: recurring templates are high-priority by default for SLO admission
         self._recurring = {
@@ -418,7 +422,7 @@ class QOAdvisorServer:
         if slo is None:
             return False
         with lane.lock:
-            if len(lane.slo_samples) < max(1, self.serving.slo_min_samples):
+            if len(lane.slo_samples) < self.serving.slo_min_samples:
                 return False
             samples = list(lane.slo_samples)
         p95 = percentile(samples, 95)
@@ -564,13 +568,12 @@ class QOAdvisorServer:
             self._process(lane, ticket)
 
     def _worker(self, lane: _ShardLane) -> None:
-        poll = self.serving.poll_interval_s
         while True:
-            ticket = lane.queue.get(timeout=poll)
+            # blocks until a ticket arrives; None only once the queue is
+            # closed and empty (shutdown, failover, retirement)
+            ticket = lane.queue.get()
             if ticket is None:
-                if lane.queue.closed:
-                    return
-                continue
+                return
             if not lane.alive:
                 # popped after the lane died: hand it to the survivors
                 self._requeue([ticket], lane)
@@ -598,14 +601,14 @@ class QOAdvisorServer:
                 # span stack, so the compilation service's compile/optimize
                 # child spans parent under it; "execute" covers the runtime
                 with tracer.span("steer", parent=ticket.trace, shard=lane.index):
-                    result = lane.engine.compile_job(job)
+                    result = lane.service.compile_job(job)
                 compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
                 with tracer.span("execute", parent=ticket.trace):
-                    metrics = lane.engine.execute(result, job.run_key(0))
+                    metrics = self._engine.execute(result, job.run_key(0))
             else:
-                result = lane.engine.compile_job(job)
+                result = lane.service.compile_job(job)
                 compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
-                metrics = lane.engine.execute(result, job.run_key(0))
+                metrics = self._engine.execute(result, job.run_key(0))
             ticket.run = JobRun(job=job, result=result, metrics=metrics)
         except ScopeError:
             ticket.failed = True
@@ -763,7 +766,7 @@ class QOAdvisorServer:
     def add_shard(self) -> int:
         """Grow the fleet by one shard, mid-stream.
 
-        The new engine is provisioned offline, the templates that will
+        The new shard service is built offline, the templates that will
         move to it have their hot scripts' cached plans migrated over
         (cache warm-up — the shard enters rotation hot), queued tickets
         are rebalanced, and only then does the slot join routing.  For
@@ -773,15 +776,16 @@ class QOAdvisorServer:
         index.
         """
         with self._failover_lock:
-            slot = self._cluster.provision_shard()
-            lane = _ShardLane(slot, self._cluster.shards[slot], self.serving)
+            compilation = self._engine.compilation
+            slot = compilation.add_shard()
+            lane = _ShardLane(slot, compilation.shards[slot], self.serving)
             moves = self._moves(online={slot})
             self._migrate_entries(moves)
             # publish-before-route: the lane is in the tuple before the
             # router can name its slot, so whoever routes to ``slot`` —
             # holding whichever snapshot — finds ``_lanes[slot]``
             self._lanes = (*self._lanes, lane)
-            self._cluster.activate_shard(slot)
+            self.router.bring_online(slot)
             self._rebalance_queues()
             if self._started:
                 self._spawn_workers(lane)
@@ -795,7 +799,7 @@ class QOAdvisorServer:
         first (new arrivals go straight to the survivors), the lane
         quiesces, the moved templates' cached plans migrate to their new
         owners, and only then is the backlog requeued — so the survivors
-        serve the moved templates hot.  The lane keeps its engine, exactly
+        serve the moved templates hot.  The lane keeps its service, exactly
         as a failed one does; :meth:`unfail_shard` can rejoin it later.
         Returns the number of requeued jobs.
         """
@@ -816,7 +820,7 @@ class QOAdvisorServer:
         """Rejoin a failed (or retired) shard lane.
 
         The inverse of :meth:`fail_shard` and :meth:`retire_shard`: the
-        lane still holds its engine (every shard reads the one catalog, so
+        lane still holds its service (every shard reads the one catalog, so
         whatever its caches kept is keyed validly), the templates
         returning to it have their cached plans migrated back from the
         survivors, the lane gets a fresh queue and workers, and queued
@@ -873,12 +877,13 @@ class QOAdvisorServer:
         # fragment payloads dedup per destination: two moved templates
         # sharing a join block ship its fragment entry once per dest shard
         sent_fragments: dict[int, set[tuple]] = {}
+        shards = self._engine.compilation.shards
         for template_id, (source, dest) in sorted(moves.items()):
             script = scripts.get(template_id)
             if script is None or source == dest:
                 continue
-            source_service = self._cluster.shards[source].compilation
-            dest_service = self._cluster.shards[dest].compilation
+            source_service = shards[source]
+            dest_service = shards[dest]
             plans, parsed, fragments = source_service.export_script_state(
                 script, skip_fragments=sent_fragments.setdefault(dest, set())
             )
@@ -1166,7 +1171,7 @@ class QOAdvisorServer:
         shards: list[ShardStats] = []
         for lane in self._lanes:
             samples = lane.compile_latency.snapshot()
-            cache = lane.engine.compilation.stats
+            cache = lane.service.stats
             with lane.lock:
                 last = lane.last_hint_version
                 shards.append(

@@ -6,10 +6,10 @@ the SCOPE optimizer (paper §4.4).  The engine consults
 ``ScopeEngine.hint_provider``.
 
 SIS is the **single shared hint store** of a deployment, however many
-clusters compile against it: attaching a
-:class:`~repro.sharding.ShardedScopeCluster` installs the lookup on every
-shard (the cluster's ``hint_provider`` property broadcasts), exactly as one
-SIS deployment steers many SCOPE clusters in production.
+shards compile against it: attaching sets the one engine's
+``hint_provider``, which every shard's compiles resolve their configuration
+through, exactly as one SIS deployment steers many SCOPE clusters in
+production.
 
 A publication — upload or rollback — is **one rebinding of the active hint
 set** and nothing else: SIS does not know compiled plans are cached, and
@@ -85,11 +85,10 @@ class SISService:
         return len(self.versions)
 
     def attach(self, engine: ScopeEngine) -> None:
-        """Wire this SIS instance into an engine's (or cluster's) compile path.
+        """Wire this SIS instance into the engine's compile path.
 
-        The advisor attaches its :class:`~repro.sharding.ShardedScopeCluster`,
-        whose setter installs the lookup on every shard — those it provisions
-        later included; a bare :class:`ScopeEngine` (a harness holding one)
-        exposes the same ``hint_provider`` surface.
+        One attribute: every shard service — those added later included —
+        resolves a job's configuration through the engine it was built
+        over, so the lookup reaches them all.
         """
         engine.hint_provider = self.lookup

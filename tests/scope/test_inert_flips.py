@@ -56,7 +56,7 @@ def _kind(registry, flip: RuleFlip) -> str:
 def test_every_single_flip_is_served_as_a_fresh_compile_builds_it(config):
     workload = build_workload(config)
     engine = ScopeEngine(workload.catalog, config, workload.registry)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     registry = engine.registry
     flips = [
         RuleFlip(rule_id, turn_on=not engine.default_config.is_enabled(rule_id))
@@ -134,7 +134,9 @@ def test_a_silent_rule_is_compiled_when_the_search_has_no_budget_slack(small_cat
 
 
 def test_a_result_cannot_be_built_without_its_inert_mask(engine):
-    result = engine.compilation.compile_script(AGGREGATE_SCRIPT, engine.default_config)
+    result = engine.compilation.shards[0].compile_script(
+        AGGREGATE_SCRIPT, engine.default_config
+    )
     fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     del fields["inert_mask"]
     with pytest.raises(TypeError):

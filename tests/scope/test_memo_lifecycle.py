@@ -64,7 +64,9 @@ def failing_script(workload, scripts) -> str:
     engine = _engine(workload, CACHES_OFF)
     for script in scripts:
         try:
-            engine.compilation.compile_script(script, _configs(engine)["failing"])
+            engine.compilation.shards[0].compile_script(
+                script, _configs(engine)["failing"]
+            )
         except ScopeError:
             return script
     raise AssertionError("no script aggregates: pick another failing flip")
@@ -123,7 +125,7 @@ def test_every_memo_is_freed_by_refcount_with_the_collector_off(
     workload, scripts, failing_script, monkeypatch
 ):
     engine = _engine(workload)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     configs = _configs(engine)
     memos: list[weakref.ref] = []
     original_init = Memo.__init__
@@ -175,7 +177,7 @@ def test_every_memo_is_freed_by_refcount_with_the_collector_off(
 
 def test_no_cached_artifact_reaches_search_state(workload, scripts, failing_script):
     engine = _engine(workload)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     configs = _configs(engine)
     for script in scripts[:12]:
         for name in ("default", "impl", "trans_off"):
@@ -213,7 +215,7 @@ def test_a_day_report_does_not_reach_search_state():
 
 def test_memoized_errors_carry_no_traceback_after_repeated_hits(workload, failing_script):
     engine = _engine(workload)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     failing = _configs(engine)["failing"]
     bad_script = "this is not a script"
     before = service.stats.snapshot()
@@ -282,14 +284,16 @@ def test_cached_compiles_equal_fresh_searches(workload, scripts):
     replays = 0
     for script in scripts:
         for name in ("default", "impl", "trans_off", "trans_on"):
-            fresh = cold.compilation.compile_script(script, cold_configs[name])
+            fresh = cold.compilation.shards[0].compile_script(
+                script, cold_configs[name]
+            )
             assert fresh.fragment_keys == ()
             # a fragments-on twin with an empty store, then the warm service
             twin = _engine(workload, replaying)
             keys = []
             for service, config in (
-                (twin.compilation, _configs(twin)[name]),
-                (warm.compilation, warm_configs[name]),
+                (twin.compilation.shards[0], _configs(twin)[name]),
+                (warm.compilation.shards[0], warm_configs[name]),
             ):
                 resident = set(service.fragments._entries)
                 before = service.stats.snapshot()
@@ -308,7 +312,7 @@ def test_cached_compiles_equal_fresh_searches(workload, scripts):
 
 def test_one_fragment_entry_adopts_cleanly_into_two_memos(workload, scripts):
     engine = _engine(workload)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     for script in scripts[:10]:
         service.compile_script(script, engine.default_config)
     slot = max(service.fragments._entries.values(), key=lambda s: len(s.entry.exprs))

@@ -41,7 +41,7 @@ def fresh_engine(small_catalog) -> ScopeEngine:
 
 
 def test_hit_and_miss_accounting(fresh_engine, join_agg_job):
-    stats = fresh_engine.compilation.stats
+    stats = fresh_engine.compilation.shards[0].stats  # live counters
     first = fresh_engine.compile_job(join_agg_job)
     assert (stats.hits, stats.misses, stats.optimizer_invocations) == (0, 1, 1)
     second = fresh_engine.compile_job(join_agg_job)
@@ -97,12 +97,13 @@ def test_eviction_enforced_at_checkpoint(
     jobs = [join_agg_job, simple_job, copy_job]
     for job in jobs:
         engine.compile_job(job)
-    stats = engine.compilation.stats
+    service = engine.compilation.shards[0]
+    stats = service.stats
     # no eviction mid-epoch: all three entries are resident
-    assert len(engine.compilation.cache) == 3
+    assert len(service.cache) == 3
     assert stats.evictions == 0
     engine.compilation.checkpoint()
-    assert len(engine.compilation.cache) == 2
+    assert len(service.cache) == 2
     assert stats.evictions == 1
     # exactly one of the three is gone: recompiling all of them costs one
     # optimizer run, and which one was evicted never depends on scheduling
@@ -223,14 +224,15 @@ def test_sis_publication_keeps_unhinted_plans_and_never_serves_a_stale_one(
     engine = make_engine(small_catalog)
     sis = SISService(engine.registry)
     sis.attach(engine)
-    stats = engine.compilation.stats
+    service = engine.compilation.shards[0]
+    stats = service.stats
     stale = engine.compile_job(join_agg_job)
     bystander = engine.compile_job(simple_job)
-    resident = len(engine.compilation.cache)
+    resident = len(service.cache)
     flip_rule = engine.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(join_agg_job.template_id, RuleFlip(flip_rule, True))], day=1)
     # the publication dropped nothing ...
-    assert len(engine.compilation.cache) == resident
+    assert len(service.cache) == resident
     assert stats.invalidations == 0
     # ... so the unhinted template is a hit, with no new optimizer run
     before = stats.snapshot()
@@ -257,7 +259,7 @@ def test_sis_rollback_serves_the_default_plan_from_cache(small_catalog, join_agg
     engine = make_engine(small_catalog)
     sis = SISService(engine.registry)
     sis.attach(engine)
-    stats = engine.compilation.stats
+    stats = engine.compilation.shards[0].stats
     default = engine.compile_job(join_agg_job)
     flip_rule = engine.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(join_agg_job.template_id, RuleFlip(flip_rule, True))], day=1)

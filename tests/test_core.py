@@ -52,7 +52,8 @@ def test_span_recompilations_count_failed_compiles_too(engine, monkeypatch):
     """A failed search costs as much as one that found a plan; the counter
     used to skip every probe and fixpoint round that raised."""
     attempts, failures = [], []
-    compile_script = engine.compilation.compile_script
+    service = engine.compilation.shards[0]
+    compile_script = service.compile_script
 
     def counting(script, config):
         attempts.append(config)
@@ -62,7 +63,7 @@ def test_span_recompilations_count_failed_compiles_too(engine, monkeypatch):
             failures.append(config)
             raise
 
-    monkeypatch.setattr(engine.compilation, "compile_script", counting)
+    monkeypatch.setattr(service, "compile_script", counting)
     fresh = SpanComputer(engine)
     fresh.compute(JOIN_AGG_SCRIPT)
     assert failures

@@ -5,10 +5,10 @@ The contracts under test:
 * **router elasticity** — slots go online/offline with minimal template
   movement (rendezvous failover), previews are pure, and a rejoined fleet
   routes exactly like one that never changed;
-* **cluster resize** — ``provision_shard`` builds the next slot's engine
-  offline and ``activate_shard`` puts it in rotation; the facade's raw
-  compile/optimize answers like every shard, whichever slots are in
-  rotation (there is one catalog);
+* **resize** — ``engine.compilation.add_shard`` builds the next slot's
+  service offline and ``router.bring_online`` puts it in rotation; a routed
+  compile answers like the engine's raw compile/optimize, whichever slots
+  are in rotation (there is one engine and one catalog);
 * **warm-up migration** — templates that change owner take their cached
   plans with them, so the new owner serves its first routed batch from a
   hot cache and no cache counter moves;
@@ -29,26 +29,30 @@ import threading
 
 import pytest
 
-from repro import QOAdvisor, QOAdvisorServer, ServingConfig, ShardRouter, SimulationConfig
+from repro import (
+    QOAdvisor,
+    QOAdvisorServer,
+    ScopeEngine,
+    ServingConfig,
+    ShardRouter,
+    SimulationConfig,
+)
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
     ShardingConfig,
     WorkloadConfig,
 )
-from repro.sharding import ShardedScopeCluster
 from repro.workload.generator import build_workload
 
 
-def _config(
-    workers: int = 1, shards: int = 1, seed: int = 555, provisioned: int = 0
-) -> SimulationConfig:
+def _config(workers: int = 1, shards: int = 1, seed: int = 555) -> SimulationConfig:
     return dataclasses.replace(
         SimulationConfig(seed=seed),
         workload=WorkloadConfig(num_templates=10, num_tables=8),
         flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
         execution=ExecutionConfig(workers=workers, backend="thread"),
-        sharding=ShardingConfig(shards=shards, provisioned_shards=provisioned),
+        sharding=ShardingConfig(shards=shards),
     )
 
 
@@ -58,18 +62,24 @@ _TEMPLATES = [f"tmpl-{index:04d}" for index in range(200)]
 # -- router elasticity --------------------------------------------------------
 
 
-def test_provisioned_slots_stay_offline_until_brought_online():
-    router = ShardRouter(2, slots=4)
-    assert router.num_shards == 4 and router.alive_slots == [0, 1]
+def test_keyspace_extension_leaves_skipped_slots_offline():
+    router = ShardRouter(2)
+    router.bring_online(3)  # extends the keyspace past slot 2
+    assert router.num_shards == 4 and router.alive_slots == [0, 1, 3]
     for template in _TEMPLATES:
-        assert router.shard_for(template) in (0, 1)
+        assert router.shard_for(template) in (0, 1, 3)
     router.bring_online(2)
-    assert router.alive_slots == [0, 1, 2]
+    assert router.alive_slots == [0, 1, 2, 3]
     assert any(router.shard_for(t) == 2 for t in _TEMPLATES)
+    fresh = ShardRouter(4)
+    for template in _TEMPLATES:
+        assert router.shard_for(template) == fresh.shard_for(template)
 
 
 def test_bring_online_moves_only_templates_bound_for_the_new_slot():
-    router = ShardRouter(2, slots=4)
+    router = ShardRouter(4)
+    router.take_offline(2)
+    router.take_offline(3)
     before = {t: router.shard_for(t) for t in _TEMPLATES}
     router.bring_online(2)
     after = {t: router.shard_for(t) for t in _TEMPLATES}
@@ -120,34 +130,38 @@ def test_keyspace_extension_matches_a_fresh_router():
         assert router.shard_for(template) == fresh.shard_for(template)
 
 
-# -- cluster resize -----------------------------------------------------------
+# -- resize -------------------------------------------------------------------
+
+
+def _engine(shards: int):
+    config = _config(shards=shards)
+    workload = build_workload(config)
+    return workload, ScopeEngine(workload.catalog, config, workload.registry)
 
 
 def test_cluster_provision_builds_offline_and_activate_joins_rotation():
-    config = _config(shards=2)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
-    slot = cluster.provision_shard()
-    assert slot == 2 and cluster.num_shards == 3
-    assert cluster.router.alive_slots == [0, 1]  # built, not yet routed to
-    cluster.activate_shard(slot)
-    assert cluster.router.alive_slots == [0, 1, 2]
-    with pytest.raises(ValueError):
-        cluster.activate_shard(3)  # no engine behind it
+    _, engine = _engine(shards=2)
+    slot = engine.compilation.add_shard()
+    assert slot == 2 and len(engine.compilation.shards) == 3
+    assert engine.router.alive_slots == [0, 1]  # built, not yet routed to
+    engine.router.bring_online(slot)
+    assert engine.router.alive_slots == [0, 1, 2]
+    assert engine.compilation.shards[slot].engine is engine
 
 
-def test_facade_answers_like_every_shard_with_slot_zero_offline():
-    """Every shard reads the workload's catalog, so the facade's raw
-    compile/optimize (the analysis harnesses' door) cannot answer from
-    another day's statistics whichever slot it asks."""
-    config = _config(shards=2)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
-    cluster.router.take_offline(0)
-    script = workload.jobs_for_day(3)[0].script
-    cost = cluster.optimize(cluster.compile(script)).est_cost
-    for shard in cluster.shards:
-        assert shard.optimize(shard.compile(script)).est_cost == cost
+def test_routed_compile_answers_like_the_raw_engine_with_slot_zero_offline():
+    """There is one engine over the workload's catalog, so whichever shard
+    a job routes to, its cached compile is the engine's raw
+    compile/optimize (the analysis harnesses' door) on the same day's
+    statistics."""
+    workload, engine = _engine(shards=2)
+    engine.router.take_offline(0)
+    job = workload.jobs_for_day(3)[0]
+    routed = engine.compile_job(job, use_hints=False)
+    assert engine.compilation.shards[1].stats.misses == 1
+    assert engine.compilation.shards[0].stats.misses == 0
+    raw = engine.optimize(engine.compile(job.script), engine.configuration_for(job))
+    assert (routed.plan.pretty(), routed.est_cost) == (raw.plan.pretty(), raw.est_cost)
 
 
 # -- server-level elasticity --------------------------------------------------
@@ -161,7 +175,7 @@ def test_add_shard_warmup_prepopulates_the_new_shards_cache():
     )
     server.start()
     jobs = server.submit_day(0)
-    cluster = server.advisor.engine
+    engine = server.advisor.engine
     before = {t.job.template_id: server.router.shard_for(t.job.template_id) for t in jobs}
     slot = server.add_shard()
     moved_jobs = [
@@ -171,9 +185,9 @@ def test_add_shard_warmup_prepopulates_the_new_shards_cache():
         and before[t.job.template_id] != slot
     ]
     assert moved_jobs  # the resize moved real, already-served templates
-    new_stats = cluster.shards[slot].compilation.stats
+    new_stats = engine.compilation.shards[slot].stats
     base = new_stats.snapshot()
-    result = cluster.compile_job(moved_jobs[0])
+    result = engine.compile_job(moved_jobs[0])
     delta = new_stats - base
     assert result is not None
     assert delta.hits == 1 and delta.misses == 0
@@ -256,7 +270,7 @@ def test_one_shard_server_is_elastic():
 def test_fail_rejoin_replay_matches_a_never_failed_run(take_out):
     """The unfail path: lose a lane mid-stream (killed or retired), rejoin it
     mid-stream, and the drained day — and the day after, served by the
-    rejoined lane's kept engine — is byte-identical to a fleet that never
+    rejoined lane's kept shard service — is byte-identical to a fleet that never
     changed; exclusion sets no longer poison the fleet."""
     reference = QOAdvisorServer(
         config=_config(shards=3), serving=ServingConfig(workers_per_shard=0)
@@ -280,11 +294,11 @@ def test_fail_rejoin_replay_matches_a_never_failed_run(take_out):
     for job in jobs[third : 2 * third]:
         ticket = server.submit(job)
         assert ticket.shard != victim  # failover routing held
-    engine = server.advisor.engine.shards[victim]
+    service = server.advisor.engine.compilation.shards[victim]
     rebalanced = server.unfail_shard(victim)
     assert rebalanced == 0  # inline schedule: nothing was queued
     assert victim not in server.router.offline
-    assert server.advisor.engine.shards[victim] is engine  # kept, not rebuilt
+    assert server.advisor.engine.compilation.shards[victim] is service  # kept
     back = server.stats().shards[victim]
     assert back.alive and not back.retired
     for job in jobs[2 * third :]:

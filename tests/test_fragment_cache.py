@@ -53,7 +53,7 @@ def fresh_engine(small_catalog) -> ScopeEngine:
 
 
 def _frag_delta(engine: ScopeEngine, script: str, config=None) -> CacheStats:
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     before = service.stats.snapshot()
     service.compile_script(script, config or engine.default_config)
     return service.stats - before
@@ -86,7 +86,7 @@ def test_catalog_version_bump_misses_the_fragment_cache(fresh_engine):
 
 
 def test_catalog_bump_purges_the_fragment_store(fresh_engine):
-    service = fresh_engine.compilation
+    service = fresh_engine.compilation.shards[0]
     catalog = fresh_engine.catalog
     _frag_delta(fresh_engine, _script("a"))
     assert len(service.fragments) > 0
@@ -119,8 +119,10 @@ def test_fragment_disabled_still_compiles_identically(small_catalog):
         small_catalog.clone(),
         dataclasses.replace(config, cache=CacheConfig(fragment_enabled=False)),
     )
-    result_on = on.compilation.compile_script(_script("a"), on.default_config)
-    result_off = off.compilation.compile_script(_script("a"), off.default_config)
+    result_on, result_off = (
+        engine.compilation.shards[0].compile_script(_script("a"), engine.default_config)
+        for engine in (on, off)
+    )
     assert result_on.est_cost == result_off.est_cost
     assert result_on.signature.rule_ids == result_off.signature.rule_ids
     assert off.compilation.stats.fragment_lookups == 0
@@ -264,7 +266,7 @@ def test_shard_stats_surface_fragment_counters():
 
 
 def test_script_digest_is_memoized_per_text(fresh_engine):
-    service = fresh_engine.compilation
+    service = fresh_engine.compilation.shards[0]
     script = _script("a")
     first = service._script_digest(script)
     assert first == PlanCache.script_hash(script)
@@ -300,16 +302,16 @@ def test_capacity_squeeze_keeps_runs_and_topologies_identical():
     first = QOAdvisor(_pool_config(seed=31, **tight))
     report = first.run_day(0)
     fingerprint = report.fingerprint()
-    resident = sorted(first.engine.engine_for_template(
+    resident = sorted(first.engine.compilation.service_for(
         first.workload.templates[0].template_id
-    ).compilation.fragments._entries)
+    ).fragments._entries)
     first.close()
     again = QOAdvisor(_pool_config(seed=31, **tight))
     repeat = again.run_day(0)
     assert repeat.fingerprint() == fingerprint
-    assert sorted(again.engine.engine_for_template(
+    assert sorted(again.engine.compilation.service_for(
         again.workload.templates[0].template_id
-    ).compilation.fragments._entries) == resident
+    ).fragments._entries) == resident
     again.close()
     threaded = QOAdvisor(_pool_config(seed=31, workers=4, **tight))
     assert threaded.run_day(0).fingerprint() == fingerprint
@@ -322,53 +324,51 @@ def test_capacity_squeeze_keeps_runs_and_topologies_identical():
 def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     config = SimulationConfig(seed=101)
     catalog = small_catalog.clone()
-    source = ScopeEngine(catalog, config)
-    dest = ScopeEngine(catalog, config)
+    # a source, a destination and a third service that warms up under the
+    # old catalog version, then the catalog moves on before anything below
+    # compiles
+    source, dest, bumped = (
+        ScopeEngine(catalog, config).compilation.shards[0] for _ in range(3)
+    )
+    default = source.engine.default_config
     script_a, script_b = _script("a"), _script("b")
-    # a third engine warms up under the old catalog version, then the
-    # catalog moves on before anything below compiles
-    bumped = ScopeEngine(catalog, config)
-    bumped.compilation.compile_script(script_a, bumped.default_config)
+    bumped.compile_script(script_a, default)
     catalog.replace_table(catalog.table("users"))
-    source.compilation.compile_script(script_a, source.default_config)
-    source.compilation.compile_script(script_b, source.default_config)
+    source.compile_script(script_a, default)
+    source.compile_script(script_b, default)
 
     sent: set[tuple] = set()
-    plans_a, parsed_a, frags_a = source.compilation.export_script_state(
+    plans_a, parsed_a, frags_a = source.export_script_state(
         script_a, skip_fragments=sent
     )
     assert plans_a and frags_a  # the join block travels with its script
-    plans_b, parsed_b, frags_b = source.compilation.export_script_state(
+    plans_b, parsed_b, frags_b = source.export_script_state(
         script_b, skip_fragments=sent
     )
     assert plans_b
     # both scripts share the one join fragment; the second export dedups it
     assert frags_b == {}
 
-    adopted, rejected = dest.compilation.import_script_state(
-        plans_a, parsed_a, frags_a
-    )
+    adopted, rejected = dest.import_script_state(plans_a, parsed_a, frags_a)
     assert adopted == len(plans_a) and not rejected
-    dest.compilation.import_script_state(plans_b, parsed_b, frags_b)
-    assert len(dest.compilation.fragments) == len(frags_a)
+    dest.import_script_state(plans_b, parsed_b, frags_b)
+    assert len(dest.fragments) == len(frags_a)
 
     # a fresh pool-mate script compiles on the destination with pure hits
-    before = dest.compilation.stats.snapshot()
-    dest.compilation.compile_script(_script("c"), dest.default_config)
-    delta = dest.compilation.stats - before
+    before = dest.stats.snapshot()
+    dest.compile_script(_script("c"), default)
+    delta = dest.stats - before
     assert delta.fragment_hits == len(frags_a)
     assert delta.fragment_misses == 0
 
     # a destination whose own entries the catalog bump purges on arrival
     # adopts the same payload and serves winner hits from it
-    adopted, rejected = bumped.compilation.import_script_state(
-        plans_a, parsed_a, frags_a
-    )
+    adopted, rejected = bumped.import_script_state(plans_a, parsed_a, frags_a)
     assert adopted == len(plans_a) and not rejected
-    assert bumped.compilation.stats.invalidations == 1
-    assert set(bumped.compilation.fragments._entries) == set(frags_a)
-    before = bumped.compilation.stats.snapshot()
-    bumped.compilation.compile_script(_script("c"), bumped.default_config)
-    delta = bumped.compilation.stats - before
+    assert bumped.stats.invalidations == 1
+    assert set(bumped.fragments._entries) == set(frags_a)
+    before = bumped.stats.snapshot()
+    bumped.compile_script(_script("c"), default)
+    delta = bumped.stats - before
     assert (delta.fragment_hits, delta.fragment_misses) == (len(frags_a), 0)
     assert delta.winner_hits > 0 and delta.winner_misses == 0

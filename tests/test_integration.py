@@ -53,7 +53,7 @@ def test_hints_eventually_deploy_and_apply(advisor):
     template_id, flip = next(iter(hints.items()))
     jobs = [j for j in advisor.workload.jobs_for_day(99) if j.template_id == template_id]
     if jobs:
-        config = advisor.engine.engine_for(jobs[0]).configuration_for(jobs[0])
+        config = advisor.engine.configuration_for(jobs[0])
         assert config.is_enabled(flip.rule_id) == flip.turn_on
 
 

@@ -50,7 +50,7 @@ def fresh_engine(small_catalog) -> ScopeEngine:
 
 
 def _delta(engine: ScopeEngine, script: str, config=None) -> CacheStats:
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     before = service.stats.snapshot()
     service.compile_script(script, config or engine.default_config)
     return service.stats - before
@@ -133,10 +133,12 @@ def test_pool_mate_compile_adopts_the_recorded_winner(fresh_engine, small_catalo
     # transparency: the replayed winner produces the same plan a cold
     # engine derives from scratch
     cold = ScopeEngine(small_catalog.clone(), SimulationConfig(seed=101))
-    warm_result = fresh_engine.compilation.compile_script(
+    warm_result = fresh_engine.compilation.shards[0].compile_script(
         _script("c"), fresh_engine.default_config
     )
-    cold_result = cold.compilation.compile_script(_script("c"), cold.default_config)
+    cold_result = cold.compilation.shards[0].compile_script(
+        _script("c"), cold.default_config
+    )
     assert warm_result.est_cost == cold_result.est_cost
     assert warm_result.signature.rule_ids == cold_result.signature.rule_ids
 
@@ -176,7 +178,7 @@ def test_preexplore_batch_warms_the_store_and_compiles_insert_nothing():
     config = _pool_config()
     workload = build_workload(config)
     engine = ScopeEngine(workload.catalog, config, workload.registry)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     jobs = workload.jobs_for_day(0)
 
     explored = service.preexplore_batch([CompileRequest(job) for job in jobs])
@@ -211,7 +213,7 @@ def test_preexplore_batch_is_idempotent_and_gated():
     config = _pool_config()
     workload = build_workload(config)
     engine = ScopeEngine(workload.catalog, config, workload.registry)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     requests = [CompileRequest(job) for job in workload.jobs_for_day(0)]
     first = service.preexplore_batch(requests)
     assert first > 0
@@ -226,7 +228,7 @@ def test_preexplore_batch_is_idempotent_and_gated():
     )
     assert disabled.compilation.preexplore_batch(requests) == 0
     assert disabled.compilation.stats.mqo_preexplored == 0
-    assert len(disabled.compilation.fragments) == 0
+    assert len(disabled.compilation.shards[0].fragments) == 0
 
 
 def test_batch_planner_skips_plan_resident_units():
@@ -237,7 +239,7 @@ def test_batch_planner_skips_plan_resident_units():
     for job in jobs:
         engine.compile_job(job)
     before = engine.compilation.stats.snapshot()
-    planner = BatchPlanner(engine.compilation)
+    planner = BatchPlanner(engine.compilation.shards[0])
     added = planner.add_batch([CompileRequest(j) for j in jobs])
     # every unit's plan is resident: nothing registers, nothing explores
     assert added == 0
@@ -320,21 +322,23 @@ def test_script_state_migration_carries_winners(small_catalog):
     source = ScopeEngine(catalog, config)
     dest = ScopeEngine(catalog, config)
     script_a = _script("a")
-    source.compilation.compile_script(script_a, source.default_config)
+    source.compilation.shards[0].compile_script(script_a, source.default_config)
     # the compile exported its costed closure into the fragment slot
     assert source.compilation.stats.winner_misses > 0
 
-    plans, parsed, frags = source.compilation.export_script_state(
+    plans, parsed, frags = source.compilation.shards[0].export_script_state(
         script_a, skip_fragments=set()
     )
     assert frags
-    adopted, rejected = dest.compilation.import_script_state(plans, parsed, frags)
+    adopted, rejected = dest.compilation.shards[0].import_script_state(
+        plans, parsed, frags
+    )
     assert adopted == len(plans) and not rejected
 
     # a pool-mate script on the warmed destination serves *winner* hits,
     # not just logical-closure hits — the regression PR 7 fixes
     before = dest.compilation.stats.snapshot()
-    dest.compilation.compile_script(_script("b"), dest.default_config)
+    dest.compilation.shards[0].compile_script(_script("b"), dest.default_config)
     delta = dest.compilation.stats - before
     assert delta.fragment_hits == len(frags)
     assert delta.fragment_misses == 0

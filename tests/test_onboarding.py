@@ -7,7 +7,6 @@ the two walks (corpus, then off-policy training) decided.
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +31,7 @@ class _EveryRuleBinds:
 
     def __init__(self, service) -> None:
         self._service = service
+        self.engine = service.engine
 
     def compile_script(self, script, config):
         result = self._service.compile_script(script, config)
@@ -50,16 +50,11 @@ def test_a_rule_that_cannot_bind_is_never_a_span_member(workload_config):
     config = SimulationConfig(workload=workload_config)
     workload = build_workload(config)
     engine = ScopeEngine(workload.catalog, config, workload.registry)
-    service = engine.compilation
+    service = engine.compilation.shards[0]
     default_config = engine.default_config
     off_by_default = engine.registry.ids_in_category(RuleCategory.OFF_BY_DEFAULT)
     assert len(off_by_default) == 7
-    probes_everything = SimpleNamespace(
-        registry=engine.registry,
-        default_config=default_config,
-        obs=engine.obs,
-        compilation=_EveryRuleBinds(service),
-    )
+    probes_everything = _EveryRuleBinds(service)
     skipped = 0
     for day in (0, 1):
         for script in dict.fromkeys(job.script for job in workload.jobs_for_day(day)):
@@ -75,13 +70,15 @@ def test_a_rule_that_cannot_bind_is_never_a_span_member(workload_config):
                 probe = service.compile_script(script, default_config.with_flip(rule_id))
                 assert rule_id not in probe.signature, (script, rule_id)
             assert SpanComputer(engine).compute(script) == SpanComputer(engine).compute(
-                script, engine=probes_everything
+                script, probes_everything
             )
     assert skipped > 300  # about half of all (script, rule) pairs
 
 
 def test_a_result_cannot_be_built_without_its_bindable_mask(engine):
-    result = engine.compilation.compile_script(JOIN_AGG_SCRIPT, engine.default_config)
+    result = engine.compilation.shards[0].compile_script(
+        JOIN_AGG_SCRIPT, engine.default_config
+    )
     fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     del fields["bindable_mask"]
     with pytest.raises(TypeError):

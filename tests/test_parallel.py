@@ -239,7 +239,7 @@ def test_concurrent_mixed_compiles_lose_no_stat_updates(
     assert stats.hits + stats.misses == total_lookups + flip_keys
     assert stats.misses == distinct_keys
     assert stats.optimizer_invocations == distinct_keys - inert_keys
-    assert len(stress_engine.compilation.cache) == distinct_keys
+    assert len(stress_engine.compilation.shards[0].cache) == distinct_keys
 
 
 def test_an_answered_flip_costs_the_same_whoever_asks_first(small_catalog, join_agg_job):

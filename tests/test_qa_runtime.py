@@ -278,6 +278,6 @@ def test_auto_instrument_undo_restores_constructors():
     undo()
     advisor = QOAdvisor(_config(workers=1, shards=1))
     assert not isinstance(
-        advisor.engine.shards[0].compilation._lock, TracedLock
+        advisor.engine.compilation.shards[0]._lock, TracedLock
     )
     advisor.close()

@@ -104,11 +104,12 @@ def test_queue_rejects_bad_parameters():
         ShardQueue(capacity=1, admission="drop-newest")
 
 
-@pytest.mark.parametrize("field", ["latency_window", "slo_window"])
+@pytest.mark.parametrize("field", ["latency_window", "slo_window", "slo_min_samples"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_server_refuses_an_empty_serving_window(field, value):
-    """A lane's latency ring and SLO window hold at least one sample; a
-    configured 0 or negative size is refused, not silently made 1."""
+    """A lane's latency ring and SLO window hold at least one sample, and
+    the SLO judges a lane on at least one; a configured 0 or negative size
+    is refused, not silently made 1."""
     serving = dataclasses.replace(ServingConfig(), **{field: value})
     with pytest.raises(ValueError, match=field):
         QOAdvisorServer(config=_config(shards=1), serving=serving)

@@ -1,8 +1,9 @@
 """Sharded multi-cluster layer: routing, shared SIS, byte-identity.
 
 The contract under test: a sharded run — jobs stable-hash partitioned
-across N ScopeEngine shards, each with its own plan cache over the one
-catalog, hints flowing through one shared SIS — produces a
+across the one engine's N shard compilation services, each with its own
+plan cache over the one catalog, hints flowing through one shared SIS —
+produces a
 ``DayReport.fingerprint()`` byte-identical to the single-shard serial run,
 and its per-shard cache stats sum to exactly the single cache's counters.
 """
@@ -13,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro import QOAdvisor, ShardedScopeCluster, ShardRouter, SimulationConfig
+from repro import QOAdvisor, ScopeEngine, ShardRouter, SimulationConfig
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
@@ -22,7 +23,7 @@ from repro.config import (
 )
 from repro.errors import ScopeError
 from repro.parallel import SerialExecutor
-from repro.scope.cache import CacheStats, CompileRequest
+from repro.scope.cache import CacheStats, CompilationService, CompileRequest
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -69,7 +70,9 @@ def test_router_rejects_nonpositive_shard_count():
 def test_partition_preserves_order_and_template_affinity(tiny_workload):
     router = ShardRouter(3)
     jobs = tiny_workload.jobs_for_day(0)
-    groups = router.partition(jobs)
+    groups: dict[int, list] = {}
+    for job in jobs:
+        groups.setdefault(router.shard_for_job(job), []).append(job)
     regrouped = [job for shard in sorted(groups) for job in groups[shard]]
     assert sorted(job.job_id for job in regrouped) == sorted(job.job_id for job in jobs)
     for shard, members in groups.items():
@@ -80,19 +83,23 @@ def test_partition_preserves_order_and_template_affinity(tiny_workload):
         assert positions == sorted(positions)
 
 
-# -- cluster structure --------------------------------------------------------
+# -- engine structure ---------------------------------------------------------
+
+
+def _engine(config: SimulationConfig):
+    workload = build_workload(config)
+    return workload, ScopeEngine(workload.catalog, config, workload.registry)
 
 
 def test_shards_read_the_one_catalog_and_own_their_caches():
-    config = _config(shards=3)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
+    workload, engine = _engine(_config(shards=3))
     workload.jobs_for_day(0)
     workload.jobs_for_day(2)
-    cluster.provision_shard()  # mid-stream, after a day advance
-    assert cluster.num_shards == 4
-    assert all(shard.catalog is workload.catalog for shard in cluster.shards)
-    services = [shard.compilation for shard in cluster.shards]
+    engine.compilation.add_shard()  # mid-stream, after a day advance
+    services = engine.compilation.shards
+    assert len(services) == 4
+    assert all(service.engine is engine for service in services)
+    assert engine.catalog is workload.catalog
     for owned in (
         services,
         [service.cache for service in services],
@@ -103,27 +110,25 @@ def test_shards_read_the_one_catalog_and_own_their_caches():
 
 
 def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
-    config = _config(shards=3)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
+    workload, engine = _engine(_config(shards=3))
     sis = SISService(workload.registry)
-    sis.attach(cluster)
+    sis.attach(engine)
     jobs = workload.jobs_for_day(0)
     for job in jobs:
         try:
-            cluster.compile_job(job)
+            engine.compile_job(job)
         except ScopeError:
             pass  # failures are memoized entries too; residency is the point
 
     def resident() -> list[tuple[int, int]]:
         return [
-            (len(shard.compilation.cache), len(shard.compilation.fragments))
-            for shard in cluster.shards
+            (len(service.cache), len(service.fragments))
+            for service in engine.compilation.shards
         ]
 
     before = resident()
     assert any(plans > 0 for plans, _ in before)
-    stats = cluster.compilation.stats
+    stats = engine.compilation.stats
     rule = workload.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(jobs[0].template_id, RuleFlip(rule, True))], day=1)
     # a publication is one rebinding of the active set: no shard drops an
@@ -131,46 +136,43 @@ def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
     assert resident() == before
     bystander = next(job for job in jobs if job.template_id != jobs[0].template_id)
     try:
-        cluster.compile_job(bystander)
+        engine.compile_job(bystander)
     except ScopeError:
         pass
-    delta = cluster.compilation.stats - stats
+    delta = engine.compilation.stats - stats
     assert (delta.hits, delta.misses, delta.invalidations) == (1, 0, 0)
     # ...and the shared lookup reaches every shard's compile path
+    hinted = RuleFlip(rule, True).apply_to(engine.default_config)
     assert all(
-        shard.hint_provider(jobs[0].template_id) == RuleFlip(rule, True)
-        for shard in cluster.shards
+        service.engine.configuration_for(jobs[0]) == hinted
+        for service in engine.compilation.shards
     )
 
 
 def test_cluster_compile_script_and_span_computer_work():
-    """The facade covers the span computer's whole surface: a raw script
-    compiles on its template's owning shard, and spans route there too."""
+    """A raw script compiles on its template's owning shard service, and
+    spans route there too."""
     from repro.core.spans import SpanComputer
 
-    config = _config(shards=2)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
+    workload, engine = _engine(_config(shards=2))
     job = workload.jobs_for_day(0)[0]
-    owner = cluster.engine_for_template(job.template_id)
-    result = owner.compilation.compile_script(job.script, cluster.default_config)
+    owner = engine.compilation.service_for(job.template_id)
+    result = owner.compile_script(job.script, engine.default_config)
     # the job's own compile is the same key on the same shard: a cache hit
-    assert cluster.compile_job(job, use_hints=False) is result
+    assert engine.compile_job(job, use_hints=False) is result
     # a routed span is what the owning shard computes for the raw script
-    routed = SpanComputer(cluster).span_for_template(job.template_id, job.script)
-    assert routed == SpanComputer(owner).compute(job.script)
+    routed = SpanComputer(engine).span_for_template(job.template_id, job.script)
+    assert routed == SpanComputer(engine).compute(job.script, owner)
 
 
 def test_cluster_routes_jobs_to_owning_shard():
-    config = _config(shards=3)
-    workload = build_workload(config)
-    cluster = ShardedScopeCluster(workload, config, workload.registry)
+    workload, engine = _engine(_config(shards=3))
     job = workload.jobs_for_day(0)[0]
-    owner = cluster.router.shard_for_job(job)
-    cluster.compile_job(job)
-    for index, shard in enumerate(cluster.shards):
+    owner = engine.router.shard_for_job(job)
+    engine.compile_job(job)
+    for index, service in enumerate(engine.compilation.shards):
         expected = 1 if index == owner else 0
-        assert shard.compilation.stats.optimizer_invocations == expected
+        assert service.stats.optimizer_invocations == expected
 
 
 # -- byte-identity across topologies ------------------------------------------
@@ -287,28 +289,29 @@ def test_per_shard_counters_match_the_cross_shard_implementation(tiny_config):
 
 def test_cross_shard_batch_equals_each_shards_own_compile_many():
     """One batch with a duplicate pair, a flip that cannot compile and jobs
-    owned by both shards: the cluster's answer and accounting are exactly
+    owned by both shards: the engine's answer and accounting are exactly
     what each shard's own ``compile_many`` gives on its slice."""
     config = _config(shards=2)
 
     def fresh():
-        workload = build_workload(config)
-        return workload, ShardedScopeCluster(workload, config, workload.registry)
+        return _engine(config)
 
-    workload, cluster = fresh()
+    workload, engine = fresh()
     jobs = workload.jobs_for_day(0)
-    by_shard = cluster.router.partition(jobs)
+    by_shard: dict[int, list] = {}
+    for job in jobs:
+        by_shard.setdefault(engine.router.shard_for_job(job), []).append(job)
     assert sorted(by_shard) == [0, 1]
     no_aggregate = RuleFlip(
-        cluster.registry.by_name("HashAggregateImpl").rule_id, turn_on=False
+        engine.registry.by_name("HashAggregateImpl").rule_id, turn_on=False
     )
     failing = next(
         request
         for request in (CompileRequest(job, no_aggregate, use_hints=False) for job in jobs)
-        if isinstance(cluster.compilation.compile_many([request])[0], ScopeError)
+        if isinstance(engine.compilation.compile_many([request])[0], ScopeError)
     )
 
-    workload, cluster = fresh()
+    workload, engine = fresh()
     workload.jobs_for_day(0)
     requests = [
         CompileRequest(by_shard[1][0]),
@@ -318,18 +321,18 @@ def test_cross_shard_batch_equals_each_shards_own_compile_many():
         CompileRequest(by_shard[0][-1]),
         CompileRequest(by_shard[1][-1]),
     ]
-    results = cluster.compilation.compile_many(requests, SerialExecutor())
+    results = engine.compilation.compile_many(requests, SerialExecutor())
 
     twin_workload, twin = fresh()
     twin_workload.jobs_for_day(0)
     expected: list = [None] * len(requests)
-    for shard, engine in enumerate(twin.shards):
+    for shard, service in enumerate(twin.compilation.shards):
         positions = [
             position
             for position, request in enumerate(requests)
             if twin.router.shard_for_job(request.job) == shard
         ]
-        outcomes = engine.compilation.compile_many(
+        outcomes = service.compile_many(
             [requests[position] for position in positions], SerialExecutor()
         )
         for position, outcome in zip(positions, outcomes):
@@ -343,7 +346,7 @@ def test_cross_shard_batch_equals_each_shards_own_compile_many():
             assert (type(got), str(got)) == (type(want), str(want))
         else:
             assert (got.plan.pretty(), got.est_cost) == (want.plan.pretty(), want.est_cost)
-    ours = cluster.compilation.per_shard_stats()
+    ours = engine.compilation.per_shard_stats()
     theirs = twin.compilation.per_shard_stats()
     assert ours == theirs  # every counter, dedup_hits and work telemetry included
     assert sum(stats.dedup_hits for stats in ours.values()) == 1
@@ -351,8 +354,8 @@ def test_cross_shard_batch_equals_each_shards_own_compile_many():
 
 
 def test_analysis_harnesses_accept_a_sharded_cluster():
-    """The facade covers the raw compile/optimize paths the analysis
-    harnesses drive, so a sharded advisor feeds them like a plain engine."""
+    """A sharded advisor's engine feeds the analysis harnesses' raw
+    compile/optimize paths like a one-shard engine."""
     from repro.analysis.stability import run_stability_study
     from repro.analysis.variance import run_aa_variance_study
 
@@ -363,7 +366,7 @@ def test_analysis_harnesses_accept_a_sharded_cluster():
     stability = run_stability_study(
         advisor.engine, advisor.workload, week0_day=0, week1_day=1, max_jobs=2
     )
-    assert stability is not None  # ran to completion on the cluster facade
+    assert stability is not None  # ran to completion on the sharded engine
     advisor.close()
 
 
@@ -389,8 +392,20 @@ def test_single_shard_advisor_is_a_cluster_of_one():
     from tests.test_policies import GOLDEN_FINGERPRINTS
 
     advisor = QOAdvisor(_config(workers=1, shards=1))
-    assert isinstance(advisor.engine, ShardedScopeCluster)
-    assert advisor.engine.num_shards == 1
+    assert type(advisor.engine) is ScopeEngine
+    assert len(advisor.engine.compilation.shards) == 1
     reports = advisor.simulate(start_day=0, days=3, learned_after=1)
     assert [report.fingerprint() for report in reports] == GOLDEN_FINGERPRINTS
+    advisor.close()
+
+
+def test_a_two_shard_advisor_holds_one_engine_and_two_shard_services():
+    """A shard is a compilation service of the advisor's one engine, not a
+    second engine: one data model, one runtime, one hint lookup."""
+    advisor = QOAdvisor(_config(workers=1, shards=2))
+    shards = advisor.engine.compilation.shards
+    assert len(shards) == 2
+    assert all(type(service) is CompilationService for service in shards)
+    assert all(service.engine is advisor.engine for service in shards)
+    assert shards[0] is not shards[1]
     advisor.close()
