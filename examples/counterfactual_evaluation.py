@@ -50,7 +50,7 @@ def main() -> None:
     for name, policy in policies.items():
         ips = ips_estimate(log, policy, scorer=learner)
         snips = snips_estimate(log, policy, scorer=learner)
-        dr = dr_estimate(log, policy, learner.score_action, scorer=learner)
+        dr = dr_estimate(log, policy, advisor.policy.predicted_reward, scorer=learner)
         print(f"{name:24s} {ips:8.3f} {snips:8.3f} {dr:8.3f}")
     print("\nhigher is better (reward = clipped estimated-cost ratio; 1.0 = no-op)")
     print("the greedy policy should dominate the uniform logger it learned from.")

@@ -55,7 +55,7 @@ from repro.serving import (
 from repro.sharding import ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "QOAdvisor",

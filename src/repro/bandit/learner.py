@@ -5,6 +5,12 @@ reduced to supervised regression of the reward on (context, action)
 features, importance-weighted by the inverse probability of the logged
 action — so data gathered under the uniform logging policy trains the
 greedy policy acted on later (off-policy learning, §4.2).
+
+The learner is scale-agnostic: it regresses whatever target it is given.
+The event log holds the clipped cost ratio, but the steering skeleton
+(:class:`~repro.policies.base.LearnedSteeringPolicy`) feeds it the ratio
+minus the no-op's 1.0, so a policy's scores are advantages over the
+default plan and zero weights mean "no better than default".
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Recompilation: evaluate recommended flips on estimated cost (paper §4.2).
 
 Each recommended flip is recompiled so we can (1) catch compilation errors
-upfront and (2) obtain the new estimated cost.  The reward fed back to the
-contextual bandit is the cost ratio ``default / new`` (higher is better),
-clipped at 2.0 to keep outliers from skewing the model.  Jobs whose flip
+upfront and (2) obtain the new estimated cost.  The reward reported to the
+policy, and kept in its event log, is the cost ratio ``default / new``
+(higher is better), clipped at 2.0 to keep outliers from skewing the
+model; the policy's model regresses that ratio minus the no-op's 1.0 (see
+:mod:`repro.policies.base`).  Jobs whose flip
 does not improve the estimate are pruned before flighting — the cost filter
 whose removal the §5.2 ablation studies.
 """
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from repro.core.recommend import Recommendation
 from repro.errors import ScopeError
 from repro.parallel import Executor, SerialExecutor
+from repro.policies.base import NOOP_REWARD
 from repro.scope.cache import CompileRequest
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.engine import OptimizationResult
@@ -87,7 +90,7 @@ class RecompilationTask:
         if recommendation.flip is None:
             return RecompileOutcome(
                 recommendation, CostOutcome.NOOP, recommendation.features.row.estimated_cost,
-                recommendation.features.row.estimated_cost, reward=1.0,
+                recommendation.features.row.estimated_cost, reward=NOOP_REWARD,
             )
         if default is None:
             self.default_compiles[job.job_id] += 1

@@ -21,7 +21,7 @@ from repro.bandit.learner import CBLearner
 from repro.bandit.offpolicy import dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy
 from repro.config import BanditConfig
-from repro.policies.base import LearnedSteeringPolicy
+from repro.policies.base import NOOP_REWARD, LearnedSteeringPolicy
 
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
@@ -71,10 +71,10 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
         self,
         context: ContextFeatures,
         action: ActionFeatures,
-        reward: float,
+        advantage: float,
         probability: float,
     ) -> None:
-        self.learner.update(context, action, reward, probability)
+        self.learner.update(context, action, advantage, probability)
 
     def _snapshot(self) -> object:
         return (self.learner.snapshot(), self.learner.updates)
@@ -113,6 +113,11 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
 
     # -- counterfactual evaluation ---------------------------------------------------
 
+    def predicted_reward(self, context: ContextFeatures, action: ActionFeatures) -> float:
+        """The learner's reward model on the log's scale: it regresses the
+        advantage over the no-op, the log holds the raw cost ratio."""
+        return NOOP_REWARD + self.learner.score_action(context, action)
+
     def counterfactual_evaluate(self, policy=None) -> dict[str, float]:
         """IPS/SNIPS/DR estimates of a policy over the logged events.
 
@@ -124,7 +129,7 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
         return {
             "ips": ips_estimate(log, policy, scorer=learner),
             "snips": snips_estimate(log, policy, scorer=learner),
-            "dr": dr_estimate(log, policy, learner.score_action, scorer=learner),
+            "dr": dr_estimate(log, policy, self.predicted_reward, scorer=learner),
             "logged_mean": float(np.mean([e.reward for e in log])) if log else 0.0,
             "events": float(len(log)),
         }

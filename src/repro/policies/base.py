@@ -37,6 +37,13 @@ pending-event table, the high-fidelity event log
 the same counterfactual machinery), the mode switch, the keyed exploration
 RNG and epsilon-greedy selection; subclasses supply ``_scores`` (score
 every action) plus ``_learn``/``_snapshot``/``_restore``.
+
+The skeleton logs the raw reward but teaches the model its *advantage*
+over the no-op, ``reward - NOOP_REWARD``.  Every flip's reward is a cost
+ratio near 1.0, so a model of the absolute reward ranks actions by how
+often their features were updated; a model of the advantage starts at
+"no better than default", and ``np.argmax`` sends a tie to index 0, the
+no-op, which is never recompiled.  A score is therefore an advantage.
 """
 
 from __future__ import annotations
@@ -55,10 +62,19 @@ from repro.rng import keyed_rng
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
 
-__all__ = ["SteeringPolicy", "LearnedSteeringPolicy", "PolicyVersion", "RankResponse"]
+__all__ = [
+    "NOOP_REWARD",
+    "SteeringPolicy",
+    "LearnedSteeringPolicy",
+    "PolicyVersion",
+    "RankResponse",
+]
 
 #: the two operating modes every policy understands (paper §4.2)
 MODES = ("uniform_logging", "learned")
+
+#: the reward of keeping the default plan (cost ratio ``default / default``)
+NOOP_REWARD = 1.0
 
 
 @dataclass(frozen=True)
@@ -164,9 +180,10 @@ class LearnedSteeringPolicy(SteeringPolicy):
 
     Subclasses implement:
 
-    * ``_scores(context, actions, job)`` → per-action score array;
-    * ``_learn(context, action, reward, probability)`` — consume one
-      finalized event;
+    * ``_scores(context, actions, job)`` → per-action predicted advantage
+      over the no-op (0.0 = no better than default);
+    * ``_learn(context, action, advantage, probability)`` — consume one
+      finalized event, ``advantage = reward - NOOP_REWARD``;
     * ``_snapshot()`` / ``_restore(state)`` — model state for
       publish/restore.
     """
@@ -241,7 +258,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
         self._learn(
             pending.context,
             pending.actions[pending.chosen],
-            reward,
+            reward - NOOP_REWARD,
             pending.probability,
         )
 
@@ -324,7 +341,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
         self,
         context: ContextFeatures,
         action: ActionFeatures,
-        reward: float,
+        advantage: float,
         probability: float,
     ) -> None:
         raise NotImplementedError

@@ -21,7 +21,7 @@ plan-enriched vectors at rank time so off-policy evaluation of the
 policy's own log keeps the plan signal.
 
 Learning is the same VW-style reduction the CB uses: hashed linear model,
-IPS-weighted normalized SGD on the observed reward.
+IPS-weighted normalized SGD on the observed advantage over the no-op.
 """
 
 from __future__ import annotations
@@ -230,11 +230,11 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         self,
         context: ContextFeatures,
         action: ActionFeatures,
-        reward: float,
+        advantage: float,
         probability: float,
     ) -> None:
         self.learner.update_vector(
-            self._vector_for(context, action, None), reward, probability
+            self._vector_for(context, action, None), advantage, probability
         )
 
     def publish_version(self) -> int:

@@ -6,15 +6,16 @@ choosing the best prediction with some exploration.  This policy is the
 tabular-action analogue over the QO-Advisor action space (keep the default
 plan, or flip exactly one span rule): one
 :class:`~repro.ml.linreg.LinearRegression` regressor **per action**,
-trained on the job's Table-1 numerics to predict the reward (the clipped
-cost ratio the recompile stage reports), refit at every
+trained on the job's Table-1 numerics to predict the advantage over the
+no-op (the clipped cost ratio the recompile stage reports, minus the
+no-op's 1.0 — see :mod:`repro.policies.base`), refit at every
 ``publish_version()`` from the samples observed since deployment.
 
 Selection is epsilon-greedy over the per-action predictions, with the
 usual two-phase rollout: uniform logging during warm-up (the informative
 exploration corpus), learned mode afterwards.  Actions whose regressor is
-not yet fit fall back to their observed mean reward (prior 1.0 — the
-no-op's reward — before any observation), so early days behave like a
+not yet fit fall back to their observed mean advantage (prior 0.0 — the
+no-op's own — before any observation), so early days behave like a
 well-calibrated default rather than argmax over garbage.
 """
 
@@ -35,8 +36,8 @@ if TYPE_CHECKING:
 
 __all__ = ["ValueModelPolicy"]
 
-#: reward prior for actions never observed (the no-op's natural reward)
-_PRIOR_REWARD = 1.0
+#: advantage prior for actions never observed (no better than the no-op)
+_PRIOR_ADVANTAGE = 0.0
 
 
 def _context_vector(context: ContextFeatures) -> np.ndarray:
@@ -64,15 +65,15 @@ class _ActionModel:
     def __init__(self, max_samples: int) -> None:
         self.samples: deque[tuple[np.ndarray, float]] = deque(maxlen=max_samples)
         self.model = LinearRegression()
-        self.reward_sum = 0.0
+        self.advantage_sum = 0.0
         self.observations = 0
 
     def predict(self, features: np.ndarray) -> float:
         if self.model.is_fitted:
             return float(self.model.predict(features[None, :])[0])
         if self.observations:
-            return self.reward_sum / self.observations
-        return _PRIOR_REWARD
+            return self.advantage_sum / self.observations
+        return _PRIOR_ADVANTAGE
 
     def refit(self) -> None:
         if len(self.samples) < len(_context_vector(ContextFeatures(span=()))) + 2:
@@ -86,7 +87,7 @@ class _ActionModel:
 
 
 class ValueModelPolicy(LearnedSteeringPolicy):
-    """Per-action reward regressors, epsilon-explored (Bao-style)."""
+    """Per-action advantage regressors, epsilon-explored (Bao-style)."""
 
     name = "value_model"
 
@@ -123,12 +124,12 @@ class ValueModelPolicy(LearnedSteeringPolicy):
         self,
         context: ContextFeatures,
         action: ActionFeatures,
-        reward: float,
+        advantage: float,
         probability: float,
     ) -> None:
         model = self._model_for(action)
-        model.samples.append((_context_vector(context), reward))
-        model.reward_sum += reward
+        model.samples.append((_context_vector(context), advantage))
+        model.advantage_sum += advantage
         model.observations += 1
 
     def publish_version(self) -> int:
@@ -148,7 +149,7 @@ class ValueModelPolicy(LearnedSteeringPolicy):
                 None
                 if not model.model.is_fitted
                 else (model.model.coef_.copy(), model.model.intercept_),
-                model.reward_sum,
+                model.advantage_sum,
                 model.observations,
             )
             for key, model in self._models.items()
@@ -157,7 +158,7 @@ class ValueModelPolicy(LearnedSteeringPolicy):
     def _restore(self, state: object) -> None:
         # a hint-set first seen after the snapshot goes back to the prior
         self._models = {key: model for key, model in self._models.items() if key in state}
-        for key, (fit, reward_sum, observations) in state.items():
+        for key, (fit, advantage_sum, observations) in state.items():
             model = self._models.get(key)
             if model is None:
                 model = self._models[key] = _ActionModel(self.max_samples_per_action)
@@ -166,5 +167,5 @@ class ValueModelPolicy(LearnedSteeringPolicy):
                 model.model.intercept_ = fit[1]
             else:
                 model.model = LinearRegression()
-            model.reward_sum = reward_sum
+            model.advantage_sum = advantage_sum
             model.observations = observations

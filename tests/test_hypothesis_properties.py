@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
-from repro.config import SimulationConfig
+from repro.config import BanditConfig, SimulationConfig
 from repro.errors import ScopeError
+from repro.policies import BanditSteeringPolicy, PlanGuidedPolicy, ValueModelPolicy
 from repro.rng import keyed_rng, stable_hash
 from repro.scope.cache import EpochStore, FragmentCache
 from repro.scope.engine import ScopeEngine
@@ -121,6 +122,48 @@ def test_joint_features_deterministic(span, rule_id, turn_on):
     first = joint_features(context, action, bits=16)
     second = joint_features(context, action, bits=16)
     assert first.values == second.values
+
+
+_contexts = st.builds(
+    ContextFeatures,
+    span=st.sets(st.integers(0, _SIZE - 1), min_size=1, max_size=6).map(
+        lambda ids: tuple(sorted(ids))
+    ),
+    estimated_cost=st.floats(0.0, 1e9),
+    row_count=st.floats(0.0, 1e9),
+    vertices=st.floats(0.0, 200.0),
+)
+
+
+def _span_actions(context: ContextFeatures) -> list[ActionFeatures]:
+    flips = [ActionFeatures(rule_id=rule_id, turn_on=False) for rule_id in context.span]
+    return [ActionFeatures(rule_id=None)] + flips
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["bandit", "value_model", "plan_guided"]),
+    st.lists(_contexts, min_size=1, max_size=12),
+    st.integers(1, 3),
+    _contexts,
+    st.integers(0, 2**16),
+)
+def test_rewards_equal_to_the_noop_leave_the_noop_greedy(name, logged, publishes, asked, seed):
+    """Rewards of exactly the no-op's 1.0 teach no advantage: whatever was
+    observed, however often the model was refit, the greedy action of any
+    action set is the no-op at index 0."""
+    if name == "bandit":
+        policy = BanditSteeringPolicy(BanditConfig(epsilon=0.0), seed=seed)
+    else:
+        cls = ValueModelPolicy if name == "value_model" else PlanGuidedPolicy
+        policy = cls(epsilon=0.0, seed=seed)
+    for _ in range(publishes):
+        for context in logged:
+            response = policy.rank(context, _span_actions(context))  # uniform: random action
+            policy.observe(response.event_id, 1.0)
+        policy.publish_version()
+    for context in (asked, *logged):
+        assert policy.action_probabilities(context, _span_actions(context))[0] == 1.0
 
 
 _off_rules = _REGISTRY.ids_in_category(

@@ -137,3 +137,17 @@ def test_counterfactual_evaluation_reports_estimators():
     assert set(estimates) >= {"ips", "snips", "dr", "logged_mean", "events"}
     assert estimates["events"] == 50.0
     assert 0.0 <= estimates["snips"] <= 2.0
+
+
+def test_dr_on_a_log_of_noop_rewards_is_the_noop_reward():
+    """The learner regresses the advantage over the no-op; DR's reward model
+    must put it back on the log's scale, or it is biased by mean(weight) - 1."""
+    policy = BanditSteeringPolicy(seed=4)
+    for step in range(60):
+        actions = _actions(2 + step % 3)
+        response = policy.rank(_context(), actions)
+        policy.observe(response.event_id, 1.0)
+    estimates = policy.counterfactual_evaluate()
+    assert estimates["ips"] != pytest.approx(1.0)  # mean(weight) is not 1 here
+    assert estimates["snips"] == pytest.approx(1.0)
+    assert estimates["dr"] == pytest.approx(1.0)
