@@ -23,7 +23,6 @@ from repro.config import (
     CacheConfig,
     ExecutionConfig,
     ObsConfig,
-    PolicyConfig,
     ServingConfig,
     ShardingConfig,
     SimulationConfig,
@@ -36,13 +35,7 @@ from repro.parallel import (
     ThreadedExecutor,
     build_executor,
 )
-from repro.policies import (
-    BanditSteeringPolicy,
-    PlanGuidedPolicy,
-    SteeringPolicy,
-    ValueModelPolicy,
-    build_policy,
-)
+from repro.policies import BanditSteeringPolicy
 from repro.obs import MetricsRegistry, ObservabilityPlane, Tracer
 from repro.scope.cache import CacheStats, CompilationService
 from repro.scope.engine import ScopeEngine
@@ -55,7 +48,7 @@ from repro.serving import (
 from repro.sharding import ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "QOAdvisor",
@@ -64,12 +57,7 @@ __all__ = [
     "DayReport",
     "RecoveryReport",
     "ScopeEngine",
-    "SteeringPolicy",
     "BanditSteeringPolicy",
-    "ValueModelPolicy",
-    "PlanGuidedPolicy",
-    "PolicyConfig",
-    "build_policy",
     "ServerStats",
     "TicketJournal",
     "ServingConfig",

@@ -7,11 +7,8 @@ CB triples the lower-cost fraction, roughly halves the higher-cost
 fraction, reduces recompile failures, and cuts the workload's total
 estimated cost by >100×.
 
-The harness is policy-agnostic: pass any
-:class:`~repro.policies.SteeringPolicy` via ``policy=``; the default
-builds the paper's CB, :class:`BanditSteeringPolicy`.  The
-``bandit`` column name is kept whatever policy is steered — it is "the
-learned column" of Table 3.
+The learned column is a fresh :class:`BanditSteeringPolicy`, the paper's
+CB, trained off-policy on the training days.
 """
 
 from __future__ import annotations
@@ -55,12 +52,10 @@ class PolicyCounts:
 @dataclass
 class Table3Result:
     random: PolicyCounts = field(default_factory=PolicyCounts)
-    #: the learned column (named for the paper's CB; holds whichever
-    #: steering policy the experiment was run with — see ``policy_name``)
+    #: the learned column: the paper's CB
     bandit: PolicyCounts = field(default_factory=PolicyCounts)
     jobs_evaluated: int = 0
     steerable_fraction: float = 0.0
-    policy_name: str = "bandit"
 
     @property
     def cost_improvement_factor(self) -> float:
@@ -89,22 +84,17 @@ def run_table3_experiment(
     training_days: range = range(0, 4),
     eval_days: range = range(4, 6),
     seed: int = 0,
-    policy=None,
 ) -> Table3Result:
-    """Train a steering policy off-policy, then face it off against random
-    flips.  ``policy`` defaults to a fresh CB (the paper's experiment)."""
+    """Train a fresh CB off-policy, then face it off against random flips."""
     spans = SpanComputer(engine)
-    if policy is None:
-        policy = BanditSteeringPolicy(engine.config.bandit, seed=engine.config.seed)
-    if getattr(policy, "engine", False) is None:
-        policy.bind_engine(engine)
+    policy = BanditSteeringPolicy(engine.config.bandit, seed=engine.config.seed)
     train_off_policy(
         engine, workload, spans, policy, training_days,
         engine.config.bandit.reward_clip,
     )
     policy.switch_mode("learned")
 
-    result = Table3Result(policy_name=policy.name)
+    result = Table3Result()
     rng = keyed_rng(seed or engine.config.seed, "table3-random")
     registry = engine.registry
     total = 0
@@ -145,7 +135,7 @@ def run_table3_experiment(
                 continue
             features = JobFeatures(job=job, row=row, span=span)
             actions = actions_for_span(span, registry, engine.default_config)
-            response = policy.rank(features.context(), actions, job=job)
+            response = policy.rank(features.context(), actions)
             if response.action.rule_id is None:
                 result.bandit.equal += 1
                 result.bandit.total_est_cost += default_cost

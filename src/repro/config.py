@@ -4,7 +4,9 @@ All tunables live in small frozen dataclasses grouped under
 :class:`SimulationConfig`.  Defaults are calibrated so that the structural
 properties the paper's evaluation depends on hold:
 high latency variance, low PNhours variance, imperfect cost estimates, and
-learnable rule-flip signal.
+learnable rule-flip signal.  There is one steering policy, the paper's
+contextual bandit, so :class:`BanditConfig` configures it and nothing
+selects among policies.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "EstimatorConfig",
     "WorkloadConfig",
     "BanditConfig",
-    "PolicyConfig",
     "FlightingConfig",
     "AdvisorConfig",
     "CacheConfig",
@@ -101,7 +102,8 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class BanditConfig:
-    """Parameters of the contextual-bandit learner (``repro.bandit``)."""
+    """Parameters of the steering policy's contextual-bandit learner
+    (``repro.bandit``, driven by :class:`~repro.policies.BanditSteeringPolicy`)."""
 
     #: number of bits in the hashed feature space (2**bits weights)
     hash_bits: int = 18
@@ -122,30 +124,6 @@ class BanditConfig:
     activation_timeout_days: int = 2
     #: default reward applied to rank events that expire unrewarded
     expired_event_reward: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    """Selects and configures the active steering policy (``repro.policies``).
-
-    The default (``"bandit"``) runs the paper's CB/Personalizer stack,
-    byte-identical to the pre-seam pipeline.  ``"value_model"`` is the
-    Bao-style per-hint-set reward regressor; ``"plan_guided"`` the
-    Neo-style plan-structure scorer.  The bandit policy takes its learner
-    parameters from :class:`BanditConfig`; the fields here configure the
-    self-contained competitors only.
-    """
-
-    #: "bandit" | "value_model" | "plan_guided"
-    name: str = "bandit"
-    #: exploration rate of the non-bandit policies' epsilon-greedy selection
-    epsilon: float = 0.1
-    #: hashed feature-space bits of the plan-guided policy's linear model
-    hash_bits: int = 16
-    #: SGD learning rate of the plan-guided policy
-    learning_rate: float = 0.08
-    #: per-action sample-buffer bound of the value-model policy's regressors
-    max_samples_per_action: int = 4096
 
 
 @dataclass(frozen=True)
@@ -328,7 +306,6 @@ class SimulationConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     bandit: BanditConfig = field(default_factory=BanditConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
     flighting: FlightingConfig = field(default_factory=FlightingConfig)
     advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)

@@ -21,7 +21,6 @@ from repro.core.pipeline import DayReport, QOAdvisorPipeline
 from repro.flighting.service import FlightingService
 from repro.obs.plane import ObservabilityPlane
 from repro.parallel import Executor, build_executor
-from repro.policies import build_policy
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import default_registry
 from repro.sis.service import SISService
@@ -57,9 +56,6 @@ class QOAdvisor:
         self.obs = ObservabilityPlane(self.config.obs)
         self.engine.install_obs(self.obs)
         self.sis = SISService(self.registry)
-        #: the active steering policy (``config.policy`` selects it); the
-        #: default is the paper's CB, :class:`BanditSteeringPolicy`
-        self.policy = build_policy(self.config, self.engine)
         self.flighting = FlightingService(
             self.engine, self.config.flighting, executor=self.executor
         )
@@ -70,9 +66,10 @@ class QOAdvisor:
             flighting=self.flighting,
             config=self.config,
             executor=self.executor,
-            policy=self.policy,
             obs=self.obs,
         )
+        #: the steering policy, the paper's CB (the pipeline's)
+        self.policy = self.pipeline.policy
         self.obs.install(self)
         self.reports: list[DayReport] = []
 

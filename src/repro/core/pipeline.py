@@ -47,6 +47,7 @@ from repro.flighting.results import FlightRequest, FlightResult
 from repro.obs.plane import NULL_PLANE, ObservabilityPlane
 from repro.flighting.service import FlightingService
 from repro.parallel import Executor, build_executor
+from repro.policies.bandit import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from repro.scope.cache import CacheStats, CompileRequest
 from repro.scope.engine import JobRun, ScopeEngine
@@ -109,11 +110,9 @@ class DayReport:
     #: wall-clock seconds per pipeline stage; stages that did not run on
     #: this day (e.g. validation before the model is fitted) report 0.0
     stage_timings: dict[str, float] = field(default_factory=dict)
-    #: active steering-policy name and its published model version at day
-    #: close — deployment telemetry, excluded from :meth:`fingerprint`
-    #: (like stage timings) so the default-policy refactor stays
-    #: byte-identical to pre-seam reports
-    policy_name: str = ""
+    #: the steering policy's published model version at day close —
+    #: deployment telemetry, excluded from :meth:`fingerprint` (like stage
+    #: timings)
     policy_version: int = 0
 
     @property
@@ -260,10 +259,10 @@ class FeatureStage(PipelineStage):
 
 
 class RecommendStage(PipelineStage):
-    """Steering-policy ranking (the CB by default).
+    """Steering-policy ranking (the CB).
 
-    Stays serial: policies draw exploration randomness from one sequential
-    stream, so rank order is part of the deterministic trace.
+    Stays serial: the policy draws exploration randomness from one
+    sequential stream, so rank order is part of the deterministic trace.
     """
 
     name = "recommend"
@@ -345,7 +344,6 @@ class QOAdvisorPipeline:
         flighting: FlightingService | None = None,
         config: SimulationConfig | None = None,
         executor: Executor | None = None,
-        policy=None,
         obs: ObservabilityPlane | None = None,
     ) -> None:
         self.engine = engine
@@ -358,16 +356,8 @@ class QOAdvisorPipeline:
         #: the most recently finalized DayReport (feeds the stage-timing
         #: metrics view); never read by the pipeline itself
         self.last_report: DayReport | None = None
-        # the steering seam: an explicit policy wins; without one the
-        # config's PolicyConfig decides
-        if policy is None:
-            from repro.policies import build_policy
-
-            policy = build_policy(self.config, engine)
-        self.policy = policy
-        if getattr(self.policy, "engine", False) is None:
-            # a plan-guided policy built before the fleet existed
-            self.policy.bind_engine(engine)
+        #: the steering policy: the paper's CB
+        self.policy = BanditSteeringPolicy(self.config.bandit, seed=self.config.seed)
         self.executor = executor or build_executor(self.config.execution)
         self.spans = SpanComputer(engine, executor=self.executor)
         self.feature_task = FeatureGenerationTask(self.spans)
@@ -579,7 +569,6 @@ class QOAdvisorPipeline:
             shard: stats - shards_before.get(shard, CacheStats())
             for shard, stats in self.engine.compilation.per_shard_stats().items()
         }
-        report.policy_name = self.policy.name
         report.policy_version = self.policy.publish_version()
         self.last_report = report
         return report

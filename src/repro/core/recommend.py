@@ -2,13 +2,11 @@
 
 The action set for a job with span bits S is (1 + |S|): keep the default
 plan, or flip exactly one span rule relative to the default configuration.
-The active :class:`~repro.policies.SteeringPolicy` ranks the set; the
-chosen action's reward is supplied later by the Recompilation task through
-:meth:`~repro.policies.SteeringPolicy.observe`.
-
-This layer is policy-agnostic: the paper's contextual bandit, the
-Bao-style value model and the Neo-style plan-guided scorer all plug in
-behind the same seam.
+The steering policy (the paper's contextual bandit,
+:class:`~repro.policies.BanditSteeringPolicy`) ranks the set from the
+job's context features; the chosen action's reward is supplied later by
+the Recompilation task through
+:meth:`~repro.policies.LearnedSteeringPolicy.observe`.
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ def train_off_policy(
     For each steerable job, the policy (in uniform-logging mode) ranks the
     action set, the pick is recompiled, and the clipped cost ratio is
     reported as reward — the recommend and recompile stages' own code, one
-    job at a time.  Returns the number of logged events.  Accepts any
-    :class:`SteeringPolicy`.
+    job at a time.  Returns the number of logged events.
     """
     from repro.core.recompile import RecompilationTask  # imports this module
 
@@ -110,9 +107,7 @@ class RecommendationTask:
     def recommend(self, job_features: JobFeatures) -> Recommendation:
         """Rank one steerable job's action set."""
         actions = actions_for_span(job_features.span, self.registry, self.default)
-        response = self.policy.rank(
-            job_features.context(), actions, job=job_features.job
-        )
+        response = self.policy.rank(job_features.context(), actions)
         flip = None
         if response.action.rule_id is not None:
             flip = RuleFlip(response.action.rule_id, response.action.turn_on)

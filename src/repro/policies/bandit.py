@@ -5,14 +5,10 @@ the uniform-logging / learned mode switch, versioned snapshots — is
 :class:`~repro.policies.base.LearnedSteeringPolicy`; this module supplies
 what is the bandit's own: the hashed linear :class:`CBLearner` scored
 through :class:`EpsilonGreedyPolicy`, the reward-wait expiry of unrewarded
-events, and counterfactual evaluation of its log.  It keeps the RNG stream
-and event ids of the stand-alone service it replaced, so every decision is
-byte-identical to the golden fingerprints in ``tests/test_policies.py``.
+events, and counterfactual evaluation of its log.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +19,6 @@ from repro.bandit.policy import EpsilonGreedyPolicy
 from repro.config import BanditConfig
 from repro.policies.base import NOOP_REWARD, LearnedSteeringPolicy
 
-if TYPE_CHECKING:
-    from repro.scope.jobs import JobInstance
-
 __all__ = ["BanditSteeringPolicy"]
 
 
@@ -33,8 +26,6 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
     """Epsilon-greedy over a hashed linear reward model, learned off-policy."""
 
     name = "bandit"
-    rng_stream = ("personalizer",)
-    event_prefix = "evt"
 
     def __init__(
         self,
@@ -58,13 +49,7 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
 
     # -- LearnedSteeringPolicy hooks ----------------------------------------------
 
-    def _scores(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        job: "JobInstance | None",
-    ) -> np.ndarray:
-        # context-only policy: the job is part of the seam, not of the CB
+    def _scores(self, context: ContextFeatures, actions: list[ActionFeatures]) -> np.ndarray:
         return self.greedy_policy._scores(context, actions, self.learner)
 
     def _learn(

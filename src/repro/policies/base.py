@@ -1,42 +1,37 @@
-"""The steering-policy seam: what the pipeline requires of a recommender.
+"""The Rank/Reward skeleton the steering policy is built on (paper §4.2, §6).
 
-The paper's deployment steers with one fixed contextual bandit; the fleet
-wants to *compare* steering strategies (Bao-style learned value models,
-Neo-style plan-guided scoring, the CB baseline) without re-wiring the
-pipeline per strategy.  :class:`SteeringPolicy` is that seam — everything
-downstream of feature generation (the recommend stage, the reward feedback
-of the recompile stage, the daily model publish, the off-policy
-estimators) talks to this interface and nothing else.
+The paper deploys one contextual bandit; :class:`LearnedSteeringPolicy` is
+the loop every part of the pipeline downstream of feature generation talks
+to (the recommend stage, the reward feedback of the recompile stage, the
+daily model publish, the off-policy estimators), and
+:class:`~repro.policies.bandit.BanditSteeringPolicy` is its one
+implementation.
 
 The contract:
 
-* :meth:`~SteeringPolicy.rank` — choose one action for a (context,
+* :meth:`~LearnedSteeringPolicy.rank` — choose one action for a (context,
   actions) pair, returning a :class:`RankResponse` (event id + chosen
-  action + logged propensity).  Policies that score *compiled plans*
-  (Neo-style) additionally receive the job, so they can consult the plan
-  cache; context-only policies ignore it.
-* :meth:`~SteeringPolicy.observe` — report the reward for a ranked event;
-  the policy learns online (or buffers for its next refit).
-* :meth:`~SteeringPolicy.action_probability` — the probability the
+  action + logged propensity).
+* :meth:`~LearnedSteeringPolicy.observe` — report the reward for a ranked
+  event; the model learns online.
+* :meth:`~LearnedSteeringPolicy.action_probability` — the probability the
   policy's *acting* (learned) distribution assigns to one action of a
   logged event.  This is the hook the IPS/SNIPS/DR estimators in
   :mod:`repro.bandit.offpolicy` need, and it is deliberately
   signature-compatible with the bandit-internal policies there (the
-  ``scorer`` argument is accepted and ignored by self-contained policies).
-* :meth:`~SteeringPolicy.publish_version` / :meth:`~SteeringPolicy.restore_version`
-  — daily model snapshots and regression rollback, mirroring the Azure
-  Personalizer lifecycle the pipeline already drives.
-* :meth:`~SteeringPolicy.switch_mode` — ``"uniform_logging"`` (explore
-  uniformly, maximally informative logs — the off-policy warm-up) vs
-  ``"learned"`` (act on the learned scores), the paper's staged rollout.
+  ``scorer`` argument is accepted and ignored).
+* :meth:`~LearnedSteeringPolicy.publish_version` /
+  :meth:`~LearnedSteeringPolicy.restore_version` — daily model snapshots
+  and regression rollback, mirroring the Azure Personalizer lifecycle.
+* :meth:`~LearnedSteeringPolicy.switch_mode` — ``"uniform_logging"``
+  (explore uniformly, maximally informative logs — the off-policy warm-up)
+  vs ``"learned"`` (act on the learned scores), the paper's staged rollout.
 
-:class:`LearnedSteeringPolicy` is the one Rank/Reward skeleton every
-shipped policy — the paper's bandit included — is built on: it owns the
-pending-event table, the high-fidelity event log
-(:class:`~repro.bandit.offpolicy.LoggedEvent`, so every policy's log feeds
-the same counterfactual machinery), the mode switch, the keyed exploration
-RNG and epsilon-greedy selection; subclasses supply ``_scores`` (score
-every action) plus ``_learn``/``_snapshot``/``_restore``.
+The skeleton owns the pending-event table, the high-fidelity event log
+(:class:`~repro.bandit.offpolicy.LoggedEvent`, which feeds the
+counterfactual machinery), the mode switch, the keyed exploration RNG and
+epsilon-greedy selection; the subclass supplies ``_scores`` (score every
+action) plus ``_learn``/``_snapshot``/``_restore``.
 
 The skeleton logs the raw reward but teaches the model its *advantage*
 over the no-op, ``reward - NOOP_REWARD``.  Every flip's reward is a cost
@@ -48,9 +43,7 @@ no-op, which is never recompiled.  A score is therefore an advantage.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,12 +52,8 @@ from repro.bandit.offpolicy import LoggedEvent
 from repro.errors import PersonalizerError
 from repro.rng import keyed_rng
 
-if TYPE_CHECKING:
-    from repro.scope.jobs import JobInstance
-
 __all__ = [
     "NOOP_REWARD",
-    "SteeringPolicy",
     "LearnedSteeringPolicy",
     "PolicyVersion",
     "RankResponse",
@@ -88,78 +77,9 @@ class RankResponse:
     model_version: int
 
 
-class SteeringPolicy(abc.ABC):
-    """What the recommendation layer requires of a steering strategy."""
-
-    #: stable identifier, surfaced in day reports and serving stats
-    name: str = "?"
-
-    @abc.abstractmethod
-    def rank(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        job: "JobInstance | None" = None,
-    ) -> RankResponse:
-        """Choose one action; the caller must later observe its reward."""
-
-    @abc.abstractmethod
-    def observe(self, event_id: str, reward: float) -> None:
-        """Report the reward for a ranked event; the policy learns."""
-
-    @abc.abstractmethod
-    def action_probability(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        index: int,
-        scorer=None,
-    ) -> float:
-        """P(action | context) under the policy's learned distribution."""
-
-    @abc.abstractmethod
-    def publish_version(self) -> int:
-        """Snapshot the model (the daily pipeline checkpoint)."""
-
-    @abc.abstractmethod
-    def restore_version(self, version: int) -> None:
-        """Roll the model back to a published snapshot."""
-
-    @abc.abstractmethod
-    def switch_mode(self, mode: str) -> None:
-        """``"uniform_logging"`` or ``"learned"`` (staged rollout, §4.2)."""
-
-    @property
-    @abc.abstractmethod
-    def model_version(self) -> int:
-        """Number of published snapshots so far."""
-
-    @property
-    @abc.abstractmethod
-    def event_log(self) -> list[LoggedEvent]:
-        """Every finalized decision, for counterfactual evaluation."""
-
-    def telemetry(self) -> dict[str, object]:
-        """Identity of this policy for the observability plane.
-
-        Feeds the ``repro_policy_info`` metrics view and serving stats
-        deltas; override to expose extra policy-specific fields.  Reads
-        only already-published state — calling it never advances the
-        policy.
-        """
-        info: dict[str, object] = {
-            "policy": self.name,
-            "version": self.model_version,
-        }
-        mode = getattr(self, "mode", None)
-        if mode is not None:
-            info["mode"] = mode
-        return info
-
-
 @dataclass
 class PolicyVersion:
-    """One published model snapshot of a self-contained policy."""
+    """One published model snapshot."""
 
     version: int
     state: object
@@ -175,12 +95,12 @@ class _Pending:
     model_version: int
 
 
-class LearnedSteeringPolicy(SteeringPolicy):
-    """The Rank/Reward loop, written once (paper §4.2, §6).
+class LearnedSteeringPolicy:
+    """The Rank/Reward loop (paper §4.2, §6).
 
     Subclasses implement:
 
-    * ``_scores(context, actions, job)`` → per-action predicted advantage
+    * ``_scores(context, actions)`` → per-action predicted advantage
       over the no-op (0.0 = no better than default);
     * ``_learn(context, action, advantage, probability)`` — consume one
       finalized event, ``advantage = reward - NOOP_REWARD``;
@@ -188,10 +108,8 @@ class LearnedSteeringPolicy(SteeringPolicy):
       publish/restore.
     """
 
-    #: keyed-RNG stream labels and event-id prefix; empty derives both from
-    #: ``name`` (the bandit pins the ones its logged decisions were made under)
-    rng_stream: tuple[str, ...] = ()
-    event_prefix: str = ""
+    #: stable identifier, surfaced by :meth:`telemetry`
+    name: str = "?"
 
     def __init__(self, epsilon: float, seed: int, mode: str = "uniform_logging") -> None:
         if mode not in MODES:
@@ -200,33 +118,31 @@ class LearnedSteeringPolicy(SteeringPolicy):
             raise PersonalizerError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
         self.mode = mode
-        self._rng = keyed_rng(seed, *(self.rng_stream or ("policy", self.name)))
+        # the stream and event ids of the stand-alone Personalizer service
+        # the bandit's logged decisions were made under
+        self._rng = keyed_rng(seed, "personalizer")
         self._pending: dict[str, _Pending] = {}
         self._event_counter = 0
         self._log: list[LoggedEvent] = []
         self.versions: list[PolicyVersion] = []
 
-    # -- the SteeringPolicy surface ----------------------------------------------
+    # -- the Rank/Reward surface ----------------------------------------------
 
-    def rank(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        job: "JobInstance | None" = None,
-    ) -> RankResponse:
+    def rank(self, context: ContextFeatures, actions: list[ActionFeatures]) -> RankResponse:
+        """Choose one action; the caller must later observe its reward."""
         if not actions:
             raise PersonalizerError("rank called with an empty action set")
         if self.mode == "uniform_logging":
             index = int(self._rng.integers(0, len(actions)))
             probability = 1.0 / len(actions)
         else:
-            scores = self._scores(context, actions, job)
+            scores = self._scores(context, actions)
             greedy = int(np.argmax(scores))
             explore = self._rng.random() < self.epsilon
             index = int(self._rng.integers(0, len(actions))) if explore else greedy
             probability = self._greedy_probability(len(actions), index == greedy)
         self._event_counter += 1
-        event_id = f"{self.event_prefix or self.name}-{self._event_counter:08d}"
+        event_id = f"evt-{self._event_counter:08d}"
         self._pending[event_id] = _Pending(
             context=context,
             actions=tuple(actions),
@@ -243,6 +159,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
         )
 
     def observe(self, event_id: str, reward: float) -> None:
+        """Report the reward for a ranked event; the model learns."""
         pending = self._pending.pop(event_id, None)
         if pending is None:
             raise PersonalizerError(f"unknown or already-rewarded event {event_id!r}")
@@ -279,7 +196,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
         """
         if not actions:
             return 0.0
-        scores = self._scores(context, actions, None)
+        scores = self._scores(context, actions)
         greedy = int(np.argmax(scores))
         return self._greedy_probability(len(actions), index == greedy)
 
@@ -289,7 +206,7 @@ class LearnedSteeringPolicy(SteeringPolicy):
         """:meth:`action_probability` for every index, from one scoring pass."""
         if not actions:
             return []
-        scores = self._scores(context, actions, None)
+        scores = self._scores(context, actions)
         greedy = int(np.argmax(scores))
         return [self._greedy_probability(len(actions), i == greedy) for i in range(len(actions))]
 
@@ -327,14 +244,17 @@ class LearnedSteeringPolicy(SteeringPolicy):
     def pending_events(self) -> int:
         return len(self._pending)
 
+    def telemetry(self) -> dict[str, object]:
+        """Identity of this policy for the observability plane.
+
+        Feeds the ``repro_policy_info`` metrics view.  Reads only
+        already-published state — calling it never advances the policy.
+        """
+        return {"policy": self.name, "version": self.model_version, "mode": self.mode}
+
     # -- subclass hooks ------------------------------------------------------
 
-    def _scores(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        job: "JobInstance | None",
-    ) -> np.ndarray:
+    def _scores(self, context: ContextFeatures, actions: list[ActionFeatures]) -> np.ndarray:
         raise NotImplementedError
 
     def _learn(

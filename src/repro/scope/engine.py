@@ -159,26 +159,6 @@ class ScopeEngine:
         """
         return self.compilation.compile_job(job, flip, use_hints=use_hints)
 
-    def peek_job_result(
-        self,
-        job: JobInstance,
-        flip: RuleFlip | None = None,
-        *,
-        use_hints: bool = True,
-    ) -> OptimizationResult | None:
-        """The cached plan a ``compile_job`` call would serve, or ``None``.
-
-        Counter-free and compile-free (see
-        :meth:`~repro.scope.cache.CompilationService.peek`, asked of the
-        job's owning shard): the plan-guided steering
-        policy scores against resident plans without adding optimizer
-        invocations or moving fingerprint-visible accounting.  A memoized
-        compile *error* yields ``None`` too — there is no plan to read.
-        """
-        config = self.configuration_for(job, flip, use_hints=use_hints)
-        entry = self.compilation.service_for(job.template_id).peek(job.script, config)
-        return entry.result if entry is not None else None
-
     def compile_job_uncached(
         self,
         job: JobInstance,

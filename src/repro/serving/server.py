@@ -1215,7 +1215,6 @@ class QOAdvisorServer:
             hint_version=current_version,
             maintenance_windows=self.scheduler.windows,
             publications=self.scheduler.publications,
-            policy_name=self.advisor.policy.name,
             policy_version=self.advisor.policy.model_version,
             last_window=self.scheduler.last_window,
         )

@@ -214,10 +214,9 @@ class ServerStats:
     #: maintenance windows run / hint publications they produced
     maintenance_windows: int = 0
     publications: int = 0
-    #: active steering policy and its published model version — deployment
+    #: the steering policy's published model version — deployment
     #: telemetry (the operator's "what model is steering right now"),
     #: excluded from fingerprints like every other schedule-shaped field
-    policy_name: str = ""
     policy_version: int = 0
     #: summary of the last completed maintenance window (None before one)
     last_window: WindowSummary | None = None
@@ -237,7 +236,7 @@ class ServerStats:
             f"steer rate {self.steer_rate:.0%}, "
             f"hint v{self.hint_version}, "
             f"{self.maintenance_windows} window(s) / {self.publications} publication(s), "
-            f"policy {self.policy_name or '-'} v{self.policy_version}"
+            f"policy v{self.policy_version}"
         ]
         if self.last_window is not None:
             window = self.last_window

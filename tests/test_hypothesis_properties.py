@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
 from repro.config import BanditConfig, SimulationConfig
 from repro.errors import ScopeError
-from repro.policies import BanditSteeringPolicy, PlanGuidedPolicy, ValueModelPolicy
+from repro.policies import BanditSteeringPolicy
 from repro.rng import keyed_rng, stable_hash
 from repro.scope.cache import EpochStore, FragmentCache
 from repro.scope.engine import ScopeEngine
@@ -142,21 +142,16 @@ def _span_actions(context: ContextFeatures) -> list[ActionFeatures]:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["bandit", "value_model", "plan_guided"]),
     st.lists(_contexts, min_size=1, max_size=12),
     st.integers(1, 3),
     _contexts,
     st.integers(0, 2**16),
 )
-def test_rewards_equal_to_the_noop_leave_the_noop_greedy(name, logged, publishes, asked, seed):
+def test_rewards_equal_to_the_noop_leave_the_noop_greedy(logged, publishes, asked, seed):
     """Rewards of exactly the no-op's 1.0 teach no advantage: whatever was
     observed, however often the model was refit, the greedy action of any
     action set is the no-op at index 0."""
-    if name == "bandit":
-        policy = BanditSteeringPolicy(BanditConfig(epsilon=0.0), seed=seed)
-    else:
-        cls = ValueModelPolicy if name == "value_model" else PlanGuidedPolicy
-        policy = cls(epsilon=0.0, seed=seed)
+    policy = BanditSteeringPolicy(BanditConfig(epsilon=0.0), seed=seed)
     for _ in range(publishes):
         for context in logged:
             response = policy.rank(context, _span_actions(context))  # uniform: random action

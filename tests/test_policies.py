@@ -1,9 +1,10 @@
-"""Tests for the pluggable steering-policy layer (``repro.policies``).
+"""Tests for the steering policy (``repro.policies``).
 
-Covers the refactor-parity lock (default policy byte-identical to the
-pre-seam pipeline across worker counts and shard topologies), the three
-shipped policies end-to-end, the counterfactual machinery over any
-policy, off-policy estimator hardening, and the telemetry surfacing.
+Covers the refactor-parity lock (the bandit byte-identical to the
+pre-seam pipeline across worker counts and shard topologies), the bandit
+end-to-end through the counterfactual machinery, the Rank/Reward
+skeleton's contract, off-policy estimator hardening, and the telemetry
+surfacing.
 """
 
 import dataclasses
@@ -25,21 +26,12 @@ from repro.config import (
     BanditConfig,
     ExecutionConfig,
     FlightingConfig,
-    PolicyConfig,
     ShardingConfig,
     WorkloadConfig,
 )
 from repro.core.recompile import CostOutcome
-from repro.errors import PersonalizerError, ValidationError
-from repro.policies import (
-    BanditSteeringPolicy,
-    LearnedSteeringPolicy,
-    PlanGuidedPolicy,
-    SteeringPolicy,
-    ValueModelPolicy,
-    build_policy,
-)
-from repro.policies.plan_guided import plan_summary
+from repro.errors import PersonalizerError
+from repro.policies import BanditSteeringPolicy, LearnedSteeringPolicy
 from tests.conftest import PerIndexOnly, reference_joint_features, reference_score
 
 # ---------------------------------------------------------------------------
@@ -94,14 +86,13 @@ GOLDEN_DECISIONS = [
 ]
 
 
-def _tiny_config(workers=1, shards=1, seed=555, policy=None):
+def _tiny_config(workers=1, shards=1, seed=555):
     return dataclasses.replace(
         SimulationConfig(seed=seed),
         workload=WorkloadConfig(num_templates=10, num_tables=8),
         flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
         execution=ExecutionConfig(workers=workers),
         sharding=ShardingConfig(shards=shards),
-        policy=policy or PolicyConfig(),
     )
 
 
@@ -176,7 +167,6 @@ def test_default_policy_is_the_bandit():
     advisor, reports = _simulate(_tiny_config())
     assert isinstance(advisor.policy, BanditSteeringPolicy)
     assert advisor.policy.mode == "learned"
-    assert reports[-1].policy_name == "bandit"
     assert reports[-1].policy_version == len(advisor.policy.versions)
 
 
@@ -184,26 +174,21 @@ def test_policy_telemetry_is_outside_the_fingerprint():
     _, reports = _simulate(_tiny_config())
     report = reports[-1]
     before = report.fingerprint()
-    report.policy_name = "something_else"
     report.policy_version = 99
     assert report.fingerprint() == before
 
 
 # ---------------------------------------------------------------------------
-# the three policies end-to-end
+# the bandit end-to-end
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["bandit", "value_model", "plan_guided"])
-def test_policy_runs_end_to_end_and_feeds_counterfactuals(name):
-    config = _tiny_config(policy=PolicyConfig(name=name))
-    advisor, reports = _simulate(config)
+def test_policy_runs_end_to_end_and_feeds_counterfactuals():
+    advisor, reports = _simulate(_tiny_config())
     policy = advisor.policy
-    assert isinstance(policy, SteeringPolicy)
-    assert reports[-1].policy_name == name
     assert reports[-1].policy_version == policy.model_version > 0
     log = policy.event_log
-    assert log, "every policy must produce a counterfactual-ready log"
+    assert log, "the policy must produce a counterfactual-ready log"
     # the off-policy machinery accepts any policy exposing action_probability
     estimates = {
         "ips": ips_estimate(log, policy),
@@ -220,57 +205,6 @@ def test_policy_runs_end_to_end_and_feeds_counterfactuals(name):
         "snips": snips_estimate(log, per_index),
         "dr": dr_estimate(log, per_index, lambda context, action: 1.0),
     }
-
-
-@pytest.mark.parametrize("name", ["value_model", "plan_guided"])
-def test_learned_policies_are_deterministic_across_workers(name):
-    fingerprints = []
-    for workers in (1, 4):
-        config = _tiny_config(workers=workers, policy=PolicyConfig(name=name))
-        _, reports = _simulate(config)
-        fingerprints.append([r.fingerprint() for r in reports])
-    assert fingerprints[0] == fingerprints[1]
-
-
-def test_plan_guided_policy_scores_from_the_plan_cache():
-    # In uniform-logging mode the chosen actions depend only on the policy
-    # RNG stream, so a run with plan peeks enabled and one with them
-    # unavailable make identical decisions — if peeking were ever to
-    # compile or touch a counter, the two cache accountings would diverge.
-    results = []
-    for bind_engine in (True, False):
-        config = _tiny_config(policy=PolicyConfig(name="plan_guided"))
-        with QOAdvisor(config) as advisor:
-            if not bind_engine:
-                advisor.policy.engine = None  # force the context-only path
-            report = advisor.run_day(0)
-            results.append(
-                (report.fingerprint(), report.cache_stats.core(), advisor.policy)
-            )
-    (fp_peek, core_peek, with_peek), (fp_blind, core_blind, blind) = results
-    assert with_peek.plan_feature_hits > 0  # plans were resident and read
-    assert with_peek.plan_feature_misses == 0
-    assert blind.plan_feature_hits == 0
-    assert fp_peek == fp_blind
-    assert core_peek == core_blind
-
-
-def test_peek_job_result_is_counter_free():
-    config = _tiny_config()
-    with QOAdvisor(config) as advisor:
-        job = advisor.workload.jobs_for_day(0)[0]
-        assert advisor.engine.peek_job_result(job) is None  # cold: no compile
-        before = advisor.engine.compilation.stats.snapshot()
-        assert (advisor.engine.compilation.stats - before).core() == (
-            0, 0, 0, 0, 0, 0, 0,
-        )
-        result = advisor.engine.compile_job(job)
-        mid = advisor.engine.compilation.stats.snapshot()
-        peeked = advisor.engine.peek_job_result(job)
-        assert peeked is result
-        assert (advisor.engine.compilation.stats - mid).core() == (
-            0, 0, 0, 0, 0, 0, 0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +275,20 @@ def test_bootstrap_event_log_matches_the_parent_capture():
         assert _blake(policy._rng.bit_generator.state) == "bf1a9080c39a5306b59738d8be8ba33b"
 
 
-def _make_policy(name, epsilon=0.1, mode="uniform_logging"):
-    if name == "bandit":
-        return BanditSteeringPolicy(BanditConfig(epsilon=epsilon), seed=4, mode=mode)
-    cls = ValueModelPolicy if name == "value_model" else PlanGuidedPolicy
-    return cls(epsilon=epsilon, seed=4, mode=mode)
+def _make_policy(epsilon=0.1, mode="uniform_logging"):
+    return BanditSteeringPolicy(BanditConfig(epsilon=epsilon), seed=4, mode=mode)
 
 
-@pytest.mark.parametrize("name", ["bandit", "value_model", "plan_guided"])
-def test_skeleton_conformance(name):
-    """The Rank/Reward contract every policy inherits from the one skeleton."""
-    policy = _make_policy(name)
-    prefix = "evt" if name == "bandit" else name  # the bandit keeps its old ids
+def test_skeleton_conformance():
+    """The Rank/Reward contract the bandit inherits from the skeleton."""
+    policy = _make_policy()
     actions = _actions()
-    # event ids count up under the policy's prefix; a rank is pending until
-    # observed, then it is one LoggedEvent with the propensity it was drawn at
+    # event ids count up under the Personalizer's prefix; a rank is pending
+    # until observed, then it is one LoggedEvent with the propensity it was
+    # drawn at
     first = policy.rank(_context(), actions)
     second = policy.rank(_context(), actions)
-    assert (first.event_id, second.event_id) == (f"{prefix}-00000001", f"{prefix}-00000002")
+    assert (first.event_id, second.event_id) == ("evt-00000001", "evt-00000002")
     assert first.probability == pytest.approx(1.0 / 3.0) and first.model_version == 0
     assert first.action is actions[first.index]
     assert policy.pending_events == 2 and policy.event_log == []
@@ -377,13 +307,13 @@ def test_skeleton_conformance(name):
     version = policy.publish_version()
     assert version == policy.model_version == 1
     assert policy.rank(_context(), actions).model_version == 1
-    at_publish = policy._scores(_context(), actions, None).tolist()
+    at_publish = policy._scores(_context(), actions).tolist()
     for _ in range(20):
         response = policy.rank(_context(), actions)
         policy.observe(response.event_id, 2.0 - response.index)
     policy.publish_version()
     policy.restore_version(version)
-    assert policy._scores(_context(), actions, None).tolist() == at_publish
+    assert policy._scores(_context(), actions).tolist() == at_publish
     with pytest.raises(PersonalizerError):
         policy.restore_version(99)
     # modes and epsilon are validated at construction, modes at the switch
@@ -392,81 +322,9 @@ def test_skeleton_conformance(name):
     with pytest.raises(PersonalizerError):
         policy.switch_mode("bogus")
     with pytest.raises(PersonalizerError):
-        _make_policy(name, mode="bogus")
+        _make_policy(mode="bogus")
     with pytest.raises(PersonalizerError):
-        _make_policy(name, epsilon=1.5)
-
-
-def test_value_model_learns_per_action_rewards():
-    policy = ValueModelPolicy(epsilon=0.0, seed=1, mode="learned")
-    actions = _actions()
-    # teach it: action 1 pays 2.0, others pay 0.5 (via uniform exploration)
-    policy.switch_mode("uniform_logging")
-    for _ in range(60):
-        response = policy.rank(_context(), actions)
-        policy.observe(response.event_id, 2.0 if response.index == 1 else 0.5)
-    policy.publish_version()  # refit cadence
-    policy.switch_mode("learned")
-    response = policy.rank(_context(), actions)
-    assert response.index == 1
-    assert response.probability == pytest.approx(1.0)  # epsilon 0, greedy
-    assert policy.action_probability(_context(), actions, 1) == pytest.approx(1.0)
-    assert policy.action_probability(_context(), actions, 0) == pytest.approx(0.0)
-
-
-def test_value_model_snapshot_restore_roundtrip():
-    policy = ValueModelPolicy(epsilon=0.1, seed=2)
-    actions = _actions()
-    for _ in range(30):
-        response = policy.rank(_context(), actions)
-        policy.observe(response.event_id, float(response.index))
-    version = policy.publish_version()
-    scores_at_publish = policy._scores(_context(), actions, None).tolist()
-    for _ in range(30):
-        response = policy.rank(_context(), actions)
-        policy.observe(response.event_id, 2.0 - response.index)
-    policy.publish_version()
-    policy.restore_version(version)
-    assert policy._scores(_context(), actions, None).tolist() == scores_at_publish
-    with pytest.raises(PersonalizerError):
-        policy.restore_version(999)
-
-
-def test_plan_guided_falls_back_without_an_engine():
-    policy = PlanGuidedPolicy(engine=None, epsilon=0.0, seed=3, mode="learned")
-    actions = _actions()
-    scores = policy._scores(_context(), actions, None)
-    assert len(scores) == len(actions)
-    response = policy.rank(_context(), actions)  # no job: context-only path
-    policy.observe(response.event_id, 1.5)
-    assert policy.learner.updates == 1
-    assert policy.event_log[0].reward == 1.5
-
-
-def test_plan_summary_reads_plan_structure():
-    config = _tiny_config()
-    with QOAdvisor(config) as advisor:
-        job = advisor.workload.jobs_for_day(0)[0]
-        result = advisor.engine.compile_job(job)
-        summary = plan_summary(result)
-        assert summary["nodes"] >= 1
-        assert summary["depth"] >= 1
-        assert summary["est_cost"] == result.est_cost
-
-
-def test_build_policy_factory_and_wrapping():
-    config = SimulationConfig()
-    assert isinstance(build_policy(config), BanditSteeringPolicy)
-    assert isinstance(
-        build_policy(dataclasses.replace(config, policy=PolicyConfig("value_model"))),
-        ValueModelPolicy,
-    )
-    plan = build_policy(
-        dataclasses.replace(config, policy=PolicyConfig("plan_guided")), engine="E"
-    )
-    assert isinstance(plan, PlanGuidedPolicy) and plan.engine == "E"
-    with pytest.raises(ValidationError):
-        build_policy(dataclasses.replace(config, policy=PolicyConfig("nope")))
+        _make_policy(epsilon=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +381,13 @@ def test_estimators_survive_degenerate_logs(estimate):
 def test_server_stats_surface_the_active_policy():
     from repro.serving import QOAdvisorServer
 
-    config = dataclasses.replace(_tiny_config(), policy=PolicyConfig("value_model"))
-    server = QOAdvisorServer(config=config)
+    server = QOAdvisorServer(config=_tiny_config())
     try:
+        assert server.stats().policy_version == 0
+        assert "policy v0" in server.stats().render()
+        server.advisor.policy.publish_version()
         stats = server.stats()
-        assert stats.policy_name == "value_model"
-        assert stats.policy_version == server.advisor.policy.model_version
-        assert "policy value_model v" in stats.render()
+        assert stats.policy_version == server.advisor.policy.model_version == 1
+        assert "policy v1" in stats.render()
     finally:
         server.shutdown()
