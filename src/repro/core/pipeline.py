@@ -448,25 +448,19 @@ class QOAdvisorPipeline:
     def flight_corpus_day(self, day: int, flights_per_day: int = 12) -> list[FlightResult]:
         """One day of the random-flip corpus: pick flips, flight them.
 
-        Candidate flips are evaluated in fixed-size batches through the
-        executor; each job draws its own ``keyed_rng`` stream, and batch
-        membership depends only on submission order, so the corpus is
-        byte-identical at any worker count.
+        Candidates are evaluated in submission order and the walk stops the
+        moment the quota fills, so no candidate past it compiles a flip.
+        Each job draws its own ``keyed_rng`` stream, so a kept request is a
+        function of its job alone and the corpus is byte-identical at any
+        worker count.
         """
         jobs = self.workload.jobs_for_day(day)
-
-        def candidate(pair: tuple[JobInstance, frozenset[int]]):
-            job, span = pair
-            rng = keyed_rng(self.config.seed, "bootstrap", day, job.job_id)
-            return self._corpus_flip(job, span, rng)
-
         requests: list[FlightRequest] = []
-        # jobs are scanned in positional windows: spans (the expensive
-        # per-template probes) and candidate flips are only evaluated
-        # for windows reached before the quota fills, and windows are
-        # cut by position (not worker count), so at most one window of
-        # speculative evaluations happens past the daily quota and the
-        # corpus is identical at any worker count
+        # spans (the expensive per-template probes) are computed a
+        # positional window at a time, cut by position (not worker count),
+        # and only for windows reached before the quota fills — which
+        # fixes, at any worker count, which job first computes a
+        # template's span
         window = max(1, flights_per_day)
         for start in range(0, len(jobs), window):
             if len(requests) >= flights_per_day:
@@ -476,8 +470,12 @@ class QOAdvisorPipeline:
                 span = self.spans.span_for_template(job.template_id, job.script)
                 if span:
                     batch.append((job, span))
-            for request in self.executor.map_jobs(candidate, batch):
-                if request is not None and len(requests) < flights_per_day:
+            for job, span in batch:
+                if len(requests) == flights_per_day:
+                    break
+                rng = keyed_rng(self.config.seed, "bootstrap", day, job.job_id)
+                request = self._corpus_flip(job, span, rng)
+                if request is not None:
                     requests.append(request)
         # run_queue ends with the day's epoch barrier (it checkpoints
         # after draining), covering the span/candidate compiles above

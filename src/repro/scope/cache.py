@@ -28,8 +28,9 @@ Four pieces live here:
 * :class:`CompilationService` — the layer pipeline stages talk to.  It
   resolves a job's rule configuration, consults the cache, and only falls
   through to parse/bind/optimize on a miss — unless the missed key is a
-  single flip the script's default plan proves inert, which is answered
-  from that plan (:meth:`CompilationService._inferred`).  Its
+  single flip the script's default plan proves inert or fatal, which is
+  answered from that plan or with the error its compile would raise
+  (:meth:`CompilationService._inferred`).  Its
   :meth:`compile_many` batch API additionally deduplicates identical
   requests *before* compiling, so batching wins survive even with the
   cache disabled.
@@ -64,8 +65,9 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
 from repro.config import CacheConfig
-from repro.errors import ScopeError
+from repro.errors import OptimizationError, ScopeError
 from repro.obs.trace import NULL_TRACER
+from repro.scope.optimizer.engine import NO_PHYSICAL_PLAN
 from repro.scope.optimizer.rules.base import RuleConfiguration, RuleFlip
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,9 +102,10 @@ class CacheStats:
     invalidations: int = 0
     #: real parse→bind→optimize runs (the number the paper's machine-time
     #: accounting cares about; disabled-cache compiles count, and so does
-    #: every miss except a single flip answered from the default plan —
-    #: with the cache enabled ``misses - optimizer_invocations`` is the
-    #: number of those)
+    #: every miss except a single flip the default plan answers — proven
+    #: inert, served that plan, or proven fatal, served its error; with
+    #: the cache enabled ``misses - optimizer_invocations`` is the number
+    #: of those)
     optimizer_invocations: int = 0
     #: parse/bind runs (scripts are re-used across configurations)
     script_compilations: int = 0
@@ -266,8 +269,9 @@ class EpochStore:
 
     def peek(self, key: Hashable):
         """The resident value or ``None`` — no recency stamp, no counter:
-        the batch planner's skip probes and the plan-guided policy's read
-        leave accounting and eviction order as a run without them would."""
+        the batch planner's skip probes, winner lookups and migration
+        exports leave accounting and eviction order as a run without them
+        would."""
         return self._entries.get(key)
 
     def touch(self, key: Hashable):
@@ -330,6 +334,11 @@ class _CacheEntry:
 
     result: "OptimizationResult | None" = None
     error: ScopeError | None = None
+
+
+#: the entry of every flip the default plan proves fatal: the error the
+#: compile would raise, built here and never raised (hits raise copies)
+_FATAL = _CacheEntry(error=OptimizationError(NO_PHYSICAL_PLAN))
 
 
 class PlanCache(EpochStore):
@@ -709,10 +718,8 @@ class CompilationService:
 
         Counter-free and compile-free: it moves no hit/miss counter (they
         are part of the fingerprint contract) and no recency stamp.  The
-        batch planner skips pre-exploring units that are resident at all —
-        a memoized compile *error* included; the plan-guided steering
-        policy reads ``.result``, which is ``None`` for such an error
-        (there is no plan to featurize).
+        batch planner, its one caller, skips pre-exploring units that are
+        resident at all — a memoized compile *error* included.
         """
         with self._lock:
             self._sync_catalog_version_locked()
@@ -954,7 +961,8 @@ class CompilationService:
 
     def _inferred(self, script: str, config: RuleConfiguration) -> _CacheEntry | None:
         """The entry for a single flip the script's default plan proves
-        inert, or ``None`` (not a single flip, or nothing proven: compile).
+        inert or fatal, or ``None`` (not a single flip, or nothing proven:
+        compile).
 
         Whether to ask is a function of the key alone — ``config`` is one
         bit away from the engine's default — and the default plan is
@@ -962,18 +970,22 @@ class CompilationService:
         deduplicated miss that compiles it), never by peeking at what
         happens to be resident: every counter stays a function of the set
         of keys requested in the epoch, at any worker or shard count.  The
-        default result then proves the flip inert in one of two ways:
+        default result then answers the flip in one of three ways:
 
-        * *off* — the rule is an enabled implementation rule and is not in
-          the default signature: no plan on a winning path used it, and
-          costing is a first-minimum over a group's alternatives, so
+        * *off, fatal* — the rule's bit is set in ``fatal_mask``: without
+          it the root group has no physical plan, so the compile would
+          raise :data:`~repro.scope.optimizer.engine.NO_PHYSICAL_PLAN`, and
+          the one memoized, never-raised copy of that error is inserted;
+        * *off, inert* — the rule is an enabled implementation rule and is
+          not in the default signature: no plan on a winning path used it,
+          and costing is a first-minimum over a group's alternatives, so
           removing its alternatives lowers no cost and reorders no survivor;
-        * *on* — the rule's bit is set in ``inert_mask``: enabled, it would
-          have produced nothing, in a search with room to try it.
+        * *on, inert* — the rule's bit is set in ``inert_mask``: enabled,
+          it would have produced nothing, in a search with room to try it.
 
-        Either way the compile under ``config`` would return the default's
-        plan, cost and signature, so that is what is inserted, with no
-        optimizer run (``misses - optimizer_invocations`` counts these).
+        An inert flip's compile would return the default's plan, cost and
+        signature, so that is what is inserted.  No answer runs the
+        optimizer (``misses - optimizer_invocations`` counts them).
         """
         default = self.engine.default_config
         flipped = config.bits ^ default.bits
@@ -983,13 +995,17 @@ class CompilationService:
         if reference is None:
             return None
         if default.bits & flipped:
+            if flipped & reference.fatal_mask:
+                return _FATAL
             rule_id = flipped.bit_length() - 1
             inert = flipped & self._impl_mask and rule_id not in reference.signature
         else:
             inert = flipped & reference.inert_mask
         if not inert:
             return None
-        return _CacheEntry(result=replace(reference, config=config, applications=0))
+        return _CacheEntry(
+            result=replace(reference, config=config, applications=0, fatal_mask=0)
+        )
 
     def _compile(self, script: str, config: RuleConfiguration) -> _CacheEntry:
         with self._lock:

@@ -34,7 +34,10 @@ from repro.scope.optimizer.rules.base import (
 from repro.scope.plan.physical import Exchange, PhysicalOp, PhysicalPlanNode, SortExec
 from repro.scope.plan.properties import DistributionKind, PhysProps
 
-__all__ = ["Optimizer", "OptimizationResult", "SearchBudget"]
+__all__ = ["NO_PHYSICAL_PLAN", "Optimizer", "OptimizationResult", "SearchBudget"]
+
+#: the error a compile raises when the root group has no physical plan
+NO_PHYSICAL_PLAN = "no physical plan under the current rule configuration"
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,20 @@ class OptimizationResult:
     #: as "nothing is inert" (:class:`~repro.scope.cache.CompilationService`
     #: answers such a flip from this result instead of compiling it)
     inert_mask: int
+    #: bitmask of the enabled, non-required implementation rules in the
+    #: signature whose flip *off* this compile proves fatal — without the
+    #: rule the root group has no physical plan, so the compile under
+    #: ``config`` − R raises :data:`NO_PHYSICAL_PLAN`.  Exploration reads no
+    #: implementation bit, so that search holds this one's logical memo;
+    #: a group is implementable without R when some build of a rule other
+    #: than R succeeded on one of its logical expressions over implementable
+    #: child groups (a least fixpoint; a group whose physical closure was
+    #: replayed from a winner entry counts as implementable, and properties
+    #: are ignored — both can only clear a bit).  Computed only under the
+    #: registry's default configuration, the one reference
+    #: :meth:`~repro.scope.cache.CompilationService._inferred` reads; 0
+    #: (nothing proven) for every other compile
+    fatal_mask: int = 0
     #: fragment-store keys this compile consulted (digest × config ×
     #: catalog version) — lets migration ship a script's fragments with it
     fragment_keys: tuple = ()
@@ -162,6 +179,38 @@ def _silent(rules, by_class: dict, produces) -> int:
         ):
             mask |= 1 << rule.rule_id
     return mask
+
+
+def _fatal(builds: dict, root_id: int, candidates: int) -> int:
+    """Bitmask of the ``candidates`` rules without which group ``root_id``
+    is not implementable.
+
+    ``builds`` maps every group the implementation phase ran on to the
+    ``(rule id, child group ids)`` of each successful build there; a group
+    absent from it was replayed from a winner entry and counts as
+    implementable.  Per rule R this is a least fixpoint — a group becomes
+    implementable without R once a build of a rule other than R has only
+    such children — computed for every candidate at once: ``needs[g]``
+    holds the rules ``g`` cannot do without, starts at every candidate
+    (nothing proven implementable) and shrinks to the intersection, over
+    ``g``'s builds, of the build's rule and its children's needs.
+    """
+    needs = dict.fromkeys(builds, candidates)
+    changed = True
+    # needs only shrink: once the root's are empty, nothing is fatal
+    while changed and needs.get(root_id, 0):
+        changed = False
+        for gid, made in builds.items():
+            need = candidates
+            for rule_id, children in made:
+                without = 1 << rule_id
+                for child in children:
+                    without |= needs.get(child, 0)
+                need &= without
+            if need != needs[gid]:
+                needs[gid] = need
+                changed = True
+    return needs.get(root_id, 0)
 
 
 class Optimizer:
@@ -292,20 +341,28 @@ class Optimizer:
             else:
                 pending.append((digest, stats_digest, adoption))
 
-        self._implement(memo)
+        # only a default-configuration result is ever read for fatal_mask
+        default = self.config == self.registry.default_configuration()
+        builds: dict | None = {} if default else None
+        self._implement(memo, builds)
 
         required = PhysProps.any()
         winner = self._best(memo, root_group, required)
         if winner is None:
-            raise OptimizationError(
-                "no physical plan under the current rule configuration"
-            )
+            raise OptimizationError(NO_PHYSICAL_PLAN)
         cache: dict[tuple[int, PhysProps], PhysicalPlanNode] = {}
         plan = self._extract(memo, root_group, required, signature_ids, cache)
         for digest, stats_digest, adoption in pending:
             wentry = memo.export_winners(adoption)
             if wentry is not None:
                 fragments.put_winner(digest, stats_digest, wentry)
+        fatal = 0
+        if builds is not None:
+            candidates = 0
+            for rule in self._implementations:
+                if rule.category != RuleCategory.REQUIRED and rule.rule_id in signature_ids:
+                    candidates |= 1 << rule.rule_id
+            fatal = _fatal(builds, root_group.group_id, candidates)
         signature = RuleSignature.from_ids(signature_ids, len(self.registry))
         return OptimizationResult(
             plan=plan,
@@ -314,6 +371,7 @@ class Optimizer:
             config=self.config,
             bindable_mask=self.registry.bindable_mask(op_classes),
             inert_mask=inert,
+            fatal_mask=fatal,
             fragment_keys=tuple(fragment_keys),
             applications=applications,
         )
@@ -455,13 +513,20 @@ class Optimizer:
             return silent
         return 0
 
-    def _implement(self, memo: Memo) -> None:
+    def _implement(self, memo: Memo, builds: dict | None = None) -> None:
+        """Run the enabled implementation rules on every group not yet
+        implemented.  ``builds``, when given, receives each such group's
+        successful builds as ``(rule id, child group ids)`` — those
+        ``add_physical`` dedups away included (see :func:`_fatal`)."""
         for group in memo.groups:
             if group.implemented:
                 # a replayed winner entry already carries this group's full
                 # physical closure (see Memo.adopt_winners) — re-running
                 # implementation rules would only re-intern every expression
                 continue
+            made = None
+            if builds is not None:
+                builds[group.group_id] = made = []
             for expr in list(group.logical_exprs):
                 for rule in self._implementations:
                     if isinstance(expr.op, rule.root):
@@ -470,6 +535,8 @@ class Optimizer:
                             memo.add_physical(
                                 group, op, expr.child_ids, expr.provenance | {rule.rule_id}
                             )
+                            if made is not None:
+                                made.append((rule.rule_id, expr.child_ids))
             group.implemented = True
 
     # -- cost-based selection --------------------------------------------------

@@ -1,11 +1,12 @@
-"""A flip the default compile proves inert is answered, not compiled.
+"""A flip the default compile proves inert or fatal is answered, not compiled.
 
 ``CompilationService`` serves a single flip from the script's default
 result when that result proves the flip changes nothing (*off*: an
-implementation rule outside the signature; *on*: a bit of ``inert_mask``).
-The oracle here is the from-scratch compile: whatever the service serves
-for ``default ^ R`` — inferred or compiled — is what
-``compile_job_uncached`` builds, for every flippable rule.
+implementation rule outside the signature; *on*: a bit of ``inert_mask``)
+or that it cannot compile (*off*: a bit of ``fatal_mask``, answered with
+the error).  The oracle here is the from-scratch compile: whatever the
+service serves for ``default ^ R`` — inferred or compiled, plan or error —
+is what ``compile_job_uncached`` builds, for every flippable rule.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import SimulationConfig
-from repro.errors import ScopeError
+from repro.errors import OptimizationError, ScopeError
 from repro.scope.engine import ScopeEngine
 from repro.scope.jobs import JobInstance
-from repro.scope.optimizer.engine import OptimizationResult, SearchBudget
+from repro.scope.optimizer.engine import NO_PHYSICAL_PLAN, OptimizationResult, SearchBudget
 from repro.scope.optimizer.rules.base import ImplementationRule, RuleCategory, RuleFlip
 from repro.scope.plan import logical
 from repro.workload.generator import build_workload
@@ -33,11 +34,12 @@ from tests.test_policies import _tiny_config
 
 
 def _outcome(compile_job, job, flip):
-    """What a compile of (job, flip) decides: plan, cost, signature — or the error."""
+    """What a compile of (job, flip) decides: plan, cost, signature — or the
+    error's type and ``args``."""
     try:
         result = compile_job(job, flip)
     except ScopeError as exc:
-        return type(exc), str(exc)
+        return type(exc), exc.args
     return result.plan.pretty(), result.est_cost, result.signature.rule_ids
 
 
@@ -64,6 +66,7 @@ def test_every_single_flip_is_served_as_a_fresh_compile_builds_it(config):
     ]
     inferred: Counter = Counter()
     compiled: Counter = Counter()
+    fatal: Counter = Counter()
     for day in (0, 1):
         workload.advance_to_day(day)
         for template in workload.templates:
@@ -87,10 +90,15 @@ def test_every_single_flip_is_served_as_a_fresh_compile_builds_it(config):
                 answered = delta.misses - delta.optimizer_invocations
                 assert answered in (0, 1)
                 (inferred if answered else compiled)[_kind(registry, flip)] += 1
+                if answered and served[0] is OptimizationError:
+                    assert served[1] == (NO_PHYSICAL_PLAN,)
+                    fatal[_kind(registry, flip)] += 1
     for kind in ("implementation-off", "implementation-on", "transformation-on"):
         assert inferred[kind] > 0 and compiled[kind] > 0, (kind, inferred, compiled)
     # turning a transformation off removes work the default search did
     assert inferred["transformation-off"] == 0
+    # only an implementation turned off can leave the root without a plan
+    assert set(fatal) == {"implementation-off"}, fatal
 
 
 # no join, so no fragment: the whole search is the main memo's, and
@@ -181,3 +189,53 @@ def test_removing_implementations_outside_the_signature_changes_nothing(index, b
     assert without.plan.pretty() == default.plan.pretty()
     assert without.est_cost == default.est_cost
     assert without.signature == default.signature
+
+
+# -- the *fatal* lemma on the synthetic corpus ----------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_removing_a_fatal_implementation_leaves_no_plan(index):
+    engine, trees = _corpus()
+    compiled, tree = trees[index % len(trees)]
+    compiled = dataclasses.replace(compiled, root=tree)
+    default = engine.optimize(compiled)
+    flippable = {
+        rule.rule_id
+        for rule in engine.registry.implementations
+        if rule.category == RuleCategory.IMPLEMENTATION
+    }
+    # only enabled, flippable implementations in the signature are proven
+    assert not default.fatal_mask & ~engine.default_config.bits
+    for rule_id in range(len(engine.registry)):
+        if default.fatal_mask >> rule_id & 1:
+            assert rule_id in flippable and rule_id in default.signature
+            with pytest.raises(OptimizationError) as failure:
+                engine.optimize(compiled, engine.default_config.with_flip(rule_id))
+            assert failure.value.args == (NO_PHYSICAL_PLAN,)
+
+
+def test_only_a_default_compile_proves_flips_fatal(engine):
+    filter_impl = engine.registry.by_name("FilterImpl").rule_id
+    # a compound filter has no fused implementation: FilterImpl is its only one
+    script = """
+raw = EXTRACT uid:long, etype:int, val:double FROM "/shares/data/events.ss";
+hot = SELECT uid, val FROM raw WHERE etype == 3 AND val > 2.5;
+OUTPUT hot TO "/out/hot.ss";
+"""
+    service = engine.compilation.shards[0]
+    default = service.compile_script(script, engine.default_config)
+    assert default.fatal_mask >> filter_impl & 1
+    stats = service.stats.snapshot()
+    flipped = engine.default_config.with_flip(filter_impl)
+    with pytest.raises(OptimizationError) as answered:
+        service.compile_script(script, flipped)
+    assert (service.stats - stats).optimizer_invocations == 0
+    with pytest.raises(OptimizationError) as built:
+        engine.optimize(engine.compile(script), flipped)
+    assert answered.value.args == built.value.args
+    # a compile under any other configuration leaves the mask clear
+    lazy = engine.registry.by_name("LazyComputeImpl").rule_id
+    other = service.compile_script(script, engine.default_config.with_flip(lazy))
+    assert other.fatal_mask == 0

@@ -1,9 +1,11 @@
 """Onboarding compiles each thing once.
 
-Two oracles for the two ways the bootstrap stopped paying for the same
-compile twice: a span probe is skipped only where the real probe says
-"not a member", and one pass over the bootstrap days decides exactly what
-the two walks (corpus, then off-policy training) decided.
+Oracles for the ways the bootstrap stopped paying for compiles it does
+not need: a span probe is skipped only where the real probe says "not a
+member", one pass over the bootstrap days decides exactly what the two
+walks (corpus, then off-policy training) decided, and a corpus day keeps
+what evaluating every candidate would keep while evaluating none past its
+quota.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ from repro.config import ExecutionConfig, ShardingConfig, WorkloadConfig
 from repro.core.recommend import train_off_policy
 from repro.core.spans import SpanComputer
 from repro.errors import ScopeError, ValidationError
+from repro.rng import keyed_rng
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.engine import OptimizationResult
 from repro.scope.optimizer.rules.base import RuleCategory
@@ -130,6 +133,54 @@ def test_one_pass_bootstrap_decides_what_the_two_walks_decided(tiny_config, work
         )
         assert spent.optimizer_invocations < reference.optimizer_invocations
         assert spent.script_compilations < reference.script_compilations
+
+
+def _corpus_day(config, day: int, quota: int, monkeypatch):
+    """``flight_corpus_day`` on a fresh advisor, plus every candidate it
+    evaluated (``None`` where a job yielded no request)."""
+    with QOAdvisor(config) as advisor:
+        pipeline = advisor.pipeline
+        evaluated = []
+        original = pipeline._corpus_flip
+
+        def recording(job, span, rng):
+            evaluated.append(original(job, span, rng))
+            return evaluated[-1]
+
+        monkeypatch.setattr(pipeline, "_corpus_flip", recording)
+        return pipeline.flight_corpus_day(day, quota), evaluated
+
+
+def _every_candidate(config, day: int) -> list:
+    """The day's candidates, every job with a span evaluated in order."""
+    with QOAdvisor(config) as advisor:
+        pipeline = advisor.pipeline
+        candidates = []
+        for job in advisor.workload.jobs_for_day(day):
+            span = pipeline.spans.span_for_template(job.template_id, job.script)
+            if span:
+                rng = keyed_rng(config.seed, "bootstrap", day, job.job_id)
+                candidates.append(pipeline._corpus_flip(job, span, rng))
+        return candidates
+
+
+def test_the_corpus_evaluates_no_candidate_once_its_quota_fills(tiny_config, monkeypatch):
+    day, quota = 3, 3
+    candidates = _every_candidate(tiny_config, day)
+    kept = [request for request in candidates if request is not None][:quota]
+    assert len(kept) == quota
+    corpora = []
+    for workers in (1, 4):
+        config = dataclasses.replace(tiny_config, execution=ExecutionConfig(workers=workers))
+        corpus, evaluated = _corpus_day(config, day, quota, monkeypatch)
+        # the walk ends on the candidate that filled the quota
+        assert evaluated[-1] is not None
+        assert [request for request in evaluated if request is not None] == kept
+        assert len(evaluated) < len(candidates)  # not vacuous: candidates were left
+        flown = sorted((result.request for result in corpus), key=lambda r: r.job.job_id)
+        assert flown == sorted(kept, key=lambda request: request.job.job_id)
+        corpora.append(corpus)
+    assert corpora[0] == corpora[1]
 
 
 def test_zero_bootstrap_days_means_zero_not_the_default(tiny_config):

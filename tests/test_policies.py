@@ -63,13 +63,19 @@ from tests.conftest import PerIndexOnly, reference_joint_features, reference_sco
 # 8 / 7 of their jobs instead of 0 / 0, so hits 20 / 20 -> 4 / 8, misses
 # 18 / 18 -> 11 / 12, invocations 17 / 15 -> 10 / 9, day-2 invalidations
 # 18 -> 11 (day 1's misses) and day-2 dedup hits 2 -> 0.
+# Re-captured in one counter field (day 0's fingerprint and invocations
+# only) when a single flip the script's default plan proves fatal — an
+# implementation rule the root group cannot do without, turned off —
+# stopped being compiled: day-0 invocations 39 -> 37 (the 2 flips answered
+# with the error their compile raises).  Hits, misses and every other
+# counter did not move, nor did GOLDEN_DECISIONS.
 GOLDEN_FINGERPRINTS = [
-    "0821d02b710e2d9f3aba4b3efd9cb58f",
+    "3a0c7fdbf11ab0484872a50acd4a534a",
     "ccd95dafdf9951ae3df91d7c1a214baa",
     "1d8417f45f7d6aab90044f6527f65180",
 ]
 GOLDEN_CORES = [
-    (48, 51, 0, 0, 39, 9, 2),
+    (48, 51, 0, 0, 37, 9, 2),
     (4, 11, 0, 51, 10, 9, 0),
     (8, 12, 0, 11, 9, 9, 0),
 ]
