@@ -67,8 +67,8 @@ class BanditSteeringPolicy(LearnedSteeringPolicy):
     def _restore(self, state: object) -> None:
         # the full snapshot: weights *and* the ``updates`` counter, so a
         # restored model is indistinguishable from the one published
-        weights, updates = state
-        self.learner.restore(weights, updates=updates)
+        snapshot, updates = state
+        self.learner.restore(snapshot, updates=updates)
 
     # -- reward-wait expiry ----------------------------------------------------
 

@@ -23,6 +23,12 @@ The contract:
 * :meth:`~LearnedSteeringPolicy.publish_version` /
   :meth:`~LearnedSteeringPolicy.restore_version` — daily model snapshots
   and regression rollback, mirroring the Azure Personalizer lifecycle.
+  Every published version is kept, so each must be small: the bandit's
+  snapshot is a sparse :class:`~repro.bandit.learner.WeightSnapshot` (the
+  non-zero weights and the table size), restored into a fresh zero table,
+  while the live table stays dense because scoring indexes it and the
+  policy digests hash its bytes.  :attr:`~LearnedSteeringPolicy.model_version`
+  is the version scoring now — the newest, or the one a rollback chose.
 * :meth:`~LearnedSteeringPolicy.switch_mode` — ``"uniform_logging"``
   (explore uniformly, maximally informative logs — the off-policy warm-up)
   vs ``"learned"`` (act on the learned scores), the paper's staged rollout.
@@ -79,7 +85,7 @@ class RankResponse:
 
 @dataclass
 class PolicyVersion:
-    """One published model snapshot."""
+    """One published model snapshot (the subclass's ``_snapshot()``)."""
 
     version: int
     state: object
@@ -91,7 +97,8 @@ class _Pending:
     actions: tuple[ActionFeatures, ...]
     chosen: int
     probability: float
-    #: model version the event was ranked under (the activation-timeout base)
+    #: publish cycles completed when the event was ranked (the
+    #: activation-timeout base; a rollback does not reset it)
     model_version: int
 
 
@@ -125,6 +132,8 @@ class LearnedSteeringPolicy:
         self._event_counter = 0
         self._log: list[LoggedEvent] = []
         self.versions: list[PolicyVersion] = []
+        #: the version scoring now: the newest until a rollback picks another
+        self._active_version = 0
 
     # -- the Rank/Reward surface ----------------------------------------------
 
@@ -155,7 +164,7 @@ class LearnedSteeringPolicy:
             action=actions[index],
             index=index,
             probability=probability,
-            model_version=len(self.versions),
+            model_version=self._active_version,
         )
 
     def observe(self, event_id: str, reward: float) -> None:
@@ -215,15 +224,15 @@ class LearnedSteeringPolicy:
         return base + (1.0 - self.epsilon) * (1.0 if is_greedy else 0.0)
 
     def publish_version(self) -> int:
-        self.versions.append(
-            PolicyVersion(version=len(self.versions) + 1, state=self._snapshot())
-        )
-        return len(self.versions)
+        self._active_version = len(self.versions) + 1
+        self.versions.append(PolicyVersion(version=self._active_version, state=self._snapshot()))
+        return self._active_version
 
     def restore_version(self, version: int) -> None:
         for published in self.versions:
             if published.version == version:
                 self._restore(published.state)
+                self._active_version = version
                 return
         raise PersonalizerError(f"unknown model version {version}")
 
@@ -234,7 +243,9 @@ class LearnedSteeringPolicy:
 
     @property
     def model_version(self) -> int:
-        return len(self.versions)
+        """The version scoring now (``restore_version`` makes an older one
+        active); the next publish is still ``len(versions) + 1``."""
+        return self._active_version
 
     @property
     def event_log(self) -> list[LoggedEvent]:

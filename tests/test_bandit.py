@@ -15,7 +15,7 @@ from repro.bandit.features import (
     joint_features,
 )
 from repro.bandit.hashing import feature_index
-from repro.bandit.learner import CBLearner
+from repro.bandit.learner import CBLearner, WeightSnapshot
 from repro.bandit.offpolicy import LoggedEvent, dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy, UniformPolicy
 from repro.config import BanditConfig
@@ -89,16 +89,27 @@ def test_learner_converges_to_action_rewards():
 def test_learner_snapshot_restore():
     learner = CBLearner(bits=10)
     learner.update(_context(), ActionFeatures(rule_id=1), 1.0, 0.5)
+    published = learner.weights.tobytes()
     snapshot = learner.snapshot()
     learner.update(_context(), ActionFeatures(rule_id=1), 5.0, 0.5)
+    assert learner.weights.tobytes() != published
     learner.restore(snapshot)
-    assert np.array_equal(learner.weights, snapshot)
+    assert learner.weights.tobytes() == published
+    # the snapshot holds the non-zero slots only, and a restore never
+    # aliases it: later updates leave the published version intact
+    assert snapshot.indices.tolist() == np.flatnonzero(np.frombuffer(published)).tolist()
+    learner.update(_context(), ActionFeatures(rule_id=1), 5.0, 0.5)
+    learner.restore(snapshot)
+    assert learner.weights.tobytes() == published
 
 
 def test_learner_rejects_bad_snapshot():
     learner = CBLearner(bits=10)
     with pytest.raises(ValueError):
-        learner.restore(np.zeros(7))
+        learner.restore(CBLearner(bits=12).snapshot())
+    for index in (-1, 1 << 10):
+        with pytest.raises(ValueError):
+            learner.restore(WeightSnapshot(10, np.array([index]), np.array([1.0])))
 
 
 def _make_log(rng, rewards_by_action, n=600):

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
@@ -159,6 +160,43 @@ def test_rewards_equal_to_the_noop_leave_the_noop_greedy(logged, publishes, aske
         policy.publish_version()
     for context in (asked, *logged):
         assert policy.action_probabilities(context, _span_actions(context))[0] == 1.0
+
+
+#: bit patterns a weight table may hold that a value compare would lose:
+#: -0.0 (equal to 0.0) and a quiet NaN with a payload (unequal to itself)
+_PLANTED = (0x8000_0000_0000_0000, 0x7FF8_0000_0000_0123)
+_BITS = 8
+_publish_rounds = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(_contexts, st.integers(0, _SIZE - 1), st.floats(-1.0, 1.0), st.floats(0.05, 1.0)),
+            max_size=4,
+        ),
+        st.lists(st.tuples(st.integers(0, (1 << _BITS) - 1), st.sampled_from(_PLANTED)), max_size=3),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_publish_rounds, st.data())
+def test_every_published_version_restores_its_exact_bytes(rounds, data):
+    """A sparse snapshot loses nothing: whatever was learned or planted
+    between publishes, restoring any version, in any order, gives back the
+    table's bytes and the step counter as they were at its publish."""
+    policy = BanditSteeringPolicy(BanditConfig(hash_bits=_BITS), seed=0)
+    learner = policy.learner
+    published = {}
+    for updates, planted in rounds:
+        for context, rule_id, reward, probability in updates:
+            learner.update(context, ActionFeatures(rule_id=rule_id), reward, probability)
+        for index, pattern in planted:
+            learner.weights.view(np.uint64)[index] = pattern
+        published[policy.publish_version()] = (learner.weights.tobytes(), learner.updates)
+    for version in data.draw(st.permutations(sorted(published))):
+        policy.restore_version(version)
+        assert (learner.weights.tobytes(), learner.updates) == published[version]
 
 
 _off_rules = _REGISTRY.ids_in_category(
