@@ -251,26 +251,12 @@ class ServingConfig:
     workers_per_shard: int = 1
     #: how long a blocking submit waits for queue space before giving up
     submit_timeout_s: float = 30.0
-    #: per-lane rolling-p95 steer-latency SLO, milliseconds; None disables
-    #: SLO-driven admission entirely (the deterministic-parity default:
-    #: admission decisions based on wall-clock latency are schedule-shaped)
-    slo_p95_ms: float | None = None
-    #: number of most-recent steer-latency samples the rolling p95 spans
-    slo_window: int = 64
-    #: samples required before a lane may be declared degraded at all
-    #: (at least 1; the server refuses anything lower)
-    slo_min_samples: int = 8
-    #: what happens to a *low-priority* submission on a degraded lane:
-    #: ``"defer"`` parks it on the lane's standby queue until the lane
-    #: recovers (or a drain barrier flushes it); ``"shed"`` drops it,
-    #: recorded as a failed job so the day's accounting never leaks
-    slo_policy: str = "defer"
     #: append-only write-ahead ticket journal (JSONL path); None disables
     #: journaling.  A restarted server replays the journal to reconstruct
     #: its day accumulators and pending maintenance window byte-identically
     journal_path: str | None = None
     #: bound on each lane's compile-latency sample ring (p50/p95/p99 are
-    #: computed over the most recent this-many completions)
+    #: computed over the most recent this-many completions; at least 1)
     latency_window: int = 1024
 
 

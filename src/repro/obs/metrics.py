@@ -3,7 +3,7 @@
 Every metric is a **view**: a name, a help line, a kind and a callback
 registered with :meth:`MetricsRegistry.register_view` that the registry
 *pulls* at collect time.  This is how `CacheStats`, stage timings, queue
-depths, SLO defer/shed counts, finished spans and the policy
+depths, serving lane counters, finished spans and the policy
 name/version reach the exposition without adding a single instruction
 to the paths that maintain them: the sources of truth stay where they
 are, the registry reads them only when someone asks.  A sample carries

@@ -13,7 +13,7 @@ ring's per-name tally.  ``install_advisor_views`` re-homes the batch
 pipeline's existing signals the same way — the cache counters, stage
 timings, and policy identity are *read* at exposition time, never
 duplicated on the hot path.  The serving server registers its own views
-(queue depths, SLO counters, lane latency) in
+(lane counters, queue depths, lane latency) in
 :meth:`repro.serving.server.QOAdvisorServer` because their sources of
 truth live there.
 """

@@ -8,7 +8,7 @@ QO-Advisor keys its hints by template id, exactly as SIS does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.scope.optimizer.rules.base import RuleFlip
 
@@ -37,7 +37,6 @@ class JobInstance:
     #: a user-provided hint overriding the default configuration (§2.1:
     #: up to 9 % of SCOPE jobs carry manual hints)
     manual_hint: RuleFlip | None = None
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
 
     def run_key(self, attempt: int = 0) -> tuple:
         """A stable key identifying one execution of this job."""

@@ -4,8 +4,9 @@ A :class:`~repro.serving.server.QOAdvisorServer` accumulates a *day's*
 worth of completed work before a maintenance window drains it — state that
 a process crash would silently drop.  The :class:`TicketJournal` is the
 recovery path: an append-only JSONL file recording every admitted ticket,
-every completion, every maintenance-window publication and every
-Personalizer mode switch, in the order the server performed them.
+every completion, every maintenance-window publication, every
+Personalizer mode switch and every topology change, in the order the
+server performed them.
 
 Recovery leans on the repository-wide determinism contract instead of
 snapshotting results: every per-job quantity (compiled plan, executed
@@ -19,12 +20,11 @@ each ``window`` record carries the published report's ``fingerprint()`` so
 :meth:`QOAdvisorServer.recover` can prove, mid-replay, that the rebuilt
 state matches the pre-crash trace.
 
-Record kinds (one JSON object per line)::
+Record kinds (one JSON object per line; :data:`RECORD_KINDS` lists them)::
 
     {"t": "admit",    "seq": N, "day": D, "job": "...", "template": "..."}
     {"t": "reject",   "seq": N, "day": D}
     {"t": "done",     "seq": N, "day": D, "failed": false}
-    {"t": "shed",     "seq": N, "day": D, "job": "...", "template": "...", "shard": K}
     {"t": "window",   "day": D, "hint_version": V|null, "fingerprint": "..."}
     {"t": "mode",     "mode": "learned"}
     {"t": "topology", "op": "add"|"retire"|"fail"|"rejoin", "shard": K}
@@ -33,7 +33,10 @@ Record kinds (one JSON object per line)::
 server replays admissions onto *its own* topology (routing placement is
 excluded from every fingerprint, so recovery is legal across resizes).
 A torn final line — the signature of a crash mid-append — is dropped on
-read; corruption anywhere else raises :class:`JournalError`.
+read; corruption anywhere else raises :class:`JournalError`.  So does a
+record of any other kind (an older server's ``shed``, say): recovery
+refuses the whole journal before replaying anything, because skipping
+the record would lose the job it names.
 
 One divergence is detected rather than replayed: a journaled run in which
 a ticket failed because *no shard could accept it* (a total-failover
@@ -52,7 +55,10 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["TicketJournal", "JournalError", "RecoveryReport"]
+__all__ = ["RECORD_KINDS", "TicketJournal", "JournalError", "RecoveryReport"]
+
+#: Every record kind a server writes; recovery refuses any other.
+RECORD_KINDS = ("admit", "reject", "done", "window", "mode", "topology")
 
 
 class JournalError(RuntimeError):
@@ -70,9 +76,6 @@ class RecoveryReport:
     #: tickets that were admitted but never completed before the crash
     #: (replay completes them now, exactly as the uninterrupted run would)
     in_flight: int = 0
-    #: shed records re-applied verbatim (shedding is wall-clock-driven, so
-    #: it is replayed as recorded, never re-decided)
-    shed: int = 0
     #: maintenance windows re-run
     windows: int = 0
     #: window fingerprints that were present in the journal and matched
@@ -83,8 +86,8 @@ class RecoveryReport:
     def render(self) -> str:
         return (
             f"recovered {self.admitted} admission(s) "
-            f"({self.completed} matched completions, {self.in_flight} in-flight, "
-            f"{self.shed} shed), {self.windows} window(s) "
+            f"({self.completed} matched completions, {self.in_flight} in-flight), "
+            f"{self.windows} window(s) "
             f"({self.fingerprints_verified} fingerprint(s) verified), "
             f"{self.mode_switches} mode switch(es)"
         )

@@ -57,11 +57,6 @@ class JobTicket:
     failed: bool = False
     #: how many times the ticket was requeued off a failed shard
     requeues: int = 0
-    #: how many times SLO admission parked the ticket on a standby queue
-    deferred: int = 0
-    #: True when SLO admission dropped the job outright (``slo_policy ==
-    #: "shed"``); the ticket is recorded as failed so accounting never leaks
-    shed: bool = False
     #: shards that already failed while holding this ticket
     excluded_shards: set[int] = field(default_factory=set)
     #: the ticket's root trace span (an :class:`repro.obs.trace.Span`),

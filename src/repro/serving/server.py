@@ -27,11 +27,9 @@ engine's compilation service) behind a job-stream API:
   simply offline in the router meanwhile) — routing determinism is revalidated
   by construction, because placement is always a pure function of
   (template id, membership state);
-* **SLO-driven admission**: when a lane's rolling p95 steer latency
-  exceeds ``ServingConfig.slo_p95_ms``, low-priority submissions are
-  deferred onto the lane's standby queue (or shed, by policy) until the
-  lane recovers — surfaced as ``deferred``/``shed`` counters in
-  :class:`~repro.serving.stats.ShardStats`;
+* admission is by capacity alone: a job enters its lane's bounded
+  queue, and a full queue blocks or rejects per
+  ``ServingConfig.admission`` — no admission decision reads the clock;
 * a write-ahead :class:`~repro.serving.journal.TicketJournal` records
   admissions, completions and window publications, and :meth:`recover`
   replays it on a freshly-constructed server so a crash mid-day
@@ -39,7 +37,7 @@ engine's compilation service) behind a job-stream API:
   byte-identically (each journaled window fingerprint is re-verified
   during replay);
 * :meth:`stats` reports per-shard health: queue depth, steer rate,
-  compile-latency percentiles, hint version skew, SLO admission counters.
+  compile-latency percentiles, hint version skew.
 
 Determinism: replaying a day's job stream on the inline schedule
 reproduces batch ``run_day``'s ``DayReport.fingerprint()`` byte for byte
@@ -59,7 +57,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Callable
 
@@ -71,7 +68,12 @@ from repro.obs.metrics import Sample
 from repro.scope.cache import CompilationService
 from repro.scope.engine import JobRun
 from repro.scope.jobs import JobInstance
-from repro.serving.journal import JournalError, RecoveryReport, TicketJournal
+from repro.serving.journal import (
+    RECORD_KINDS,
+    JournalError,
+    RecoveryReport,
+    TicketJournal,
+)
 from repro.serving.maintenance import MaintenanceScheduler
 from repro.serving.queues import JobTicket, QueueClosed, ShardQueue
 from repro.serving.stats import (
@@ -107,10 +109,6 @@ class _ShardLane:
         #: bounded recent compile latencies (percentile source); a lifetime
         #: list here would grow without bound on a long-lived server
         self.compile_latency = LatencyRing(serving.latency_window)
-        #: rolling window the SLO p95 is computed over
-        self.slo_samples: deque[float] = deque(maxlen=serving.slo_window)
-        #: low-priority tickets parked until the lane's p95 recovers
-        self.standby: deque[JobTicket] = deque()
         self.last_hint_version: int | None = None
         self.threads: list[threading.Thread] = []
 
@@ -139,15 +137,6 @@ class QOAdvisorServer:
             raise ValueError(
                 f"workers_per_shard must be >= 0, got {self.serving.workers_per_shard}"
             )
-        if self.serving.slo_policy not in ("defer", "shed"):
-            raise ValueError(
-                f"unknown slo_policy {self.serving.slo_policy!r} "
-                "(expected 'defer' or 'shed')"
-            )
-        for name in ("latency_window", "slo_window", "slo_min_samples"):
-            size = getattr(self.serving, name)
-            if size < 1:
-                raise ValueError(f"{name} must be >= 1, got {size}")
         self.sis = advisor.sis
         self.pipeline = advisor.pipeline
         self.scheduler = MaintenanceScheduler(
@@ -170,12 +159,6 @@ class QOAdvisorServer:
             _ShardLane(index, service, self.serving)
             for index, service in enumerate(self._engine.compilation.shards)
         )
-        #: recurring templates are high-priority by default for SLO admission
-        self._recurring = {
-            template.template_id
-            for template in advisor.workload.templates
-            if template.recurring
-        }
         #: last script seen per template — the "hot script" warm-up
         #: migration follows on an elastic resize
         self._hot_scripts: dict[str, str] = {}
@@ -244,16 +227,9 @@ class QOAdvisorServer:
     def drain(self, timeout: float | None = None) -> None:
         """Block until every submitted job has completed (or failed).
 
-        A drain is a barrier, so it also flushes every lane's SLO standby
-        queue — deferred work always completes by the next drain even if
-        the lane never recovers on its own.  Requires a started server: an
-        unstarted one has nothing consuming the queues, so waiting would
-        never return.
+        Requires a started server: an unstarted one has nothing consuming
+        the queues, so waiting would never return.
         """
-        if self._started:
-            for lane in self._lanes:
-                if lane.alive:
-                    self._flush_standby(lane, force=True)
         with self._done:
             if self._pending and not self._started:
                 raise RuntimeError(
@@ -300,11 +276,7 @@ class QOAdvisorServer:
 
         Raises :class:`~repro.serving.queues.QueueFull` under backpressure
         (per the admission policy) and
-        :class:`~repro.serving.queues.QueueClosed` after shutdown.  With
-        an SLO configured, a low-priority job aimed at a degraded lane is
-        deferred (parked on the lane's standby queue; its ticket completes
-        at the next recovery or drain) or shed (returned already marked
-        failed), per ``ServingConfig.slo_policy``.
+        :class:`~repro.serving.queues.QueueClosed` after shutdown.
         """
         if self._stop:
             raise QueueClosed("the server is shut down; no new submissions")
@@ -332,9 +304,6 @@ class QOAdvisorServer:
             self._pending += 1
         if self._first_submit_at is None:
             self._first_submit_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
-        lane = self._slo_gate(ticket)
-        if lane is not None:  # deferred or shed; never reached the queue
-            return ticket
         # write-ahead: the admit record lands *before* the ticket becomes
         # visible to any worker, so a worker's "done" record can never
         # precede its admit in the journal.  An admission that then fails
@@ -360,42 +329,7 @@ class QOAdvisorServer:
         self._kick(lane)
         return ticket
 
-    def _slo_gate(self, ticket: JobTicket) -> _ShardLane | None:
-        """Apply SLO-driven admission; returns the lane when the ticket was
-        deferred or shed (the normal path returns None and admits)."""
-        if self.serving.slo_p95_ms is None or self._recovering:
-            return None
-        if self._job_priority(ticket.job) != "low":
-            return None
-        try:
-            shard = self.router.shard_for_job(ticket.job)
-        except ValueError:
-            return None  # nowhere to route; let _admit surface the error
-        lane = self._lanes[shard]
-        if not lane.alive or not self._lane_degraded(lane):
-            return None
-        ticket.shard = shard
-        if self.serving.slo_policy == "shed":
-            ticket.shed = True
-            ticket.failed = True
-            if ticket.trace is not None:
-                ticket.trace.set(shard=shard, shed=True)
-            with lane.lock:
-                lane.counts["shed"] += 1
-            self._complete(ticket)
-            return lane
-        ticket.deferred += 1
-        if ticket.trace is not None:
-            ticket.trace.event("defer", shard=shard)
-        with self._seq_lock:
-            self._admitted += 1
-        self._journal_ticket("admit", ticket)
-        with lane.lock:
-            lane.counts["deferred"] += 1
-            lane.standby.append(ticket)
-        return lane
-
-    def _journal_ticket(self, kind: str, ticket: JobTicket, **extra: object) -> None:
+    def _journal_ticket(self, kind: str, ticket: JobTicket) -> None:
         """Journal a record that names the job (what replay rebuilds it from)."""
         self._journal(
             {
@@ -404,64 +338,8 @@ class QOAdvisorServer:
                 "day": ticket.day,
                 "job": ticket.job.job_id,
                 "template": ticket.job.template_id,
-                **extra,
             }
         )
-
-    def _job_priority(self, job: JobInstance) -> str:
-        explicit = None
-        if isinstance(job.metadata, dict):
-            explicit = job.metadata.get("priority")
-        if explicit in ("low", "high"):
-            return explicit
-        return "high" if job.template_id in self._recurring else "low"
-
-    def _lane_degraded(self, lane: _ShardLane) -> bool:
-        """Whether the lane's rolling p95 steer latency violates the SLO."""
-        slo = self.serving.slo_p95_ms
-        if slo is None:
-            return False
-        with lane.lock:
-            if len(lane.slo_samples) < self.serving.slo_min_samples:
-                return False
-            samples = list(lane.slo_samples)
-        p95 = percentile(samples, 95)
-        return p95 is not None and p95 * 1000.0 > slo
-
-    def _flush_standby(self, lane: _ShardLane, force: bool = False) -> None:
-        """Move deferred tickets back onto the lane's queue.
-
-        Runs when the lane's p95 recovers (checked after each completion)
-        and unconditionally at drain barriers (``force``).  Concurrent
-        flushes (two workers completing at once, a drain racing a worker)
-        pop under the lane lock, so every ticket is re-admitted exactly
-        once; a lane that fails mid-flush hands the popped ticket to the
-        requeue path, like the rest of its backlog.
-        """
-        if not lane.standby:  # benign unsynchronized fast path
-            return
-        if not force and self._lane_degraded(lane):
-            return
-        flushed = False
-        while True:
-            with lane.lock:
-                if not lane.standby:
-                    break
-                ticket = lane.standby.popleft()
-            if not lane.alive:
-                self._requeue([ticket], lane)
-                continue
-            try:
-                self._enqueue(lane, ticket, force=True)
-            except QueueClosed:  # the lane failed between the checks
-                self._requeue([ticket], lane)
-                continue
-            flushed = True
-        # one inline drain for the whole batch, *after* the standby is
-        # empty: draining per ticket would recurse through _process back
-        # into this method, one stack level per deferred ticket
-        if flushed:
-            self._kick(lane)
 
     def _enqueue(self, lane: _ShardLane, ticket: JobTicket, **put_args: object) -> None:
         """Count ``ticket`` onto ``lane``, then put it on the lane's queue.
@@ -593,7 +471,7 @@ class QOAdvisorServer:
         traced = tracer.enabled and ticket.trace is not None
         hint_version = self.sis.current_version
         steered = self.sis.lookup(job.template_id) is not None
-        started = time.perf_counter()  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
+        started = time.perf_counter()  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
         try:
             if traced:
                 # "steer" wraps the hint-steered compile (its wall-clock is
@@ -602,17 +480,17 @@ class QOAdvisorServer:
                 # child spans parent under it; "execute" covers the runtime
                 with tracer.span("steer", parent=ticket.trace, shard=lane.index):
                     result = lane.service.compile_job(job)
-                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
+                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
                 with tracer.span("execute", parent=ticket.trace):
                     metrics = self._engine.execute(result, job.run_key(0))
             else:
                 result = lane.service.compile_job(job)
-                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
+                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
                 metrics = self._engine.execute(result, job.run_key(0))
             ticket.run = JobRun(job=job, result=result, metrics=metrics)
         except ScopeError:
             ticket.failed = True
-            compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds SLO stats, fingerprint-excluded
+            compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
         ticket.compile_s = compile_s
         ticket.hint_version = hint_version
         ticket.steered = steered and not ticket.failed
@@ -625,7 +503,6 @@ class QOAdvisorServer:
                 lane.counts["completed"] += 1
                 if ticket.steered:
                     lane.counts["steered"] += 1
-            lane.slo_samples.append(compile_s)
             lane.last_hint_version = hint_version
         lane.compile_latency.append(compile_s)
         if traced:
@@ -635,34 +512,28 @@ class QOAdvisorServer:
                 compile_s=compile_s,
             )
         self._complete(ticket)
-        if lane.standby and lane.alive:
-            self._flush_standby(lane)
 
     def _complete(self, ticket: JobTicket) -> None:
-        """The one terminal of a ticket: steered (ok or not), shed by the
-        SLO gate, or out of shards to requeue onto.
+        """The one terminal of a ticket: steered (ok or not), or out of
+        shards to requeue onto.
 
-        Ordering contract, the same for all three: close the root span,
-        **record** the ticket under its day, **journal** it (``done``, or
-        ``shed`` naming the job — a shed job has no admit record to rebuild
-        it from), and only then **release** the pending count — so a
-        ``drain()`` that returns finds every finished ticket already in
-        its day's window and in the journal.
+        Ordering contract, the same for both: close the root span,
+        **record** the ticket under its day, **journal** its ``done``, and
+        only then **release** the pending count — so a ``drain()`` that
+        returns finds every finished ticket already in its day's window
+        and in the journal.
         """
         if ticket.trace is not None:
             self.obs.tracer.finish(ticket.trace, error=ticket.failed)
         self.scheduler.record(ticket)
-        if ticket.shed:
-            self._journal_ticket("shed", ticket, shard=ticket.shard)
-        else:
-            self._journal(
-                {
-                    "t": "done",
-                    "seq": ticket.seq,
-                    "day": ticket.day,
-                    "failed": ticket.failed,
-                }
-            )
+        self._journal(
+            {
+                "t": "done",
+                "seq": ticket.seq,
+                "day": ticket.day,
+                "failed": ticket.failed,
+            }
+        )
         with self._done:
             self._pending -= 1
             self._last_done_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
@@ -674,7 +545,7 @@ class QOAdvisorServer:
         """Kill one shard lane and requeue its backlog onto the survivors.
 
         The lane stops admitting and consuming; every ticket still in its
-        queue or standby (plus any a worker popped but had not started) is
+        queue (plus any a worker popped but had not started) is
         re-routed through the router, which no longer offers the failed
         slot.  A job the lane was actively steering when the kill
         lands completes there — nothing is ever lost.  The slot also
@@ -703,15 +574,12 @@ class QOAdvisorServer:
 
     def _quiesce(self, lane: _ShardLane) -> list[JobTicket]:
         """Stop a lane that has left the router's rotation; returns its
-        backlog (queue + SLO standby).  Admission re-routes on the closed
-        queue, and a job a worker was steering completes here before the
-        join returns — after which nothing compiles on this lane and its
-        cache can migrate."""
+        queued backlog.  Admission re-routes on the closed queue, and a job
+        a worker was steering completes here before the join returns —
+        after which nothing compiles on this lane and its cache can
+        migrate."""
         lane.queue.close()
         backlog = lane.queue.drain()
-        with lane.lock:
-            backlog.extend(lane.standby)
-            lane.standby.clear()
         for thread in lane.threads:
             thread.join()
         lane.threads = []
@@ -900,43 +768,28 @@ class QOAdvisorServer:
         return migrated
 
     def _rebalance_queues(self) -> int:
-        """Re-route every queued and deferred ticket after a membership
-        change.
+        """Re-route every queued ticket after a membership change.
 
         Tickets whose template now belongs to a different lane are moved
         there (forced put: rebalancing must not bounce on capacity), so a
-        moved template's work follows its migrated cache entries.  A
-        deferred ticket whose new lane is healthy is admitted outright;
-        one whose new lane is also degraded stays deferred there.
+        moved template's work follows its migrated cache entries.
         In-flight tickets finish where they started — correct either way,
         since every per-job quantity is keyed.
         """
         moved = 0
         # snapshot every lane first, then place: a ticket moved to a later
         # lane must not be drained and routed a second time in this pass
-        batches: list[tuple[_ShardLane, list[JobTicket], list[JobTicket]]] = []
-        for lane in self._lanes:
-            if not lane.alive:
-                continue
-            pending = lane.queue.drain()
-            with lane.lock:
-                standby = list(lane.standby)
-                lane.standby.clear()
-            batches.append((lane, pending, standby))
-        for lane, pending, standby in batches:
-            tickets = [(ticket, False) for ticket in pending]
-            tickets += [(ticket, True) for ticket in standby]
-            for ticket, on_standby in tickets:
+        batches = [
+            (lane, lane.queue.drain()) for lane in self._lanes if lane.alive
+        ]
+        for lane, pending in batches:
+            for ticket in pending:
                 target = self._lanes[self._route_or_stay(ticket, lane)]
                 ticket.shard = target.index
                 if target is not lane:
                     with lane.lock:
                         lane.counts["requeued"] += 1
                     moved += 1
-                if on_standby and self._lane_degraded(target):
-                    with target.lock:
-                        target.standby.append(ticket)
-                elif on_standby or target is not lane:
                     self._enqueue(target, ticket, force=True)
                 else:  # back onto the queue it came off: already counted
                     lane.queue.put(ticket, force=True)
@@ -962,10 +815,12 @@ class QOAdvisorServer:
         steering path (inline, in journal order: determinism makes the
         recomputed plans, metrics and bandit draws byte-identical to the
         lost originals), windows are re-run and their fingerprints checked
-        against the journaled ones, and shed records are re-applied
-        verbatim.  Afterwards the day accumulators and the pending
-        maintenance window match the pre-crash state byte for byte, and
-        the server can resume serving where the dead one stopped.
+        against the journaled ones, and mode switches are re-applied.
+        Every record's kind is checked before anything replays: a kind
+        this server does not write raises :class:`JournalError`.
+        Afterwards the day accumulators and the pending maintenance window
+        match the pre-crash state byte for byte, and the server can resume
+        serving where the dead one stopped.
         """
         if self.journal is None:
             raise ValueError("recover() needs a journal (journal=... or journal_path)")
@@ -978,10 +833,20 @@ class QOAdvisorServer:
         jobs_by_day: dict[int, dict[str, JobInstance]] = {}
         replayed: dict[int, JobTicket] = {}
         # admissions that failed after their write-ahead record landed;
-        # their admit records replay as no-ops
-        rejected = {
-            record["seq"] for record in records if record.get("t") == "reject"
-        }
+        # their admit records replay as no-ops.  The same pass refuses a
+        # kind this server does not write (an older server's ``shed``, a
+        # foreign line) before anything replays: skipping it would lose
+        # the job it names and surface later as a misleading divergence
+        rejected: set[int] = set()
+        for position, record in enumerate(records, 1):
+            kind = record["t"]
+            if kind not in RECORD_KINDS:
+                raise JournalError(
+                    f"journal record {position} of {len(records)} has unknown "
+                    f"kind {kind!r} (expected one of {', '.join(RECORD_KINDS)})"
+                )
+            if kind == "reject":
+                rejected.add(record["seq"])
         # concurrent submitters can journal admits slightly out of seq
         # order; track the high-water mark so post-recovery submissions
         # never reuse a replayed sequence number
@@ -989,7 +854,7 @@ class QOAdvisorServer:
         self._recovering = True
         try:
             for record in records:
-                kind = record.get("t")
+                kind = record["t"]
                 if kind == "admit":
                     if record["seq"] in rejected:
                         # the seq was consumed even though admission bounced
@@ -1020,23 +885,6 @@ class QOAdvisorServer:
                             f"failed={ticket.failed}"
                         )
                     report.completed += 1
-                elif kind == "shed":
-                    job = self._recovery_job(jobs_by_day, record)
-                    high_water = max(high_water, record["seq"])
-                    with self._seq_lock:
-                        self._seq = max(self._seq, record["seq"])
-                    ticket = JobTicket(
-                        seq=record["seq"], job=job, day=record["day"], shard=0
-                    )
-                    ticket.shed = True
-                    ticket.failed = True
-                    shard = record.get("shard", 0)
-                    if 0 <= shard < len(self._lanes):
-                        ticket.shard = shard
-                        with self._lanes[shard].lock:
-                            self._lanes[shard].counts["shed"] += 1
-                    self.scheduler.record(ticket)
-                    report.shed += 1
                 elif kind == "window":
                     day_report = self.run_maintenance(record["day"])
                     expected = record.get("fingerprint")
@@ -1107,7 +955,6 @@ class QOAdvisorServer:
                 samples += [
                     Sample("repro_serving_queue_depth", labels, shard.queue_depth),
                     Sample("repro_serving_queue_depth_max", labels, shard.max_queue_depth),
-                    Sample("repro_serving_standby_depth", labels, shard.standby_depth),
                 ]
             return samples
 
@@ -1181,7 +1028,6 @@ class QOAdvisorServer:
                         retired=lane.retired,
                         queue_depth=lane.queue.depth,
                         max_queue_depth=lane.queue.max_depth,
-                        standby_depth=len(lane.standby),
                         **lane.counts,
                         compile_p50_s=percentile(samples, 50),
                         compile_p95_s=percentile(samples, 95),

@@ -6,10 +6,8 @@ immutable :class:`ServerStats`/:class:`ShardStats` pair this module
 defines.  The metrics mirror what an operator of the production service
 would watch: queue depth (backpressure), steer rate (how much of the
 stream compiles under an SIS hint), compile latency percentiles (the cost
-of steering on the arrival path), hint version skew (how far behind the
-latest publication a shard's most recent compile was), and the SLO
-admission counters (``deferred``/``shed`` low-priority work on a degraded
-lane).
+of steering on the arrival path), and hint version skew (how far behind
+the latest publication a shard's most recent compile was).
 
 Metrics that have not been measured are ``None``, never a fabricated
 zero: a lane that steered nothing reports ``compile_p50_s is None`` (not
@@ -35,7 +33,7 @@ __all__ = [
 #: and the ``repro_serving_<name>_total`` metric view, a projection of it —
 #: are built from that container (each name is documented on its field
 #: below).
-LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued", "deferred", "shed")
+LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued")
 
 #: The :class:`~repro.scope.cache.CacheStats` fields a lane's snapshot
 #: copies from its compilation service (same names on both sides).
@@ -74,7 +72,7 @@ class LatencyRing:
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
-            raise ValueError(f"latency window must be >= 1, got {capacity}")
+            raise ValueError(f"latency_window must be >= 1, got {capacity}")
         self._samples: deque[float] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         #: lifetime observations (including ones the ring has since evicted)
@@ -134,8 +132,6 @@ class ShardStats:
     queue_depth: int = 0
     #: high-water mark of the queue depth since the server started
     max_queue_depth: int = 0
-    #: low-priority tickets parked on the lane's SLO standby queue
-    standby_depth: int = 0
     #: tickets ever routed to this shard (including later requeues away)
     submitted: int = 0
     completed: int = 0
@@ -144,10 +140,6 @@ class ShardStats:
     steered: int = 0
     #: tickets moved off this shard by failover or rebalancing
     requeued: int = 0
-    #: low-priority tickets deferred onto the standby queue by SLO admission
-    deferred: int = 0
-    #: low-priority tickets shed (dropped, recorded as failed) by SLO admission
-    shed: int = 0
     #: compile wall-clock percentiles over the lane's completed jobs;
     #: None until the lane has at least one sample
     compile_p50_s: float | None = None
@@ -204,9 +196,6 @@ class ServerStats:
     jobs_completed: int = 0
     jobs_failed: int = 0
     jobs_in_flight: int = 0
-    #: cumulative low-priority jobs deferred / shed by SLO admission
-    jobs_deferred: int = 0
-    jobs_shed: int = 0
     #: completed jobs per second of streaming wall-clock
     throughput_jobs_per_s: float = 0.0
     #: the live SIS hint-file version
@@ -222,6 +211,16 @@ class ServerStats:
     last_window: WindowSummary | None = None
 
     @property
+    def jobs_shed(self) -> int:
+        """Always 0: admission is by queue capacity alone and drops nothing.
+
+        Kept only because the frozen perf ledger's ``serve_recover`` check
+        (``benchmarks/ledger/workloads.py``) still reads it; it goes when
+        that read does.
+        """
+        return 0
+
+    @property
     def steer_rate(self) -> float:
         steered = sum(s.steered for s in self.shards)
         return steered / self.jobs_completed if self.jobs_completed else 0.0
@@ -230,8 +229,7 @@ class ServerStats:
         """A terminal-friendly multi-line health summary."""
         lines = [
             f"server: {self.jobs_completed}/{self.jobs_submitted} jobs completed "
-            f"({self.jobs_failed} failed, {self.jobs_in_flight} in flight, "
-            f"{self.jobs_deferred} deferred, {self.jobs_shed} shed), "
+            f"({self.jobs_failed} failed, {self.jobs_in_flight} in flight), "
             f"{self.throughput_jobs_per_s:.1f} jobs/s, "
             f"steer rate {self.steer_rate:.0%}, "
             f"hint v{self.hint_version}, "
@@ -267,8 +265,7 @@ class ServerStats:
             )
             lines.append(
                 f"  shard {shard.shard} [{state}]: "
-                f"queue {shard.queue_depth} (max {shard.max_queue_depth}, "
-                f"standby {shard.standby_depth}), "
+                f"queue {shard.queue_depth} (max {shard.max_queue_depth}), "
                 f"{shard.completed} ok / {shard.failed} failed / "
                 f"{shard.requeued} requeued, "
                 f"steer {shard.steer_rate:.0%}, "
@@ -284,5 +281,5 @@ def job_totals(shards: list[ShardStats]) -> dict[str, int]:
     counters summed, never a second tally."""
     return {
         f"jobs_{name}": sum(getattr(shard, name) for shard in shards)
-        for name in ("completed", "failed", "deferred", "shed")
+        for name in ("completed", "failed")
     }

@@ -11,9 +11,11 @@ The contracts under test:
   journaled ``DayReport.fingerprint()`` (verified *during* replay), and
   finishing the interrupted day produces the same fingerprint as the
   uninterrupted run;
-* **non-recomputable events replay verbatim** — SLO sheds (wall-clock
-  driven) and Personalizer mode switches are re-applied as recorded,
-  never re-decided.
+* **non-recomputable events replay verbatim** — Personalizer mode
+  switches are re-applied as recorded, never re-decided;
+* **unknown records are refused** — a record kind the server does not
+  write (an older server's ``shed``) fails recovery before anything
+  replays, instead of being skipped.
 """
 
 from __future__ import annotations
@@ -207,34 +209,60 @@ def test_recovery_skips_rejected_admissions_and_keeps_seq_monotonic(tmp_path):
     original.shutdown()
 
 
-def test_recovery_replays_sheds_and_mode_switches_verbatim(tmp_path):
+def test_recovery_replays_mode_switches_verbatim(tmp_path):
     path = tmp_path / "wal.jsonl"
-    # an SLO aggressive enough that every compile violates it
-    strict = _serving(slo_p95_ms=1e-9, slo_min_samples=1, slo_policy="shed")
-    original = QOAdvisorServer(config=_config(shards=1), serving=strict, journal=path)
+    original = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
     original.start()
     jobs = original.advisor.workload.jobs_for_day(0)
-    original.submit(jobs[0])  # builds the latency sample that trips the SLO
-    low = dataclasses.replace(jobs[1], metadata={"priority": "low"})
-    shed_ticket = original.submit(low)
-    assert shed_ticket.shed and shed_ticket.failed
+    original.submit(jobs[0])
     original.enable_learned_mode()
+    original.submit(jobs[1])  # steered after the switch
     original.drain(timeout=60.0)
-    original.run_maintenance(0)
+    expected = original.run_maintenance(0).fingerprint()
     # crash without shutdown
 
-    # the revived server runs with the SLO *disabled*: sheds must come from
-    # the journal, not from re-deciding wall-clock latency
     revived = QOAdvisorServer(
         config=_config(shards=1), serving=_serving(), journal=path
     )
     recovery = revived.recover()
-    assert recovery.shed == 1
     assert recovery.mode_switches == 1
     assert recovery.windows == 1 and recovery.fingerprints_verified == 1
     assert revived.advisor.policy.mode == "learned"
-    assert low.job_id in revived.advisor.reports[0].failed_jobs
-    assert revived.stats().shards[0].shed == 1
+    assert revived.advisor.reports[0].fingerprint() == expected
+    revived.shutdown()
+    original.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["bogus", "shed"])
+def test_recovery_refuses_an_unknown_record_kind_before_replaying(tmp_path, kind):
+    """A record kind the server does not write is refused up front, with
+    its kind and position, rather than skipped: skipping a ``shed`` would
+    lose the failed job it names, and replay would stop later on a
+    misleading window divergence."""
+    path = tmp_path / "wal.jsonl"
+    original = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    original.stream_day(0)
+    foreign: dict = {"t": kind}
+    if kind == "shed":
+        # what a server with SLO shedding wrote for a job it dropped
+        job = original.advisor.workload.jobs_for_day(1)[0]
+        foreign.update(
+            seq=original.stats().jobs_submitted + 1,
+            day=1,
+            job=job.job_id,
+            template=job.template_id,
+            shard=0,
+        )
+    original.journal.append(foreign)
+    total = len(original.journal.records())
+    revived = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    with pytest.raises(
+        JournalError, match=rf"record {total} of {total} has unknown kind '{kind}'"
+    ):
+        revived.recover()
+    # refused before anything replayed: the server is still fresh
+    assert revived._seq == 0 and revived.scheduler.windows == 0
+    assert revived.advisor.reports == []
     revived.shutdown()
     original.shutdown()
 

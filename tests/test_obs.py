@@ -307,7 +307,6 @@ EXPOSITION_SERIES = [
     ("repro_serving_compile_latency_seconds", ("quantile", "shard")),
     ("repro_serving_compile_observations_total", ("shard",)),
     ("repro_serving_completed_total", ("shard",)),
-    ("repro_serving_deferred_total", ("shard",)),
     ("repro_serving_failed_total", ("shard",)),
     ("repro_serving_jobs_admitted_total", ()),
     ("repro_serving_jobs_in_flight", ()),
@@ -315,8 +314,6 @@ EXPOSITION_SERIES = [
     ("repro_serving_queue_depth", ("shard",)),
     ("repro_serving_queue_depth_max", ("shard",)),
     ("repro_serving_requeued_total", ("shard",)),
-    ("repro_serving_shed_total", ("shard",)),
-    ("repro_serving_standby_depth", ("shard",)),
     ("repro_serving_steered_total", ("shard",)),
     ("repro_serving_submitted_total", ("shard",)),
     ("repro_serving_windows_total", ()),

@@ -104,12 +104,11 @@ def test_queue_rejects_bad_parameters():
         ShardQueue(capacity=1, admission="drop-newest")
 
 
-@pytest.mark.parametrize("field", ["latency_window", "slo_window", "slo_min_samples"])
+@pytest.mark.parametrize("field", ["latency_window"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_server_refuses_an_empty_serving_window(field, value):
-    """A lane's latency ring and SLO window hold at least one sample, and
-    the SLO judges a lane on at least one; a configured 0 or negative size
-    is refused, not silently made 1."""
+    """A lane's latency ring holds at least one sample; a configured 0 or
+    negative size is refused, not silently made 1."""
     serving = dataclasses.replace(ServingConfig(), **{field: value})
     with pytest.raises(ValueError, match=field):
         QOAdvisorServer(config=_config(shards=1), serving=serving)
@@ -361,102 +360,19 @@ def test_idle_lane_skew_is_none_across_a_publication():
     server.shutdown()
 
 
-# -- SLO-driven admission -----------------------------------------------------
-
-
-def _slo_serving(**overrides) -> ServingConfig:
-    defaults = dict(
-        workers_per_shard=0, slo_p95_ms=1e-9, slo_window=8, slo_min_samples=1
-    )
-    defaults.update(overrides)
-    return ServingConfig(**defaults)
-
-
-def test_degraded_lane_defers_low_priority_until_drain():
-    server = QOAdvisorServer(config=_config(shards=1), serving=_slo_serving())
-    server.start()
-    jobs = server.advisor.workload.jobs_for_day(0)
-    first = server.submit(jobs[0])  # high priority: served, trips the SLO
-    assert first.done
-    low = dataclasses.replace(jobs[1], metadata={"priority": "low"})
-    parked = server.submit(low)
-    assert not parked.done and parked.deferred == 1
-    stats = server.stats()
-    assert stats.shards[0].deferred == 1 and stats.shards[0].standby_depth == 1
-    assert stats.jobs_deferred == 1 and stats.jobs_in_flight == 1
-    # high-priority traffic keeps flowing past the parked ticket
-    assert server.submit(jobs[2]).done
-    # the drain barrier flushes standby work; nothing is ever lost
-    server.drain(timeout=60.0)
-    assert parked.done and not parked.failed
-    report = server.run_maintenance(0)
-    assert low.job_id in {run.job.job_id for run in report.production_runs}
-    server.shutdown()
-
-
-def test_degraded_lane_sheds_low_priority_by_policy():
-    server = QOAdvisorServer(
-        config=_config(shards=1), serving=_slo_serving(slo_policy="shed")
-    )
-    server.start()
-    jobs = server.advisor.workload.jobs_for_day(0)
-    server.submit(jobs[0])
-    low = dataclasses.replace(jobs[1], metadata={"priority": "low"})
-    dropped = server.submit(low)
-    assert dropped.shed and dropped.failed and dropped.done
-    stats = server.stats()
-    assert stats.shards[0].shed == 1 and stats.jobs_shed == 1
-    assert stats.jobs_in_flight == 0
-    server.drain(timeout=60.0)
-    # the shed job still appears in the day's accounting, as a failure
-    report = server.run_maintenance(0)
-    assert low.job_id in report.failed_jobs
-    server.shutdown()
-
-
-def test_healthy_lane_admits_low_priority_and_slo_off_by_default():
-    # below slo_min_samples the lane is never declared degraded
-    server = QOAdvisorServer(
-        config=_config(shards=1), serving=_slo_serving(slo_min_samples=3)
-    )
-    server.start()
-    jobs = server.advisor.workload.jobs_for_day(0)
-    low = dataclasses.replace(jobs[0], metadata={"priority": "low"})
-    assert server.submit(low).done  # 0 samples < 3: admitted normally
-    server.shutdown()
-    # and with no SLO configured, priority never matters
-    plain = QOAdvisorServer(
-        config=_config(shards=1), serving=ServingConfig(workers_per_shard=0)
-    )
-    plain.start()
-    low2 = dataclasses.replace(jobs[1], metadata={"priority": "low"})
-    assert plain.submit(low2).done
-    plain.shutdown()
-    with pytest.raises(ValueError, match="slo_policy"):
-        QOAdvisorServer(
-            config=_config(shards=1),
-            serving=ServingConfig(slo_policy="drop-oldest"),
-        )
-
-
 # -- one terminal, one vocabulary ----------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "ending", ["steered", "compile_error", "shed", "requeue_exhausted"]
-)
+@pytest.mark.parametrize("ending", ["steered", "compile_error", "requeue_exhausted"])
 def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
     """Whichever way a ticket ends it is recorded once under its day,
-    journaled once (``done``/``shed``), released once and its root span
-    finished once — the single-terminal invariant ``_complete`` owns."""
+    journaled once (``done``), released once and its root span finished
+    once — the single-terminal invariant ``_complete`` owns."""
     config = dataclasses.replace(_config(shards=2), obs=ObsConfig(enabled=True))
-    serving = (
-        _slo_serving(slo_policy="shed")
-        if ending == "shed"
-        else ServingConfig(workers_per_shard=0)
-    )
     server = QOAdvisorServer(
-        config=config, serving=serving, journal=tmp_path / "journal.jsonl"
+        config=config,
+        serving=ServingConfig(workers_per_shard=0),
+        journal=tmp_path / "journal.jsonl",
     )
     recorded = []
     record = server.scheduler.record
@@ -474,13 +390,6 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
         ticket.excluded_shards.add(1 - ticket.shard)
         assert server.fail_shard(ticket.shard) == 0
         server.start()
-    elif ending == "shed":
-        server.start()
-        server.submit(job)  # trips the SLO on the template's lane
-        ticket = server.submit(
-            dataclasses.replace(job, metadata={"priority": "low"})
-        )
-        assert ticket.shed
     else:
         server.start()
         if ending == "compile_error":
@@ -493,24 +402,13 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
     terminal = [
         r
         for r in server.journal.records()
-        if r["t"] in ("done", "shed") and r["seq"] == ticket.seq
+        if r["t"] == "done" and r["seq"] == ticket.seq
     ]
     assert len(terminal) == 1
-    if ending == "shed":
-        assert terminal[0] == {
-            "t": "shed",
-            "seq": ticket.seq,
-            "day": 0,
-            "job": job.job_id,
-            "template": job.template_id,
-            "shard": ticket.shard,
-        }
-    else:
-        assert terminal[0]["t"] == "done"
-        assert terminal[0]["failed"] is ticket.failed
+    assert terminal[0]["failed"] is ticket.failed
     stats = server.stats()
     assert stats.jobs_in_flight == 0
-    assert stats.jobs_completed + stats.jobs_failed + stats.jobs_shed == len(recorded)
+    assert stats.jobs_completed + stats.jobs_failed == len(recorded)
     roots = [
         span
         for span in server.advisor.obs.ring.spans()
@@ -532,7 +430,7 @@ def test_lane_counter_vocabulary_reaches_every_stats_surface():
     text = server.advisor.obs.metrics.exposition()
     fields = {field.name for field in dataclasses.fields(ShardStats)}
     (shard,) = server.stats().shards
-    assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 7
+    assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 5
     for name in LANE_COUNTERS:
         assert name in fields
         assert f'repro_serving_{name}_total{{shard="0"}} {getattr(shard, name)}' in text
