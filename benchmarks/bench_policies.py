@@ -78,14 +78,15 @@ def _run_bandit(seed: int) -> dict:
     stats = advisor.engine.compilation.stats
 
     log = advisor.policy.event_log
+    greedy, learner = advisor.policy.greedy_policy, advisor.policy.learner
     mean_reward = (
         sum(event.reward for event in log) / len(log) if log else 0.0
     )
     estimates = {
-        "ips": ips_estimate(log, advisor.policy),
-        "snips": snips_estimate(log, advisor.policy),
+        "ips": ips_estimate(log, greedy, scorer=learner),
+        "snips": snips_estimate(log, greedy, scorer=learner),
         "dr": dr_estimate(
-            log, advisor.policy, lambda context, action: mean_reward
+            log, greedy, lambda context, action: mean_reward, scorer=learner
         ),
         "events": len(log),
         "mean_logged_reward": round(mean_reward, 4),

@@ -7,26 +7,43 @@ CB triples the lower-cost fraction, roughly halves the higher-cost
 fraction, reduces recompile failures, and cuts the workload's total
 estimated cost by >100×.
 
-The learned column is a fresh :class:`BanditSteeringPolicy`, the paper's
-CB, trained off-policy on the training days.
+Both columns are scored by the pipeline's own code, against the
+pipeline's baseline — the job's own compile without SIS hints (a manually
+hinted job keeps its manual hint there).  The learned column is a fresh
+:class:`BanditSteeringPolicy`, the paper's CB, trained off-policy on the
+training days and then run through :func:`~repro.core.recommend.steer_job`
+on each evaluation job; the random column recompiles
+:class:`~repro.core.baselines.RandomFlipPolicy`'s flip of the same job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.features import JobFeatures
-from repro.core.recommend import actions_for_span, train_off_policy
+from repro.core.baselines import RandomFlipPolicy
+from repro.core.recommend import (
+    Recommendation,
+    RecommendationTask,
+    steer_job,
+    train_off_policy,
+)
+from repro.core.recompile import CostOutcome, RecompilationTask, RecompileOutcome
 from repro.core.spans import SpanComputer
-from repro.errors import ScopeError
 from repro.policies.bandit import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from repro.scope.engine import ScopeEngine
-from repro.scope.optimizer.rules.base import RuleFlip
-from repro.scope.telemetry.view import build_view_row
 from repro.workload.generator import Workload
 
 __all__ = ["PolicyCounts", "Table3Result", "run_table3_experiment"]
+
+#: the Table 3 row of each outcome; keeping the default plan is "equal"
+_BUCKETS = {
+    CostOutcome.LOWER: "lower",
+    CostOutcome.EQUAL: "equal",
+    CostOutcome.NOOP: "equal",
+    CostOutcome.HIGHER: "higher",
+    CostOutcome.FAILURE: "failures",
+}
 
 
 @dataclass
@@ -48,6 +65,12 @@ class PolicyCounts:
             return 0.0
         return getattr(self, bucket) / self.jobs
 
+    def add(self, outcome: RecompileOutcome, cost: float) -> None:
+        """Count one job's outcome and charge it ``cost``."""
+        bucket = _BUCKETS[outcome.outcome]
+        setattr(self, bucket, getattr(self, bucket) + 1)
+        self.total_est_cost += cost
+
 
 @dataclass
 class Table3Result:
@@ -65,25 +88,12 @@ class Table3Result:
         return self.random.total_est_cost / self.bandit.total_est_cost
 
 
-def _classify(engine: ScopeEngine, compiled, default_cost: float, flip: RuleFlip):
-    try:
-        cost = engine.optimize(compiled, flip.apply_to(engine.default_config)).est_cost
-    except ScopeError:
-        return "failures", None
-    if cost < default_cost * (1.0 - 1e-9):
-        return "lower", cost
-    if cost > default_cost * (1.0 + 1e-9):
-        return "higher", cost
-    return "equal", cost
-
-
 def run_table3_experiment(
     engine: ScopeEngine,
     workload: Workload,
     *,
     training_days: range = range(0, 4),
     eval_days: range = range(4, 6),
-    seed: int = 0,
 ) -> Table3Result:
     """Train a fresh CB off-policy, then face it off against random flips."""
     spans = SpanComputer(engine)
@@ -95,8 +105,9 @@ def run_table3_experiment(
     policy.switch_mode("learned")
 
     result = Table3Result()
-    rng = keyed_rng(seed or engine.config.seed, "table3-random")
-    registry = engine.registry
+    recommender = RecommendationTask(policy, engine.registry)
+    recompiler = RecompilationTask(engine, engine.config.bandit.reward_clip)
+    random_policy = RandomFlipPolicy(engine, keyed_rng(engine.config.seed, "table3-random"))
     total = 0
     steerable = 0
     for day in eval_days:
@@ -109,56 +120,26 @@ def run_table3_experiment(
             if not span:
                 continue
             steerable += 1
-            try:
-                compiled = engine.compile(job.script)
-                default_cost = engine.optimize(compiled).est_cost
-            except ScopeError:
+            steered = steer_job(recommender, recompiler, job, span)
+            if steered is None:
                 continue
-            ordered = sorted(span)
+            default, learned = steered
+            # the paper recompiles the CB's pick and short-circuits when the
+            # estimated cost does not improve: the job keeps its default plan
+            lower = learned.outcome is CostOutcome.LOWER
+            result.bandit.add(learned, learned.new_cost if lower else learned.default_cost)
 
-            # random policy
-            random_rule = ordered[int(rng.integers(0, len(ordered)))]
-            random_flip = RuleFlip(
-                random_rule, not engine.default_config.is_enabled(random_rule)
+            randomly = recompiler.evaluate(
+                Recommendation(
+                    learned.recommendation.features,
+                    random_policy.choose(span),
+                    event_id="random",
+                    probability=1.0 / len(span),
+                ),
+                default=default,
             )
-            bucket, cost = _classify(engine, compiled, default_cost, random_flip)
-            setattr(result.random, bucket, getattr(result.random, bucket) + 1)
-            result.random.total_est_cost += cost if cost is not None else default_cost
-
-            # learned policy (paper: recompile its pick, short-circuit if no
-            # estimated-cost improvement — cost falls back to the default)
-            try:
-                run_result = engine.compile_job(job, use_hints=False)
-                metrics = engine.execute(run_result, job.run_key())
-                row = build_view_row(job, run_result, metrics)
-            except ScopeError:
-                continue
-            features = JobFeatures(job=job, row=row, span=span)
-            actions = actions_for_span(span, registry, engine.default_config)
-            response = policy.rank(features.context(), actions)
-            if response.action.rule_id is None:
-                result.bandit.equal += 1
-                result.bandit.total_est_cost += default_cost
-                policy.observe(response.event_id, 1.0)
-                continue
-            cb_flip = RuleFlip(response.action.rule_id, response.action.turn_on)
-            bucket, cost = _classify(engine, compiled, default_cost, cb_flip)
-            setattr(result.bandit, bucket, getattr(result.bandit, bucket) + 1)
-            if bucket == "lower" and cost is not None:
-                result.bandit.total_est_cost += cost
-                policy.observe(
-                    response.event_id,
-                    min(default_cost / cost, engine.config.bandit.reward_clip),
-                )
-            else:
-                # short-circuit: no improvement → keep the default plan
-                result.bandit.total_est_cost += default_cost
-                reward = 0.0 if bucket == "failures" else (
-                    min(default_cost / cost, engine.config.bandit.reward_clip)
-                    if cost
-                    else 0.0
-                )
-                policy.observe(response.event_id, reward)
+            failed = randomly.outcome is CostOutcome.FAILURE
+            result.random.add(randomly, randomly.default_cost if failed else randomly.new_cost)
     result.jobs_evaluated = total
     result.steerable_fraction = steerable / total if total else 0.0
     return result

@@ -7,10 +7,12 @@ action — so data gathered under the uniform logging policy trains the
 greedy policy acted on later (off-policy learning, §4.2).
 
 The learner is scale-agnostic: it regresses whatever target it is given.
-The event log holds the clipped cost ratio, but the steering skeleton
-(:class:`~repro.policies.base.LearnedSteeringPolicy`) feeds it the ratio
-minus the no-op's 1.0, so a policy's scores are advantages over the
-default plan and zero weights mean "no better than default".
+The event log holds the clipped cost ratio, but the steering policy
+(:class:`~repro.policies.base.LearnedSteeringPolicy`, which owns the
+learner and calls it directly) feeds it the ratio minus the no-op's 1.0,
+so a policy's scores are advantages over the default plan and zero
+weights mean "no better than default".  The propensity floor of its
+importance weights is the off-policy estimators' ``_MIN_PROB``.
 
 The live table is dense (``weights``, ``1 << bits`` float64 slots): every
 score and update indexes it directly, and the policy's digests hash
@@ -28,11 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, joint_features
+from repro.bandit.offpolicy import _MIN_PROB
 
 __all__ = ["CBLearner", "WeightSnapshot"]
-
-#: probabilities are floored when importance-weighting to bound variance
-_MIN_PROB = 0.01
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,8 @@ from repro.bandit.features import ActionFeatures, ContextFeatures
 
 __all__ = ["LoggedEvent", "ips_estimate", "snips_estimate", "dr_estimate"]
 
+#: logged probabilities are floored when importance-weighting to bound
+#: variance — here and in the learner's updates
 _MIN_PROB = 0.01
 
 

@@ -1,8 +1,11 @@
 """Stateless target distributions over a linear scorer.
 
 What the off-policy estimators evaluate a log *against*.  Drawing an
-action (the RNG, the pending event, the logged propensity) is
-:meth:`repro.policies.base.LearnedSteeringPolicy.rank`'s job, not theirs.
+action (the RNG, the pending event) is
+:meth:`repro.policies.base.LearnedSteeringPolicy.rank`'s job, not theirs;
+in learned mode ``rank`` scores through :class:`EpsilonGreedyPolicy` and
+logs the propensity its :meth:`~EpsilonGreedyPolicy.action_probability_from_scores`
+gives, so the acting and the evaluated distribution are one formula.
 """
 
 from __future__ import annotations

@@ -3,10 +3,15 @@
 The action set for a job with span bits S is (1 + |S|): keep the default
 plan, or flip exactly one span rule relative to the default configuration.
 The steering policy (the paper's contextual bandit,
-:class:`~repro.policies.BanditSteeringPolicy`) ranks the set from the
+:class:`~repro.policies.LearnedSteeringPolicy`) ranks the set from the
 job's context features; the chosen action's reward is supplied later by
 the Recompilation task through
 :meth:`~repro.policies.LearnedSteeringPolicy.observe`.
+
+:func:`steer_job` is that recommend → recompile → reward loop for one job,
+the pipeline's own definition of an outcome: the off-policy warm-up
+(:func:`train_off_policy`) and the Table-3 harness
+(:mod:`repro.analysis.table3`) both run it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "Recommendation",
     "RecommendationTask",
     "actions_for_span",
+    "steer_job",
     "train_off_policy",
 ]
 
@@ -54,6 +60,29 @@ def actions_for_span(
     return actions
 
 
+def steer_job(recommender, recompiler, job, span: frozenset[int]):
+    """One steerable job through recommend → recompile → reward.
+
+    The job compiles without SIS hints and executes (its telemetry row is
+    the context), the policy ranks its action set, the pick is recompiled
+    against that compile, and the outcome's reward is observed.  Returns
+    ``(default, outcome)`` — the hint-free compile and the
+    :class:`~repro.core.recompile.RecompileOutcome` — or None when the job
+    itself fails to compile or run (nothing is ranked).
+    """
+    engine = recompiler.engine
+    try:
+        default = engine.compile_job(job, use_hints=False)
+        metrics = engine.execute(default, job.run_key())
+    except ScopeError:
+        return None
+    row = build_view_row(job, default, metrics)
+    recommendation = recommender.recommend(JobFeatures(job=job, row=row, span=span))
+    outcome = recompiler.evaluate(recommendation, default=default)
+    recommender.policy.observe(recommendation.event_id, outcome.reward)
+    return default, outcome
+
+
 def train_off_policy(
     engine,
     workload,
@@ -64,10 +93,8 @@ def train_off_policy(
 ) -> int:
     """Off-policy warm-up: uniform logging + cost-ratio rewards (§4.2).
 
-    For each steerable job, the policy (in uniform-logging mode) ranks the
-    action set, the pick is recompiled, and the clipped cost ratio is
-    reported as reward — the recommend and recompile stages' own code, one
-    job at a time.  Returns the number of logged events.
+    Every steerable job goes through :func:`steer_job` with the policy in
+    uniform-logging mode.  Returns the number of logged events.
     """
     from repro.core.recompile import RecompilationTask  # imports this module
 
@@ -77,19 +104,8 @@ def train_off_policy(
     for day in days:
         for job in workload.jobs_for_day(day):
             span = spans.span_for_template(job.template_id, job.script)
-            if not span:
-                continue
-            try:
-                run_result = engine.compile_job(job, use_hints=False)
-                metrics = engine.execute(run_result, job.run_key())
-            except ScopeError:
-                continue
-            row = build_view_row(job, run_result, metrics)
-            features = JobFeatures(job=job, row=row, span=span)
-            recommendation = recommender.recommend(features)
-            events += 1
-            outcome = recompiler.evaluate(recommendation, default=run_result)
-            policy.observe(recommendation.event_id, outcome.reward)
+            if span and steer_job(recommender, recompiler, job, span) is not None:
+                events += 1
         # per-day epoch barrier: plan-cache capacity is enforced here, from
         # the coordinating thread, like the pipeline does per stage
         engine.compilation.checkpoint()

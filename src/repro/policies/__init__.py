@@ -1,8 +1,8 @@
 """The steering policy (see :mod:`repro.policies.base`).
 
-The recommendation layer ranks through one policy:
-:class:`BanditSteeringPolicy`, the paper's CB/Personalizer stack, built on
-the :class:`LearnedSteeringPolicy` Rank/Reward skeleton.
+The recommendation layer ranks through one policy, the paper's
+CB/Personalizer stack: :class:`LearnedSteeringPolicy`, built by the
+pipeline under its telemetry name :class:`BanditSteeringPolicy`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""The Rank/Reward skeleton the steering policy is built on (paper §4.2, §6).
+"""The steering policy: the paper's contextual bandit (§4.2, §6).
 
-The paper deploys one contextual bandit; :class:`LearnedSteeringPolicy` is
-the loop every part of the pipeline downstream of feature generation talks
-to (the recommend stage, the reward feedback of the recompile stage, the
-daily model publish, the off-policy estimators), and
-:class:`~repro.policies.bandit.BanditSteeringPolicy` is its one
-implementation.
+A local Azure-Personalizer stand-in.  :class:`LearnedSteeringPolicy` is the
+loop every part of the pipeline downstream of feature generation talks to
+(the recommend stage, the reward feedback of the recompile stage, the daily
+model publish, the off-policy estimators).  It owns the hashed linear
+:class:`~repro.bandit.learner.CBLearner`, scored through
+:class:`~repro.bandit.policy.EpsilonGreedyPolicy`, and calls both directly.
+:class:`~repro.policies.bandit.BanditSteeringPolicy`, the name the
+pipeline builds and the perf ledger's tracer binds, only sets its
+telemetry name.
 
 The contract:
 
@@ -14,32 +17,26 @@ The contract:
   action + logged propensity).
 * :meth:`~LearnedSteeringPolicy.observe` — report the reward for a ranked
   event; the model learns online.
-* :meth:`~LearnedSteeringPolicy.action_probability` — the probability the
-  policy's *acting* (learned) distribution assigns to one action of a
-  logged event.  This is the hook the IPS/SNIPS/DR estimators in
-  :mod:`repro.bandit.offpolicy` need, and it is deliberately
-  signature-compatible with the bandit-internal policies there (the
-  ``scorer`` argument is accepted and ignored).
 * :meth:`~LearnedSteeringPolicy.publish_version` /
   :meth:`~LearnedSteeringPolicy.restore_version` — daily model snapshots
   and regression rollback, mirroring the Azure Personalizer lifecycle.
-  Every published version is kept, so each must be small: the bandit's
-  snapshot is a sparse :class:`~repro.bandit.learner.WeightSnapshot` (the
-  non-zero weights and the table size), restored into a fresh zero table,
-  while the live table stays dense because scoring indexes it and the
-  policy digests hash its bytes.  :attr:`~LearnedSteeringPolicy.model_version`
-  is the version scoring now — the newest, or the one a rollback chose.
+  A publish first expires the events whose reward never arrived within
+  the reward-wait window.  Every published version is kept, so each must
+  be small: the snapshot is a sparse
+  :class:`~repro.bandit.learner.WeightSnapshot` (the non-zero weights and
+  the table size), restored into a fresh zero table, while the live table
+  stays dense because scoring indexes it and the policy digests hash its
+  bytes.  :attr:`~LearnedSteeringPolicy.model_version` is the version
+  scoring now — the newest, or the one a rollback chose.
 * :meth:`~LearnedSteeringPolicy.switch_mode` — ``"uniform_logging"``
   (explore uniformly, maximally informative logs — the off-policy warm-up)
   vs ``"learned"`` (act on the learned scores), the paper's staged rollout.
+* :meth:`~LearnedSteeringPolicy.counterfactual_evaluate` — IPS/SNIPS/DR
+  estimates of the greedy policy (``greedy_policy`` over ``learner``)
+  against the high-fidelity event log
+  (:class:`~repro.bandit.offpolicy.LoggedEvent`).
 
-The skeleton owns the pending-event table, the high-fidelity event log
-(:class:`~repro.bandit.offpolicy.LoggedEvent`, which feeds the
-counterfactual machinery), the mode switch, the keyed exploration RNG and
-epsilon-greedy selection; the subclass supplies ``_scores`` (score every
-action) plus ``_learn``/``_snapshot``/``_restore``.
-
-The skeleton logs the raw reward but teaches the model its *advantage*
+The policy logs the raw reward but teaches the model its *advantage*
 over the no-op, ``reward - NOOP_REWARD``.  Every flip's reward is a cost
 ratio near 1.0, so a model of the absolute reward ranks actions by how
 often their features were updated; a model of the advantage starts at
@@ -54,7 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures
-from repro.bandit.offpolicy import LoggedEvent
+from repro.bandit.learner import CBLearner
+from repro.bandit.offpolicy import (
+    LoggedEvent,
+    dr_estimate,
+    ips_estimate,
+    snips_estimate,
+)
+from repro.bandit.policy import EpsilonGreedyPolicy
+from repro.config import BanditConfig
 from repro.errors import PersonalizerError
 from repro.rng import keyed_rng
 
@@ -85,7 +90,7 @@ class RankResponse:
 
 @dataclass
 class PolicyVersion:
-    """One published model snapshot (the subclass's ``_snapshot()``)."""
+    """One published model snapshot: ``(WeightSnapshot, updates)``."""
 
     version: int
     state: object
@@ -103,28 +108,29 @@ class _Pending:
 
 
 class LearnedSteeringPolicy:
-    """The Rank/Reward loop (paper §4.2, §6).
+    """Epsilon-greedy over a hashed linear reward model, learned off-policy."""
 
-    Subclasses implement:
-
-    * ``_scores(context, actions)`` → per-action predicted advantage
-      over the no-op (0.0 = no better than default);
-    * ``_learn(context, action, advantage, probability)`` — consume one
-      finalized event, ``advantage = reward - NOOP_REWARD``;
-    * ``_snapshot()`` / ``_restore(state)`` — model state for
-      publish/restore.
-    """
-
-    #: stable identifier, surfaced by :meth:`telemetry`
-    name: str = "?"
-
-    def __init__(self, epsilon: float, seed: int, mode: str = "uniform_logging") -> None:
+    def __init__(
+        self,
+        config: BanditConfig | None = None,
+        seed: int = 0,
+        mode: str = "uniform_logging",
+    ) -> None:
+        self.config = config or BanditConfig()
         if mode not in MODES:
             raise PersonalizerError(f"unknown mode {mode!r}")
-        if not 0.0 <= epsilon <= 1.0:
+        if not 0.0 <= self.config.epsilon <= 1.0:
             raise PersonalizerError("epsilon must be in [0, 1]")
-        self.epsilon = epsilon
         self.mode = mode
+        self.learner = CBLearner(
+            bits=self.config.hash_bits,
+            learning_rate=self.config.learning_rate,
+            l2=self.config.l2,
+            interaction_order=self.config.interaction_order,
+        )
+        self.greedy_policy = EpsilonGreedyPolicy(
+            self.config.epsilon, self.config.hash_bits, self.config.interaction_order
+        )
         # the stream and event ids of the stand-alone Personalizer service
         # the bandit's logged decisions were made under
         self._rng = keyed_rng(seed, "personalizer")
@@ -134,6 +140,8 @@ class LearnedSteeringPolicy:
         self.versions: list[PolicyVersion] = []
         #: the version scoring now: the newest until a rollback picks another
         self._active_version = 0
+        #: events expired unrewarded so far (observability)
+        self.expired_events = 0
 
     # -- the Rank/Reward surface ----------------------------------------------
 
@@ -145,11 +153,10 @@ class LearnedSteeringPolicy:
             index = int(self._rng.integers(0, len(actions)))
             probability = 1.0 / len(actions)
         else:
-            scores = self._scores(context, actions)
-            greedy = int(np.argmax(scores))
-            explore = self._rng.random() < self.epsilon
-            index = int(self._rng.integers(0, len(actions))) if explore else greedy
-            probability = self._greedy_probability(len(actions), index == greedy)
+            scores = self.greedy_policy._scores(context, actions, self.learner)
+            explore = self._rng.random() < self.config.epsilon
+            index = int(self._rng.integers(0, len(actions))) if explore else int(np.argmax(scores))
+            probability = self.greedy_policy.action_probability_from_scores(scores, index)
         self._event_counter += 1
         event_id = f"evt-{self._event_counter:08d}"
         self._pending[event_id] = _Pending(
@@ -168,7 +175,8 @@ class LearnedSteeringPolicy:
         )
 
     def observe(self, event_id: str, reward: float) -> None:
-        """Report the reward for a ranked event; the model learns."""
+        """Report the reward for a ranked event; the model learns its
+        advantage over the no-op."""
         pending = self._pending.pop(event_id, None)
         if pending is None:
             raise PersonalizerError(f"unknown or already-rewarded event {event_id!r}")
@@ -181,57 +189,50 @@ class LearnedSteeringPolicy:
                 reward=reward,
             )
         )
-        self._learn(
+        self.learner.update(
             pending.context,
             pending.actions[pending.chosen],
             reward - NOOP_REWARD,
             pending.probability,
         )
 
-    def action_probability(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        index: int,
-        scorer=None,
-    ) -> float:
-        """The *acting* (epsilon-greedy over learned scores) distribution.
-
-        Counterfactual evaluation asks what the policy would do if it were
-        driving — the learned distribution — regardless of the mode it is
-        currently logging under.  ``scorer`` is accepted for signature
-        compatibility with the stateless target distributions in
-        :mod:`repro.bandit.policy` and ignored: a policy owns its model.
-        """
-        if not actions:
-            return 0.0
-        scores = self._scores(context, actions)
-        greedy = int(np.argmax(scores))
-        return self._greedy_probability(len(actions), index == greedy)
-
-    def action_probabilities(
-        self, context: ContextFeatures, actions: list[ActionFeatures], scorer=None
-    ) -> list[float]:
-        """:meth:`action_probability` for every index, from one scoring pass."""
-        if not actions:
-            return []
-        scores = self._scores(context, actions)
-        greedy = int(np.argmax(scores))
-        return [self._greedy_probability(len(actions), i == greedy) for i in range(len(actions))]
-
-    def _greedy_probability(self, num_actions: int, is_greedy: bool) -> float:
-        base = self.epsilon / num_actions
-        return base + (1.0 - self.epsilon) * (1.0 if is_greedy else 0.0)
+    # -- model versions ----------------------------------------------------------
 
     def publish_version(self) -> int:
+        """Expire overdue unrewarded events, then snapshot the model.
+
+        Mirrors the Azure Personalizer reward-wait window: an event whose
+        reward never arrives is finalized with ``expired_event_reward``
+        once ``activation_timeout_days`` publish cycles have passed since
+        it was ranked, instead of leaking forever.  Expiry runs first, so
+        the default-reward updates are part of the snapshot the events age
+        out under, and in rank order (insertion order of the pending map),
+        so the learner sees a deterministic update sequence.
+        """
+        timeout = self.config.activation_timeout_days
+        if timeout > 0:
+            cycle = len(self.versions) + 1
+            stale = [
+                event_id
+                for event_id, pending in self._pending.items()
+                if cycle - pending.model_version >= timeout
+            ]
+            for event_id in stale:
+                self.observe(event_id, self.config.expired_event_reward)
+            self.expired_events += len(stale)
         self._active_version = len(self.versions) + 1
-        self.versions.append(PolicyVersion(version=self._active_version, state=self._snapshot()))
+        state = (self.learner.snapshot(), self.learner.updates)
+        self.versions.append(PolicyVersion(version=self._active_version, state=state))
         return self._active_version
 
     def restore_version(self, version: int) -> None:
+        """Roll back to a published version: weights *and* the ``updates``
+        counter, so the restored model is indistinguishable from the one
+        published."""
         for published in self.versions:
             if published.version == version:
-                self._restore(published.state)
+                snapshot, updates = published.state
+                self.learner.restore(snapshot, updates=updates)
                 self._active_version = version
                 return
         raise PersonalizerError(f"unknown model version {version}")
@@ -263,22 +264,21 @@ class LearnedSteeringPolicy:
         """
         return {"policy": self.name, "version": self.model_version, "mode": self.mode}
 
-    # -- subclass hooks ------------------------------------------------------
+    # -- counterfactual evaluation ---------------------------------------------------
 
-    def _scores(self, context: ContextFeatures, actions: list[ActionFeatures]) -> np.ndarray:
-        raise NotImplementedError
+    def predicted_reward(self, context: ContextFeatures, action: ActionFeatures) -> float:
+        """The learner's reward model on the log's scale: it regresses the
+        advantage over the no-op, the log holds the raw cost ratio."""
+        return NOOP_REWARD + self.learner.score_action(context, action)
 
-    def _learn(
-        self,
-        context: ContextFeatures,
-        action: ActionFeatures,
-        advantage: float,
-        probability: float,
-    ) -> None:
-        raise NotImplementedError
-
-    def _snapshot(self) -> object:
-        raise NotImplementedError
-
-    def _restore(self, state: object) -> None:
-        raise NotImplementedError
+    def counterfactual_evaluate(self) -> dict[str, float]:
+        """IPS/SNIPS/DR estimates of the current greedy policy over the
+        logged events — the paper's offline tuning loop."""
+        log, policy, learner = self._log, self.greedy_policy, self.learner
+        return {
+            "ips": ips_estimate(log, policy, scorer=learner),
+            "snips": snips_estimate(log, policy, scorer=learner),
+            "dr": dr_estimate(log, policy, self.predicted_reward, scorer=learner),
+            "logged_mean": float(np.mean([e.reward for e in log])) if log else 0.0,
+            "events": float(len(log)),
+        }

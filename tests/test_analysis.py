@@ -1,12 +1,16 @@
 """Analysis harness tests (variance, correlation, aggregates, report)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import QOAdvisor, SimulationConfig
 from repro.analysis.correlation import IoCorrelationStudy, run_io_correlation_study
 from repro.analysis.report import ComparisonRow, render_comparison
 from repro.analysis.stability import StabilityPoint, StabilityStudy
-from repro.analysis.table3 import PolicyCounts, Table3Result
+from repro.analysis.table3 import PolicyCounts, Table3Result, run_table3_experiment
+from repro.config import FlightingConfig, WorkloadConfig
 from repro.analysis.variance import run_aa_variance_study
 from repro.flighting.results import FlightRequest, FlightResult, FlightStatus
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -94,6 +98,53 @@ def test_table3_counts_and_factor():
     assert result.random.jobs == 100
     assert result.random.fraction("lower") == pytest.approx(0.1)
     assert result.cost_improvement_factor == pytest.approx(100.0)
+
+
+#: (seed, templates, manual-hint fraction, training days, eval days) →
+#: random and CB columns as (lower, equal, higher, failures, total est cost),
+#: jobs evaluated.  The first two are ``bench_policies``' Table-3 config at
+#: its two seeds: no manual hints, so the baseline is the bare default
+#: plan.  The third has manually hinted jobs, each compared with its own
+#: manual-hint plan — the pipeline's hint-free compile — not the bare default.
+_TABLE3_PINS = {
+    "bench_policies-20220613": (
+        (20220613, 10, 0.0, range(0, 3), range(3, 5)),
+        (2, 5, 4, 2, 20285.545172986524),
+        (8, 4, 1, 0, 14799.289859155666),
+        19,
+    ),
+    "bench_policies-20240907": (
+        (20240907, 10, 0.0, range(0, 3), range(3, 5)),
+        (1, 2, 6, 5, 193.0686307955728),
+        (11, 2, 0, 1, 149.95018707057838),
+        18,
+    ),
+    "manual-hints": (
+        (2022, 12, 0.5, range(0, 2), range(2, 4)),
+        (0, 8, 16, 2, 10884.43940965397),
+        (11, 13, 1, 1, 7755.797710482123),
+        28,
+    ),
+}
+
+
+@pytest.mark.parametrize("pin", sorted(_TABLE3_PINS))
+def test_table3_experiment_counts_and_costs_are_pinned(pin):
+    (seed, templates, manual, training, evaluation), random, bandit, jobs = _TABLE3_PINS[pin]
+    config = dataclasses.replace(
+        SimulationConfig(seed=seed),
+        workload=WorkloadConfig(
+            num_templates=templates, num_tables=8, manual_hint_fraction=manual
+        ),
+        flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
+    )
+    with QOAdvisor(config) as advisor:
+        result = run_table3_experiment(
+            advisor.engine, advisor.workload, training_days=training, eval_days=evaluation
+        )
+    assert dataclasses.astuple(result.random) == random
+    assert dataclasses.astuple(result.bandit) == bandit
+    assert result.jobs_evaluated == jobs
 
 
 def test_comparison_row_rendering():

@@ -283,5 +283,5 @@ def test_warm_rank_hashes_nothing_and_cold_rank_hashes_each_name_once(monkeypatc
     second = policy.rank(context, actions)
     policy.observe(first.event_id, 1.0)
     policy.observe(second.event_id, 0.5)
-    assert policy.action_probabilities(context, actions)
+    assert policy.greedy_policy.action_probabilities(context, actions, policy.learner)
     assert hashed == []

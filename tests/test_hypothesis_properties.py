@@ -159,7 +159,10 @@ def test_rewards_equal_to_the_noop_leave_the_noop_greedy(logged, publishes, aske
             policy.observe(response.event_id, 1.0)
         policy.publish_version()
     for context in (asked, *logged):
-        assert policy.action_probabilities(context, _span_actions(context))[0] == 1.0
+        greedy = policy.greedy_policy.action_probabilities(
+            context, _span_actions(context), policy.learner
+        )
+        assert greedy[0] == 1.0
 
 
 #: bit patterns a weight table may hold that a value compare would lose:

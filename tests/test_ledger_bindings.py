@@ -4,13 +4,20 @@
 boundary by ``(module, class, attribute)`` — its ``_SITES`` table — and
 patches ``ThreadedExecutor.map_jobs`` and ``ShardQueue.put`` / ``.get`` by
 hand.  A rename of any of them otherwise only fails a traced ledger run.
+The policy entries bind ``rank`` / ``observe`` on two classes of one
+hierarchy, which only yields one span per call while the subclass
+inherits both methods.
 """
 
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
+
+from repro.bandit.features import ActionFeatures, ContextFeatures
+from repro.policies import BanditSteeringPolicy
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "tracing.py"
 
@@ -21,11 +28,15 @@ _PATCHED_BY_HAND = [
 ]
 
 
-def _ledger_sites() -> list[tuple[str, str | None, str]]:
+def _ledger_table() -> list[tuple]:
     spec = importlib.util.spec_from_file_location("ledger_tracing", _TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [site[:3] for site in module._SITES]
+    return module._SITES
+
+
+def _ledger_sites() -> list[tuple[str, str | None, str]]:
+    return [site[:3] for site in _ledger_table()]
 
 
 def test_every_ledger_bound_name_resolves():
@@ -39,3 +50,34 @@ def test_every_ledger_bound_name_resolves():
         if not callable(getattr(owner, attr, None)):
             unresolved.append(f"{module_name}.{class_name or ''}.{attr}")
     assert unresolved == []
+
+
+def test_every_ledger_bound_policy_call_is_one_span(monkeypatch):
+    """Wrap the table's policy entries in its order, as the tracer does: one
+    ``rank`` and one ``observe`` must each pass exactly one wrapper.  An
+    alias of the two classes, or an override that hops to ``super()``,
+    would pass two."""
+    spans, wrapped = Counter(), []
+    for module_name, class_name, attr, name, _, _ in _ledger_table():
+        if not (isinstance(name, str) and name.startswith("policies.")):
+            continue
+        owner = getattr(import_module(module_name), class_name)
+
+        def counting(*args, _call=getattr(owner, attr), _name=name, **kwargs):
+            spans[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+        wrapped.append(f"{class_name}.{attr}")
+    assert sorted(wrapped) == [
+        "BanditSteeringPolicy.observe",
+        "BanditSteeringPolicy.rank",
+        "LearnedSteeringPolicy.observe",
+        "LearnedSteeringPolicy.rank",
+    ]
+    policy = BanditSteeringPolicy(seed=1)
+    context = ContextFeatures(span=(3, 5), estimated_cost=100.0)
+    actions = [ActionFeatures(rule_id=None), ActionFeatures(rule_id=3, turn_on=False)]
+    response = policy.rank(context, actions)
+    policy.observe(response.event_id, 1.0)
+    assert spans == {"policies.rank": 1, "policies.observe": 1}

@@ -193,23 +193,26 @@ def test_policy_runs_end_to_end_and_feeds_counterfactuals():
     advisor, reports = _simulate(_tiny_config())
     policy = advisor.policy
     assert reports[-1].policy_version == policy.model_version > 0
-    log = policy.event_log
+    log, greedy, learner = policy.event_log, policy.greedy_policy, policy.learner
     assert log, "the policy must produce a counterfactual-ready log"
     # the off-policy machinery accepts any policy exposing action_probability
     estimates = {
-        "ips": ips_estimate(log, policy),
-        "snips": snips_estimate(log, policy),
-        "dr": dr_estimate(log, policy, lambda context, action: 1.0),
+        "ips": ips_estimate(log, greedy, scorer=learner),
+        "snips": snips_estimate(log, greedy, scorer=learner),
+        "dr": dr_estimate(log, greedy, lambda context, action: 1.0, scorer=learner),
     }
     for key, value in estimates.items():
         assert np.isfinite(value), (key, value)
     assert estimates["snips"] > 0.0
+    assert {key: estimates[key] for key in ("ips", "snips")} == {
+        key: policy.counterfactual_evaluate()[key] for key in ("ips", "snips")
+    }
     # one scoring pass per event (action_probabilities) changes no estimate
-    per_index = PerIndexOnly(policy)
+    per_index = PerIndexOnly(greedy)
     assert estimates == {
-        "ips": ips_estimate(log, per_index),
-        "snips": snips_estimate(log, per_index),
-        "dr": dr_estimate(log, per_index, lambda context, action: 1.0),
+        "ips": ips_estimate(log, per_index, scorer=learner),
+        "snips": snips_estimate(log, per_index, scorer=learner),
+        "dr": dr_estimate(log, per_index, lambda context, action: 1.0, scorer=learner),
     }
 
 
@@ -330,18 +333,19 @@ def test_skeleton_conformance():
             policy.observe(event_id, 1.0)
     with pytest.raises(PersonalizerError):
         policy.rank(_context(), [])
-    # publish/restore round-trips the model: scores at the snapshot come back
+    # publish/restore round-trips the model: the weights at the snapshot
+    # come back
     policy.observe(second.event_id, 0.25)
     version = policy.publish_version()
     assert version == policy.model_version == 1
     assert policy.rank(_context(), actions).model_version == 1
-    at_publish = policy._scores(_context(), actions).tolist()
+    at_publish = policy.learner.weights.tobytes()
     for _ in range(20):
         response = policy.rank(_context(), actions)
         policy.observe(response.event_id, 2.0 - response.index)
     policy.publish_version()
     policy.restore_version(version)
-    assert policy._scores(_context(), actions).tolist() == at_publish
+    assert policy.learner.weights.tobytes() == at_publish
     with pytest.raises(PersonalizerError):
         policy.restore_version(99)
     # modes and epsilon are validated at construction, modes at the switch
