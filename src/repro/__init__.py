@@ -48,7 +48,7 @@ from repro.serving import (
 from repro.sharding import ShardRouter
 from repro.workload.generator import Workload, build_workload
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "QOAdvisor",

@@ -98,15 +98,12 @@ def run_table3_experiment(
     """Train a fresh CB off-policy, then face it off against random flips."""
     spans = SpanComputer(engine)
     policy = BanditSteeringPolicy(engine.config.bandit, seed=engine.config.seed)
-    train_off_policy(
-        engine, workload, spans, policy, training_days,
-        engine.config.bandit.reward_clip,
-    )
+    train_off_policy(engine, workload, spans, policy, training_days)
     policy.switch_mode("learned")
 
     result = Table3Result()
     recommender = RecommendationTask(policy, engine.registry)
-    recompiler = RecompilationTask(engine, engine.config.bandit.reward_clip)
+    recompiler = RecompilationTask(engine)
     random_policy = RandomFlipPolicy(engine, keyed_rng(engine.config.seed, "table3-random"))
     total = 0
     steerable = 0

@@ -34,6 +34,9 @@ from repro.bandit.offpolicy import _MIN_PROB
 
 __all__ = ["CBLearner", "WeightSnapshot"]
 
+#: L2 regularization strength of every SGD step
+_L2 = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class WeightSnapshot:
@@ -57,12 +60,10 @@ class CBLearner:
         self,
         bits: int = 18,
         learning_rate: float = 0.08,
-        l2: float = 1e-6,
         interaction_order: int = 3,
     ) -> None:
         self.bits = bits
         self.learning_rate = learning_rate
-        self.l2 = l2
         self.interaction_order = interaction_order
         self.weights = np.zeros(1 << bits)
         self.updates = 0
@@ -108,7 +109,7 @@ class CBLearner:
         step = min(self.learning_rate * min(importance, 5.0), 0.5) / norm_sq
         error = reward - prediction
         for index, value in vector.items():
-            gradient = error * value - self.l2 * self.weights[index]
+            gradient = error * value - _L2 * self.weights[index]
             self.weights[index] += step * gradient
         self.updates += 1
         return prediction

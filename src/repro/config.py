@@ -1,12 +1,29 @@
 """Central configuration for simulations and the QO-Advisor pipeline.
 
-All tunables live in small frozen dataclasses grouped under
-:class:`SimulationConfig`.  Defaults are calibrated so that the structural
-properties the paper's evaluation depends on hold:
-high latency variance, low PNhours variance, imperfect cost estimates, and
-learnable rule-flip signal.  There is one steering policy, the paper's
-contextual bandit, so :class:`BanditConfig` configures it and nothing
-selects among policies.
+The settings callers choose live in small frozen dataclasses grouped under
+:class:`SimulationConfig`.  A value is a field here only if two callers
+need different values of it — the default's users and at least one
+caller (a bench, an example or a test) that sets another, such as the
+workload size, the shard count or the serving schedule — or if it names a
+deployment path (the span JSONL file).  A value every caller leaves at
+its default is a named constant beside the module that reads it instead:
+
+* the simulated cluster — ``scope.optimizer.cost`` (I/O bandwidth, CPU
+  cost per row), ``scope.runtime.executor`` (tokens, partition size,
+  vertex overhead) and ``scope.runtime.cluster`` (the noise model);
+* the estimator — ``scope.data`` (reality-factor sigma) and
+  ``workload.generator`` (statistics staleness, daily growth range);
+* ``workload.templates`` (recurring fraction), ``bandit.learner`` (L2),
+  ``core.recompile`` (reward clip, cost filter), ``core.validate``
+  (validation threshold, training days) and ``serving.server`` (submit
+  timeout, latency window).
+
+Defaults are calibrated so that the structural properties the paper's
+evaluation depends on hold: high latency variance, low PNhours variance,
+imperfect cost estimates, and learnable rule-flip signal.  There is one
+steering policy, the paper's contextual bandit, so :class:`BanditConfig`
+configures it and nothing selects among policies.  A journal is named by
+``QOAdvisorServer(journal=...)``.
 """
 
 from __future__ import annotations
@@ -15,8 +32,6 @@ import os
 from dataclasses import dataclass, field
 
 __all__ = [
-    "ClusterConfig",
-    "EstimatorConfig",
     "WorkloadConfig",
     "BanditConfig",
     "FlightingConfig",
@@ -31,64 +46,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """Parameters of the simulated SCOPE cluster (see ``scope.runtime``)."""
-
-    #: maximum concurrent containers ("tokens") a job may use
-    max_tokens: int = 200
-    #: bytes of input one vertex should process (drives degree of parallelism)
-    partition_target_bytes: int = 256 * 1024 * 1024
-    #: sequential I/O bandwidth per vertex, bytes/second
-    io_bandwidth: float = 80e6
-    #: CPU seconds consumed per processed row, by rough operator class
-    #: (PNhours ends up I/O-heavy, as in SCOPE — see paper §4.3)
-    cpu_row_cost: float = 3.5e-7
-    #: fixed per-vertex scheduling/startup overhead in seconds
-    vertex_overhead_s: float = 0.8
-    #: sigma of the multiplicative lognormal CPU-time noise (small: PNhours
-    #: stays stable across A/A runs, paper Fig. 5)
-    cpu_noise_sigma: float = 0.09
-    #: sigma of the bounded multiplicative I/O-time noise ("the variability
-    #: of I/O time across A/A runs is bounded", paper §4.3)
-    io_noise_sigma: float = 0.025
-    #: sigma of the per-stage multiplicative latency noise (large: latency is
-    #: unstable across A/A runs, paper Fig. 3)
-    latency_noise_sigma: float = 0.25
-    #: probability that a stage suffers a straggler vertex
-    straggler_prob: float = 0.12
-    #: Pareto shape for straggler slowdown factors (smaller = heavier tail)
-    straggler_shape: float = 1.6
-    #: mean of the exponential scheduling wait added per stage, seconds
-    scheduling_wait_mean_s: float = 4.0
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Parameters of the (deliberately imperfect) cardinality estimator."""
-
-    #: sigma of the multiplicative lognormal estimation error applied per
-    #: plan operator; errors compound with depth, as observed for real
-    #: optimizers (Leis et al., "How good are query optimizers, really?")
-    error_sigma_per_level: float = 0.55
-    #: relative staleness applied to base-table row counts
-    stats_staleness_sigma: float = 0.10
-
-
-@dataclass(frozen=True)
 class WorkloadConfig:
     """Parameters of the synthetic recurring SCOPE workload."""
 
     #: number of distinct job templates in the workload tier
     num_templates: int = 60
-    #: fraction of templates that recur daily (paper: >60 %)
-    recurring_fraction: float = 0.8
     #: number of tables in the synthetic catalog
     num_tables: int = 24
     #: fraction of jobs submitted with manual user hints (paper §2.1: ≤9 %)
     manual_hint_fraction: float = 0.09
-    #: day-to-day input growth factor range for recurring instances
-    daily_growth_low: float = 0.85
-    daily_growth_high: float = 1.25
     #: fraction of join-shaped templates that draw their join block from a
     #: small common pool of join subtrees instead of designing their own.
     #: Pooled templates render the shared block *textually identically*, so
@@ -111,13 +77,9 @@ class BanditConfig:
     epsilon: float = 0.15
     #: SGD learning rate
     learning_rate: float = 0.05
-    #: L2 regularization strength
-    l2: float = 1e-6
     #: highest order of span co-occurrence interaction features (paper §6:
     #: "second and third order co-occurrence indicators")
     interaction_order: int = 3
-    #: reward clipping ratio (paper §4.2: clip anything over 2.0)
-    reward_clip: float = 2.0
     #: Personalizer publish cycles (daily in the pipeline) an unrewarded
     #: rank event survives before it expires with ``expired_event_reward``;
     #: 0 disables expiry entirely
@@ -146,12 +108,6 @@ class FlightingConfig:
 class AdvisorConfig:
     """Parameters of the QO-Advisor pipeline itself."""
 
-    #: validation safety threshold on predicted PNhours delta (paper: −0.1)
-    validation_threshold: float = -0.1
-    #: estimated-cost delta a flip must beat to be flighted at all
-    recompile_cost_filter: float = 0.0
-    #: number of days of flighting data used to train the validation model
-    validation_training_days: int = 14
     #: maximum rule flips uploaded to SIS per day
     max_hints_per_day: int = 50
 
@@ -242,22 +198,14 @@ class ServingConfig:
 
     #: bounded per-shard queue capacity; admission applies beyond it
     queue_capacity: int = 256
-    #: what happens when a shard queue is full: ``"block"`` waits up to
-    #: ``submit_timeout_s`` for a slot, ``"reject"`` raises immediately
+    #: what happens when a shard queue is full: ``"block"`` waits for a slot
+    #: (30 s unless ``submit(timeout=)`` says otherwise), ``"reject"`` raises
+    #: immediately
     admission: str = "block"
     #: steering worker threads per shard; 0 selects the *inline* schedule
     #: (jobs are processed synchronously on the submitting thread — the
     #: serial replay schedule the batch-parity contract is stated for)
     workers_per_shard: int = 1
-    #: how long a blocking submit waits for queue space before giving up
-    submit_timeout_s: float = 30.0
-    #: append-only write-ahead ticket journal (JSONL path); None disables
-    #: journaling.  A restarted server replays the journal to reconstruct
-    #: its day accumulators and pending maintenance window byte-identically
-    journal_path: str | None = None
-    #: bound on each lane's compile-latency sample ring (p50/p95/p99 are
-    #: computed over the most recent this-many completions; at least 1)
-    latency_window: int = 1024
 
 
 @dataclass(frozen=True)
@@ -288,8 +236,6 @@ class SimulationConfig:
     """Top-level configuration: one object wires an entire experiment."""
 
     seed: int = 20220613
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     bandit: BanditConfig = field(default_factory=BanditConfig)
     flighting: FlightingConfig = field(default_factory=FlightingConfig)

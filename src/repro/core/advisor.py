@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.config import SimulationConfig
 from repro.core.pipeline import DayReport, QOAdvisorPipeline
+from repro.core.validate import VALIDATION_TRAINING_DAYS
 from repro.flighting.service import FlightingService
 from repro.obs.plane import ObservabilityPlane
 from repro.parallel import Executor, build_executor
@@ -96,7 +97,7 @@ class QOAdvisor:
 
     # -- deployment phases --------------------------------------------------
 
-    def bootstrap(self, start_day: int = 0, days: int | None = None) -> None:
+    def bootstrap(self, start_day: int = 0, days: int = VALIDATION_TRAINING_DAYS) -> None:
         """Warm-up: gather the random-flip corpus, fit the validation model,
         and train the steering policy off-policy under uniform logging.
 
@@ -117,18 +118,11 @@ class QOAdvisor:
         """
         from repro.core.recommend import train_off_policy
 
-        if days is None:
-            days = self.config.advisor.validation_training_days
         corpus = []
         for day in range(start_day, start_day + days):
             corpus.extend(self.pipeline.flight_corpus_day(day))
             train_off_policy(
-                self.engine,
-                self.workload,
-                self.pipeline.spans,
-                self.policy,
-                (day,),
-                self.config.bandit.reward_clip,
+                self.engine, self.workload, self.pipeline.spans, self.policy, (day,)
             )
         self.pipeline.fit_validation_model(corpus, start_day, days)
 

@@ -40,7 +40,12 @@ from repro.core.recompile import (
     flight_candidates,
 )
 from repro.core.spans import SpanComputer
-from repro.core.validate import ValidatedFlip, ValidationModel, ValidationTask
+from repro.core.validate import (
+    VALIDATION_TRAINING_DAYS,
+    ValidatedFlip,
+    ValidationModel,
+    ValidationTask,
+)
 from repro.core.hintgen import HintGenerationTask
 from repro.errors import ScopeError
 from repro.flighting.results import FlightRequest, FlightResult
@@ -294,10 +299,7 @@ class FlightStage(PipelineStage):
     name = "flight"
 
     def run(self, ctx: StageContext) -> None:
-        candidates = flight_candidates(
-            ctx.report.outcomes,
-            self.pipeline.config.advisor.recompile_cost_filter,
-        )
+        candidates = flight_candidates(ctx.report.outcomes)
         requests = self.pipeline._representative_requests(candidates, ctx.day)
         ctx.report.flight_results = self.pipeline.flighting.run_queue(
             requests, ctx.day
@@ -313,10 +315,7 @@ class ValidateStage(PipelineStage):
         return self.pipeline.validation_model.is_fitted
 
     def run(self, ctx: StageContext) -> None:
-        task = ValidationTask(
-            self.pipeline.validation_model,
-            self.pipeline.config.advisor.validation_threshold,
-        )
+        task = ValidationTask(self.pipeline.validation_model)
         ctx.report.validated = task.run(ctx.report.flight_results)
 
 
@@ -362,11 +361,7 @@ class QOAdvisorPipeline:
         self.spans = SpanComputer(engine, executor=self.executor)
         self.feature_task = FeatureGenerationTask(self.spans)
         self.recommend_task = RecommendationTask(self.policy, engine.registry)
-        self.recompile_task = RecompilationTask(
-            engine,
-            reward_clip=self.config.bandit.reward_clip,
-            executor=self.executor,
-        )
+        self.recompile_task = RecompilationTask(engine, executor=self.executor)
         self.validation_model = ValidationModel()
         self.hint_task = HintGenerationTask(
             sis, engine.registry, self.config.advisor.max_hints_per_day
@@ -429,7 +424,7 @@ class QOAdvisorPipeline:
     # -- validation-model bootstrap -----------------------------------------------
 
     def bootstrap_validation_model(
-        self, start_day: int, days: int | None = None, flights_per_day: int = 12
+        self, start_day: int, days: int = VALIDATION_TRAINING_DAYS, flights_per_day: int = 12
     ) -> list[FlightResult]:
         """Gather the 14-day random-flip corpus and fit the validation model.
 
@@ -437,8 +432,6 @@ class QOAdvisorPipeline:
         corpus is split by date (earlier week trains, later week tests).
         Returns the full corpus so callers can evaluate generalization.
         """
-        if days is None:
-            days = self.config.advisor.validation_training_days
         corpus: list[FlightResult] = []
         for day in range(start_day, start_day + days):
             corpus.extend(self.flight_corpus_day(day, flights_per_day))

@@ -89,7 +89,6 @@ def train_off_policy(
     spans,
     policy,
     days,
-    reward_clip: float = 2.0,
 ) -> int:
     """Off-policy warm-up: uniform logging + cost-ratio rewards (§4.2).
 
@@ -99,7 +98,7 @@ def train_off_policy(
     from repro.core.recompile import RecompilationTask  # imports this module
 
     recommender = RecommendationTask(policy, engine.registry)
-    recompiler = RecompilationTask(engine, reward_clip)
+    recompiler = RecompilationTask(engine)
     events = 0
     for day in days:
         for job in workload.jobs_for_day(day):

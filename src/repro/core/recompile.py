@@ -13,7 +13,6 @@ whose removal the §5.2 ablation studies.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.recommend import Recommendation
@@ -27,6 +26,10 @@ from repro.scope.optimizer.engine import OptimizationResult
 __all__ = ["CostOutcome", "RecompileOutcome", "RecompilationTask"]
 
 _REL_TOLERANCE = 1e-9
+#: reward clipping ratio (paper §4.2: clip anything over 2.0)
+_REWARD_CLIP = 2.0
+#: estimated-cost delta a flip must beat to be flighted at all
+_COST_FILTER = 0.0
 
 
 class CostOutcome(enum.Enum):
@@ -63,17 +66,10 @@ class RecompilationTask:
     def __init__(
         self,
         engine: ScopeEngine,
-        reward_clip: float = 2.0,
         executor: Executor | None = None,
     ) -> None:
         self.engine = engine
-        self.reward_clip = reward_clip
         self.executor = executor or SerialExecutor()
-        #: default-config compiles issued per job id since the last
-        #: :meth:`run` began — its batch path must keep every count at 1.
-        #: Per run, not per task: the serving layer keeps one task for its
-        #: lifetime, and job ids are new every day
-        self.default_compiles: Counter[str] = Counter()
 
     def evaluate(
         self,
@@ -93,7 +89,6 @@ class RecompilationTask:
                 recommendation.features.row.estimated_cost, reward=NOOP_REWARD,
             )
         if default is None:
-            self.default_compiles[job.job_id] += 1
             try:
                 default = self.engine.compile_job(job, use_hints=False)
             except ScopeError as exc:
@@ -110,9 +105,9 @@ class RecompilationTask:
             )
         new_cost = new_result.est_cost
         if new_cost <= 0.0:
-            ratio = self.reward_clip
+            ratio = _REWARD_CLIP
         else:
-            ratio = min(default_cost / new_cost, self.reward_clip)
+            ratio = min(default_cost / new_cost, _REWARD_CLIP)
         if abs(new_cost - default_cost) <= _REL_TOLERANCE * max(default_cost, 1.0):
             outcome = CostOutcome.EQUAL
         elif new_cost < default_cost:
@@ -130,7 +125,6 @@ class RecompilationTask:
         evaluations are independent and fan out through the executor;
         outcomes come back aligned with the recommendation order.
         """
-        self.default_compiles.clear()
         defaults = self._prefetch_defaults(recommendations)
 
         def _evaluate(recommendation: Recommendation) -> RecompileOutcome:
@@ -161,16 +155,13 @@ class RecompilationTask:
             [CompileRequest(job, use_hints=False) for job in jobs.values()],
             executor=self.executor,
         )
-        self.default_compiles.update(jobs.keys())
         return dict(zip(jobs.keys(), results))
 
 
-def flight_candidates(
-    outcomes: list[RecompileOutcome], cost_filter: float = 0.0
-) -> list[RecompileOutcome]:
+def flight_candidates(outcomes: list[RecompileOutcome]) -> list[RecompileOutcome]:
     """Keep flips whose estimated-cost delta beats the filter (§4.3)."""
     return [
         outcome
         for outcome in outcomes
-        if outcome.outcome is CostOutcome.LOWER and outcome.est_cost_delta < cost_filter
+        if outcome.outcome is CostOutcome.LOWER and outcome.est_cost_delta < _COST_FILTER
     ]

@@ -52,8 +52,6 @@ class SpanComputer:
         self.max_iterations = max_iterations
         self.executor = executor or SerialExecutor()
         self._cache: dict[str, frozenset[int]] = {}
-        #: compilations spent computing spans (cost accounting)
-        self.recompilations = 0
 
     def span_for_template(self, template_id: str, script: str) -> frozenset[int]:
         """Span of a template (cached: instances share operator shape)."""
@@ -94,7 +92,6 @@ class SpanComputer:
             service = self.engine.compilation.shards[0]
         engine = service.engine
         registry = engine.registry
-        self.recompilations += 1
         try:
             default_result = service.compile_script(script, engine.default_config)
         except ScopeError:
@@ -111,7 +108,6 @@ class SpanComputer:
             flips = [r for r in sorted(off_by_default - disabled) if not config.is_enabled(r)]
             flips += [r for r in sorted(disabled) if config.is_enabled(r)]
             config = config.with_flips(flips)
-            self.recompilations += 1
             try:
                 result = service.compile_script(script, config)
             except ScopeError:
@@ -149,8 +145,5 @@ class SpanComputer:
         probed = self.executor.map_jobs_propagated(
             probe, remaining, tracer=engine.obs.tracer
         )
-        # attempts, not successes: a failed search costs as much as one
-        # that found a plan
-        self.recompilations += len(remaining)
         span.update(rule_id for rule_id, member in zip(remaining, probed) if member)
         return frozenset(span)

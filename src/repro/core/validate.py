@@ -20,7 +20,17 @@ from repro.flighting.results import FlightResult, FlightStatus
 from repro.ml.linreg import LinearRegression
 from repro.scope.optimizer.rules.base import RuleFlip
 
-__all__ = ["ValidationModel", "ValidationTask", "ValidatedFlip"]
+__all__ = [
+    "ValidationModel",
+    "ValidationTask",
+    "ValidatedFlip",
+    "VALIDATION_TRAINING_DAYS",
+]
+
+#: validation safety threshold on the predicted PNhours delta (paper: −0.1)
+_VALIDATION_THRESHOLD = -0.1
+#: days of random-flip flights gathered to train the validation model
+VALIDATION_TRAINING_DAYS = 14
 
 
 @dataclass(frozen=True)
@@ -102,9 +112,8 @@ class ValidationModel:
 class ValidationTask:
     """Applies the model + threshold to a day's flight results."""
 
-    def __init__(self, model: ValidationModel, threshold: float = -0.1) -> None:
+    def __init__(self, model: ValidationModel) -> None:
         self.model = model
-        self.threshold = threshold
 
     def run(self, results: list[FlightResult]) -> list[ValidatedFlip]:
         accepted: list[ValidatedFlip] = []
@@ -112,7 +121,7 @@ class ValidationTask:
             if result.status is not FlightStatus.SUCCESS:
                 continue
             predicted = self.model.predict(result)
-            if predicted < self.threshold:
+            if predicted < _VALIDATION_THRESHOLD:
                 accepted.append(
                     ValidatedFlip(
                         template_id=result.job.template_id,

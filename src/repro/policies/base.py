@@ -125,7 +125,6 @@ class LearnedSteeringPolicy:
         self.learner = CBLearner(
             bits=self.config.hash_bits,
             learning_rate=self.config.learning_rate,
-            l2=self.config.l2,
             interaction_order=self.config.interaction_order,
         )
         self.greedy_policy = EpsilonGreedyPolicy(

@@ -6,7 +6,7 @@ The catalog stores two views of the world:
   runtime simulator (`repro.scope.data.DataModel`) to compute true
   cardinalities, and
 * the **optimizer statistics** — a stale copy of the truth (row counts are
-  perturbed by ``EstimatorConfig.stats_staleness_sigma``), which is what the
+  perturbed by ``stats_staleness_sigma``), which is what the
   cost model sees.  The gap between the two is one of the mechanisms behind
   the paper's "estimated cost does not predict latency" observation (Fig. 6).
 """

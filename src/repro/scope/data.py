@@ -40,6 +40,12 @@ _DEFAULT_NEQ_SEL = 0.9
 
 _MIN_SEL = 1e-7
 
+#: sigma of the lognormal reality factor per predicate or join; the
+#: estimate misses it at every plan level, so errors compound with depth,
+#: as observed for real optimizers (Leis et al., "How good are query
+#: optimizers, really?")
+_REALITY_SIGMA = 0.55
+
 
 @dataclass(frozen=True)
 class ColumnOrigin:
@@ -83,18 +89,15 @@ class DataModel:
     changing the truth seed.
     """
 
-    def __init__(self, catalog: Catalog, truth_seed: int, *, reality_sigma: float = 0.7) -> None:
+    def __init__(self, catalog: Catalog, truth_seed: int) -> None:
         self.catalog = catalog
         self.truth_seed = truth_seed
-        self.reality_sigma = reality_sigma
         #: the data does not change between compiles: one draw per identity
         self._factors: dict[tuple, float] = {}
 
     # -- helpers -----------------------------------------------------------
 
-    def _reality_factor(self, *key_parts: object, sigma: float | None = None) -> float:
-        if sigma is None:
-            sigma = self.reality_sigma
+    def _reality_factor(self, *key_parts: object, sigma: float = _REALITY_SIGMA) -> float:
         key = (key_parts, sigma)
         factor = self._factors.get(key)
         if factor is None:

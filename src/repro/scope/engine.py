@@ -67,12 +67,8 @@ class ScopeEngine:
         self.registry = registry or default_registry()
         self.default_config = self.registry.default_configuration()
         self.budget = budget or SearchBudget()
-        self.data_model = DataModel(
-            catalog,
-            truth_seed=self.config.seed ^ 0x5C09E,
-            reality_sigma=self.config.estimator.error_sigma_per_level,
-        )
-        self.runtime = RuntimeSimulator(self.config.cluster)
+        self.data_model = DataModel(catalog, truth_seed=self.config.seed ^ 0x5C09E)
+        self.runtime = RuntimeSimulator()
         #: compile-time hint lookup: template id → RuleFlip (wired by SIS)
         self.hint_provider = None
         #: template → shard placement, the one membership state
@@ -138,7 +134,6 @@ class ScopeEngine:
             self.registry,
             config or self.default_config,
             self.data_model,
-            cluster=self.config.cluster,
             budget=self.budget,
         )
         return optimizer.optimize(compiled, fragments=fragments)

@@ -13,14 +13,19 @@ from __future__ import annotations
 
 import math
 
-from repro.config import ClusterConfig
 from repro.errors import OptimizationError
 from repro.scope.optimizer.cardinality import GroupStats
 from repro.scope.plan import physical
 from repro.scope.plan.properties import Distribution, DistributionKind
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "IO_BANDWIDTH", "CPU_ROW_COST"]
 
+#: sequential I/O bandwidth per vertex, bytes/second (shared with the
+#: runtime simulator, which charges true bytes at the same rate)
+IO_BANDWIDTH = 80e6
+#: CPU seconds consumed per processed row, scaled per operator class below
+#: (PNhours ends up I/O-heavy, as in SCOPE — see paper §4.3)
+CPU_ROW_COST = 3.5e-7
 #: effective fan-out paid by a broadcast exchange (copies of the data)
 _BROADCAST_FANOUT = 16.0
 #: per-partition sort spills once its input exceeds this many bytes
@@ -31,7 +36,6 @@ def op_cpu_seconds(
     op: physical.PhysicalOp,
     out_rows: float,
     child_rows: list[float],
-    cpu_row_cost: float,
 ) -> float:
     """CPU seconds of one operator given explicit row counts.
 
@@ -40,7 +44,7 @@ def op_cpu_seconds(
     cardinalities differ — mirroring how a real engine's work is a function
     of the data it actually sees.
     """
-    cpu = cpu_row_cost
+    cpu = CPU_ROW_COST
     if isinstance(op, physical.Extract):
         return out_rows * cpu
     if isinstance(op, physical.FilterExec):
@@ -78,9 +82,6 @@ def op_cpu_seconds(
 class CostModel:
     """Costs physical operator templates over memo group statistics."""
 
-    def __init__(self, cluster: ClusterConfig) -> None:
-        self.cluster = cluster
-
     def local_cost(
         self,
         op: physical.PhysicalOp,
@@ -88,38 +89,30 @@ class CostModel:
         children: list[GroupStats],
     ) -> float:
         """Cost of ``op`` itself, excluding children and enforcers."""
-        bandwidth = self.cluster.io_bandwidth
         if isinstance(op, physical.Exchange):
             return self.exchange_cost(op.target, children[0])
-        cost = op_cpu_seconds(
-            op,
-            out.est_rows,
-            [child.est_rows for child in children],
-            self.cluster.cpu_row_cost,
-        )
+        cost = op_cpu_seconds(op, out.est_rows, [child.est_rows for child in children])
         if isinstance(op, physical.Extract):
-            cost += out.est_bytes / bandwidth
+            cost += out.est_bytes / IO_BANDWIDTH
         elif isinstance(op, physical.OutputExec):
-            cost += out.est_bytes / bandwidth
+            cost += out.est_bytes / IO_BANDWIDTH
         elif isinstance(op, physical.SortExec):
             if children[0].est_bytes > _SORT_MEMORY_BYTES:
-                cost += 2.0 * children[0].est_bytes / bandwidth
+                cost += 2.0 * children[0].est_bytes / IO_BANDWIDTH
         return cost
 
     def exchange_cost(self, target: Distribution, child: GroupStats) -> float:
         """Cost of moving ``child`` into the ``target`` distribution."""
-        bandwidth = self.cluster.io_bandwidth
-        cpu = self.cluster.cpu_row_cost
         if target.kind == DistributionKind.BROADCAST:
-            return child.est_bytes * _BROADCAST_FANOUT / bandwidth
+            return child.est_bytes * _BROADCAST_FANOUT / IO_BANDWIDTH
         if target.kind == DistributionKind.SINGLETON:
-            return child.est_bytes / bandwidth + child.est_rows * cpu * 0.2
+            return child.est_bytes / IO_BANDWIDTH + child.est_rows * CPU_ROW_COST * 0.2
         # hash / random repartition: write + read every byte once
-        return 2.0 * child.est_bytes / bandwidth + child.est_rows * cpu * 0.5
+        return 2.0 * child.est_bytes / IO_BANDWIDTH + child.est_rows * CPU_ROW_COST * 0.5
 
     def sort_enforcer_cost(self, child: GroupStats) -> float:
         rows = max(child.est_rows, 2.0)
-        cost = rows * math.log2(rows) * self.cluster.cpu_row_cost * 1.1
+        cost = rows * math.log2(rows) * CPU_ROW_COST * 1.1
         if child.est_bytes > _SORT_MEMORY_BYTES:
-            cost += 2.0 * child.est_bytes / self.cluster.io_bandwidth
+            cost += 2.0 * child.est_bytes / IO_BANDWIDTH
         return cost

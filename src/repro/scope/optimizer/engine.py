@@ -16,7 +16,6 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from repro.config import ClusterConfig
 from repro.errors import OptimizationError
 from repro.scope.compile import CompiledScript
 from repro.scope.data import DataModel
@@ -114,7 +113,7 @@ def _stats_digest(adoption: "Adoption") -> bytes:
     The cost context of a fragment: every float implementation + costing
     consumes (local costs, exchange/sort enforcer costs, child
     cardinalities) is a pure function of these ``GroupStats`` and the
-    static cluster config, so two compiles with equal digests — and equal
+    cost model's constants, so two compiles with equal digests — and equal
     implementation-rule bits — produce bitwise-identical physical closures
     and winner costs.  Exact bit patterns are hashed, not rounded values:
     winner reuse must never bridge two *almost* equal cost contexts.
@@ -221,15 +220,13 @@ class Optimizer:
         registry: RuleRegistry,
         config: RuleConfiguration,
         data_model: DataModel,
-        cluster: ClusterConfig | None = None,
         budget: SearchBudget | None = None,
     ) -> None:
         self.registry = registry
         self.config = config
         self.data_model = data_model
-        self.cluster = cluster or ClusterConfig()
         self.budget = budget or SearchBudget()
-        self.cost_model = CostModel(self.cluster)
+        self.cost_model = CostModel()
         self._normalization = registry.normalizations
         self._transformations = [r for r in registry.transformations if self._enabled(r)]
         self._implementations = [r for r in registry.implementations if self._enabled(r)]

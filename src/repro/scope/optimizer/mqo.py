@@ -108,7 +108,6 @@ class BatchPlanner:
                     engine.registry,
                     config,
                     engine.data_model,
-                    cluster=engine.config.cluster,
                     budget=engine.budget,
                 )
                 self._optimizers[config.bits] = optimizer

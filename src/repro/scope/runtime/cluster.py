@@ -15,41 +15,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import ClusterConfig
-
 __all__ = ["ClusterNoise"]
+
+#: sigma of the multiplicative lognormal CPU-time noise (small: PNhours
+#: stays stable across A/A runs, paper Fig. 5)
+_CPU_NOISE_SIGMA = 0.09
+#: sigma of the bounded multiplicative I/O-time noise ("the variability of
+#: I/O time across A/A runs is bounded", paper §4.3)
+_IO_NOISE_SIGMA = 0.025
+#: sigma of the per-stage multiplicative latency noise (large: latency is
+#: unstable across A/A runs, paper Fig. 3)
+_LATENCY_NOISE_SIGMA = 0.25
+#: probability that a stage suffers a straggler vertex
+_STRAGGLER_PROB = 0.12
+#: Pareto shape for straggler slowdown factors (smaller = heavier tail)
+_STRAGGLER_SHAPE = 1.6
+#: mean of the exponential scheduling wait added per stage, seconds
+_SCHEDULING_WAIT_MEAN_S = 4.0
 
 
 class ClusterNoise:
     """Draws the stochastic components of one job execution."""
 
-    def __init__(self, config: ClusterConfig, rng: np.random.Generator) -> None:
-        self.config = config
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
     def cpu_multipliers(self, vertices: int) -> np.ndarray:
         """Per-vertex CPU-time multipliers (small, affects PNhours)."""
-        sigma = self.config.cpu_noise_sigma
-        return self.rng.lognormal(mean=0.0, sigma=sigma, size=vertices)
+        return self.rng.lognormal(mean=0.0, sigma=_CPU_NOISE_SIGMA, size=vertices)
 
     def io_multiplier(self) -> float:
         """Per-stage I/O-time multiplier — bounded, per the paper's §4.3."""
-        sigma = self.config.io_noise_sigma
-        if sigma <= 0.0:
-            return 1.0
-        return float(self.rng.lognormal(mean=0.0, sigma=sigma))
+        return float(self.rng.lognormal(mean=0.0, sigma=_IO_NOISE_SIGMA))
 
     def stage_latency_multiplier(self) -> float:
         """Per-stage wall-clock multiplier (large, affects latency only)."""
-        return float(self.rng.lognormal(mean=0.0, sigma=self.config.latency_noise_sigma))
+        return float(self.rng.lognormal(mean=0.0, sigma=_LATENCY_NOISE_SIGMA))
 
     def straggler_multiplier(self) -> float:
         """Slowdown of a stage's slowest vertex; 1.0 when no straggler hits."""
-        if self.rng.random() >= self.config.straggler_prob:
+        if self.rng.random() >= _STRAGGLER_PROB:
             return 1.0
         # Pareto tail: occasionally a vertex is many times slower
-        return 1.0 + float(self.rng.pareto(self.config.straggler_shape))
+        return 1.0 + float(self.rng.pareto(_STRAGGLER_SHAPE))
 
     def scheduling_wait(self) -> float:
         """Seconds a stage waits for containers before starting."""
-        return float(self.rng.exponential(self.config.scheduling_wait_mean_s))
+        return float(self.rng.exponential(_SCHEDULING_WAIT_MEAN_S))

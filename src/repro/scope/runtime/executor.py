@@ -18,27 +18,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import ClusterConfig
-from repro.scope.optimizer.cost import op_cpu_seconds
+from repro.scope.optimizer.cost import IO_BANDWIDTH, op_cpu_seconds
 from repro.scope.plan import physical
 from repro.scope.runtime.cluster import ClusterNoise
 from repro.scope.runtime.metrics import JobMetrics
 from repro.scope.runtime.stages import Stage, StageGraph, build_stage_graph
 
-__all__ = ["RuntimeSimulator"]
+__all__ = ["RuntimeSimulator", "MAX_TOKENS"]
+
+#: maximum concurrent containers ("tokens") a job may use
+MAX_TOKENS = 200
+#: bytes of input one vertex should process (drives degree of parallelism)
+_PARTITION_TARGET_BYTES = 256 * 1024 * 1024
+#: fixed per-vertex scheduling/startup overhead in seconds
+_VERTEX_OVERHEAD_S = 0.8
 
 
 class RuntimeSimulator:
     """Simulates distributed execution of physical plans on one cluster."""
 
-    def __init__(self, config: ClusterConfig | None = None) -> None:
-        self.config = config or ClusterConfig()
-
     def stage_graph(self, plan: physical.PhysicalPlanNode) -> StageGraph:
         return build_stage_graph(
-            plan,
-            partition_target=self.config.partition_target_bytes,
-            max_tokens=self.config.max_tokens,
+            plan, partition_target=_PARTITION_TARGET_BYTES, max_tokens=MAX_TOKENS
         )
 
     def execute(
@@ -46,7 +47,7 @@ class RuntimeSimulator:
     ) -> JobMetrics:
         """Run ``plan`` once; ``rng`` drives all cloud noise."""
         graph = self.stage_graph(plan)
-        noise = ClusterNoise(self.config, rng)
+        noise = ClusterNoise(rng)
 
         finish_times: dict[int, float] = {}
         total_cpu = 0.0
@@ -64,9 +65,7 @@ class RuntimeSimulator:
             total_read += read_bytes
             total_written += written_bytes
 
-            io_seconds = (
-                (read_bytes + written_bytes) / self.config.io_bandwidth
-            ) * noise.io_multiplier()
+            io_seconds = (read_bytes + written_bytes) / IO_BANDWIDTH * noise.io_multiplier()
             cpu_per_vertex = cpu_seconds / dop
             io_per_vertex = io_seconds / dop
 
@@ -75,13 +74,13 @@ class RuntimeSimulator:
             total_cpu += float(vertex_cpu.sum())
             total_io += io_seconds
             pnhours_seconds += float(vertex_cpu.sum()) + io_seconds
-            pnhours_seconds += dop * self.config.vertex_overhead_s
+            pnhours_seconds += dop * _VERTEX_OVERHEAD_S
 
             # latency: slowest vertex, amplified by stage noise and stragglers
             base_vertex_time = float(vertex_cpu.max()) + io_per_vertex
             duration = (
                 base_vertex_time * noise.stage_latency_multiplier() * noise.straggler_multiplier()
-                + self.config.vertex_overhead_s
+                + _VERTEX_OVERHEAD_S
             )
             start = noise.scheduling_wait()
             for producer_id in stage.producer_ids:
@@ -111,9 +110,7 @@ class RuntimeSimulator:
         cpu = 0.0
         for node in stage.nodes:
             child_rows = [child.true_rows for child in node.children]
-            cpu += op_cpu_seconds(
-                node.op, node.true_rows, child_rows, self.config.cpu_row_cost
-            )
+            cpu += op_cpu_seconds(node.op, node.true_rows, child_rows)
         return cpu
 
     #: shuffled data passes the local disk and the network on each side

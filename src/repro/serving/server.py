@@ -88,6 +88,13 @@ from repro.serving.stats import (
 
 __all__ = ["QOAdvisorServer"]
 
+#: how long a blocking submit waits for queue space before giving up, unless
+#: ``submit(timeout=)`` says otherwise
+_SUBMIT_TIMEOUT_S = 30.0
+#: bound on each lane's compile-latency sample ring: p50/p95/p99 are
+#: computed over the most recent this-many completions
+_LATENCY_WINDOW = 1024
+
 
 class _ShardLane:
     """One shard's serving lane: queue + shard service + workers + counters."""
@@ -108,7 +115,7 @@ class _ShardLane:
         self.counts = dict.fromkeys(LANE_COUNTERS, 0)
         #: bounded recent compile latencies (percentile source); a lifetime
         #: list here would grow without bound on a long-lived server
-        self.compile_latency = LatencyRing(serving.latency_window)
+        self.compile_latency = LatencyRing(_LATENCY_WINDOW)
         self.last_hint_version: int | None = None
         self.threads: list[threading.Thread] = []
 
@@ -163,8 +170,6 @@ class QOAdvisorServer:
         #: migration follows on an elastic resize
         self._hot_scripts: dict[str, str] = {}
         self._hot_lock = threading.Lock()
-        if journal is None and self.serving.journal_path:
-            journal = self.serving.journal_path
         if isinstance(journal, (str, Path)):
             journal = TicketJournal(journal)
             self._owns_journal = True
@@ -369,11 +374,7 @@ class QOAdvisorServer:
             ticket.shard = shard
             try:
                 self._enqueue(
-                    lane,
-                    ticket,
-                    timeout=(
-                        timeout if timeout is not None else self.serving.submit_timeout_s
-                    ),
+                    lane, ticket, timeout=_SUBMIT_TIMEOUT_S if timeout is None else timeout
                 )
                 return lane
             except QueueClosed:
@@ -823,7 +824,7 @@ class QOAdvisorServer:
         serving where the dead one stopped.
         """
         if self.journal is None:
-            raise ValueError("recover() needs a journal (journal=... or journal_path)")
+            raise ValueError("recover() needs a journal (journal=...)")
         if self._started or self._seq or self.scheduler.windows:  # qa: unlocked-ok fresh-server precondition; recover() is single-threaded by contract
             raise RuntimeError(
                 "recover() must run on a fresh server, before start() or submit()"

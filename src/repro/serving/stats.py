@@ -19,6 +19,7 @@ maximally behind).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,15 +47,16 @@ CACHE_FIELDS = (
 def percentile(samples: list[float], q: float) -> float | None:
     """Nearest-rank percentile of ``samples``; ``None`` when unmeasured.
 
-    An empty sample has no percentile — returning 0.0 would report an
-    idle shard as infinitely fast.  A singleton sample reports its single
-    observation at every rank.
+    The value at 1-based rank ``ceil(q · n / 100)`` of the sorted sample,
+    with ``q = 0`` giving the minimum.  An empty sample has no percentile —
+    returning 0.0 would report an idle shard as infinitely fast.  A
+    singleton sample reports its single observation at every rank.
     """
     if not samples:
         return None
     ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[int(rank)]
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered) / 100)))
+    return ordered[rank - 1]
 
 
 class LatencyRing:
@@ -72,7 +74,7 @@ class LatencyRing:
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
-            raise ValueError(f"latency_window must be >= 1, got {capacity}")
+            raise ValueError(f"LatencyRing capacity must be >= 1, got {capacity}")
         self._samples: deque[float] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         #: lifetime observations (including ones the ring has since evicted)

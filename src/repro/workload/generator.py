@@ -19,6 +19,12 @@ from repro.workload.templates import ScriptTemplate, make_templates
 
 __all__ = ["Workload", "build_workload"]
 
+#: day-to-day input growth factor range for recurring instances
+_DAILY_GROWTH_LOW = 0.85
+_DAILY_GROWTH_HIGH = 1.25
+#: relative staleness of the optimizer's base-table row counts
+_STATS_STALENESS_SIGMA = 0.10
+
 
 @dataclass
 class Workload:
@@ -52,8 +58,8 @@ class Workload:
             self._base_rows,
             day,
             self.config.seed,
-            self.config.workload.daily_growth_low,
-            self.config.workload.daily_growth_high,
+            _DAILY_GROWTH_LOW,
+            _DAILY_GROWTH_HIGH,
         )
         self._current_day = day
 
@@ -101,14 +107,11 @@ def build_workload(
 
     config = config or SimulationConfig()
     registry = registry or default_registry()
-    catalog = build_catalog(
-        config.workload, config.seed, config.estimator.stats_staleness_sigma
-    )
+    catalog = build_catalog(config.workload, config.seed, _STATS_STALENESS_SIGMA)
     templates = make_templates(
         catalog,
         config.workload.num_templates,
         config.seed,
-        config.workload.recurring_fraction,
         shared_subtree_fraction=config.workload.shared_subtree_fraction,
         shared_subtree_pool=config.workload.shared_subtree_pool,
     )

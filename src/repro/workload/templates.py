@@ -47,6 +47,8 @@ _SHAPE_WEIGHTS = (
     (TemplateShape.SORTED_OUTPUT, 0.04),
     (TemplateShape.MULTI_OUTPUT, 0.06),
 )
+#: fraction of templates that recur daily (paper: >60 %)
+_RECURRING_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -431,7 +433,6 @@ def make_templates(
     catalog: Catalog,
     count: int,
     seed: int,
-    recurring_fraction: float,
     shared_subtree_fraction: float = 0.0,
     shared_subtree_pool: int = 4,
 ) -> list[ScriptTemplate]:
@@ -468,7 +469,7 @@ def make_templates(
     templates: list[ScriptTemplate] = []
     for index in range(count):
         shape = shapes[int(rng.choice(len(shapes), p=weights))]
-        recurring = bool(rng.random() < recurring_fraction)
+        recurring = bool(rng.random() < _RECURRING_FRACTION)
         template_id = f"T{index:04d}"
         name = f"{shape.value}_{index:04d}"
         template = ScriptTemplate(

@@ -233,7 +233,6 @@ def test_a_starved_search_still_has_a_physical_plan():
         workload.registry,
         engine.default_config,
         engine.data_model,
-        cluster=workload.config.cluster,
         budget=SearchBudget(max_transformations=0),
     )
     for template in workload.templates:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.scope.compile import compile_script
 from repro.scope.plan import physical
+from repro.scope.runtime.executor import MAX_TOKENS
 from repro.scope.runtime.metrics import JobMetrics, relative_delta
 
 from tests.conftest import COPY_SCRIPT, JOIN_AGG_SCRIPT
@@ -112,4 +113,4 @@ def test_metrics_delta():
 def test_parallelism_respects_max_tokens(engine, agg_plan):
     graph = engine.runtime.stage_graph(agg_plan.plan)
     for stage in graph:
-        assert 1 <= stage.dop <= engine.config.cluster.max_tokens
+        assert 1 <= stage.dop <= MAX_TOKENS

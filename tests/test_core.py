@@ -36,12 +36,14 @@ def test_span_of_join_agg_job(engine, spans):
         assert engine.registry.rule(rule_id).category != RuleCategory.REQUIRED
 
 
-def test_span_cache_by_template(engine, spans):
+def test_span_cache_by_template(engine, spans, monkeypatch):
     first = spans.span_for_template("tX", JOIN_AGG_SCRIPT)
-    count = spans.recompilations
+    service = engine.compilation.service_for("tX")
+    calls = []
+    monkeypatch.setattr(service, "compile_script", lambda *args: calls.append(args))
     second = spans.span_for_template("tX", JOIN_AGG_SCRIPT)
     assert first == second
-    assert spans.recompilations == count  # cached: no recompiles
+    assert calls == []  # cached: no recompiles
 
 
 def test_span_of_uncompilable_script_is_empty(engine, spans):
@@ -49,8 +51,10 @@ def test_span_of_uncompilable_script_is_empty(engine, spans):
 
 
 def test_span_recompilations_count_failed_compiles_too(engine, monkeypatch):
-    """A failed search costs as much as one that found a plan; the counter
-    used to skip every probe and fixpoint round that raised."""
+    """Every compile a span spends goes through the shard service, failed
+    searches included — a failed search costs as much as one that found a
+    plan — so a spy on the service sees them all."""
+    expected = SpanComputer(engine).compute(JOIN_AGG_SCRIPT)
     attempts, failures = [], []
     service = engine.compilation.shards[0]
     compile_script = service.compile_script
@@ -65,11 +69,12 @@ def test_span_recompilations_count_failed_compiles_too(engine, monkeypatch):
 
     monkeypatch.setattr(service, "compile_script", counting)
     fresh = SpanComputer(engine)
-    fresh.compute(JOIN_AGG_SCRIPT)
-    assert failures
-    assert fresh.recompilations == len(attempts)
-    fresh.compute("garbage !!")
-    assert fresh.recompilations == len(attempts)
+    span = fresh.compute(JOIN_AGG_SCRIPT)
+    assert failures and len(attempts) > len(failures)
+    assert span == expected
+    attempts.clear()
+    assert fresh.compute("garbage !!") == frozenset()
+    assert len(attempts) == 1  # the default compile fails; nothing else runs
 
 
 @pytest.fixture(scope="module")

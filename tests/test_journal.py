@@ -282,10 +282,9 @@ def test_recovery_detects_a_divergent_reconstruction(tmp_path):
     original.shutdown()
 
 
-def test_journal_path_via_serving_config(tmp_path):
+def test_journal_named_by_a_string_path(tmp_path):
     path = tmp_path / "wal.jsonl"
-    serving = _serving(journal_path=str(path))
-    server = QOAdvisorServer(config=_config(shards=1), serving=serving)
+    server = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=str(path))
     assert server.journal is not None
     server.stream_day(0)
     kinds = {record["t"] for record in server.journal.records()}

@@ -405,13 +405,12 @@ def test_latency_ring_bounds_and_percentiles():
 
 
 def test_lane_latency_buffer_is_bounded_and_reports_p99():
-    config = _config(obs=False)
     config = dataclasses.replace(
-        config,
-        serving=ServingConfig(workers_per_shard=0, latency_window=8),
+        _config(obs=False), serving=ServingConfig(workers_per_shard=0)
     )
     advisor = QOAdvisor(config)
     server = QOAdvisorServer(advisor)
+    server._lanes[0].compile_latency = LatencyRing(8)
     server.start()
     server.submit_day(0)
     server.drain()

@@ -124,7 +124,6 @@ def test_one_pass_bootstrap_decides_what_the_two_walks_decided(tiny_config, work
             two_walks.pipeline.spans,
             two_walks.policy,
             range(0, 4),
-            config.bandit.reward_clip,
         )
         assert _onboarded(one_pass) == _onboarded(two_walks)
         assert one_pass.policy.event_log  # not vacuous

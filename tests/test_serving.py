@@ -34,7 +34,7 @@ from repro.config import (
 from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.serving import JobTicket, QueueClosed, QueueFull, ShardQueue
-from repro.serving.stats import LANE_COUNTERS, ShardStats, percentile
+from repro.serving.stats import LANE_COUNTERS, LatencyRing, ShardStats, percentile
 from repro.sis.hints import HintEntry
 
 
@@ -104,14 +104,12 @@ def test_queue_rejects_bad_parameters():
         ShardQueue(capacity=1, admission="drop-newest")
 
 
-@pytest.mark.parametrize("field", ["latency_window"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_server_refuses_an_empty_serving_window(field, value):
-    """A lane's latency ring holds at least one sample; a configured 0 or
-    negative size is refused, not silently made 1."""
-    serving = dataclasses.replace(ServingConfig(), **{field: value})
-    with pytest.raises(ValueError, match=field):
-        QOAdvisorServer(config=_config(shards=1), serving=serving)
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_latency_ring_refuses_an_empty_window(capacity):
+    """A lane's latency ring holds at least one sample; a 0 or negative
+    size is refused, not silently made 1."""
+    with pytest.raises(ValueError, match="capacity"):
+        LatencyRing(capacity)
 
 
 # -- router exclusion ---------------------------------------------------------
@@ -312,6 +310,14 @@ def test_shutdown_is_graceful_and_terminal():
 
 
 # -- health metric edge cases -------------------------------------------------
+
+
+@pytest.mark.parametrize("q, expected", [(0, 1.0), (25, 1.0), (50, 2.0), (75, 3.0), (100, 4.0)])
+def test_percentile_is_nearest_rank(q, expected):
+    """The value at 1-based rank ceil(q·n/100), q = 0 giving the minimum —
+    the ledger's ``_percentile`` rule.  p50 of four samples is the second,
+    not the third a rounded 0-based index would pick."""
+    assert percentile([4.0, 2.0, 1.0, 3.0], q) == expected
 
 
 def test_percentiles_are_none_until_measured_not_fabricated_zeroes():
