@@ -175,9 +175,9 @@ class ShardingConfig:
     :class:`~repro.scope.cache.CompilationService` instances by a stable
     hash of their template id, each shard owning its own plan cache and
     counters, while the engine's one catalog and one SIS deployment are
-    shared.  Growth past ``shards`` (``QOAdvisorServer.add_shard``) extends
-    the routing keyspace; the warm-up migration covers every template it
-    moves.
+    shared.  The shard count is fixed for the engine's lifetime; a serving
+    failover (``QOAdvisorServer.fail_shard``) only takes a shard out of
+    rotation, and its cached plans migrate to the templates' new owners.
     """
 
     #: number of shard compilation services; 1 is a service of one

@@ -101,7 +101,7 @@ class MetricsRegistry:
         """Register (or replace) a view: ``callback`` is invoked at collect
         time and yields the samples.  Re-registration under the same name
         replaces the previous callback, so components that are rebuilt
-        (a recovered server, a resized cluster) stay idempotent."""
+        (a recovered or rebuilt server) stay idempotent."""
         with self._lock:
             self._views[name] = _View(name, help, kind, callback)
 

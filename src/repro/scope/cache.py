@@ -379,10 +379,10 @@ class PlanCache(EpochStore):
     def extract(self, digest: bytes) -> dict[PlanKey, _CacheEntry]:
         """Remove and return every entry whose script hash is ``digest``.
 
-        The rebalancing hand-off: a template that moves to a different
+        The failover hand-off: a template that moves to a different
         shard takes its memoized plans with it instead of recompiling, so
         no hit/miss/invalidation counter moves on either side and the
-        cross-topology accounting contract survives the resize.
+        cross-topology accounting contract survives the failover.
         """
         keys = [key for key in self._entries if key.script_digest == digest]
         return {key: self.pop(key) for key in keys}
@@ -487,7 +487,7 @@ class FragmentCache(EpochStore):
         slot.winners[winner_key] = winner
         return True
 
-    # -- entry migration (elastic rebalancing) --------------------------------
+    # -- entry migration (failover hand-off) -----------------------------------
 
     def adopt(self, key: FragmentKey, shipped: _FragmentSlot) -> None:
         """Insert a copy of a migrated slot, or merge into the resident one.
@@ -807,7 +807,7 @@ class CompilationService:
         by_key = dict(zip(unique, outcomes))
         return [by_key[key] for key in keys]
 
-    # -- warm-up migration (elastic rebalancing) ------------------------------
+    # -- failover migration ----------------------------------------------------
 
     def export_script_state(
         self, script: str, skip_fragments: "set[FragmentKey] | None" = None
@@ -819,11 +819,11 @@ class CompilationService:
 
         Every plan-cache entry (all configurations), a copy of the
         parse/bind memo entry, and copies of the fragment entries the
-        exported plans were built from.  This is how a rebalanced
+        exported plans were built from.  This is how a failed-over
         template's cache warmth follows it to its new owner: entries
         *migrate* rather than recompile, so no counter moves — the
         accounting a fingerprint covers stays byte-identical to the
-        static-topology run.
+        never-failed run.
 
         ``skip_fragments`` deduplicates the fragment payload across a
         migration batch: keys already shipped to the same destination
@@ -861,7 +861,7 @@ class CompilationService:
         scripts: "dict[ScriptKey, CompiledScript]",
         fragments: "dict[FragmentKey, _FragmentSlot] | None" = None,
     ) -> "tuple[int, dict[PlanKey, _CacheEntry]]":
-        """Adopt state exported from another shard (cache warm-up).
+        """Adopt state exported from another shard (failover hand-off).
 
         Returns ``(adopted, rejected)``: plan entries whose key is already
         resident here (or keyed to a different catalog version) are handed

@@ -83,10 +83,9 @@ class ScopeEngine:
 
     def install_obs(self, plane) -> None:
         """Wire an observability plane into this engine's compile/execute
-        paths: the routing service and every shard service trace (a shard
-        added later inherits the tracer).  Purely observational: spans and
-        events never touch the cache counters or anything a fingerprint
-        covers."""
+        paths: the routing service and every shard service trace.  Purely
+        observational: spans and events never touch the cache counters or
+        anything a fingerprint covers."""
         self.obs = plane
         self.compilation.tracer = plane.tracer
         for service in self.compilation.shards:

@@ -34,10 +34,6 @@ class BoundScript:
     #: rowset name of each EXTRACT statement → the catalog table it reads
     extract_tables: dict[str, TableDef] = field(default_factory=dict)
 
-    @property
-    def output_paths(self) -> list[str]:
-        return [stmt.path for stmt in self.script.outputs]
-
 
 class _Scope:
     """FROM-clause bindings of a single SELECT query."""

@@ -260,9 +260,6 @@ class RuleConfiguration:
             config = config.with_flip(rule_id)
         return config
 
-    def enabled_ids(self) -> list[int]:
-        return [i for i in range(self.size) if self.is_enabled(i)]
-
     def diff(self, other: "RuleConfiguration") -> list[int]:
         """Rule ids where the two configurations differ."""
         xor = self.bits ^ other.bits

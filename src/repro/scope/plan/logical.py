@@ -131,14 +131,6 @@ class Project(LogicalOp):
         """True when every item is a bare column reference (a pure rename)."""
         return all(isinstance(expr, ast.ColumnRef) for _, expr in self.items)
 
-    def rename_mapping(self) -> dict[str, str]:
-        """For rename-only projects: input column name → output name."""
-        mapping: dict[str, str] = {}
-        for out_name, expr in self.items:
-            if isinstance(expr, ast.ColumnRef):
-                mapping[expr.name] = out_name
-        return mapping
-
     def _render_key(self) -> str:
         inner = ",".join(f"{name}={expr.sql()}" for name, expr in self.items)
         return f"Project({inner})"

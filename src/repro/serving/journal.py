@@ -5,7 +5,7 @@ worth of completed work before a maintenance window drains it — state that
 a process crash would silently drop.  The :class:`TicketJournal` is the
 recovery path: an append-only JSONL file recording every admitted ticket,
 every completion, every maintenance-window publication, every
-Personalizer mode switch and every topology change, in the order the
+Personalizer mode switch and every shard failover, in the order the
 server performed them.
 
 Recovery leans on the repository-wide determinism contract instead of
@@ -27,13 +27,14 @@ Record kinds (one JSON object per line; :data:`RECORD_KINDS` lists them)::
     {"t": "done",     "seq": N, "day": D, "failed": false}
     {"t": "window",   "day": D, "hint_version": V|null, "fingerprint": "..."}
     {"t": "mode",     "mode": "learned"}
-    {"t": "topology", "op": "add"|"retire"|"fail"|"rejoin", "shard": K}
+    {"t": "topology", "op": "fail", "shard": K}
 
 ``topology`` records are operational breadcrumbs only: the restarted
-server replays admissions onto *its own* topology (routing placement is
-excluded from every fingerprint, so recovery is legal across resizes).
-A torn final line — the signature of a crash mid-append — is dropped on
-read; corruption anywhere else raises :class:`JournalError`.  So does a
+server replays admissions onto *its own* fleet (routing placement is
+excluded from every fingerprint, so recovery is legal across a
+failover).  A torn final line — the signature of a crash mid-append, with
+no trailing newline — is truncated when the journal is opened; any
+unparseable line left after that raises :class:`JournalError`.  So does a
 record of any other kind (an older server's ``shed``, say): recovery
 refuses the whole journal before replaying anything, because skipping
 the record would lose the job it names.
@@ -156,20 +157,23 @@ class TicketJournal:
     # -- reading --------------------------------------------------------------
 
     def records(self) -> list[dict]:
-        """Parse every journaled record, tolerating a torn final line.
+        """Parse every journaled record.
 
-        A crash can land mid-append, leaving a truncated last line — that
-        tail is dropped (its event was never acknowledged).  Unparseable
-        content anywhere *before* the tail means real corruption and
-        raises :class:`JournalError` rather than silently replaying a
-        partial history.
+        A torn tail from a crash mid-append was already truncated when
+        the journal was opened (:meth:`_repair_torn_tail`), so every line
+        here was once acknowledged.  An unparseable one — the last line
+        included — means real corruption and raises
+        :class:`JournalError` rather than silently replaying a partial
+        history.
         """
+        # read under the append lock, so a concurrent append is never
+        # seen half-written
         with self._lock:
             if not self._file.closed:
                 self._file.flush()
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+            if not self.path.exists():
+                return []
+            lines = self.path.read_text(encoding="utf-8").splitlines()
         records: list[dict] = []
         for index, line in enumerate(lines):
             line = line.strip()
@@ -178,8 +182,6 @@ class TicketJournal:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    break  # torn tail from the crash; the event never committed
                 raise JournalError(
                     f"corrupt journal {self.path}: unparseable record at "
                     f"line {index + 1}"

@@ -5,8 +5,8 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its one
 engine's compilation service) behind a job-stream API:
 
 * :meth:`submit` routes a job to its shard's bounded queue through the
-  engine's :class:`~repro.sharding.ShardRouter` (failed and retired
-  shards are held in its offline set — the one membership state);
+  engine's :class:`~repro.sharding.ShardRouter` (failed shards are held
+  in its offline set — the one membership state);
 * each shard *lane* steers arrivals against the **live** SIS hint-file
   version — compile through the shard's
   :class:`~repro.scope.cache.CompilationService`, execute on the engine —
@@ -18,15 +18,10 @@ engine's compilation service) behind a job-stream API:
   flight → validate → hintgen) and atomically publishes the next hint
   version — day boundaries stop being a global barrier, because
   submissions keep flowing while a window runs;
-* the topology is **elastic**: :meth:`add_shard` grows the fleet
-  mid-stream (the moved templates' cached plans migrate to the new owner
-  before it enters rotation, so it starts hot), :meth:`retire_shard`
-  shrinks it gracefully, :meth:`fail_shard` kills a lane and requeues its
-  backlog onto the survivors with zero job loss, and :meth:`unfail_shard`
-  rejoins a failed or retired lane (either keeps its shard service and is
-  simply offline in the router meanwhile) — routing determinism is revalidated
-  by construction, because placement is always a pure function of
-  (template id, membership state);
+* the fleet is fixed at construction, one lane per shard; the one
+  topology change is :meth:`fail_shard`, which kills a lane, requeues its
+  backlog onto the survivors with zero job loss and hands the failed
+  shard's cached plans to its templates' new owners;
 * admission is by capacity alone: a job enters its lane's bounded
   queue, and a full queue blocks or rejects per
   ``ServingConfig.admission`` — no admission decision reads the clock;
@@ -45,10 +40,10 @@ reproduces batch ``run_day``'s ``DayReport.fingerprint()`` byte for byte
 The threaded schedule reproduces it too when each day is drained before
 its maintenance window runs (the ``stream_day`` shape): every per-job
 quantity is keyed and the compilation service's accounting is
-schedule-independent.  Elastic resizes preserve the same contract when
-they land at a quiesced instant (``drain()`` then resize): the warm-up
-migration moves cache entries without touching any counter, so the
-drained-window fingerprint matches the static-topology run.  A resize
+schedule-independent.  A failover preserves the same contract when it
+lands at a quiesced instant (``drain()`` then ``fail_shard``): the cache
+hand-off moves entries without touching any counter, so the
+drained-window fingerprint matches a never-failed fleet's.  A failover
 racing in-flight compiles stays correct and lossless, but its cache
 accounting is schedule-shaped, exactly like mid-window admissions.
 """
@@ -103,12 +98,11 @@ class _ShardLane:
         self, index: int, service: CompilationService, serving: ServingConfig
     ) -> None:
         self.index = index
-        #: the shard's compilation service, bound once: a failed or retired
-        #: lane is only offline in the router
+        #: the shard's compilation service, bound once: a failed lane is
+        #: only offline in the router
         self.service = service
         self.queue = ShardQueue(serving.queue_capacity, serving.admission)
         self.alive = True
-        self.retired = False
         self.lock = threading.Lock()
         #: one integer per name of the serving vocabulary, bumped under
         #: ``lock``; every stats surface is built from this container
@@ -160,14 +154,13 @@ class QOAdvisorServer:
         #: ``ObsConfig.enabled`` is off) — serving spans and the serving
         #: metric views hang off it
         self.obs = advisor.obs
-        #: copy-on-write: a tuple only ever *rebound* (under
-        #: ``_failover_lock``), so any thread reads a consistent fleet unlocked
+        #: one lane per shard, never rebound, so any thread reads it unlocked
         self._lanes = tuple(
             _ShardLane(index, service, self.serving)
             for index, service in enumerate(self._engine.compilation.shards)
         )
-        #: last script seen per template — the "hot script" warm-up
-        #: migration follows on an elastic resize
+        #: last script seen per template — the "hot script" whose cached
+        #: plans follow its template off a failed shard
         self._hot_scripts: dict[str, str] = {}
         self._hot_lock = threading.Lock()
         if isinstance(journal, (str, Path)):
@@ -213,21 +206,18 @@ class QOAdvisorServer:
         self._started = True
         for lane in self._lanes:
             self._kick(lane)
-            if lane.alive:
-                self._spawn_workers(lane)
+            if not lane.alive:
+                continue
+            for slot in range(self.serving.workers_per_shard):
+                thread = threading.Thread(
+                    target=self._worker,
+                    args=(lane,),
+                    name=f"qoserve-shard{lane.index}-{slot}",
+                    daemon=True,
+                )
+                lane.threads.append(thread)
+                thread.start()
         return self
-
-    def _spawn_workers(self, lane: _ShardLane) -> None:
-        """Start the lane's steering threads (none on the inline schedule)."""
-        for slot in range(self.serving.workers_per_shard):
-            thread = threading.Thread(
-                target=self._worker,
-                args=(lane,),
-                name=f"qoserve-shard{lane.index}-{slot}",
-                daemon=True,
-            )
-            lane.threads.append(thread)
-            thread.start()
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every submitted job has completed (or failed).
@@ -364,10 +354,9 @@ class QOAdvisorServer:
             raise
 
     def _admit(self, ticket: JobTicket, timeout: float | None) -> _ShardLane:
-        """Route and enqueue a fresh ticket, re-routing if its shard dies
-        or retires between routing and admission (the router's offline
-        set grows *before* the queue closes, so one retry sees the
-        update)."""
+        """Route and enqueue a fresh ticket, re-routing if its shard fails
+        between routing and admission (the router's offline set grows
+        *before* the queue closes, so one retry sees the update)."""
         for _ in range(len(self._lanes) + 1):
             shard = self.router.shard_for_job(ticket.job)
             lane = self._lanes[shard]
@@ -380,7 +369,7 @@ class QOAdvisorServer:
             except QueueClosed:
                 if self._stop or shard not in self.router.offline:
                     raise
-                continue  # the lane failed over/retired under us; route again
+                continue  # the lane failed over under us; route again
         raise QueueClosed(f"no alive shard accepted {ticket.job.job_id}")
 
     def submit_day(self, day: int) -> list[JobTicket]:
@@ -449,7 +438,7 @@ class QOAdvisorServer:
     def _worker(self, lane: _ShardLane) -> None:
         while True:
             # blocks until a ticket arrives; None only once the queue is
-            # closed and empty (shutdown, failover, retirement)
+            # closed and empty (shutdown, failover)
             ticket = lane.queue.get()
             if ticket is None:
                 return
@@ -554,22 +543,25 @@ class QOAdvisorServer:
         follow the steering traffic onto the survivors, and once the lane
         has quiesced its cached plans migrate with its templates (the
         process is still alive — a lane failure cordons the lane, it does
-        not erase the shard's memory), which is what keeps the accounting
-        of a fail→rejoin cycle byte-identical to a never-failed run.  The
-        shard stays eligible for :meth:`unfail_shard` later.  Returns the
-        number of requeued jobs.
+        not erase the shard's memory).  That hand-off keeps the day's
+        accounting byte-identical to a never-failed run, which is what
+        lets :meth:`recover` — replaying on a fleet that never failed —
+        verify the journaled window fingerprints.  Returns the number of
+        requeued jobs.
         """
         with self._failover_lock:
             lane = self._lanes[shard]
             if not lane.alive:
                 return 0
-            moves = self._moves(offline={shard})
+            with self._hot_lock:
+                tracked = list(self._hot_scripts)
+            leaving = [t for t in tracked if self.router.shard_for(t) == shard]
             # the router refuses (ValueError) to lose its last live slot,
             # before anything here has changed
             self.router.take_offline(shard)
             lane.alive = False
             backlog = self._quiesce(lane)
-            self._migrate_entries(moves)
+            self._migrate_entries(shard, leaving)
             self._journal({"t": "topology", "op": "fail", "shard": shard})
             return self._requeue(backlog, lane)
 
@@ -630,131 +622,25 @@ class QOAdvisorServer:
                 break
         return moved
 
-    # -- elastic topology -----------------------------------------------------
-
-    def add_shard(self) -> int:
-        """Grow the fleet by one shard, mid-stream.
-
-        The new shard service is built offline, the templates that will
-        move to it have their hot scripts' cached plans migrated over
-        (cache warm-up — the shard enters rotation hot), queued tickets
-        are rebalanced, and only then does the slot join routing.  For
-        strict drained-window accounting parity with a static topology,
-        call :meth:`drain` first; a resize racing in-flight compiles stays
-        correct and lossless but schedule-shaped.  Returns the new shard
-        index.
-        """
-        with self._failover_lock:
-            compilation = self._engine.compilation
-            slot = compilation.add_shard()
-            lane = _ShardLane(slot, compilation.shards[slot], self.serving)
-            moves = self._moves(online={slot})
-            self._migrate_entries(moves)
-            # publish-before-route: the lane is in the tuple before the
-            # router can name its slot, so whoever routes to ``slot`` —
-            # holding whichever snapshot — finds ``_lanes[slot]``
-            self._lanes = (*self._lanes, lane)
-            self.router.bring_online(slot)
-            self._rebalance_queues()
-            if self._started:
-                self._spawn_workers(lane)
-            self._journal({"t": "topology", "op": "add", "shard": slot})
-            return slot
-
-    def retire_shard(self, shard: int) -> int:
-        """Gracefully shrink the fleet: take one lane out of rotation.
-
-        Unlike :meth:`fail_shard` this is planned: the slot leaves routing
-        first (new arrivals go straight to the survivors), the lane
-        quiesces, the moved templates' cached plans migrate to their new
-        owners, and only then is the backlog requeued — so the survivors
-        serve the moved templates hot.  The lane keeps its service, exactly
-        as a failed one does; :meth:`unfail_shard` can rejoin it later.
-        Returns the number of requeued jobs.
-        """
-        with self._failover_lock:
-            lane = self._lanes[shard]
-            if not lane.alive:
-                raise ValueError(f"shard {shard} is already out of service")
-            moves = self._moves(offline={shard})
-            self.router.take_offline(shard)  # ValueError on the last live slot
-            backlog = self._quiesce(lane)
-            self._migrate_entries(moves)
-            lane.alive = False
-            lane.retired = True
-            self._journal({"t": "topology", "op": "retire", "shard": shard})
-            return self._requeue(backlog, lane)
-
-    def unfail_shard(self, shard: int) -> int:
-        """Rejoin a failed (or retired) shard lane.
-
-        The inverse of :meth:`fail_shard` and :meth:`retire_shard`: the
-        lane still holds its service (every shard reads the one catalog, so
-        whatever its caches kept is keyed validly), the templates
-        returning to it have their cached plans migrated back from the
-        survivors, the lane gets a fresh queue and workers, and queued
-        tickets everywhere are rebalanced onto the restored routing.
-        Routing determinism is revalidated by construction: after rejoin,
-        placement is again a pure function of the template id over the
-        full membership, identical to a fleet that never failed.  Returns
-        the number of tickets rebalanced across lanes.
-        """
-        with self._failover_lock:
-            lane = self._lanes[shard]
-            if lane.alive:
-                return 0
-            moves = self._moves(online={shard})
-            self._migrate_entries(moves)
-            lane.queue = ShardQueue(self.serving.queue_capacity, self.serving.admission)
-            lane.alive = True
-            lane.retired = False
-            self.router.bring_online(shard)
-            moved = self._rebalance_queues()
-            if self._started:
-                self._spawn_workers(lane)
-            self._journal({"t": "topology", "op": "rejoin", "shard": shard})
-            return moved
-
-    def _moves(
-        self,
-        online: "set[int]" = frozenset(),
-        offline: "set[int]" = frozenset(),
-    ) -> dict[str, tuple[int, int]]:
-        """(old owner, new owner) per tracked template whose owner changes
-        under the hypothetical membership update."""
-        preview = self.router.preview(online=online, offline=offline)
-        with self._hot_lock:
-            tracked = list(self._hot_scripts)
-        moves: dict[str, tuple[int, int]] = {}
-        for template_id in tracked:
-            try:
-                before = self.router.shard_for(template_id)
-                after = preview.shard_for(template_id)
-            except ValueError:
-                continue
-            if before != after:
-                moves[template_id] = (before, after)
-        return moves
-
-    def _migrate_entries(self, moves: dict[str, tuple[int, int]]) -> int:
-        """Move the hot scripts' cached plans to each moved template's new
-        owner (the warm-up path: migration, never recompilation, so no
-        cache counter moves and accounting parity survives the resize)."""
+    def _migrate_entries(self, source: int, template_ids: list[str]) -> int:
+        """Move the hot scripts' cached plans off the failed ``source``
+        shard to each template's new owner (migration, never
+        recompilation, so no cache counter moves and accounting parity
+        survives the failover)."""
         migrated = 0
         with self._hot_lock:
-            scripts = {tid: self._hot_scripts.get(tid) for tid in moves}
+            scripts = {tid: self._hot_scripts[tid] for tid in template_ids}
         # fragment payloads dedup per destination: two moved templates
         # sharing a join block ship its fragment entry once per dest shard
         sent_fragments: dict[int, set[tuple]] = {}
         shards = self._engine.compilation.shards
-        for template_id, (source, dest) in sorted(moves.items()):
-            script = scripts.get(template_id)
-            if script is None or source == dest:
-                continue
-            source_service = shards[source]
+        source_service = shards[source]
+        for template_id in sorted(template_ids):
+            dest = self.router.shard_for(template_id)
             dest_service = shards[dest]
             plans, parsed, fragments = source_service.export_script_state(
-                script, skip_fragments=sent_fragments.setdefault(dest, set())
+                scripts[template_id],
+                skip_fragments=sent_fragments.setdefault(dest, set()),
             )
             if not plans and not parsed and not fragments:
                 continue
@@ -767,43 +653,6 @@ class QOAdvisorServer:
                 # arrival); hand residency back rather than dropping it
                 source_service.import_script_state(rejected, {})
         return migrated
-
-    def _rebalance_queues(self) -> int:
-        """Re-route every queued ticket after a membership change.
-
-        Tickets whose template now belongs to a different lane are moved
-        there (forced put: rebalancing must not bounce on capacity), so a
-        moved template's work follows its migrated cache entries.
-        In-flight tickets finish where they started — correct either way,
-        since every per-job quantity is keyed.
-        """
-        moved = 0
-        # snapshot every lane first, then place: a ticket moved to a later
-        # lane must not be drained and routed a second time in this pass
-        batches = [
-            (lane, lane.queue.drain()) for lane in self._lanes if lane.alive
-        ]
-        for lane, pending in batches:
-            for ticket in pending:
-                target = self._lanes[self._route_or_stay(ticket, lane)]
-                ticket.shard = target.index
-                if target is not lane:
-                    with lane.lock:
-                        lane.counts["requeued"] += 1
-                    moved += 1
-                    self._enqueue(target, ticket, force=True)
-                else:  # back onto the queue it came off: already counted
-                    lane.queue.put(ticket, force=True)
-        for lane in self._lanes:
-            if lane.alive:
-                self._kick(lane)
-        return moved
-
-    def _route_or_stay(self, ticket: JobTicket, lane: _ShardLane) -> int:
-        try:
-            return self.router.shard_for_job(ticket.job)
-        except ValueError:
-            return lane.index
 
     # -- journal recovery -----------------------------------------------------
 
@@ -1026,7 +875,6 @@ class QOAdvisorServer:
                     ShardStats(
                         shard=lane.index,
                         alive=lane.alive,
-                        retired=lane.retired,
                         queue_depth=lane.queue.depth,
                         max_queue_depth=lane.queue.max_depth,
                         **lane.counts,

@@ -126,10 +126,8 @@ class ShardStats:
     """One shard lane's health snapshot."""
 
     shard: int
-    #: False once the shard was killed/failed over or retired
+    #: False once the shard was killed and failed over
     alive: bool = True
-    #: True when the lane was removed by a planned retire (vs. a failure)
-    retired: bool = False
     #: tickets currently waiting in the shard's queue
     queue_depth: int = 0
     #: high-water mark of the queue depth since the server started
@@ -140,7 +138,7 @@ class ShardStats:
     failed: int = 0
     #: completed jobs that compiled under an active SIS hint
     steered: int = 0
-    #: tickets moved off this shard by failover or rebalancing
+    #: tickets moved off this shard by failover
     requeued: int = 0
     #: compile wall-clock percentiles over the lane's completed jobs;
     #: None until the lane has at least one sample
@@ -250,7 +248,7 @@ class ServerStats:
                 f"{window.jobs} job(s) ({window.failed} failed), {published}"
             )
         for shard in self.shards:
-            state = "up" if shard.alive else ("RETIRED" if shard.retired else "FAILED")
+            state = "up" if shard.alive else "FAILED"
             version = (
                 f"v{shard.last_hint_version} (skew {shard.hint_version_skew})"
                 if shard.last_hint_version is not None

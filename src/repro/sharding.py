@@ -8,7 +8,9 @@ topology as *routing* inside the one :class:`~repro.scope.engine.ScopeEngine`:
 * :class:`ShardRouter` — stable-hash partitioning of jobs by template id
   (the unit SIS keys hints by, so a template's production runs, span
   probes, recompiles and flights all land on the same shard and share its
-  plan cache);
+  plan cache).  The shard count is fixed at construction; the one
+  membership change is a failed shard leaving rotation
+  (:meth:`ShardRouter.take_offline`, the serving layer's failover);
 * :class:`ShardedCompilationService` — the engine's compile front-end
   (``ScopeEngine.compilation``): N shard
   :class:`~repro.scope.cache.CompilationService` instances, each with its
@@ -73,26 +75,21 @@ class ShardRouter:
     share, and it has to agree across processes and runs (``stable_hash``,
     not the salted builtin).
 
-    Membership is elastic.  The router's keyspace is ``num_shards`` *slots*;
-    a slot may be **offline** (a shard being warmed before it joins, a
-    retired shard, a failed shard awaiting rejoin).  A template whose
-    primary slot is online stays put (its plan cache stays warm); a
-    template whose primary is offline — or excluded by the caller, the
-    serving layer's transient-failure path — falls over by *rendezvous
-    hashing* over the live slots.  Rendezvous placement moves the minimum
-    possible set on any membership change inside the keyspace: bringing a
-    slot online moves only the templates whose primary or highest
-    rendezvous weight is the joining slot, and taking one offline moves
-    only the templates it was serving.
+    The keyspace is ``num_shards`` *slots*, fixed at construction.  A slot
+    goes **offline** when its serving lane fails.  A template whose primary
+    slot is online stays put (its plan cache stays warm); a template whose
+    primary is offline — or excluded by the caller, the serving layer's
+    requeue path — falls over by *rendezvous hashing* over the live
+    slots, so taking a slot offline moves only the templates it was
+    serving.
     """
 
     def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError(f"a cluster needs at least 1 shard, got {num_shards}")
-        #: total routing slots (the primary-hash modulus); grows monotonically
+        #: total routing slots (the primary-hash modulus)
         self.num_shards = num_shards
-        #: slots with no shard in rotation: retired/failed shards, and slots
-        #: a keyspace extension skipped over
+        #: slots whose shard failed and left rotation
         self.offline: set[int] = set()
 
     @property
@@ -127,28 +124,8 @@ class ShardRouter:
     ) -> int:
         return self.shard_for(job.template_id, exclude)
 
-    # -- elastic membership ---------------------------------------------------
-
-    def bring_online(self, slot: int) -> None:
-        """Put ``slot`` into rotation, extending the keyspace if needed.
-
-        Extending the keyspace (onlining a slot at/after ``num_shards``)
-        changes the primary hash of a fraction of all templates, and any
-        slot it skips over stays offline; onlining a slot inside the
-        keyspace moves only that slot's templates.  Either way
-        :meth:`preview` names the moved set exactly, so warm-up migration
-        stays complete.
-        """
-        if slot < 0:
-            raise ValueError(f"slot must be non-negative, got {slot}")
-        if slot >= self.num_shards:
-            for fresh in range(self.num_shards, slot + 1):
-                self.offline.add(fresh)
-            self.num_shards = slot + 1
-        self.offline.discard(slot)
-
     def take_offline(self, slot: int) -> None:
-        """Remove ``slot`` from rotation (retire/shrink); keyspace is kept."""
+        """Remove ``slot`` from rotation: its shard failed."""
         if not 0 <= slot < self.num_shards:
             raise ValueError(f"slot {slot} outside keyspace 0..{self.num_shards - 1}")
         remaining = [s for s in self.alive_slots if s != slot]
@@ -156,32 +133,12 @@ class ShardRouter:
             raise ValueError(f"cannot take slot {slot} offline: it is the last one")
         self.offline.add(slot)
 
-    def preview(
-        self,
-        *,
-        online: "frozenset[int] | set[int]" = frozenset(),
-        offline: "frozenset[int] | set[int]" = frozenset(),
-    ) -> "ShardRouter":
-        """A hypothetical router after a membership change (nothing mutated).
-
-        Used to compute, *before* a resize lands, exactly which templates
-        change owner — the set whose cached plans migrate during warm-up.
-        """
-        clone = ShardRouter.__new__(ShardRouter)
-        clone.num_shards = max(self.num_shards, *(s + 1 for s in online)) if online else self.num_shards
-        clone.offline = set(self.offline)
-        for slot in range(self.num_shards, clone.num_shards):
-            clone.offline.add(slot)
-        clone.offline |= set(offline)
-        clone.offline -= set(online)
-        return clone
-
 
 class ShardedCompilationService:
     """The engine's compile front-end: route, aggregate, broadcast.
 
     Holds one :class:`~repro.scope.cache.CompilationService` per shard slot
-    (``shards``, dense, in rotation or not), every one built over the same
+    (``shards``, built once, in rotation or not), every one over the same
     engine.  Presents the job-keyed surface of a single service
     (``stats``, ``compile_job``, ``compile_many``, ``preexplore_batch``,
     ``checkpoint``) to the pipeline tasks and the Flighting Service;
@@ -194,24 +151,12 @@ class ShardedCompilationService:
         self.router = engine.router
         #: tracer for routing events and the batch fan-out span (null by
         #: default; ``ScopeEngine.install_obs`` swaps it, here and on every
-        #: shard, and :meth:`add_shard` hands it to each shard built later)
+        #: shard)
         self.tracer = NULL_TRACER
-        self.shards: list[CompilationService] = []
-        for _ in range(self.router.num_shards):
-            self.add_shard()
-
-    def add_shard(self) -> int:
-        """Build the next slot's service without routing to it yet.
-
-        The new shard gets empty caches over the one engine.  It stays
-        *offline* until ``router.bring_online(slot)`` — the serving layer
-        warms its plan cache with the moved templates' entries in between,
-        so the shard enters rotation hot.  Returns the new slot.
-        """
-        service = CompilationService(self.engine, self.engine.config.cache)
-        service.tracer = self.tracer
-        self.shards.append(service)
-        return len(self.shards) - 1
+        self.shards: list[CompilationService] = [
+            CompilationService(engine, engine.config.cache)
+            for _ in range(self.router.num_shards)
+        ]
 
     def service_for(self, template_id: str) -> CompilationService:
         """The shard service ``template_id``'s compiles land on."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.config import SimulationConfig
 from repro.rng import keyed_rng, stable_hash
 from repro.scope.catalog import Catalog
-from repro.scope.jobs import JobInstance, JobTemplate
+from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.rules.base import RuleFlip, RuleRegistry
 from repro.workload.schemas import build_catalog, grow_catalog
 from repro.workload.templates import ScriptTemplate, make_templates
@@ -40,12 +40,6 @@ class Workload:
     def __post_init__(self) -> None:
         if not self._base_rows:
             self._base_rows = {table.name: table.row_count for table in self.catalog}
-
-    @property
-    def job_templates(self) -> list[JobTemplate]:
-        return [
-            JobTemplate(t.template_id, t.name, recurring=t.recurring) for t in self.templates
-        ]
 
     def advance_to_day(self, day: int) -> None:
         """Scale the catalog — the one every engine and shard reads, and this

@@ -3,14 +3,17 @@
 The contracts under test:
 
 * **journal format** — appended records round-trip; a torn final line
-  (the signature of a crash mid-append) is dropped, corruption anywhere
-  else raises :class:`JournalError`;
+  (the signature of a crash mid-append, with no trailing newline) is
+  dropped, any other unparseable line raises :class:`JournalError`;
 * **crash recovery** — a server killed mid-day and rebuilt from its
   journal reconstructs the day accumulators and the pending maintenance
   window byte-identically: the replayed day-0 window reproduces the
   journaled ``DayReport.fingerprint()`` (verified *during* replay), and
   finishing the interrupted day produces the same fingerprint as the
   uninterrupted run;
+* **failover keeps recovery exact** — a shard killed mid-day hands its
+  cached plans to the survivors, so every journaled window still
+  verifies on a fleet that never failed;
 * **non-recomputable events replay verbatim** — Personalizer mode
   switches are re-applied as recorded, never re-decided;
 * **unknown records are refused** — a record kind the server does not
@@ -73,6 +76,13 @@ def test_journal_drops_a_torn_tail_but_rejects_mid_file_corruption(tmp_path):
         handle.write('not json at all\n{"t":"admit","seq":1,"day":0,"job":"a"}\n')
     corrupt = TicketJournal(path)
     with pytest.raises(JournalError, match="line 1"):
+        corrupt.records()
+    corrupt.close()
+    # a corrupt last record that ends in a newline is no torn tail
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write('{"t":"admit","seq":1,"day":0,"job":"a"}\n{"t":"done","seq":1,"da\n')
+    corrupt = TicketJournal(path)
+    with pytest.raises(JournalError, match="line 2"):
         corrupt.records()
     corrupt.close()
 
@@ -153,6 +163,41 @@ def test_server_killed_mid_day_recovers_to_identical_fingerprints(tmp_path):
     report = revived.run_maintenance(1)
     assert report.fingerprint() == expected[1].fingerprint()
     assert report.cache_stats == expected[1].cache_stats
+    revived.shutdown()
+
+
+@pytest.mark.parametrize("workers_per_shard", [0, 2], ids=["inline", "threaded"])
+def test_a_failover_keeps_every_window_verifiable(tmp_path, workers_per_shard):
+    """A shard killed at a drained instant hands its cached plans to its
+    templates' new owners, so both days match a never-failed fleet, cache
+    accounting included — and recovery, which replays onto a fleet that
+    never failed, verifies every journaled window."""
+    serving = ServingConfig(workers_per_shard=workers_per_shard)
+    reference = QOAdvisorServer(config=_config(shards=3), serving=serving)
+    expected = [reference.stream_day(0), reference.stream_day(1)]
+    reference.shutdown()
+
+    path = tmp_path / "wal.jsonl"
+    server = QOAdvisorServer(config=_config(shards=3), serving=serving, journal=path)
+    server.start()
+    jobs = server.advisor.workload.jobs_for_day(0)
+    third = max(1, len(jobs) // 3)
+    for job in jobs[:third]:
+        server.submit(job)
+    server.drain(timeout=120.0)
+    assert server.fail_shard(1) == 0  # drained: nothing was waiting
+    for job in jobs[third:]:
+        assert server.submit(job).shard != 1
+    server.drain(timeout=120.0)
+    reports = [server.run_maintenance(0), server.stream_day(1)]
+    server.shutdown()
+    for report, want in zip(reports, expected):
+        assert report.fingerprint() == want.fingerprint()
+        assert report.cache_stats == want.cache_stats
+
+    revived = QOAdvisorServer(config=_config(shards=3), serving=_serving(), journal=path)
+    recovery = revived.recover()
+    assert recovery.fingerprints_verified == recovery.windows == 2
     revived.shutdown()
 
 

@@ -7,7 +7,7 @@ and the locks-held-across-``map_jobs`` hazard hook.
 The stress half is the acceptance harness: a 2-shard serving fleet with
 obs enabled, instrumented end to end via
 :func:`repro.qa.auto_instrument_constructors`, driven through threaded
-submission, a mid-stream grow/shrink resize, maintenance windows, and a
+submission, a mid-stream shard failover, maintenance windows, and a
 journal crash-recovery replay — asserting the global lock-order graph
 stays acyclic, no lock is ever held across a fan-out, and
 ``DayReport.fingerprint()`` / ``CacheStats.core()`` are byte-identical
@@ -205,7 +205,7 @@ def _submit_threaded(server: QOAdvisorServer, chunk) -> None:
     "patch; this test's private registry would observe nothing through it",
 )
 def test_stress_fleet_acyclic_lock_order_and_fingerprint_parity(tmp_path):
-    """Submit / resize / maintenance / journal replay under full lock
+    """Submit / failover / maintenance / journal replay under full lock
     instrumentation: acyclic order graph, zero fan-out hazards, and
     byte-identical reports versus the uninstrumented run."""
     # the uninstrumented references
@@ -230,11 +230,9 @@ def test_stress_fleet_acyclic_lock_order_and_fingerprint_parity(tmp_path):
 
         _submit_threaded(server, jobs[:third])
         server.drain(timeout=120.0)
-        added = server.add_shard()  # 2 -> 3 mid-stream
-        assert added == 2
         _submit_threaded(server, jobs[third : 2 * third])
         server.drain(timeout=120.0)
-        requeued = server.retire_shard(1)  # 3 -> 2, drained: nothing waiting
+        requeued = server.fail_shard(1)  # 2 -> 1, drained: nothing waiting
         assert requeued == 0
         _submit_threaded(server, jobs[2 * third :])
         server.drain(timeout=120.0)
@@ -261,7 +259,8 @@ def test_stress_fleet_acyclic_lock_order_and_fingerprint_parity(tmp_path):
 
     # instrumentation is observationally transparent: byte-identical
     # fingerprint and core cache accounting versus the uninstrumented
-    # batch day (mqo_preexplored is schedule-shaped, as in test_elastic)
+    # batch day (mqo_preexplored is schedule-shaped: the lanes compile each
+    # job as it arrives, with no batch to pre-explore)
     assert report.fingerprint() == baseline.fingerprint()
     assert dataclasses.replace(
         report.cache_stats, mqo_preexplored=0

@@ -67,6 +67,21 @@ def test_router_rejects_nonpositive_shard_count():
         ShardRouter(0)
 
 
+def test_take_offline_moves_only_the_leaving_slots_templates():
+    templates = [f"tmpl-{index:04d}" for index in range(200)]
+    router = ShardRouter(3)
+    before = {t: router.shard_for(t) for t in templates}
+    router.take_offline(1)
+    after = {t: router.shard_for(t) for t in templates}
+    for template in templates:
+        if before[template] != 1:
+            assert after[template] == before[template]
+        else:
+            assert after[template] != 1
+    with pytest.raises(ValueError):
+        ShardRouter(1).take_offline(0)  # the last slot cannot leave
+
+
 def test_partition_preserves_order_and_template_affinity(tiny_workload):
     router = ShardRouter(3)
     jobs = tiny_workload.jobs_for_day(0)
@@ -95,9 +110,8 @@ def test_shards_read_the_one_catalog_and_own_their_caches():
     workload, engine = _engine(_config(shards=3))
     workload.jobs_for_day(0)
     workload.jobs_for_day(2)
-    engine.compilation.add_shard()  # mid-stream, after a day advance
     services = engine.compilation.shards
-    assert len(services) == 4
+    assert len(services) == 3
     assert all(service.engine is engine for service in services)
     assert engine.catalog is workload.catalog
     for owned in (
@@ -106,7 +120,22 @@ def test_shards_read_the_one_catalog_and_own_their_caches():
         [service.fragments for service in services],
         [service._lock for service in services],
     ):
-        assert len({id(thing) for thing in owned}) == 4
+        assert len({id(thing) for thing in owned}) == 3
+
+
+def test_routed_compile_answers_like_the_raw_engine_with_slot_zero_offline():
+    """There is one engine over the workload's catalog, so whichever shard
+    a job routes to, its cached compile is the engine's raw
+    compile/optimize (the analysis harnesses' door) on the same day's
+    statistics."""
+    workload, engine = _engine(_config(shards=2))
+    engine.router.take_offline(0)
+    job = workload.jobs_for_day(3)[0]
+    routed = engine.compile_job(job, use_hints=False)
+    assert engine.compilation.shards[1].stats.misses == 1
+    assert engine.compilation.shards[0].stats.misses == 0
+    raw = engine.optimize(engine.compile(job.script), engine.configuration_for(job))
+    assert (routed.plan.pretty(), routed.est_cost) == (raw.plan.pretty(), raw.est_cost)
 
 
 def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
