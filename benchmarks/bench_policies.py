@@ -6,7 +6,9 @@ steering, and is then measured three ways:
 
 * **deployment**: hinted-vs-default latency/PNhours on a fresh day
   (Table-2 style), plus the regressions the cost filter caught and the
-  compile overhead (optimizer invocations / script compilations);
+  compile overhead (optimizer invocations / script compilations); every
+  flip validation accepted on a simulated day must have flown with no
+  PNhours regression;
 * **counterfactual**: IPS / SNIPS / DR estimates of the learned policy's
   value over its *own* uniform-propensity log (§6's offline loop);
 * **Table 3**: the bandit vs uniformly-random flips on a fresh serial
@@ -74,6 +76,15 @@ def _run_bandit(seed: int) -> dict:
     reports = advisor.simulate(
         start_day=_BOOTSTRAP_DAYS, days=_FLEET_DAYS, learned_after=_LEARNED_AFTER
     )
+    # validation's veto: no flip that flew as a PNhours regression is
+    # accepted, whatever the model predicted for it
+    dearer = [
+        (report.day, validated.template_id, validated.flight.pnhours_delta)
+        for report in reports
+        for validated in report.validated
+        if validated.flight.pnhours_delta > 0
+    ]
+    assert not dearer, (seed, dearer)
     deployment = measure_hinted_day(advisor, day=_BOOTSTRAP_DAYS + _FLEET_DAYS)
     stats = advisor.engine.compilation.stats
 

@@ -14,43 +14,23 @@ so a policy's scores are advantages over the default plan and zero
 weights mean "no better than default".  The propensity floor of its
 importance weights is the off-policy estimators' ``_MIN_PROB``.
 
-The live table is dense (``weights``, ``1 << bits`` float64 slots): every
+The table is dense (``weights``, ``1 << bits`` float64 slots): every
 score and update indexes it directly, and the policy's digests hash
-``weights.tobytes()``.  Only a published copy is sparse.
-:meth:`CBLearner.snapshot` returns a :class:`WeightSnapshot`, the one
-snapshot format, which holds the non-zero slots alone.  Hashed features
-touch few slots (1,369 of 262,144 after the ledger's ``shared_days``
-run), so a version costs kilobytes where a dense copy cost 2 MB.
+``weights.tobytes()``.  A published model version is a number, not a copy
+of the table: nothing moves the model backwards.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, joint_features
 from repro.bandit.offpolicy import _MIN_PROB
 
-__all__ = ["CBLearner", "WeightSnapshot"]
+__all__ = ["CBLearner"]
 
 #: L2 regularization strength of every SGD step
 _L2 = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class WeightSnapshot:
-    """A published weight table, sparse: the slots whose bit pattern is
-    non-zero (so ``-0.0`` and NaN payloads are kept) and their values.
-
-    Restoring it into a zero table of ``1 << bits`` slots gives back the
-    published bytes exactly.  A version costs 16 bytes per such slot
-    instead of the whole table's 8 per slot.
-    """
-
-    bits: int
-    indices: np.ndarray
-    values: np.ndarray
 
 
 class CBLearner:
@@ -66,7 +46,6 @@ class CBLearner:
         self.learning_rate = learning_rate
         self.interaction_order = interaction_order
         self.weights = np.zeros(1 << bits)
-        self.updates = 0
 
     # -- scoring -------------------------------------------------------------
 
@@ -111,27 +90,4 @@ class CBLearner:
         for index, value in vector.items():
             gradient = error * value - _L2 * self.weights[index]
             self.weights[index] += step * gradient
-        self.updates += 1
         return prediction
-
-    def snapshot(self) -> WeightSnapshot:
-        """The table as published: every slot whose bit pattern is non-zero."""
-        indices = np.flatnonzero(self.weights.view(np.uint64))
-        return WeightSnapshot(self.bits, indices, self.weights[indices])
-
-    def restore(self, snapshot: WeightSnapshot, updates: int | None = None) -> None:
-        """Install a snapshot into a fresh zero table; ``updates`` restores
-        the step counter too (a full-snapshot restore is indistinguishable
-        from the model that was published)."""
-        if snapshot.bits != self.bits:
-            raise ValueError(
-                f"weight snapshot has {snapshot.bits} hash bits, the learner {self.bits}"
-            )
-        size, indices = 1 << self.bits, snapshot.indices
-        if indices.size and not 0 <= indices.min() <= indices.max() < size:
-            raise ValueError("weight snapshot index out of range")
-        weights = np.zeros(size)
-        weights[indices] = snapshot.values
-        self.weights = weights
-        if updates is not None:
-            self.updates = updates

@@ -3,7 +3,10 @@
 A linear regression predicts the PNhours delta of a flip from the DataRead
 and DataWritten deltas observed in a single flighting run.  Only flips
 whose *predicted* delta clears the safety threshold (−0.1 in production:
-at least a 10 % predicted PNhours reduction) are allowed into hints.
+at least a 10 % predicted PNhours reduction) are allowed into hints.  The
+model is the primary test (one flight is noisy), but the flight can veto:
+a flip that measured a PNhours regression is not accepted.  Latency has
+no veto (a flight's latency delta often does not survive deployment).
 
 The model is trained on a corpus of flight results gathered over ~14 days
 with random flips, split by date into train/test weeks (§4.3).
@@ -121,7 +124,7 @@ class ValidationTask:
             if result.status is not FlightStatus.SUCCESS:
                 continue
             predicted = self.model.predict(result)
-            if predicted < _VALIDATION_THRESHOLD:
+            if predicted < _VALIDATION_THRESHOLD and result.pnhours_delta <= 0:
                 accepted.append(
                     ValidatedFlip(
                         template_id=result.job.template_id,

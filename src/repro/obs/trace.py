@@ -2,8 +2,8 @@
 
 The production QO Advisor is operated on per-job telemetry: every steering
 decision, recompile and publication has to be attributable after the fact
-(paper §2.5, §5 — the Table-1 workload view and the rollback story are
-both *derived* from this record).  This module is the substrate: a
+(paper §2.5, §5 — the Table-1 workload view is *derived* from this
+record).  This module is the substrate: a
 :class:`Tracer` produces **spans** — named, timed, attributed intervals —
 organized into **traces** keyed by the unit of work (one admitted job, one
 pipeline day, one maintenance window), and closed spans are exported

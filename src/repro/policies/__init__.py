@@ -8,10 +8,9 @@ pipeline under its telemetry name :class:`BanditSteeringPolicy`.
 from __future__ import annotations
 
 from repro.policies.bandit import BanditSteeringPolicy
-from repro.policies.base import LearnedSteeringPolicy, PolicyVersion
+from repro.policies.base import LearnedSteeringPolicy
 
 __all__ = [
     "LearnedSteeringPolicy",
-    "PolicyVersion",
     "BanditSteeringPolicy",
 ]

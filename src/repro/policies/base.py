@@ -17,17 +17,13 @@ The contract:
   action + logged propensity).
 * :meth:`~LearnedSteeringPolicy.observe` — report the reward for a ranked
   event; the model learns online.
-* :meth:`~LearnedSteeringPolicy.publish_version` /
-  :meth:`~LearnedSteeringPolicy.restore_version` — daily model snapshots
-  and regression rollback, mirroring the Azure Personalizer lifecycle.
-  A publish first expires the events whose reward never arrived within
-  the reward-wait window.  Every published version is kept, so each must
-  be small: the snapshot is a sparse
-  :class:`~repro.bandit.learner.WeightSnapshot` (the non-zero weights and
-  the table size), restored into a fresh zero table, while the live table
-  stays dense because scoring indexes it and the policy digests hash its
-  bytes.  :attr:`~LearnedSteeringPolicy.model_version` is the version
-  scoring now — the newest, or the one a rollback chose.
+* :meth:`~LearnedSteeringPolicy.publish_version` — the daily model
+  publish of the Azure Personalizer lifecycle.  A publish first expires
+  the events whose reward never arrived within the reward-wait window,
+  then counts one more version; :attr:`~LearnedSteeringPolicy.model_version`
+  reads that counter.  Nothing moves the model backwards (the regression
+  guard is validation before hints are published), so no published
+  weights are kept.
 * :meth:`~LearnedSteeringPolicy.switch_mode` — ``"uniform_logging"``
   (explore uniformly, maximally informative logs — the off-policy warm-up)
   vs ``"learned"`` (act on the learned scores), the paper's staged rollout.
@@ -66,7 +62,6 @@ from repro.rng import keyed_rng
 __all__ = [
     "NOOP_REWARD",
     "LearnedSteeringPolicy",
-    "PolicyVersion",
     "RankResponse",
 ]
 
@@ -89,21 +84,13 @@ class RankResponse:
 
 
 @dataclass
-class PolicyVersion:
-    """One published model snapshot: ``(WeightSnapshot, updates)``."""
-
-    version: int
-    state: object
-
-
-@dataclass
 class _Pending:
     context: ContextFeatures
     actions: tuple[ActionFeatures, ...]
     chosen: int
     probability: float
     #: publish cycles completed when the event was ranked (the
-    #: activation-timeout base; a rollback does not reset it)
+    #: activation-timeout base)
     model_version: int
 
 
@@ -136,9 +123,8 @@ class LearnedSteeringPolicy:
         self._pending: dict[str, _Pending] = {}
         self._event_counter = 0
         self._log: list[LoggedEvent] = []
-        self.versions: list[PolicyVersion] = []
-        #: the version scoring now: the newest until a rollback picks another
-        self._active_version = 0
+        #: model versions published so far; the newest is the one scoring
+        self._version = 0
         #: events expired unrewarded so far (observability)
         self.expired_events = 0
 
@@ -163,14 +149,14 @@ class LearnedSteeringPolicy:
             actions=tuple(actions),
             chosen=index,
             probability=probability,
-            model_version=len(self.versions),
+            model_version=self._version,
         )
         return RankResponse(
             event_id=event_id,
             action=actions[index],
             index=index,
             probability=probability,
-            model_version=self._active_version,
+            model_version=self._version,
         )
 
     def observe(self, event_id: str, reward: float) -> None:
@@ -198,19 +184,19 @@ class LearnedSteeringPolicy:
     # -- model versions ----------------------------------------------------------
 
     def publish_version(self) -> int:
-        """Expire overdue unrewarded events, then snapshot the model.
+        """Expire overdue unrewarded events, then publish the next version.
 
         Mirrors the Azure Personalizer reward-wait window: an event whose
         reward never arrives is finalized with ``expired_event_reward``
         once ``activation_timeout_days`` publish cycles have passed since
         it was ranked, instead of leaking forever.  Expiry runs first, so
-        the default-reward updates are part of the snapshot the events age
+        the default-reward updates are part of the version the events age
         out under, and in rank order (insertion order of the pending map),
         so the learner sees a deterministic update sequence.
         """
         timeout = self.config.activation_timeout_days
         if timeout > 0:
-            cycle = len(self.versions) + 1
+            cycle = self._version + 1
             stale = [
                 event_id
                 for event_id, pending in self._pending.items()
@@ -219,22 +205,8 @@ class LearnedSteeringPolicy:
             for event_id in stale:
                 self.observe(event_id, self.config.expired_event_reward)
             self.expired_events += len(stale)
-        self._active_version = len(self.versions) + 1
-        state = (self.learner.snapshot(), self.learner.updates)
-        self.versions.append(PolicyVersion(version=self._active_version, state=state))
-        return self._active_version
-
-    def restore_version(self, version: int) -> None:
-        """Roll back to a published version: weights *and* the ``updates``
-        counter, so the restored model is indistinguishable from the one
-        published."""
-        for published in self.versions:
-            if published.version == version:
-                snapshot, updates = published.state
-                self.learner.restore(snapshot, updates=updates)
-                self._active_version = version
-                return
-        raise PersonalizerError(f"unknown model version {version}")
+        self._version += 1
+        return self._version
 
     def switch_mode(self, mode: str) -> None:
         if mode not in MODES:
@@ -243,9 +215,8 @@ class LearnedSteeringPolicy:
 
     @property
     def model_version(self) -> int:
-        """The version scoring now (``restore_version`` makes an older one
-        active); the next publish is still ``len(versions) + 1``."""
-        return self._active_version
+        """The version scoring now: the number of versions published."""
+        return self._version
 
     @property
     def event_log(self) -> list[LoggedEvent]:

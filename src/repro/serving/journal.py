@@ -13,7 +13,7 @@ snapshotting results: every per-job quantity (compiled plan, executed
 metrics, bandit draw) is *keyed*, so re-driving the journaled admissions
 and windows through a freshly-constructed server — same config, same
 seed, same bootstrap sequence — reconstructs the day accumulators, the
-SIS version history and the pending maintenance window **byte-identically**.
+SIS hint set and the pending maintenance window **byte-identically**.
 The journal therefore stores job *identities* (day + job id, resolvable
 through the deterministic workload generator), not serialized plans, and
 each ``window`` record carries the published report's ``fingerprint()`` so

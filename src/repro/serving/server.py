@@ -883,10 +883,9 @@ class QOAdvisorServer:
                         compile_p99_s=percentile(samples, 99),
                         compile_observations=lane.compile_latency.total,
                         last_hint_version=last,
+                        # read after ``last``: versions only rise, so skew >= 0
                         hint_version_skew=(
-                            max(current_version - last, 0)
-                            if last is not None
-                            else None
+                            None if last is None else self.sis.current_version - last
                         ),
                         **{name: getattr(cache, name) for name in CACHE_FIELDS},
                     )

@@ -153,8 +153,7 @@ class ShardStats:
     #: current SIS version minus ``last_hint_version`` — a lane serving
     #: long-queued work shows positive skew right after a publication.
     #: None for a lane that has not compiled anything yet (an idle lane has
-    #: no skew to report), and clamped at 0 when a rollback lowered the
-    #: current version below the lane's last-seen one
+    #: no skew to report)
     hint_version_skew: int | None = None
     #: cumulative fragment-store counters of the lane's compilation
     #: service (sub-plan reuse across templates); work telemetry, so —

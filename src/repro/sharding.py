@@ -22,9 +22,9 @@ topology as *routing* inside the one :class:`~repro.scope.engine.ScopeEngine`:
 
 SIS stays the **single shared hint store**: ``SISService.attach(engine)``
 sets the engine's ``hint_provider``, which every shard's compiles resolve
-their configuration through.  An upload or rollback rebinds the active
-hint set, which every shard's next lookup sees; nothing is broadcast and
-no shard drops an entry.
+their configuration through.  An upload rebinds the active hint set,
+which every shard's next lookup sees; nothing is broadcast and no shard
+drops an entry.
 
 Parallelism composes with the PR-2 executor at the *job* level: pipeline
 stages keep mapping per-job closures through one

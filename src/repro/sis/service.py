@@ -11,10 +11,10 @@ shards compile against it: attaching sets the one engine's
 through, exactly as one SIS deployment steers many SCOPE clusters in
 production.
 
-A publication — upload or rollback — is **one rebinding of the active hint
-set** and nothing else: SIS does not know compiled plans are cached, and
-need not (the looked-up hint is part of every cache key, see
-:mod:`repro.scope.cache`).
+A publication is **one rebinding of the active hint set** and nothing
+else.  Versions only rise: a hint is retired by uploading a file without
+it.  SIS does not know compiled plans are cached, and need not (the
+looked-up hint is part of every cache key, see :mod:`repro.scope.cache`).
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class HintFileVersion:
 
 
 class SISService:
-    """Hint store with versioning, validation and rollback."""
+    """Hint store with versioning and validation."""
 
     def __init__(self, registry: RuleRegistry) -> None:
         self.registry = registry
-        self.versions: list[HintFileVersion] = []
+        #: hint files installed so far; the newest is the active one
+        self._version = 0
         self._active: dict[str, RuleFlip] = {}
 
     def upload(self, entries: list[HintEntry], day: int) -> HintFileVersion:
@@ -58,20 +59,11 @@ class SISService:
         # round-trip through the file format: what is installed is what
         # would be read back from the stored file
         parsed = parse_hint_file(content)
-        version = HintFileVersion(
-            version=len(self.versions) + 1, day=day, content=content, entries=parsed
-        )
-        self.versions.append(version)
+        self._version += 1
         self._active = {entry.template_id: entry.flip for entry in parsed}
-        return version
-
-    def rollback(self) -> None:
-        """Revert to the previous version (regression mitigation path)."""
-        if not self.versions:
-            return
-        self.versions.pop()
-        entries = self.versions[-1].entries if self.versions else []
-        self._active = {entry.template_id: entry.flip for entry in entries}
+        return HintFileVersion(
+            version=self._version, day=day, content=content, entries=parsed
+        )
 
     def lookup(self, template_id: str) -> RuleFlip | None:
         """Hint for a template, or None (the optimizer's compile-time probe)."""
@@ -82,7 +74,7 @@ class SISService:
 
     @property
     def current_version(self) -> int:
-        return len(self.versions)
+        return self._version
 
     def attach(self, engine: ScopeEngine) -> None:
         """Wire this SIS instance into the engine's compile path.

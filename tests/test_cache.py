@@ -256,7 +256,9 @@ def test_sis_publication_keeps_unhinted_plans_and_never_serves_a_stale_one(
     )
 
 
-def test_sis_rollback_serves_the_default_plan_from_cache(small_catalog, join_agg_job):
+def test_a_retired_hint_serves_the_default_plan_from_cache(small_catalog, join_agg_job):
+    """A hint is retired by uploading the file without it; the job's
+    default plan is still cached under the unhinted configuration."""
     engine = make_engine(small_catalog)
     sis = SISService(engine.registry)
     sis.attach(engine)
@@ -265,7 +267,7 @@ def test_sis_rollback_serves_the_default_plan_from_cache(small_catalog, join_agg
     flip_rule = engine.registry.by_name("LocalGlobalAggregation").rule_id
     sis.upload([HintEntry(join_agg_job.template_id, RuleFlip(flip_rule, True))], day=1)
     hinted = engine.compile_job(join_agg_job)
-    sis.rollback()
+    sis.upload([], day=2)
     before = stats.snapshot()
     restored = engine.compile_job(join_agg_job)
     delta = stats - before

@@ -178,6 +178,47 @@ def test_validation_model_requires_training():
         ValidationModel().predict(None)  # type: ignore[arg-type]
 
 
+def _flight(template_id, read_delta, pnhours_delta):
+    """A successful synthetic flight whose treatment reads and writes
+    ``1 + read_delta`` times the baseline's bytes and spends
+    ``1 + pnhours_delta`` times its PNhours."""
+    from repro.flighting.results import FlightRequest, FlightResult, FlightStatus
+    from repro.scope.jobs import JobInstance
+    from repro.scope.optimizer.rules.base import RuleFlip
+    from repro.scope.runtime.metrics import JobMetrics
+
+    def metrics(scale, pnhours):
+        return JobMetrics(
+            latency_s=60.0, pnhours=pnhours, vertices=10,
+            data_read=1e9 * scale, data_written=1e8 * scale,
+            max_memory=1.0, avg_memory=1.0, cpu_seconds=1.0, io_seconds=1.0,
+        )
+
+    job = JobInstance(f"j-{template_id}", template_id, template_id, COPY_SCRIPT, day=0)
+    return FlightResult(
+        FlightRequest(job, RuleFlip(0, True)),
+        FlightStatus.SUCCESS,
+        baseline=metrics(1.0, 1.0),
+        treatment=metrics(1.0 + read_delta, 1.0 + pnhours_delta),
+    )
+
+
+def test_validation_vetoes_a_flight_that_measured_a_regression():
+    """The model predicts PNhours from the I/O deltas, but the flight also
+    measured PNhours: a flip predicted cheaper that flew dearer is not
+    accepted, while one that flew cheaper still is."""
+    corpus = [
+        _flight(f"train{i}", delta, delta)
+        for i, delta in enumerate((-0.6, -0.4, -0.2, 0.0, 0.2, 0.4))
+    ]
+    model = ValidationModel().fit(corpus)
+    dearer = _flight("dearer", -0.5, 0.2)
+    cheaper = _flight("cheaper", -0.5, -0.3)
+    assert model.predict(dearer) == model.predict(cheaper) < -0.1
+    accepted = ValidationTask(model).run([dearer, cheaper])
+    assert [flip.template_id for flip in accepted] == ["cheaper"]
+
+
 def test_hint_generation_caps_and_merges(engine):
     from repro.core.validate import ValidatedFlip
     from repro.scope.optimizer.rules.base import RuleFlip

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import hypothesis.strategies as st
-import numpy as np
 from hypothesis import given, settings
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
@@ -165,43 +164,6 @@ def test_rewards_equal_to_the_noop_leave_the_noop_greedy(logged, publishes, aske
         assert greedy[0] == 1.0
 
 
-#: bit patterns a weight table may hold that a value compare would lose:
-#: -0.0 (equal to 0.0) and a quiet NaN with a payload (unequal to itself)
-_PLANTED = (0x8000_0000_0000_0000, 0x7FF8_0000_0000_0123)
-_BITS = 8
-_publish_rounds = st.lists(
-    st.tuples(
-        st.lists(
-            st.tuples(_contexts, st.integers(0, _SIZE - 1), st.floats(-1.0, 1.0), st.floats(0.05, 1.0)),
-            max_size=4,
-        ),
-        st.lists(st.tuples(st.integers(0, (1 << _BITS) - 1), st.sampled_from(_PLANTED)), max_size=3),
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_publish_rounds, st.data())
-def test_every_published_version_restores_its_exact_bytes(rounds, data):
-    """A sparse snapshot loses nothing: whatever was learned or planted
-    between publishes, restoring any version, in any order, gives back the
-    table's bytes and the step counter as they were at its publish."""
-    policy = BanditSteeringPolicy(BanditConfig(hash_bits=_BITS), seed=0)
-    learner = policy.learner
-    published = {}
-    for updates, planted in rounds:
-        for context, rule_id, reward, probability in updates:
-            learner.update(context, ActionFeatures(rule_id=rule_id), reward, probability)
-        for index, pattern in planted:
-            learner.weights.view(np.uint64)[index] = pattern
-        published[policy.publish_version()] = (learner.weights.tobytes(), learner.updates)
-    for version in data.draw(st.permutations(sorted(published))):
-        policy.restore_version(version)
-        assert (learner.weights.tobytes(), learner.updates) == published[version]
-
-
 _off_rules = _REGISTRY.ids_in_category(
     __import__("repro.scope.optimizer.rules.base", fromlist=["RuleCategory"]).RuleCategory.OFF_BY_DEFAULT
 )
@@ -286,7 +248,6 @@ _FLIPS = [
 _hint_sets = st.dictionaries(st.integers(0, len(_JOBS) - 1), st.sampled_from(_FLIPS))
 _sis_ops = st.one_of(
     st.tuples(st.just("upload"), _hint_sets),
-    st.tuples(st.just("rollback"), st.none()),
     st.tuples(st.just("compile"), st.integers(0, len(_JOBS) - 1)),
 )
 
@@ -302,8 +263,9 @@ def _outcome(compile_job, job):
 @given(st.lists(_sis_ops, min_size=1, max_size=12))
 def test_cached_compile_equals_uncached_across_hint_publications(small_catalog, ops):
     """No publication clears anything, and none has to: whatever the
-    interleaving of uploads, rollbacks and compiles, the cache serves what
-    a from-scratch compile under the active hint set produces."""
+    interleaving of uploads and compiles (an empty or repeated hint set
+    revisits an older one), the cache serves what a from-scratch compile
+    under the active hint set produces."""
     engine = ScopeEngine(small_catalog, SimulationConfig(seed=101))
     sis = SISService(engine.registry)
     sis.attach(engine)
@@ -311,8 +273,6 @@ def test_cached_compile_equals_uncached_across_hint_publications(small_catalog, 
         if kind == "upload":
             entries = [HintEntry(_JOBS[i].template_id, flip) for i, flip in sorted(arg.items())]
             sis.upload(entries, day=day)
-        elif kind == "rollback":
-            sis.rollback()
         else:
             job = _JOBS[arg]
             assert _outcome(engine.compile_job, job) == _outcome(

@@ -69,37 +69,6 @@ def test_bad_mode_rejected():
         BanditSteeringPolicy(seed=1).switch_mode("chaotic")
 
 
-def test_model_versioning_roundtrip():
-    policy = BanditSteeringPolicy(seed=3)
-    response = policy.rank(_context(), _actions())
-    policy.observe(response.event_id, 2.0)
-    version = policy.publish_version()
-    before = policy.learner.weights.tobytes()
-    response = policy.rank(_context(), _actions())
-    policy.observe(response.event_id, -5.0)
-    assert policy.learner.weights.tobytes() != before
-    policy.restore_version(version)
-    assert policy.learner.weights.tobytes() == before
-    with pytest.raises(PersonalizerError):
-        policy.restore_version(99)
-
-
-def test_restore_version_restores_full_snapshot():
-    """Rollback means the *whole* snapshot: the updates counter must travel
-    with the weights, or a restored model claims training it never kept."""
-    policy = BanditSteeringPolicy(seed=5)
-    response = policy.rank(_context(), _actions())
-    policy.observe(response.event_id, 1.5)
-    version = policy.publish_version()
-    updates_at_publish = policy.learner.updates
-    for _ in range(7):
-        response = policy.rank(_context(), _actions())
-        policy.observe(response.event_id, 0.2)
-    assert policy.learner.updates == updates_at_publish + 7
-    policy.restore_version(version)
-    assert policy.learner.updates == updates_at_publish
-
-
 def test_unrewarded_events_expire_with_default_reward():
     config = BanditConfig(activation_timeout_days=2, expired_event_reward=0.25)
     policy = BanditSteeringPolicy(config, seed=6)

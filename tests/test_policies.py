@@ -173,7 +173,7 @@ def test_default_policy_is_the_bandit():
     advisor, reports = _simulate(_tiny_config())
     assert isinstance(advisor.policy, BanditSteeringPolicy)
     assert advisor.policy.mode == "learned"
-    assert reports[-1].policy_version == len(advisor.policy.versions)
+    assert reports[-1].policy_version == advisor.policy.model_version
 
 
 def test_policy_telemetry_is_outside_the_fingerprint():
@@ -284,28 +284,6 @@ def test_bootstrap_event_log_matches_the_parent_capture():
         assert _blake(policy._rng.bit_generator.state) == "bf1a9080c39a5306b59738d8be8ba33b"
 
 
-def test_a_published_version_holds_only_its_non_zero_weights():
-    """A version costs the weights it holds, not the table: each snapshot
-    keeps exactly the slots whose bit pattern was non-zero at its publish,
-    at no more than 16 bytes a slot, and restores to the published bytes."""
-    with QOAdvisor(_tiny_config()) as advisor:
-        advisor.bootstrap(start_day=0, days=2)
-        policy = advisor.policy
-        published = {}
-        for day in range(2, 5):
-            version = advisor.run_day(day).policy_version
-            published[version] = policy.learner.weights.tobytes()
-    assert sorted(published) == [version.version for version in policy.versions] == [1, 2, 3]
-    for version in policy.versions:
-        snapshot, _ = version.state
-        non_zero = np.count_nonzero(np.frombuffer(published[version.version], np.uint64))
-        assert 0 < len(snapshot.indices) == len(snapshot.values) == non_zero
-        assert snapshot.indices.nbytes + snapshot.values.nbytes <= 16 * non_zero + 64
-    for version in (2, 1, 3):
-        policy.restore_version(version)
-        assert policy.learner.weights.tobytes() == published[version]
-
-
 def _make_policy(epsilon=0.1, mode="uniform_logging"):
     return BanditSteeringPolicy(BanditConfig(epsilon=epsilon), seed=4, mode=mode)
 
@@ -333,21 +311,11 @@ def test_skeleton_conformance():
             policy.observe(event_id, 1.0)
     with pytest.raises(PersonalizerError):
         policy.rank(_context(), [])
-    # publish/restore round-trips the model: the weights at the snapshot
-    # come back
+    # a publish counts one more version, and later ranks carry it
     policy.observe(second.event_id, 0.25)
     version = policy.publish_version()
     assert version == policy.model_version == 1
     assert policy.rank(_context(), actions).model_version == 1
-    at_publish = policy.learner.weights.tobytes()
-    for _ in range(20):
-        response = policy.rank(_context(), actions)
-        policy.observe(response.event_id, 2.0 - response.index)
-    policy.publish_version()
-    policy.restore_version(version)
-    assert policy.learner.weights.tobytes() == at_publish
-    with pytest.raises(PersonalizerError):
-        policy.restore_version(99)
     # modes and epsilon are validated at construction, modes at the switch
     policy.switch_mode("learned")
     assert policy.mode == "learned"
@@ -421,27 +389,5 @@ def test_server_stats_surface_the_active_policy():
         stats = server.stats()
         assert stats.policy_version == server.advisor.policy.model_version == 1
         assert "policy v1" in stats.render()
-    finally:
-        server.shutdown()
-
-
-def test_a_rollback_reports_the_version_it_made_active():
-    """After ``restore_version(v)`` model ``v`` scores, so every surface that
-    names the policy's version names ``v``; the next publish still counts on
-    from the newest."""
-    from repro.serving import QOAdvisorServer
-
-    server = QOAdvisorServer(config=_tiny_config())
-    try:
-        policy = server.advisor.policy
-        assert [policy.publish_version() for _ in range(3)] == [1, 2, 3]
-        policy.restore_version(1)
-        response = policy.rank(_context(), _actions())
-        policy.observe(response.event_id, 1.0)
-        stats = server.stats()
-        assert response.model_version == policy.model_version == 1
-        assert policy.telemetry()["version"] == stats.policy_version == 1
-        assert "policy v1" in stats.render()
-        assert policy.publish_version() == 4 == policy.model_version
     finally:
         server.shutdown()

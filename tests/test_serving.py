@@ -359,9 +359,6 @@ def test_idle_lane_skew_is_none_across_a_publication():
     assert stats.shards[idle_shard].last_hint_version is None
     assert stats.shards[idle_shard].hint_version_skew is None
     assert stats.shards[busy_shard].hint_version_skew == 1  # really behind
-    # a rollback must not drive the busy lane's skew negative
-    server.sis.rollback()
-    assert server.stats().shards[busy_shard].hint_version_skew == 0
     stats.render()  # the idle lane renders as "v-", no crash
     server.shutdown()
 

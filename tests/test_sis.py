@@ -80,18 +80,6 @@ def test_service_upload_replaces_active_set(registry):
     assert sis.current_version == 2
 
 
-def test_service_rollback(registry):
-    sis = SISService(registry)
-    flip = _valid_flip(registry)
-    sis.upload([HintEntry("A", flip)], day=1)
-    sis.upload([HintEntry("B", flip)], day=2)
-    sis.rollback()
-    assert sis.lookup("A") == flip
-    assert sis.lookup("B") is None
-    sis.rollback()
-    assert sis.active_hints() == {}
-
-
 def test_service_attach_wires_engine(registry, tiny_engine):
     sis = SISService(registry)
     sis.attach(tiny_engine)
