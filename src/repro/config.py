@@ -132,10 +132,9 @@ class CacheConfig:
     #: barriers in the same schedule-independent (epoch, key) order as plans
     fragment_capacity: int = 8192
     #: batch MQO: pre-explore a batch's distinct fragments (ranked by
-    #: frequency × subtree size) before the per-script compiles
-    #: fan out, and share physical winners between compiles whose cost
-    #: context matches.  Requires ``fragment_enabled``; observationally
-    #: transparent either way (fingerprints are byte-identical on/off)
+    #: frequency × subtree size) before the per-script compiles fan out.
+    #: Requires ``fragment_enabled``; observationally transparent either
+    #: way (fingerprints are byte-identical on/off)
     mqo_enabled: bool = True
 
 

@@ -22,9 +22,9 @@ Four pieces live here:
 * :class:`PlanCache` and :class:`FragmentCache` — the store plus one
   layer's counters: the memoized :class:`OptimizationResult` (or the
   deterministic compile error) per script hash × configuration bitvector,
-  and explored sub-plan closures with their physical winners.  A catalog
-  mutation is the only thing that clears them; a SIS publication changes
-  which key a hinted template's next compile resolves to, nothing else;
+  and explored logical sub-plan closures.  A catalog mutation is the only
+  thing that clears them; a SIS publication changes which key a hinted
+  template's next compile resolves to, nothing else;
 * :class:`CompilationService` — the layer pipeline stages talk to.  It
   resolves a job's rule configuration, consults the cache, and only falls
   through to parse/bind/optimize on a miss — unless the missed key is a
@@ -132,12 +132,12 @@ class CacheStats:
     #: fan-out (MQO pre-exploration); work telemetry like the fragment
     #: counters — the per-compile lookups these warm show as fragment_hits
     mqo_preexplored: int = 0
-    #: physical-winner lookups served from a fragment slot (the compile
-    #: replayed a recorded physical closure instead of re-running
-    #: implementation rules and costing)
+    #: always 0: a fragment hit replays the logical closure only, so there
+    #: is no physical-winner lookup to count.  Both fields, and their
+    #: ``repro_cache_winner_*_total`` views, stay only because the frozen
+    #: perf ledger's ``scope.cache.winner_hit_rate`` row reads them; they
+    #: go when that read does
     winner_hits: int = 0
-    #: physical-winner lookups that fell through (cold slot, different
-    #: implementation bits, or a different stats context)
     winner_misses: int = 0
 
     @property
@@ -269,9 +269,8 @@ class EpochStore:
 
     def peek(self, key: Hashable):
         """The resident value or ``None`` — no recency stamp, no counter:
-        the batch planner's skip probes, winner lookups and migration
-        exports leave accounting and eviction order as a run without them
-        would."""
+        the batch planner's skip probes and migration exports leave
+        accounting and eviction order as a run without them would."""
         return self._entries.get(key)
 
     def touch(self, key: Hashable):
@@ -390,17 +389,9 @@ class PlanCache(EpochStore):
 
 @dataclass
 class _FragmentSlot:
-    """One fragment entry and what rides with it.
-
-    ``winners`` holds the slot's physical-winner entries keyed by
-    ``(implementation-masked bits, stats digest)`` — the cost context a
-    recorded physical closure is valid under.  Winners ride their slot:
-    they are evicted, purged and migrated with the logical entry,
-    never on their own.
-    """
+    """One fragment entry and its demand-accounting flag."""
 
     entry: object
-    winners: dict = field(default_factory=dict)
     #: inserted by batch pre-exploration and not yet demanded by a compile.
     #: The first demand ``get`` of a prefetched slot counts as a *miss* —
     #: what the compile would have experienced without MQO — so the
@@ -454,59 +445,17 @@ class FragmentCache(EpochStore):
             self.stats.fragment_inserts += 1
         return inserted
 
-    # -- physical winners ------------------------------------------------------
-
-    def get_winner(self, key: FragmentKey, winner_key: tuple) -> object | None:
-        """Winner entry for ``winner_key`` inside slot ``key``, if any.
-
-        Counted in ``winner_hits``/``winner_misses`` — work telemetry with
-        the same caveats as the fragment counters (concurrent compiles may
-        both miss a context first touched in their overlap).  A missing
-        *slot* is a winner miss too: the logical entry was evicted or
-        never cached, so there is nothing to hang a winner on.
-        """
-        slot = self.peek(key)
-        winner = slot.winners.get(winner_key) if slot is not None else None
-        if winner is None:
-            self.stats.winner_misses += 1
-            return None
-        self.touch(key)
-        self.stats.winner_hits += 1
-        return winner
-
-    def put_winner(self, key: FragmentKey, winner_key: tuple, winner: object) -> bool:
-        """Attach a winner entry to a resident slot (first wins).
-
-        Dropped silently when the slot is gone — a winner without its
-        logical entry is unusable, and re-inserting the slot here would
-        resurrect content the eviction/purge schedule removed.
-        """
-        slot = self.peek(key)
-        if slot is None or winner_key in slot.winners:
-            return False
-        slot.winners[winner_key] = winner
-        return True
-
     # -- entry migration (failover hand-off) -----------------------------------
 
     def adopt(self, key: FragmentKey, shipped: _FragmentSlot) -> None:
-        """Insert a copy of a migrated slot, or merge into the resident one.
+        """Insert a copy of a migrated slot unless the key is resident.
 
-        The copy takes the winner map along, so a warmed destination shard
-        serves winner hits, not just logical-closure hits — and the source
-        keeps its own slot, which may still serve scripts that stay behind.
-        When the key is already resident the logical entry is dropped
-        (first wins, identical by construction) but the shipped winners
-        still merge in — two source shards may have materialized different
-        cost contexts for one fragment, and each winner entry is a pure
-        value for its key.
+        A copy, because the source keeps its own slot (it may still serve
+        scripts that stay behind) and a slot's ``prefetched`` flag is
+        per-store state.  A resident key wins: both entries are the same
+        pure value for it.
         """
-        slot = self.peek(key)
-        if slot is None:
-            super().put(key, replace(shipped, winners=dict(shipped.winners)))
-        else:
-            for winner_key, winner in shipped.winners.items():
-                slot.winners.setdefault(winner_key, winner)
+        super().put(key, replace(shipped), keep=True)
 
 
 class FragmentView:
@@ -515,16 +464,13 @@ class FragmentView:
     Binds the rule configuration (projected through the registry's
     category masks) and the catalog version into every key, and funnels
     access through the compilation service's lock — the optimizer only
-    ever sees ``get``/``put``/``get_winner``/``put_winner``/``key`` over
-    raw subtree digests.
+    ever sees ``get``/``put``/``key`` over raw subtree digests.
 
     Masking is what lets configurations that differ only in
     *implementation* bits (span probes of implementation rules, recompile
-    flips) share logical fragment entries: exploration only ever runs
-    enabled transformation rules, so the logical closure is a pure
-    function of the transformation projection.  Winner entries key on the
-    implementation projection (plus the stats digest) for the symmetric
-    reason.
+    flips) share fragment entries: exploration only ever runs enabled
+    transformation rules, so the logical closure is a pure function of
+    the transformation projection.
     """
 
     def __init__(
@@ -535,12 +481,10 @@ class FragmentView:
         lock: threading.RLock,
         *,
         trans_mask: int,
-        impl_mask: int,
         tracer=NULL_TRACER,
     ) -> None:
         self._cache = cache
         self._trans_bits = config.bits & trans_mask
-        self._impl_bits = config.bits & impl_mask
         self._size = config.size
         self._catalog_version = catalog_version
         self._lock = lock
@@ -567,18 +511,6 @@ class FragmentView:
         """Counter-free residency probe (the batch planner's skip check)."""
         with self._lock:
             return self._cache.peek(self.key(digest)) is not None
-
-    def get_winner(self, digest: bytes, stats_digest: bytes):
-        with self._lock:
-            return self._cache.get_winner(
-                self.key(digest), (self._impl_bits, stats_digest)
-            )
-
-    def put_winner(self, digest: bytes, stats_digest: bytes, winner: object) -> None:
-        with self._lock:
-            self._cache.put_winner(
-                self.key(digest), (self._impl_bits, stats_digest), winner
-            )
 
 
 @dataclass
@@ -617,8 +549,8 @@ class CompilationService:
         #: compiles get a view of it (the ablation knob for benchmarks)
         self.fragments = FragmentCache(self.config.fragment_capacity, self.stats)
         # rule-category projections of configuration bits: fragment keys use
-        # the transformation mask (implementation-only flips share logical
-        # entries), winner keys the implementation mask
+        # the transformation mask (implementation-only flips share entries),
+        # inert-flip inference the implementation mask
         self._trans_mask = engine.registry.transformation_mask
         self._impl_mask = engine.registry.implementation_mask
         # parse/bind memo, errors included (see :meth:`_compiled_script`):
@@ -734,7 +666,6 @@ class CompilationService:
                 self.engine.catalog.version,
                 self._lock,
                 trans_mask=self._trans_mask,
-                impl_mask=self._impl_mask,
                 tracer=self.tracer,
             )
 

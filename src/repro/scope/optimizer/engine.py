@@ -11,8 +11,6 @@ single-rule-flip search space interesting (paper §2.2, Table 3).
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,7 +20,7 @@ from repro.scope.data import DataModel
 from repro.scope.optimizer.cardinality import CardinalityModel, GroupStats
 from repro.scope.optimizer.cost import CostModel
 from repro.scope.optimizer.fragments import FragmentEntry, fragment_profile
-from repro.scope.optimizer.memo import Adoption, Group, GroupExpression, Memo, Winner
+from repro.scope.optimizer.memo import Group, GroupExpression, Memo, Winner
 from repro.scope.plan import logical
 from repro.scope.optimizer.rules.base import (
     RuleCategory,
@@ -87,12 +85,12 @@ class OptimizationResult:
     #: implementation bit, so that search holds this one's logical memo;
     #: a group is implementable without R when some build of a rule other
     #: than R succeeded on one of its logical expressions over implementable
-    #: child groups (a least fixpoint; a group whose physical closure was
-    #: replayed from a winner entry counts as implementable, and properties
-    #: are ignored — both can only clear a bit).  Computed only under the
-    #: registry's default configuration, the one reference
-    #: :meth:`~repro.scope.cache.CompilationService._inferred` reads; 0
-    #: (nothing proven) for every other compile
+    #: child groups (a least fixpoint; properties are ignored, which can
+    #: only clear a bit).  Like every mask here, a pure function of
+    #: (script, configuration), whatever the fragment store holds.
+    #: Computed only under the registry's default configuration, the one
+    #: reference :meth:`~repro.scope.cache.CompilationService._inferred`
+    #: reads; 0 (nothing proven) for every other compile
     fatal_mask: int = 0
     #: fragment-store keys this compile consulted (digest × config ×
     #: catalog version) — lets migration ship a script's fragments with it
@@ -105,26 +103,6 @@ class OptimizationResult:
     @property
     def signature_ids(self) -> frozenset[int]:
         return self.signature.rule_ids
-
-
-def _stats_digest(adoption: "Adoption") -> bytes:
-    """Digest of the adopted groups' statistics, in local-group order.
-
-    The cost context of a fragment: every float implementation + costing
-    consumes (local costs, exchange/sort enforcer costs, child
-    cardinalities) is a pure function of these ``GroupStats`` and the
-    cost model's constants, so two compiles with equal digests — and equal
-    implementation-rule bits — produce bitwise-identical physical closures
-    and winner costs.  Exact bit patterns are hashed, not rounded values:
-    winner reuse must never bridge two *almost* equal cost contexts.
-    """
-    hasher = hashlib.blake2b(digest_size=16)
-    for group in adoption.groups:
-        stats = group.stats
-        hasher.update(
-            struct.pack("<ddq", stats.true_rows, stats.est_rows, stats.row_width)
-        )
-    return hasher.digest()
 
 
 def _substitute_handles(
@@ -184,32 +162,31 @@ def _fatal(builds: dict, root_id: int, candidates: int) -> int:
     """Bitmask of the ``candidates`` rules without which group ``root_id``
     is not implementable.
 
-    ``builds`` maps every group the implementation phase ran on to the
-    ``(rule id, child group ids)`` of each successful build there; a group
-    absent from it was replayed from a winner entry and counts as
-    implementable.  Per rule R this is a least fixpoint — a group becomes
-    implementable without R once a build of a rule other than R has only
-    such children — computed for every candidate at once: ``needs[g]``
-    holds the rules ``g`` cannot do without, starts at every candidate
-    (nothing proven implementable) and shrinks to the intersection, over
-    ``g``'s builds, of the build's rule and its children's needs.
+    ``builds`` maps every group of the memo to the ``(rule id, child group
+    ids)`` of each successful build there.  Per rule R this is a least
+    fixpoint — a group becomes implementable without R once a build of a
+    rule other than R has only such children — computed for every
+    candidate at once: ``needs[g]`` holds the rules ``g`` cannot do
+    without, starts at every candidate (nothing proven implementable) and
+    shrinks to the intersection, over ``g``'s builds, of the build's rule
+    and its children's needs.
     """
     needs = dict.fromkeys(builds, candidates)
     changed = True
     # needs only shrink: once the root's are empty, nothing is fatal
-    while changed and needs.get(root_id, 0):
+    while changed and needs[root_id]:
         changed = False
         for gid, made in builds.items():
             need = candidates
             for rule_id, children in made:
                 without = 1 << rule_id
                 for child in children:
-                    without |= needs.get(child, 0)
+                    without |= needs[child]
                 need &= without
             if need != needs[gid]:
                 needs[gid] = need
                 changed = True
-    return needs.get(root_id, 0)
+    return needs[root_id]
 
 
 class Optimizer:
@@ -280,7 +257,6 @@ class Optimizer:
         fragment_keys: list = []
         handles: dict[int, logical.LogicalOp] = {}
         op_classes: set[type] = set()
-        adoptions: list[tuple[bytes, Adoption]] = []
         sites = fragment_profile(compiled, root)
         if sites:
             for site in sites:
@@ -299,10 +275,7 @@ class Optimizer:
                 inert &= self._inert_transformations(
                     entry.silent_mask, entry.applications, entry.popped
                 )
-                adoption = memo.adopt_entry(entry)
-                handles[id(site.node)] = memo.handle(adoption.root)
-                if fragments is not None and adoption.clean:
-                    adoptions.append((site.digest, adoption))
+                handles[id(site.node)] = memo.handle(memo.adopt_entry(entry))
             root = _substitute_handles(root, handles, {})
 
         root_group = memo.insert_tree(root)
@@ -322,22 +295,6 @@ class Optimizer:
             lambda rule, expr: rule.build(expr.op) is not None,
         )
 
-        # physical-winner reuse: a cleanly adopted fragment whose cost
-        # context (implementation bits × group stats) matches a stored
-        # winner entry replays the recorded physical closure — the
-        # implementation phase then skips those groups.  Misses export
-        # their closure after a successful compile.  Replay and recompute
-        # are bitwise-identical by construction, so this stays inside the
-        # fingerprint contract.
-        pending: list[tuple[bytes, bytes, Adoption]] = []
-        for digest, adoption in adoptions:
-            stats_digest = _stats_digest(adoption)
-            wentry = fragments.get_winner(digest, stats_digest)
-            if wentry is not None:
-                memo.adopt_winners(adoption, wentry)
-            else:
-                pending.append((digest, stats_digest, adoption))
-
         # only a default-configuration result is ever read for fatal_mask
         default = self.config == self.registry.default_configuration()
         builds: dict | None = {} if default else None
@@ -349,10 +306,6 @@ class Optimizer:
             raise OptimizationError(NO_PHYSICAL_PLAN)
         cache: dict[tuple[int, PhysProps], PhysicalPlanNode] = {}
         plan = self._extract(memo, root_group, required, signature_ids, cache)
-        for digest, stats_digest, adoption in pending:
-            wentry = memo.export_winners(adoption)
-            if wentry is not None:
-                fragments.put_winner(digest, stats_digest, wentry)
         fatal = 0
         if builds is not None:
             candidates = 0
@@ -450,7 +403,9 @@ class Optimizer:
         A *tried* (rule, expression) pair is one application whether or not
         the rule's ``root`` matches the expression: that count is what
         ``SearchBudget.max_transformations`` bounds and what
-        ``CacheStats.rule_applications`` reports.
+        ``CacheStats.rule_applications`` reports.  A logical expression
+        enters the worklist once, when the memo journals its creation, so
+        no pair is tried twice.
         """
         worklist: deque[GroupExpression] = deque()
         memo.drain_journal(worklist)
@@ -458,14 +413,8 @@ class Optimizer:
         popped = 0
         while worklist and applications < self.budget.max_transformations:
             expr = worklist.popleft()
-            if not expr.is_logical:
-                continue
             popped += 1
             for rule in self._transformations:
-                bit = 1 << rule.rule_id
-                if expr.fired & bit:
-                    continue
-                expr.fired |= bit
                 applications += 1
                 if isinstance(expr.op, rule.root):
                     trees = rule.apply(expr, memo)
@@ -511,16 +460,11 @@ class Optimizer:
         return 0
 
     def _implement(self, memo: Memo, builds: dict | None = None) -> None:
-        """Run the enabled implementation rules on every group not yet
-        implemented.  ``builds``, when given, receives each such group's
-        successful builds as ``(rule id, child group ids)`` — those
-        ``add_physical`` dedups away included (see :func:`_fatal`)."""
+        """Run the enabled implementation rules on every group.
+        ``builds``, when given, receives each group's successful builds as
+        ``(rule id, child group ids)`` — those ``add_physical`` dedups away
+        included (see :func:`_fatal`)."""
         for group in memo.groups:
-            if group.implemented:
-                # a replayed winner entry already carries this group's full
-                # physical closure (see Memo.adopt_winners) — re-running
-                # implementation rules would only re-intern every expression
-                continue
             made = None
             if builds is not None:
                 builds[group.group_id] = made = []
@@ -534,7 +478,6 @@ class Optimizer:
                             )
                             if made is not None:
                                 made.append((rule.rule_id, expr.child_ids))
-            group.implemented = True
 
     # -- cost-based selection --------------------------------------------------
 

@@ -20,6 +20,8 @@ fresh memo's interning (:meth:`~repro.scope.optimizer.memo.Memo.adopt_entry`),
 which re-derives group statistics with the adopting compile's cardinality
 model — entries carry structure and provenance only, never stats, so one
 entry is safely shared between scripts whose column-origin maps differ.
+An entry is the logical closure alone: implementation rules and costing
+run on every group of every compile, adopted or not.
 
 Determinism: exploring a fragment in an isolated memo is a pure function
 of (subtree, rule configuration, catalog version).  Both the cache-hit and
@@ -37,7 +39,6 @@ from repro.scope.plan import logical
 
 __all__ = [
     "FragmentEntry",
-    "WinnerEntry",
     "FragmentSite",
     "fragment_roots",
     "fragment_digests",
@@ -74,33 +75,6 @@ class FragmentEntry:
     #: (see ``OptimizationResult.inert_mask``).  Like the closure, a pure
     #: function of the key
     silent_mask: int
-
-
-@dataclass(frozen=True)
-class WinnerEntry:
-    """The portable *physical* closure of one fragment exploration.
-
-    Where :class:`FragmentEntry` carries the logical search space, a winner
-    entry carries what implementation + costing made of it: every physical
-    expression of the fragment's groups (in creation order, group ids local
-    to the fragment) and every materialized ``(group, required-props)``
-    winner, with the winning expression referenced by its index into
-    ``phys_exprs``.  Valid only under the exact cost context it was
-    exported from, so the store keys it by ``(implementation-masked bits,
-    stats digest)`` *inside* the owning fragment slot — a compile whose
-    context matches replays the closure instead of re-running
-    implementation rules and re-costing; one whose context differs falls
-    back to the normal path.  Costs are recorded floats, but they are
-    bitwise-reproducible: the digest pins the exact ``GroupStats`` inputs
-    and the cost model is pure arithmetic over them.
-    """
-
-    #: ``(local_gid, physical op, child local gids, provenance)`` per expr
-    phys_exprs: tuple
-    #: ``(local_gid, required props, winner expr index | None, cost,
-    #: enforcers, delivered props, child props)`` per materialized winner —
-    #: ``None`` index records a proven "no plan under these props"
-    winners: tuple
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ their group by ``group_id`` and are resolved through ``memo.groups``; only
 the ``Memo`` points at ``Group`` objects and only groups point at
 expressions and winners.  So a compile's search state is freed by
 reference count the moment the search returns, and nothing exported from
-it (plans, fragment entries, winner entries — they share operators and
-provenance sets only) can reach a ``Group``, ``GroupExpression``,
-``Winner`` or ``Memo``.  ``tests/scope/test_memo_lifecycle.py`` holds this
-with the cycle collector off.
+it (plans and fragment entries — they share operators and provenance sets
+only) can reach a ``Group``, ``GroupExpression``, ``Winner`` or ``Memo``.
+``tests/scope/test_memo_lifecycle.py`` holds this with the cycle collector
+off.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.scope.plan.physical import PhysicalOp
 from repro.scope.plan.properties import PhysProps
 from repro.scope.types import Schema
 
-__all__ = ["GroupHandle", "Group", "GroupExpression", "Winner", "Adoption", "Memo"]
+__all__ = ["GroupHandle", "Group", "GroupExpression", "Winner", "Memo"]
 
 
 class GroupHandle(logical.LogicalOp):
@@ -70,10 +70,6 @@ class GroupExpression:
     provenance: frozenset[int]
     is_logical: bool
 
-    #: bitmask of transformation rule ids already fired on this expression
-    #: (engine state)
-    fired: int = 0
-
     def key(self) -> tuple[str, tuple[int, ...]]:
         return (self.op.local_key(), self.child_ids)
 
@@ -104,33 +100,12 @@ class Group:
         self.logical_exprs: list[GroupExpression] = []
         self.physical_exprs: list[GroupExpression] = []
         self.winners: dict[PhysProps, Winner | None] = {}
-        self.implemented = False
 
     def __repr__(self) -> str:
         return (
             f"<Group {self.group_id} L={len(self.logical_exprs)} "
             f"P={len(self.physical_exprs)} rows~{self.stats.est_rows:.0f}>"
         )
-
-
-@dataclass
-class Adoption:
-    """The outcome of replaying one fragment entry into a memo.
-
-    ``by_local`` maps the entry's local group ids onto this memo's groups;
-    ``groups`` lists them in local-id order.  ``clean`` records whether the
-    replay created every group fresh — no structural-interning collision
-    with resident content, no per-group budget drop — which is the
-    precondition for physical-winner export/replay: only then is the
-    adopted groups' logical closure exactly the entry's, so a recorded
-    physical closure keyed on (implementation bits, stats digest) is
-    guaranteed to match what implementation + costing would rebuild.
-    """
-
-    root: "Group"
-    groups: tuple["Group", ...]
-    by_local: dict[int, "Group"]
-    clean: bool
 
 
 class Memo:
@@ -277,8 +252,8 @@ class Memo:
             silent_mask=silent_mask,
         )
 
-    def adopt_entry(self, entry) -> Adoption:
-        """Replay a fragment entry into this memo; return the adoption.
+    def adopt_entry(self, entry) -> Group:
+        """Replay a fragment entry into this memo; return its root group.
 
         Replay runs each recorded expression through the same structural
         interning as :meth:`insert_tree`, in the entry's creation order:
@@ -295,7 +270,6 @@ class Memo:
         makes the cache-hit and cache-miss paths byte-identical.
         """
         gmap: dict[int, Group] = {}
-        clean = True
         for local_gid, op, child_local_ids, provenance in entry.exprs:
             child_groups = [gmap[cid] for cid in child_local_ids]
             child_ids = tuple(g.group_id for g in child_groups)
@@ -303,7 +277,6 @@ class Memo:
             existing = self._intern.get(key)
             if existing is not None:
                 gmap.setdefault(local_gid, self.groups[existing.group_id])
-                clean = False
                 continue
             group = gmap.get(local_gid)
             if group is None:
@@ -312,7 +285,6 @@ class Memo:
                 gmap[local_gid] = group
             elif len(group.logical_exprs) >= self.max_exprs_per_group:
                 self.dropped_exprs += 1
-                clean = False
                 continue
             expr = GroupExpression(
                 op=op,
@@ -324,98 +296,7 @@ class Memo:
             group.logical_exprs.append(expr)
             self._intern[key] = expr
             self.created.append(expr)
-        return Adoption(
-            root=gmap[entry.root_gid],
-            groups=tuple(gmap[gid] for gid in sorted(gmap)),
-            by_local=gmap,
-            clean=clean,
-        )
-
-    def export_winners(self, adoption: Adoption):
-        """Snapshot a clean adoption's physical closure as a WinnerEntry.
-
-        Call after implementation and costing: records every physical
-        expression of the adopted groups (creation order, child ids mapped
-        back to entry-local ids) plus every materialized winner, including
-        proven "no plan" entries.  Returns ``None`` when any physical
-        expression references a group outside the fragment — such a
-        closure is not portable.  Winners whose required props the owning
-        compile never asked for are simply absent; a replaying compile
-        recomputes them on demand from the replayed expressions, which is
-        the identical arithmetic.
-        """
-        from repro.scope.optimizer.fragments import WinnerEntry
-
-        reverse = {group.group_id: lgid for lgid, group in adoption.by_local.items()}
-        phys: list = []
-        index: dict[int, int] = {}
-        for lgid, group in zip(sorted(adoption.by_local), adoption.groups):
-            for expr in group.physical_exprs:
-                child_lgids = []
-                for cid in expr.child_ids:
-                    local = reverse.get(cid)
-                    if local is None:
-                        return None
-                    child_lgids.append(local)
-                index[id(expr)] = len(phys)
-                phys.append((lgid, expr.op, tuple(child_lgids), expr.provenance))
-        winners: list = []
-        for lgid, group in zip(sorted(adoption.by_local), adoption.groups):
-            for props, winner in group.winners.items():
-                if winner is None:
-                    winners.append((lgid, props, None, 0.0, (), None, ()))
-                    continue
-                winners.append(
-                    (
-                        lgid,
-                        props,
-                        index[id(winner.expr)],
-                        winner.cost,
-                        winner.enforcers,
-                        winner.delivered,
-                        winner.child_props,
-                    )
-                )
-        return WinnerEntry(phys_exprs=tuple(phys), winners=tuple(winners))
-
-    def adopt_winners(self, adoption: Adoption, wentry) -> None:
-        """Replay a WinnerEntry onto a clean adoption's groups.
-
-        Adds every recorded physical expression (same dedup as
-        :meth:`add_physical`), presets the recorded winners (first-wins —
-        a pair the compile somehow already materialized is left alone) and
-        marks the groups implemented so the implementation phase skips
-        them.  Replayed costs are the floats the exporting compile
-        computed from bit-identical ``GroupStats``, so a replay is
-        observationally indistinguishable from re-running implementation
-        rules and costing — which is what keeps winner sharing inside the
-        fingerprint contract.
-        """
-        exprs = [
-            self.add_physical(
-                adoption.by_local[lgid],
-                op,
-                tuple(adoption.by_local[c].group_id for c in child_lgids),
-                provenance,
-            )
-            for lgid, op, child_lgids, provenance in wentry.phys_exprs
-        ]
-        for lgid, props, expr_index, cost, enforcers, delivered, child_props in wentry.winners:
-            group = adoption.by_local[lgid]
-            if props in group.winners:
-                continue
-            if expr_index is None:
-                group.winners[props] = None
-            else:
-                group.winners[props] = Winner(
-                    expr=exprs[expr_index],
-                    cost=cost,
-                    enforcers=enforcers,
-                    delivered=delivered,
-                    child_props=child_props,
-                )
-        for group in adoption.groups:
-            group.implemented = True
+        return gmap[entry.root_gid]
 
     # -- internals -----------------------------------------------------------
 

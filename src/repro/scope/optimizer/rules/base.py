@@ -167,9 +167,9 @@ class RuleRegistry:
         #: on this projection so implementation-only flips (span probes,
         #: recompiles) share logical entries with the default configuration.
         self.transformation_mask = 0
-        #: bitmask of implementation-rule ids (the physical-winner analogue:
-        #: equal projections mean identical implementation rule sets, hence
-        #: identical physical alternatives)
+        #: bitmask of implementation-rule ids (equal projections mean
+        #: identical implementation rule sets, hence identical physical
+        #: alternatives)
         self.implementation_mask = 0
         #: operator class → bitmask of the transformation / implementation
         #: rule ids that declare it as their ``root``

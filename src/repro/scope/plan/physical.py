@@ -56,7 +56,7 @@ class PhysicalOp(KeyedOp):
         properties) pair."""
         reqs = self._child_reqs
         if reqs is None:
-            reqs = self._child_reqs = self._child_requirements()  # qa: unlocked-ok pure-function memo; ops are shared across pool threads through fragment and winner entries and a racing recompute writes an equal value
+            reqs = self._child_reqs = self._child_requirements()  # qa: unlocked-ok pure-function memo; a plan's ops reach other pool threads through the plan cache and a racing recompute writes an equal value
         return reqs
 
     def _child_requirements(self) -> tuple[PhysProps, ...]:

@@ -39,8 +39,7 @@ LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued")
 #: The :class:`~repro.scope.cache.CacheStats` fields a lane's snapshot
 #: copies from its compilation service (same names on both sides).
 CACHE_FIELDS = (
-    "fragment_hits", "fragment_misses", "fragment_inserts",
-    "winner_hits", "winner_misses", "mqo_preexplored",
+    "fragment_hits", "fragment_misses", "fragment_inserts", "mqo_preexplored",
 )
 
 
@@ -161,16 +160,9 @@ class ShardStats:
     fragment_hits: int = 0
     fragment_misses: int = 0
     fragment_inserts: int = 0
-    #: physical-winner reuse and batch-MQO pre-exploration counters of the
-    #: lane's compilation service — work telemetry like the fragment trio
-    winner_hits: int = 0
-    winner_misses: int = 0
+    #: batch-MQO pre-exploration counter of the lane's compilation
+    #: service — work telemetry like the fragment trio
     mqo_preexplored: int = 0
-
-    @property
-    def winner_hit_rate(self) -> float:
-        lookups = self.winner_hits + self.winner_misses
-        return self.winner_hits / lookups if lookups else 0.0
 
     @property
     def fragment_hit_rate(self) -> float:
@@ -269,7 +261,6 @@ class ServerStats:
                 f"{shard.requeued} requeued, "
                 f"steer {shard.steer_rate:.0%}, "
                 f"fragments {shard.fragment_hit_rate:.0%} hit, "
-                f"winners {shard.winner_hit_rate:.0%} hit, "
                 f"{latency}, hints {version}"
             )
         return "\n".join(lines)

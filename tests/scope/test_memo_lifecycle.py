@@ -3,11 +3,10 @@
 The memo is a DAG of ids (``scope/optimizer/memo.py``): expressions and
 group handles name groups by id, so a ``Memo`` is freed by reference count
 when the search returns, and nothing that outlives a compile — a cached
-plan, a fragment entry, a winner entry, a memoized error, a ``DayReport`` —
-can reach a ``Memo``, ``Group``, ``GroupExpression`` or ``Winner``.  These
-tests hold that with the cycle collector switched off, and check that the
-id-based adopt/replay paths stay observationally identical to a fresh
-search.
+plan, a fragment entry, a memoized error, a ``DayReport`` — can reach a
+``Memo``, ``Group``, ``GroupExpression`` or ``Winner``.  These tests hold
+that with the cycle collector switched off, and check that the id-based
+adopt path stays observationally identical to a fresh search.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.scope.engine import ScopeEngine
 from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.cardinality import CardinalityModel
 from repro.scope.optimizer.engine import OptimizationResult, Optimizer
-from repro.scope.optimizer.fragments import FragmentEntry, WinnerEntry
+from repro.scope.optimizer.fragments import FragmentEntry
 from repro.scope.optimizer.memo import Group, GroupExpression, GroupHandle, Memo, Winner
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.scope.plan.properties import Distribution, DistributionKind, PhysProps
@@ -186,16 +185,12 @@ def test_no_cached_artifact_reaches_search_state(workload, scripts, failing_scri
         service.compile_script(failing_script, configs["failing"])
     assert len(service.cache._entries) == 37
     slots = list(service.fragments._entries.values())
-    assert slots and any(slot.winners for slot in slots)
-    assert all(isinstance(slot.entry, FragmentEntry) for slot in slots)
-    assert all(
-        isinstance(wentry, WinnerEntry) for slot in slots for wentry in slot.winners.values()
-    )
+    assert slots and all(isinstance(slot.entry, FragmentEntry) for slot in slots)
     reached = _reachable([service.cache._entries, service.fragments._entries, service._scripts])
     assert not _search_state_in(reached)
     assert any(isinstance(obj, GroupHandle) for obj in reached)  # handles are shared, as ids
     for obj in reached:
-        if isinstance(obj, (GroupHandle, FragmentEntry, WinnerEntry)):
+        if isinstance(obj, (GroupHandle, FragmentEntry)):
             assert not _search_state_in(vars(obj).values())
     assert "memo" not in {field.name for field in dataclasses.fields(OptimizationResult)}
     assert "group" not in GroupExpression.__slots__ and "group_id" in GroupExpression.__slots__
@@ -249,7 +244,7 @@ def test_memoized_errors_carry_no_traceback_after_repeated_hits(workload, failin
     assert isinstance(service.compile_entry(failing_script, failing), ScopeError)
 
 
-# -- (iii) id-based adopt/replay is observationally a fresh search --------------
+# -- (iii) id-based adoption is observationally a fresh search ------------------
 
 
 def _replayed_applications(service, keys, resident_before) -> int:
@@ -274,7 +269,7 @@ def test_cached_compiles_equal_fresh_searches(workload, scripts):
     warm = _engine(workload, replaying)
     assert len(scripts) == 30
     cold_configs, warm_configs = _configs(cold), _configs(warm)
-    # batch first: pre-exploration, then fragment + winner replay
+    # batch first: pre-exploration, then fragment replay
     warm.compilation.compile_many(
         [
             CompileRequest(JobInstance(f"j{i}", f"t{i}", "batch", script, day=0))
@@ -297,9 +292,7 @@ def test_cached_compiles_equal_fresh_searches(workload, scripts):
                 (warm.compilation.shards[0], warm_configs[name]),
             ):
                 resident = set(service.fragments._entries)
-                before = service.stats.snapshot()
                 cached = service.compile_script(script, config)
-                replays += (service.stats - before).winner_hits
                 assert cached.plan.pretty() == fresh.plan.pretty()
                 assert cached.est_cost == fresh.est_cost
                 assert cached.signature == fresh.signature
@@ -308,7 +301,7 @@ def test_cached_compiles_equal_fresh_searches(workload, scripts):
                 replays += saved
                 keys.append(cached.fragment_keys)
             assert keys[0] == keys[1]
-    assert replays > 0 and warm.compilation.stats.winner_hits > 0
+    assert replays > 0
 
 
 def test_one_fragment_entry_adopts_cleanly_into_two_memos(workload, scripts):
@@ -317,18 +310,21 @@ def test_one_fragment_entry_adopts_cleanly_into_two_memos(workload, scripts):
     for script in scripts[:10]:
         service.compile_script(script, engine.default_config)
     slot = max(service.fragments._entries.values(), key=lambda s: len(s.entry.exprs))
-    entry, (wentry, *_) = slot.entry, slot.winners.values()
+    entry = slot.entry
     optimizer = Optimizer(engine.registry, engine.default_config, engine.data_model)
     memos = []
     for padding in (0, 3):
         memo = Memo(CardinalityModel(engine.data_model, engine.catalog, {}))
         for _ in range(padding):  # shift the ids the entry's groups land on
             memo._new_group(entry.exprs[0][1].schema, None)
-        adoption = memo.adopt_entry(entry)
-        assert adoption.clean and adoption.root.group_id == padding + entry.root_gid
-        memo.adopt_winners(adoption, wentry)
+        root = memo.adopt_entry(entry)
+        # clean: every local group landed fresh, nothing folded or dropped
+        assert len(memo.groups) == padding + entry.group_count
+        assert memo.dropped_exprs == 0
+        assert root.group_id == padding + entry.root_gid
+        optimizer._implement(memo)
         memo.validate()
-        assert optimizer._best(memo, adoption.root, PhysProps.any()) is not None
+        assert optimizer._best(memo, root, PhysProps.any()) is not None
         memos.append(memo)
     first, second = memos
     assert len(second.groups) == len(first.groups) + 3

@@ -224,6 +224,60 @@ def test_fingerprint_identical_with_fragments_on_off_and_any_topology():
         advisor.close()
 
 
+def _outcome(result) -> tuple:
+    """Everything a compile answers, as one comparable value."""
+    if isinstance(result, Exception):
+        return (type(result).__name__, str(result))
+    return (
+        result.plan.pretty(),
+        result.est_cost,
+        result.signature,
+        result.bindable_mask,
+        result.inert_mask,
+        result.fatal_mask,
+    )
+
+
+def test_warm_cold_and_disabled_stores_compile_identically():
+    """A fragment hit replays the logical closure only: implementation and
+    costing run on every group of every compile, so each mask of a result
+    is a function of (script, configuration), whatever the store holds.
+    Every script of a shared-subtree day, under its default configuration
+    and one single flip, compiles three ways — through a store its
+    pool-mates warmed, through a cold store, and with the store off."""
+
+    def service(**cache):
+        # the plan cache is off: every compile below is a real search
+        config = _pool_config(enabled=False, **cache)
+        engine = ScopeEngine(workload.catalog, config, workload.registry)
+        return engine.compilation.shards[0]
+
+    workload = build_workload(_pool_config())
+    warm, off = service(), service(fragment_enabled=False)
+    default = warm.engine.default_config
+    flippable = workload.registry.flippable_ids
+    units = []
+    for index, script in enumerate(sorted({j.script for j in workload.jobs_for_day(0)})):
+        # a different rule per script, strided across the registry
+        rule_id = flippable[index * 7 % len(flippable)]
+        flip = RuleFlip(rule_id, turn_on=not default.is_enabled(rule_id)).apply_to(default)
+        units += [(script, default), (script, flip)]
+    # the first pass warms the store as it goes: pool-mates later in the
+    # day hit what earlier ones explored
+    first = [_outcome(warm.compile_entry(*unit)) for unit in units]
+    assert warm.stats.fragment_hits > 0
+    before = warm.stats.snapshot()
+    for unit, warmed in zip(units, first):
+        assert _outcome(warm.compile_entry(*unit)) == warmed, unit
+        assert _outcome(service().compile_entry(*unit)) == warmed, unit
+        assert _outcome(off.compile_entry(*unit)) == warmed, unit
+    # the second pass ran on a fully warm store, and nothing looked for a winner
+    delta = warm.stats - before
+    assert delta.fragment_hits > 0 and delta.fragment_misses == 0
+    assert (warm.stats.winner_hits, warm.stats.winner_misses) == (0, 0)
+    assert off.stats.fragment_lookups == 0
+
+
 def test_multi_day_fingerprints_survive_the_fragment_ablation():
     on = QOAdvisor(_pool_config(seed=77, workers=4, fragment_enabled=True))
     off = QOAdvisor(_pool_config(seed=77, workers=1, fragment_enabled=False))
@@ -362,7 +416,7 @@ def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     assert delta.fragment_misses == 0
 
     # a destination whose own entries the catalog bump purges on arrival
-    # adopts the same payload and serves winner hits from it
+    # adopts the same payload and serves fragment hits from it
     adopted, rejected = bumped.import_script_state(plans_a, parsed_a, frags_a)
     assert adopted == len(plans_a) and not rejected
     assert bumped.stats.invalidations == 1
@@ -371,4 +425,3 @@ def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
     bumped.compile_script(_script("c"), default)
     delta = bumped.stats - before
     assert (delta.fragment_hits, delta.fragment_misses) == (len(frags_a), 0)
-    assert delta.winner_hits > 0 and delta.winner_misses == 0

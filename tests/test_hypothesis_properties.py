@@ -208,32 +208,23 @@ def test_epoch_store_matches_model_in_any_schedule(epochs, capacity, data):
                     target.put(key, (epoch, key))
                 else:
                     getattr(target, kind)(key)
-        # the fragment cache under the same ops: a demand lookup inserts on a
-        # miss and records a winner; a winner lookup stamps only a resident slot
+        # the fragment cache under the same ops: a compile's lookup inserts
+        # on a miss; a bare demand lookup stamps only a resident slot
         for kind, key in ops:
             if kind == "put":
                 if fragments.get(key) is None:
                     fragments.put(key, "entry")
-                fragments.put_winner(key, "ctx", "winner")
             elif kind == "touch":
-                fragments.get_winner(key, "ctx")
+                fragments.get(key)
             else:
                 fragments.peek(key)
-        before = set(stamps) | {key for kind, key in ops if kind == "put"}
         evicted = _model_checkpoint(stamps, epoch, ops, capacity)
         for target in (store, shuffled, fragments):
             assert target.checkpoint() == evicted
             assert set(target._entries) == set(target._stamps) == set(stamps)
             assert len(target) <= capacity
-        for key in before - set(stamps):  # winners go with their slot
-            assert not fragments.put_winner(key, "ctx", "late")
-        assert all(slot.winners == {"ctx": "winner"} for slot in fragments._entries.values())
     assert fragments.clear() == len(stamps)
     assert len(fragments) == 0
-    for key in stamps:  # a cleared slot comes back without its winners
-        assert fragments.get_winner(key, "ctx") is None
-        fragments.put(key, "entry")
-        assert fragments.peek(key).winners == {}
 
 
 _JOBS = [

@@ -1,13 +1,11 @@
-"""Batch MQO: pre-exploration, physical-winner reuse, determinism.
+"""Batch MQO: pre-exploration and determinism.
 
 The contract under test: the :class:`~repro.scope.optimizer.mqo.BatchPlanner`
-and the physical-winner store are observationally transparent.  A batch
-whose fragments were pre-explored compiles to byte-identical results,
-day fingerprints and schedule-independent cache accounting as one that
-explored everything lazily — on any worker or shard count — while the
-work telemetry shows the sharing: pre-explored fragments serve the whole
-batch, and pool-mate compiles with a matching cost context adopt recorded
-physical winners instead of re-running implementation rules.
+is observationally transparent.  A batch whose fragments were pre-explored
+compiles to byte-identical results, day fingerprints and
+schedule-independent cache accounting as one that explored everything
+lazily — on any worker or shard count — while the work telemetry shows
+the sharing: pre-explored fragments serve the whole batch.
 """
 
 from __future__ import annotations
@@ -94,19 +92,16 @@ def test_implementation_flip_shares_fragments_transformation_flip_splits(
 ):
     first = _delta(fresh_engine, _script("a"))
     assert first.fragment_inserts > 0
-    assert first.winner_misses > 0 and first.winner_hits == 0
 
     impl_rule = fresh_engine.registry.by_name("MergeJoinImpl")
     impl_flip = RuleFlip(impl_rule.rule_id, turn_on=False).apply_to(
         fresh_engine.default_config
     )
     shared = _delta(fresh_engine, _script("a"), impl_flip)
-    # implementation bits are masked out of the logical fragment key: the
-    # span probe reuses the exploration closure wholesale...
+    # implementation bits are masked out of the fragment key: the span
+    # probe reuses the exploration closure wholesale
     assert shared.fragment_hits == first.fragment_inserts
     assert shared.fragment_misses == 0
-    # ...but its cost context differs, so no recorded winner applies
-    assert shared.winner_hits == 0 and shared.winner_misses > 0
 
     trans_rule = fresh_engine.registry.by_name("JoinCommute")
     trans_flip = RuleFlip(trans_rule.rule_id, turn_on=False).apply_to(
@@ -116,47 +111,6 @@ def test_implementation_flip_shares_fragments_transformation_flip_splits(
     # a transformation flip changes what exploration may derive: new keys
     assert split.fragment_hits == 0
     assert split.fragment_misses > 0
-
-
-# -- physical winners -----------------------------------------------------------
-
-
-def test_pool_mate_compile_adopts_the_recorded_winner(fresh_engine, small_catalog):
-    first = _delta(fresh_engine, _script("a"))
-    assert first.winner_misses > 0
-    second = _delta(fresh_engine, _script("b"))
-    # same join block, same configuration, same catalog stats: the costed
-    # physical closure replays instead of re-running implementation rules
-    assert second.winner_hits > 0
-    assert second.winner_misses == 0
-
-    # transparency: the replayed winner produces the same plan a cold
-    # engine derives from scratch
-    cold = ScopeEngine(small_catalog.clone(), SimulationConfig(seed=101))
-    warm_result = fresh_engine.compilation.shards[0].compile_script(
-        _script("c"), fresh_engine.default_config
-    )
-    cold_result = cold.compilation.shards[0].compile_script(
-        _script("c"), cold.default_config
-    )
-    assert warm_result.est_cost == cold_result.est_cost
-    assert warm_result.signature.rule_ids == cold_result.signature.rule_ids
-
-
-def test_winner_store_unit_semantics():
-    cache = FragmentCache(capacity=4)
-    cache.put(("frag",), "entry")
-    assert cache.get_winner(("frag",), ("ctx",)) is None
-    assert cache.stats.winner_misses == 1
-    assert cache.put_winner(("frag",), ("ctx",), "closure")
-    assert not cache.put_winner(("frag",), ("ctx",), "other")  # first wins
-    assert cache.get_winner(("frag",), ("ctx",)) == "closure"
-    assert cache.stats.winner_hits == 1
-    # a winner without its logical slot is unusable: lookups on a missing
-    # slot miss, and late put_winner calls are dropped, not resurrected
-    assert cache.get_winner(("gone",), ("ctx",)) is None
-    assert not cache.put_winner(("gone",), ("ctx",), "closure")
-    assert ("gone",) not in cache._entries
 
 
 def test_prefetched_slot_counts_its_first_demand_as_a_miss():
@@ -309,63 +263,15 @@ def test_prefetched_eviction_before_first_demand_counts_cleanly():
     # later compile misses outright and re-explores, same as no MQO
     assert cache.get(victim) is None
     assert cache.stats.fragment_misses == 1
-    # winners recorded against the evicted slot are dropped silently
-    assert not cache.put_winner(victim, ("ctx",), "closure")
-
-
-# -- migration carries winners --------------------------------------------------
-
-
-def test_script_state_migration_carries_winners(small_catalog):
-    config = SimulationConfig(seed=101)
-    catalog = small_catalog.clone()
-    source = ScopeEngine(catalog, config)
-    dest = ScopeEngine(catalog, config)
-    script_a = _script("a")
-    source.compilation.shards[0].compile_script(script_a, source.default_config)
-    # the compile exported its costed closure into the fragment slot
-    assert source.compilation.stats.winner_misses > 0
-
-    plans, parsed, frags = source.compilation.shards[0].export_script_state(
-        script_a, skip_fragments=set()
-    )
-    assert frags
-    adopted, rejected = dest.compilation.shards[0].import_script_state(
-        plans, parsed, frags
-    )
-    assert adopted == len(plans) and not rejected
-
-    # a pool-mate script on the warmed destination serves *winner* hits,
-    # not just logical-closure hits — the regression PR 7 fixes
-    before = dest.compilation.stats.snapshot()
-    dest.compilation.shards[0].compile_script(_script("b"), dest.default_config)
-    delta = dest.compilation.stats - before
-    assert delta.fragment_hits == len(frags)
-    assert delta.fragment_misses == 0
-    assert delta.winner_hits > 0
-    assert delta.winner_misses == 0
 
 
 # -- accounting surfaces --------------------------------------------------------
 
 
 def test_cache_stats_mqo_counters_diff_sum_and_core_exclusion():
-    a = CacheStats(winner_hits=5, winner_misses=3, mqo_preexplored=7, hits=2)
-    b = CacheStats(winner_hits=2, winner_misses=1, mqo_preexplored=4, hits=1)
-    delta = a - b
-    assert (delta.winner_hits, delta.winner_misses, delta.mqo_preexplored) == (3, 2, 3)
-    total = a + b
-    assert (total.winner_hits, total.winner_misses, total.mqo_preexplored) == (7, 4, 11)
-    # the fingerprint core excludes every MQO counter
-    assert a.core() == dataclasses.replace(
-        a, winner_hits=0, winner_misses=0, mqo_preexplored=0
-    ).core()
-
-
-def test_shard_stats_surface_winner_counters():
-    from repro.serving.stats import ServerStats, ShardStats
-
-    stats = ShardStats(shard=0, winner_hits=3, winner_misses=1, mqo_preexplored=4)
-    assert stats.winner_hit_rate == 0.75
-    assert ShardStats(shard=1).winner_hit_rate == 0.0
-    assert "winners 75% hit" in ServerStats(shards=[stats]).render()
+    a = CacheStats(mqo_preexplored=7, hits=2)
+    b = CacheStats(mqo_preexplored=4, hits=1)
+    assert (a - b).mqo_preexplored == 3
+    assert (a + b).mqo_preexplored == 11
+    # the fingerprint core excludes the MQO counter
+    assert a.core() == dataclasses.replace(a, mqo_preexplored=0).core()

@@ -285,21 +285,23 @@ def test_sharded_bootstrap_corpus_matches_single_shard():
 #: Re-captured when the learner began regressing the advantage over the
 #: no-op: shard 1's learned days recompile one flip fewer — an inert flip
 #: answered from its default plan — so its hits 40 -> 38, misses 54 -> 53 and
-#: invalidations 41 -> 40; no other counter, and nothing on shard 0, moved
+#: invalidations 41 -> 40; no other counter, and nothing on shard 0, moved.
+#: Re-captured when physical-winner replay went: winner_misses 8 / 7 -> 0
+#: (both winner fields are always 0 now); no other counter moved
 _PARENT_SHARD_STATS = {
     0: {
         "hits": 37, "misses": 47, "evictions": 0, "invalidations": 39,
         "optimizer_invocations": 28, "script_compilations": 15, "dedup_hits": 1,
         "fragment_hits": 2, "fragment_misses": 6, "fragment_inserts": 6,
         "rule_applications": 6026, "mqo_preexplored": 3,
-        "winner_hits": 0, "winner_misses": 8,
+        "winner_hits": 0, "winner_misses": 0,
     },
     1: {
         "hits": 38, "misses": 53, "evictions": 0, "invalidations": 40,
         "optimizer_invocations": 40, "script_compilations": 24, "dedup_hits": 1,
         "fragment_hits": 1, "fragment_misses": 6, "fragment_inserts": 6,
         "rule_applications": 8452, "mqo_preexplored": 3,
-        "winner_hits": 0, "winner_misses": 7,
+        "winner_hits": 0, "winner_misses": 0,
     },
 }
 
