@@ -38,13 +38,11 @@ def main() -> None:
           f"{sum(e.reward for e in log) / len(log):.3f}")
 
     learner = advisor.policy.learner
-    bandit = advisor.config.bandit
+    acting = advisor.policy.greedy_policy  # the learned mode's epsilon-greedy
     policies = {
         "uniform (logging)": UniformPolicy(),
-        "greedy (eps=0)": EpsilonGreedyPolicy(0.0, bandit.hash_bits, bandit.interaction_order),
-        "eps-greedy (eps=0.15)": EpsilonGreedyPolicy(
-            0.15, bandit.hash_bits, bandit.interaction_order
-        ),
+        "greedy (eps=0)": EpsilonGreedyPolicy(0.0, acting.bits, acting.interaction_order),
+        f"eps-greedy (eps={acting.epsilon})": acting,
     }
     print(f"\n{'policy':24s} {'IPS':>8s} {'SNIPS':>8s} {'DR':>8s}")
     for name, policy in policies.items():

@@ -27,12 +27,10 @@ def main() -> None:
     config = dataclasses.replace(
         SimulationConfig(seed=7),
         sharding=ShardingConfig(shards=2),
-        obs=ObsConfig(enabled=True, trace_ring_size=8192),
+        serving=ServingConfig(workers_per_shard=2),
+        obs=ObsConfig(enabled=True),
     )
-    server = QOAdvisorServer(
-        config=config,
-        serving=ServingConfig(workers_per_shard=2, queue_capacity=64),
-    )
+    server = QOAdvisorServer(config=config)
     plane = server.obs
 
     with server:

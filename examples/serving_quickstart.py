@@ -19,11 +19,12 @@ from repro.config import ShardingConfig
 
 def main() -> None:
     config = dataclasses.replace(
-        SimulationConfig(seed=7), sharding=ShardingConfig(shards=2)
+        SimulationConfig(seed=7),
+        sharding=ShardingConfig(shards=2),
+        serving=ServingConfig(workers_per_shard=2),
     )
     server = QOAdvisorServer(
         config=config,
-        serving=ServingConfig(workers_per_shard=2, queue_capacity=64),
         on_publish=lambda report: print(
             f"  >> hint file v{report.hint_version} published "
             f"({len(report.validated)} validated flip(s))"
@@ -33,8 +34,7 @@ def main() -> None:
         workload = server.advisor.workload
         print(
             f"server up: {server.num_shards} shards × "
-            f"{server.serving.workers_per_shard} workers, "
-            f"queue capacity {server.serving.queue_capacity}"
+            f"{server.serving.workers_per_shard} workers"
         )
 
         day = 0

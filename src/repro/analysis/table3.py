@@ -97,7 +97,7 @@ def run_table3_experiment(
 ) -> Table3Result:
     """Train a fresh CB off-policy, then face it off against random flips."""
     spans = SpanComputer(engine)
-    policy = BanditSteeringPolicy(engine.config.bandit, seed=engine.config.seed)
+    policy = BanditSteeringPolicy(seed=engine.config.seed)
     train_off_policy(engine, workload, spans, policy, training_days)
     policy.switch_mode("learned")
 

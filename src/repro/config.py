@@ -2,28 +2,37 @@
 
 The settings callers choose live in small frozen dataclasses grouped under
 :class:`SimulationConfig`.  A value is a field here only if two callers
-need different values of it — the default's users and at least one
-caller (a bench, an example or a test) that sets another, such as the
-workload size, the shard count or the serving schedule — or if it names a
-deployment path (the span JSONL file).  A value every caller leaves at
-its default is a named constant beside the module that reads it instead:
+outside the tests and examples need different values of it — the
+default's users and at least one caller under ``src/`` or ``benchmarks/``
+that sets another, such as the workload size, the shard count, the worker
+count or the flighting budget — or if it names a deployment path (the
+span JSONL file).  Tests and examples do not justify a field; a test that
+needs another value patches the module constant.  The cache switches stay
+fields because tests compare each setting against the other as the
+reference paths of the fingerprint contract.  A value every such caller
+leaves at its default is a named constant beside the module that reads it
+instead:
 
 * the simulated cluster — ``scope.optimizer.cost`` (I/O bandwidth, CPU
   cost per row), ``scope.runtime.executor`` (tokens, partition size,
   vertex overhead) and ``scope.runtime.cluster`` (the noise model);
 * the estimator — ``scope.data`` (reality-factor sigma) and
   ``workload.generator`` (statistics staleness, daily growth range);
-* ``workload.templates`` (recurring fraction), ``bandit.learner`` (L2),
-  ``core.recompile`` (reward clip, cost filter), ``core.validate``
-  (validation threshold, training days) and ``serving.server`` (submit
-  timeout, latency window).
+* the steering policy — ``policies.base`` (hash bits, exploration rate,
+  learning rate, interaction order, reward-wait expiry) and
+  ``bandit.learner`` (L2);
+* ``workload.templates`` (recurring fraction), ``core.recompile``
+  (reward clip, cost filter), ``core.validate`` (validation threshold,
+  training days), ``core.hintgen`` (hints per day),
+  ``flighting.service`` (per-job timeout), ``scope.cache`` (plan, parse
+  and fragment capacities), ``obs.plane`` (span ring size) and
+  ``serving.server`` (queue capacity, submit timeout, latency window).
 
 Defaults are calibrated so that the structural properties the paper's
 evaluation depends on hold: high latency variance, low PNhours variance,
 imperfect cost estimates, and learnable rule-flip signal.  There is one
-steering policy, the paper's contextual bandit, so :class:`BanditConfig`
-configures it and nothing selects among policies.  A journal is named by
-``QOAdvisorServer(journal=...)``.
+steering policy, the paper's contextual bandit, and nothing selects among
+policies.  A journal is named by ``QOAdvisorServer(journal=...)``.
 """
 
 from __future__ import annotations
@@ -33,9 +42,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "WorkloadConfig",
-    "BanditConfig",
     "FlightingConfig",
-    "AdvisorConfig",
     "CacheConfig",
     "ExecutionConfig",
     "ShardingConfig",
@@ -67,35 +74,11 @@ class WorkloadConfig:
 
 
 @dataclass(frozen=True)
-class BanditConfig:
-    """Parameters of the steering policy's contextual-bandit learner
-    (``repro.bandit``, driven by :class:`~repro.policies.BanditSteeringPolicy`)."""
-
-    #: number of bits in the hashed feature space (2**bits weights)
-    hash_bits: int = 18
-    #: exploration rate of the epsilon-greedy policy
-    epsilon: float = 0.15
-    #: SGD learning rate
-    learning_rate: float = 0.05
-    #: highest order of span co-occurrence interaction features (paper §6:
-    #: "second and third order co-occurrence indicators")
-    interaction_order: int = 3
-    #: Personalizer publish cycles (daily in the pipeline) an unrewarded
-    #: rank event survives before it expires with ``expired_event_reward``;
-    #: 0 disables expiry entirely
-    activation_timeout_days: int = 2
-    #: default reward applied to rank events that expire unrewarded
-    expired_event_reward: float = 0.0
-
-
-@dataclass(frozen=True)
 class FlightingConfig:
     """Parameters of the Flighting Service simulator."""
 
     #: fixed size of the concurrent flighting queue
     queue_size: int = 8
-    #: per-job flighting timeout (paper: 24 hours)
-    per_job_timeout_s: float = 24 * 3600.0
     #: total simulated machine-time budget per pipeline run, seconds
     total_budget_s: float = 12 * 3600.0
     #: probability a job class is unsupported by the service ("filtered")
@@ -105,32 +88,15 @@ class FlightingConfig:
 
 
 @dataclass(frozen=True)
-class AdvisorConfig:
-    """Parameters of the QO-Advisor pipeline itself."""
-
-    #: maximum rule flips uploaded to SIS per day
-    max_hints_per_day: int = 50
-
-
-@dataclass(frozen=True)
 class CacheConfig:
     """Parameters of the compilation service's plan cache (``scope.cache``)."""
 
     #: serve memoized plans; disable for ablation (every compile re-optimizes)
     enabled: bool = True
-    #: maximum number of cached (script, rule-configuration) plans; least
-    #: recently used entries are evicted beyond this
-    capacity: int = 4096
-    #: maximum number of cached parse/bind results (one script is shared by
-    #: every configuration it compiles under)
-    script_capacity: int = 1024
     #: serve memoized fragment explorations (sub-plan granularity); disabling
     #: only skips the cross-compile reuse — compilation is fragment-structured
     #: either way, so results are byte-identical with this on or off
     fragment_enabled: bool = True
-    #: maximum number of cached fragment entries; evicted at checkpoint
-    #: barriers in the same schedule-independent (epoch, key) order as plans
-    fragment_capacity: int = 8192
     #: batch MQO: pre-explore a batch's distinct fragments (ranked by
     #: frequency × subtree size) before the per-script compiles fan out.
     #: Requires ``fragment_enabled``; observationally transparent either
@@ -192,15 +158,10 @@ class ServingConfig:
     against the live SIS hint version on arrival, and micro-batches the
     offline pipeline work into maintenance windows between hint
     publications.  A lane's workers block on its queue until a job
-    arrives or the queue closes; nothing polls.
+    arrives or the queue closes; nothing polls.  A full queue blocks a
+    submit until a slot frees up; ``submit(timeout=0)`` refuses at once.
     """
 
-    #: bounded per-shard queue capacity; admission applies beyond it
-    queue_capacity: int = 256
-    #: what happens when a shard queue is full: ``"block"`` waits for a slot
-    #: (30 s unless ``submit(timeout=)`` says otherwise), ``"reject"`` raises
-    #: immediately
-    admission: str = "block"
     #: steering worker threads per shard; 0 selects the *inline* schedule
     #: (jobs are processed synchronously on the submitting thread — the
     #: serial replay schedule the batch-parity contract is stated for)
@@ -223,8 +184,6 @@ class ObsConfig:
 
     #: build the real tracer and metrics registry instead of the null plane
     enabled: bool = False
-    #: capacity of the in-memory ring of most-recent finished spans
-    trace_ring_size: int = 4096
     #: append-only JSONL span export (one object per closed span); None
     #: keeps traces in-memory only
     trace_jsonl_path: str | None = None
@@ -236,9 +195,7 @@ class SimulationConfig:
 
     seed: int = 20220613
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    bandit: BanditConfig = field(default_factory=BanditConfig)
     flighting: FlightingConfig = field(default_factory=FlightingConfig)
-    advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)

@@ -15,11 +15,19 @@ from repro.sis.service import HintFileVersion, SISService
 
 __all__ = ["HintGenerationTask"]
 
+#: most rule flips uploaded to SIS per day
+_MAX_HINTS_PER_DAY = 50
+
 
 class HintGenerationTask:
     """Publishes validated flips through SIS."""
 
-    def __init__(self, sis: SISService, registry: RuleRegistry, max_hints_per_day: int = 50) -> None:
+    def __init__(
+        self,
+        sis: SISService,
+        registry: RuleRegistry,
+        max_hints_per_day: int = _MAX_HINTS_PER_DAY,
+    ) -> None:
         self.sis = sis
         self.registry = registry
         self.max_hints_per_day = max_hints_per_day

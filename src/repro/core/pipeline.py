@@ -356,16 +356,14 @@ class QOAdvisorPipeline:
         #: metrics view); never read by the pipeline itself
         self.last_report: DayReport | None = None
         #: the steering policy: the paper's CB
-        self.policy = BanditSteeringPolicy(self.config.bandit, seed=self.config.seed)
+        self.policy = BanditSteeringPolicy(seed=self.config.seed)
         self.executor = executor or build_executor(self.config.execution)
         self.spans = SpanComputer(engine, executor=self.executor)
         self.feature_task = FeatureGenerationTask(self.spans)
         self.recommend_task = RecommendationTask(self.policy, engine.registry)
         self.recompile_task = RecompilationTask(engine, executor=self.executor)
         self.validation_model = ValidationModel()
-        self.hint_task = HintGenerationTask(
-            sis, engine.registry, self.config.advisor.max_hints_per_day
-        )
+        self.hint_task = HintGenerationTask(sis, engine.registry)
         self.stages: list[PipelineStage] = [
             ProductionStage(self),
             FeatureStage(self),

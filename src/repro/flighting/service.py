@@ -29,6 +29,9 @@ from repro.scope.runtime.metrics import JobMetrics
 
 __all__ = ["FlightingService"]
 
+#: per-job flighting timeout (paper: 24 hours); each arm is killed at it
+_PER_JOB_TIMEOUT_S = 24 * 3600.0
+
 
 class FlightingService:
     """Pre-production A/B (and A/A) testing against a ScopeEngine.
@@ -46,6 +49,10 @@ class FlightingService:
     ) -> None:
         self.engine = engine
         self.config = config or FlightingConfig()
+        if self.config.queue_size < 1:
+            raise ValueError(
+                f"flighting queue_size must be >= 1, got {self.config.queue_size}"
+            )
         self.executor = executor or SerialExecutor()
         self._flight_counter = 0
         # standalone flight() calls may come from arbitrary threads; the
@@ -98,15 +105,15 @@ class FlightingService:
         )
         flight_seconds = baseline.latency_s + treatment.latency_s
         status = FlightStatus.SUCCESS
-        if max(baseline.latency_s, treatment.latency_s) > self.config.per_job_timeout_s:
+        if max(baseline.latency_s, treatment.latency_s) > _PER_JOB_TIMEOUT_S:
             status = FlightStatus.TIMEOUT
             # each arm is killed at the limit, so the machine time the
             # flight consumed is capped per run in the result itself —
             # every consumer (budget admission, analysis, reports) sees
             # the same number
-            flight_seconds = min(
-                baseline.latency_s, self.config.per_job_timeout_s
-            ) + min(treatment.latency_s, self.config.per_job_timeout_s)
+            flight_seconds = min(baseline.latency_s, _PER_JOB_TIMEOUT_S) + min(
+                treatment.latency_s, _PER_JOB_TIMEOUT_S
+            )
         return FlightResult(
             request,
             status,
@@ -152,7 +159,7 @@ class FlightingService:
         slots: list[float] = []
         clock = 0.0
         budget = self.config.total_budget_s
-        wave_size = max(1, self.config.queue_size)
+        wave_size = self.config.queue_size
         for start in range(0, len(ordered), wave_size):
             # the clock the wave's first request would be admitted at: the
             # earliest finish among busy slots once the queue is full

@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ObservabilityPlane", "NULL_PLANE", "install_advisor_views"]
 
+#: capacity of the in-memory ring of most-recent finished spans
+_TRACE_RING_SIZE = 4096
+
 
 class ObservabilityPlane:
     """One tracer and one metrics registry — or their nulls."""
@@ -44,7 +47,7 @@ class ObservabilityPlane:
         self.ring: RingSink | None = None
         self.jsonl: JsonlSink | None = None
         if self.enabled:
-            ring = self.ring = RingSink(self.config.trace_ring_size)
+            ring = self.ring = RingSink(_TRACE_RING_SIZE)
             sinks: list[TraceSink] = [ring]
             if self.config.trace_jsonl_path:
                 self.jsonl = JsonlSink(self.config.trace_jsonl_path)

@@ -55,7 +55,6 @@ from repro.bandit.offpolicy import (
     snips_estimate,
 )
 from repro.bandit.policy import EpsilonGreedyPolicy
-from repro.config import BanditConfig
 from repro.errors import PersonalizerError
 from repro.rng import keyed_rng
 
@@ -70,6 +69,21 @@ MODES = ("uniform_logging", "learned")
 
 #: the reward of keeping the default plan (cost ratio ``default / default``)
 NOOP_REWARD = 1.0
+
+#: bits of the hashed feature space (2**bits learner weights)
+_HASH_BITS = 18
+#: exploration rate of the learned mode's epsilon-greedy choice
+_EPSILON = 0.15
+#: the learner's SGD learning rate
+_LEARNING_RATE = 0.05
+#: highest order of span co-occurrence interaction features (paper §6:
+#: "second and third order co-occurrence indicators")
+_INTERACTION_ORDER = 3
+#: publish cycles (daily in the pipeline) an unrewarded rank event
+#: survives before it expires with ``_EXPIRED_EVENT_REWARD``
+_ACTIVATION_TIMEOUT_DAYS = 2
+#: the reward an expired rank event is finalized with
+_EXPIRED_EVENT_REWARD = 0.0
 
 
 @dataclass(frozen=True)
@@ -97,26 +111,16 @@ class _Pending:
 class LearnedSteeringPolicy:
     """Epsilon-greedy over a hashed linear reward model, learned off-policy."""
 
-    def __init__(
-        self,
-        config: BanditConfig | None = None,
-        seed: int = 0,
-        mode: str = "uniform_logging",
-    ) -> None:
-        self.config = config or BanditConfig()
+    def __init__(self, seed: int = 0, mode: str = "uniform_logging") -> None:
         if mode not in MODES:
             raise PersonalizerError(f"unknown mode {mode!r}")
-        if not 0.0 <= self.config.epsilon <= 1.0:
-            raise PersonalizerError("epsilon must be in [0, 1]")
         self.mode = mode
         self.learner = CBLearner(
-            bits=self.config.hash_bits,
-            learning_rate=self.config.learning_rate,
-            interaction_order=self.config.interaction_order,
+            bits=_HASH_BITS,
+            learning_rate=_LEARNING_RATE,
+            interaction_order=_INTERACTION_ORDER,
         )
-        self.greedy_policy = EpsilonGreedyPolicy(
-            self.config.epsilon, self.config.hash_bits, self.config.interaction_order
-        )
+        self.greedy_policy = EpsilonGreedyPolicy(_EPSILON, _HASH_BITS, _INTERACTION_ORDER)
         # the stream and event ids of the stand-alone Personalizer service
         # the bandit's logged decisions were made under
         self._rng = keyed_rng(seed, "personalizer")
@@ -139,7 +143,7 @@ class LearnedSteeringPolicy:
             probability = 1.0 / len(actions)
         else:
             scores = self.greedy_policy._scores(context, actions, self.learner)
-            explore = self._rng.random() < self.config.epsilon
+            explore = self._rng.random() < self.greedy_policy.epsilon
             index = int(self._rng.integers(0, len(actions))) if explore else int(np.argmax(scores))
             probability = self.greedy_policy.action_probability_from_scores(scores, index)
         self._event_counter += 1
@@ -187,24 +191,22 @@ class LearnedSteeringPolicy:
         """Expire overdue unrewarded events, then publish the next version.
 
         Mirrors the Azure Personalizer reward-wait window: an event whose
-        reward never arrives is finalized with ``expired_event_reward``
-        once ``activation_timeout_days`` publish cycles have passed since
+        reward never arrives is finalized with ``_EXPIRED_EVENT_REWARD``
+        once ``_ACTIVATION_TIMEOUT_DAYS`` publish cycles have passed since
         it was ranked, instead of leaking forever.  Expiry runs first, so
         the default-reward updates are part of the version the events age
         out under, and in rank order (insertion order of the pending map),
         so the learner sees a deterministic update sequence.
         """
-        timeout = self.config.activation_timeout_days
-        if timeout > 0:
-            cycle = self._version + 1
-            stale = [
-                event_id
-                for event_id, pending in self._pending.items()
-                if cycle - pending.model_version >= timeout
-            ]
-            for event_id in stale:
-                self.observe(event_id, self.config.expired_event_reward)
-            self.expired_events += len(stale)
+        cycle = self._version + 1
+        stale = [
+            event_id
+            for event_id, pending in self._pending.items()
+            if cycle - pending.model_version >= _ACTIVATION_TIMEOUT_DAYS
+        ]
+        for event_id in stale:
+            self.observe(event_id, _EXPIRED_EVENT_REWARD)
+        self.expired_events += len(stale)
         self._version += 1
         return self._version
 

@@ -86,6 +86,16 @@ __all__ = [
     "CompilationService",
 ]
 
+#: cached (script, rule-configuration) plans per service; least recently
+#: used entries are evicted beyond this at checkpoints
+_PLAN_CAPACITY = 4096
+#: cached parse/bind results (one script serves every configuration it
+#: compiles under)
+_SCRIPT_CAPACITY = 1024
+#: cached fragment entries; evicted at checkpoints in the same
+#: schedule-independent (epoch, key) order as plans
+_FRAGMENT_CAPACITY = 8192
+
 
 @dataclass
 class CacheStats:
@@ -542,12 +552,12 @@ class CompilationService:
         self.engine = engine
         self.config = config if config is not None else CacheConfig()
         self.stats = CacheStats()
-        self.cache = PlanCache(self.config.capacity, self.stats)
+        self.cache = PlanCache(_PLAN_CAPACITY, self.stats)
         #: sub-plan memoization: isolated fragment explorations keyed by
         #: content digest × configuration × catalog version.
         #: Always constructed; ``config.fragment_enabled`` gates whether
         #: compiles get a view of it (the ablation knob for benchmarks)
-        self.fragments = FragmentCache(self.config.fragment_capacity, self.stats)
+        self.fragments = FragmentCache(_FRAGMENT_CAPACITY, self.stats)
         # rule-category projections of configuration bits: fragment keys use
         # the transformation mask (implementation-only flips share entries),
         # inert-flip inference the implementation mask
@@ -557,7 +567,7 @@ class CompilationService:
         # configuration-independent, so one script feeds every probe/flip
         # configuration it is optimized under; a bare store, trimmed at
         # checkpoints like the plan cache
-        self._scripts = EpochStore(self.config.script_capacity)
+        self._scripts = EpochStore(_SCRIPT_CAPACITY)
         # script-text → blake2b digest memo.  ``compile_many`` hashes every
         # request during dedup and the same script texts recur day after
         # day, so the digest is computed once per distinct text and reused
@@ -836,7 +846,7 @@ class CompilationService:
             self.cache.checkpoint()
             self.fragments.checkpoint()
             self._scripts.checkpoint()
-            if len(self._digests) > self.config.capacity:
+            if len(self._digests) > _PLAN_CAPACITY:
                 # the digest memo has no recency signal (it is a pure
                 # function table); re-derive on demand after a reset
                 self._digests.clear()

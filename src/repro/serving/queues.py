@@ -1,13 +1,14 @@
 """Bounded per-shard job queues for the serving front-end.
 
 Each shard of the cluster gets one :class:`ShardQueue`: a bounded FIFO
-with two admission policies (``"block"`` waits for a slot under a
-timeout, ``"reject"`` raises :class:`QueueFull` immediately) — the
-backpressure surface of the online serving layer.  A :class:`JobTicket`
-travels through the queue carrying the submission sequence number that
-later orders the job inside its day's :class:`~repro.core.pipeline.DayReport`
-(reports are ordered by submission, never by completion, which is what
-keeps the serving trace comparable to batch ``run_day``).
+on which a producer waits for a free slot up to a timeout and gets
+:class:`QueueFull` when none frees up (``timeout=0`` refuses at once) —
+the backpressure surface of the online serving layer.  A
+:class:`JobTicket` travels through the queue carrying the submission
+sequence number that later orders the job inside its day's
+:class:`~repro.core.pipeline.DayReport` (reports are ordered by
+submission, never by completion, which is what keeps the serving trace
+comparable to batch ``run_day``).
 """
 
 from __future__ import annotations
@@ -79,15 +80,10 @@ class ShardQueue:
     failed shard's backlog can be requeued with zero loss.
     """
 
-    def __init__(self, capacity: int, admission: str = "block") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        if admission not in ("block", "reject"):
-            raise ValueError(
-                f"unknown admission policy {admission!r} (expected 'block' or 'reject')"
-            )
         self.capacity = capacity
-        self.admission = admission
         self._items: deque[JobTicket] = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -109,11 +105,11 @@ class ShardQueue:
     def put(
         self, ticket: JobTicket, timeout: float | None = None, *, force: bool = False
     ) -> None:
-        """Admit a ticket, honouring the queue's admission policy.
+        """Admit a ticket, waiting up to ``timeout`` seconds for a slot.
 
-        Raises :class:`QueueFull` when no slot frees up (immediately under
-        ``"reject"``, after ``timeout`` seconds under ``"block"``) and
-        :class:`QueueClosed` when the queue stopped accepting work.
+        Raises :class:`QueueFull` when no slot frees up in time (at once
+        with ``timeout=0``) and :class:`QueueClosed` when the queue stopped
+        accepting work.
 
         ``force=True`` bypasses the capacity bound (never the closed
         check): the failover path transplants a dead shard's backlog onto
@@ -124,11 +120,6 @@ class ShardQueue:
             if self._closed:
                 raise QueueClosed(f"queue is closed; cannot admit {ticket.job.job_id}")
             if not force and len(self._items) >= self.capacity:
-                if self.admission == "reject":
-                    raise QueueFull(
-                        f"shard queue at capacity ({self.capacity}); "
-                        f"rejected {ticket.job.job_id}"
-                    )
                 deadline_ok = self._not_full.wait_for(
                     lambda: self._closed or len(self._items) < self.capacity,
                     timeout=timeout,

@@ -23,8 +23,9 @@ engine's compilation service) behind a job-stream API:
   backlog onto the survivors with zero job loss and hands the failed
   shard's cached plans to its templates' new owners;
 * admission is by capacity alone: a job enters its lane's bounded
-  queue, and a full queue blocks or rejects per
-  ``ServingConfig.admission`` — no admission decision reads the clock;
+  queue, and a full queue blocks the submit until a slot frees up or
+  its timeout passes (``submit(timeout=0)`` refuses at once) — no
+  admission decision reads the clock;
 * a write-ahead :class:`~repro.serving.journal.TicketJournal` records
   admissions, completions and window publications, and :meth:`recover`
   replays it on a freshly-constructed server so a crash mid-day
@@ -55,7 +56,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.config import ServingConfig, SimulationConfig
+from repro.config import SimulationConfig
 from repro.core.advisor import QOAdvisor
 from repro.core.pipeline import DayReport
 from repro.errors import ScopeError
@@ -83,6 +84,8 @@ from repro.serving.stats import (
 
 __all__ = ["QOAdvisorServer"]
 
+#: bound on each lane's queue; a submit to a full queue waits for a slot
+_QUEUE_CAPACITY = 256
 #: how long a blocking submit waits for queue space before giving up, unless
 #: ``submit(timeout=)`` says otherwise
 _SUBMIT_TIMEOUT_S = 30.0
@@ -94,14 +97,12 @@ _LATENCY_WINDOW = 1024
 class _ShardLane:
     """One shard's serving lane: queue + shard service + workers + counters."""
 
-    def __init__(
-        self, index: int, service: CompilationService, serving: ServingConfig
-    ) -> None:
+    def __init__(self, index: int, service: CompilationService) -> None:
         self.index = index
         #: the shard's compilation service, bound once: a failed lane is
         #: only offline in the router
         self.service = service
-        self.queue = ShardQueue(serving.queue_capacity, serving.admission)
+        self.queue = ShardQueue(_QUEUE_CAPACITY)
         self.alive = True
         self.lock = threading.Lock()
         #: one integer per name of the serving vocabulary, bumped under
@@ -122,7 +123,6 @@ class QOAdvisorServer:
         advisor: QOAdvisor | None = None,
         *,
         config: SimulationConfig | None = None,
-        serving: ServingConfig | None = None,
         journal: "TicketJournal | str | Path | None" = None,
         on_window_start: Callable[[int], None] | None = None,
         on_publish: Callable[[DayReport], None] | None = None,
@@ -133,7 +133,7 @@ class QOAdvisorServer:
         else:
             self._owns_advisor = False
         self.advisor = advisor
-        self.serving = serving or advisor.config.serving
+        self.serving = advisor.config.serving
         if self.serving.workers_per_shard < 0:
             raise ValueError(
                 f"workers_per_shard must be >= 0, got {self.serving.workers_per_shard}"
@@ -156,7 +156,7 @@ class QOAdvisorServer:
         self.obs = advisor.obs
         #: one lane per shard, never rebound, so any thread reads it unlocked
         self._lanes = tuple(
-            _ShardLane(index, service, self.serving)
+            _ShardLane(index, service)
             for index, service in enumerate(self._engine.compilation.shards)
         )
         #: last script seen per template — the "hot script" whose cached
@@ -239,10 +239,16 @@ class QOAdvisorServer:
     def shutdown(self, timeout: float | None = None) -> None:
         """Graceful stop: drain, retire the workers, close the queues.
 
+        Jobs admitted before ``start()`` are served first, as a started
+        server serves its backlog: no admitted ticket is dropped.
         Idempotent; an advisor the server constructed itself is closed
         too (its executor threads are released), as is a journal the
         server opened from a path.
         """
+        with self._done:
+            backlog = self._pending
+        if backlog and not self._stop:
+            self.start()
         if self._started:
             self.drain(timeout=timeout)
         self._stop = True
@@ -269,8 +275,9 @@ class QOAdvisorServer:
     def submit(self, job: JobInstance, timeout: float | None = None) -> JobTicket:
         """Admit one job onto its shard's queue; returns its ticket.
 
-        Raises :class:`~repro.serving.queues.QueueFull` under backpressure
-        (per the admission policy) and
+        Raises :class:`~repro.serving.queues.QueueFull` when the shard's
+        queue stays full for ``timeout`` seconds (30 s when None; 0
+        refuses at once) and
         :class:`~repro.serving.queues.QueueClosed` after shutdown.
         """
         if self._stop:

@@ -17,7 +17,6 @@ from repro.bandit.hashing import feature_index
 from repro.bandit.learner import CBLearner
 from repro.bandit.offpolicy import LoggedEvent, dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy, UniformPolicy
-from repro.config import BanditConfig
 from repro.policies import BanditSteeringPolicy
 from repro.rng import keyed_rng
 from tests.conftest import PerIndexOnly, reference_joint_features, reference_score
@@ -244,7 +243,7 @@ def test_warm_rank_hashes_nothing_and_cold_rank_hashes_each_name_once(monkeypatc
     actions = [ActionFeatures(rule_id=None)] + [
         ActionFeatures(rule_id=rule, turn_on=False, category="impl") for rule in span
     ]
-    policy = BanditSteeringPolicy(BanditConfig(), seed=3, mode="learned")
+    policy = BanditSteeringPolicy(seed=3, mode="learned")
 
     first = policy.rank(context, actions)
     # 12 + 66 + 220 span features, 7 job features, noop, then per flip

@@ -17,6 +17,7 @@ import pytest
 from repro.config import CacheConfig, SimulationConfig
 from repro.core.recommend import Recommendation
 from repro.errors import ScopeError
+from repro.scope import cache as cache_module
 from repro.scope.cache import CompileRequest, PlanCache
 from repro.scope.engine import ScopeEngine
 from repro.scope.jobs import JobInstance
@@ -36,6 +37,12 @@ def make_engine(small_catalog, **cache_kwargs) -> ScopeEngine:
 @pytest.fixture()
 def fresh_engine(small_catalog) -> ScopeEngine:
     return make_engine(small_catalog)
+
+
+@pytest.fixture()
+def two_plan_cache(monkeypatch) -> None:
+    """Every service built in the test holds two plans."""
+    monkeypatch.setattr(cache_module, "_PLAN_CAPACITY", 2)
 
 
 # -- hit/miss accounting ------------------------------------------------------
@@ -89,12 +96,12 @@ def test_compile_failures_are_memoized(fresh_engine):
 
 
 def test_eviction_enforced_at_checkpoint(
-    small_catalog, join_agg_job, simple_job, copy_job
+    small_catalog, join_agg_job, simple_job, copy_job, two_plan_cache
 ):
     """Capacity is a steady-state bound: within an epoch the cache only
     grows (which is what makes hit/miss accounting schedule-independent);
     the checkpoint barrier trims it back deterministically."""
-    engine = make_engine(small_catalog, capacity=2)
+    engine = make_engine(small_catalog)
     jobs = [join_agg_job, simple_job, copy_job]
     for job in jobs:
         engine.compile_job(job)
@@ -116,9 +123,9 @@ def test_eviction_enforced_at_checkpoint(
 
 
 def test_epoch_recency_protects_recently_hit_entries(
-    small_catalog, join_agg_job, simple_job, copy_job
+    small_catalog, join_agg_job, simple_job, copy_job, two_plan_cache
 ):
-    engine = make_engine(small_catalog, capacity=2)
+    engine = make_engine(small_catalog)
     engine.compile_job(join_agg_job)
     engine.compile_job(simple_job)
     engine.compilation.checkpoint()  # both entries now carry epoch 0
@@ -133,7 +140,7 @@ def test_epoch_recency_protects_recently_hit_entries(
 
 
 def test_checkpoint_eviction_order_is_schedule_independent(
-    small_catalog, join_agg_job, simple_job, copy_job
+    small_catalog, join_agg_job, simple_job, copy_job, two_plan_cache
 ):
     """Two services fed the same keys in different orders evict the same
     victims at the checkpoint — recency is epoch-granular and ties break on
@@ -144,7 +151,7 @@ def test_checkpoint_eviction_order_is_schedule_independent(
     ]
     survivors = []
     for order in orders:
-        engine = make_engine(small_catalog, capacity=2)
+        engine = make_engine(small_catalog)
         for job in order:
             engine.compile_job(job)
         engine.compilation.checkpoint()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import FlightingConfig
 from repro.flighting.results import FlightRequest, FlightStatus
+from repro.flighting import service as flighting_module
 from repro.flighting.service import FlightingService
 from repro.scope.optimizer.rules.base import RuleFlip
 
@@ -81,6 +82,14 @@ def test_queue_respects_budget(tiny_engine, steerable_job):
     assert statuses[0] is not FlightStatus.NOT_RUN  # best estimate served first
 
 
+@pytest.mark.parametrize("queue_size", [0, -1])
+def test_a_queue_without_a_slot_is_refused(tiny_engine, queue_size):
+    """A flighting queue holds at least one flight; 0 or a negative size is
+    refused, not silently flown one at a time."""
+    with pytest.raises(ValueError, match="queue_size"):
+        FlightingService(tiny_engine, FlightingConfig(queue_size=queue_size))
+
+
 def test_queue_orders_by_estimated_delta(service, steerable_job):
     job, flip = steerable_job
     requests = [
@@ -91,15 +100,17 @@ def test_queue_orders_by_estimated_delta(service, steerable_job):
     assert results[0].request.est_cost_delta == -0.9
 
 
-def test_timeout_caps_flight_seconds_in_the_result(tiny_engine, steerable_job):
+def test_timeout_caps_flight_seconds_in_the_result(
+    tiny_engine, steerable_job, monkeypatch
+):
     """A timed-out flight is killed at the limit, per arm: the machine time
     in the FlightResult itself is capped, so budget admission and downstream
     consumers (analysis, fingerprints) all see the same number."""
     job, flip = steerable_job
     timeout_s = 0.5  # every simulated run exceeds half a second
+    monkeypatch.setattr(flighting_module, "_PER_JOB_TIMEOUT_S", timeout_s)
     tight = FlightingService(
-        tiny_engine,
-        FlightingConfig(per_job_timeout_s=timeout_s, filtered_prob=0.0, failure_prob=0.0),
+        tiny_engine, FlightingConfig(filtered_prob=0.0, failure_prob=0.0)
     )
     result = tight.flight(FlightRequest(job, flip), day=0)
     assert result.status is FlightStatus.TIMEOUT
@@ -113,15 +124,15 @@ def test_timeout_caps_flight_seconds_in_the_result(tiny_engine, steerable_job):
 
 
 def test_timeout_accounting_consistent_between_queue_and_result(
-    tiny_engine, steerable_job
+    tiny_engine, steerable_job, monkeypatch
 ):
     job, flip = steerable_job
     timeout_s = 0.5
+    monkeypatch.setattr(flighting_module, "_PER_JOB_TIMEOUT_S", timeout_s)
     tight = FlightingService(
         tiny_engine,
         FlightingConfig(
             queue_size=2,
-            per_job_timeout_s=timeout_s,
             total_budget_s=timeout_s * 3,
             filtered_prob=0.0,
             failure_prob=0.0,

@@ -26,6 +26,7 @@ from repro.config import (
     ShardingConfig,
     WorkloadConfig,
 )
+from repro.scope import cache as cache_module
 from repro.scope.cache import CacheStats, FragmentCache, PlanCache
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -350,9 +351,10 @@ def test_fragment_eviction_is_epoch_granular_and_deterministic():
     assert cache.stats.fragment_misses == 1
 
 
-def test_capacity_squeeze_keeps_runs_and_topologies_identical():
+def test_capacity_squeeze_keeps_runs_and_topologies_identical(monkeypatch):
     """capacity ≪ working set: eviction churn must not leak into results."""
-    tight = dict(fragment_enabled=True, fragment_capacity=2)
+    monkeypatch.setattr(cache_module, "_FRAGMENT_CAPACITY", 2)
+    tight = dict(fragment_enabled=True)
     first = QOAdvisor(_pool_config(seed=31, **tight))
     report = first.run_day(0)
     fingerprint = report.fingerprint()

@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
-from repro.config import BanditConfig, SimulationConfig
+from repro.config import SimulationConfig
 from repro.errors import ScopeError
 from repro.policies import BanditSteeringPolicy
+from repro.policies import base as policy_base
 from repro.rng import keyed_rng, stable_hash
 from repro.scope.cache import EpochStore, FragmentCache
 from repro.scope.engine import ScopeEngine
@@ -151,7 +154,8 @@ def test_rewards_equal_to_the_noop_leave_the_noop_greedy(logged, publishes, aske
     """Rewards of exactly the no-op's 1.0 teach no advantage: whatever was
     observed, however often the model was refit, the greedy action of any
     action set is the no-op at index 0."""
-    policy = BanditSteeringPolicy(BanditConfig(epsilon=0.0), seed=seed)
+    with mock.patch.object(policy_base, "_EPSILON", 0.0):
+        policy = BanditSteeringPolicy(seed=seed)
     for _ in range(publishes):
         for context in logged:
             response = policy.rank(context, _span_actions(context))  # uniform: random action

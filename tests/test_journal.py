@@ -35,20 +35,18 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.serving import JournalError, QueueFull
+from repro.serving import server as server_module
 
 
-def _config(shards: int = 2, seed: int = 555) -> SimulationConfig:
+def _config(shards: int = 2, seed: int = 555, workers_per_shard: int = 0) -> SimulationConfig:
     return dataclasses.replace(
         SimulationConfig(seed=seed),
         workload=WorkloadConfig(num_templates=10, num_tables=8),
         flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
         execution=ExecutionConfig(workers=1, backend="thread"),
         sharding=ShardingConfig(shards=shards),
+        serving=ServingConfig(workers_per_shard=workers_per_shard),
     )
-
-
-def _serving(**overrides) -> ServingConfig:
-    return ServingConfig(workers_per_shard=0, **overrides)
 
 
 # -- the journal file ---------------------------------------------------------
@@ -105,12 +103,12 @@ def test_reopening_a_torn_journal_repairs_the_tail_before_appending(tmp_path):
 
 
 def test_recover_requires_a_journal_and_a_fresh_server(tmp_path):
-    bare = QOAdvisorServer(config=_config(), serving=_serving())
+    bare = QOAdvisorServer(config=_config())
     with pytest.raises(ValueError, match="journal"):
         bare.recover()
     bare.shutdown()
     path = tmp_path / "wal.jsonl"
-    used = QOAdvisorServer(config=_config(), serving=_serving(), journal=path)
+    used = QOAdvisorServer(config=_config(), journal=path)
     used.start()
     used.submit(used.advisor.workload.jobs_for_day(0)[0])
     with pytest.raises(RuntimeError, match="fresh"):
@@ -125,13 +123,13 @@ def test_server_killed_mid_day_recovers_to_identical_fingerprints(tmp_path):
     """The acceptance contract: kill mid-day, restart from journal, finish
     the day — every fingerprint matches the uninterrupted run."""
     # the uninterrupted reference
-    reference = QOAdvisorServer(config=_config(), serving=_serving())
+    reference = QOAdvisorServer(config=_config())
     expected = [reference.stream_day(0), reference.stream_day(1)]
     reference.shutdown()
 
     # the journaled run, killed midway through day 1
     path = tmp_path / "wal.jsonl"
-    doomed = QOAdvisorServer(config=_config(), serving=_serving(), journal=path)
+    doomed = QOAdvisorServer(config=_config(), journal=path)
     doomed.stream_day(0)
     day1_jobs = doomed.advisor.workload.jobs_for_day(1)
     half = len(day1_jobs) // 2
@@ -141,7 +139,7 @@ def test_server_killed_mid_day_recovers_to_identical_fingerprints(tmp_path):
     # crash: no drain, no maintenance, no shutdown — the process just dies
 
     # the restarted server: same config/seed, fresh state, replayed journal
-    revived = QOAdvisorServer(config=_config(), serving=_serving(), journal=path)
+    revived = QOAdvisorServer(config=_config(), journal=path)
     recovery = revived.recover()
     assert recovery.windows == 1
     assert recovery.fingerprints_verified == 1  # day 0 re-proved mid-replay
@@ -172,13 +170,13 @@ def test_a_failover_keeps_every_window_verifiable(tmp_path, workers_per_shard):
     templates' new owners, so both days match a never-failed fleet, cache
     accounting included — and recovery, which replays onto a fleet that
     never failed, verifies every journaled window."""
-    serving = ServingConfig(workers_per_shard=workers_per_shard)
-    reference = QOAdvisorServer(config=_config(shards=3), serving=serving)
+    config = _config(shards=3, workers_per_shard=workers_per_shard)
+    reference = QOAdvisorServer(config=config)
     expected = [reference.stream_day(0), reference.stream_day(1)]
     reference.shutdown()
 
     path = tmp_path / "wal.jsonl"
-    server = QOAdvisorServer(config=_config(shards=3), serving=serving, journal=path)
+    server = QOAdvisorServer(config=config, journal=path)
     server.start()
     jobs = server.advisor.workload.jobs_for_day(0)
     third = max(1, len(jobs) // 3)
@@ -195,7 +193,7 @@ def test_a_failover_keeps_every_window_verifiable(tmp_path, workers_per_shard):
         assert report.fingerprint() == want.fingerprint()
         assert report.cache_stats == want.cache_stats
 
-    revived = QOAdvisorServer(config=_config(shards=3), serving=_serving(), journal=path)
+    revived = QOAdvisorServer(config=_config(shards=3), journal=path)
     recovery = revived.recover()
     assert recovery.fingerprints_verified == recovery.windows == 2
     revived.shutdown()
@@ -207,9 +205,7 @@ def test_threaded_journal_orders_admits_before_dones_and_recovers(tmp_path):
     before the ticket is visible to any worker) makes threaded journals
     replayable."""
     path = tmp_path / "wal.jsonl"
-    threaded = QOAdvisorServer(
-        config=_config(), serving=ServingConfig(workers_per_shard=2), journal=path
-    )
+    threaded = QOAdvisorServer(config=_config(workers_per_shard=2), journal=path)
     expected = threaded.stream_day(0)
     seen: set[int] = set()
     for record in threaded.journal.records():
@@ -218,7 +214,7 @@ def test_threaded_journal_orders_admits_before_dones_and_recovers(tmp_path):
         elif record["t"] == "done":
             assert record["seq"] in seen  # never before its admit
     # crash without shutdown; the journal alone rebuilds the day
-    revived = QOAdvisorServer(config=_config(), serving=_serving(), journal=path)
+    revived = QOAdvisorServer(config=_config(), journal=path)
     recovery = revived.recover()
     assert recovery.windows == 1 and recovery.fingerprints_verified == 1
     assert revived.advisor.reports[0].fingerprint() == expected.fingerprint()
@@ -226,21 +222,21 @@ def test_threaded_journal_orders_admits_before_dones_and_recovers(tmp_path):
     threaded.shutdown()
 
 
-def test_recovery_skips_rejected_admissions_and_keeps_seq_monotonic(tmp_path):
+def test_recovery_skips_rejected_admissions_and_keeps_seq_monotonic(tmp_path, monkeypatch):
     """An admission that bounced on backpressure leaves an admit+reject
     pair; replay must not re-drive it, and post-recovery submissions must
     not reuse any replayed sequence number."""
     path = tmp_path / "wal.jsonl"
-    tight = ServingConfig(workers_per_shard=1, queue_capacity=1, admission="reject")
-    original = QOAdvisorServer(config=_config(shards=1), serving=tight, journal=path)
+    monkeypatch.setattr(server_module, "_QUEUE_CAPACITY", 1)
+    original = QOAdvisorServer(config=_config(shards=1, workers_per_shard=1), journal=path)
     jobs = original.advisor.workload.jobs_for_day(0)
-    original.submit(jobs[0])  # fills the (unstarted) queue
+    original.submit(jobs[0], timeout=0)  # fills the (unstarted) queue
     with pytest.raises(QueueFull):
-        original.submit(jobs[1])
+        original.submit(jobs[1], timeout=0)
     kinds = [record["t"] for record in original.journal.records()]
     assert kinds == ["admit", "admit", "reject"]
     # crash without shutdown
-    revived = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    revived = QOAdvisorServer(config=_config(shards=1), journal=path)
     recovery = revived.recover()
     assert recovery.admitted == 1  # the rejected admission replays as a no-op
     assert revived.scheduler.pending(0) == 1
@@ -256,7 +252,7 @@ def test_recovery_skips_rejected_admissions_and_keeps_seq_monotonic(tmp_path):
 
 def test_recovery_replays_mode_switches_verbatim(tmp_path):
     path = tmp_path / "wal.jsonl"
-    original = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    original = QOAdvisorServer(config=_config(shards=1), journal=path)
     original.start()
     jobs = original.advisor.workload.jobs_for_day(0)
     original.submit(jobs[0])
@@ -266,9 +262,7 @@ def test_recovery_replays_mode_switches_verbatim(tmp_path):
     expected = original.run_maintenance(0).fingerprint()
     # crash without shutdown
 
-    revived = QOAdvisorServer(
-        config=_config(shards=1), serving=_serving(), journal=path
-    )
+    revived = QOAdvisorServer(config=_config(shards=1), journal=path)
     recovery = revived.recover()
     assert recovery.mode_switches == 1
     assert recovery.windows == 1 and recovery.fingerprints_verified == 1
@@ -285,7 +279,7 @@ def test_recovery_refuses_an_unknown_record_kind_before_replaying(tmp_path, kind
     lose the failed job it names, and replay would stop later on a
     misleading window divergence."""
     path = tmp_path / "wal.jsonl"
-    original = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    original = QOAdvisorServer(config=_config(shards=1), journal=path)
     original.stream_day(0)
     foreign: dict = {"t": kind}
     if kind == "shed":
@@ -300,7 +294,7 @@ def test_recovery_refuses_an_unknown_record_kind_before_replaying(tmp_path, kind
         )
     original.journal.append(foreign)
     total = len(original.journal.records())
-    revived = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=path)
+    revived = QOAdvisorServer(config=_config(shards=1), journal=path)
     with pytest.raises(
         JournalError, match=rf"record {total} of {total} has unknown kind '{kind}'"
     ):
@@ -317,10 +311,10 @@ def test_recovery_detects_a_divergent_reconstruction(tmp_path):
     must fail loudly at the first window fingerprint, not silently rebuild
     a different history."""
     path = tmp_path / "wal.jsonl"
-    original = QOAdvisorServer(config=_config(seed=555), serving=_serving(), journal=path)
+    original = QOAdvisorServer(config=_config(seed=555), journal=path)
     original.stream_day(0)
     # different seed: different jobs — replay cannot even resolve them
-    stranger = QOAdvisorServer(config=_config(seed=777), serving=_serving(), journal=path)
+    stranger = QOAdvisorServer(config=_config(seed=777), journal=path)
     with pytest.raises(JournalError):
         stranger.recover()
     stranger.shutdown()
@@ -329,7 +323,7 @@ def test_recovery_detects_a_divergent_reconstruction(tmp_path):
 
 def test_journal_named_by_a_string_path(tmp_path):
     path = tmp_path / "wal.jsonl"
-    server = QOAdvisorServer(config=_config(shards=1), serving=_serving(), journal=str(path))
+    server = QOAdvisorServer(config=_config(shards=1), journal=str(path))
     assert server.journal is not None
     server.stream_day(0)
     kinds = {record["t"] for record in server.journal.records()}

@@ -1,4 +1,4 @@
-"""Every name the perf ledger's tracer binds still resolves under ``src/``.
+"""Every name the perf ledger binds still resolves under ``src/``.
 
 ``benchmarks/ledger/tracing.py`` wraps public functions at each layer
 boundary by ``(module, class, attribute)`` — its ``_SITES`` table — and
@@ -6,20 +6,25 @@ patches ``ThreadedExecutor.map_jobs`` and ``ShardQueue.put`` / ``.get`` by
 hand.  A rename of any of them otherwise only fails a traced ledger run.
 The policy entries bind ``rank`` / ``observe`` on two classes of one
 hierarchy, which only yields one span per call while the subclass
-inherits both methods.
+inherits both methods.  ``benchmarks/ledger/workloads.py`` builds its
+configurations by keyword when it is imported, so a config field it
+passes must keep its name too.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
+from repro import SimulationConfig
 from repro.bandit.features import ActionFeatures, ContextFeatures
+from repro.parallel import build_executor
 from repro.policies import BanditSteeringPolicy
 
-_TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "tracing.py"
+_LEDGER = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger"
 
 _PATCHED_BY_HAND = [
     ("repro.parallel", "ThreadedExecutor", "map_jobs"),
@@ -29,7 +34,7 @@ _PATCHED_BY_HAND = [
 
 
 def _ledger_table() -> list[tuple]:
-    spec = importlib.util.spec_from_file_location("ledger_tracing", _TRACING)
+    spec = importlib.util.spec_from_file_location("ledger_tracing", _LEDGER / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module._SITES
@@ -81,3 +86,23 @@ def test_every_ledger_bound_policy_call_is_one_span(monkeypatch):
     response = policy.rank(context, actions)
     policy.observe(response.event_id, 1.0)
     assert spans == {"policies.rank": 1, "policies.observe": 1}
+
+
+def test_every_ledger_workload_config_builds(monkeypatch):
+    """Importing the workload table builds every configuration the ledger
+    runs (and each twin) by keyword; each must be a ``SimulationConfig``
+    whose executor can be built."""
+    monkeypatch.syspath_prepend(str(_LEDGER))  # workloads.py imports ``replay``
+    spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass resolves its module through sys.modules while it is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    workloads = module.WORKLOADS
+    assert set(workloads) == {"cold_bootstrap", "shared_days", "fleet_days", "serve_recover"}
+    configs = [spec.config for spec in workloads.values()]
+    configs += [spec.twin for spec in workloads.values() if spec.twin is not None]
+    assert len(configs) == 6
+    for config in configs:
+        assert isinstance(config, SimulationConfig)
+        build_executor(config.execution).close()

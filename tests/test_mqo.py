@@ -22,6 +22,7 @@ from repro.config import (
     ShardingConfig,
     WorkloadConfig,
 )
+from repro.scope import cache as cache_module
 from repro.scope.cache import CacheStats, CompileRequest, FragmentCache
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.mqo import BatchPlanner
@@ -226,19 +227,19 @@ def test_fingerprint_identical_with_mqo_on_off_and_any_topology():
         advisor.close()
 
 
-def test_capacity_squeeze_evicts_prefetched_slots_without_trace():
+def test_capacity_squeeze_evicts_prefetched_slots_without_trace(monkeypatch):
     """capacity ≪ the batch's fragment set: pre-explored slots are evicted
     at the epoch barrier before some compiles reach them, re-explored on
     demand, and none of it may leak into fingerprints or core counters."""
-    tight = dict(fragment_capacity=2)
-    on = QOAdvisor(_pool_config(mqo_enabled=True, **tight))
+    monkeypatch.setattr(cache_module, "_FRAGMENT_CAPACITY", 2)
+    on = QOAdvisor(_pool_config(mqo_enabled=True))
     on_reports = on.simulate(start_day=0, days=2, learned_after=1)
     assert on.engine.compilation.stats.mqo_preexplored > 0
     on.close()
-    off = QOAdvisor(_pool_config(mqo_enabled=False, **tight))
+    off = QOAdvisor(_pool_config(mqo_enabled=False))
     off_reports = off.simulate(start_day=0, days=2, learned_after=1)
     off.close()
-    threaded = QOAdvisor(_pool_config(workers=4, mqo_enabled=True, **tight))
+    threaded = QOAdvisor(_pool_config(workers=4, mqo_enabled=True))
     threaded_reports = threaded.simulate(start_day=0, days=2, learned_after=1)
     threaded.close()
     assert [r.fingerprint() for r in on_reports] == [

@@ -22,9 +22,10 @@ import time
 import pytest
 
 from repro import QOAdvisor, SimulationConfig
-from repro.config import CacheConfig, ExecutionConfig, FlightingConfig, WorkloadConfig
+from repro.config import ExecutionConfig, FlightingConfig, WorkloadConfig
 from repro.core.pipeline import STAGE_NAMES
 from repro.parallel import SerialExecutor, ThreadedExecutor, build_executor
+from repro.scope import cache as cache_module
 from repro.scope.engine import ScopeEngine
 from repro.scope.optimizer.rules.base import RuleFlip
 
@@ -110,17 +111,16 @@ def test_run_day_byte_identical_across_worker_counts():
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
 
-def test_run_day_byte_identical_under_evictions():
+def test_run_day_byte_identical_under_evictions(monkeypatch):
     """The eviction stress lock: recency is epoch-granular and capacity is
     enforced at stage barriers, so even a cache far too small for the day's
     working set evicts the same victims — and issues the same compiles — at
     any worker count."""
+    monkeypatch.setattr(cache_module, "_PLAN_CAPACITY", 8)
+    monkeypatch.setattr(cache_module, "_SCRIPT_CAPACITY", 4)
     reports = []
     for workers in (1, 4):
-        config = dataclasses.replace(
-            _tiny_config(workers), cache=CacheConfig(capacity=8, script_capacity=4)
-        )
-        with QOAdvisor(config) as advisor:
+        with QOAdvisor(_tiny_config(workers)) as advisor:
             reports.append(advisor.run_day(0))
     serial, parallel = reports
     assert serial.cache_stats.evictions > 0  # the stress is real

@@ -4,9 +4,9 @@ modes, versioning, reward-wait expiry, CFE."""
 import pytest
 
 from repro.bandit.features import ActionFeatures, ContextFeatures
-from repro.config import BanditConfig
 from repro.errors import PersonalizerError
 from repro.policies import BanditSteeringPolicy
+from repro.policies import base as policy_base
 
 
 def _context():
@@ -46,9 +46,10 @@ def test_unknown_event_rejected():
         BanditSteeringPolicy(seed=1).observe("nope", 1.0)
 
 
-def test_learned_mode_exploits_rewards():
-    config = BanditConfig(epsilon=0.0, learning_rate=0.3)
-    policy = BanditSteeringPolicy(config, seed=2, mode="uniform_logging")
+def test_learned_mode_exploits_rewards(monkeypatch):
+    monkeypatch.setattr(policy_base, "_EPSILON", 0.0)
+    monkeypatch.setattr(policy_base, "_LEARNING_RATE", 0.3)
+    policy = BanditSteeringPolicy(seed=2, mode="uniform_logging")
     actions = _actions(3)
     # action 2 is clearly best
     for _ in range(200):
@@ -69,9 +70,10 @@ def test_bad_mode_rejected():
         BanditSteeringPolicy(seed=1).switch_mode("chaotic")
 
 
-def test_unrewarded_events_expire_with_default_reward():
-    config = BanditConfig(activation_timeout_days=2, expired_event_reward=0.25)
-    policy = BanditSteeringPolicy(config, seed=6)
+def test_unrewarded_events_expire_with_default_reward(monkeypatch):
+    assert policy_base._ACTIVATION_TIMEOUT_DAYS == 2
+    monkeypatch.setattr(policy_base, "_EXPIRED_EVENT_REWARD", 0.25)
+    policy = BanditSteeringPolicy(seed=6)
     stale = policy.rank(_context(), _actions())
     policy.publish_version()  # tick 1: age 1, still pending
     assert policy.pending_events == 1
@@ -86,16 +88,6 @@ def test_unrewarded_events_expire_with_default_reward():
     # the fresh event is still rewardable
     policy.observe(fresh.event_id, 1.0)
     assert policy.pending_events == 0
-
-
-def test_expiry_disabled_with_zero_timeout():
-    config = BanditConfig(activation_timeout_days=0)
-    policy = BanditSteeringPolicy(config, seed=7)
-    policy.rank(_context(), _actions())
-    for _ in range(5):
-        policy.publish_version()
-    assert policy.pending_events == 1
-    assert policy.expired_events == 0
 
 
 def test_counterfactual_evaluation_reports_estimators():

@@ -23,7 +23,6 @@ from repro.bandit.offpolicy import (
 )
 from repro.bandit.policy import EpsilonGreedyPolicy
 from repro.config import (
-    BanditConfig,
     ExecutionConfig,
     FlightingConfig,
     ShardingConfig,
@@ -249,7 +248,7 @@ def test_bandit_decisions_match_the_parent_capture():
     # inherited, not overridden: the ledger's by-name tracer patches the base
     # after the subclass, so a ``super().rank()`` hop would be two spans
     assert not {"rank", "observe"} & vars(BanditSteeringPolicy).keys()
-    policy = BanditSteeringPolicy(SimulationConfig().bandit, seed=9)
+    policy = BanditSteeringPolicy(seed=9)
     ranks = []
     for step in range(5):
         if step == 3:
@@ -284,8 +283,8 @@ def test_bootstrap_event_log_matches_the_parent_capture():
         assert _blake(policy._rng.bit_generator.state) == "bf1a9080c39a5306b59738d8be8ba33b"
 
 
-def _make_policy(epsilon=0.1, mode="uniform_logging"):
-    return BanditSteeringPolicy(BanditConfig(epsilon=epsilon), seed=4, mode=mode)
+def _make_policy(mode="uniform_logging"):
+    return BanditSteeringPolicy(seed=4, mode=mode)
 
 
 def test_skeleton_conformance():
@@ -316,15 +315,13 @@ def test_skeleton_conformance():
     version = policy.publish_version()
     assert version == policy.model_version == 1
     assert policy.rank(_context(), actions).model_version == 1
-    # modes and epsilon are validated at construction, modes at the switch
+    # modes are validated at construction and at the switch
     policy.switch_mode("learned")
     assert policy.mode == "learned"
     with pytest.raises(PersonalizerError):
         policy.switch_mode("bogus")
     with pytest.raises(PersonalizerError):
         _make_policy(mode="bogus")
-    with pytest.raises(PersonalizerError):
-        _make_policy(epsilon=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,11 @@ def test_stress_fleet_acyclic_lock_order_and_fingerprint_parity(tmp_path):
     baseline = batch.run_day(0)
     batch.close()
 
+    served = dataclasses.replace(_config(), serving=ServingConfig(workers_per_shard=2))
     registry = LockRegistry()
     undo = auto_instrument_constructors(registry)
     try:
-        server = QOAdvisorServer(
-            config=_config(),
-            serving=ServingConfig(workers_per_shard=2),
-            journal=tmp_path / "wal.jsonl",
-        )
+        server = QOAdvisorServer(config=served, journal=tmp_path / "wal.jsonl")
         # constructor patching reached the whole object graph
         assert isinstance(server._failover_lock, TracedLock)
         assert isinstance(server.scheduler._lock, TracedLock)
@@ -240,11 +237,7 @@ def test_stress_fleet_acyclic_lock_order_and_fingerprint_parity(tmp_path):
         server.shutdown()
 
         # crash-recovery replay on a fresh (also instrumented) server
-        revived = QOAdvisorServer(
-            config=_config(),
-            serving=ServingConfig(workers_per_shard=2),
-            journal=tmp_path / "wal.jsonl",
-        )
+        revived = QOAdvisorServer(config=served, journal=tmp_path / "wal.jsonl")
         recovery = revived.recover()
         assert recovery.fingerprints_verified == 1
         revived.shutdown()

@@ -2,8 +2,9 @@
 
 The contracts under test:
 
-* **admission/backpressure** — per-shard queues are bounded; ``"reject"``
-  refuses immediately, ``"block"`` waits up to a timeout;
+* **admission/backpressure** — per-shard queues are bounded; a submit to
+  a full queue waits up to its timeout, and ``timeout=0`` refuses at once;
+* **shutdown** — no admitted ticket is dropped, started server or not;
 * **live steering** — jobs compile against the SIS hint version current at
   arrival, and the ticket records which version that was;
 * **maintenance windows** — the scheduler drains a day's accumulated work
@@ -20,10 +21,18 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from collections import Counter
 
 import pytest
 
-from repro import QOAdvisor, QOAdvisorServer, ServingConfig, ShardRouter, SimulationConfig
+from repro import (
+    QOAdvisor,
+    QOAdvisorServer,
+    ServingConfig,
+    ShardRouter,
+    SimulationConfig,
+    TicketJournal,
+)
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
@@ -34,17 +43,21 @@ from repro.config import (
 from repro.scope.jobs import JobInstance
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.serving import JobTicket, QueueClosed, QueueFull, ShardQueue
+from repro.serving import server as server_module
 from repro.serving.stats import LANE_COUNTERS, LatencyRing, ShardStats, percentile
 from repro.sis.hints import HintEntry
 
 
-def _config(workers: int = 1, shards: int = 1, seed: int = 555) -> SimulationConfig:
+def _config(
+    workers: int = 1, shards: int = 1, seed: int = 555, workers_per_shard: int = 1
+) -> SimulationConfig:
     return dataclasses.replace(
         SimulationConfig(seed=seed),
         workload=WorkloadConfig(num_templates=10, num_tables=8),
         flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
         execution=ExecutionConfig(workers=workers, backend="thread"),
         sharding=ShardingConfig(shards=shards),
+        serving=ServingConfig(workers_per_shard=workers_per_shard),
     )
 
 
@@ -56,21 +69,21 @@ def _ticket(seq: int, job_id: str = "j") -> JobTicket:
 # -- queue admission ----------------------------------------------------------
 
 
-def test_queue_reject_policy_raises_when_full():
-    queue = ShardQueue(capacity=2, admission="reject")
+def test_queue_put_with_zero_timeout_refuses_at_once_when_full():
+    queue = ShardQueue(capacity=2)
     queue.put(_ticket(1))
     queue.put(_ticket(2))
     assert queue.depth == 2 and queue.max_depth == 2
     with pytest.raises(QueueFull):
-        queue.put(_ticket(3))
+        queue.put(_ticket(3), timeout=0)
     # a consumer frees a slot and admission resumes
     assert queue.get(timeout=0).seq == 1
-    queue.put(_ticket(3))
+    queue.put(_ticket(3), timeout=0)
     assert [queue.get(timeout=0).seq for _ in range(2)] == [2, 3]
 
 
-def test_queue_block_policy_times_out_and_unblocks():
-    queue = ShardQueue(capacity=1, admission="block")
+def test_queue_put_times_out_and_unblocks():
+    queue = ShardQueue(capacity=1)
     queue.put(_ticket(1))
     with pytest.raises(QueueFull):
         queue.put(_ticket(2), timeout=0.01)
@@ -100,8 +113,6 @@ def test_queue_close_stops_admission_but_keeps_backlog_drainable():
 def test_queue_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ShardQueue(capacity=0)
-    with pytest.raises(ValueError):
-        ShardQueue(capacity=1, admission="drop-newest")
 
 
 @pytest.mark.parametrize("capacity", [0, -3])
@@ -135,18 +146,16 @@ def test_router_exclusion_reroutes_stably_and_avoids_failed_shards():
 # -- server backpressure ------------------------------------------------------
 
 
-def test_server_backpressure_rejects_past_capacity():
-    server = QOAdvisorServer(
-        config=_config(shards=1),
-        serving=ServingConfig(queue_capacity=3, admission="reject", workers_per_shard=1),
-    )
+def test_server_backpressure_rejects_past_capacity(monkeypatch):
+    monkeypatch.setattr(server_module, "_QUEUE_CAPACITY", 3)
+    server = QOAdvisorServer(config=_config(shards=1))
     jobs = server.advisor.workload.jobs_for_day(0)
     assert len(jobs) > 3
     # not started: nothing consumes, so the 4th submission must bounce
     for job in jobs[:3]:
-        server.submit(job)
+        server.submit(job, timeout=0)
     with pytest.raises(QueueFull):
-        server.submit(jobs[3])
+        server.submit(jobs[3], timeout=0)
     stats = server.stats()
     assert stats.jobs_submitted == 3 and stats.jobs_in_flight == 3
     assert stats.shards[0].queue_depth == 3
@@ -161,9 +170,7 @@ def test_server_backpressure_rejects_past_capacity():
 
 
 def test_jobs_steer_against_the_live_hint_version():
-    server = QOAdvisorServer(
-        config=_config(shards=1), serving=ServingConfig(workers_per_shard=0)
-    )
+    server = QOAdvisorServer(config=_config(shards=1, workers_per_shard=0))
     server.start()
     jobs = server.advisor.workload.jobs_for_day(0)
     before = server.submit(jobs[0])
@@ -186,9 +193,7 @@ def test_jobs_steer_against_the_live_hint_version():
 
 
 def test_maintenance_window_runs_all_stages_and_counts():
-    server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=0)
-    )
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=0))
     report = server.stream_day(0)
     assert set(report.stage_timings) == {
         "production", "features", "recommend", "recompile",
@@ -205,9 +210,7 @@ def test_maintenance_window_runs_all_stages_and_counts():
 
 def test_submissions_stay_admitted_while_a_window_runs():
     """Maintenance is not a barrier: jobs flow while the window executes."""
-    server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=1)
-    )
+    server = QOAdvisorServer(config=_config(shards=2))
     # generate day 1 up front so the window does not race catalog growth
     day1_jobs = server.advisor.workload.jobs_for_day(1)
     admitted_during_window: list[JobTicket] = []
@@ -234,9 +237,7 @@ def test_submissions_stay_admitted_while_a_window_runs():
 
 
 def test_shard_failover_requeues_backlog_with_zero_loss():
-    server = QOAdvisorServer(
-        config=_config(shards=3), serving=ServingConfig(workers_per_shard=1)
-    )
+    server = QOAdvisorServer(config=_config(shards=3))
     tickets = server.submit_day(0)  # not started: queues hold the whole day
     depths = [shard.queue_depth for shard in server.stats().shards]
     victim = max(range(3), key=lambda i: depths[i])
@@ -267,9 +268,7 @@ def test_shard_failover_requeues_backlog_with_zero_loss():
 
 
 def test_failing_the_last_shard_is_refused():
-    server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=1)
-    )
+    server = QOAdvisorServer(config=_config(shards=2))
     server.fail_shard(0)
     with pytest.raises(ValueError):
         server.fail_shard(1)
@@ -280,9 +279,7 @@ def test_failing_the_last_shard_is_refused():
 
 
 def test_drain_requires_a_started_server():
-    server = QOAdvisorServer(
-        config=_config(shards=1), serving=ServingConfig(workers_per_shard=1)
-    )
+    server = QOAdvisorServer(config=_config(shards=1))
     server.submit(server.advisor.workload.jobs_for_day(0)[0])
     with pytest.raises(RuntimeError, match="not.*started"):
         server.drain(timeout=0.1)
@@ -293,10 +290,33 @@ def test_drain_requires_a_started_server():
     server.shutdown()
 
 
-def test_shutdown_is_graceful_and_terminal():
+@pytest.mark.parametrize("workers_per_shard", [0, 1], ids=["inline", "threaded"])
+def test_shutdown_of_an_unstarted_server_serves_its_admitted_backlog(
+    tmp_path, workers_per_shard
+):
+    """Tickets admitted before ``start()`` are served by ``shutdown()``,
+    as a started server's backlog is: none is left undone, in flight, or
+    journaled as admitted without its ``done``."""
     server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=2)
+        config=_config(shards=1, workers_per_shard=workers_per_shard),
+        journal=tmp_path / "wal.jsonl",
     )
+    jobs = server.advisor.workload.jobs_for_day(0)[:3]
+    tickets = [server.submit(job) for job in jobs]
+    server.shutdown(timeout=60.0)
+    assert all(ticket.done for ticket in tickets)
+    stats = server.stats()
+    assert stats.jobs_in_flight == 0
+    assert stats.jobs_completed + stats.jobs_failed == 3
+    assert server.scheduler.pending(0) == 3  # recorded for the day's window
+    with TicketJournal(tmp_path / "wal.jsonl") as journal:
+        kinds = Counter(record["t"] for record in journal.records())
+    assert kinds["admit"] == kinds["done"] == 3
+    assert not server.started
+
+
+def test_shutdown_is_graceful_and_terminal():
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=2))
     with server as running:
         running.submit_day(0)
     # the context exit drained before retiring the workers
@@ -326,9 +346,7 @@ def test_percentiles_are_none_until_measured_not_fabricated_zeroes():
     # singleton sample: the single observation at every rank, no IndexError
     assert percentile([0.25], 50) == 0.25 and percentile([0.25], 95) == 0.25
     assert percentile([0.25], 0) == 0.25 and percentile([0.25], 100) == 0.25
-    server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=0)
-    )
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=0))
     stats = server.stats()  # zero jobs steered anywhere
     for shard in stats.shards:
         assert shard.compile_p50_s is None and shard.compile_p95_s is None
@@ -340,9 +358,7 @@ def test_idle_lane_skew_is_none_across_a_publication():
     """Regression: a lane that idles across a hint publication must not
     report skew as 0 (caught up), as the current version (maximally
     behind), or negative — it has no skew to report at all."""
-    server = QOAdvisorServer(
-        config=_config(shards=2), serving=ServingConfig(workers_per_shard=0)
-    )
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=0))
     server.start()
     jobs = server.advisor.workload.jobs_for_day(0)
     # keep one lane completely idle: submit only the other lane's templates
@@ -371,12 +387,10 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
     """Whichever way a ticket ends it is recorded once under its day,
     journaled once (``done``), released once and its root span finished
     once — the single-terminal invariant ``_complete`` owns."""
-    config = dataclasses.replace(_config(shards=2), obs=ObsConfig(enabled=True))
-    server = QOAdvisorServer(
-        config=config,
-        serving=ServingConfig(workers_per_shard=0),
-        journal=tmp_path / "journal.jsonl",
+    config = dataclasses.replace(
+        _config(shards=2, workers_per_shard=0), obs=ObsConfig(enabled=True)
     )
+    server = QOAdvisorServer(config=config, journal=tmp_path / "journal.jsonl")
     recorded = []
     record = server.scheduler.record
 
@@ -424,10 +438,10 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
 def test_lane_counter_vocabulary_reaches_every_stats_surface():
     """Each name of the one counter tuple is a ShardStats field and a
     ``repro_serving_<name>_total`` series carrying the same value."""
-    config = dataclasses.replace(_config(shards=1), obs=ObsConfig(enabled=True))
-    server = QOAdvisorServer(
-        config=config, serving=ServingConfig(workers_per_shard=0)
+    config = dataclasses.replace(
+        _config(shards=1, workers_per_shard=0), obs=ObsConfig(enabled=True)
     )
+    server = QOAdvisorServer(config=config)
     server.start()
     server.submit(server.advisor.workload.jobs_for_day(0)[0])
     text = server.advisor.obs.metrics.exposition()
@@ -458,9 +472,7 @@ def _no_mqo(stats):
 def test_serial_replay_matches_batch_run_day_single_shard():
     batch = QOAdvisor(_config(shards=1))
     baseline = batch.run_day(0)
-    server = QOAdvisorServer(
-        config=_config(shards=1), serving=ServingConfig(workers_per_shard=0)
-    )
+    server = QOAdvisorServer(config=_config(shards=1, workers_per_shard=0))
     report = server.stream_day(0)
     assert report.fingerprint() == baseline.fingerprint()
     assert _no_mqo(report.cache_stats) == _no_mqo(baseline.cache_stats)
@@ -476,10 +488,7 @@ def test_serial_replay_matches_batch_run_day_single_shard():
 def test_threaded_sharded_replay_matches_batch():
     batch = QOAdvisor(_config(workers=1, shards=1))
     baseline = batch.run_day(0)
-    server = QOAdvisorServer(
-        config=_config(shards=2),
-        serving=ServingConfig(workers_per_shard=2),
-    )
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=2))
     report = server.stream_day(0)
     assert report.fingerprint() == baseline.fingerprint()
     assert _no_mqo(report.cache_stats) == _no_mqo(baseline.cache_stats)
@@ -502,8 +511,7 @@ def test_full_deployment_replay_matches_batch_simulate():
 
     published = []
     server = QOAdvisorServer(
-        config=_config(shards=2, seed=555),
-        serving=ServingConfig(workers_per_shard=0),
+        config=_config(shards=2, seed=555, workers_per_shard=0),
         on_publish=published.append,
     )
     server.advisor.pipeline.bootstrap_validation_model(
