@@ -18,17 +18,16 @@ that share a :class:`StageContext`:
    the validated templates compile with the flip applied.
 
 Every per-job stage fans out through the pipeline's
-:class:`~repro.parallel.Executor` (``ExecutionConfig.workers``); per-stage
-wall-clock timings land in :attr:`DayReport.stage_timings`.  Stages that do
-not run on a given day (validation before the model is fitted) report 0.0,
-so downstream analysis can always key into the full stage list.
+:class:`~repro.parallel.Executor` (``ExecutionConfig.workers``).  With
+observability on, each stage that runs is a ``stage:<name>`` span under
+the day's root span; that span is the stage's only clock.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.config import SimulationConfig
 from repro.core.features import FeatureGenerationTask, JobFeatures
@@ -66,20 +65,9 @@ __all__ = [
     "DayReport",
     "PipelineStage",
     "StageContext",
-    "STAGE_NAMES",
     "QOAdvisorPipeline",
+    "record_production",
 ]
-
-#: canonical stage order; ``DayReport.stage_timings`` always carries every name
-STAGE_NAMES = (
-    "production",
-    "features",
-    "recommend",
-    "recompile",
-    "flight",
-    "validate",
-    "hintgen",
-)
 
 
 def _feed(hasher, *parts: object) -> None:
@@ -112,12 +100,8 @@ class DayReport:
     #: nature, so excluded from :meth:`fingerprint` (the aggregate
     #: ``cache_stats`` is the cross-topology contract)
     shard_cache_stats: dict[int, CacheStats] | None = None
-    #: wall-clock seconds per pipeline stage; stages that did not run on
-    #: this day (e.g. validation before the model is fitted) report 0.0
-    stage_timings: dict[str, float] = field(default_factory=dict)
     #: the steering policy's published model version at day close —
-    #: deployment telemetry, excluded from :meth:`fingerprint` (like stage
-    #: timings)
+    #: deployment telemetry, excluded from :meth:`fingerprint`
     policy_version: int = 0
 
     @property
@@ -192,9 +176,8 @@ class DayReport:
 
         The determinism contract the parallel backbone and the sharded
         compilation service are tested against: equal at any worker and
-        shard count.  Stage timings (wall-clock) and per-shard stat
-        breakdowns (topology-shaped, though their sum is covered via
-        ``cache_stats``) are excluded.
+        shard count.  Per-shard stat breakdowns (topology-shaped, though
+        their sum is covered via ``cache_stats``) are excluded.
         """
         hasher = self._decisions_hasher()
         # only the schedule-independent core counters: the fragment-store
@@ -223,6 +206,27 @@ class StageContext:
     trace: object | None = None
 
 
+def record_production(
+    ctx: StageContext, outcomes: Iterable[tuple[JobInstance, JobRun | None]]
+) -> None:
+    """File a production pass into ``ctx``: runs, failed job ids, the view
+    and ``jobs_by_id``.
+
+    ``outcomes`` pairs each job with its run (None when it failed) in
+    submission order — batch ``run_production``'s order, or a serving
+    window's tickets by ``seq`` — so both build the same report.
+    """
+    report = ctx.report
+    report.view = WorkloadView(day=ctx.day)
+    for job, run in outcomes:
+        if run is None:
+            report.failed_jobs.append(job.job_id)
+            continue
+        report.production_runs.append(run)
+        report.view.add(build_view_row(job, run.result, run.metrics))
+        ctx.jobs_by_id[job.job_id] = job
+
+
 class PipelineStage:
     """One named step of the daily loop, operating on a :class:`StageContext`."""
 
@@ -232,7 +236,7 @@ class PipelineStage:
         self.pipeline = pipeline
 
     def should_run(self, ctx: StageContext) -> bool:
-        """Whether the stage runs today; skipped stages keep a 0.0 timing."""
+        """Whether the stage runs today; a skipped stage opens no span."""
         return True
 
     def run(self, ctx: StageContext) -> None:
@@ -245,11 +249,7 @@ class ProductionStage(PipelineStage):
     name = "production"
 
     def run(self, ctx: StageContext) -> None:
-        runs, failed, view = self.pipeline.run_production(ctx.day)
-        ctx.report.production_runs = runs
-        ctx.report.failed_jobs = failed
-        ctx.report.view = view
-        ctx.jobs_by_id = {run.job.job_id: run.job for run in runs}
+        record_production(ctx, self.pipeline.run_production(ctx.day))
 
 
 class FeatureStage(PipelineStage):
@@ -352,9 +352,6 @@ class QOAdvisorPipeline:
         self.config = config or engine.config
         #: observability plane; the null plane keeps every probe a no-op
         self.obs = obs or NULL_PLANE
-        #: the most recently finalized DayReport (feeds the stage-timing
-        #: metrics view); never read by the pipeline itself
-        self.last_report: DayReport | None = None
         #: the steering policy: the paper's CB
         self.policy = BanditSteeringPolicy(seed=self.config.seed)
         self.executor = executor or build_executor(self.config.execution)
@@ -377,12 +374,12 @@ class QOAdvisorPipeline:
 
     # -- production + view ---------------------------------------------------
 
-    def run_production(self, day: int) -> tuple[list[JobRun], list[str], WorkloadView]:
-        """Execute the day's jobs with active hints; build the view file.
+    def run_production(self, day: int) -> list[tuple[JobInstance, JobRun | None]]:
+        """Execute the day's jobs with active hints, in submission order.
 
         Jobs run in parallel through the executor (plan compilation shares
-        the engine's thread-safe cache; execution noise is keyed per job),
-        and the view is assembled in submission order afterwards.
+        the engine's thread-safe cache; execution noise is keyed per job);
+        a job that fails to compile pairs with None.
         """
         jobs = self.workload.jobs_for_day(day)
         # batch MQO: warm the fragment store for the day's distinct join
@@ -392,32 +389,19 @@ class QOAdvisorPipeline:
             [CompileRequest(job) for job in jobs], self.executor
         )
 
-        def attempt(job: JobInstance) -> JobRun | None:
-            try:
-                return self.engine.run_job(job)
-            except ScopeError:
-                return None
+        tracer = self.obs.tracer
 
-        # the cross-thread tracing boundary: each job gets a "job" span
-        # parented to the coordinating thread's current span (the
-        # production stage), carried into the worker explicitly
-        outcomes = self.executor.map_jobs_traced(
-            attempt,
-            jobs,
-            tracer=self.obs.tracer,
-            name="job",
-            attr=lambda job: {"job_id": job.job_id, "template": job.template_id},
-        )
-        runs: list[JobRun] = []
-        failed: list[str] = []
-        view = WorkloadView(day=day)
-        for job, run in zip(jobs, outcomes):
-            if run is None:
-                failed.append(job.job_id)
-                continue
-            runs.append(run)
-            view.add(build_view_row(job, run.result, run.metrics))
-        return runs, failed, view
+        def attempt(job: JobInstance) -> JobRun | None:
+            # a "job" span under the production stage's span, which the
+            # executor carries into the worker thread
+            with tracer.child_span("job", job_id=job.job_id, template=job.template_id):
+                try:
+                    return self.engine.run_job(job)
+                except ScopeError:
+                    return None
+
+        outcomes = self.executor.map_jobs_propagated(attempt, jobs, tracer=tracer)
+        return list(zip(jobs, outcomes))
 
     # -- validation-model bootstrap -----------------------------------------------
 
@@ -520,12 +504,6 @@ class QOAdvisorPipeline:
         compilation = self.engine.compilation
         return compilation.stats.snapshot(), compilation.per_shard_stats()
 
-    def open_report(self, day: int) -> DayReport:
-        """A fresh report with every stage timing present (and zero)."""
-        report = DayReport(day=day)
-        report.stage_timings = {name: 0.0 for name in STAGE_NAMES}
-        return report
-
     def run_stage(self, stage: PipelineStage, ctx: StageContext) -> None:
         """Run one stage (if due today) and close it with the epoch barrier.
 
@@ -537,12 +515,10 @@ class QOAdvisorPipeline:
         serving maintenance window.
         """
         if stage.should_run(ctx):
-            started = time.perf_counter()  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
             with self.obs.tracer.span(
                 f"stage:{stage.name}", parent=ctx.trace, day=ctx.day
             ):
                 stage.run(ctx)
-            ctx.report.stage_timings[stage.name] = time.perf_counter() - started  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
         self.engine.compilation.checkpoint()
 
     def finalize_report(
@@ -559,12 +535,11 @@ class QOAdvisorPipeline:
             for shard, stats in self.engine.compilation.per_shard_stats().items()
         }
         report.policy_version = self.policy.publish_version()
-        self.last_report = report
         return report
 
     def run_day(self, day: int) -> DayReport:
         cache_before, shards_before = self.snapshot_stats()
-        report = self.open_report(day)
+        report = DayReport(day=day)
         ctx = StageContext(day=day, report=report)
         with self.obs.tracer.span("day", trace_id=f"day:{day}", day=day) as root:
             ctx.trace = root

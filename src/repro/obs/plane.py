@@ -10,9 +10,9 @@ in-memory ring, plus a JSONL file when ``trace_jsonl_path`` is set — and
 nowhere else; every metric is a view read at exposition time.  The
 plane's own view, ``repro_spans_finished_total{name=}``, reads the
 ring's per-name tally.  ``install_advisor_views`` re-homes the batch
-pipeline's existing signals the same way — the cache counters, stage
-timings, and policy identity are *read* at exposition time, never
-duplicated on the hot path.  The serving server registers its own views
+pipeline's existing signals the same way — the cache counters, the last
+day's stage spans, and policy identity are *read* at exposition time,
+never duplicated on the hot path.  The serving server registers its own views
 (lane counters, queue depths, lane latency) in
 :meth:`repro.serving.server.QOAdvisorServer` because their sources of
 truth live there.
@@ -84,7 +84,6 @@ def install_advisor_views(registry: MetricsRegistry, advisor: "QOAdvisor") -> No
     names) replaces earlier callbacks, so rebuilding an advisor against
     the same registry stays idempotent.
     """
-    pipeline = advisor.pipeline
 
     def cache_samples():
         samples = []
@@ -109,18 +108,38 @@ def install_advisor_views(registry: MetricsRegistry, advisor: "QOAdvisor") -> No
     )
 
     def stage_samples():
-        report = getattr(pipeline, "last_report", None)
-        if report is None:
+        # the ring holds spans in finish order and a root finishes after
+        # its stages: the last "day" or "window" root, then its
+        # "stage:<name>" children.  A stage that did not run has no span,
+        # so no sample (unmeasured is absent, never 0.0)
+        spans = advisor.obs.ring.spans()
+        root = next(
+            (
+                s
+                for s in reversed(spans)
+                if s.parent_id is None and s.name in ("day", "window")
+            ),
+            None,
+        )
+        if root is None:
             return []
-        return [
-            Sample("repro_stage_seconds", {"stage": name}, wall)
-            for name, wall in sorted(report.stage_timings.items())
-        ]
+        return sorted(
+            (
+                Sample(
+                    "repro_stage_seconds",
+                    {"stage": s.name.removeprefix("stage:")},
+                    s.duration_s,
+                )
+                for s in spans
+                if s.parent_id == root.span_id and s.name.startswith("stage:")
+            ),
+            key=lambda sample: sample.labels["stage"],
+        )
 
     registry.register_view(
         "repro_stage_seconds",
         stage_samples,
-        help="wall-clock of each pipeline stage in the last completed day",
+        help="duration of each stage span of the last finished day or window",
         kind="gauge",
     )
 

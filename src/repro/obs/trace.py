@@ -19,8 +19,8 @@ Design constraints, inherited from the plan-cache work (PR 6–8):
   is byte-identical in every report (locked by ``tests/test_obs.py``);
 * **explicit context propagation** — worker threads do not inherit a
   parent's span automatically.  The fan-out boundary
-  (:meth:`repro.parallel.Executor.map_jobs_traced`, the serving ticket's
-  ``trace`` field) carries the parent span across threads explicitly;
+  (:meth:`repro.parallel.Executor.map_jobs_propagated`, the serving
+  ticket's ``trace`` field) carries the parent span across threads explicitly;
   *within* one thread, ``with tracer.span(...)`` maintains a thread-local
   stack so nested instrumentation (a compile inside a job) attaches
   without plumbing;

@@ -75,42 +75,6 @@ class Executor(ABC):
         ``keyed_rng``, never from a shared sequential stream.
         """
 
-    def map_jobs_traced(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        tracer,
-        name: str,
-        parent=None,
-        attr: Callable[[T], dict] | None = None,
-    ) -> list[R]:
-        """``map_jobs`` with one child span per item under ``parent``.
-
-        The explicit-propagation boundary: worker threads do not inherit
-        the coordinating thread's span stack, so the parent is captured
-        here (argument, or the *calling* thread's current span) and
-        closed over.  Each item runs inside a ``name`` span parented to
-        it; ``attr(item)`` supplies per-item span attributes.  With a
-        disabled tracer this is exactly ``map_jobs`` — one check, no
-        wrapper closure.
-        """
-        if not tracer.enabled:
-            return self.map_jobs(fn, items)
-        if parent is None:
-            parent = tracer.current()
-            if parent is None:
-                # untraced caller: stay invisible rather than minting
-                # one orphan root per item
-                return self.map_jobs(fn, items)
-
-        def traced(item: T) -> R:
-            attrs = attr(item) if attr is not None else {}
-            with tracer.span(name, parent=parent, **attrs):
-                return fn(item)
-
-        return self.map_jobs(traced, items)
-
     def map_jobs_propagated(
         self,
         fn: Callable[[T], R],

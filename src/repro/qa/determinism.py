@@ -22,8 +22,8 @@ disciplines hold everywhere:
     whose draws depend on call schedule, not on keys.
 ``QA-DET-TIME``
     Wall-clock reads (``time.time``/``perf_counter``/``datetime.now``/…)
-    are allowed only in telemetry-only modules (``obs/``,
-    ``serving/stats.py``) or at sites explicitly marked as timing
+    are allowed only in the observability plane (``obs/``), whose spans
+    are the system's clock, or at sites explicitly marked as timing
     accumulators (``# qa: wallclock-ok <reason>``) whose output is
     excluded from every fingerprint.
 ``QA-DET-SETITER``
@@ -56,9 +56,9 @@ from repro.qa.findings import (
 __all__ = ["scan_file", "scan_tree", "DEFAULT_TIME_ALLOWLIST", "RNG_HOME"]
 
 #: modules (relative to the package root) where wall-clock reads are legal:
-#: the observability plane and the serving stats surface are telemetry by
-#: construction — nothing they compute is fingerprint-covered
-DEFAULT_TIME_ALLOWLIST = ("obs/", "serving/stats.py")
+#: the observability plane is telemetry by construction — nothing it
+#: computes is fingerprint-covered
+DEFAULT_TIME_ALLOWLIST = ("obs/",)
 
 #: the one module allowed to construct generators directly
 RNG_HOME = "rng.py"

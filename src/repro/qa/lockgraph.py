@@ -330,7 +330,6 @@ _INSTRUMENTED_ATTRS: dict[str, tuple[str, ...]] = {
     "Tracer": ("_lock",),
     "RingSink": ("_lock",),
     "JsonlSink": ("_lock",),
-    "LatencyRing": ("_lock",),
     "QOAdvisorServer": ("_seq_lock", "_hot_lock", "_failover_lock"),
     "_ShardLane": ("lock",),
     "MaintenanceScheduler": ("_lock", "_window_lock"),
@@ -378,7 +377,6 @@ def _known_classes() -> dict[str, type]:
     from repro.serving.journal import TicketJournal
     from repro.serving.maintenance import MaintenanceScheduler
     from repro.serving.server import QOAdvisorServer, _ShardLane
-    from repro.serving.stats import LatencyRing
 
     return {
         "CompilationService": CompilationService,
@@ -387,7 +385,6 @@ def _known_classes() -> dict[str, type]:
         "Tracer": Tracer,
         "RingSink": RingSink,
         "JsonlSink": JsonlSink,
-        "LatencyRing": LatencyRing,
         "QOAdvisorServer": QOAdvisorServer,
         "_ShardLane": _ShardLane,
         "MaintenanceScheduler": MaintenanceScheduler,

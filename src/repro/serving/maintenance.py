@@ -21,15 +21,17 @@ where batch runs it), same finalize accounting.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.pipeline import DayReport, QOAdvisorPipeline, StageContext
+from repro.core.pipeline import (
+    DayReport,
+    QOAdvisorPipeline,
+    StageContext,
+    record_production,
+)
 from repro.scope.cache import CacheStats
-from repro.scope.telemetry.view import WorkloadView, build_view_row
 from repro.serving.queues import JobTicket
-from repro.serving.stats import WindowSummary
 from repro.sis.service import SISService
 
 __all__ = ["MaintenanceScheduler"]
@@ -45,8 +47,6 @@ class _DayAccumulator:
     shards_before: dict[int, CacheStats] = field(default_factory=dict)
     #: completed tickets keyed by submission sequence number
     tickets: dict[int, JobTicket] = field(default_factory=dict)
-    #: summed per-job processing wall-clock (the production stage "timing")
-    busy_s: float = 0.0
 
 
 class MaintenanceScheduler:
@@ -78,9 +78,6 @@ class MaintenanceScheduler:
         self._window_lock = threading.Lock()
         self.windows = 0
         self.publications = 0
-        #: summary of the last completed window (None before the first);
-        #: operator telemetry, never part of any fingerprint
-        self.last_window: WindowSummary | None = None
 
     def open_day(self, day: int) -> None:
         """Snapshot the delta base the first time a day appears.
@@ -108,7 +105,6 @@ class MaintenanceScheduler:
                     ticket.day, cache_before, shards_before
                 )
             accumulator.tickets[ticket.seq] = ticket
-            accumulator.busy_s += ticket.compile_s
 
     def pending(self, day: int) -> int:
         """Completed tickets accumulated for ``day`` and not yet drained."""
@@ -131,11 +127,12 @@ class MaintenanceScheduler:
         counter snapshot.  The hint upload inside the ``hintgen`` stage is
         the atomic publication: SIS rebinds the full active set in one
         step, so a steering worker either sees the old hint file or the
-        new one, never a mix.
+        new one, never a mix.  With observability on, the window's root
+        span records its duration, day, jobs, failed jobs and the hint
+        version it published (None when validation held the release back).
         """
         obs = self.pipeline.obs
         with self._window_lock:
-            started_wall = time.perf_counter()  # qa: wallclock-ok window wall-time is telemetry, fingerprint-excluded
             # the window's root span: trace id = the window id, stage
             # spans parent under it via ``ctx.trace`` exactly like the
             # batch "day" root
@@ -146,14 +143,6 @@ class MaintenanceScheduler:
                     jobs=len(report.production_runs),
                     failed=len(report.failed_jobs),
                 )
-            wall_s = time.perf_counter() - started_wall  # qa: wallclock-ok window wall-time is telemetry, fingerprint-excluded
-            self.last_window = WindowSummary(
-                day=day,
-                wall_s=wall_s,
-                jobs=len(report.production_runs),
-                failed=len(report.failed_jobs),
-                hint_version=report.hint_version,
-            )
             return report
 
     def _drain_window(self, day: int, trace: object) -> DayReport:
@@ -171,23 +160,16 @@ class MaintenanceScheduler:
             cache_before, shards_before = self.pipeline.snapshot_stats()
             accumulator = _DayAccumulator(day, cache_before, shards_before)
 
-        report = self.pipeline.open_report(day)
-        report.stage_timings["production"] = accumulator.busy_s
-        view = WorkloadView(day=day)
-        jobs_by_id = {}
-        started = time.perf_counter()  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
-        for seq in sorted(accumulator.tickets):
-            ticket = accumulator.tickets[seq]
-            if ticket.failed or ticket.run is None:
-                report.failed_jobs.append(ticket.job.job_id)
-                continue
-            run = ticket.run
-            report.production_runs.append(run)
-            view.add(build_view_row(run.job, run.result, run.metrics))
-            jobs_by_id[run.job.job_id] = run.job
-        report.view = view
-        report.stage_timings["production"] += time.perf_counter() - started  # qa: wallclock-ok stage_timings is fingerprint-excluded telemetry
-        ctx = StageContext(day=day, report=report, jobs_by_id=jobs_by_id, trace=trace)
+        report = DayReport(day=day)
+        ctx = StageContext(day=day, report=report, trace=trace)
+        # the window's production pass, in submission (seq) order
+        record_production(
+            ctx,
+            (
+                (ticket.job, None if ticket.failed else ticket.run)
+                for _, ticket in sorted(accumulator.tickets.items())
+            ),
+        )
         # the post-production epoch barrier, at the same point batch
         # run_day places it (right after the production stage).  Note
         # the strict byte-parity contract assumes no compile is in

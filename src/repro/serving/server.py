@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from typing import Callable
 
@@ -75,7 +76,6 @@ from repro.serving.queues import JobTicket, QueueClosed, ShardQueue
 from repro.serving.stats import (
     CACHE_FIELDS,
     LANE_COUNTERS,
-    LatencyRing,
     ServerStats,
     ShardStats,
     job_totals,
@@ -108,9 +108,11 @@ class _ShardLane:
         #: one integer per name of the serving vocabulary, bumped under
         #: ``lock``; every stats surface is built from this container
         self.counts = dict.fromkeys(LANE_COUNTERS, 0)
-        #: bounded recent compile latencies (percentile source); a lifetime
-        #: list here would grow without bound on a long-lived server
-        self.compile_latency = LatencyRing(_LATENCY_WINDOW)
+        #: the most recent compile latencies (percentile source) and the
+        #: lifetime count of them, both under ``lock``; a lifetime list
+        #: would grow without bound on a long-lived server
+        self.compile_latency: deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        self.compile_observations = 0
         self.last_hint_version: int | None = None
         self.threads: list[threading.Thread] = []
 
@@ -179,8 +181,6 @@ class QOAdvisorServer:
         self._started = False
         self._stop = False
         self._failover_lock = threading.Lock()
-        self._first_submit_at: float | None = None
-        self._last_done_at: float | None = None
         self._install_serving_views()
 
     # -- lifecycle ----------------------------------------------------------
@@ -198,11 +198,13 @@ class QOAdvisorServer:
 
         On the inline schedule (``workers_per_shard == 0``) no threads are
         spawned — jobs are processed on the submitting thread — but any
-        backlog queued before ``start()`` is drained now.
+        backlog queued before ``start()`` is drained now.  A server that
+        was shut down does not start again: its queues are closed.
         """
         if self._started:
             return self
-        self._stop = False
+        if self._stop:
+            raise QueueClosed("the server is shut down; it does not start again")
         self._started = True
         for lane in self._lanes:
             self._kick(lane)
@@ -304,8 +306,6 @@ class QOAdvisorServer:
             )
         with self._done:
             self._pending += 1
-        if self._first_submit_at is None:
-            self._first_submit_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
         # write-ahead: the admit record lands *before* the ticket becomes
         # visible to any worker, so a worker's "done" record can never
         # precede its admit in the journal.  An admission that then fails
@@ -460,35 +460,30 @@ class QOAdvisorServer:
 
         Mirrors ``ScopeEngine.run_job`` exactly (compile with hints, then
         execute under the job's keyed run key), but times the compile
-        separately — that wall-clock is the lane's steer latency — and
-        stamps the ticket with the SIS version it compiled against.
+        separately — that wall-clock, ``ticket.compile_s``, is the lane's
+        steer latency — and stamps the ticket with the SIS version it
+        compiled against.
         """
         job = ticket.job
         tracer = self.obs.tracer
-        traced = tracer.enabled and ticket.trace is not None
         hint_version = self.sis.current_version
         steered = self.sis.lookup(job.template_id) is not None
-        started = time.perf_counter()  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
+        started = time.perf_counter()  # qa: wallclock-ok ticket.compile_s is the steer latency, fingerprint-excluded
         try:
-            if traced:
-                # "steer" wraps the hint-steered compile (its wall-clock is
-                # the lane's steer latency) and pushes onto this worker's
-                # span stack, so the compilation service's compile/optimize
-                # child spans parent under it; "execute" covers the runtime
-                with tracer.span("steer", parent=ticket.trace, shard=lane.index):
+            # "steer" wraps the hint-steered compile and pushes onto this
+            # worker's span stack, so the compilation service's
+            # compile/optimize child spans parent under it; "execute"
+            # covers the runtime.  Both are no-ops when obs is off
+            with tracer.span("steer", parent=ticket.trace, shard=lane.index):
+                try:
                     result = lane.service.compile_job(job)
-                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
-                with tracer.span("execute", parent=ticket.trace):
-                    metrics = self._engine.execute(result, job.run_key(0))
-            else:
-                result = lane.service.compile_job(job)
-                compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
+                finally:
+                    ticket.compile_s = time.perf_counter() - started  # qa: wallclock-ok ticket.compile_s is the steer latency, fingerprint-excluded
+            with tracer.span("execute", parent=ticket.trace):
                 metrics = self._engine.execute(result, job.run_key(0))
             ticket.run = JobRun(job=job, result=result, metrics=metrics)
         except ScopeError:
             ticket.failed = True
-            compile_s = time.perf_counter() - started  # qa: wallclock-ok compile latency feeds the lane's LatencyRing and ticket.compile_s, fingerprint-excluded
-        ticket.compile_s = compile_s
         ticket.hint_version = hint_version
         ticket.steered = steered and not ticket.failed
         with self._hot_lock:
@@ -501,12 +496,13 @@ class QOAdvisorServer:
                 if ticket.steered:
                     lane.counts["steered"] += 1
             lane.last_hint_version = hint_version
-        lane.compile_latency.append(compile_s)
-        if traced:
+            lane.compile_latency.append(ticket.compile_s)
+            lane.compile_observations += 1
+        if ticket.trace is not None:
             ticket.trace.set(
                 steered=ticket.steered,
                 hint_version=hint_version,
-                compile_s=compile_s,
+                compile_s=ticket.compile_s,
             )
         self._complete(ticket)
 
@@ -533,7 +529,6 @@ class QOAdvisorServer:
         )
         with self._done:
             self._pending -= 1
-            self._last_done_at = time.perf_counter()  # qa: wallclock-ok throughput telemetry only, never in fingerprints
             self._done.notify_all()
 
     # -- failover ------------------------------------------------------------
@@ -870,13 +865,13 @@ class QOAdvisorServer:
         )
 
     def stats(self) -> ServerStats:
-        """An immutable health/throughput snapshot across every lane."""
+        """An immutable health snapshot across every lane."""
         current_version = self.sis.current_version
         shards: list[ShardStats] = []
         for lane in self._lanes:
-            samples = lane.compile_latency.snapshot()
             cache = lane.service.stats
             with lane.lock:
+                samples = list(lane.compile_latency)
                 last = lane.last_hint_version
                 shards.append(
                     ShardStats(
@@ -888,7 +883,7 @@ class QOAdvisorServer:
                         compile_p50_s=percentile(samples, 50),
                         compile_p95_s=percentile(samples, 95),
                         compile_p99_s=percentile(samples, 99),
-                        compile_observations=lane.compile_latency.total,
+                        compile_observations=lane.compile_observations,
                         last_hint_version=last,
                         # read after ``last``: versions only rise, so skew >= 0
                         hint_version_skew=(
@@ -898,11 +893,6 @@ class QOAdvisorServer:
                     )
                 )
         totals = job_totals(shards)
-        if self._first_submit_at is not None and self._last_done_at is not None:  # qa: unlocked-ok stale throughput read is harmless telemetry
-            elapsed = max(self._last_done_at - self._first_submit_at, 1e-9)  # qa: unlocked-ok stale throughput read is harmless telemetry
-            throughput = totals["jobs_completed"] / elapsed
-        else:
-            throughput = 0.0
         with self._done:
             in_flight = self._pending
         with self._seq_lock:
@@ -912,10 +902,8 @@ class QOAdvisorServer:
             jobs_submitted=admitted,
             jobs_in_flight=in_flight,
             **totals,
-            throughput_jobs_per_s=throughput,
             hint_version=current_version,
             maintenance_windows=self.scheduler.windows,
             publications=self.scheduler.publications,
             policy_version=self.advisor.policy.model_version,
-            last_window=self.scheduler.last_window,
         )

@@ -1,4 +1,4 @@
-"""Per-shard health and throughput metrics for the serving layer.
+"""Per-shard health metrics for the serving layer.
 
 Every :class:`~repro.serving.server.QOAdvisorServer` keeps live counters
 per shard lane; :meth:`QOAdvisorServer.stats` snapshots them into the
@@ -20,13 +20,11 @@ maximally behind).
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
-    "CACHE_FIELDS", "LANE_COUNTERS", "LatencyRing", "ShardStats", "ServerStats",
-    "WindowSummary", "job_totals", "percentile",
+    "CACHE_FIELDS", "LANE_COUNTERS", "ShardStats", "ServerStats", "job_totals",
+    "percentile",
 ]
 
 #: The serving layer's accounting vocabulary, declared once: a live lane
@@ -56,68 +54,6 @@ def percentile(samples: list[float], q: float) -> float | None:
     ordered = sorted(samples)
     rank = min(len(ordered), max(1, math.ceil(q * len(ordered) / 100)))
     return ordered[rank - 1]
-
-
-class LatencyRing:
-    """Fixed-size ring of latency samples with a lifetime observation count.
-
-    Replaces the unbounded per-lane ``compile_samples`` list: a long-lived
-    server observes millions of compiles, but the percentile snapshot only
-    ever needs the most recent window.  ``total`` keeps the lifetime count
-    so operators can still tell how much history the window summarizes.
-    Thread-safe; ``snapshot()`` returns a copy so percentile math runs
-    outside the lock.
-    """
-
-    __slots__ = ("_samples", "_lock", "total")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"LatencyRing capacity must be >= 1, got {capacity}")
-        self._samples: deque[float] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: lifetime observations (including ones the ring has since evicted)
-        self.total = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._samples.maxlen or 0  # qa: unlocked-ok maxlen is immutable after construction
-
-    def append(self, sample: float) -> None:
-        with self._lock:
-            self._samples.append(sample)
-            self.total += 1
-
-    def snapshot(self) -> list[float]:
-        """The retained window, oldest first (a copy)."""
-        with self._lock:
-            return list(self._samples)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-
-@dataclass(frozen=True)
-class WindowSummary:
-    """What the last completed maintenance window did.
-
-    A compact operator answer to "when did maintenance last run and what
-    did it ship" without walking the full report history: the day it
-    drained, its wall-clock, how many production runs it processed, and
-    the hint version it published (None when validation held the release
-    back — a window that publishes nothing is still a completed window).
-    """
-
-    day: int
-    #: wall-clock seconds the window took, open to publish
-    wall_s: float
-    #: production runs drained through the window's stages
-    jobs: int
-    #: failed jobs the window accounted for
-    failed: int
-    #: hint-file version the window published; None when it did not publish
-    hint_version: int | None
 
 
 @dataclass(frozen=True)
@@ -187,8 +123,6 @@ class ServerStats:
     jobs_completed: int = 0
     jobs_failed: int = 0
     jobs_in_flight: int = 0
-    #: completed jobs per second of streaming wall-clock
-    throughput_jobs_per_s: float = 0.0
     #: the live SIS hint-file version
     hint_version: int = 0
     #: maintenance windows run / hint publications they produced
@@ -198,8 +132,6 @@ class ServerStats:
     #: telemetry (the operator's "what model is steering right now"),
     #: excluded from fingerprints like every other schedule-shaped field
     policy_version: int = 0
-    #: summary of the last completed maintenance window (None before one)
-    last_window: WindowSummary | None = None
 
     @property
     def jobs_shed(self) -> int:
@@ -221,23 +153,11 @@ class ServerStats:
         lines = [
             f"server: {self.jobs_completed}/{self.jobs_submitted} jobs completed "
             f"({self.jobs_failed} failed, {self.jobs_in_flight} in flight), "
-            f"{self.throughput_jobs_per_s:.1f} jobs/s, "
             f"steer rate {self.steer_rate:.0%}, "
             f"hint v{self.hint_version}, "
             f"{self.maintenance_windows} window(s) / {self.publications} publication(s), "
             f"policy v{self.policy_version}"
         ]
-        if self.last_window is not None:
-            window = self.last_window
-            published = (
-                f"published v{window.hint_version}"
-                if window.hint_version is not None
-                else "no publication"
-            )
-            lines.append(
-                f"  last window: day {window.day}, {window.wall_s * 1e3:.1f}ms, "
-                f"{window.jobs} job(s) ({window.failed} failed), {published}"
-            )
         for shard in self.shards:
             state = "up" if shard.alive else "FAILED"
             version = (

@@ -16,10 +16,13 @@ The contracts under test:
 * **metrics** — pull-mode views (replace-by-name, exceptions contained),
   Prometheus text exposition, and the exact series set a served day
   exposes;
+* **stage view** — ``repro_stage_seconds`` projects the stage spans of
+  the last finished day or window; a stage that did not run has no sample;
 * **bounded latency buffers** — lanes keep a fixed-size compile-latency
-  ring; percentiles (now including p99) stay ``None`` until measured;
-* **last-window summary** — ``ServerStats.last_window`` reports the most
-  recent maintenance window's day, wall-clock and published hint version.
+  window; p50/p95/p99 stay ``None`` until measured;
+* **last window** — ``advisor.reports[-1]`` and the ``window`` root span
+  record the most recent maintenance window's day, duration, jobs and
+  published hint version.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import dataclasses
 import json
 import threading
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -48,7 +52,7 @@ from repro.obs import (
     Sample,
     Tracer,
 )
-from repro.serving.stats import LatencyRing, WindowSummary, percentile
+from repro.serving import server as server_module
 
 
 def _config(
@@ -269,21 +273,29 @@ def test_every_admitted_job_closes_exactly_one_root_span(shards):
 
 
 def test_window_trace_and_last_window_summary():
-    report, stats, spans = _serve_day(0, 1)
-    windows = [s for s in spans if s.name == "window"]
-    assert len(windows) == 1
-    assert windows[0].trace_id == "window:0"
-    assert windows[0].parent_id is None
+    """The last window is ``advisor.reports[-1]``, and its ``window`` root
+    span carries its duration, day, jobs, failed jobs and hint version."""
+    config = dataclasses.replace(
+        _config(), serving=ServingConfig(workers_per_shard=0)
+    )
+    advisor = QOAdvisor(config)
+    server = QOAdvisorServer(advisor)
+    report = server.stream_day(0)
+    spans = advisor.obs.ring.spans()
+    server.shutdown()
+    assert advisor.reports[-1] is report
+    (window,) = [s for s in spans if s.name == "window"]
+    assert window.trace_id == "window:0"
+    assert window.parent_id is None
+    assert window.duration_s > 0
+    assert window.attrs["day"] == 0
+    assert window.attrs["jobs"] == len(report.production_runs)
+    assert window.attrs["failed"] == len(report.failed_jobs)
+    assert window.attrs["hint_version"] == report.hint_version
     stage_children = {
-        s.name for s in spans if s.parent_id == windows[0].span_id
+        s.name for s in spans if s.parent_id == window.span_id
     }
     assert any(name.startswith("stage:") for name in stage_children)
-    assert isinstance(stats.last_window, WindowSummary)
-    assert stats.last_window.day == 0
-    assert stats.last_window.jobs == len(report.production_runs)
-    assert stats.last_window.wall_s > 0
-    assert stats.last_window.hint_version == report.hint_version
-    assert "last window" in stats.render()
 
 
 #: every series a served day exposes, as (sample name, sorted label keys)
@@ -358,7 +370,7 @@ def test_serving_metric_views():
     advisor = QOAdvisor(config)
     server = QOAdvisorServer(advisor)
     server.start()
-    report = server.stream_day(0)
+    server.stream_day(0)
     stats = server.stats()
     text = advisor.obs.metrics.exposition()
     for shard in stats.shards:
@@ -372,8 +384,50 @@ def test_serving_metric_views():
     assert 'repro_spans_finished_total{name="window"} 1' in text
     assert f"repro_hint_version {advisor.sis.current_version}" in text
     stages = advisor.obs.metrics.collect()["repro_stage_seconds"]
-    assert {s.labels["stage"]: s.value for s in stages} == report.stage_timings
+    assert {s.labels["stage"]: s.value for s in stages} == _stage_spans(
+        advisor.obs.ring.spans(), "window"
+    )
     server.shutdown()
+
+
+# -- the stage view -------------------------------------------------------------
+
+
+def _stage_spans(spans, root_name: str) -> dict[str, float]:
+    """``stage name -> duration_s`` of the last ``root_name`` root's
+    ``stage:<name>`` children."""
+    root = [s for s in spans if s.name == root_name and s.parent_id is None][-1]
+    return {
+        s.name.removeprefix("stage:"): s.duration_s
+        for s in spans
+        if s.parent_id == root.span_id and s.name.startswith("stage:")
+    }
+
+
+def test_stage_seconds_project_the_last_days_stage_spans():
+    """``repro_stage_seconds`` is one sample per stage span of the last
+    finished day or window: a stage that did not run (validation before
+    the model is fitted) and a window's production (served per job) have
+    no sample, never a fabricated 0.0."""
+    advisor = QOAdvisor(_config())
+    assert not advisor.pipeline.validation_model.is_fitted
+    advisor.run_day(0)
+    stages = advisor.obs.metrics.collect()["repro_stage_seconds"]
+    by_stage = {s.labels["stage"]: s.value for s in stages}
+    assert len(stages) == len(by_stage)  # one sample per stage
+    assert by_stage == _stage_spans(advisor.obs.ring.spans(), "day")
+    assert set(by_stage) == {
+        "production", "features", "recommend", "recompile", "flight"
+    }
+
+    server = QOAdvisorServer(advisor)
+    server.stream_day(1)
+    server.shutdown()
+    stages = advisor.obs.metrics.collect()["repro_stage_seconds"]
+    by_stage = {s.labels["stage"]: s.value for s in stages}
+    assert by_stage == _stage_spans(advisor.obs.ring.spans(), "window")
+    assert set(by_stage) == {"features", "recommend", "recompile", "flight"}
+    advisor.close()
 
 
 # -- disabled fast path -------------------------------------------------------
@@ -392,25 +446,13 @@ def test_disabled_obs_is_inert():
 # -- bounded latency buffers (serving/stats) ----------------------------------
 
 
-def test_latency_ring_bounds_and_percentiles():
-    ring = LatencyRing(4)
-    assert percentile(ring.snapshot(), 99) is None  # unmeasured stays None
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-        ring.append(value)
-    assert len(ring) == 4
-    assert ring.total == 6
-    assert ring.snapshot() == [3.0, 4.0, 5.0, 6.0]
-    with pytest.raises(ValueError):
-        LatencyRing(0)
-
-
 def test_lane_latency_buffer_is_bounded_and_reports_p99():
     config = dataclasses.replace(
         _config(obs=False), serving=ServingConfig(workers_per_shard=0)
     )
     advisor = QOAdvisor(config)
-    server = QOAdvisorServer(advisor)
-    server._lanes[0].compile_latency = LatencyRing(8)
+    with mock.patch.object(server_module, "_LATENCY_WINDOW", 8):
+        server = QOAdvisorServer(advisor)
     server.start()
     server.submit_day(0)
     server.drain()

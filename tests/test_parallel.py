@@ -23,7 +23,6 @@ import pytest
 
 from repro import QOAdvisor, SimulationConfig
 from repro.config import ExecutionConfig, FlightingConfig, WorkloadConfig
-from repro.core.pipeline import STAGE_NAMES
 from repro.parallel import SerialExecutor, ThreadedExecutor, build_executor
 from repro.scope import cache as cache_module
 from repro.scope.engine import ScopeEngine
@@ -157,18 +156,6 @@ def test_bootstrap_corpus_byte_identical_across_worker_counts():
     # speculative batch evaluation is position-based, so even the cumulative
     # compile accounting matches the serial schedule
     assert stats[0] == stats[1]
-
-
-def test_stage_timings_cover_all_stages_even_when_model_unfitted():
-    advisor = QOAdvisor(_tiny_config(workers=1))
-    report = advisor.run_day(0)
-    assert set(report.stage_timings) == set(STAGE_NAMES)
-    # the validation model was never fitted: those stages report 0.0
-    # instead of being absent, so analysis code never KeyErrors
-    assert report.stage_timings["validate"] == 0.0
-    assert report.stage_timings["hintgen"] == 0.0
-    assert report.stage_timings["production"] > 0.0
-    assert all(v >= 0.0 for v in report.stage_timings.values())
 
 
 # -- cache thread safety ------------------------------------------------------

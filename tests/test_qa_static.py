@@ -64,6 +64,19 @@ def test_fixture_wallclock():
     assert _anchors(_scan("det_time.py")) == [(RULE_TIME, "det_time.py", 7)]
 
 
+def test_wallclock_is_allowed_only_under_obs(tmp_path):
+    # the serving stats surface reads no clock, so it has no exemption
+    for relpath in ("serving/stats.py", "obs/trace.py"):
+        module = tmp_path / relpath
+        module.parent.mkdir(exist_ok=True)
+        module.write_text(
+            "import time\ndef f():\n    return time.perf_counter()\n",
+            encoding="utf-8",
+        )
+    flagged = determinism.scan_tree(tmp_path)
+    assert _anchors(flagged) == [(RULE_TIME, "serving/stats.py", 3)]
+
+
 def test_fixture_set_iteration():
     # the iterating loop is flagged; sum(ids) is order-insensitive and clean
     assert _anchors(_scan("det_setiter.py")) == [
