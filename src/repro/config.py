@@ -140,9 +140,10 @@ class ShardingConfig:
     :class:`~repro.scope.cache.CompilationService` instances by a stable
     hash of their template id, each shard owning its own plan cache and
     counters, while the engine's one catalog and one SIS deployment are
-    shared.  The shard count is fixed for the engine's lifetime; a serving
-    failover (``QOAdvisorServer.fail_shard``) only takes a shard out of
-    rotation, and its cached plans migrate to the templates' new owners.
+    shared.  The shard count is fixed for the engine's lifetime, and so
+    is every template's shard: a serving failover
+    (``QOAdvisorServer.fail_shard``) cordons a lane, and the shard's
+    service keeps compiling its templates.
     """
 
     #: number of shard compilation services; 1 is a service of one

@@ -321,56 +321,32 @@ class TracedLock:
 
 # -- instrumentation entry points ---------------------------------------------
 
-#: lock attributes replaced per class; ``ShardQueue`` is intentionally
-#: absent (Condition-bound locks, see module docstring)
-_INSTRUMENTED_ATTRS: dict[str, tuple[str, ...]] = {
-    "CompilationService": ("_lock",),
-    "MetricsRegistry": ("_lock",),
-    "TicketJournal": ("_lock",),
-    "Tracer": ("_lock",),
-    "RingSink": ("_lock",),
-    "JsonlSink": ("_lock",),
-    "QOAdvisorServer": ("_seq_lock", "_hot_lock", "_failover_lock"),
-    "_ShardLane": ("lock",),
-    "MaintenanceScheduler": ("_lock", "_window_lock"),
-}
-
 
 def instrument_locks(*objects, registry: LockRegistry | None = None) -> LockRegistry:
-    """Swap the known lock attributes of ``objects`` for traced wrappers.
+    """Swap every plain lock attribute of ``objects`` for a traced wrapper.
 
-    Walks each object's class-specific attribute list (falling back to
-    every plain ``Lock``/``RLock`` in ``vars(obj)`` for classes the table
-    doesn't know), names each lock ``ClassName._attr``, and registers the
-    ``map_jobs`` fan-out watcher.  Aliased locks (``CompilationService``
-    shares its RLock with per-compile fragment views created *after*
-    instrumentation) pick the wrapper up automatically because the views
-    capture the attribute, not the raw lock.
+    Scans each object's ``vars(obj)`` for ``Lock``/``RLock`` values (an
+    already-traced lock is neither, so a second call is a no-op), names
+    each lock ``ClassName._attr``, and registers the ``map_jobs`` fan-out
+    watcher.  Aliased locks (``CompilationService`` shares its RLock with
+    per-compile fragment views created *after* instrumentation) pick the
+    wrapper up automatically because the views capture the attribute, not
+    the raw lock.
     """
     registry = registry or LockRegistry()
     for obj in objects:
         cls = type(obj).__name__
-        attrs = _INSTRUMENTED_ATTRS.get(cls)
-        if attrs is None:
-            attrs = tuple(
-                name
-                for name, value in vars(obj).items()
-                if isinstance(value, _LOCK_TYPES)
-            )
-        for attr in attrs:
-            inner = getattr(obj, attr, None)
-            if inner is None:
-                continue
-            if isinstance(inner, TracedLock):
-                continue
-            if not isinstance(inner, _LOCK_TYPES):
-                continue
-            setattr(obj, attr, TracedLock(inner, registry, f"{cls}.{attr}"))
+        for attr, inner in list(vars(obj).items()):
+            if isinstance(inner, _LOCK_TYPES):
+                setattr(obj, attr, TracedLock(inner, registry, f"{cls}.{attr}"))
     registry.watch_map_jobs()
     return registry
 
 
 def _known_classes() -> dict[str, type]:
+    """The lock-bearing classes :func:`auto_instrument_constructors`
+    patches.  ``ShardQueue`` is intentionally absent: its locks are
+    ``Condition``-bound (see the module docstring)."""
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import JsonlSink, RingSink, Tracer
     from repro.scope.cache import CompilationService

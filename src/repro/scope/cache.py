@@ -279,8 +279,8 @@ class EpochStore:
 
     def peek(self, key: Hashable):
         """The resident value or ``None`` — no recency stamp, no counter:
-        the batch planner's skip probes and migration exports leave
-        accounting and eviction order as a run without them would."""
+        the batch planner's skip probes leave accounting and eviction
+        order as a run without them would."""
         return self._entries.get(key)
 
     def touch(self, key: Hashable):
@@ -385,17 +385,6 @@ class PlanCache(EpochStore):
         self.stats.invalidations += dropped
         return dropped
 
-    def extract(self, digest: bytes) -> dict[PlanKey, _CacheEntry]:
-        """Remove and return every entry whose script hash is ``digest``.
-
-        The failover hand-off: a template that moves to a different
-        shard takes its memoized plans with it instead of recompiling, so
-        no hit/miss/invalidation counter moves on either side and the
-        cross-topology accounting contract survives the failover.
-        """
-        keys = [key for key in self._entries if key.script_digest == digest]
-        return {key: self.pop(key) for key in keys}
-
 
 @dataclass
 class _FragmentSlot:
@@ -454,18 +443,6 @@ class FragmentCache(EpochStore):
         if inserted:
             self.stats.fragment_inserts += 1
         return inserted
-
-    # -- entry migration (failover hand-off) -----------------------------------
-
-    def adopt(self, key: FragmentKey, shipped: _FragmentSlot) -> None:
-        """Insert a copy of a migrated slot unless the key is resident.
-
-        A copy, because the source keeps its own slot (it may still serve
-        scripts that stay behind) and a slot's ``prefetched`` flag is
-        per-store state.  A resident key wins: both entries are the same
-        pure value for it.
-        """
-        super().put(key, replace(shipped), keep=True)
 
 
 class FragmentView:
@@ -747,89 +724,6 @@ class CompilationService:
             )
         by_key = dict(zip(unique, outcomes))
         return [by_key[key] for key in keys]
-
-    # -- failover migration ----------------------------------------------------
-
-    def export_script_state(
-        self, script: str, skip_fragments: "set[FragmentKey] | None" = None
-    ) -> (
-        "tuple[dict[PlanKey, _CacheEntry], dict[ScriptKey, CompiledScript],"
-        " dict[FragmentKey, _FragmentSlot]]"
-    ):
-        """Remove and return this shard's cached state for ``script``.
-
-        Every plan-cache entry (all configurations), a copy of the
-        parse/bind memo entry, and copies of the fragment entries the
-        exported plans were built from.  This is how a failed-over
-        template's cache warmth follows it to its new owner: entries
-        *migrate* rather than recompile, so no counter moves — the
-        accounting a fingerprint covers stays byte-identical to the
-        never-failed run.
-
-        ``skip_fragments`` deduplicates the fragment payload across a
-        migration batch: keys already shipped to the same destination
-        are omitted (and the keys exported here are added to the set), so
-        two templates sharing a join block ship its entry once.  Plans are
-        removed; fragments are only copied — a fragment may still serve
-        scripts that stay behind.
-        """
-        with self._lock:
-            self._sync_catalog_version_locked()
-            digest = self._script_digest(script)
-            plans = self.cache.extract(digest)
-            skey = ScriptKey(digest, self.engine.catalog.version)
-            # the memo is copied, not moved: it carries no counter and the
-            # source may still probe the script before retiring
-            compiled = self._scripts.peek(skey)
-            scripts = {skey: compiled} if compiled is not None else {}
-            frag_keys: set[FragmentKey] = set()
-            for entry in plans.values():
-                if entry.result is not None:
-                    frag_keys.update(entry.result.fragment_keys)
-            if skip_fragments is not None:
-                frag_keys -= skip_fragments
-                skip_fragments |= frag_keys
-            fragments = {
-                key: slot
-                for key in sorted(frag_keys)
-                if (slot := self.fragments.peek(key)) is not None
-            }
-        return plans, scripts, fragments
-
-    def import_script_state(
-        self,
-        plans: "dict[PlanKey, _CacheEntry]",
-        scripts: "dict[ScriptKey, CompiledScript]",
-        fragments: "dict[FragmentKey, _FragmentSlot] | None" = None,
-    ) -> "tuple[int, dict[PlanKey, _CacheEntry]]":
-        """Adopt state exported from another shard (failover hand-off).
-
-        Returns ``(adopted, rejected)``: plan entries whose key is already
-        resident here (or keyed to a different catalog version) are handed
-        back so the caller can return them to the source instead of
-        silently dropping residency the invalidation counters would miss.
-        Fragment slots are adopt-if-absent — duplicates are dropped
-        silently (they are pure values, identical to the resident copy by
-        construction).  Keys travel unchanged.
-        """
-        adopted = 0
-        rejected: dict[PlanKey, _CacheEntry] = {}
-        with self._lock:
-            self._sync_catalog_version_locked()
-            version = self.engine.catalog.version
-            for key, entry in plans.items():
-                live = key.catalog_version == version
-                if live and self.cache.put(key, entry, keep=True):
-                    adopted += 1
-                else:
-                    rejected[key] = entry
-            for skey, compiled in scripts.items():
-                if skey.catalog_version == version:
-                    self._scripts.put(skey, compiled, keep=True)
-            for fkey, slot in (fragments or {}).items():
-                if fkey.catalog_version == version:
-                    self.fragments.adopt(fkey, slot)
-        return adopted, rejected
 
     def checkpoint(self) -> None:
         """Barrier: enforce cache capacities and advance the recency epoch.

@@ -93,7 +93,7 @@ class OptimizationResult:
     #: reads; 0 (nothing proven) for every other compile
     fatal_mask: int = 0
     #: fragment-store keys this compile consulted (digest × config ×
-    #: catalog version) — lets migration ship a script's fragments with it
+    #: catalog version)
     fragment_keys: tuple = ()
     #: transformation-rule applications actually run for this compile
     #: (isolated fragment searches that were cache hits contribute 0) —

@@ -30,9 +30,9 @@ Record kinds (one JSON object per line; :data:`RECORD_KINDS` lists them)::
     {"t": "topology", "op": "fail", "shard": K}
 
 ``topology`` records are operational breadcrumbs only: the restarted
-server replays admissions onto *its own* fleet (routing placement is
-excluded from every fingerprint, so recovery is legal across a
-failover).  A torn final line — the signature of a crash mid-append, with
+server replays admissions onto *its own* fleet (a failover moves which
+lane steers a ticket, never the shard it compiles on, so recovery is
+legal across a failover).  A torn final line — the signature of a crash mid-append, with
 no trailing newline — is truncated when the journal is opened; any
 unparseable line left after that raises :class:`JournalError`.  So does a
 record of any other kind (an older server's ``shed``, say): recovery

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.scope.engine import JobRun
 from repro.scope.jobs import JobInstance
@@ -56,10 +56,6 @@ class JobTicket:
     run: JobRun | None = None
     #: the job failed to compile (it still appears in the day report)
     failed: bool = False
-    #: how many times the ticket was requeued off a failed shard
-    requeues: int = 0
-    #: shards that already failed while holding this ticket
-    excluded_shards: set[int] = field(default_factory=set)
     #: the ticket's root trace span (an :class:`repro.obs.trace.Span`),
     #: opened at admission and finished at the ticket's terminal point;
     #: None when observability is disabled.  Untyped on purpose: the queue

@@ -4,11 +4,12 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its one
 :class:`~repro.scope.engine.ScopeEngine`, one lane per shard of the
 engine's compilation service) behind a job-stream API:
 
-* :meth:`submit` routes a job to its shard's bounded queue through the
-  engine's :class:`~repro.sharding.ShardRouter` (failed shards are held
-  in its offline set — the one membership state);
+* :meth:`submit` queues a job on its template's home lane — the shard
+  the engine's :class:`~repro.sharding.ShardRouter` hashes it to — or,
+  when that lane has failed, on a stable survivor (``lane.alive`` is the
+  one membership state);
 * each shard *lane* steers arrivals against the **live** SIS hint-file
-  version — compile through the shard's
+  version — compile through the template's home
   :class:`~repro.scope.cache.CompilationService`, execute on the engine —
   on its worker threads (or inline on the submitting thread when
   ``ServingConfig.workers_per_shard == 0``, the serial replay schedule);
@@ -19,9 +20,9 @@ engine's compilation service) behind a job-stream API:
   version — day boundaries stop being a global barrier, because
   submissions keep flowing while a window runs;
 * the fleet is fixed at construction, one lane per shard; the one
-  topology change is :meth:`fail_shard`, which kills a lane, requeues its
-  backlog onto the survivors with zero job loss and hands the failed
-  shard's cached plans to its templates' new owners;
+  topology change is :meth:`fail_shard`, which kills a lane and requeues
+  its backlog onto the survivors with zero job loss — tickets move,
+  caches do not;
 * admission is by capacity alone: a job enters its lane's bounded
   queue, and a full queue blocks the submit until a slot frees up or
   its timeout passes (``submit(timeout=0)`` refuses at once) — no
@@ -41,12 +42,11 @@ reproduces batch ``run_day``'s ``DayReport.fingerprint()`` byte for byte
 The threaded schedule reproduces it too when each day is drained before
 its maintenance window runs (the ``stream_day`` shape): every per-job
 quantity is keyed and the compilation service's accounting is
-schedule-independent.  A failover preserves the same contract when it
-lands at a quiesced instant (``drain()`` then ``fail_shard``): the cache
-hand-off moves entries without touching any counter, so the
-drained-window fingerprint matches a never-failed fleet's.  A failover
-racing in-flight compiles stays correct and lossless, but its cache
-accounting is schedule-shaped, exactly like mid-window admissions.
+schedule-independent.  A failover preserves the same contract: every
+compile of a template lands on its home shard's service whichever lane
+steers it, so each shard's cache sees the compiles a never-failed
+fleet's would, and a drained window's fingerprint and cache accounting
+match that fleet's.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.core.advisor import QOAdvisor
 from repro.core.pipeline import DayReport
 from repro.errors import ScopeError
 from repro.obs.metrics import Sample
+from repro.rng import stable_hash
 from repro.scope.cache import CompilationService
 from repro.scope.engine import JobRun
 from repro.scope.jobs import JobInstance
@@ -99,8 +100,8 @@ class _ShardLane:
 
     def __init__(self, index: int, service: CompilationService) -> None:
         self.index = index
-        #: the shard's compilation service, bound once: a failed lane is
-        #: only offline in the router
+        #: the shard's compilation service, whose stats this lane reports;
+        #: it keeps compiling its templates after the lane fails
         self.service = service
         self.queue = ShardQueue(_QUEUE_CAPACITY)
         self.alive = True
@@ -149,7 +150,7 @@ class QOAdvisorServer:
             on_publish=on_publish,
         )
         #: the advisor's one engine (every lane executes on it) and its
-        #: router — the one membership state
+        #: router, which names each template's home shard
         self._engine = advisor.engine
         self.router = self._engine.router
         #: the advisor's observability plane (the shared null plane when
@@ -161,10 +162,6 @@ class QOAdvisorServer:
             _ShardLane(index, service)
             for index, service in enumerate(self._engine.compilation.shards)
         )
-        #: last script seen per template — the "hot script" whose cached
-        #: plans follow its template off a failed shard
-        self._hot_scripts: dict[str, str] = {}
-        self._hot_lock = threading.Lock()
         if isinstance(journal, (str, Path)):
             journal = TicketJournal(journal)
             self._owns_journal = True
@@ -360,23 +357,44 @@ class QOAdvisorServer:
                 lane.counts["submitted"] -= 1
             raise
 
+    def _lane_for(
+        self, job: JobInstance, exclude: set[int] | frozenset[int] = frozenset()
+    ) -> _ShardLane | None:
+        """The lane that steers ``job``: its template's home lane while
+        that is alive, else the alive lane with the highest rendezvous
+        weight, so a failure moves only the failed lane's templates and
+        each to a stable survivor.  Lanes in ``exclude`` are skipped;
+        None when no lane is left."""
+        home = self._lanes[self.router.shard_for_job(job)]
+        if home.alive and home.index not in exclude:
+            return home
+        survivors = [
+            lane for lane in self._lanes if lane.alive and lane.index not in exclude
+        ]
+        return max(
+            survivors,
+            key=lambda lane: stable_hash("shard-route-failover", job.template_id, lane.index),
+            default=None,
+        )
+
     def _admit(self, ticket: JobTicket, timeout: float | None) -> _ShardLane:
-        """Route and enqueue a fresh ticket, re-routing if its shard fails
-        between routing and admission (the router's offline set grows
+        """Choose a lane and enqueue a fresh ticket, choosing again if that
+        lane fails between the choice and admission (``alive`` drops
         *before* the queue closes, so one retry sees the update)."""
         for _ in range(len(self._lanes) + 1):
-            shard = self.router.shard_for_job(ticket.job)
-            lane = self._lanes[shard]
-            ticket.shard = shard
+            lane = self._lane_for(ticket.job)
+            if lane is None:
+                break
+            ticket.shard = lane.index
             try:
                 self._enqueue(
                     lane, ticket, timeout=_SUBMIT_TIMEOUT_S if timeout is None else timeout
                 )
                 return lane
             except QueueClosed:
-                if self._stop or shard not in self.router.offline:
+                if self._stop or lane.alive:
                     raise
-                continue  # the lane failed over under us; route again
+                continue  # the lane failed over under us; choose again
         raise QueueClosed(f"no alive shard accepted {ticket.job.job_id}")
 
     def submit_day(self, day: int) -> list[JobTicket]:
@@ -458,13 +476,14 @@ class QOAdvisorServer:
     def _process(self, lane: _ShardLane, ticket: JobTicket) -> None:
         """Steer one job against the live hint version, then execute it.
 
-        Mirrors ``ScopeEngine.run_job`` exactly (compile with hints, then
-        execute under the job's keyed run key), but times the compile
-        separately — that wall-clock, ``ticket.compile_s``, is the lane's
-        steer latency — and stamps the ticket with the SIS version it
-        compiled against.
+        Mirrors ``ScopeEngine.run_job`` exactly (compile with hints on the
+        template's home shard, whichever lane steers it, then execute under
+        the job's keyed run key), but times the compile separately — that
+        wall-clock, ``ticket.compile_s``, is the lane's steer latency — and
+        stamps the ticket with the SIS version it compiled against.
         """
         job = ticket.job
+        service = self._engine.compilation.service_for(job.template_id)
         tracer = self.obs.tracer
         hint_version = self.sis.current_version
         steered = self.sis.lookup(job.template_id) is not None
@@ -476,7 +495,7 @@ class QOAdvisorServer:
             # covers the runtime.  Both are no-ops when obs is off
             with tracer.span("steer", parent=ticket.trace, shard=lane.index):
                 try:
-                    result = lane.service.compile_job(job)
+                    result = service.compile_job(job)
                 finally:
                     ticket.compile_s = time.perf_counter() - started  # qa: wallclock-ok ticket.compile_s is the steer latency, fingerprint-excluded
             with tracer.span("execute", parent=ticket.trace):
@@ -486,8 +505,6 @@ class QOAdvisorServer:
             ticket.failed = True
         ticket.hint_version = hint_version
         ticket.steered = steered and not ticket.failed
-        with self._hot_lock:
-            self._hot_scripts[job.template_id] = job.script
         with lane.lock:
             if ticket.failed:
                 lane.counts["failed"] += 1
@@ -537,42 +554,42 @@ class QOAdvisorServer:
         """Kill one shard lane and requeue its backlog onto the survivors.
 
         The lane stops admitting and consuming; every ticket still in its
-        queue (plus any a worker popped but had not started) is
-        re-routed through the router, which no longer offers the failed
-        slot.  A job the lane was actively steering when the kill
-        lands completes there — nothing is ever lost.  The slot also
-        leaves the *router's* rotation, so maintenance-window compiles
-        follow the steering traffic onto the survivors, and once the lane
-        has quiesced its cached plans migrate with its templates (the
-        process is still alive — a lane failure cordons the lane, it does
-        not erase the shard's memory).  That hand-off keeps the day's
-        accounting byte-identical to a never-failed run, which is what
-        lets :meth:`recover` — replaying on a fleet that never failed —
-        verify the journaled window fingerprints.  Returns the number of
-        requeued jobs.
+        queue (plus any a worker popped but had not started) moves to the
+        lane :meth:`_lane_for` now chooses.  A job the lane was actively
+        steering when the kill lands completes there — nothing is ever
+        lost.  Only the lane is cordoned: the shard's compilation service
+        lives in this process and keeps compiling its templates, for
+        requeued tickets and maintenance windows alike, so nothing in any
+        cache moves and the day's accounting equals a never-failed run's —
+        which is what lets :meth:`recover`, replaying on a fleet that never
+        failed, verify the journaled window fingerprints.  Returns the
+        number of requeued jobs.
+
+        Raises ``ValueError`` for a shard outside the fleet or the last
+        alive lane, and :class:`~repro.serving.queues.QueueClosed` on a
+        shut-down server, each before anything has changed.
         """
+        if not 0 <= shard < self.num_shards:
+            raise ValueError(
+                f"shard {shard} is outside the fleet's 0..{self.num_shards - 1}"
+            )
+        if self._stop:
+            raise QueueClosed("the server is shut down; no shard fails over")
         with self._failover_lock:
             lane = self._lanes[shard]
             if not lane.alive:
                 return 0
-            with self._hot_lock:
-                tracked = list(self._hot_scripts)
-            leaving = [t for t in tracked if self.router.shard_for(t) == shard]
-            # the router refuses (ValueError) to lose its last live slot,
-            # before anything here has changed
-            self.router.take_offline(shard)
+            if not any(other.alive for other in self._lanes if other is not lane):
+                raise ValueError(f"cannot fail shard {shard}: it is the last alive lane")
             lane.alive = False
             backlog = self._quiesce(lane)
-            self._migrate_entries(shard, leaving)
             self._journal({"t": "topology", "op": "fail", "shard": shard})
             return self._requeue(backlog, lane)
 
     def _quiesce(self, lane: _ShardLane) -> list[JobTicket]:
-        """Stop a lane that has left the router's rotation; returns its
-        queued backlog.  Admission re-routes on the closed queue, and a job
-        a worker was steering completes here before the join returns —
-        after which nothing compiles on this lane and its cache can
-        migrate."""
+        """Stop a lane that is no longer alive; returns its queued backlog.
+        Admission chooses again on the closed queue, and a job a worker was
+        steering completes here before the join returns."""
         lane.queue.close()
         backlog = lane.queue.drain()
         for thread in lane.threads:
@@ -584,23 +601,20 @@ class QOAdvisorServer:
         """Transplant tickets off a dead lane; every ticket is accounted for.
 
         The forced put bypasses the capacity bound (backpressure must not
-        lose failover backlog), and a survivor that closes concurrently is
-        excluded and routing retried.  A ticket with nowhere left to go is
-        recorded as a *failed job* — it still appears in its day's report,
-        so the stream's accounting never leaks.
+        lose failover backlog), and a survivor whose queue closed under it
+        is excluded and the choice retried.  A ticket with nowhere left to
+        go is recorded as a *failed job* — it still appears in its day's
+        report, so the stream's accounting never leaks.
         """
         moved = 0
         for ticket in tickets:
-            ticket.requeues += 1
-            ticket.excluded_shards.add(from_lane.index)
             with from_lane.lock:
                 from_lane.counts["requeued"] += 1
-            exclude = set(ticket.excluded_shards)
+            exclude: set[int] = set()
             while True:
-                try:
-                    target_index = self.router.shard_for_job(ticket.job, exclude=exclude)
-                except ValueError:
-                    # terminal: every shard excluded, nowhere left to run the job
+                target = self._lane_for(ticket.job, exclude)
+                if target is None:
+                    # terminal: no alive lane accepts it, nowhere left to run the job
                     ticket.failed = True
                     if ticket.trace is not None:
                         ticket.trace.set(requeue_exhausted=True)
@@ -608,53 +622,20 @@ class QOAdvisorServer:
                         from_lane.counts["failed"] += 1
                     self._complete(ticket)
                     break
-                target = self._lanes[target_index]
                 try:
                     self._enqueue(target, ticket, force=True)
                 except QueueClosed:
-                    exclude.add(target_index)
+                    exclude.add(target.index)
                     continue
-                ticket.shard = target_index
+                ticket.shard = target.index
                 if ticket.trace is not None:
                     ticket.trace.event(
-                        "requeue", from_shard=from_lane.index, to_shard=target_index
+                        "requeue", from_shard=from_lane.index, to_shard=target.index
                     )
                 moved += 1
                 self._kick(target)
                 break
         return moved
-
-    def _migrate_entries(self, source: int, template_ids: list[str]) -> int:
-        """Move the hot scripts' cached plans off the failed ``source``
-        shard to each template's new owner (migration, never
-        recompilation, so no cache counter moves and accounting parity
-        survives the failover)."""
-        migrated = 0
-        with self._hot_lock:
-            scripts = {tid: self._hot_scripts[tid] for tid in template_ids}
-        # fragment payloads dedup per destination: two moved templates
-        # sharing a join block ship its fragment entry once per dest shard
-        sent_fragments: dict[int, set[tuple]] = {}
-        shards = self._engine.compilation.shards
-        source_service = shards[source]
-        for template_id in sorted(template_ids):
-            dest = self.router.shard_for(template_id)
-            dest_service = shards[dest]
-            plans, parsed, fragments = source_service.export_script_state(
-                scripts[template_id],
-                skip_fragments=sent_fragments.setdefault(dest, set()),
-            )
-            if not plans and not parsed and not fragments:
-                continue
-            adopted, rejected = dest_service.import_script_state(
-                plans, parsed, fragments
-            )
-            migrated += adopted
-            if rejected:
-                # the destination already compiled these keys (a racing
-                # arrival); hand residency back rather than dropping it
-                source_service.import_script_state(rejected, {})
-        return migrated
 
     # -- journal recovery -----------------------------------------------------
 

@@ -8,9 +8,9 @@ topology as *routing* inside the one :class:`~repro.scope.engine.ScopeEngine`:
 * :class:`ShardRouter` — stable-hash partitioning of jobs by template id
   (the unit SIS keys hints by, so a template's production runs, span
   probes, recompiles and flights all land on the same shard and share its
-  plan cache).  The shard count is fixed at construction; the one
-  membership change is a failed shard leaving rotation
-  (:meth:`ShardRouter.take_offline`, the serving layer's failover);
+  plan cache).  The shard count is fixed at construction, and a
+  template's shard never changes: a serving failover cordons a lane,
+  while the shard's service keeps compiling its templates;
 * :class:`ShardedCompilationService` — the engine's compile front-end
   (``ScopeEngine.compilation``): N shard
   :class:`~repro.scope.cache.CompilationService` instances, each with its
@@ -70,75 +70,32 @@ __all__ = ["ShardRouter", "ShardedCompilationService"]
 class ShardRouter:
     """Stable-hash partitioning of templates (and their jobs) onto shards.
 
-    Routing must be a pure function of the template id and the membership
-    state: it decides which shard's plan cache a template's compilations
-    share, and it has to agree across processes and runs (``stable_hash``,
-    not the salted builtin).
-
-    The keyspace is ``num_shards`` *slots*, fixed at construction.  A slot
-    goes **offline** when its serving lane fails.  A template whose primary
-    slot is online stays put (its plan cache stays warm); a template whose
-    primary is offline — or excluded by the caller, the serving layer's
-    requeue path — falls over by *rendezvous hashing* over the live
-    slots, so taking a slot offline moves only the templates it was
-    serving.
+    Routing is a pure function of the template id: it decides which
+    shard's plan cache a template's compilations share, and it has to
+    agree across processes and runs (``stable_hash``, not the salted
+    builtin).  A template's shard is its *home* for the engine's
+    lifetime; a serving failover moves which lane steers a ticket, never
+    where it compiles.
     """
 
     def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError(f"a cluster needs at least 1 shard, got {num_shards}")
-        #: total routing slots (the primary-hash modulus)
+        #: total shards (the hash modulus)
         self.num_shards = num_shards
-        #: slots whose shard failed and left rotation
-        self.offline: set[int] = set()
 
-    @property
-    def alive_slots(self) -> list[int]:
-        return [slot for slot in range(self.num_shards) if slot not in self.offline]
+    def shard_for(self, template_id: str) -> int:
+        return stable_hash("shard-route", template_id) % self.num_shards
 
-    def shard_for(
-        self, template_id: str, exclude: "frozenset[int] | set[int]" = frozenset()
-    ) -> int:
-        primary = stable_hash("shard-route", template_id) % self.num_shards
-        if primary not in exclude and primary not in self.offline:
-            # live shards keep their whole keyspace (and warm caches):
-            # only offline/excluded slots' templates are rehashed
-            return primary
-        best_slot = -1
-        best_weight = -1
-        for slot in range(self.num_shards):
-            if slot in exclude or slot in self.offline:
-                continue
-            weight = stable_hash("shard-route-failover", template_id, slot)
-            if weight > best_weight:
-                best_weight, best_slot = weight, slot
-        if best_slot < 0:
-            raise ValueError(
-                f"all {self.num_shards} shard slot(s) are offline or excluded; "
-                "nowhere to route"
-            )
-        return best_slot
-
-    def shard_for_job(
-        self, job: JobInstance, exclude: "frozenset[int] | set[int]" = frozenset()
-    ) -> int:
-        return self.shard_for(job.template_id, exclude)
-
-    def take_offline(self, slot: int) -> None:
-        """Remove ``slot`` from rotation: its shard failed."""
-        if not 0 <= slot < self.num_shards:
-            raise ValueError(f"slot {slot} outside keyspace 0..{self.num_shards - 1}")
-        remaining = [s for s in self.alive_slots if s != slot]
-        if not remaining:
-            raise ValueError(f"cannot take slot {slot} offline: it is the last one")
-        self.offline.add(slot)
+    def shard_for_job(self, job: JobInstance) -> int:
+        return self.shard_for(job.template_id)
 
 
 class ShardedCompilationService:
     """The engine's compile front-end: route, aggregate, broadcast.
 
-    Holds one :class:`~repro.scope.cache.CompilationService` per shard slot
-    (``shards``, built once, in rotation or not), every one over the same
+    Holds one :class:`~repro.scope.cache.CompilationService` per shard
+    (``shards``, built once), every one over the same
     engine.  Presents the job-keyed surface of a single service
     (``stats``, ``compile_job``, ``compile_many``, ``preexplore_batch``,
     ``checkpoint``) to the pipeline tasks and the Flighting Service;
@@ -194,7 +151,7 @@ class ShardedCompilationService:
         return self.shards[shard].compile_job(job, flip, use_hints=use_hints)
 
     def _slices(self, requests: "list[CompileRequest]") -> "list[tuple[int, list[int]]]":
-        """Request positions grouped by owning shard, ascending slot."""
+        """Request positions grouped by owning shard, ascending shard."""
         by_shard: dict[int, list[int]] = {}
         for position, request in enumerate(requests):
             shard = self.router.shard_for_job(request.job)

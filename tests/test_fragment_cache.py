@@ -1,4 +1,4 @@
-"""Fragment-level plan caching: keys, identity, eviction, migration.
+"""Fragment-level plan caching: keys, identity, eviction.
 
 The contract under test (the fragment cache's hard invariant): compilation
 is fragment-structured *always* — each maximal join-rooted subtree is
@@ -127,7 +127,7 @@ def test_fragment_disabled_still_compiles_identically(small_catalog):
     assert result_on.est_cost == result_off.est_cost
     assert result_on.signature.rule_ids == result_off.signature.rule_ids
     assert off.compilation.stats.fragment_lookups == 0
-    # the disabled path records no keys (nothing to migrate)
+    # the disabled path records no keys
     assert result_off.fragment_keys == ()
 
 
@@ -372,58 +372,3 @@ def test_capacity_squeeze_keeps_runs_and_topologies_identical(monkeypatch):
     threaded = QOAdvisor(_pool_config(seed=31, workers=4, **tight))
     assert threaded.run_day(0).fingerprint() == fingerprint
     threaded.close()
-
-
-# -- migration ------------------------------------------------------------------
-
-
-def test_script_state_migration_carries_and_dedups_fragments(small_catalog):
-    config = SimulationConfig(seed=101)
-    catalog = small_catalog.clone()
-    # a source, a destination and a third service that warms up under the
-    # old catalog version, then the catalog moves on before anything below
-    # compiles
-    source, dest, bumped = (
-        ScopeEngine(catalog, config).compilation.shards[0] for _ in range(3)
-    )
-    default = source.engine.default_config
-    script_a, script_b = _script("a"), _script("b")
-    bumped.compile_script(script_a, default)
-    catalog.replace_table(catalog.table("users"))
-    source.compile_script(script_a, default)
-    source.compile_script(script_b, default)
-
-    sent: set[tuple] = set()
-    plans_a, parsed_a, frags_a = source.export_script_state(
-        script_a, skip_fragments=sent
-    )
-    assert plans_a and frags_a  # the join block travels with its script
-    plans_b, parsed_b, frags_b = source.export_script_state(
-        script_b, skip_fragments=sent
-    )
-    assert plans_b
-    # both scripts share the one join fragment; the second export dedups it
-    assert frags_b == {}
-
-    adopted, rejected = dest.import_script_state(plans_a, parsed_a, frags_a)
-    assert adopted == len(plans_a) and not rejected
-    dest.import_script_state(plans_b, parsed_b, frags_b)
-    assert len(dest.fragments) == len(frags_a)
-
-    # a fresh pool-mate script compiles on the destination with pure hits
-    before = dest.stats.snapshot()
-    dest.compile_script(_script("c"), default)
-    delta = dest.stats - before
-    assert delta.fragment_hits == len(frags_a)
-    assert delta.fragment_misses == 0
-
-    # a destination whose own entries the catalog bump purges on arrival
-    # adopts the same payload and serves fragment hits from it
-    adopted, rejected = bumped.import_script_state(plans_a, parsed_a, frags_a)
-    assert adopted == len(plans_a) and not rejected
-    assert bumped.stats.invalidations == 1
-    assert set(bumped.fragments._entries) == set(frags_a)
-    before = bumped.stats.snapshot()
-    bumped.compile_script(_script("c"), default)
-    delta = bumped.stats - before
-    assert (delta.fragment_hits, delta.fragment_misses) == (len(frags_a), 0)

@@ -34,6 +34,7 @@ from repro.config import (
     ShardingConfig,
     WorkloadConfig,
 )
+from repro.scope import cache as cache_module
 from repro.serving import JournalError, QueueFull
 from repro.serving import server as server_module
 
@@ -164,12 +165,21 @@ def test_server_killed_mid_day_recovers_to_identical_fingerprints(tmp_path):
     revived.shutdown()
 
 
-@pytest.mark.parametrize("workers_per_shard", [0, 2], ids=["inline", "threaded"])
-def test_a_failover_keeps_every_window_verifiable(tmp_path, workers_per_shard):
-    """A shard killed at a drained instant hands its cached plans to its
-    templates' new owners, so both days match a never-failed fleet, cache
-    accounting included — and recovery, which replays onto a fleet that
+@pytest.mark.parametrize(
+    "workers_per_shard, capacity",
+    [(0, None), (2, None), (0, 16), (2, 16)],
+    ids=["inline", "threaded", "inline-capacity-16", "threaded-capacity-16"],
+)
+def test_a_failover_keeps_every_window_verifiable(
+    tmp_path, monkeypatch, workers_per_shard, capacity
+):
+    """A shard lane killed at a drained instant leaves its templates
+    compiling on their home shard's service, so both days match a
+    never-failed fleet, cache accounting included, even with plan caches
+    small enough to evict — and recovery, which replays onto a fleet that
     never failed, verifies every journaled window."""
+    if capacity is not None:
+        monkeypatch.setattr(cache_module, "_PLAN_CAPACITY", capacity)
     config = _config(shards=3, workers_per_shard=workers_per_shard)
     reference = QOAdvisorServer(config=config)
     expected = [reference.stream_day(0), reference.stream_day(1)]

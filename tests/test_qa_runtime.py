@@ -175,6 +175,20 @@ def test_instrument_locks_is_idempotent():
     registry.unwatch_map_jobs()
 
 
+def test_a_lock_added_to_a_known_class_is_traced():
+    """Every plain lock on the object is wrapped, not only a listed few: a
+    lock a known class gains is traced without any table to update."""
+    server = QOAdvisorServer(config=_config(workers=1, shards=1))
+    server._added_lock = threading.Lock()
+    registry = instrument_locks(server, registry=LockRegistry())
+    try:
+        assert isinstance(server._added_lock, TracedLock)
+        assert isinstance(server._failover_lock, TracedLock)
+    finally:
+        registry.unwatch_map_jobs()
+        server.shutdown()
+
+
 # -- stress: instrumented 2-shard fleet ---------------------------------------
 
 

@@ -10,8 +10,9 @@ The contracts under test:
 * **maintenance windows** — the scheduler drains a day's accumulated work
   through the batch pipeline's own stages and atomically publishes the
   next hint version, while new submissions keep flowing;
-* **failover** — killing a shard requeues its backlog onto survivors via
-  the router's exclusion set with zero job loss;
+* **failover** — killing a shard lane requeues its backlog onto stable
+  survivors with zero job loss, while every compile stays on its
+  template's home shard;
 * **batch parity** — replaying a day's stream on the serial (inline)
   schedule reproduces batch ``run_day``'s ``DayReport.fingerprint()``
   byte for byte (and the threaded schedule agrees too).
@@ -115,24 +116,40 @@ def test_queue_rejects_bad_parameters():
         ShardQueue(capacity=0)
 
 
-# -- router exclusion ---------------------------------------------------------
+# -- lane choice ----------------------------------------------------------------
 
 
-def test_router_exclusion_reroutes_stably_and_avoids_failed_shards():
-    router = ShardRouter(4)
-    for index in range(100):
-        template = f"tmpl-{index:04d}"
-        primary = router.shard_for(template)
-        rerouted = router.shard_for(template, exclude={1})
-        assert rerouted != 1 and 0 <= rerouted < 4
-        # pure function of (template, exclusion set)
-        assert rerouted == ShardRouter(4).shard_for(template, exclude={1})
-        # surviving shards keep their keyspace (and their warm caches):
-        # only the failed shard's templates are rehashed
-        if primary != 1:
-            assert rerouted == primary
-    with pytest.raises(ValueError):
-        router.shard_for("tmpl-0000", exclude={0, 1, 2, 3})
+def test_lane_choice_is_stable_and_moves_only_failed_lanes_templates():
+    """A template steers on its home lane while that lane is alive, else
+    on the alive lane of highest rendezvous weight: two fleets with the
+    same failures choose alike, a second failure moves only the templates
+    the failed lane was steering, and the router keeps naming homes."""
+    jobs = [
+        JobInstance(f"j{index}", f"tmpl-{index:04d}", "n", "garbage !!", day=0)
+        for index in range(100)
+    ]
+    homes = [ShardRouter(4).shard_for_job(job) for job in jobs]
+    fleets = [QOAdvisorServer(config=_config(shards=4)) for _ in range(2)]
+    choices = []
+    for failed in ({1}, {1, 2}):
+        for server in fleets:
+            for shard in failed:
+                server.fail_shard(shard)
+        # ``timeout=0``: a full lane refuses instead of parking the test
+        lanes = [[server.submit(job, timeout=0).shard for job in jobs] for server in fleets]
+        assert lanes[0] == lanes[1]
+        choices.append(lanes[0])
+        assert [server.router.shard_for_job(job) for job in jobs] == homes
+    one_failed, two_failed = choices
+    for home, first, second in zip(homes, one_failed, two_failed):
+        assert first != 1 and second not in {1, 2}
+        if home != 1:
+            assert first == home
+        if first != 2:
+            assert second == first
+    assert sum(first == 2 for first in one_failed) > 0
+    for server in fleets:
+        server.shutdown()
 
 
 # -- server backpressure ------------------------------------------------------
@@ -240,7 +257,12 @@ def test_shard_failover_requeues_backlog_with_zero_loss():
     # new submissions never land on the failed shard again
     rerouted = server.submit(server.advisor.workload.jobs_for_day(0)[0])
     assert rerouted.shard != victim
-    assert victim in server.router.offline
+    assert not server._lanes[victim].alive
+    # the router still names every template's home shard
+    assert all(
+        server.router.shard_for_job(t.job) == ShardRouter(3).shard_for_job(t.job)
+        for t in tickets
+    )
     server.start()
     server.drain(timeout=120.0)
     report = server.run_maintenance(0)
@@ -261,6 +283,30 @@ def test_failing_the_last_shard_is_refused():
     with pytest.raises(ValueError):
         server.fail_shard(1)
     server.shutdown()
+
+
+@pytest.mark.parametrize("shard", [-1, 3, -4], ids=["minus-one", "n", "minus-n-plus-one"])
+def test_fail_shard_refuses_a_shard_outside_the_fleet(shard, tmp_path):
+    """A negative index must not quietly fail the lane it wraps to, and
+    none raises an IndexError: the range is checked before any lane,
+    queue or journal record changes."""
+    server = QOAdvisorServer(config=_config(shards=3), journal=tmp_path / "wal.jsonl")
+    with pytest.raises(ValueError, match="outside the fleet"):
+        server.fail_shard(shard)
+    assert all(lane.alive for lane in server.stats().shards)
+    assert server.journal.records() == []
+    server.shutdown()
+
+
+def test_fail_shard_on_a_shut_down_server_refuses_before_changing_anything(tmp_path):
+    server = QOAdvisorServer(config=_config(shards=3), journal=tmp_path / "wal.jsonl")
+    server.start()
+    server.submit_day(0)
+    server.drain(timeout=60.0)
+    server.shutdown()
+    with pytest.raises(QueueClosed, match="server is shut down"):
+        server.fail_shard(1)
+    assert all(lane.alive for lane in server.stats().shards)
 
 
 # -- drain / shutdown ---------------------------------------------------------
@@ -408,9 +454,9 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
     job = server.advisor.workload.jobs_for_day(0)[0]
     if ending == "requeue_exhausted":
         # queued on the unstarted server; its lane then dies with the only
-        # survivor already excluded, so the requeue has nowhere to go
+        # survivor's queue already closed, so the requeue has nowhere to go
         ticket = server.submit(job)
-        ticket.excluded_shards.add(1 - ticket.shard)
+        server._lanes[1 - ticket.shard].queue.close()
         assert server.fail_shard(ticket.shard) == 0
         server.start()
     else:

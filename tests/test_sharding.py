@@ -14,29 +14,34 @@ import dataclasses
 
 import pytest
 
-from repro import QOAdvisor, ScopeEngine, ShardRouter, SimulationConfig
+from repro import QOAdvisor, QOAdvisorServer, ScopeEngine, ShardRouter, SimulationConfig
 from repro.config import (
     ExecutionConfig,
     FlightingConfig,
+    ServingConfig,
     ShardingConfig,
     WorkloadConfig,
 )
 from repro.errors import ScopeError
 from repro.parallel import SerialExecutor
 from repro.scope.cache import CacheStats, CompilationService, CompileRequest
+from repro.scope.jobs import JobInstance
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
 from repro.scope.optimizer.rules.base import RuleFlip
 from repro.workload.generator import build_workload
 
 
-def _config(workers: int = 1, shards: int = 1, seed: int = 555) -> SimulationConfig:
+def _config(
+    workers: int = 1, shards: int = 1, seed: int = 555, workers_per_shard: int = 1
+) -> SimulationConfig:
     return dataclasses.replace(
         SimulationConfig(seed=seed),
         workload=WorkloadConfig(num_templates=10, num_tables=8),
         flighting=FlightingConfig(filtered_prob=0.0, failure_prob=0.0),
         execution=ExecutionConfig(workers=workers, backend="thread"),
         sharding=ShardingConfig(shards=shards),
+        serving=ServingConfig(workers_per_shard=workers_per_shard),
     )
 
 
@@ -67,19 +72,28 @@ def test_router_rejects_nonpositive_shard_count():
         ShardRouter(0)
 
 
-def test_take_offline_moves_only_the_leaving_slots_templates():
-    templates = [f"tmpl-{index:04d}" for index in range(200)]
-    router = ShardRouter(3)
-    before = {t: router.shard_for(t) for t in templates}
-    router.take_offline(1)
-    after = {t: router.shard_for(t) for t in templates}
-    for template in templates:
-        if before[template] != 1:
-            assert after[template] == before[template]
+def test_a_failed_lane_moves_only_its_templates_and_no_home_shard():
+    """After ``fail_shard(1)`` the router still names every template's
+    home, every template homed elsewhere keeps its lane, and each of lane
+    1's templates moves to one survivor, the same on every submission."""
+    server = QOAdvisorServer(config=_config(shards=3, workers_per_shard=0))
+    jobs = [
+        JobInstance(f"j{index}", f"tmpl-{index:04d}", "n", "garbage !!", day=0)
+        for index in range(60)
+    ]
+    homes = {job.template_id: ShardRouter(3).shard_for(job.template_id) for job in jobs}
+    tickets = [server.submit(job) for job in jobs]  # unstarted: all queued
+    assert [ticket.shard for ticket in tickets] == [homes[job.template_id] for job in jobs]
+    assert server.fail_shard(1) == sum(home == 1 for home in homes.values())
+    for ticket in tickets:
+        template = ticket.job.template_id
+        assert server.router.shard_for(template) == homes[template]
+        if homes[template] != 1:
+            assert ticket.shard == homes[template]
         else:
-            assert after[template] != 1
-    with pytest.raises(ValueError):
-        ShardRouter(1).take_offline(0)  # the last slot cannot leave
+            assert ticket.shard != 1
+            assert server.submit(ticket.job).shard == ticket.shard
+    server.shutdown()
 
 
 def test_partition_preserves_order_and_template_affinity(tiny_workload):
@@ -123,19 +137,27 @@ def test_shards_read_the_one_catalog_and_own_their_caches():
         assert len({id(thing) for thing in owned}) == 3
 
 
-def test_routed_compile_answers_like_the_raw_engine_with_slot_zero_offline():
-    """There is one engine over the workload's catalog, so whichever shard
-    a job routes to, its cached compile is the engine's raw
+def test_a_compile_lands_on_its_templates_home_shard_whichever_lane_steers_it():
+    """A failover cordons the home lane only: the job steers on a survivor
+    but compiles on its home shard's service, and there is one engine over
+    the workload's catalog, so the answer is the engine's raw
     compile/optimize (the analysis harnesses' door) on the same day's
     statistics."""
-    workload, engine = _engine(_config(shards=2))
-    engine.router.take_offline(0)
-    job = workload.jobs_for_day(3)[0]
-    routed = engine.compile_job(job, use_hints=False)
-    assert engine.compilation.shards[1].stats.misses == 1
-    assert engine.compilation.shards[0].stats.misses == 0
+    server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=0))
+    engine = server.advisor.engine
+    job = server.advisor.workload.jobs_for_day(3)[0]
+    home = engine.router.shard_for_job(job)
+    server.fail_shard(home)
+    server.start()
+    ticket = server.submit(job)
+    server.drain(timeout=60.0)
+    assert ticket.shard == 1 - home and not ticket.failed
+    assert engine.compilation.shards[home].stats.misses == 1
+    assert engine.compilation.shards[1 - home].stats.misses == 0
+    routed = ticket.run.result
     raw = engine.optimize(engine.compile(job.script), engine.configuration_for(job))
     assert (routed.plan.pretty(), routed.est_cost) == (raw.plan.pretty(), raw.est_cost)
+    server.shutdown()
 
 
 def test_sis_upload_drops_no_shard_entry_and_reaches_every_shard():
