@@ -141,9 +141,8 @@ class ShardingConfig:
     hash of their template id, each shard owning its own plan cache and
     counters, while the engine's one catalog and one SIS deployment are
     shared.  The shard count is fixed for the engine's lifetime, and so
-    is every template's shard: a serving failover
-    (``QOAdvisorServer.fail_shard``) cordons a lane, and the shard's
-    service keeps compiling its templates.
+    is every template's shard: the serving layer steers each job on its
+    template's home shard's lane.
     """
 
     #: number of shard compilation services; 1 is a service of one

@@ -7,8 +7,8 @@ turns over in the background.  This package reproduces that deployment
 shape on top of the batch substrate:
 
 * :class:`~repro.serving.server.QOAdvisorServer` — the job-stream
-  front-end: per-shard bounded queues, live-hint steering on arrival,
-  graceful drain/shutdown, shard failover;
+  front-end: per-shard bounded queues (each job on its template's home
+  shard), live-hint steering on arrival, graceful drain/shutdown;
 * :class:`~repro.serving.maintenance.MaintenanceScheduler` — micro-batched
   maintenance windows that drain accumulated work through the batch
   pipeline's own stage objects and atomically publish hint versions;

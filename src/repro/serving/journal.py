@@ -4,9 +4,8 @@ A :class:`~repro.serving.server.QOAdvisorServer` accumulates a *day's*
 worth of completed work before a maintenance window drains it — state that
 a process crash would silently drop.  The :class:`TicketJournal` is the
 recovery path: an append-only JSONL file recording every admitted ticket,
-every completion, every maintenance-window publication, every
-Personalizer mode switch and every shard failover, in the order the
-server performed them.
+every completion, every maintenance-window publication and every
+Personalizer mode switch, in the order the server performed them.
 
 Recovery leans on the repository-wide determinism contract instead of
 snapshotting results: every per-job quantity (compiled plan, executed
@@ -22,30 +21,19 @@ state matches the pre-crash trace.
 
 Record kinds (one JSON object per line; :data:`RECORD_KINDS` lists them)::
 
-    {"t": "admit",    "seq": N, "day": D, "job": "...", "template": "..."}
-    {"t": "reject",   "seq": N, "day": D}
-    {"t": "done",     "seq": N, "day": D, "failed": false}
-    {"t": "window",   "day": D, "hint_version": V|null, "fingerprint": "..."}
-    {"t": "mode",     "mode": "learned"}
-    {"t": "topology", "op": "fail", "shard": K}
+    {"t": "admit",  "seq": N, "day": D, "job": "...", "template": "..."}
+    {"t": "reject", "seq": N, "day": D}
+    {"t": "done",   "seq": N, "day": D, "failed": false}
+    {"t": "window", "day": D, "hint_version": V|null, "fingerprint": "..."}
+    {"t": "mode",   "mode": "learned"}
 
-``topology`` records are operational breadcrumbs only: the restarted
-server replays admissions onto *its own* fleet (a failover moves which
-lane steers a ticket, never the shard it compiles on, so recovery is
-legal across a failover).  A torn final line — the signature of a crash mid-append, with
-no trailing newline — is truncated when the journal is opened; any
+A torn final line — the signature of a crash mid-append, with no
+trailing newline — is truncated when the journal is opened; any
 unparseable line left after that raises :class:`JournalError`.  So does a
-record of any other kind (an older server's ``shed``, say): recovery
-refuses the whole journal before replaying anything, because skipping
-the record would lose the job it names.
-
-One divergence is detected rather than replayed: a journaled run in which
-a ticket failed because *no shard could accept it* (a total-failover
-corner the zero-loss machinery records as a failed job) re-drives to a
-success on the rebuilt fleet, and the completion check — and failing
-that, the window fingerprint check — aborts the replay loudly.  Compile
-failures are no such problem: they are deterministic and reproduce
-exactly.
+record of any other kind (an older server's ``shed`` or ``topology``,
+say): recovery refuses the whole journal before replaying anything,
+because skipping the record would lose what it names.  Compile failures
+need no special case: they are deterministic and reproduce exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +47,7 @@ from pathlib import Path
 __all__ = ["RECORD_KINDS", "TicketJournal", "JournalError", "RecoveryReport"]
 
 #: Every record kind a server writes; recovery refuses any other.
-RECORD_KINDS = ("admit", "reject", "done", "window", "mode", "topology")
+RECORD_KINDS = ("admit", "reject", "done", "window", "mode")
 
 
 class JournalError(RuntimeError):

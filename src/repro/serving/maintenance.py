@@ -112,13 +112,6 @@ class MaintenanceScheduler:
             accumulator = self._days.get(day)
             return len(accumulator.tickets) if accumulator else 0
 
-    def open_days(self) -> list[int]:
-        """Days with an accumulator open (admitted but not yet drained by a
-        window) — after a journal replay this is exactly the pre-crash set
-        of pending maintenance windows."""
-        with self._lock:
-            return sorted(self._days)
-
     def run_window(self, day: int) -> DayReport:
         """Drain ``day``'s accumulated work and publish the next hint set.
 

@@ -44,7 +44,7 @@ class JobTicket:
     seq: int
     job: JobInstance
     day: int
-    #: shard the ticket is currently routed to (rewritten on failover)
+    #: the lane that steers the ticket: its template's home shard
     shard: int
     #: SIS hint-file version the job was compiled against (None until steered)
     hint_version: int | None = None
@@ -71,9 +71,9 @@ class ShardQueue:
     """A bounded FIFO of :class:`JobTicket` with explicit admission.
 
     Thread-safe; producers are submitting clients, consumers are the
-    shard's steering workers.  ``close()`` stops admission (failover or
-    shutdown) — pending tickets stay readable through :meth:`drain` so a
-    failed shard's backlog can be requeued with zero loss.
+    shard's steering workers.  ``close()`` stops admission (shutdown) —
+    pending tickets stay readable through :meth:`get` until the queue is
+    empty, so no admitted ticket is dropped.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -93,29 +93,17 @@ class ShardQueue:
         with self._lock:
             return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def put(
-        self, ticket: JobTicket, timeout: float | None = None, *, force: bool = False
-    ) -> None:
+    def put(self, ticket: JobTicket, timeout: float | None = None) -> None:
         """Admit a ticket, waiting up to ``timeout`` seconds for a slot.
 
         Raises :class:`QueueFull` when no slot frees up in time (at once
         with ``timeout=0``) and :class:`QueueClosed` when the queue stopped
         accepting work.
-
-        ``force=True`` bypasses the capacity bound (never the closed
-        check): the failover path transplants a dead shard's backlog onto
-        survivors, and losing tickets to backpressure there would break
-        the zero-job-loss contract — the bound may overshoot momentarily.
         """
         with self._not_full:
             if self._closed:
                 raise QueueClosed(f"queue is closed; cannot admit {ticket.job.job_id}")
-            if not force and len(self._items) >= self.capacity:
+            if len(self._items) >= self.capacity:
                 deadline_ok = self._not_full.wait_for(
                     lambda: self._closed or len(self._items) < self.capacity,
                     timeout=timeout,
@@ -151,11 +139,3 @@ class ShardQueue:
             self._closed = True
             self._not_full.notify_all()
             self._not_empty.notify_all()
-
-    def drain(self) -> list[JobTicket]:
-        """Remove and return every pending ticket (the failover path)."""
-        with self._lock:
-            pending = list(self._items)
-            self._items.clear()
-            self._not_full.notify_all()
-            return pending

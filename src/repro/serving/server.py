@@ -5,9 +5,7 @@ Wraps a :class:`~repro.core.advisor.QOAdvisor` (and with it its one
 engine's compilation service) behind a job-stream API:
 
 * :meth:`submit` queues a job on its template's home lane — the shard
-  the engine's :class:`~repro.sharding.ShardRouter` hashes it to — or,
-  when that lane has failed, on a stable survivor (``lane.alive`` is the
-  one membership state);
+  the engine's :class:`~repro.sharding.ShardRouter` hashes it to;
 * each shard *lane* steers arrivals against the **live** SIS hint-file
   version — compile through the template's home
   :class:`~repro.scope.cache.CompilationService`, execute on the engine —
@@ -19,10 +17,7 @@ engine's compilation service) behind a job-stream API:
   flight → validate → hintgen) and atomically publishes the next hint
   version — day boundaries stop being a global barrier, because
   submissions keep flowing while a window runs;
-* the fleet is fixed at construction, one lane per shard; the one
-  topology change is :meth:`fail_shard`, which kills a lane and requeues
-  its backlog onto the survivors with zero job loss — tickets move,
-  caches do not;
+* the fleet is fixed at construction, one lane per shard;
 * admission is by capacity alone: a job enters its lane's bounded
   queue, and a full queue blocks the submit until a slot frees up or
   its timeout passes (``submit(timeout=0)`` refuses at once) — no
@@ -42,11 +37,7 @@ reproduces batch ``run_day``'s ``DayReport.fingerprint()`` byte for byte
 The threaded schedule reproduces it too when each day is drained before
 its maintenance window runs (the ``stream_day`` shape): every per-job
 quantity is keyed and the compilation service's accounting is
-schedule-independent.  A failover preserves the same contract: every
-compile of a template lands on its home shard's service whichever lane
-steers it, so each shard's cache sees the compiles a never-failed
-fleet's would, and a drained window's fingerprint and cache accounting
-match that fleet's.
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -62,7 +53,6 @@ from repro.core.advisor import QOAdvisor
 from repro.core.pipeline import DayReport
 from repro.errors import ScopeError
 from repro.obs.metrics import Sample
-from repro.rng import stable_hash
 from repro.scope.cache import CompilationService
 from repro.scope.engine import JobRun
 from repro.scope.jobs import JobInstance
@@ -100,11 +90,9 @@ class _ShardLane:
 
     def __init__(self, index: int, service: CompilationService) -> None:
         self.index = index
-        #: the shard's compilation service, whose stats this lane reports;
-        #: it keeps compiling its templates after the lane fails
+        #: the shard's compilation service, whose stats this lane reports
         self.service = service
         self.queue = ShardQueue(_QUEUE_CAPACITY)
-        self.alive = True
         self.lock = threading.Lock()
         #: one integer per name of the serving vocabulary, bumped under
         #: ``lock``; every stats surface is built from this container
@@ -171,13 +159,12 @@ class QOAdvisorServer:
         self._recovering = False
         self._seq = 0
         self._seq_lock = threading.Lock()
-        #: unique jobs admitted (requeues do not re-count; rejected don't count)
+        #: jobs admitted (rejected ones don't count)
         self._admitted = 0
         self._pending = 0
         self._done = threading.Condition()
         self._started = False
         self._stop = False
-        self._failover_lock = threading.Lock()
         self._install_serving_views()
 
     # -- lifecycle ----------------------------------------------------------
@@ -205,8 +192,6 @@ class QOAdvisorServer:
         self._started = True
         for lane in self._lanes:
             self._kick(lane)
-            if not lane.alive:
-                continue
             for slot in range(self.serving.workers_per_shard):
                 thread = threading.Thread(
                     target=self._worker,
@@ -287,7 +272,8 @@ class QOAdvisorServer:
         with self._seq_lock:
             self._seq += 1
             seq = self._seq
-        ticket = JobTicket(seq=seq, job=job, day=job.day, shard=0)
+        lane = self._lanes[self.router.shard_for_job(job)]
+        ticket = JobTicket(seq=seq, job=job, day=job.day, shard=lane.index)
         if self.obs.tracer.enabled:
             # the ticket's root span: one per admitted job, finished at the
             # ticket's one terminal (_complete).
@@ -301,6 +287,9 @@ class QOAdvisorServer:
                 day=job.day,
                 seq=seq,
             )
+            # recorded before the put: once queued, the ticket and its root
+            # belong to the lane, which may finish the root at any moment
+            ticket.trace.event("admit", shard=lane.index)
         with self._done:
             self._pending += 1
         # write-ahead: the admit record lands *before* the ticket becomes
@@ -309,20 +298,21 @@ class QOAdvisorServer:
         # is compensated with a "reject" record, which replay pre-scans.
         self._journal_ticket("admit", ticket)
         try:
-            lane = self._admit(ticket, timeout)
+            self._enqueue(
+                lane, ticket, timeout=_SUBMIT_TIMEOUT_S if timeout is None else timeout
+            )
         except BaseException:
             self._journal({"t": "reject", "seq": ticket.seq, "day": ticket.day})
             with self._done:
                 self._pending -= 1
                 self._done.notify_all()
             if ticket.trace is not None:
-                # a rejected submission is not an admitted job; close its
-                # root so no trace leaks open
+                # a rejected submission is not an admitted job: its root
+                # drops the admit event and closes, so no trace leaks open
+                ticket.trace.events.clear()
                 ticket.trace.set(rejected=True)
                 self.obs.tracer.finish(ticket.trace, error=True)
             raise
-        if ticket.trace is not None:
-            ticket.trace.event("admit", shard=ticket.shard)
         with self._seq_lock:
             self._admitted += 1
         self._kick(lane)
@@ -340,62 +330,22 @@ class QOAdvisorServer:
             }
         )
 
-    def _enqueue(self, lane: _ShardLane, ticket: JobTicket, **put_args: object) -> None:
+    def _enqueue(self, lane: _ShardLane, ticket: JobTicket, timeout: float) -> None:
         """Count ``ticket`` onto ``lane``, then put it on the lane's queue.
 
         Counted first, so the count never trails what a racing worker has
-        already finished.  A put that raises (queue closed by a racing
-        failover, full, timed out) never reached the lane: the count is
-        undone and the caller re-routes, requeues or rejects.
+        already finished.  A put that raises (full past ``timeout``, queue
+        closed by a racing shutdown) never reached the lane: the count is
+        undone and the caller rejects.
         """
         with lane.lock:
             lane.counts["submitted"] += 1
         try:
-            lane.queue.put(ticket, **put_args)
+            lane.queue.put(ticket, timeout=timeout)
         except BaseException:
             with lane.lock:
                 lane.counts["submitted"] -= 1
             raise
-
-    def _lane_for(
-        self, job: JobInstance, exclude: set[int] | frozenset[int] = frozenset()
-    ) -> _ShardLane | None:
-        """The lane that steers ``job``: its template's home lane while
-        that is alive, else the alive lane with the highest rendezvous
-        weight, so a failure moves only the failed lane's templates and
-        each to a stable survivor.  Lanes in ``exclude`` are skipped;
-        None when no lane is left."""
-        home = self._lanes[self.router.shard_for_job(job)]
-        if home.alive and home.index not in exclude:
-            return home
-        survivors = [
-            lane for lane in self._lanes if lane.alive and lane.index not in exclude
-        ]
-        return max(
-            survivors,
-            key=lambda lane: stable_hash("shard-route-failover", job.template_id, lane.index),
-            default=None,
-        )
-
-    def _admit(self, ticket: JobTicket, timeout: float | None) -> _ShardLane:
-        """Choose a lane and enqueue a fresh ticket, choosing again if that
-        lane fails between the choice and admission (``alive`` drops
-        *before* the queue closes, so one retry sees the update)."""
-        for _ in range(len(self._lanes) + 1):
-            lane = self._lane_for(ticket.job)
-            if lane is None:
-                break
-            ticket.shard = lane.index
-            try:
-                self._enqueue(
-                    lane, ticket, timeout=_SUBMIT_TIMEOUT_S if timeout is None else timeout
-                )
-                return lane
-            except QueueClosed:
-                if self._stop or lane.alive:
-                    raise
-                continue  # the lane failed over under us; choose again
-        raise QueueClosed(f"no alive shard accepted {ticket.job.job_id}")
 
     def submit_day(self, day: int) -> list[JobTicket]:
         """Generate and stream the workload's whole day, in submission order."""
@@ -417,18 +367,6 @@ class QOAdvisorServer:
         """Switch the Personalizer to the learned policy (journaled)."""
         self.advisor.enable_learned_mode()
         self._journal({"t": "mode", "mode": "learned"})
-
-    def serve_days(
-        self, start_day: int, days: int, *, learned_after: int = 3
-    ) -> list[DayReport]:
-        """Stream consecutive days, mirroring ``QOAdvisor.simulate``'s
-        staged rollout (uniform logging first, learned policy after)."""
-        reports = []
-        for offset in range(days):
-            if offset == learned_after:
-                self.enable_learned_mode()
-            reports.append(self.stream_day(start_day + offset))
-        return reports
 
     def run_maintenance(self, day: int) -> DayReport:
         """Drain in-flight work, then run ``day``'s maintenance window."""
@@ -463,27 +401,23 @@ class QOAdvisorServer:
     def _worker(self, lane: _ShardLane) -> None:
         while True:
             # blocks until a ticket arrives; None only once the queue is
-            # closed and empty (shutdown, failover)
+            # closed and empty (shutdown)
             ticket = lane.queue.get()
             if ticket is None:
                 return
-            if not lane.alive:
-                # popped after the lane died: hand it to the survivors
-                self._requeue([ticket], lane)
-                continue
             self._process(lane, ticket)
 
     def _process(self, lane: _ShardLane, ticket: JobTicket) -> None:
         """Steer one job against the live hint version, then execute it.
 
         Mirrors ``ScopeEngine.run_job`` exactly (compile with hints on the
-        template's home shard, whichever lane steers it, then execute under
-        the job's keyed run key), but times the compile separately — that
+        template's home shard, the lane's own, then execute under the job's
+        keyed run key), but times the compile separately — that
         wall-clock, ``ticket.compile_s``, is the lane's steer latency — and
         stamps the ticket with the SIS version it compiled against.
         """
         job = ticket.job
-        service = self._engine.compilation.service_for(job.template_id)
+        service = lane.service
         tracer = self.obs.tracer
         hint_version = self.sis.current_version
         steered = self.sis.lookup(job.template_id) is not None
@@ -524,14 +458,12 @@ class QOAdvisorServer:
         self._complete(ticket)
 
     def _complete(self, ticket: JobTicket) -> None:
-        """The one terminal of a ticket: steered (ok or not), or out of
-        shards to requeue onto.
+        """The one terminal of a steered ticket, ok or not.
 
-        Ordering contract, the same for both: close the root span,
-        **record** the ticket under its day, **journal** its ``done``, and
-        only then **release** the pending count — so a ``drain()`` that
-        returns finds every finished ticket already in its day's window
-        and in the journal.
+        Ordering contract: close the root span, **record** the ticket under
+        its day, **journal** its ``done``, and only then **release** the
+        pending count — so a ``drain()`` that returns finds every finished
+        ticket already in its day's window and in the journal.
         """
         if ticket.trace is not None:
             self.obs.tracer.finish(ticket.trace, error=ticket.failed)
@@ -547,95 +479,6 @@ class QOAdvisorServer:
         with self._done:
             self._pending -= 1
             self._done.notify_all()
-
-    # -- failover ------------------------------------------------------------
-
-    def fail_shard(self, shard: int) -> int:
-        """Kill one shard lane and requeue its backlog onto the survivors.
-
-        The lane stops admitting and consuming; every ticket still in its
-        queue (plus any a worker popped but had not started) moves to the
-        lane :meth:`_lane_for` now chooses.  A job the lane was actively
-        steering when the kill lands completes there — nothing is ever
-        lost.  Only the lane is cordoned: the shard's compilation service
-        lives in this process and keeps compiling its templates, for
-        requeued tickets and maintenance windows alike, so nothing in any
-        cache moves and the day's accounting equals a never-failed run's —
-        which is what lets :meth:`recover`, replaying on a fleet that never
-        failed, verify the journaled window fingerprints.  Returns the
-        number of requeued jobs.
-
-        Raises ``ValueError`` for a shard outside the fleet or the last
-        alive lane, and :class:`~repro.serving.queues.QueueClosed` on a
-        shut-down server, each before anything has changed.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(
-                f"shard {shard} is outside the fleet's 0..{self.num_shards - 1}"
-            )
-        if self._stop:
-            raise QueueClosed("the server is shut down; no shard fails over")
-        with self._failover_lock:
-            lane = self._lanes[shard]
-            if not lane.alive:
-                return 0
-            if not any(other.alive for other in self._lanes if other is not lane):
-                raise ValueError(f"cannot fail shard {shard}: it is the last alive lane")
-            lane.alive = False
-            backlog = self._quiesce(lane)
-            self._journal({"t": "topology", "op": "fail", "shard": shard})
-            return self._requeue(backlog, lane)
-
-    def _quiesce(self, lane: _ShardLane) -> list[JobTicket]:
-        """Stop a lane that is no longer alive; returns its queued backlog.
-        Admission chooses again on the closed queue, and a job a worker was
-        steering completes here before the join returns."""
-        lane.queue.close()
-        backlog = lane.queue.drain()
-        for thread in lane.threads:
-            thread.join()
-        lane.threads = []
-        return backlog
-
-    def _requeue(self, tickets: list[JobTicket], from_lane: _ShardLane) -> int:
-        """Transplant tickets off a dead lane; every ticket is accounted for.
-
-        The forced put bypasses the capacity bound (backpressure must not
-        lose failover backlog), and a survivor whose queue closed under it
-        is excluded and the choice retried.  A ticket with nowhere left to
-        go is recorded as a *failed job* — it still appears in its day's
-        report, so the stream's accounting never leaks.
-        """
-        moved = 0
-        for ticket in tickets:
-            with from_lane.lock:
-                from_lane.counts["requeued"] += 1
-            exclude: set[int] = set()
-            while True:
-                target = self._lane_for(ticket.job, exclude)
-                if target is None:
-                    # terminal: no alive lane accepts it, nowhere left to run the job
-                    ticket.failed = True
-                    if ticket.trace is not None:
-                        ticket.trace.set(requeue_exhausted=True)
-                    with from_lane.lock:
-                        from_lane.counts["failed"] += 1
-                    self._complete(ticket)
-                    break
-                try:
-                    self._enqueue(target, ticket, force=True)
-                except QueueClosed:
-                    exclude.add(target.index)
-                    continue
-                ticket.shard = target.index
-                if ticket.trace is not None:
-                    ticket.trace.event(
-                        "requeue", from_shard=from_lane.index, to_shard=target.index
-                    )
-                moved += 1
-                self._kick(target)
-                break
-        return moved
 
     # -- journal recovery -----------------------------------------------------
 
@@ -735,8 +578,6 @@ class QOAdvisorServer:
                     if record.get("mode") == "learned":
                         self.advisor.enable_learned_mode()
                     report.mode_switches += 1
-                # "topology" records are breadcrumbs: replay runs on this
-                # server's own topology (placement never enters a fingerprint)
         finally:
             self._recovering = False
         report.in_flight = report.admitted - report.completed
@@ -857,7 +698,6 @@ class QOAdvisorServer:
                 shards.append(
                     ShardStats(
                         shard=lane.index,
-                        alive=lane.alive,
                         queue_depth=lane.queue.depth,
                         max_queue_depth=lane.queue.max_depth,
                         **lane.counts,

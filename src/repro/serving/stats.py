@@ -32,7 +32,7 @@ __all__ = [
 #: and the ``repro_serving_<name>_total`` metric view, a projection of it —
 #: are built from that container (each name is documented on its field
 #: below).
-LANE_COUNTERS = ("submitted", "completed", "failed", "steered", "requeued")
+LANE_COUNTERS = ("submitted", "completed", "failed", "steered")
 
 #: The :class:`~repro.scope.cache.CacheStats` fields a lane's snapshot
 #: copies from its compilation service (same names on both sides).
@@ -61,20 +61,16 @@ class ShardStats:
     """One shard lane's health snapshot."""
 
     shard: int
-    #: False once the shard was killed and failed over
-    alive: bool = True
     #: tickets currently waiting in the shard's queue
     queue_depth: int = 0
     #: high-water mark of the queue depth since the server started
     max_queue_depth: int = 0
-    #: tickets ever routed to this shard (including later requeues away)
+    #: tickets ever admitted onto this shard's lane
     submitted: int = 0
     completed: int = 0
     failed: int = 0
     #: completed jobs that compiled under an active SIS hint
     steered: int = 0
-    #: tickets moved off this shard by failover
-    requeued: int = 0
     #: compile wall-clock percentiles over the lane's completed jobs;
     #: None until the lane has at least one sample
     compile_p50_s: float | None = None
@@ -159,7 +155,6 @@ class ServerStats:
             f"policy v{self.policy_version}"
         ]
         for shard in self.shards:
-            state = "up" if shard.alive else "FAILED"
             version = (
                 f"v{shard.last_hint_version} (skew {shard.hint_version_skew})"
                 if shard.last_hint_version is not None
@@ -175,10 +170,9 @@ class ServerStats:
                 else "compile p50/p95/p99 n/a"
             )
             lines.append(
-                f"  shard {shard.shard} [{state}]: "
+                f"  shard {shard.shard}: "
                 f"queue {shard.queue_depth} (max {shard.max_queue_depth}), "
-                f"{shard.completed} ok / {shard.failed} failed / "
-                f"{shard.requeued} requeued, "
+                f"{shard.completed} ok / {shard.failed} failed, "
                 f"steer {shard.steer_rate:.0%}, "
                 f"fragments {shard.fragment_hit_rate:.0%} hit, "
                 f"{latency}, hints {version}"

@@ -9,8 +9,8 @@ topology as *routing* inside the one :class:`~repro.scope.engine.ScopeEngine`:
   (the unit SIS keys hints by, so a template's production runs, span
   probes, recompiles and flights all land on the same shard and share its
   plan cache).  The shard count is fixed at construction, and a
-  template's shard never changes: a serving failover cordons a lane,
-  while the shard's service keeps compiling its templates;
+  template's shard never changes: the serving layer steers each job on
+  its template's home shard's lane;
 * :class:`ShardedCompilationService` — the engine's compile front-end
   (``ScopeEngine.compilation``): N shard
   :class:`~repro.scope.cache.CompilationService` instances, each with its
@@ -74,8 +74,8 @@ class ShardRouter:
     shard's plan cache a template's compilations share, and it has to
     agree across processes and runs (``stable_hash``, not the salted
     builtin).  A template's shard is its *home* for the engine's
-    lifetime; a serving failover moves which lane steers a ticket, never
-    where it compiles.
+    lifetime: its jobs are steered on that shard's serving lane and
+    compile in that shard's service.
     """
 
     def __init__(self, num_shards: int) -> None:

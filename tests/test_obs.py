@@ -7,7 +7,9 @@ The contracts under test:
   finishing; ``start``/``finish`` survive double-finish;
 * **trace completeness** — every admitted serving job produces exactly
   one *closed* root span, with the same child-stage set on the inline
-  schedule and on threaded workers, on one shard and on two;
+  schedule and on threaded workers, on one shard and on two; its
+  ``admit`` event is on the root before a lane can finish it, and a
+  rejected submission's root carries none;
 * **schedule independence** — the batch pipeline's span multiset is
   identical at 1 worker and 4 workers;
 * **fingerprint neutrality** — ``DayReport.fingerprint()`` and
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+import time
 from collections import Counter
 from unittest import mock
 
@@ -52,6 +55,7 @@ from repro.obs import (
     Sample,
     Tracer,
 )
+from repro.serving import QueueFull, ShardQueue
 from repro.serving import server as server_module
 
 
@@ -272,6 +276,62 @@ def test_every_admitted_job_closes_exactly_one_root_span(shards):
     assert all("steer" in s and "execute" in s for s in inline_shape)
 
 
+def test_the_admit_event_is_on_the_root_before_a_lane_can_finish_it(
+    tmp_path, monkeypatch
+):
+    """The root records ``admit`` before its ticket is queued.  A lane
+    worker may finish and export the root before ``submit`` returns, so an
+    event added after the put would be missing from the JSONL line and
+    would mutate a span another thread finished.  Here every put waits
+    until the lane has finished the job, the widest that race opens."""
+    path = tmp_path / "trace.jsonl"
+    config = dataclasses.replace(
+        _config(shards=1, trace_jsonl_path=str(path)),
+        serving=ServingConfig(workers_per_shard=1),
+    )
+    server = QOAdvisorServer(config=config)
+    put = ShardQueue.put
+
+    def put_then_wait_for_the_lane(queue, ticket, *args, **kwargs):
+        put(queue, ticket, *args, **kwargs)
+        deadline = time.monotonic() + 60.0
+        while server.stats().jobs_in_flight and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    monkeypatch.setattr(ShardQueue, "put", put_then_wait_for_the_lane)
+    server.start()
+    ticket = server.submit(server.advisor.workload.jobs_for_day(0)[0])
+    server.drain(timeout=60.0)
+    assert ticket.trace.finished
+    assert ticket.trace.events == [("admit", {"shard": 0})]
+    server.shutdown()  # closes the advisor it built, and with it the sink
+    (root,) = [
+        line
+        for line in map(json.loads, path.read_text().splitlines())
+        if line["trace"] == ticket.trace.trace_id and line["parent"] is None
+    ]
+    assert root["events"] == [{"name": "admit", "shard": 0}]
+
+
+def test_a_rejected_submission_closes_its_root_without_an_admit_event(monkeypatch):
+    monkeypatch.setattr(server_module, "_QUEUE_CAPACITY", 1)
+    server = QOAdvisorServer(config=_config(shards=1))
+    jobs = server.advisor.workload.jobs_for_day(0)
+    admitted = server.submit(jobs[0], timeout=0)  # unstarted: fills the slot
+    with pytest.raises(QueueFull):
+        server.submit(jobs[1], timeout=0)
+    (rejected,) = [
+        span
+        for span in server.advisor.obs.ring.spans()
+        if span.name == "job" and span.parent_id is None
+    ]
+    assert rejected.trace_id != admitted.trace.trace_id
+    assert rejected.attrs["rejected"] and rejected.status == "error"
+    assert rejected.events == []
+    assert admitted.trace.events == [("admit", {"shard": 0})]
+    server.shutdown()
+
+
 def test_window_trace_and_last_window_summary():
     """The last window is ``advisor.reports[-1]``, and its ``window`` root
     span carries its duration, day, jobs, failed jobs and hint version."""
@@ -325,7 +385,6 @@ EXPOSITION_SERIES = [
     ("repro_serving_publications_total", ()),
     ("repro_serving_queue_depth", ("shard",)),
     ("repro_serving_queue_depth_max", ("shard",)),
-    ("repro_serving_requeued_total", ("shard",)),
     ("repro_serving_steered_total", ("shard",)),
     ("repro_serving_submitted_total", ("shard",)),
     ("repro_serving_windows_total", ()),

@@ -1,18 +1,16 @@
-"""Online serving layer: queues, live steering, maintenance, failover.
+"""Online serving layer: queues, live steering, maintenance, parity.
 
 The contracts under test:
 
-* **admission/backpressure** — per-shard queues are bounded; a submit to
-  a full queue waits up to its timeout, and ``timeout=0`` refuses at once;
+* **admission/backpressure** — a job enters its template's home lane;
+  per-shard queues are bounded; a submit to a full queue waits up to its
+  timeout, and ``timeout=0`` refuses at once;
 * **shutdown** — no admitted ticket is dropped, started server or not;
 * **live steering** — jobs compile against the SIS hint version current at
   arrival, and the ticket records which version that was;
 * **maintenance windows** — the scheduler drains a day's accumulated work
   through the batch pipeline's own stages and atomically publishes the
   next hint version, while new submissions keep flowing;
-* **failover** — killing a shard lane requeues its backlog onto stable
-  survivors with zero job loss, while every compile stays on its
-  template's home shard;
 * **batch parity** — replaying a day's stream on the serial (inline)
   schedule reproduces batch ``run_day``'s ``DayReport.fingerprint()``
   byte for byte (and the threaded schedule agrees too).
@@ -30,7 +28,6 @@ from repro import (
     QOAdvisor,
     QOAdvisorServer,
     ServingConfig,
-    ShardRouter,
     SimulationConfig,
     TicketJournal,
 )
@@ -101,55 +98,20 @@ def test_queue_put_times_out_and_unblocks():
 
 
 def test_queue_close_stops_admission_but_keeps_backlog_drainable():
+    """Shutdown's workers keep popping a closed queue until it is empty."""
     queue = ShardQueue(capacity=4)
     queue.put(_ticket(1))
     queue.put(_ticket(2))
     queue.close()
     with pytest.raises(QueueClosed):
         queue.put(_ticket(3))
-    assert [t.seq for t in queue.drain()] == [1, 2]
+    assert [queue.get(timeout=0).seq for _ in range(2)] == [1, 2]
     assert queue.get(timeout=0) is None  # closed and empty
 
 
 def test_queue_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ShardQueue(capacity=0)
-
-
-# -- lane choice ----------------------------------------------------------------
-
-
-def test_lane_choice_is_stable_and_moves_only_failed_lanes_templates():
-    """A template steers on its home lane while that lane is alive, else
-    on the alive lane of highest rendezvous weight: two fleets with the
-    same failures choose alike, a second failure moves only the templates
-    the failed lane was steering, and the router keeps naming homes."""
-    jobs = [
-        JobInstance(f"j{index}", f"tmpl-{index:04d}", "n", "garbage !!", day=0)
-        for index in range(100)
-    ]
-    homes = [ShardRouter(4).shard_for_job(job) for job in jobs]
-    fleets = [QOAdvisorServer(config=_config(shards=4)) for _ in range(2)]
-    choices = []
-    for failed in ({1}, {1, 2}):
-        for server in fleets:
-            for shard in failed:
-                server.fail_shard(shard)
-        # ``timeout=0``: a full lane refuses instead of parking the test
-        lanes = [[server.submit(job, timeout=0).shard for job in jobs] for server in fleets]
-        assert lanes[0] == lanes[1]
-        choices.append(lanes[0])
-        assert [server.router.shard_for_job(job) for job in jobs] == homes
-    one_failed, two_failed = choices
-    for home, first, second in zip(homes, one_failed, two_failed):
-        assert first != 1 and second not in {1, 2}
-        if home != 1:
-            assert first == home
-        if first != 2:
-            assert second == first
-    assert sum(first == 2 for first in one_failed) > 0
-    for server in fleets:
-        server.shutdown()
 
 
 # -- server backpressure ------------------------------------------------------
@@ -236,77 +198,6 @@ def test_submissions_stay_admitted_while_a_window_runs():
     report = server.run_maintenance(1)
     assert len(report.production_runs) + len(report.failed_jobs) == 3
     server.shutdown()
-
-
-# -- failover -----------------------------------------------------------------
-
-
-def test_shard_failover_requeues_backlog_with_zero_loss():
-    server = QOAdvisorServer(config=_config(shards=3))
-    tickets = server.submit_day(0)  # not started: queues hold the whole day
-    depths = [shard.queue_depth for shard in server.stats().shards]
-    victim = max(range(3), key=lambda i: depths[i])
-    assert depths[victim] > 0
-    requeued = server.fail_shard(victim)
-    assert requeued == depths[victim]
-    assert server.fail_shard(victim) == 0  # idempotent
-    stats = server.stats()
-    assert not stats.shards[victim].alive
-    assert stats.shards[victim].queue_depth == 0
-    assert stats.shards[victim].requeued == requeued
-    # new submissions never land on the failed shard again
-    rerouted = server.submit(server.advisor.workload.jobs_for_day(0)[0])
-    assert rerouted.shard != victim
-    assert not server._lanes[victim].alive
-    # the router still names every template's home shard
-    assert all(
-        server.router.shard_for_job(t.job) == ShardRouter(3).shard_for_job(t.job)
-        for t in tickets
-    )
-    server.start()
-    server.drain(timeout=120.0)
-    report = server.run_maintenance(0)
-    # zero lost jobs: every submitted job id shows up in the day report
-    reported = {run.job.job_id for run in report.production_runs} | set(
-        report.failed_jobs
-    )
-    assert {t.job.job_id for t in tickets} <= reported
-    final = server.stats()
-    assert final.shards[victim].completed == 0 and final.shards[victim].failed == 0
-    assert final.jobs_completed + final.jobs_failed == len(tickets) + 1
-    server.shutdown()
-
-
-def test_failing_the_last_shard_is_refused():
-    server = QOAdvisorServer(config=_config(shards=2))
-    server.fail_shard(0)
-    with pytest.raises(ValueError):
-        server.fail_shard(1)
-    server.shutdown()
-
-
-@pytest.mark.parametrize("shard", [-1, 3, -4], ids=["minus-one", "n", "minus-n-plus-one"])
-def test_fail_shard_refuses_a_shard_outside_the_fleet(shard, tmp_path):
-    """A negative index must not quietly fail the lane it wraps to, and
-    none raises an IndexError: the range is checked before any lane,
-    queue or journal record changes."""
-    server = QOAdvisorServer(config=_config(shards=3), journal=tmp_path / "wal.jsonl")
-    with pytest.raises(ValueError, match="outside the fleet"):
-        server.fail_shard(shard)
-    assert all(lane.alive for lane in server.stats().shards)
-    assert server.journal.records() == []
-    server.shutdown()
-
-
-def test_fail_shard_on_a_shut_down_server_refuses_before_changing_anything(tmp_path):
-    server = QOAdvisorServer(config=_config(shards=3), journal=tmp_path / "wal.jsonl")
-    server.start()
-    server.submit_day(0)
-    server.drain(timeout=60.0)
-    server.shutdown()
-    with pytest.raises(QueueClosed, match="server is shut down"):
-        server.fail_shard(1)
-    assert all(lane.alive for lane in server.stats().shards)
 
 
 # -- drain / shutdown ---------------------------------------------------------
@@ -434,7 +325,7 @@ def test_idle_lane_skew_is_none_across_a_publication():
 # -- one terminal, one vocabulary ----------------------------------------------
 
 
-@pytest.mark.parametrize("ending", ["steered", "compile_error", "requeue_exhausted"])
+@pytest.mark.parametrize("ending", ["steered", "compile_error"])
 def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
     """Whichever way a ticket ends it is recorded once under its day,
     journaled once (``done``), released once and its root span finished
@@ -452,18 +343,10 @@ def test_every_way_a_ticket_ends_is_exactly_one_terminal(ending, tmp_path):
 
     server.scheduler.record = counting_record
     job = server.advisor.workload.jobs_for_day(0)[0]
-    if ending == "requeue_exhausted":
-        # queued on the unstarted server; its lane then dies with the only
-        # survivor's queue already closed, so the requeue has nowhere to go
-        ticket = server.submit(job)
-        server._lanes[1 - ticket.shard].queue.close()
-        assert server.fail_shard(ticket.shard) == 0
-        server.start()
-    else:
-        server.start()
-        if ending == "compile_error":
-            job = JobInstance("j-bad", job.template_id, "bad", "garbage !!", day=0)
-        ticket = server.submit(job)
+    server.start()
+    if ending == "compile_error":
+        job = JobInstance("j-bad", job.template_id, "bad", "garbage !!", day=0)
+    ticket = server.submit(job)
     server.drain(timeout=60.0)
 
     assert ticket.done and ticket.failed == (ending != "steered")
@@ -499,7 +382,7 @@ def test_lane_counter_vocabulary_reaches_every_stats_surface():
     text = server.advisor.obs.metrics.exposition()
     fields = {field.name for field in dataclasses.fields(ShardStats)}
     (shard,) = server.stats().shards
-    assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 5
+    assert len(set(LANE_COUNTERS)) == len(LANE_COUNTERS) == 4
     for name in LANE_COUNTERS:
         assert name in fields
         assert f'repro_serving_{name}_total{{shard="0"}} {getattr(shard, name)}' in text
@@ -569,7 +452,11 @@ def test_full_deployment_replay_matches_batch_simulate():
     server.advisor.pipeline.bootstrap_validation_model(
         start_day=0, days=4, flights_per_day=8
     )
-    served_reports = server.serve_days(start_day=4, days=3, learned_after=1)
+    served_reports = []
+    for day in range(4, 7):
+        if day == 5:  # the staged rollout: learned after the first day
+            server.enable_learned_mode()
+        served_reports.append(server.stream_day(day))
 
     assert [r.fingerprint() for r in served_reports] == [
         r.fingerprint() for r in batch_reports

@@ -25,7 +25,6 @@ from repro.config import (
 from repro.errors import ScopeError
 from repro.parallel import SerialExecutor
 from repro.scope.cache import CacheStats, CompilationService, CompileRequest
-from repro.scope.jobs import JobInstance
 from repro.sis.hints import HintEntry
 from repro.sis.service import SISService
 from repro.scope.optimizer.rules.base import RuleFlip
@@ -72,30 +71,6 @@ def test_router_rejects_nonpositive_shard_count():
         ShardRouter(0)
 
 
-def test_a_failed_lane_moves_only_its_templates_and_no_home_shard():
-    """After ``fail_shard(1)`` the router still names every template's
-    home, every template homed elsewhere keeps its lane, and each of lane
-    1's templates moves to one survivor, the same on every submission."""
-    server = QOAdvisorServer(config=_config(shards=3, workers_per_shard=0))
-    jobs = [
-        JobInstance(f"j{index}", f"tmpl-{index:04d}", "n", "garbage !!", day=0)
-        for index in range(60)
-    ]
-    homes = {job.template_id: ShardRouter(3).shard_for(job.template_id) for job in jobs}
-    tickets = [server.submit(job) for job in jobs]  # unstarted: all queued
-    assert [ticket.shard for ticket in tickets] == [homes[job.template_id] for job in jobs]
-    assert server.fail_shard(1) == sum(home == 1 for home in homes.values())
-    for ticket in tickets:
-        template = ticket.job.template_id
-        assert server.router.shard_for(template) == homes[template]
-        if homes[template] != 1:
-            assert ticket.shard == homes[template]
-        else:
-            assert ticket.shard != 1
-            assert server.submit(ticket.job).shard == ticket.shard
-    server.shutdown()
-
-
 def test_partition_preserves_order_and_template_affinity(tiny_workload):
     router = ShardRouter(3)
     jobs = tiny_workload.jobs_for_day(0)
@@ -137,21 +112,19 @@ def test_shards_read_the_one_catalog_and_own_their_caches():
         assert len({id(thing) for thing in owned}) == 3
 
 
-def test_a_compile_lands_on_its_templates_home_shard_whichever_lane_steers_it():
-    """A failover cordons the home lane only: the job steers on a survivor
-    but compiles on its home shard's service, and there is one engine over
-    the workload's catalog, so the answer is the engine's raw
-    compile/optimize (the analysis harnesses' door) on the same day's
-    statistics."""
+def test_a_compile_lands_on_its_templates_home_shard():
+    """A served job steers on its template's home lane and compiles on
+    that shard's service alone, and there is one engine over the
+    workload's catalog, so the answer is the engine's raw compile/optimize
+    (the analysis harnesses' door) on the same day's statistics."""
     server = QOAdvisorServer(config=_config(shards=2, workers_per_shard=0))
     engine = server.advisor.engine
     job = server.advisor.workload.jobs_for_day(3)[0]
     home = engine.router.shard_for_job(job)
-    server.fail_shard(home)
     server.start()
     ticket = server.submit(job)
     server.drain(timeout=60.0)
-    assert ticket.shard == 1 - home and not ticket.failed
+    assert ticket.shard == home and not ticket.failed
     assert engine.compilation.shards[home].stats.misses == 1
     assert engine.compilation.shards[1 - home].stats.misses == 0
     routed = ticket.run.result
