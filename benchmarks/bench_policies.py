@@ -37,8 +37,6 @@ from repro.config import (
 )
 from repro.core.recompile import CostOutcome
 
-from benchmarks.conftest import record
-
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_policies.json"
 
 #: the ledger's seed and the held-out seed
@@ -156,7 +154,7 @@ def _run_bandit(seed: int) -> dict:
     return row
 
 
-def test_policy_bench():
+def test_policy_bench(summary):
     rows = {seed: _run_bandit(seed) for seed in _SEEDS}
 
     for seed, row in rows.items():
@@ -183,7 +181,7 @@ def test_policy_bench():
     }
     _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    record(
+    summary.append((
         "steering policy — the bandit at the ledger and held-out seeds",
         [
             ComparisonRow(
@@ -214,4 +212,4 @@ def test_policy_bench():
             )
             for seed, row in rows.items()
         ],
-    )
+    ))

@@ -1,78 +1,45 @@
-"""Shared experiment artifacts for the per-table/figure benches.
+"""Session plumbing for the paper benches.
 
-Heavy experiments run once per session here; each bench file then verifies
-(and reports) the paper-vs-measured shape and benchmarks a representative
-operation.  A terminal-summary hook prints every comparison row collected
-by the benches, so ``pytest benchmarks/ --benchmark-only`` ends with the
-full reproduction table.
+``paper_artifacts`` builds one seed's artifacts (``benchmarks/claims.py``)
+once per session.  A bench hands its ``(title, rows)`` to the ``summary``
+fixture, and the terminal-summary hook prints every one, so ``python -m
+pytest benchmarks/bench_claims.py`` ends with the full reproduction table.
+The rows live in ``config.stash``, which any copy of this module reads.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro import QOAdvisor, SimulationConfig
-from repro.analysis.aggregate import measure_hinted_day
-from repro.analysis.report import ComparisonRow
-from repro.config import FlightingConfig, WorkloadConfig
+from repro.analysis.report import ComparisonRow, render_comparison
 
-_ROWS: list[tuple[str, list[ComparisonRow]]] = []
+from benchmarks import claims
 
-
-def record(title: str, rows: list[ComparisonRow]) -> None:
-    _ROWS.append((title, rows))
+_SUMMARY = pytest.StashKey[list[tuple[str, list[ComparisonRow]]]]()
 
 
-def pytest_terminal_summary(terminalreporter):
-    if not _ROWS:
+def pytest_configure(config):
+    config.stash[_SUMMARY] = []
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    blocks = config.stash[_SUMMARY]
+    if not blocks:
         return
     terminalreporter.write_sep("=", "paper vs measured (reproduction summary)")
-    for title, rows in _ROWS:
-        terminalreporter.write_line(f"== {title} ==")
-        for row in rows:
-            terminalreporter.write_line(row.render())
+    for title, rows in blocks:
+        terminalreporter.write_line(render_comparison(title, rows))
+
+
+@pytest.fixture
+def summary(request) -> list[tuple[str, list[ComparisonRow]]]:
+    return request.config.stash[_SUMMARY]
 
 
 @pytest.fixture(scope="session")
-def bench_config() -> SimulationConfig:
+def paper_artifacts() -> claims.Artifacts:
     # The workload stream is fully deterministic (stable_hash scheduling,
-    # keyed per-job rng), so the figure benches always see this exact
-    # realization; the seed is chosen so the paper's shape statistics hold
-    # with margin on the reproduction's small samples.
-    return dataclasses.replace(
-        SimulationConfig(seed=20220614),
-        flighting=FlightingConfig(filtered_prob=0.05, failure_prob=0.04),
-    )
-
-
-@pytest.fixture(scope="session")
-def advisor(bench_config) -> QOAdvisor:
-    """The deployed system after bootstrap + 8 pipeline days."""
-    advisor = QOAdvisor(bench_config)
-    advisor.pipeline.bootstrap_validation_model(
-        start_day=0, days=10, flights_per_day=16
-    )
-    advisor.simulate(start_day=10, days=10, learned_after=3)
-    return advisor
-
-
-@pytest.fixture(scope="session")
-def flight_corpus(advisor):
-    """The bootstrap + daily flight results (Figs. 7-9 feed on this)."""
-    corpus = advisor.pipeline.bootstrap_validation_model(
-        start_day=30, days=10, flights_per_day=16
-    )
-    return corpus
-
-
-@pytest.fixture(scope="session")
-def deployment_result(advisor):
-    """Hinted-vs-default measurement on a fresh day (Table 2, Figs. 10-12)."""
-    return measure_hinted_day(advisor, day=21)
-
-
-@pytest.fixture(scope="session")
-def day0_jobs(advisor):
-    return advisor.workload.jobs_for_day(0)
+    # keyed per-job rng), so the claims always see this exact realization;
+    # the seed is chosen so the paper's shape statistics hold with margin
+    # on the reproduction's small samples.
+    return claims.artifacts(20220614)

@@ -1,6 +1,6 @@
 """Experiment harnesses: one per table/figure of the paper's evaluation."""
 
-from repro.analysis.aggregate import DeploymentResult, run_deployment_experiment
+from repro.analysis.aggregate import DeploymentResult
 from repro.analysis.correlation import (
     CostLatencyStudy,
     IoCorrelationStudy,
@@ -21,7 +21,6 @@ __all__ = [
     "IoCorrelationStudy",
     "run_io_correlation_study",
     "DeploymentResult",
-    "run_deployment_experiment",
     "Table3Result",
     "run_table3_experiment",
 ]

@@ -1,9 +1,9 @@
 """End-to-end deployment experiment (paper §5.4–§5.5: Table 2, Figs 10-12).
 
-Runs the full QO-Advisor loop (bootstrap → daily pipeline → SIS hints) and
-then measures, on a fresh day, every job whose template carries a hint:
-the hinted plan versus the default plan.  Reports the aggregate reductions
-of Table 2 and the per-job delta distributions of Figures 10-12.
+After the QO-Advisor loop (bootstrap → daily pipeline → SIS hints) has
+deployed hints, measures on a fresh day every job whose template carries a
+hint: the hinted plan versus the default plan.  Reports the aggregate
+reductions of Table 2 and the per-job delta distributions of Figures 10-12.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.core.advisor import QOAdvisor
 from repro.errors import ScopeError
 from repro.scope.runtime.metrics import relative_delta
 
-__all__ = ["DeploymentResult", "run_deployment_experiment"]
+__all__ = ["DeploymentResult", "measure_hinted_day"]
 
 
 def _mean_metrics(runs):
@@ -81,25 +81,6 @@ class DeploymentResult:
     def best_delta(self, metric: str = "pnhours") -> float:
         deltas = getattr(self, f"{metric}_deltas")
         return min(deltas) if deltas else 0.0
-
-    def sorted_deltas(self, metric: str = "pnhours") -> list[float]:
-        """Per-job deltas ordered as the paper plots them."""
-        return sorted(getattr(self, f"{metric}_deltas"))
-
-
-def run_deployment_experiment(
-    advisor: QOAdvisor,
-    *,
-    bootstrap_days: int = 10,
-    pipeline_days: int = 8,
-    learned_after: int = 3,
-    flights_per_day: int = 16,
-) -> DeploymentResult:
-    """Full loop: bootstrap, daily pipeline, then measure the hinted day."""
-    advisor.bootstrap(start_day=0, days=bootstrap_days)
-    start = bootstrap_days
-    advisor.simulate(start_day=start, days=pipeline_days, learned_after=learned_after)
-    return measure_hinted_day(advisor, day=start + pipeline_days)
 
 
 def measure_hinted_day(advisor: QOAdvisor, day: int) -> DeploymentResult:

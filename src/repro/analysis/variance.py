@@ -30,12 +30,6 @@ class AAVarianceStudy:
     mean_latency: list[float] = field(default_factory=list)
     runs_per_job: int = 0
 
-    @property
-    def normalized_execution_time(self) -> np.ndarray:
-        latencies = np.asarray(self.mean_latency)
-        top = latencies.max() if latencies.size else 1.0
-        return latencies / (top or 1.0)
-
     def fraction_above(self, threshold: float, metric: str = "latency") -> float:
         values = self.latency_cv if metric == "latency" else self.pnhours_cv
         if not values:

@@ -52,8 +52,6 @@ def test_aa_variance_study_structure(tiny_engine, tiny_workload):
     assert len(study.latency_cv) == len(study.pnhours_cv) == len(study.mean_latency)
     assert study.fraction_above(0.0, "latency") == 1.0
     assert 0.0 <= study.fraction_above(0.05, "pnhours") <= 1.0
-    normalized = study.normalized_execution_time
-    assert normalized.max() == pytest.approx(1.0)
 
 
 def test_io_correlation_study_from_corpus():
